@@ -7,6 +7,12 @@ declaration order.  ``run`` writes one JSON report per task and exits 0
 only if every declared check passes; ``describe`` validates the file
 and prints the entity table without running anything.
 
+``_SCHEMA`` below is the one place that lists the keys each section
+may hold, with the parser, default and allowed range of each.  Both
+``describe`` and ``run`` check every section against it before any
+task starts, so a config that ``describe`` accepts does not fail
+validation in ``run``; a rejected value exits 2 with its line number.
+
 Value grammars, all plain text:
 
 * lists (names, numbers): whitespace separated;
@@ -23,11 +29,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -60,18 +69,6 @@ from .transgression import (
     transgress_lift,
 )
 
-_SECTION_KINDS = ("chart", "algebroid", "fibration", "cube", "task")
-_ALGEBROID_KINDS = (
-    "tangent",
-    "lie_algebra",
-    "cotangent_poisson",
-    "jacobi_extension",
-    "rep_extension",
-    "explicit",
-)
-_TASK_KINDS = ("check", "flow", "lift", "transgress", "monodromy", "decompose")
-_CUBE_SOURCES = ("file", "from_sections", "tangent_lift_of")
-
 
 class ConfigError(Exception):
     """Config problem, pointing at a source line when one is known."""
@@ -90,9 +87,6 @@ class SectionSpec:
     line: int
     entries: dict[str, str] = field(default_factory=dict)
     lines: dict[str, int] = field(default_factory=dict)
-
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.entries.get(key, default)
 
     def require(self, key: str) -> str:
         if key not in self.entries:
@@ -131,9 +125,9 @@ def parse_config(text: str) -> list[SectionSpec]:
             if len(head) != 2:
                 raise ConfigError("section header must be '[kind name]'", lineno)
             kind, name = head
-            if kind not in _SECTION_KINDS:
+            if kind not in _SCHEMA:
                 raise ConfigError(
-                    f"unknown section kind '{kind}' (one of {', '.join(_SECTION_KINDS)})", lineno
+                    f"unknown section kind '{kind}' (one of {', '.join(_SCHEMA)})", lineno
                 )
             if not name.isidentifier():
                 raise ConfigError(f"bad section name '{name}'", lineno)
@@ -173,7 +167,7 @@ def apply_overrides(sections: list[SectionSpec], assignments: list[str]) -> dict
         if len(parts) != 3:
             raise ConfigError(f"override target '{target.strip()}' is not kind.name.key")
         kind, name, key = parts
-        if kind not in _SECTION_KINDS:
+        if kind not in _SCHEMA:
             raise ConfigError(f"override names unknown section kind '{kind}'")
         sec = index.get((kind, name))
         if sec is None:
@@ -195,115 +189,336 @@ def config_hash(sections: list[SectionSpec], overrides: dict[str, str]) -> str:
 
 
 # --- value grammars ------------------------------------------------------------
+#
+# Each parser reads one value's text and raises ValueError when the text
+# is malformed or out of range; the schema check adds section, key and line.
 
 
-def _float(value: str, where: int, what: str = "number") -> float:
+def _number(text: str) -> float:
     try:
-        return float(value)
+        value = float(text)
     except ValueError:
-        raise ConfigError(f"bad {what} '{value}'", where) from None
+        raise ValueError(f"'{text}' is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not finite")
+    return value
 
 
-def _int(value: str, where: int, what: str = "integer") -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"bad {what} '{value}'", where) from None
+def _positive(text: str) -> float:
+    value = _number(text)
+    if value <= 0.0:
+        raise ValueError(f"{text} is not positive")
+    return value
 
 
-def _floats(value: str, where: int) -> tuple[float, ...]:
-    return tuple(_float(tok, where) for tok in value.replace(",", " ").split())
+def _positive_or_none(text: str) -> float | None:
+    return None if text == "none" else _positive(text)
 
 
-def _check_exprs(entries, where: int) -> None:
-    for entry in entries:
+def _integer(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
         try:
-            parse_expr(entry)
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"'{text}' is not an integer") from None
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _one_of(*options: str) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"must be one of {', '.join(options)}, got '{text}'")
+        return text
+
+    return parse
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(text.split())
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    return tuple(_number(tok) for tok in text.replace(",", " ").split())
+
+
+def _integers(text: str) -> tuple[int, ...]:
+    return tuple(_integer(0)(tok) for tok in text.split())
+
+
+def _exprs(text: str) -> tuple:
+    out = []
+    for entry in (e.strip() for e in text.split(",")):
+        if not entry:
+            raise ValueError("has an empty entry")
+        try:
+            out.append(parse_expr(entry))
         except ValueError as err:
-            raise ConfigError(f"bad expression '{entry}': {err}", where) from None
+            raise ValueError(f"bad expression '{entry}': {err}") from None
+    return tuple(out)
 
 
-def _matrix(value: str, where: int, what: str = "matrix") -> tuple[tuple[str, ...], ...]:
-    rows = []
-    for chunk in value.split(";"):
-        entries = tuple(e.strip() for e in chunk.split(","))
-        if any(not e for e in entries):
-            raise ConfigError(f"{what} has an empty entry", where)
-        rows.append(entries)
+def _matrix(text: str) -> tuple[tuple, ...]:
+    rows = tuple(_exprs(chunk) for chunk in text.split(";"))
     if len({len(r) for r in rows}) != 1:
-        raise ConfigError(f"{what} rows have unequal lengths", where)
-    for row in rows:
-        _check_exprs(row, where)
-    return tuple(rows)
+        raise ValueError("rows have unequal lengths")
+    return rows
 
 
-def _shaped_matrix(value, where, n_rows, n_cols, what):
-    mat = _matrix(value, where, what)
-    if len(mat) != n_rows or len(mat[0]) != n_cols:
-        raise ConfigError(
-            f"{what} must be {n_rows} rows of {n_cols} entries, got {len(mat)}x{len(mat[0])}",
-            where,
-        )
-    return mat
+def _matrices(text: str) -> tuple[tuple[tuple, ...], ...]:
+    return tuple(_matrix(part) for part in text.split("|"))
 
 
-def _bounds(value: str, where: int) -> tuple[tuple[float, float], ...]:
-    rows = []
-    for chunk in value.split(";"):
-        pair = _floats(chunk, where)
-        if len(pair) != 2:
-            raise ConfigError("each bounds row must be 'lo hi'", where)
-        rows.append((pair[0], pair[1]))
-    return tuple(rows)
+def _bounds(text: str) -> tuple[tuple[float, float], ...]:
+    rows = tuple(_numbers(chunk) for chunk in text.split(";"))
+    if any(len(pair) != 2 for pair in rows):
+        raise ValueError("each bounds row must be 'lo hi'")
+    return rows
 
 
-def _table(value, where, n_frames, n_components, what="structure"):
-    """Parse ``i j: e1, e2, ...`` chunks into an (i, j) -> components map."""
-    out: dict[tuple[int, int], tuple[str, ...]] = {}
-    for chunk in value.split(";"):
+def _table(text: str) -> dict[tuple[int, int], tuple]:
+    """``i j: e1, e2, ...`` chunks; index ranges and lengths are checked by the constructors."""
+    out: dict[tuple[int, int], tuple] = {}
+    for chunk in text.split(";"):
         if not chunk.strip():
             continue
         head, colon, tail = chunk.partition(":")
         if not colon:
-            raise ConfigError(f"{what} chunk '{chunk.strip()}' is missing ':'", where)
-        idx = head.split()
-        if len(idx) != 2:
-            raise ConfigError(f"{what} chunk needs two frame indices before ':'", where)
-        i, j = (_int(tok, where, f"{what} index") for tok in idx)
-        if not 0 <= i < j < n_frames:
-            raise ConfigError(f"{what} indices must satisfy 0 <= i < j < {n_frames}", where)
-        if (i, j) in out:
-            raise ConfigError(f"{what} repeats the pair ({i}, {j})", where)
-        comps = tuple(e.strip() for e in tail.split(","))
-        if len(comps) != n_components:
-            raise ConfigError(
-                f"{what} pair ({i}, {j}) needs {n_components} components, got {len(comps)}", where
-            )
-        _check_exprs(comps, where)
-        out[i, j] = comps
+            raise ValueError(f"chunk '{chunk.strip()}' is missing ':'")
+        pair = _integers(head)
+        if len(pair) != 2:
+            raise ValueError("each chunk needs two frame indices before ':'")
+        if pair in out:
+            raise ValueError(f"repeats the pair {pair}")
+        out[pair] = _exprs(tail)
     return out
 
 
-def _action_matrices(value, where, n_frames, dim):
-    parts = value.split("|")
-    if len(parts) != n_frames:
-        raise ConfigError(f"action needs {n_frames} '|'-separated matrices, got {len(parts)}", where)
-    return [_shaped_matrix(part, where, dim, dim, "action matrix") for part in parts]
+# --- schema --------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class SameAs:
+    """Default that copies another key of the same form, listed before this one."""
+
+    key: str
+
+
+@dataclass(frozen=True)
+class Key:
+    """One allowed key: its parser (which enforces the range), default, and referent.
+
+    ``refers`` names the section kind that the value (or each of its
+    names) must point at.
+    """
+
+    parse: Callable[[str], object] = str
+    default: object = _REQUIRED
+    refers: str | None = None
+
+
+@dataclass(frozen=True)
+class Form:
+    """The keys of one section variant, plus checks against other sections.
+
+    ``check(ws, sec, params)`` compares sizes with the referenced
+    entities; it must not build a cube grid, because ``describe`` runs it.
+    """
+
+    keys: dict[str, Key]
+    check: Callable | None = None
+
+
+def _fit(sec: SectionSpec, key: str, got: int, want: int, what: str) -> None:
+    if got != want:
+        raise ConfigError(
+            f"[{sec.kind} {sec.name}] {key} needs {want} {what}, got {got}", sec.where(key)
+        )
+
+
+def _check_file(ws, sec, p) -> None:
+    path = ws.base_dir / p.path
+    if not path.exists():
+        raise ConfigError(f"cube file '{path}' does not exist", sec.where("path"))
+
+
+def _check_sections(ws, sec, p) -> None:
+    A = ws.build("algebroid", p.algebroid)
+    _fit(sec, "sections", len(p.sections[0]), A.rank, "coefficient entries per row")
+    _fit(sec, "basepoint", len(p.basepoint), A.chart.dim, "numbers")
+    if p.order is not None and sorted(p.order) != list(range(len(p.sections))):
+        raise ConfigError(f"order must permute 0..{len(p.sections) - 1}", sec.where("order"))
+
+
+def _check_map(ws, sec, p) -> None:
+    _fit(sec, "map", len(p.map), ws.build("algebroid", p.algebroid).chart.dim, "components")
+    if ws.params("algebroid", p.algebroid).kind not in ("tangent", "cotangent_poisson"):
+        raise ConfigError(
+            "tangent_lift_of needs a tangent or cotangent_poisson algebroid",
+            sec.where("algebroid"),
+        )
+
+
+def _check_flow(ws, sec, p) -> None:
+    if p.expect_endpoint is not None:
+        chart = ws.build("algebroid", ws.params("cube", p.cube).algebroid).chart
+        _fit(sec, "expect_endpoint", len(p.expect_endpoint), chart.dim, "numbers")
+
+
+def _check_monodromy(ws, sec, p) -> None:
+    A = ws.build("algebroid", p.algebroid)
+    _fit(sec, "splitting", len(p.splitting), A.rank, "rows")
+    _fit(sec, "splitting", len(p.splitting[0]), A.chart.dim, "entries per row")
+    if (p.cube is None) == (p.cubes is None):
+        raise ConfigError(f"[task {sec.name}] needs exactly one of 'cube' or 'cubes'", sec.line)
+    if p.labels is not None:
+        _fit(sec, "labels", len(p.labels), len(p.cubes or (p.cube,)), "names")
+
+
+_CHART = Key(refers="chart")
+_ALGEBROID = Key(refers="algebroid")
+_FIBRATION = Key(refers="fibration")
+_CUBE = Key(refers="cube")
+_RANK = Key(_integer(1))
+_STRUCTURE = Key(_table, None)
+_BIVECTOR = Key(_matrix)
+_N = Key(_integer(2))
+_TOL = Key(_positive, 1e-2)
+_EXPECT = Key(_number, None)
+_EXPECT_TOL = Key(_positive, SameAs("tol"))
+_CENTRALITY_TOL = Key(_positive_or_none, 1e-6)
+_SEED = Key(_integer(0), 42)
+_SAVE = Key(default=None)
+
+# section kind -> discriminating key (absent for kinds with one form)
+_TAGS = {"algebroid": "kind", "cube": "source", "task": "kind"}
+
+# section kind -> discriminator value -> Form
+_SCHEMA: dict[str, dict[str | None, Form]] = {
+    "chart": {None: Form({"coords": Key(_names), "bounds": Key(_bounds)})},
+    "algebroid": {
+        "tangent": Form({"chart": _CHART}),
+        "lie_algebra": Form(
+            {"rank": _RANK, "structure": _STRUCTURE, "chart": Key(default=None, refers="chart")}
+        ),
+        "cotangent_poisson": Form({"chart": _CHART, "bivector": _BIVECTOR}),
+        "jacobi_extension": Form({"chart": _CHART, "bivector": _BIVECTOR}),
+        "rep_extension": Form(
+            {
+                "base": _ALGEBROID,
+                "fiber_dim": Key(_integer(1)),
+                "action": Key(_matrices),
+                "twist": Key(_table, None),
+            }
+        ),
+        "explicit": Form(
+            {"chart": _CHART, "rank": _RANK, "anchor": Key(_matrix), "structure": _STRUCTURE}
+        ),
+    },
+    "fibration": {
+        None: Form(
+            {
+                "total": _ALGEBROID,
+                "base": _ALGEBROID,
+                "pi": Key(_matrix),
+                "sigma": Key(_matrix, None),
+                "kernel_frame": Key(_matrix, ()),
+            }
+        )
+    },
+    "cube": {
+        "file": Form({"algebroid": _ALGEBROID, "path": Key()}, _check_file),
+        "from_sections": Form(
+            {
+                "algebroid": _ALGEBROID,
+                "sections": Key(_matrix),
+                "basepoint": Key(_numbers),
+                "N": _N,
+                "order": Key(_integers, None),
+            },
+            _check_sections,
+        ),
+        "tangent_lift_of": Form(
+            {"algebroid": _ALGEBROID, "map": Key(_exprs), "n": Key(_integer(1)), "N": _N},
+            _check_map,
+        ),
+    },
+    "task": {
+        "check": Form(
+            {
+                "algebroid": _ALGEBROID,
+                "tol": Key(_positive, 1e-6),
+                "n_points": Key(_integer(1), 200),
+                "seed": _SEED,
+            }
+        ),
+        "flow": Form(
+            {
+                "cube": _CUBE,
+                "tol": _TOL,
+                "expect_endpoint": Key(_numbers, None),
+                "expect_tol": _EXPECT_TOL,
+                "save": _SAVE,
+            },
+            _check_flow,
+        ),
+        "lift": Form({"fibration": _FIBRATION, "cube": _CUBE, "tol": _TOL, "save": _SAVE}),
+        "transgress": Form(
+            {
+                "fibration": _FIBRATION,
+                "cube": _CUBE,
+                "method": Key(_one_of("formula", "lift", "both"), "both"),
+                "tol": _TOL,
+                "expect": _EXPECT,
+                "expect_tol": _EXPECT_TOL,
+                "centrality_tol": _CENTRALITY_TOL,
+            }
+        ),
+        "monodromy": Form(
+            {
+                "algebroid": _ALGEBROID,
+                "splitting": Key(_matrix),
+                "cube": Key(default=None, refers="cube"),
+                "cubes": Key(_names, None, refers="cube"),
+                "labels": Key(_names, None),
+                "expect": _EXPECT,
+                "expect_tol": _TOL,
+                "seed": _SEED,
+                "n_samples": Key(_integer(1), 25),
+                "max_denominator": Key(_integer(1), 64),
+                "centrality_tol": _CENTRALITY_TOL,
+            },
+            _check_monodromy,
+        ),
+        "decompose": Form(
+            {
+                "fibration": _FIBRATION,
+                "cube": _CUBE,
+                "tol": _TOL,
+                "endpoint_tol": Key(_positive, 1e-6),
+            }
+        ),
+    },
+}
 
 
 # --- workspace -----------------------------------------------------------------
 
 
 class Workspace:
-    """Builds and memoizes the entities a config declares."""
+    """Checks, builds and memoizes the entities a config declares."""
 
     def __init__(self, sections: list[SectionSpec], base_dir: Path):
         self.base_dir = base_dir
-        self.sections = sections
         self.index = {(s.kind, s.name): s for s in sections}
+        self._params: dict[tuple[str, str], SimpleNamespace] = {}
         self._built: dict[tuple[str, str], object] = {}
         self._stack: list[tuple[str, str]] = []
-        self.algebroid_meta: dict[str, dict] = {}
 
     def section(self, kind: str, name: str, where: int | None = None) -> SectionSpec:
         sec = self.index.get((kind, name))
@@ -311,18 +526,56 @@ class Workspace:
             raise ConfigError(f"undefined {kind} '{name}'", where)
         return sec
 
-    def build(self, kind: str, name: str, where: int | None = None):
-        sec = self.section(kind, name, where)
+    def params(self, kind: str, name: str) -> SimpleNamespace:
+        """Typed parameters of a section, checked against ``_SCHEMA`` on first use.
+
+        The discriminator (algebroid ``kind``, cube ``source``, task
+        ``kind``) is included; absent optional keys take their defaults.
+        """
+        if (kind, name) in self._params:
+            return self._params[kind, name]
+        sec = self.section(kind, name)
+        tag = _TAGS.get(kind)
+        choice = sec.require(tag) if tag else None
+        if choice not in _SCHEMA[kind]:
+            raise ConfigError(
+                f"unknown {kind} {tag} '{choice}' (one of {', '.join(_SCHEMA[kind])})",
+                sec.where(tag),
+            )
+        form = _SCHEMA[kind][choice]
+        sec.reject_unknown(set(form.keys) | {tag} - {None})
+        values: dict[str, object] = {tag: choice} if tag else {}
+        for key, spec in form.keys.items():
+            if key not in sec.entries:
+                if spec.default is _REQUIRED:
+                    sec.require(key)  # raises: the key is missing
+                default = spec.default
+                values[key] = values[default.key] if isinstance(default, SameAs) else default
+                continue
+            try:
+                value = spec.parse(sec.entries[key])
+            except ValueError as err:
+                raise ConfigError(f"[{kind} {name}] {key}: {err}", sec.where(key)) from None
+            if spec.refers:
+                for ref in (value,) if isinstance(value, str) else value:
+                    self.section(spec.refers, ref, sec.where(key))
+            values[key] = value
+        p = SimpleNamespace(**values)
+        if form.check is not None:
+            form.check(self, sec, p)
+        self._params[kind, name] = p
+        return p
+
+    def build(self, kind: str, name: str):
         key = (kind, name)
         if key in self._built:
             return self._built[key]
+        sec = self.section(kind, name)
         if key in self._stack:
             raise ConfigError(f"circular reference through [{kind} {name}]", sec.line)
         self._stack.append(key)
         try:
-            obj = getattr(self, f"_make_{kind}")(sec)
-        except ConfigError:
-            raise
+            obj = getattr(self, f"_make_{kind}")(self.params(kind, name))
         except ValueError as err:
             raise ConfigError(f"[{kind} {name}]: {err}", sec.line) from err
         finally:
@@ -330,309 +583,73 @@ class Workspace:
         self._built[key] = obj
         return obj
 
-    def _make_chart(self, sec: SectionSpec) -> Chart:
-        sec.reject_unknown({"coords", "bounds"})
-        coords = tuple(sec.require("coords").split())
-        box = _bounds(sec.require("bounds"), sec.where("bounds"))
-        if len(box) != len(coords):
-            raise ConfigError(
-                f"[chart {sec.name}] has {len(coords)} coordinates but {len(box)} bounds rows",
-                sec.where("bounds"),
-            )
-        return Chart(coords, box)
+    def _make_chart(self, p) -> Chart:
+        return Chart(p.coords, p.bounds)
 
-    def _make_algebroid(self, sec: SectionSpec):
-        kind = sec.require("kind")
-        meta = {"kind": kind, "bivector": None}
-        if kind == "tangent":
-            sec.reject_unknown({"kind", "chart"})
-            built = make_tangent(self.build("chart", sec.require("chart"), sec.where("chart")))
-        elif kind == "lie_algebra":
-            sec.reject_unknown({"kind", "rank", "structure", "chart"})
-            rank = _int(sec.require("rank"), sec.where("rank"))
-            table = _table(sec.get("structure", ""), sec.where("structure"), rank, rank)
-            chart = None
-            if "chart" in sec.entries:
-                chart = self.build("chart", sec.entries["chart"], sec.where("chart"))
-            built = make_lie_algebra(rank, table, chart=chart)
-        elif kind in ("cotangent_poisson", "jacobi_extension"):
-            sec.reject_unknown({"kind", "chart", "bivector"})
-            chart = self.build("chart", sec.require("chart"), sec.where("chart"))
-            biv = _shaped_matrix(
-                sec.require("bivector"), sec.where("bivector"), chart.dim, chart.dim, "bivector"
-            )
-            maker = make_cotangent_poisson if kind == "cotangent_poisson" else make_jacobi_extension
-            built = maker(chart, biv)
-            meta["bivector"] = biv
-        elif kind == "rep_extension":
-            sec.reject_unknown({"kind", "base", "fiber_dim", "action", "twist"})
-            base = self.build("algebroid", sec.require("base"), sec.where("base"))
-            fiber_dim = _int(sec.require("fiber_dim"), sec.where("fiber_dim"))
-            action = _action_matrices(
-                sec.require("action"), sec.where("action"), base.rank, fiber_dim
-            )
-            twist = _table(
-                sec.get("twist", ""), sec.where("twist"), base.rank, fiber_dim, "twist"
-            )
-            built = make_rep_extension(base, fiber_dim, action, twist=twist or None)
-        elif kind == "explicit":
-            sec.reject_unknown({"kind", "chart", "rank", "anchor", "structure"})
-            chart = self.build("chart", sec.require("chart"), sec.where("chart"))
-            rank = _int(sec.require("rank"), sec.where("rank"))
-            anchor = _shaped_matrix(
-                sec.require("anchor"), sec.where("anchor"), rank, chart.dim, "anchor"
-            )
-            table = _table(sec.get("structure", ""), sec.where("structure"), rank, rank)
-            built = make_explicit(chart, rank, anchor, table or None)
-        else:
-            raise ConfigError(
-                f"unknown algebroid kind '{kind}' (one of {', '.join(_ALGEBROID_KINDS)})",
-                sec.where("kind"),
-            )
-        self.algebroid_meta[sec.name] = meta
-        return built
+    def _make_algebroid(self, p):
+        if p.kind == "tangent":
+            return make_tangent(self.build("chart", p.chart))
+        if p.kind == "lie_algebra":
+            chart = None if p.chart is None else self.build("chart", p.chart)
+            return make_lie_algebra(p.rank, p.structure or {}, chart=chart)
+        if p.kind == "rep_extension":
+            base = self.build("algebroid", p.base)
+            return make_rep_extension(base, p.fiber_dim, p.action, twist=p.twist)
+        chart = self.build("chart", p.chart)
+        if p.kind == "explicit":
+            return make_explicit(chart, p.rank, p.anchor, p.structure)
+        maker = make_cotangent_poisson if p.kind == "cotangent_poisson" else make_jacobi_extension
+        return maker(chart, p.bivector)
 
-    def _make_fibration(self, sec: SectionSpec) -> Fibration:
-        sec.reject_unknown({"total", "base", "pi", "sigma", "kernel_frame"})
-        total = self.build("algebroid", sec.require("total"), sec.where("total"))
-        base = self.build("algebroid", sec.require("base"), sec.where("base"))
-        pi = _shaped_matrix(sec.require("pi"), sec.where("pi"), base.rank, total.rank, "pi")
-        if "sigma" in sec.entries:
-            sigma = _shaped_matrix(
-                sec.entries["sigma"], sec.where("sigma"), total.rank, base.rank, "sigma"
-            )
-        else:
-            sigma = splitting_from_projection(pi)
-        kernel = ()
-        if "kernel_frame" in sec.entries:
-            kernel = _shaped_matrix(
-                sec.entries["kernel_frame"],
-                sec.where("kernel_frame"),
-                total.rank - base.rank,
-                total.rank,
-                "kernel_frame",
-            )
-        return Fibration(total=total, base=base, projection=pi, splitting=sigma, kernel=kernel)
-
-    def _make_cube(self, sec: SectionSpec):
-        alg_name = sec.require("algebroid")
-        A = self.build("algebroid", alg_name, sec.where("algebroid"))
-        source = sec.require("source")
-        if source == "file":
-            sec.reject_unknown({"algebroid", "source", "path"})
-            path = self.base_dir / sec.require("path")
-            if not path.exists():
-                raise ConfigError(f"cube file '{path}' does not exist", sec.where("path"))
-            return load_cube(path, A)
-        if source == "from_sections":
-            sec.reject_unknown({"algebroid", "source", "sections", "basepoint", "N", "order"})
-            rows = _matrix(sec.require("sections"), sec.where("sections"), "sections")
-            if len(rows[0]) != A.rank:
-                raise ConfigError(
-                    f"sections need {A.rank} coefficient entries per row, got {len(rows[0])}",
-                    sec.where("sections"),
-                )
-            basepoint = _floats(sec.require("basepoint"), sec.where("basepoint"))
-            if len(basepoint) != A.chart.dim:
-                raise ConfigError(
-                    f"basepoint needs {A.chart.dim} numbers, got {len(basepoint)}",
-                    sec.where("basepoint"),
-                )
-            N = _int(sec.require("N"), sec.where("N"))
-            order = None
-            if "order" in sec.entries:
-                order = tuple(
-                    _int(tok, sec.where("order")) for tok in sec.entries["order"].split()
-                )
-            return cube_from_sections(A, rows, basepoint, N, order=order)
-        if source == "tangent_lift_of":
-            sec.reject_unknown({"algebroid", "source", "map", "n", "N"})
-            comps = tuple(e.strip() for e in sec.require("map").split(","))
-            if len(comps) != A.chart.dim:
-                raise ConfigError(
-                    f"map needs {A.chart.dim} components, got {len(comps)}", sec.where("map")
-                )
-            _check_exprs(comps, sec.where("map"))
-            n = _int(sec.require("n"), sec.where("n"))
-            N = _int(sec.require("N"), sec.where("N"))
-            meta = self.algebroid_meta[alg_name]
-            if meta["kind"] == "tangent":
-                return tangent_lift(A.chart, comps, n, N)
-            if meta["kind"] == "cotangent_poisson":
-                return cotangent_lift(A.chart, meta["bivector"], comps, n, N)
-            raise ConfigError(
-                "tangent_lift_of needs a tangent or cotangent_poisson algebroid",
-                sec.where("algebroid"),
-            )
-        raise ConfigError(
-            f"unknown cube source '{source}' (one of {', '.join(_CUBE_SOURCES)})",
-            sec.where("source"),
+    def _make_fibration(self, p) -> Fibration:
+        return Fibration(
+            total=self.build("algebroid", p.total),
+            base=self.build("algebroid", p.base),
+            projection=p.pi,
+            splitting=p.sigma if p.sigma is not None else splitting_from_projection(p.pi),
+            kernel=p.kernel_frame,
         )
 
-
-# --- static validation and describe --------------------------------------------
-
-
-def _static_cube(ws: Workspace, sec: SectionSpec) -> str:
-    alg_name = sec.require("algebroid")
-    A = ws.build("algebroid", alg_name, sec.where("algebroid"))
-    source = sec.require("source")
-    if source == "file":
-        sec.reject_unknown({"algebroid", "source", "path"})
-        path = ws.base_dir / sec.require("path")
-        if not path.exists():
-            raise ConfigError(f"cube file '{path}' does not exist", sec.where("path"))
-        return f"file {sec.entries['path']} over {alg_name}"
-    if source == "from_sections":
-        sec.reject_unknown({"algebroid", "source", "sections", "basepoint", "N", "order"})
-        rows = _matrix(sec.require("sections"), sec.where("sections"), "sections")
-        if len(rows[0]) != A.rank:
-            raise ConfigError(
-                f"sections need {A.rank} coefficient entries per row, got {len(rows[0])}",
-                sec.where("sections"),
-            )
-        basepoint = _floats(sec.require("basepoint"), sec.where("basepoint"))
-        if len(basepoint) != A.chart.dim:
-            raise ConfigError(
-                f"basepoint needs {A.chart.dim} numbers, got {len(basepoint)}",
-                sec.where("basepoint"),
-            )
-        N = _int(sec.require("N"), sec.where("N"))
-        if "order" in sec.entries:
-            perm = sorted(_int(tok, sec.where("order")) for tok in sec.entries["order"].split())
-            if perm != list(range(len(rows))):
-                raise ConfigError(
-                    f"order must permute 0..{len(rows) - 1}", sec.where("order")
-                )
-        return f"from_sections over {alg_name}, n={len(rows)}, N={N}"
-    if source == "tangent_lift_of":
-        sec.reject_unknown({"algebroid", "source", "map", "n", "N"})
-        comps = tuple(e.strip() for e in sec.require("map").split(","))
-        if len(comps) != A.chart.dim:
-            raise ConfigError(
-                f"map needs {A.chart.dim} components, got {len(comps)}", sec.where("map")
-            )
-        _check_exprs(comps, sec.where("map"))
-        n = _int(sec.require("n"), sec.where("n"))
-        N = _int(sec.require("N"), sec.where("N"))
-        kind = ws.algebroid_meta[alg_name]["kind"]
-        if kind not in ("tangent", "cotangent_poisson"):
-            raise ConfigError(
-                "tangent_lift_of needs a tangent or cotangent_poisson algebroid",
-                sec.where("algebroid"),
-            )
-        return f"tangent_lift_of over {alg_name}, n={n}, N={N}"
-    raise ConfigError(
-        f"unknown cube source '{source}' (one of {', '.join(_CUBE_SOURCES)})",
-        sec.where("source"),
-    )
+    def _make_cube(self, p):
+        A = self.build("algebroid", p.algebroid)
+        if p.source == "file":
+            return load_cube(self.base_dir / p.path, A)
+        if p.source == "from_sections":
+            return cube_from_sections(A, p.sections, p.basepoint, p.N, order=p.order)
+        alg = self.params("algebroid", p.algebroid)
+        if alg.kind == "tangent":
+            return tangent_lift(A.chart, p.map, p.n, p.N)
+        return cotangent_lift(A.chart, alg.bivector, p.map, p.n, p.N)
 
 
-_TASK_KEYS = {
-    "check": {"kind", "algebroid", "tol", "n_points", "seed"},
-    "flow": {"kind", "cube", "tol", "expect_endpoint", "expect_tol", "save"},
-    "lift": {"kind", "fibration", "cube", "tol", "save"},
-    "transgress": {
-        "kind",
-        "fibration",
-        "cube",
-        "method",
-        "tol",
-        "expect",
-        "expect_tol",
-        "centrality_tol",
-    },
-    "monodromy": {
-        "kind",
-        "algebroid",
-        "splitting",
-        "cube",
-        "cubes",
-        "labels",
-        "expect",
-        "expect_tol",
-        "seed",
-        "n_samples",
-        "max_denominator",
-        "centrality_tol",
-    },
-    "decompose": {"kind", "fibration", "cube", "tol", "endpoint_tol"},
-}
+# --- describe ------------------------------------------------------------------
 
 
-def _static_task(ws: Workspace, sec: SectionSpec) -> str:
-    kind = sec.require("kind")
-    if kind not in _TASK_KINDS:
-        raise ConfigError(
-            f"unknown task kind '{kind}' (one of {', '.join(_TASK_KINDS)})", sec.where("kind")
-        )
-    sec.reject_unknown(_TASK_KEYS[kind])
-    for key in ("tol", "expect", "expect_tol", "endpoint_tol"):
-        if key in sec.entries:
-            _float(sec.entries[key], sec.where(key), key)
-    if "centrality_tol" in sec.entries and sec.entries["centrality_tol"] != "none":
-        _float(sec.entries["centrality_tol"], sec.where("centrality_tol"), "centrality_tol")
-    for key in ("n_points", "seed", "n_samples", "max_denominator"):
-        if key in sec.entries:
-            _int(sec.entries[key], sec.where(key), key)
-
-    if kind == "check":
-        A = ws.build("algebroid", sec.require("algebroid"), sec.where("algebroid"))
-        return f"check axioms of {sec.entries['algebroid']} (rank {A.rank})"
-    if kind == "flow":
-        ws.section("cube", sec.require("cube"), sec.where("cube"))
-        if "expect_endpoint" in sec.entries:
-            _floats(sec.entries["expect_endpoint"], sec.where("expect_endpoint"))
-        return f"flow and verify cube {sec.entries['cube']}"
-    if kind in ("lift", "transgress", "decompose"):
-        ws.build("fibration", sec.require("fibration"), sec.where("fibration"))
-        ws.section("cube", sec.require("cube"), sec.where("cube"))
-        if kind == "transgress":
-            method = sec.get("method", "both")
-            if method not in ("formula", "lift", "both"):
-                raise ConfigError(
-                    f"method must be formula, lift, or both, got '{method}'", sec.where("method")
-                )
-        return f"{kind} through {sec.entries['fibration']} on cube {sec.entries['cube']}"
-    A = ws.build("algebroid", sec.require("algebroid"), sec.where("algebroid"))
-    _shaped_matrix(
-        sec.require("splitting"), sec.where("splitting"), A.rank, A.chart.dim, "splitting"
-    )
-    if ("cube" in sec.entries) == ("cubes" in sec.entries):
-        raise ConfigError(
-            f"[task {sec.name}] needs exactly one of 'cube' or 'cubes'", sec.line
-        )
-    names = sec.entries.get("cubes", sec.entries.get("cube", "")).split()
-    for name in names:
-        ws.section("cube", name, sec.line)
-    if "labels" in sec.entries and len(sec.entries["labels"].split()) != len(names):
-        raise ConfigError("labels must match the cube list in length", sec.where("labels"))
-    return f"monodromy of {sec.entries['algebroid']} on {len(names)} cube(s)"
+def _summary(p: SimpleNamespace) -> str:
+    """The scalar and list parameters of a section, defaults included."""
+    scalar = (str, int, float)
+    parts = []
+    for key, value in vars(p).items():
+        if isinstance(value, tuple) and value and all(isinstance(v, scalar) for v in value):
+            value = ",".join(map(str, value))
+        if isinstance(value, scalar):
+            parts.append(f"{key}={value}")
+    return " ".join(parts)
 
 
 def inspect_config(sections: list[SectionSpec], base_dir: Path):
-    """Validate every section; return the workspace and one summary per section."""
+    """Check every section; return the workspace and one summary per section.
+
+    Charts, algebroids and fibrations are built as well; cubes are only
+    checked, so no grid is allocated here.
+    """
     ws = Workspace(sections, base_dir)
     rows: list[tuple[str, str, str]] = []
     for sec in sections:
-        if sec.kind == "chart":
-            chart = ws.build("chart", sec.name)
-            summary = "coordinates " + ", ".join(chart.coords)
-        elif sec.kind == "algebroid":
-            A = ws.build("algebroid", sec.name)
-            coords = ", ".join(A.chart.coords)
-            summary = f"{sec.entries['kind']}, rank {A.rank} over ({coords})"
-        elif sec.kind == "fibration":
-            fib = ws.build("fibration", sec.name)
-            summary = (
-                f"{sec.entries['total']} -> {sec.entries['base']}, "
-                f"kernel rank {fib.kernel_rank}"
-            )
-        elif sec.kind == "cube":
-            summary = _static_cube(ws, sec)
-        else:
-            summary = _static_task(ws, sec)
-        rows.append((sec.kind, sec.name, summary))
+        p = ws.params(sec.kind, sec.name)
+        if sec.kind in ("chart", "algebroid", "fibration"):
+            ws.build(sec.kind, sec.name)
+        rows.append((sec.kind, sec.name, _summary(p)))
     return ws, rows
 
 
@@ -659,30 +676,23 @@ def _check(name: str, value: float, tol: float) -> dict:
     return {"name": name, "value": float(value), "tol": float(tol), "passed": bool(value < tol)}
 
 
-def _centrality_tol(sec: SectionSpec):
-    raw = sec.get("centrality_tol", "1e-6")
-    return None if raw == "none" else _float(raw, sec.where("centrality_tol"), "centrality_tol")
+def _expect_check(p, checks, scalar):
+    if p.expect is not None:
+        checks.append(_check("expect", abs(scalar - p.expect), p.expect_tol))
 
 
-def _run_check(ws, sec, checks, values):
-    A = ws.build("algebroid", sec.require("algebroid"), sec.where("algebroid"))
-    tol = _float(sec.get("tol", "1e-6"), sec.where("tol"), "tol")
-    report = check_axioms(
-        A,
-        n_points=_int(sec.get("n_points", "200"), sec.where("n_points")),
-        seed=_int(sec.get("seed", "42"), sec.where("seed")),
-        tol=tol,
-    )
+def _run_check(ws, p, checks, values, out_dir):
+    A = ws.build("algebroid", p.algebroid)
+    report = check_axioms(A, n_points=p.n_points, seed=p.seed, tol=p.tol)
     values["jacobi_residual"] = report.jacobi_residual
     values["anchor_residual"] = report.anchor_residual
     if report.witness is not None and not report.passed:
         values["witness"] = report.witness.describe()
-    checks.append(_check("axioms", max(report.jacobi_residual, report.anchor_residual), tol))
+    checks.append(_check("axioms", max(report.jacobi_residual, report.anchor_residual), p.tol))
 
 
-def _run_flow(ws, sec, checks, values, out_dir):
-    cube = ws.build("cube", sec.require("cube"), sec.where("cube"))
-    tol = _float(sec.get("tol", "1e-2"), sec.where("tol"), "tol")
+def _run_flow(ws, p, checks, values, out_dir):
+    cube = ws.build("cube", p.cube)
     res = morphism_residual(cube)
     endpoint = cube.gamma[(-1,) * cube.n]
     values.update(
@@ -692,19 +702,17 @@ def _run_flow(ws, sec, checks, values, out_dir):
         base_residual=res.base,
         endpoint=endpoint,
     )
-    checks.append(_check("morphism_residual", max(res), tol))
-    if "expect_endpoint" in sec.entries:
-        target = np.array(_floats(sec.entries["expect_endpoint"], sec.where("expect_endpoint")))
-        etol = _float(sec.get("expect_tol", str(tol)), sec.where("expect_tol"), "expect_tol")
-        checks.append(_check("endpoint", float(np.max(np.abs(endpoint - target))), etol))
-    if "save" in sec.entries:
-        save_cube(cube, out_dir / sec.entries["save"])
+    checks.append(_check("morphism_residual", max(res), p.tol))
+    if p.expect_endpoint is not None:
+        gap = float(np.max(np.abs(endpoint - np.array(p.expect_endpoint))))
+        checks.append(_check("endpoint", gap, p.expect_tol))
+    if p.save is not None:
+        save_cube(cube, out_dir / p.save)
 
 
-def _run_lift(ws, sec, checks, values, out_dir):
-    fib = ws.build("fibration", sec.require("fibration"), sec.where("fibration"))
-    cube = ws.build("cube", sec.require("cube"), sec.where("cube"))
-    tol = _float(sec.get("tol", "1e-2"), sec.where("tol"), "tol")
+def _run_lift(ws, p, checks, values, out_dir):
+    fib = ws.build("fibration", p.fibration)
+    cube = ws.build("cube", p.cube)
     lifted = lift_cube(fib, cube)
     res = morphism_residual(lifted)
     down = project_cube(fib, lifted)
@@ -715,86 +723,64 @@ def _run_lift(ws, sec, checks, values, out_dir):
         base_residual=res.base,
         projection_roundtrip=roundtrip,
     )
-    checks.append(_check("morphism_residual", max(res), tol))
-    checks.append(_check("projection_roundtrip", roundtrip, tol))
-    if "save" in sec.entries:
-        save_cube(lifted, out_dir / sec.entries["save"])
+    checks.append(_check("morphism_residual", max(res), p.tol))
+    checks.append(_check("projection_roundtrip", roundtrip, p.tol))
+    if p.save is not None:
+        save_cube(lifted, out_dir / p.save)
 
 
-def _expect_check(sec, checks, scalar):
-    if "expect" in sec.entries:
-        expect = _float(sec.entries["expect"], sec.where("expect"), "expect")
-        etol = _float(
-            sec.get("expect_tol", sec.get("tol", "1e-2")), sec.where("expect_tol"), "expect_tol"
-        )
-        checks.append(_check("expect", abs(scalar - expect), etol))
-
-
-def _run_transgress(ws, sec, checks, values):
-    fib = ws.build("fibration", sec.require("fibration"), sec.where("fibration"))
-    cube = ws.build("cube", sec.require("cube"), sec.where("cube"))
-    method = sec.get("method", "both")
-    tol = _float(sec.get("tol", "1e-2"), sec.where("tol"), "tol")
+def _run_transgress(ws, p, checks, values, out_dir):
+    fib = ws.build("fibration", p.fibration)
+    cube = ws.build("cube", p.cube)
     results = {}
-    if method in ("formula", "both"):
-        results["formula"] = transgress2_formula(fib, cube, centrality_tol=_centrality_tol(sec))
+    if p.method in ("formula", "both"):
+        results["formula"] = transgress2_formula(fib, cube, centrality_tol=p.centrality_tol)
         values["formula"] = results["formula"].as_dict()
-    if method in ("lift", "both"):
+    if p.method in ("lift", "both"):
         results["lift"] = transgress_lift(fib, cube)
         values["lift"] = results["lift"].as_dict()
-    if method == "both":
+    if p.method == "both":
         gap = float(np.max(np.abs(results["formula"].value - results["lift"].value)))
-        checks.append(_check("methods_agree", gap, tol))
+        checks.append(_check("methods_agree", gap, p.tol))
     primary = results.get("formula", results.get("lift"))
     if primary.value.size == 1:
-        _expect_check(sec, checks, primary.scalar())
+        _expect_check(p, checks, primary.scalar())
 
 
-def _run_monodromy(ws, sec, checks, values):
-    A = ws.build("algebroid", sec.require("algebroid"), sec.where("algebroid"))
-    splitting = _shaped_matrix(
-        sec.require("splitting"), sec.where("splitting"), A.rank, A.chart.dim, "splitting"
-    )
-    seed = _int(sec.get("seed", "42"), sec.where("seed"))
-    n_samples = _int(sec.get("n_samples", "25"), sec.where("n_samples"))
-    if "cube" in sec.entries:
-        cube = ws.build("cube", sec.entries["cube"], sec.where("cube"))
+def _run_monodromy(ws, p, checks, values, out_dir):
+    A = ws.build("algebroid", p.algebroid)
+    if p.cube is not None:
         result = monodromy_period(
             A,
-            splitting,
-            cube,
-            n_samples=n_samples,
-            seed=seed,
-            centrality_tol=_centrality_tol(sec),
+            p.splitting,
+            ws.build("cube", p.cube),
+            n_samples=p.n_samples,
+            seed=p.seed,
+            centrality_tol=p.centrality_tol,
         )
         values["period"] = result.as_dict()
         if result.value.size == 1:
-            _expect_check(sec, checks, result.scalar())
+            _expect_check(p, checks, result.scalar())
         return
-    names = sec.require("cubes").split()
-    cubes = [ws.build("cube", name, sec.where("cubes")) for name in names]
-    labels = sec.entries["labels"].split() if "labels" in sec.entries else None
     report = monodromy_group(
         A,
-        splitting,
-        cubes,
-        labels=labels,
-        max_denominator=_int(sec.get("max_denominator", "64"), sec.where("max_denominator")),
-        n_samples=n_samples,
-        seed=seed,
+        p.splitting,
+        [ws.build("cube", name) for name in p.cubes],
+        labels=p.labels,
+        max_denominator=p.max_denominator,
+        n_samples=p.n_samples,
+        seed=p.seed,
     )
     values["group"] = report.as_dict()
-    if "expect" in sec.entries and report.generator is not None:
-        _expect_check(sec, checks, report.generator)
-    elif "expect" in sec.entries:
+    if p.expect is not None and report.generator is not None:
+        _expect_check(p, checks, report.generator)
+    elif p.expect is not None:
         checks.append(_check("expect", float("inf"), 0.0))
 
 
-def _run_decompose(ws, sec, checks, values):
-    fib = ws.build("fibration", sec.require("fibration"), sec.where("fibration"))
-    cube = ws.build("cube", sec.require("cube"), sec.where("cube"))
-    tol = _float(sec.get("tol", "1e-2"), sec.where("tol"), "tol")
-    etol = _float(sec.get("endpoint_tol", "1e-6"), sec.where("endpoint_tol"), "endpoint_tol")
+def _run_decompose(ws, p, checks, values, out_dir):
+    fib = ws.build("fibration", p.fibration)
+    cube = ws.build("cube", p.cube)
     dec = decompose_path(fib, cube)
     defect = homotopy_defect(dec.witness)
     start_delta = float(np.max(np.abs(dec.horizontal.gamma[0] - cube.gamma[0])))
@@ -805,37 +791,36 @@ def _run_decompose(ws, sec, checks, values):
         end_delta=end_delta,
         kernel_sup=float(np.max(np.abs(dec.kernel_coefficients))),
     )
-    checks.append(_check("witness_homotopy", defect, tol))
-    checks.append(_check("endpoints", max(start_delta, end_delta), etol))
+    checks.append(_check("witness_homotopy", defect, p.tol))
+    checks.append(_check("endpoints", max(start_delta, end_delta), p.endpoint_tol))
+
+
+_RUNNERS = {
+    "check": _run_check,
+    "flow": _run_flow,
+    "lift": _run_lift,
+    "transgress": _run_transgress,
+    "monodromy": _run_monodromy,
+    "decompose": _run_decompose,
+}
 
 
 def run_task(ws: Workspace, sec: SectionSpec, overrides, cfg_hash: str, out_dir: Path) -> dict:
     """Execute one task section and assemble its report dictionary."""
     start = time.perf_counter()
-    kind = sec.require("kind")
+    p = ws.params("task", sec.name)
     checks: list[dict] = []
     values: dict = {}
     error = None
     try:
-        if kind == "check":
-            _run_check(ws, sec, checks, values)
-        elif kind == "flow":
-            _run_flow(ws, sec, checks, values, out_dir)
-        elif kind == "lift":
-            _run_lift(ws, sec, checks, values, out_dir)
-        elif kind == "transgress":
-            _run_transgress(ws, sec, checks, values)
-        elif kind == "monodromy":
-            _run_monodromy(ws, sec, checks, values)
-        else:
-            _run_decompose(ws, sec, checks, values)
+        _RUNNERS[p.kind](ws, p, checks, values, out_dir)
     except ValueError as err:
         error = str(err)
     passed = error is None and all(c["passed"] for c in checks)
     report = {
         "task": {
             "name": sec.name,
-            "kind": kind,
+            "kind": p.kind,
             "params": {k: sec.entries[k] for k in sorted(sec.entries)},
             "overrides": dict(sorted(overrides.items())),
         },

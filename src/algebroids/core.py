@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import Const, Expr, add, as_expr, const, mul, neg, sub, evaluate
+from .expr import ONE, ZERO, Expr, add, as_expr, evaluate, is_zero, mul, neg, sub
 
 __all__ = [
     "Chart",
@@ -36,10 +36,6 @@ __all__ = [
     "eval_exprs",
     "so3_structure",
 ]
-
-_ZERO = const(0.0)
-_ONE = const(1.0)
-
 
 @dataclass(frozen=True)
 class Chart:
@@ -148,15 +144,31 @@ class Section:
         return Section(tuple(mul(f, c) for c in self.components))
 
 
-def _coerce_matrix(rows, n_rows: int, n_cols: int) -> tuple[tuple[Expr, ...], ...]:
+def coerce_matrix(rows, n_rows: int, n_cols: int, what: str) -> tuple[tuple[Expr, ...], ...]:
+    """Rows of expressions, checked to be ``n_rows`` x ``n_cols``; errors name ``what``."""
     out = tuple(tuple(as_expr(v) for v in row) for row in rows)
     if len(out) != n_rows or any(len(r) != n_cols for r in out):
-        raise ValueError(f"expected a {n_rows} x {n_cols} matrix of expressions")
+        raise ValueError(f"{what} must be {n_rows} x {n_cols}")
     return out
 
 
-def _is_zero_expr(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 0.0
+def antisymmetric_values(
+    chart: Chart, entries: Mapping, points: np.ndarray, n: int, width: int
+) -> np.ndarray:
+    """Tensor out[..., i, j, :] of shape (..., n, n, width) from vectors stored on pairs i < j.
+
+    Each stored vector fills its (i, j) slot and its negative the (j, i)
+    slot; absent pairs and the diagonal are zero.
+    """
+    points = np.asarray(points, dtype=float)
+    base = points.shape[:-1]
+    env = chart.env(points)
+    out = np.zeros(base + (n, n, width))
+    for (i, j), vec in entries.items():
+        vals = eval_exprs(vec, env, base)
+        out[..., i, j, :] = vals
+        out[..., j, i, :] = -vals
+    return out
 
 
 def _coerce_structure(rank: int, mapping: Mapping) -> dict[tuple[int, int], tuple[Expr, ...]]:
@@ -168,7 +180,7 @@ def _coerce_structure(rank: int, mapping: Mapping) -> dict[tuple[int, int], tupl
         if len(comps) != rank:
             raise ValueError(f"structure value for ({i}, {j}) must have {rank} components")
         # keep iteration sparse: drop pairs whose bracket folded to zero
-        if not all(_is_zero_expr(c) for c in comps):
+        if not all(is_zero(c) for c in comps):
             out[(i, j)] = comps
     return out
 
@@ -202,15 +214,15 @@ class Algebroid:
     def frame(self, i: int) -> Section:
         if not 0 <= i < self.rank:
             raise IndexError(f"frame index {i} out of range for rank {self.rank}")
-        return Section(tuple(_ONE if k == i else _ZERO for k in range(self.rank)))
+        return Section(tuple(ONE if k == i else ZERO for k in range(self.rank)))
 
     def structure_vector(self, i: int, j: int) -> tuple[Expr, ...]:
         """Coefficients of the frame bracket of e_i and e_j (any i, j)."""
         if i == j:
-            return (_ZERO,) * self.rank
+            return (ZERO,) * self.rank
         if i < j:
-            return self.structure.get((i, j), (_ZERO,) * self.rank)
-        return tuple(neg(c) for c in self.structure.get((j, i), (_ZERO,) * self.rank))
+            return self.structure.get((i, j), (ZERO,) * self.rank)
+        return tuple(neg(c) for c in self.structure.get((j, i), (ZERO,) * self.rank))
 
     # -- symbolic operations ----------------------------------------------
 
@@ -219,7 +231,7 @@ class Algebroid:
         self._check_section(X)
         out = []
         for a in range(self.chart.dim):
-            acc: Expr = _ZERO
+            acc: Expr = ZERO
             for i in range(self.rank):
                 acc = add(acc, mul(X[i], self.anchor[i][a]))
             out.append(acc)
@@ -228,7 +240,7 @@ class Algebroid:
     def anchor_apply(self, X: Section, f: Expr) -> Expr:
         """Directional derivative of a chart function along the image of X."""
         f = as_expr(f)
-        acc: Expr = _ZERO
+        acc: Expr = ZERO
         for a, vf in enumerate(self.anchor_of(X)):
             acc = add(acc, mul(vf, f.diff(self.chart.coords[a])))
         return acc
@@ -237,7 +249,7 @@ class Algebroid:
         """Bracket of two sections in frame coefficients."""
         self._check_section(X)
         self._check_section(Y)
-        out = [_ZERO] * self.rank
+        out = [ZERO] * self.rank
         for (i, j), cvec in self.structure.items():
             w = sub(mul(X[i], Y[j]), mul(X[j], Y[i]))
             for k in range(self.rank):
@@ -258,15 +270,7 @@ class Algebroid:
 
     def structure_values(self, points: np.ndarray) -> np.ndarray:
         """Full antisymmetric structure tensor c[..., i, j, k] at points."""
-        points = np.asarray(points, dtype=float)
-        base = points.shape[:-1]
-        env = self.chart.env(points)
-        out = np.zeros(base + (self.rank, self.rank, self.rank))
-        for (i, j), cvec in self.structure.items():
-            vals = eval_exprs(cvec, env, base)
-            out[..., i, j, :] = vals
-            out[..., j, i, :] = -vals
-        return out
+        return antisymmetric_values(self.chart, self.structure, points, self.rank, self.rank)
 
     def _check_section(self, X: Section):
         if len(X) != self.rank:
@@ -364,10 +368,10 @@ def check_axioms(A: Algebroid, n_points: int = 200, seed: int = 42, tol: float =
         cvec = A.structure_vector(i, j)
         resid = []
         for a in range(m):
-            lhs: Expr = _ZERO
+            lhs: Expr = ZERO
             for l in range(A.rank):
                 lhs = add(lhs, mul(cvec[l], A.anchor[l][a]))
-            rhs: Expr = _ZERO
+            rhs: Expr = ZERO
             for b in range(m):
                 name = A.chart.coords[b]
                 rhs = add(rhs, sub(mul(A.anchor[i][b], A.anchor[j][a].diff(name)), mul(A.anchor[j][b], A.anchor[i][a].diff(name))))
@@ -393,7 +397,7 @@ def check_axioms(A: Algebroid, n_points: int = 200, seed: int = 42, tol: float =
 def make_tangent(chart: Chart) -> Algebroid:
     """Tangent algebroid: identity anchor, vanishing structure functions."""
     m = chart.dim
-    anchor = tuple(tuple(_ONE if a == i else _ZERO for a in range(m)) for i in range(m))
+    anchor = tuple(tuple(ONE if a == i else ZERO for a in range(m)) for i in range(m))
     return Algebroid(chart=chart, rank=m, anchor=anchor, structure={})
 
 def make_lie_algebra(rank: int, structure: Mapping, chart: Chart | None = None) -> Algebroid:
@@ -403,14 +407,14 @@ def make_lie_algebra(rank: int, structure: Mapping, chart: Chart | None = None) 
     the default point chart they must be constants.
     """
     chart = chart if chart is not None else point_chart()
-    anchor = tuple((_ZERO,) * chart.dim for _ in range(rank))
+    anchor = tuple((ZERO,) * chart.dim for _ in range(rank))
     return Algebroid(chart=chart, rank=rank, anchor=anchor, structure=_coerce_structure(rank, structure))
 
 
 def so3_structure(scale: Expr | float = 1.0) -> dict:
     """Rotation-algebra structure constants, optionally rescaled."""
     s = as_expr(scale)
-    z = _ZERO
+    z = ZERO
     return {
         (0, 1): (z, z, s),
         (0, 2): (z, neg(s), z),
@@ -439,10 +443,10 @@ def _upper_bivector(chart: Chart, bivector) -> dict[tuple[int, int], Expr]:
 
 def _bivector_entry(upper: Mapping[tuple[int, int], Expr], a: int, b: int) -> Expr:
     if a == b:
-        return _ZERO
+        return ZERO
     if a < b:
-        return upper.get((a, b), _ZERO)
-    return neg(upper.get((b, a), _ZERO))
+        return upper.get((a, b), ZERO)
+    return neg(upper.get((b, a), ZERO))
 
 
 def make_cotangent_poisson(chart: Chart, bivector) -> Algebroid:
@@ -473,7 +477,7 @@ def make_jacobi_extension(chart: Chart, bivector) -> Algebroid:
     m = chart.dim
     upper = _upper_bivector(chart, bivector)
     rank = m + 1
-    anchor_rows = [(_ZERO,) * m]
+    anchor_rows = [(ZERO,) * m]
     for a in range(m):
         anchor_rows.append(tuple(_bivector_entry(upper, a, b) for b in range(m)))
     structure: dict[tuple[int, int], tuple[Expr, ...]] = {}
@@ -496,7 +500,7 @@ def make_rep_extension(base: Algebroid, fiber_dim: int, action, twist=None) -> A
     d = fiber_dim
     rB = base.rank
     m = base.chart.dim
-    mats = [_coerce_matrix(M, d, d) for M in action]
+    mats = [coerce_matrix(M, d, d, "action matrix") for M in action]
     if len(mats) != rB:
         raise ValueError(f"need one action matrix per base frame ({rB})")
     twist_vecs: dict[tuple[int, int], tuple[Expr, ...]] = {}
@@ -510,7 +514,7 @@ def make_rep_extension(base: Algebroid, fiber_dim: int, action, twist=None) -> A
             twist_vecs[(i, j)] = comps
 
     rank = d + rB
-    anchor_rows = [(_ZERO,) * m for _ in range(d)]
+    anchor_rows = [(ZERO,) * m for _ in range(d)]
     anchor_rows += [base.anchor[i] for i in range(rB)]
 
     structure: dict[tuple[int, int], tuple[Expr, ...]] = {}
@@ -519,12 +523,12 @@ def make_rep_extension(base: Algebroid, fiber_dim: int, action, twist=None) -> A
             # the horizontal frame acts on the kernel frame: the bracket
             # [u_s, h_i] carries minus the action of frame i on u_s
             col = tuple(neg(mats[i][t][s]) for t in range(d))
-            structure[(s, d + i)] = col + (_ZERO,) * rB
+            structure[(s, d + i)] = col + (ZERO,) * rB
     base_struct = dict(base.structure)
     for i in range(rB):
         for j in range(i + 1, rB):
-            kernel_part = twist_vecs.get((i, j), (_ZERO,) * d)
-            base_part = base_struct.get((i, j), (_ZERO,) * rB)
+            kernel_part = twist_vecs.get((i, j), (ZERO,) * d)
+            base_part = base_struct.get((i, j), (ZERO,) * rB)
             structure[(d + i, d + j)] = tuple(kernel_part) + tuple(base_part)
     return Algebroid(
         chart=base.chart,
@@ -539,7 +543,7 @@ def make_explicit(chart: Chart, rank: int, anchor, structure: Mapping | None = N
     return Algebroid(
         chart=chart,
         rank=rank,
-        anchor=_coerce_matrix(anchor, rank, chart.dim),
+        anchor=coerce_matrix(anchor, rank, chart.dim, "anchor"),
         structure=_coerce_structure(rank, structure or {}),
     )
 
@@ -559,13 +563,13 @@ def direct_sum(A: Algebroid, B: Algebroid, shared_chart: bool = False) -> Algebr
         pad_b = lambda row: row
     else:
         chart = product_chart(A.chart, B.chart)
-        pad_a = lambda row: row + (_ZERO,) * B.chart.dim
-        pad_b = lambda row: (_ZERO,) * A.chart.dim + row
+        pad_a = lambda row: row + (ZERO,) * B.chart.dim
+        pad_b = lambda row: (ZERO,) * A.chart.dim + row
     rank = A.rank + B.rank
     anchor = tuple(pad_a(A.anchor[i]) for i in range(A.rank)) + tuple(pad_b(B.anchor[j]) for j in range(B.rank))
     structure: dict[tuple[int, int], tuple[Expr, ...]] = {}
     for (i, j), vec in A.structure.items():
-        structure[(i, j)] = tuple(vec) + (_ZERO,) * B.rank
+        structure[(i, j)] = tuple(vec) + (ZERO,) * B.rank
     for (i, j), vec in B.structure.items():
-        structure[(A.rank + i, A.rank + j)] = (_ZERO,) * A.rank + tuple(vec)
+        structure[(A.rank + i, A.rank + j)] = (ZERO,) * A.rank + tuple(vec)
     return Algebroid(chart=chart, rank=rank, anchor=anchor, structure=_coerce_structure(rank, structure))

@@ -23,6 +23,8 @@ __all__ = [
     "Unary",
     "Binary",
     "Power",
+    "ZERO",
+    "ONE",
     "ParseError",
     "EvalError",
     "UnboundVariableError",
@@ -30,6 +32,7 @@ __all__ = [
     "parse",
     "as_expr",
     "const",
+    "is_zero",
     "var",
     "add",
     "sub",
@@ -152,8 +155,8 @@ class Power(Expr):
     k: int
 
 
-_ZERO = Const(0.0)
-_ONE = Const(1.0)
+ZERO = Const(0.0)
+ONE = Const(1.0)
 
 
 def const(v: Number) -> Const:
@@ -179,12 +182,17 @@ def _is_const(e: Expr, v: float | None = None) -> bool:
     return isinstance(e, Const) and (v is None or e.value == v)
 
 
+def is_zero(e: Expr) -> bool:
+    """True for the constant zero; no other tree is recognised as zero."""
+    return isinstance(e, Const) and e.value == 0.0
+
+
 def add(a: Expr, b: Expr) -> Expr:
     if _is_const(a) and _is_const(b):
         return const(a.value + b.value)
-    if _is_const(a, 0.0):
+    if is_zero(a):
         return b
-    if _is_const(b, 0.0):
+    if is_zero(b):
         return a
     return Binary("add", a, b)
 
@@ -192,9 +200,9 @@ def add(a: Expr, b: Expr) -> Expr:
 def sub(a: Expr, b: Expr) -> Expr:
     if _is_const(a) and _is_const(b):
         return const(a.value - b.value)
-    if _is_const(b, 0.0):
+    if is_zero(b):
         return a
-    if _is_const(a, 0.0):
+    if is_zero(a):
         return neg(b)
     return Binary("sub", a, b)
 
@@ -202,8 +210,8 @@ def sub(a: Expr, b: Expr) -> Expr:
 def mul(a: Expr, b: Expr) -> Expr:
     if _is_const(a) and _is_const(b):
         return const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return _ZERO
+    if is_zero(a) or is_zero(b):
+        return ZERO
     if _is_const(a, 1.0):
         return b
     if _is_const(b, 1.0):
@@ -212,7 +220,7 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _is_const(b) and b.value == 0.0:
+    if is_zero(b):
         raise DomainError("division by constant zero")
     if _is_const(a) and _is_const(b):
         return const(a.value / b.value)
@@ -234,7 +242,7 @@ def power(base: Expr, k: int) -> Expr:
         raise TypeError("exponent must be an integer")
     k = int(k)
     if k == 0:
-        return _ONE
+        return ONE
     if k == 1:
         return base
     if _is_const(base):
@@ -320,9 +328,9 @@ def evaluate(e: Expr, env: Mapping[str, object]):
 
 def _diff(e: Expr, name: str) -> Expr:
     if isinstance(e, Const):
-        return _ZERO
+        return ZERO
     if isinstance(e, Var):
-        return _ONE if e.name == name else _ZERO
+        return ONE if e.name == name else ZERO
     if isinstance(e, Unary):
         da = _diff(e.arg, name)
         if e.op == "neg":

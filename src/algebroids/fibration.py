@@ -24,6 +24,8 @@ from .core import (
     Algebroid,
     Chart,
     Section,
+    antisymmetric_values,
+    coerce_matrix,
     eval_exprs,
     make_cotangent_poisson,
     make_jacobi_extension,
@@ -31,7 +33,7 @@ from .core import (
     make_tangent,
 )
 from .cubes import Cube, face
-from .expr import Const, Expr, add, as_expr, const, div, mul, neg, sub
+from .expr import ONE, ZERO, Expr, add, as_expr, const, div, is_zero, mul, neg, sub
 
 __all__ = [
     "Fibration",
@@ -50,20 +52,12 @@ __all__ = [
     "evolve_cube_system",
 ]
 
-_ZERO = const(0.0)
-_ONE = const(1.0)
-
-
-def _is_zero(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 0.0
-
-
 def _det(M: list[list[Expr]]) -> Expr:
     if len(M) == 1:
         return M[0][0]
-    acc: Expr = _ZERO
+    acc: Expr = ZERO
     for j, head in enumerate(M[0]):
-        if _is_zero(head):
+        if is_zero(head):
             continue
         minor = [row[:j] + row[j + 1 :] for row in M[1:]]
         term = mul(head, _det(minor))
@@ -82,26 +76,19 @@ def _symbolic_inverse(M: Sequence[Sequence[Expr]]) -> tuple[tuple[Expr, ...], ..
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
     d = _det(rows)
-    if _is_zero(d):
+    if is_zero(d):
         raise ValueError("matrix is identically singular")
     out = []
     for i in range(n):
         row = []
         for j in range(n):
             minor = [r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j]
-            cof = _det(minor) if minor else _ONE
+            cof = _det(minor) if minor else ONE
             if (i + j) % 2 == 1:
                 cof = neg(cof)
             row.append(div(cof, d))
         out.append(tuple(row))
     return tuple(out)
-
-
-def _coerce_rows(rows, n_rows: int, n_cols: int, what: str) -> tuple[tuple[Expr, ...], ...]:
-    out = tuple(tuple(as_expr(v) for v in row) for row in rows)
-    if len(out) != n_rows or any(len(r) != n_cols for r in out):
-        raise ValueError(f"{what} must be {n_rows} x {n_cols}")
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,12 +111,12 @@ class Fibration:
         if self.total.chart != self.base.chart:
             raise ValueError("total and base must share one chart")
         rE, rB = self.total.rank, self.base.rank
-        object.__setattr__(self, "projection", _coerce_rows(self.projection, rB, rE, "projection"))
-        object.__setattr__(self, "splitting", _coerce_rows(self.splitting, rE, rB, "splitting"))
+        object.__setattr__(self, "projection", coerce_matrix(self.projection, rB, rE, "projection"))
+        object.__setattr__(self, "splitting", coerce_matrix(self.splitting, rE, rB, "splitting"))
         rK = rE - rB
         if rK < 0:
             raise ValueError("base rank exceeds total rank")
-        object.__setattr__(self, "kernel", _coerce_rows(self.kernel, rK, rE, "kernel frame"))
+        object.__setattr__(self, "kernel", coerce_matrix(self.kernel, rK, rE, "kernel frame"))
 
     @property
     def kernel_rank(self) -> int:
@@ -158,7 +145,7 @@ class Fibration:
         inv = self.frame_inverse
         out = []
         for t in range(self.kernel_rank):
-            acc: Expr = _ZERO
+            acc: Expr = ZERO
             for j in range(self.total.rank):
                 acc = add(acc, mul(inv[t][j], X[j]))
             out.append(acc)
@@ -169,7 +156,7 @@ class Fibration:
         rE, rB = self.total.rank, self.base.rank
         comps = []
         for j in range(rE):
-            acc: Expr = _ZERO
+            acc: Expr = ZERO
             for i in range(rB):
                 acc = add(acc, mul(self.splitting[j][i], X[i]))
             comps.append(acc)
@@ -179,7 +166,7 @@ class Fibration:
         rE, rB = self.total.rank, self.base.rank
         comps = []
         for i in range(rB):
-            acc: Expr = _ZERO
+            acc: Expr = ZERO
             for j in range(rE):
                 acc = add(acc, mul(self.projection[i][j], X[j]))
             comps.append(acc)
@@ -210,7 +197,7 @@ class Fibration:
     def transport_is_trivial(self) -> bool:
         """True when every covariant action matrix is identically zero."""
         return all(
-            _is_zero(entry) for M in self.action_matrices for row in M for entry in row
+            is_zero(entry) for M in self.action_matrices for row in M for entry in row
         )
 
 
@@ -245,22 +232,16 @@ class Curvature2Form:
 
     def entry(self, i: int, j: int) -> tuple[Expr, ...]:
         if i == j:
-            return (_ZERO,) * self.kernel_rank
+            return (ZERO,) * self.kernel_rank
         if i < j:
-            return self.entries.get((i, j), (_ZERO,) * self.kernel_rank)
-        return tuple(neg(e) for e in self.entries.get((j, i), (_ZERO,) * self.kernel_rank))
+            return self.entries.get((i, j), (ZERO,) * self.kernel_rank)
+        return tuple(neg(e) for e in self.entries.get((j, i), (ZERO,) * self.kernel_rank))
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """Antisymmetric value tensor of shape (..., rB, rB, rK)."""
-        points = np.asarray(points, dtype=float)
-        base = points.shape[:-1]
-        env = self.chart.env(points)
-        out = np.zeros(base + (self.base_rank, self.base_rank, self.kernel_rank))
-        for (i, j), vec in self.entries.items():
-            vals = eval_exprs(vec, env, base)
-            out[..., i, j, :] = vals
-            out[..., j, i, :] = -vals
-        return out
+        return antisymmetric_values(
+            self.chart, self.entries, points, self.base_rank, self.kernel_rank
+        )
 
 
 def curvature(fib: Fibration) -> Curvature2Form:
@@ -277,7 +258,7 @@ def curvature(fib: Fibration) -> Curvature2Form:
             total_part = fib.total.bracket(fib.horizontal_lift(bi), fib.horizontal_lift(bj))
             lifted = fib.horizontal_lift(fib.base.bracket(bi, bj))
             vec = fib.kernel_coefficients(total_part - lifted)
-            if not all(_is_zero(v) for v in vec):
+            if not all(is_zero(v) for v in vec):
                 entries[(i, j)] = vec
     return Curvature2Form(
         chart=fib.chart, base_rank=rB, kernel_rank=fib.kernel_rank, entries=entries
@@ -331,7 +312,7 @@ def identity_residuals(fib: Fibration, n_points: int = 100, seed: int = 42) -> d
     anchor = []
     for j in range(rE):
         for a in range(m):
-            acc: Expr = _ZERO
+            acc: Expr = ZERO
             for u in range(rB):
                 acc = add(acc, mul(fib.projection[u][j], B.anchor[u][a]))
             anchor.append(sub(acc, E.anchor[j][a]))
@@ -341,7 +322,7 @@ def identity_residuals(fib: Fibration, n_points: int = 100, seed: int = 42) -> d
     for i in range(rB):
         for j in range(rE):
             for k in range(j + 1, rE):
-                acc: Expr = _ZERO
+                acc: Expr = ZERO
                 for l in range(rE):
                     acc = add(acc, mul(fib.projection[i][l], E.structure_vector(j, k)[l]))
                 for u in range(rB):
@@ -362,7 +343,7 @@ def identity_residuals(fib: Fibration, n_points: int = 100, seed: int = 42) -> d
     for i in range(rB):
         proj = fib.project_section(fib.horizontal_lift(B.frame(i)))
         for u in range(rB):
-            split.append(sub(proj[u], _ONE if u == i else _ZERO))
+            split.append(sub(proj[u], ONE if u == i else ZERO))
     out["splitting_identity"] = sup(split)
 
     kern = []
@@ -388,7 +369,7 @@ def identity_residuals(fib: Fibration, n_points: int = 100, seed: int = 42) -> d
         for s in range(rK):
             lhs = []
             for t in range(rK):
-                acc: Expr = _ZERO
+                acc: Expr = ZERO
                 for u in range(rK):
                     acc = add(acc, sub(mul(F[i][t][u], F[j][u][s]), mul(F[j][t][u], F[i][u][s])))
                 acc = add(acc, E.anchor_apply(hor_i, F[j][t][s]))
@@ -402,7 +383,7 @@ def identity_residuals(fib: Fibration, n_points: int = 100, seed: int = 42) -> d
 
     bianchi = []
     for i, j, k in itertools.combinations(range(rB), 3):
-        total = [_ZERO] * rK
+        total = [ZERO] * rK
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             Dw = _derivative_along(fib, a, omega.entry(b, c))
             cB = B.structure_vector(a, b)
@@ -418,7 +399,7 @@ def identity_residuals(fib: Fibration, n_points: int = 100, seed: int = 42) -> d
 
 
 def _sum(terms) -> Expr:
-    acc: Expr = _ZERO
+    acc: Expr = ZERO
     for t in terms:
         acc = add(acc, t)
     return acc
@@ -614,12 +595,12 @@ def jacobi_fibration(chart: Chart, bivector) -> Fibration:
     base = make_cotangent_poisson(chart, bivector)
     m = chart.dim
     projection = tuple(
-        tuple(_ONE if j == 1 + a else _ZERO for j in range(m + 1)) for a in range(m)
+        tuple(ONE if j == 1 + a else ZERO for j in range(m + 1)) for a in range(m)
     )
     splitting = tuple(
-        tuple(_ONE if j == 1 + a else _ZERO for a in range(m)) for j in range(m + 1)
+        tuple(ONE if j == 1 + a else ZERO for a in range(m)) for j in range(m + 1)
     )
-    kernel = ((_ONE,) + (_ZERO,) * m,)
+    kernel = ((ONE,) + (ZERO,) * m,)
     return Fibration(total=total, base=base, projection=projection, splitting=splitting, kernel=kernel)
 
 
@@ -628,13 +609,13 @@ def rep_extension_fibration(base: Algebroid, fiber_dim: int, action, twist=None)
     total = make_rep_extension(base, fiber_dim, action, twist)
     d, rB = fiber_dim, base.rank
     projection = tuple(
-        tuple(_ONE if j == d + i else _ZERO for j in range(d + rB)) for i in range(rB)
+        tuple(ONE if j == d + i else ZERO for j in range(d + rB)) for i in range(rB)
     )
     splitting = tuple(
-        tuple(_ONE if j == d + i else _ZERO for i in range(rB)) for j in range(d + rB)
+        tuple(ONE if j == d + i else ZERO for i in range(rB)) for j in range(d + rB)
     )
     kernel = tuple(
-        tuple(_ONE if j == s else _ZERO for j in range(d + rB)) for s in range(d)
+        tuple(ONE if j == s else ZERO for j in range(d + rB)) for s in range(d)
     )
     return Fibration(total=total, base=base, projection=projection, splitting=splitting, kernel=kernel)
 
@@ -681,6 +662,6 @@ def anchor_fibration(
         total=A,
         base=base,
         projection=projection,
-        splitting=_coerce_rows(splitting, rE, m, "splitting"),
+        splitting=coerce_matrix(splitting, rE, m, "splitting"),
         kernel=tuple(kernel_rows),
     )

@@ -26,6 +26,7 @@ from scipy.interpolate import CubicSpline, RectBivariateSpline
 from .core import Algebroid, Section, eval_exprs
 from .cubes import Cube, coarsen, cutoff, cutoff_prime, face, resample
 from .fibration import (
+    Curvature2Form,
     Fibration,
     anchor_fibration,
     curvature,
@@ -92,6 +93,11 @@ def _double_trapezoid(field: np.ndarray, N: int) -> np.ndarray:
     h = 1.0 / N
     inner = np.trapezoid(field, dx=h, axis=0)
     return np.trapezoid(inner, dx=h, axis=0)
+
+
+def _curvature_pairing(om: Curvature2Form, c: Cube) -> np.ndarray:
+    """Curvature paired with the two coefficient fields of a square, node by node."""
+    return np.einsum("...p,...q,...pqs->...s", c.coeffs[0], c.coeffs[1], om.values(c.gamma))
 
 
 def _with_estimate(compute, cube: Cube):
@@ -210,8 +216,7 @@ def transgress2_formula(
 
     def compute(c: Cube):
         N = c.N
-        vals = om.values(c.gamma)
-        field = np.einsum("...p,...q,...pqs->...s", c.coeffs[0], c.coeffs[1], vals)
+        field = _curvature_pairing(om, c)
         if not fib.transport_is_trivial and fib.kernel_rank:
             moved = np.empty_like(field)
             for i in range(N + 1):
@@ -247,9 +252,7 @@ def monodromy_period(
     om = curvature(fib)
 
     def compute(c: Cube):
-        vals = om.values(c.gamma)
-        field = np.einsum("...p,...q,...pqs->...s", c.coeffs[0], c.coeffs[1], vals)
-        return _double_trapezoid(field, c.N), None
+        return _double_trapezoid(_curvature_pairing(om, c), c.N), None
 
     value, est, _ = _with_estimate(compute, cube)
     return TransgressionResult(value=value, est_error=est, method="monodromy", N=cube.N, face=None)

@@ -1,10 +1,15 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from algebroids import cli
 from algebroids.cli import ConfigError, apply_overrides, config_hash, main, parse_config
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 AREA_CFG = """
 [chart plane]
@@ -226,3 +231,36 @@ def test_module_entrypoint_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert "fibration" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "config, override",
+    [
+        ("plane_area", "cube.rim.N=0"),
+        ("plane_area", "cube.rim.N=-3"),
+        ("plane_area", "task.area.tol=inf"),
+        ("plane_area", "task.area.expect_tol=inf"),
+        ("plane_area", "task.area.centrality_tol=nan"),
+        ("so3_check", "task.check_so3.n_points=0"),
+        ("plane_area", "task.corner.expect_endpoint=0.9 0.9 0.9"),
+    ],
+)
+def test_out_of_range_override_is_rejected_by_describe_and_run(tmp_path, capsys, config, override):
+    cfg = str(CONFIG_DIR / f"{config}.cfg")
+    out = tmp_path / "reports"
+    for argv in (["describe", cfg], ["run", cfg, "--out", str(out)]):
+        assert main(argv + ["--set", override]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert re.search(r"line \d+", err), err
+        assert "Traceback" not in err
+    assert not list(out.glob("*.json"))
+
+
+def test_describe_never_builds_a_cube_grid(monkeypatch, capsys):
+    def refuse(self, params):
+        raise AssertionError("describe built a cube")
+
+    monkeypatch.setattr(cli.Workspace, "_make_cube", refuse)
+    cfg = str(CONFIG_DIR / "s2_monodromy.cfg")
+    assert main(["describe", cfg, "--set", "cube.wrap.N=100000"]) == 0
+    assert "N=100000" in capsys.readouterr().out

@@ -370,6 +370,33 @@ def _check_flow(ws, sec, p) -> None:
         _fit(sec, "expect_endpoint", len(p.expect_endpoint), chart.dim, "numbers")
 
 
+def _fit_dim(ws, sec, key: str, names, low: int, high: float) -> None:
+    """Compare the dimension of each named cube with low..high, without building it.
+
+    A file cube is left to the routine that uses it, because its header
+    is only read when the cube is built.
+    """
+    for name in names:
+        cube = ws.params("cube", name)
+        if cube.source == "file":
+            continue
+        n = cube.n if cube.source == "tangent_lift_of" else len(cube.sections)
+        if not low <= n <= high:
+            want = f"{low}" if low == high else f"at least {low}"
+            raise ConfigError(
+                f"[task {sec.name}] {key}: cube '{name}' has dimension {n}, needs {want}",
+                sec.where(key),
+            )
+
+
+def _check_transgress(ws, sec, p) -> None:
+    _fit_dim(ws, sec, "cube", (p.cube,), 2, math.inf if p.method == "lift" else 2)
+
+
+def _check_decompose(ws, sec, p) -> None:
+    _fit_dim(ws, sec, "cube", (p.cube,), 1, 1)
+
+
 def _check_monodromy(ws, sec, p) -> None:
     A = ws.build("algebroid", p.algebroid)
     _fit(sec, "splitting", len(p.splitting), A.rank, "rows")
@@ -378,6 +405,7 @@ def _check_monodromy(ws, sec, p) -> None:
         raise ConfigError(f"[task {sec.name}] needs exactly one of 'cube' or 'cubes'", sec.line)
     if p.labels is not None:
         _fit(sec, "labels", len(p.labels), len(p.cubes or (p.cube,)), "names")
+    _fit_dim(ws, sec, "cubes" if p.cube is None else "cube", p.cubes or (p.cube,), 2, 2)
 
 
 _CHART = Key(refers="chart")
@@ -477,7 +505,8 @@ _SCHEMA: dict[str, dict[str | None, Form]] = {
                 "expect": _EXPECT,
                 "expect_tol": _EXPECT_TOL,
                 "centrality_tol": _CENTRALITY_TOL,
-            }
+            },
+            _check_transgress,
         ),
         "monodromy": Form(
             {
@@ -501,7 +530,8 @@ _SCHEMA: dict[str, dict[str | None, Form]] = {
                 "cube": _CUBE,
                 "tol": _TOL,
                 "endpoint_tol": Key(_positive, 1e-6),
-            }
+            },
+            _check_decompose,
         ),
     },
 }
@@ -857,6 +887,10 @@ def _cmd_run(args) -> int:
     try:
         sections, overrides, base_dir = _load(args.config, args.set)
         ws, _ = inspect_config(sections, base_dir)
+        # errors only a cube constructor can see must stop the run before any report
+        for sec in sections:
+            if sec.kind == "cube":
+                ws.build("cube", sec.name)
     except (OSError, ConfigError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -389,6 +389,27 @@ def concat(first: Cube, second: Cube, axis: int, tol: float = 1e-6) -> Cube:
 # --- cubes from time-dependent section families --------------------------------
 
 
+def rk4(f, y0, N: int) -> np.ndarray:
+    """Integrate ``y' = f(t, y)`` over [0, 1] with N classical fourth-order steps.
+
+    ``y0`` may be an array of any shape and ``f`` must return one of the
+    same shape.  Returns the N+1 node states stacked on a new leading axis.
+    """
+    h = 1.0 / N
+    y = np.asarray(y0, dtype=float)
+    out = np.empty((N + 1,) + y.shape)
+    out[0] = y
+    for s in range(N):
+        t0 = s * h
+        k1 = f(t0, y)
+        k2 = f(t0 + h / 2, y + (h / 2) * k1)
+        k3 = f(t0 + h / 2, y + (h / 2) * k2)
+        k4 = f(t0 + h, y + h * k3)
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[s + 1] = y
+    return out
+
+
 def _coerce_sections(A: Algebroid, sections: Sequence) -> list[Section]:
     out = []
     for s in sections:
@@ -469,44 +490,25 @@ def cube_from_sections(
         raise ValueError(f"order must be a permutation of 0..{n - 1}")
 
     m = A.chart.dim
-    bp = np.asarray(basepoint, dtype=float).reshape(m)
-    h = 1.0 / N
-    G = bp.copy()  # grid over processed axes (in processing order) + point
+    G = np.asarray(basepoint, dtype=float).reshape(m)  # processed axes (in order) + point
 
     for stage, k in enumerate(order):
         S = G.shape[:-1]
         B = int(np.prod(S, dtype=int)) if S else 1
         t_fixed = np.indices(S, dtype=float).reshape(stage, B) / N if stage else np.zeros((0, B))
-        new = np.empty(S + (N + 1, m))
-        new[..., 0, :] = G
-
-        if m == 0:
-            for s in range(N):
-                new[..., s + 1, :] = G
-            G = new
-            continue
 
         def field(t: float, X: np.ndarray) -> np.ndarray:
-            env = {name: X[:, a] for a, name in enumerate(A.chart.coords)}
+            env = A.chart.env(X)
             for l in range(stage):
                 env[names[order[l]]] = t_fixed[l]
             env[names[k]] = t
             for l in range(stage + 1, n):
                 env[names[order[l]]] = 0.0
             avals = eval_exprs(secs[k].components, env, (B,))
-            rho = eval_exprs(A.anchor, env, (B,))
-            return np.einsum("bp,bpm->bm", avals, rho)
+            return np.einsum("bp,bpm->bm", avals, A.anchor_values(X))
 
-        X = G.reshape(B, m).copy()
-        for s in range(N):
-            t0 = s * h
-            k1 = field(t0, X)
-            k2 = field(t0 + h / 2, X + (h / 2) * k1)
-            k3 = field(t0 + h / 2, X + (h / 2) * k2)
-            k4 = field(t0 + h, X + h * k3)
-            X = X + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            new[..., s + 1, :] = X.reshape(S + (m,))
-        G = new
+        X = rk4(field, G.reshape(B, m), N)
+        G = np.moveaxis(X.reshape((N + 1,) + S + (m,)), 0, -2)
 
     inv = tuple(int(i) for i in np.argsort(order))
     gamma = np.transpose(G, axes=inv + (n,))

@@ -32,7 +32,7 @@ from .core import (
     make_rep_extension,
     make_tangent,
 )
-from .cubes import Cube, face
+from .cubes import Cube, face, rk4
 from .expr import ONE, ZERO, Expr, add, as_expr, const, div, is_zero, mul, neg, sub
 
 __all__ = [
@@ -428,46 +428,24 @@ def evolve_cube_system(
     m = A.chart.dim
     r = A.rank
     k = len(w0)
-    T = gamma0.shape[:-1]
+    # the state packs the base point and then the k transverse fields along its last axis
+    slots = [slice(m + i * r, m + (i + 1) * r) for i in range(k)]
 
-    def rhs(eps: float, G: np.ndarray, W: list[np.ndarray]):
+    def rhs(eps: float, Y: np.ndarray) -> np.ndarray:
+        G = Y[..., :m]
         w2 = w2_of(eps, G)
-        rho = A.anchor_values(G)
-        dG = np.einsum("...p,...pm->...m", w2, rho)
+        dY = np.empty_like(Y)
+        dY[..., :m] = np.einsum("...p,...pm->...m", w2, A.anchor_values(G))
         cvals = A.structure_values(G) if k else None
-        dW = []
-        for i in range(k):
+        for i, cols in enumerate(slots):
             grad = np.gradient(w2, h, axis=i, edge_order=2)
-            dW.append(grad + np.einsum("...p,...q,...pql->...l", W[i], w2, cvals))
-        return dG, dW
+            dY[..., cols] = grad + np.einsum("...p,...q,...pql->...l", Y[..., cols], w2, cvals)
+        return dY
 
-    gamma = np.empty(T + (N + 1, m))
-    W_out = [np.empty(T + (N + 1, r)) for _ in range(k)]
-    G = np.array(gamma0, dtype=float)
-    W = [np.array(w, dtype=float) for w in w0]
-    gamma[..., 0, :] = G
-    for i in range(k):
-        W_out[i][..., 0, :] = W[i]
-
-    for s in range(N):
-        eps = s * h
-        dG1, dW1 = rhs(eps, G, W)
-        dG2, dW2 = rhs(eps + h / 2, G + (h / 2) * dG1, [W[i] + (h / 2) * dW1[i] for i in range(k)])
-        dG3, dW3 = rhs(eps + h / 2, G + (h / 2) * dG2, [W[i] + (h / 2) * dW2[i] for i in range(k)])
-        dG4, dW4 = rhs(eps + h, G + h * dG3, [W[i] + h * dW3[i] for i in range(k)])
-        G = G + (h / 6) * (dG1 + 2 * dG2 + 2 * dG3 + dG4)
-        W = [
-            W[i] + (h / 6) * (dW1[i] + 2 * dW2[i] + 2 * dW3[i] + dW4[i])
-            for i in range(k)
-        ]
-        gamma[..., s + 1, :] = G
-        for i in range(k):
-            W_out[i][..., s + 1, :] = W[i]
-
-    w_last = np.empty(T + (N + 1, r))
-    for s in range(N + 1):
-        w_last[..., s, :] = w2_of(s * h, gamma[..., s, :])
-    return gamma, W_out, w_last
+    Y = np.moveaxis(rk4(rhs, np.concatenate([gamma0, *w0], axis=-1), N), 0, -2)
+    gamma = Y[..., :m]
+    w_last = np.stack([w2_of(s * h, gamma[..., s, :]) for s in range(N + 1)], axis=-2)
+    return gamma, [Y[..., cols] for cols in slots], w_last
 
 
 def _splitting_values(fib: Fibration, G: np.ndarray) -> np.ndarray:
@@ -519,53 +497,46 @@ def project_cube(fib: Fibration, cube: Cube) -> Cube:
 
 
 def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
-    """Fundamental solution of parallel transport along a base path.
+    """Fundamental solution of parallel transport along the last axis of a base cube.
 
-    Returns the (N+1, rK, rK) stack of matrices carrying a kernel vector
-    at the start of the path to each node.  A trivial covariant action
+    Every line of nodes along the last axis is a base path, driven by
+    the last coefficient field; all of them are transported at once.
+    Returns the ``grid + (rK, rK)`` array of matrices carrying a kernel
+    vector at the start of each line to each node, so a one-dimensional
+    path gives an (N+1, rK, rK) stack.  A trivial covariant action
     short-circuits to identity matrices.
     """
-    if path.n != 1 or path.algebroid != fib.base:
-        raise ValueError("transport needs a one-dimensional cube over the base")
-    N = path.N
+    if path.algebroid != fib.base:
+        raise ValueError("transport needs a cube over the base")
+    n, N = path.n, path.N
     rK = fib.kernel_rank
-    out = np.empty((N + 1, rK, rK))
-    out[0] = np.eye(rK)
     if fib.transport_is_trivial or rK == 0:
-        out[:] = np.eye(rK)
-        return out
+        return np.zeros(path.gamma.shape[:-1] + (rK, rK)) + np.eye(rK)
 
+    lines = path.gamma.shape[: n - 1]
     ts = np.linspace(0.0, 1.0, N + 1)
-    g_spline = CubicSpline(ts, path.gamma, axis=0)
-    b_spline = CubicSpline(ts, path.coeffs[0], axis=0)
+    g_spline = CubicSpline(ts, path.gamma, axis=n - 1)
+    b_spline = CubicSpline(ts, path.coeffs[n - 1], axis=n - 1)
     F = fib.action_matrices
 
-    def M(t: float) -> np.ndarray:
-        x = g_spline(t)
-        env = fib.chart.env(x)
+    def rhs(t: float, V: np.ndarray) -> np.ndarray:
+        env = fib.chart.env(g_spline(t))
         b = b_spline(t)
-        acc = np.zeros((rK, rK))
+        M = np.zeros(lines + (rK, rK))
         for u in range(fib.base.rank):
-            if b[u] == 0.0:
-                continue
-            acc += b[u] * eval_exprs(F[u], env, ())
-        return acc
+            M += b[..., u, None, None] * eval_exprs(F[u], env, lines)
+        return -M @ V
 
-    h = 1.0 / N
-    V = np.eye(rK)
-    for s in range(N):
-        t0 = s * h
-        k1 = -M(t0) @ V
-        k2 = -M(t0 + h / 2) @ (V + (h / 2) * k1)
-        k3 = -M(t0 + h / 2) @ (V + (h / 2) * k2)
-        k4 = -M(t0 + h) @ (V + h * k3)
-        V = V + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[s + 1] = V
-    return out
+    V = rk4(rhs, np.broadcast_to(np.eye(rK), lines + (rK, rK)), N)
+    return np.moveaxis(V, 0, n - 1)
 
 
 def parallel_transport(fib: Fibration, path: Cube, v0) -> np.ndarray:
-    """Transport a kernel-coefficient vector along a base path, node by node."""
+    """Transport a kernel-coefficient vector along the last axis of a base cube.
+
+    Returns the vector at every node, shape ``grid + (rK,)``, starting
+    from ``v0`` at the first node of each line.
+    """
     v0 = np.asarray(v0, dtype=float).reshape(fib.kernel_rank)
     return transport_matrix(fib, path) @ v0
 

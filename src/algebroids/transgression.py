@@ -89,10 +89,11 @@ def _require_cube(fib: Fibration, cube: Cube, over: Algebroid, what: str, n: Opt
         raise ValueError(f"{what} needs a cube over the expected algebroid")
 
 
-def _double_trapezoid(field: np.ndarray, N: int) -> np.ndarray:
-    h = 1.0 / N
-    inner = np.trapezoid(field, dx=h, axis=0)
-    return np.trapezoid(inner, dx=h, axis=0)
+def _trapezoid(field: np.ndarray, N: int, axes: int) -> np.ndarray:
+    """Trapezoid rule over the leading ``axes`` grid axes of a node field."""
+    for _ in range(axes):
+        field = np.trapezoid(field, dx=1.0 / N, axis=0)
+    return field
 
 
 def _curvature_pairing(om: Curvature2Form, c: Cube) -> np.ndarray:
@@ -184,11 +185,7 @@ def transgress_lift(fib: Fibration, cube: Cube) -> TransgressionResult:
         lifted = lift_cube(fib, c)
         top = face(lifted, axis=c.n - 1, end=1)
         kappa = kernel_coefficient_values(fib, top.gamma, top.coeffs[0])
-        h = 1.0 / c.N
-        value = kappa
-        for _ in range(c.n - 1):
-            value = np.trapezoid(value, dx=h, axis=0)
-        return value, top
+        return _trapezoid(kappa, c.N, c.n - 1), top
 
     value, est, top = _with_estimate(compute, cube)
     return TransgressionResult(value=value, est_error=est, method="lift", N=cube.N, face=top)
@@ -215,17 +212,12 @@ def transgress2_formula(
     om = curvature(fib)
 
     def compute(c: Cube):
-        N = c.N
         field = _curvature_pairing(om, c)
         if not fib.transport_is_trivial and fib.kernel_rank:
-            moved = np.empty_like(field)
-            for i in range(N + 1):
-                col = Cube(fib.base, c.gamma[i], c.coeffs[1][i][None])
-                V = transport_matrix(fib, col)
-                back = np.linalg.solve(V, field[i][..., None])[..., 0]
-                moved[i] = np.einsum("st,jt->js", V[N], back)
-            field = moved
-        return _double_trapezoid(field, N), None
+            V = transport_matrix(fib, c)
+            back = np.linalg.solve(V, field[..., None])[..., 0]
+            field = np.einsum("ist,ijt->ijs", V[:, -1], back)
+        return _trapezoid(field, c.N, 2), None
 
     value, est, _ = _with_estimate(compute, cube)
     return TransgressionResult(value=value, est_error=est, method="formula", N=cube.N, face=None)
@@ -252,7 +244,7 @@ def monodromy_period(
     om = curvature(fib)
 
     def compute(c: Cube):
-        return _double_trapezoid(_curvature_pairing(om, c), c.N), None
+        return _trapezoid(_curvature_pairing(om, c), c.N, 2), None
 
     value, est, _ = _with_estimate(compute, cube)
     return TransgressionResult(value=value, est_error=est, method="monodromy", N=cube.N, face=None)
@@ -474,10 +466,7 @@ def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
     with vanishing anchor image, the kernel factor.  Pulling the square
     back along boundary routes of the unit square produces the witness.
     """
-    if cube.n != 1:
-        raise ValueError("decompose_path needs a one-dimensional cube")
-    if cube.algebroid != fib.total:
-        raise ValueError("decompose_path needs a cube over the total algebroid")
+    _require_cube(fib, cube, fib.total, "decompose_path", n=1)
 
     N = cube.N
     ts = np.linspace(0.0, 1.0, N + 1)

@@ -243,6 +243,7 @@ def test_module_entrypoint_runs(tmp_path):
         ("plane_area", "task.area.centrality_tol=nan"),
         ("so3_check", "task.check_so3.n_points=0"),
         ("plane_area", "task.corner.expect_endpoint=0.9 0.9 0.9"),
+        ("plane_area", "cube.sq.n=3"),
     ],
 )
 def test_out_of_range_override_is_rejected_by_describe_and_run(tmp_path, capsys, config, override):
@@ -253,6 +254,17 @@ def test_out_of_range_override_is_rejected_by_describe_and_run(tmp_path, capsys,
         err = capsys.readouterr().err
         assert re.search(r"line \d+", err), err
         assert "Traceback" not in err
+    assert not list(out.glob("*.json"))
+
+
+def test_cube_construction_error_stops_run_before_any_report(tmp_path, capsys):
+    cfg = str(CONFIG_DIR / "plane_area.cfg")
+    out = tmp_path / "reports"
+    overrides = ["--set", "cube.sq.N=8", "--set", "cube.rim.sections=0, -9; 9, 0"]
+    assert main(["run", cfg, "--out", str(out)] + overrides) == 2
+    err = capsys.readouterr().err
+    assert "line 33" in err, err
+    assert "Traceback" not in err
     assert not list(out.glob("*.json"))
 
 

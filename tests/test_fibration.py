@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from algebroids.core import Chart, Section, check_axioms, make_tangent
-from algebroids.cubes import cotangent_lift, morphism_residual, tangent_lift
+from algebroids.cubes import Cube, cotangent_lift, morphism_residual, tangent_lift
 from algebroids.expr import evaluate, parse
 from algebroids.fibration import (
     anchor_fibration,
@@ -206,3 +206,19 @@ def test_transport_with_position_dependent_action():
     v = parallel_transport(fib, path, [2.0])
     # v' = -t v along the unit-speed path, so v(1) = 2 exp(-1/2)
     assert v[-1, 0] == pytest.approx(2.0 * np.exp(-0.5), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "fiber_dim, action",
+    [(2, [[["0", "1.3"], ["-1.3", "0"]]]), (1, [[["x"]]])],
+    ids=["rotation", "position_dependent"],
+)
+def test_transport_on_a_square_matches_its_columns(fiber_dim, action):
+    line = Chart(coords=("x",), box=((-2.0, 2.0),))
+    fib = rep_extension_fibration(make_tangent(line), fiber_dim, action=action)
+    square = tangent_lift(line, ["0.8*t1 - 0.6*t2 + 0.5*t1*t2^2"], n=2, N=8)
+    V = transport_matrix(fib, square)
+    assert V.shape == (9, 9, fiber_dim, fiber_dim)
+    for i in range(9):
+        column = Cube(fib.base, square.gamma[i], square.coeffs[1][i][None])
+        np.testing.assert_allclose(V[i], transport_matrix(fib, column), rtol=0, atol=1e-14)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import ONE, ZERO, Expr, add, as_expr, evaluate, is_zero, mul, neg, sub
+from .expr import ONE, ZERO, Expr, Program, add, as_expr, compile_exprs, evaluate, is_zero, mul, neg, sub
 
 __all__ = [
     "Chart",
@@ -98,19 +99,14 @@ def product_chart(a: Chart, b: Chart) -> Chart:
 
 
 def eval_exprs(exprs, env: Mapping[str, object], base_shape: tuple) -> np.ndarray:
-    """Evaluate a nested sequence of Exprs over an array environment.
+    """Evaluate a nested sequence of Exprs, or its compiled Program, over an array environment.
 
-    Returns an array of shape ``base_shape + nested_shape``.  Constant
-    subexpressions are broadcast to the base shape.
+    Returns one array of shape ``base_shape + nested_shape``; constants
+    and point-independent entries are broadcast to the base shape.  A
+    nested sequence is compiled on the fly, so callers that evaluate the
+    same matrix repeatedly pass the Program their owner holds.
     """
-
-    def rec(node):
-        if isinstance(node, Expr):
-            v = evaluate(node, env)
-            return np.broadcast_to(np.asarray(v, dtype=float), base_shape)
-        return np.stack([rec(child) for child in node], axis=len(base_shape))
-
-    return np.array(rec(exprs), dtype=float)
+    return np.asarray(evaluate(exprs, env, base_shape))
 
 
 @dataclass(frozen=True)
@@ -129,9 +125,13 @@ class Section:
     def __getitem__(self, i: int) -> Expr:
         return self.components[i]
 
+    @cached_property
+    def program(self) -> Program:
+        return compile_exprs(self.components)
+
     def values(self, chart: Chart, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        return eval_exprs(self.components, chart.env(points), points.shape[:-1])
+        return eval_exprs(self.program, chart.env(points), points.shape[:-1])
 
     def __add__(self, other: "Section") -> "Section":
         return Section(tuple(add(a, b) for a, b in zip(self.components, other.components, strict=True)))
@@ -152,23 +152,17 @@ def coerce_matrix(rows, n_rows: int, n_cols: int, what: str) -> tuple[tuple[Expr
     return out
 
 
-def antisymmetric_values(
-    chart: Chart, entries: Mapping, points: np.ndarray, n: int, width: int
-) -> np.ndarray:
-    """Tensor out[..., i, j, :] of shape (..., n, n, width) from vectors stored on pairs i < j.
+def antisymmetric_program(entries: Mapping, n: int, width: int) -> Program:
+    """Program for the tensor out[..., i, j, :] of shape (..., n, n, width) from vectors on pairs i < j.
 
     Each stored vector fills its (i, j) slot and its negative the (j, i)
     slot; absent pairs and the diagonal are zero.
     """
-    points = np.asarray(points, dtype=float)
-    base = points.shape[:-1]
-    env = chart.env(points)
-    out = np.zeros(base + (n, n, width))
+    cells = np.full((n, n, width), ZERO, dtype=object)
     for (i, j), vec in entries.items():
-        vals = eval_exprs(vec, env, base)
-        out[..., i, j, :] = vals
-        out[..., j, i, :] = -vals
-    return out
+        cells[i, j] = vec
+        cells[j, i] = [neg(c) for c in vec]
+    return compile_exprs(cells)
 
 
 def _coerce_structure(rank: int, mapping: Mapping) -> dict[tuple[int, int], tuple[Expr, ...]]:
@@ -260,17 +254,26 @@ class Algebroid:
 
     # -- vectorized evaluation ---------------------------------------------
 
+    @cached_property
+    def anchor_program(self) -> Program:
+        return compile_exprs(self.anchor)
+
+    @cached_property
+    def structure_program(self) -> Program:
+        return antisymmetric_program(self.structure, self.rank, self.rank)
+
     def anchor_values(self, points: np.ndarray) -> np.ndarray:
         """Anchor matrix at points, shape (..., rank, dim)."""
         points = np.asarray(points, dtype=float)
         base = points.shape[:-1]
         if self.rank == 0 or self.chart.dim == 0:
             return np.zeros(base + (self.rank, self.chart.dim))
-        return eval_exprs(self.anchor, self.chart.env(points), base)
+        return eval_exprs(self.anchor_program, self.chart.env(points), base)
 
     def structure_values(self, points: np.ndarray) -> np.ndarray:
         """Full antisymmetric structure tensor c[..., i, j, k] at points."""
-        return antisymmetric_values(self.chart, self.structure, points, self.rank, self.rank)
+        points = np.asarray(points, dtype=float)
+        return eval_exprs(self.structure_program, self.chart.env(points), points.shape[:-1])
 
     def _check_section(self, X: Section):
         if len(X) != self.rank:

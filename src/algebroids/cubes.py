@@ -21,7 +21,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from .core import Algebroid, Chart, Section, eval_exprs, make_cotangent_poisson, make_tangent
-from .expr import as_expr
+from .expr import NonFiniteError, as_expr
 
 __all__ = [
     "Cube",
@@ -52,6 +52,9 @@ __all__ = [
 
 class ChartEscapeError(ValueError):
     """A constructed base path left the chart box."""
+
+
+_ESCAPED = "flow left the chart box; shrink the time box or enlarge the chart"
 
 
 def default_time_names(n: int) -> tuple[str, ...]:
@@ -504,21 +507,24 @@ def cube_from_sections(
             env[names[k]] = t
             for l in range(stage + 1, n):
                 env[names[order[l]]] = 0.0
-            avals = eval_exprs(secs[k].components, env, (B,))
+            avals = eval_exprs(secs[k].program, env, (B,))
             return np.einsum("bp,bpm->bm", avals, A.anchor_values(X))
 
-        X = rk4(field, G.reshape(B, m), N)
+        try:
+            X = rk4(field, G.reshape(B, m), N)
+        except NonFiniteError as err:  # the flow overflowed on its way out of the chart
+            raise ChartEscapeError(_ESCAPED) from err
         G = np.moveaxis(X.reshape((N + 1,) + S + (m,)), 0, -2)
 
     inv = tuple(int(i) for i in np.argsort(order))
     gamma = np.transpose(G, axes=inv + (n,))
     if not A.chart.contains(gamma, tol=1e-8):
-        raise ChartEscapeError("flow left the chart box; shrink the time box or enlarge the chart")
+        raise ChartEscapeError(_ESCAPED)
 
     times = grid_times(n, N)
     env = A.chart.env(gamma)
     env.update({names[i]: times[i] for i in range(n)})
-    comps = [eval_exprs(secs[i].components, env, gamma.shape[:-1]) for i in range(n)]
+    comps = [eval_exprs(secs[i].program, env, gamma.shape[:-1]) for i in range(n)]
     return Cube(A, gamma, np.stack(comps))
 
 

@@ -1,12 +1,19 @@
-"""Scalar expression trees: parsing, evaluation, exact differentiation.
+"""Scalar expression trees: parsing, compiled evaluation, exact differentiation.
 
 Every coefficient in this package (anchor entries, structure functions,
 bivectors, splittings, connection data) is a small immutable tree over
-named variables.  Evaluation accepts floats or numpy arrays in the
-environment and is deterministic; differentiation is exact and closed
-over the node kinds defined here.  No simplification is performed beyond
-constant folding and the obvious 0/1 identities that keep derivative
-trees small.
+named variables.  Evaluation compiles a tree, or a nested matrix of
+trees, into a :class:`Program`: equal subtrees become one shared
+node, and the nodes run as a straight-line list of numpy calls that
+writes every entry into one preallocated array.  Owners of hot matrices
+compile once and keep the program; :func:`evaluate` compiles anything
+else on the fly.  The environment holds floats or numpy arrays and
+evaluation is deterministic.  Division by zero, log/sqrt domain
+violations and zero to a negative power raise :class:`DomainError`,
+and so does any NaN or inf in the result (as :class:`NonFiniteError`).
+Differentiation is exact and closed over the node kinds defined here.
+No simplification is performed beyond constant folding and the obvious
+0/1 identities that keep derivative trees small.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ __all__ = [
     "EvalError",
     "UnboundVariableError",
     "DomainError",
+    "NonFiniteError",
     "parse",
     "as_expr",
     "const",
@@ -45,6 +53,8 @@ __all__ = [
     "exp",
     "log",
     "sqrt",
+    "Program",
+    "compile_exprs",
     "evaluate",
 ]
 
@@ -71,8 +81,8 @@ class DomainError(EvalError):
     pass
 
 
-_UNARY_OPS = ("neg", "sin", "cos", "exp", "log", "sqrt")
-_BINARY_OPS = ("add", "sub", "mul", "div")
+class NonFiniteError(DomainError):
+    """Raised when an evaluated output is NaN or infinite."""
 
 
 class Expr:
@@ -253,17 +263,60 @@ def power(base: Expr, k: int) -> Expr:
 
 
 def _unary(op: str):
-    fn = getattr(np, op)
+    fn = _OPS[op]
 
     def make(a) -> Expr:
         a = as_expr(a)
         if _is_const(a):
-            return const(float(_apply_unary(op, np.float64(a.value), fn)))
+            with np.errstate(all="ignore"):  # an inf constant is caught when evaluated
+                return const(float(fn(np.float64(a.value))))
         return Unary(op, a)
 
     make.__name__ = op
     return make
 
+
+# --- evaluation ---------------------------------------------------------
+
+
+def _div(a, b):
+    if np.any(b == 0.0):
+        raise DomainError("division by zero")
+    return a / b
+
+
+def _log(a):
+    if np.any(a <= 0.0):
+        raise DomainError("log of a non-positive argument")
+    return np.log(a)
+
+
+def _sqrt(a):
+    if np.any(a < 0.0):
+        raise DomainError("sqrt of a negative argument")
+    return np.sqrt(a)
+
+
+def _power(a, k: int):
+    if k < 0 and np.any(a == 0.0):
+        raise DomainError("zero raised to a negative power")
+    return a**k
+
+
+# every node kind as one numpy call; the checked ones raise DomainError
+_OPS = {
+    "neg": np.negative,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": _log,
+    "sqrt": _sqrt,
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "div": _div,
+    "power": _power,
+}
 
 sin = _unary("sin")
 cos = _unary("cos")
@@ -272,55 +325,129 @@ log = _unary("log")
 sqrt = _unary("sqrt")
 
 
-# --- evaluation ---------------------------------------------------------
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class Program:
+    """A nested matrix of expressions compiled into straight-line numpy.
 
-
-def _apply_unary(op: str, val, fn):
-    if op == "log" and np.any(val <= 0.0):
-        raise DomainError("log of a non-positive argument")
-    if op == "sqrt" and np.any(val < 0.0):
-        raise DomainError("sqrt of a negative argument")
-    return fn(val)
-
-
-def evaluate(e: Expr, env: Mapping[str, object]):
-    """Evaluate ``e`` in ``env``.
-
-    Environment values may be floats or numpy arrays (broadcast together).
-    Unbound variables, division by zero and log/sqrt domain violations
-    raise errors rather than producing NaN or inf.
+    Built by :func:`compile_exprs` and run by :func:`evaluate`.  Values
+    live in numbered slots: ``registers`` holds the preloaded value of
+    each slot (constants and integer exponents; None otherwise),
+    ``loads`` binds variable slots from the environment, and ``prelude``
+    copies constant and variable slots to their output positions.  Each
+    entry of ``ops`` is ``(name, fn, dst, a, b, writes, dead)``: it
+    stores ``fn(slot a[, slot b])`` in slot ``dst``, copies that value
+    to the output positions ``writes`` and then drops the slots
+    ``dead``, which nothing later reads.  ``shape`` is the nested shape
+    of the output.
     """
-    if isinstance(e, Const):
-        return np.float64(e.value)
-    if isinstance(e, Var):
+
+    shape: tuple
+    registers: tuple
+    loads: tuple
+    prelude: tuple
+    ops: tuple
+
+    def __repr__(self) -> str:
+        return f"<Program shape={self.shape} ops={len(self.ops)}>"
+
+
+def compile_exprs(exprs) -> Program:
+    """Compile an Expr, or a nested (rectangular) sequence of them, once.
+
+    Nodes are hash-consed on ``(op, child slots)``, so equal subtrees
+    evaluate once however often the trees repeat them; the walk is
+    memoised by node identity, so shared objects are visited once.  No
+    node is skipped: every operand is computed, so each division and
+    domain check still runs.
+    """
+    cells = np.array(exprs, dtype=object)
+    keys: dict = {}
+    seen: dict[int, int] = {}
+    registers: list = []
+    loads, ops = [], []
+
+    def slot(key, value=None) -> int:
+        """Slot of a node; a new one is a preloaded value, a variable load or an op."""
+        s = keys.get(key)
+        if s is None:
+            s = keys[key] = len(registers)
+            registers.append(value)
+            if key[0] == "var":
+                loads.append((s, key[1]))
+            elif value is None:
+                ops.append(key + (s,))
+        return s
+
+    def visit(e) -> int:
+        s = seen.get(id(e))
+        if s is not None:
+            return s
+        if isinstance(e, Const):
+            s = slot(("const", float(e.value).hex()), np.float64(e.value))  # hex keeps -0.0 apart
+        elif isinstance(e, Var):
+            s = slot(("var", e.name))
+        elif isinstance(e, Unary):
+            s = slot((e.op, visit(e.arg), None))
+        elif isinstance(e, Binary):
+            s = slot((e.op, visit(e.left), visit(e.right)))
+        elif isinstance(e, Power):
+            s = slot(("power", visit(e.base), slot(("int", e.k), int(e.k))))
+        else:
+            raise TypeError(f"not an Expr: {e!r}")
+        seen[id(e)] = s
+        return s
+
+    writes: dict[int, list] = {}
+    for index in np.ndindex(cells.shape):
+        writes.setdefault(visit(cells[index]), []).append((Ellipsis,) + index)
+
+    last_read = {}
+    for pos, (_, a, b, _) in enumerate(ops):
+        last_read[a] = last_read[b] = pos
+    program_ops = tuple(
+        (name, _OPS[name], dst, a, b, tuple(writes.pop(dst, ())),
+         tuple(s for s in {a, b, dst} if s is not None and last_read.get(s, pos) == pos))
+        for pos, (name, a, b, dst) in enumerate(ops)
+    )
+    prelude = tuple((index, s) for s, indices in writes.items() for index in indices)
+    return Program(cells.shape, tuple(registers), tuple(loads), prelude, program_ops)
+
+
+def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None):
+    """Evaluate an Expr, a nested sequence of them, or a compiled Program.
+
+    Trees are compiled on the fly; hot callers compile once with
+    :func:`compile_exprs` and pass the Program.  Environment values may
+    be floats or numpy arrays; the result has shape ``base_shape +``
+    the nested shape, where ``base_shape`` defaults to the broadcast
+    shape of the variables used, and a scalar result is a numpy float.
+    Unbound variables, division by zero, log/sqrt domain violations,
+    zero to a negative power and any non-finite result raise errors
+    rather than producing NaN or inf.
+    """
+    program = e if isinstance(e, Program) else compile_exprs(e)
+    regs = list(program.registers)
+    for slot, name in program.loads:
         try:
-            v = env[e.name]
+            regs[slot] = np.asarray(env[name], dtype=np.float64)
         except KeyError:
-            raise UnboundVariableError(f"unbound variable {e.name!r}") from None
-        return np.asarray(v, dtype=np.float64) if not np.isscalar(v) else np.float64(v)
-    if isinstance(e, Unary):
-        a = evaluate(e.arg, env)
-        if e.op == "neg":
-            return -a
-        return _apply_unary(e.op, a, getattr(np, e.op))
-    if isinstance(e, Binary):
-        a = evaluate(e.left, env)
-        b = evaluate(e.right, env)
-        if e.op == "add":
-            return a + b
-        if e.op == "sub":
-            return a - b
-        if e.op == "mul":
-            return a * b
-        if np.any(b == 0.0):
-            raise DomainError("division by zero")
-        return a / b
-    if isinstance(e, Power):
-        b = evaluate(e.base, env)
-        if e.k < 0 and np.any(b == 0.0):
-            raise DomainError("zero raised to a negative power")
-        return b ** e.k
-    raise TypeError(f"not an Expr: {e!r}")
+            raise UnboundVariableError(f"unbound variable {name!r}") from None
+    if base_shape is None:
+        base_shape = np.broadcast_shapes(*(regs[slot].shape for slot, _ in program.loads))
+    out = np.empty(tuple(base_shape) + program.shape)
+    for index, slot in program.prelude:
+        out[index] = regs[slot]
+    with np.errstate(all="ignore"):  # overflow and NaN are caught at the outputs below
+        for _, fn, dst, a, b, writes, dead in program.ops:
+            v = regs[dst] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
+            for index in writes:
+                out[index] = v
+            for slot in dead:
+                regs[slot] = None
+    if not np.isfinite(out).all():
+        where = np.argwhere(~np.isfinite(out))[0][len(base_shape) :]
+        raise NonFiniteError(f"non-finite value at output {tuple(int(i) for i in where)}")
+    return out if out.ndim else out[()]
 
 
 # --- differentiation ----------------------------------------------------

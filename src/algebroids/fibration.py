@@ -24,7 +24,7 @@ from .core import (
     Algebroid,
     Chart,
     Section,
-    antisymmetric_values,
+    antisymmetric_program,
     coerce_matrix,
     eval_exprs,
     make_cotangent_poisson,
@@ -32,8 +32,8 @@ from .core import (
     make_rep_extension,
     make_tangent,
 )
-from .cubes import Cube, face, rk4
-from .expr import ONE, ZERO, Expr, add, as_expr, const, div, is_zero, mul, neg, sub
+from .cubes import ChartEscapeError, Cube, face, rk4
+from .expr import ONE, ZERO, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, is_zero, mul, neg, sub
 
 __all__ = [
     "Fibration",
@@ -140,6 +140,18 @@ class Fibration:
         M = [[cols[c][j] for c in range(rE)] for j in range(rE)]
         return _symbolic_inverse(M)
 
+    @cached_property
+    def frame_inverse_program(self) -> Program:
+        return compile_exprs(self.frame_inverse)
+
+    @cached_property
+    def splitting_program(self) -> Program:
+        return compile_exprs(self.splitting)
+
+    @cached_property
+    def projection_program(self) -> Program:
+        return compile_exprs(self.projection)
+
     def kernel_coefficients(self, X: Section) -> tuple[Expr, ...]:
         """Kernel-frame coefficients of a (kernel-valued) total section."""
         inv = self.frame_inverse
@@ -194,6 +206,11 @@ class Fibration:
         return tuple(mats)
 
     @cached_property
+    def action_programs(self) -> tuple[Program, ...]:
+        """One compiled program per matrix of :attr:`action_matrices`."""
+        return tuple(compile_exprs(M) for M in self.action_matrices)
+
+    @cached_property
     def transport_is_trivial(self) -> bool:
         """True when every covariant action matrix is identically zero."""
         return all(
@@ -237,11 +254,14 @@ class Curvature2Form:
             return self.entries.get((i, j), (ZERO,) * self.kernel_rank)
         return tuple(neg(e) for e in self.entries.get((j, i), (ZERO,) * self.kernel_rank))
 
+    @cached_property
+    def program(self) -> Program:
+        return antisymmetric_program(self.entries, self.base_rank, self.kernel_rank)
+
     def values(self, points: np.ndarray) -> np.ndarray:
         """Antisymmetric value tensor of shape (..., rB, rB, rK)."""
-        return antisymmetric_values(
-            self.chart, self.entries, points, self.base_rank, self.kernel_rank
-        )
+        points = np.asarray(points, dtype=float)
+        return eval_exprs(self.program, self.chart.env(points), points.shape[:-1])
 
 
 def curvature(fib: Fibration) -> Curvature2Form:
@@ -442,14 +462,17 @@ def evolve_cube_system(
             dY[..., cols] = grad + np.einsum("...p,...q,...pql->...l", Y[..., cols], w2, cvals)
         return dY
 
-    Y = np.moveaxis(rk4(rhs, np.concatenate([gamma0, *w0], axis=-1), N), 0, -2)
+    try:
+        Y = np.moveaxis(rk4(rhs, np.concatenate([gamma0, *w0], axis=-1), N), 0, -2)
+    except NonFiniteError as err:  # the lift overflowed on its way out of the chart
+        raise ChartEscapeError("cube base points leave the chart box") from err
     gamma = Y[..., :m]
     w_last = np.stack([w2_of(s * h, gamma[..., s, :]) for s in range(N + 1)], axis=-2)
     return gamma, [Y[..., cols] for cols in slots], w_last
 
 
 def _splitting_values(fib: Fibration, G: np.ndarray) -> np.ndarray:
-    return eval_exprs(fib.splitting, fib.chart.env(G), G.shape[:-1])
+    return eval_exprs(fib.splitting_program, fib.chart.env(G), G.shape[:-1])
 
 
 def lift_cube(fib: Fibration, cube: Cube) -> Cube:
@@ -488,7 +511,7 @@ def project_cube(fib: Fibration, cube: Cube) -> Cube:
     """Push a total cube down to the base through the projection."""
     if cube.algebroid != fib.total:
         raise ValueError("cube must live over the total algebroid of the fibration")
-    pvals = eval_exprs(fib.projection, fib.chart.env(cube.gamma), cube.gamma.shape[:-1])
+    pvals = eval_exprs(fib.projection_program, fib.chart.env(cube.gamma), cube.gamma.shape[:-1])
     comps = [np.einsum("...ij,...j->...i", pvals, cube.coeffs[i]) for i in range(cube.n)]
     return Cube(fib.base, cube.gamma, np.stack(comps))
 
@@ -517,7 +540,7 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
     ts = np.linspace(0.0, 1.0, N + 1)
     g_spline = CubicSpline(ts, path.gamma, axis=n - 1)
     b_spline = CubicSpline(ts, path.coeffs[n - 1], axis=n - 1)
-    F = fib.action_matrices
+    F = fib.action_programs
 
     def rhs(t: float, V: np.ndarray) -> np.ndarray:
         env = fib.chart.env(g_spline(t))

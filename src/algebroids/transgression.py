@@ -77,7 +77,7 @@ class TransgressionResult:
 def kernel_coefficient_values(fib: Fibration, points: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Kernel-frame coefficients of total-frame coefficient vectors at points."""
     points = np.asarray(points, dtype=float)
-    inv = eval_exprs(fib.frame_inverse, fib.chart.env(points), points.shape[:-1])
+    inv = eval_exprs(fib.frame_inverse_program, fib.chart.env(points), points.shape[:-1])
     rK = fib.kernel_rank
     return np.einsum("...ij,...j->...i", inv[..., :rK, :], w)
 
@@ -479,7 +479,7 @@ def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
     def w2_of(eps: float, G: np.ndarray) -> np.ndarray:
         u = 1.0 - (1.0 - ts) * (1.0 - eps)
         b = b_spline(u)
-        sig = eval_exprs(fib.splitting, fib.chart.env(G), G.shape[:-1])
+        sig = eval_exprs(fib.splitting_program, fib.chart.env(G), G.shape[:-1])
         return fade * np.einsum("...er,...r->...e", sig, b)
 
     sq_gamma, W, w_last = evolve_cube_system(fib.total, w2_of, cube.gamma, [cube.coeffs[0]], N)

@@ -26,6 +26,7 @@ from algebroids.cubes import (
     sphere_defect,
     tangent_lift,
 )
+from algebroids.expr import DomainError
 
 PLANE = Chart(coords=("x", "y"), box=((-3.0, 3.0), (-3.0, 3.0)))
 
@@ -44,6 +45,15 @@ def test_cube_validation_and_immutability():
         Cube(make_tangent(PLANE), c.gamma[..., :1], c.coeffs)
     with pytest.raises(ChartEscapeError):
         tangent_lift(PLANE, ["10*t1", "0"], n=1, N=8)
+
+
+def test_overflowing_flow_is_a_chart_escape():
+    # the velocity exp(1000*x) overflows within the first steps of the flow
+    with pytest.raises(ChartEscapeError, match="shrink the time box"):
+        cube_from_sections(make_tangent(PLANE), [["exp(1000*x)", "0"]], [0.5, 0.0], N=8)
+    # a genuine domain error in a section is still reported as one
+    with pytest.raises(DomainError, match="division by zero"):
+        cube_from_sections(make_tangent(PLANE), [["1/(x - 0.5)", "0"]], [0.5, 0.0], N=8)
 
 
 def test_grid_times():

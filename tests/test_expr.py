@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -6,13 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebroids.expr import (
+    Binary,
     Const,
     DomainError,
+    NonFiniteError,
     ParseError,
     UnboundVariableError,
+    Unary,
+    Var,
     as_expr,
+    compile_exprs,
     cos,
     evaluate,
+    is_zero,
     parse,
     power,
     sin,
@@ -206,3 +213,124 @@ def test_roundtrip_and_diff_total(e):
     s_before = str(e)
     e.diff("x")
     assert str(e) == s_before
+
+
+# --- compiled programs against a reference tree walk ----------------------
+
+
+def _walk(e, env):
+    """Reference: evaluate a tree node by node, as the compiler must reproduce."""
+    if isinstance(e, Const):
+        return np.float64(e.value)
+    if isinstance(e, Var):
+        if e.name not in env:
+            raise UnboundVariableError(e.name)
+        return np.asarray(env[e.name], dtype=np.float64)
+    if isinstance(e, Unary):
+        a = _walk(e.arg, env)
+        if (e.op == "log" and np.any(a <= 0.0)) or (e.op == "sqrt" and np.any(a < 0.0)):
+            raise DomainError(e.op)
+        return -a if e.op == "neg" else getattr(np, e.op)(a)
+    if isinstance(e, Binary):
+        a, b = _walk(e.left, env), _walk(e.right, env)
+        if e.op == "div" and np.any(b == 0.0):
+            raise DomainError("div")
+        return {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}[e.op](a, b)
+    b = _walk(e.base, env)
+    if e.k < 0 and np.any(b == 0.0):
+        raise DomainError("power")
+    return b**e.k
+
+
+_ARRAY_ENV = {"x": np.linspace(-1.3, 1.1, 7), "y": np.linspace(0.4, -2.2, 7)}
+
+
+@st.composite
+def signed_exprs(draw):
+    """exprs() trees mixed with negations, differences and quotients."""
+    e = draw(exprs())
+    for _ in range(draw(st.integers(0, 3))):
+        f = draw(exprs().filter(lambda f: not is_zero(f)))
+        combine = draw(st.sampled_from([
+            lambda e, f: -e, lambda e, f: e - f, lambda e, f: f - e, lambda e, f: -e - f,
+            lambda e, f: -e * f, lambda e, f: e * -f, lambda e, f: e / -f, lambda e, f: -(e + f),
+        ]))
+        e = combine(e, f)
+    return e
+
+
+@given(signed_exprs(), signed_exprs())
+@settings(max_examples=120, deadline=None)
+def test_compiled_values_equal_the_tree_walk_bitwise(e, f):
+    # one tree, and a matrix of trees that share it or its negation
+    for exprs in (e, ((e, -e, e + f), (f - e, -(e * f), sin(-e)))):
+        leaves = np.array(exprs, dtype=object)
+        try:
+            with np.errstate(all="ignore"):
+                want = np.stack([np.broadcast_to(_walk(x, _ARRAY_ENV), (7,)) for x in leaves.flat], axis=-1)
+        except DomainError:
+            with pytest.raises(DomainError):
+                evaluate(exprs, _ARRAY_ENV, (7,))
+            continue
+        if not np.all(np.isfinite(want)):
+            with pytest.raises(DomainError, match="non-finite"):
+                evaluate(exprs, _ARRAY_ENV, (7,))
+            continue
+        got = evaluate(exprs, _ARRAY_ENV, (7,))
+        assert got.shape == (7,) + leaves.shape
+        assert got.reshape(7, -1).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    # the exp() forms hide the infinity a missing check would let through
+    ["x/(y - y)", "log(x - 2)", "sqrt(x - 2)", "(y - y)^-2", "x + z",
+     "exp(-1/(y - y))", "exp(log(y - y))", "exp(-(y - y)^-2)"],
+)
+def test_compiled_and_walk_raise_the_same_error(text):
+    e = parse(text)
+    with pytest.raises(Exception) as walked:
+        _walk(e, _ARRAY_ENV)
+    with pytest.raises(Exception) as compiled:
+        evaluate(e, _ARRAY_ENV)
+    assert type(compiled.value) is type(walked.value)
+    assert isinstance(compiled.value, (DomainError, UnboundVariableError))
+
+
+def test_non_finite_values_are_domain_errors():
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        evaluate(parse("exp(x)"), {"x": 1000.0})
+    assert issubclass(NonFiniteError, DomainError)
+    with pytest.raises(DomainError, match="non-finite"):
+        evaluate(parse("1/x"), {"x": 1e-320})
+    with pytest.raises(DomainError, match="non-finite"):
+        evaluate(parse("x"), {"x": np.array([0.0, np.nan])})
+    # the error names the offending entry of a matrix
+    with pytest.raises(DomainError, match=r"\(1, 0\)"):
+        evaluate(((parse("x"), parse("1")), (parse("exp(x)"), parse("2"))), {"x": np.array([1.0, 800.0])}, (2,))
+    # an overflow that does not reach an output is no error
+    assert evaluate(parse("1/exp(x)"), {"x": 1000.0}) == 0.0
+
+
+def test_program_output_that_is_also_a_later_operand():
+    x = var("x")
+    s = sin(x)
+    xs = np.array([0.3, -1.2, 2.5])
+    program = compile_exprs((s * s, s, x, Const(2.0), s * s + s))
+    assert [op[0] for op in program.ops] == ["sin", "mul", "add"]
+    got = evaluate(program, {"x": xs}, (3,))
+    np.testing.assert_array_equal(got, np.stack([np.sin(xs) ** 2, np.sin(xs), xs, 2.0 + 0 * xs, np.sin(xs) ** 2 + np.sin(xs)], axis=-1))
+    # nothing outlives its last reader, and the program can be run again
+    np.testing.assert_array_equal(evaluate(program, {"x": xs}, (3,)), got)
+
+
+def test_program_shares_equal_subtrees_built_separately():
+    a = parse("sin(x)*cos(y) + sin(x)")
+    b = parse("sin(x)*cos(y) - cos(y)")
+    program = compile_exprs((a, b))
+    assert sorted(op[0] for op in program.ops) == ["add", "cos", "mul", "sin", "sub"]
+    # a different op or operand order is a different node
+    assert [op[0] for op in compile_exprs((parse("x*y"), parse("y*x"), parse("x/y"))).ops] == ["mul", "mul", "div"]
+    # 0.0 and -0.0 stay distinct constants
+    zeros = evaluate((Const(0.0), Const(-0.0)), {})
+    assert np.signbit(zeros).tolist() == [False, True]

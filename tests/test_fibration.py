@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from algebroids.core import Chart, Section, check_axioms, make_tangent
-from algebroids.cubes import Cube, cotangent_lift, morphism_residual, tangent_lift
-from algebroids.expr import evaluate, parse
+from algebroids.core import Chart, Section, check_axioms, make_jacobi_extension, make_tangent
+from algebroids.cubes import ChartEscapeError, Cube, cotangent_lift, morphism_residual, tangent_lift
+from algebroids.expr import compile_exprs, evaluate, parse, var
 from algebroids.fibration import (
+    _symbolic_inverse,
     anchor_fibration,
     covariant_derivative,
     curvature,
+    evolve_cube_system,
     identity_residuals,
     jacobi_fibration,
     lift_cube,
@@ -171,6 +173,15 @@ def test_lift_square_is_morphism_and_projects_back():
     assert gap < 5.0 / 64**2
 
 
+def test_overflowing_lift_is_a_chart_escape():
+    # a driver whose values overflow as the points move is reported as a chart escape
+    A = make_tangent(PLANE)
+    driver = Section((parse("exp(1000*x)"), parse("0")))
+    gamma0 = np.stack([np.linspace(0.1, 0.5, 9), np.zeros(9)], axis=-1)
+    with pytest.raises(ChartEscapeError, match="leave the chart box"):
+        evolve_cube_system(A, lambda eps, G: driver.values(PLANE, G), gamma0, [], 8)
+
+
 def test_lift_rejects_wrong_base():
     fib = jacobi_fibration(PLANE, {(0, 1): "1"})
     wrong = tangent_lift(PLANE, ["t1", "0"], n=1, N=8)
@@ -222,3 +233,34 @@ def test_transport_on_a_square_matches_its_columns(fiber_dim, action):
     for i in range(9):
         column = Cube(fib.base, square.gamma[i], square.coeffs[1][i][None])
         np.testing.assert_allclose(V[i], transport_matrix(fib, column), rtol=0, atol=1e-14)
+
+
+_TRANSCENDENTAL = {"sin", "cos", "exp", "log", "sqrt"}
+
+
+def test_sphere_curvature_compiles_to_two_transcendentals():
+    # the monodromy geometry of configs/s2_monodromy.cfg
+    sphere = Chart(coords=("th", "ph"), box=((0.0005, 3.141), (-0.1, 6.4)))
+    A = make_jacobi_extension(sphere, [["0", "1/sin(th)"], ["-1/sin(th)", "0"]])
+    fib = anchor_fibration(A, [["0", "0"], ["0", "sin(th)"], ["-sin(th)", "0"]])
+    om = curvature(fib)
+    (entry,) = om.entries[(0, 1)]
+    assert str(entry).count("sin(") + str(entry).count("cos(") == 21
+    assert sum(op[0] in _TRANSCENDENTAL for op in om.program.ops) == 2
+    pts = sphere.sample(40, np.random.default_rng(5))
+    vals = om.values(pts)
+    want = evaluate(entry, sphere.env(pts))
+    np.testing.assert_array_equal(vals[:, 0, 1, 0], want)
+    np.testing.assert_array_equal(vals[:, 1, 0, 0], -want)
+    assert not vals[:, [0, 1], [0, 1]].any()
+
+
+def test_dense_rank_seven_inverse_is_a_small_program():
+    n = 7
+    names = [[f"m{i}{j}" for j in range(n)] for i in range(n)]
+    program = compile_exprs(_symbolic_inverse([[var(v) for v in row] for row in names]))
+    assert len(program.ops) < 5000
+    rng = np.random.default_rng(3)
+    M = rng.uniform(-0.5, 0.5, size=(100, n, n)) + 4.0 * np.eye(n)
+    env = {names[i][j]: M[:, i, j] for i in range(n) for j in range(n)}
+    np.testing.assert_allclose(evaluate(program, env, (100,)), np.linalg.inv(M), rtol=0, atol=1e-12)

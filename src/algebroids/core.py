@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import ONE, ZERO, Expr, Program, add, as_expr, compile_exprs, evaluate, is_zero, mul, neg, sub
+from .expr import ONE, ZERO, Expr, Program, add, as_expr, compile_exprs, dot, evaluate, is_zero, mul, neg, sub, total
 
 __all__ = [
     "Chart",
@@ -165,6 +165,19 @@ def antisymmetric_program(entries: Mapping, n: int, width: int) -> Program:
     return compile_exprs(cells)
 
 
+def antisymmetric_entry(table: Mapping, i: int, j: int, width: int) -> tuple[Expr, ...]:
+    """Vector on the pair (i, j) of a table stored on pairs i < j.
+
+    Pairs below the diagonal are the negated transposed entry; the
+    diagonal and absent pairs are zero.
+    """
+    if i == j:
+        return (ZERO,) * width
+    if i < j:
+        return table.get((i, j), (ZERO,) * width)
+    return tuple(neg(c) for c in table.get((j, i), (ZERO,) * width))
+
+
 def _coerce_structure(rank: int, mapping: Mapping) -> dict[tuple[int, int], tuple[Expr, ...]]:
     out: dict[tuple[int, int], tuple[Expr, ...]] = {}
     for (i, j), vec in mapping.items():
@@ -212,44 +225,29 @@ class Algebroid:
 
     def structure_vector(self, i: int, j: int) -> tuple[Expr, ...]:
         """Coefficients of the frame bracket of e_i and e_j (any i, j)."""
-        if i == j:
-            return (ZERO,) * self.rank
-        if i < j:
-            return self.structure.get((i, j), (ZERO,) * self.rank)
-        return tuple(neg(c) for c in self.structure.get((j, i), (ZERO,) * self.rank))
+        return antisymmetric_entry(self.structure, i, j, self.rank)
 
     # -- symbolic operations ----------------------------------------------
 
     def anchor_of(self, X: Section) -> tuple[Expr, ...]:
         """Chart components of the image vector field of X."""
         self._check_section(X)
-        out = []
-        for a in range(self.chart.dim):
-            acc: Expr = ZERO
-            for i in range(self.rank):
-                acc = add(acc, mul(X[i], self.anchor[i][a]))
-            out.append(acc)
-        return tuple(out)
+        return tuple(dot(X.components, (row[a] for row in self.anchor)) for a in range(self.chart.dim))
 
     def anchor_apply(self, X: Section, f: Expr) -> Expr:
         """Directional derivative of a chart function along the image of X."""
         f = as_expr(f)
-        acc: Expr = ZERO
-        for a, vf in enumerate(self.anchor_of(X)):
-            acc = add(acc, mul(vf, f.diff(self.chart.coords[a])))
-        return acc
+        return dot(self.anchor_of(X), (f.diff(name) for name in self.chart.coords))
 
     def bracket(self, X: Section, Y: Section) -> Section:
         """Bracket of two sections in frame coefficients."""
         self._check_section(X)
         self._check_section(Y)
-        out = [ZERO] * self.rank
-        for (i, j), cvec in self.structure.items():
-            w = sub(mul(X[i], Y[j]), mul(X[j], Y[i]))
-            for k in range(self.rank):
-                out[k] = add(out[k], mul(w, cvec[k]))
+        pairs = [(sub(mul(X[i], Y[j]), mul(X[j], Y[i])), cvec) for (i, j), cvec in self.structure.items()]
+        out = []
         for k in range(self.rank):
-            out[k] = add(out[k], sub(self.anchor_apply(X, Y[k]), self.anchor_apply(Y, X[k])))
+            anchored = sub(self.anchor_apply(X, Y[k]), self.anchor_apply(Y, X[k]))
+            out.append(total([*(mul(w, cvec[k]) for w, cvec in pairs), anchored]))
         return Section(tuple(out))
 
     # -- vectorized evaluation ---------------------------------------------
@@ -368,19 +366,17 @@ def check_axioms(A: Algebroid, n_points: int = 200, seed: int = 42, tol: float =
     anc = 0.0
     m = A.chart.dim
     for i, j in itertools.combinations(range(A.rank), 2):
+        if m == 0:
+            continue
         cvec = A.structure_vector(i, j)
         resid = []
         for a in range(m):
-            lhs: Expr = ZERO
-            for l in range(A.rank):
-                lhs = add(lhs, mul(cvec[l], A.anchor[l][a]))
-            rhs: Expr = ZERO
-            for b in range(m):
-                name = A.chart.coords[b]
-                rhs = add(rhs, sub(mul(A.anchor[i][b], A.anchor[j][a].diff(name)), mul(A.anchor[j][b], A.anchor[i][a].diff(name))))
+            lhs = dot(cvec, (row[a] for row in A.anchor))
+            rhs = total(
+                sub(mul(A.anchor[i][b], A.anchor[j][a].diff(name)), mul(A.anchor[j][b], A.anchor[i][a].diff(name)))
+                for b, name in enumerate(A.chart.coords)
+            )
             resid.append(sub(lhs, rhs))
-        if m == 0:
-            continue
         vals = eval_exprs(tuple(resid), env, base)
         anc = max(anc, consider("anchor", (i, j), vals))
 

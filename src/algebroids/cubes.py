@@ -57,10 +57,6 @@ class ChartEscapeError(ValueError):
 _ESCAPED = "flow left the chart box; shrink the time box or enlarge the chart"
 
 
-def default_time_names(n: int) -> tuple[str, ...]:
-    return tuple(f"t{i + 1}" for i in range(n))
-
-
 def grid_times(n: int, N: int) -> list[np.ndarray]:
     """Node-value meshes for each time axis, each of shape (N+1,)*n."""
     return [idx / N for idx in np.indices((N + 1,) * n).astype(float)]
@@ -211,8 +207,8 @@ def face(cube: Cube, axis: int, end: int) -> Cube:
         raise ValueError("end must be 0 or 1")
     idx = 0 if end == 0 else cube.N
     gamma = np.take(cube.gamma, idx, axis=axis)
-    comps = [np.take(cube.coeffs[i], idx, axis=axis) for i in range(cube.n) if i != axis]
-    return Cube(cube.algebroid, gamma, np.stack(comps))
+    coeffs = np.delete(np.take(cube.coeffs, idx, axis=axis + 1), axis, axis=0)
+    return Cube(cube.algebroid, gamma, coeffs)
 
 
 def degeneracy(cube: Cube, axis: int) -> Cube:
@@ -221,14 +217,8 @@ def degeneracy(cube: Cube, axis: int) -> Cube:
     if not 0 <= axis <= n:
         raise ValueError(f"axis must be in 0..{n}")
     gamma = np.repeat(np.expand_dims(cube.gamma, axis), N + 1, axis=axis)
-    comps = []
-    for i in range(n + 1):
-        if i == axis:
-            comps.append(np.zeros(gamma.shape[:-1] + (cube.algebroid.rank,)))
-        else:
-            src = cube.coeffs[i if i < axis else i - 1]
-            comps.append(np.repeat(np.expand_dims(src, axis), N + 1, axis=axis))
-    return Cube(cube.algebroid, gamma, np.stack(comps))
+    coeffs = np.repeat(np.expand_dims(cube.coeffs, axis + 1), N + 1, axis=axis + 1)
+    return Cube(cube.algebroid, gamma, np.insert(coeffs, axis, 0.0, axis=0))
 
 
 def reverse(cube: Cube, axis: int) -> Cube:
@@ -236,9 +226,9 @@ def reverse(cube: Cube, axis: int) -> Cube:
     if not 0 <= axis < cube.n:
         raise ValueError(f"axis must be in 0..{cube.n - 1}")
     gamma = np.flip(cube.gamma, axis=axis)
-    comps = [np.flip(cube.coeffs[i], axis=axis) for i in range(cube.n)]
-    comps[axis] = -comps[axis]
-    return Cube(cube.algebroid, gamma, np.stack(comps))
+    coeffs = np.flip(cube.coeffs, axis=axis + 1).copy()
+    coeffs[axis] *= -1.0
+    return Cube(cube.algebroid, gamma, coeffs)
 
 
 def coarsen(cube: Cube) -> Cube:
@@ -267,12 +257,11 @@ def resample(cube: Cube, M: int) -> Cube:
     if M < 3:
         raise ValueError("resampling needs at least three steps")
     ts = np.linspace(0.0, 1.0, M + 1)
-    gamma = cube.gamma
-    comps = [cube.coeffs[i] for i in range(cube.n)]
+    gamma, coeffs = cube.gamma, cube.coeffs
     for axis in range(cube.n):
         gamma = _resample_axis(gamma, axis, ts)
-        comps = [_resample_axis(c, axis, ts) for c in comps]
-    return Cube(cube.algebroid, gamma, np.stack(comps))
+        coeffs = _resample_axis(coeffs, axis + 1, ts)
+    return Cube(cube.algebroid, gamma, coeffs)
 
 
 # --- boundary-flattening reparametrization ------------------------------------
@@ -316,6 +305,13 @@ def _resample_axis(arr: np.ndarray, axis: int, positions: np.ndarray) -> np.ndar
     return CubicSpline(ts, arr, axis=axis)(positions)
 
 
+def _weigh_own_axis(coeffs: np.ndarray, axis: int, weights: np.ndarray) -> None:
+    """Multiply coefficient field ``axis`` in place by ``weights`` along its own time axis."""
+    shape = [1] * (coeffs.ndim - 1)
+    shape[axis] = weights.size
+    coeffs[axis] *= weights.reshape(shape)
+
+
 def reparam_cutoff(cube: Cube) -> Cube:
     """Reparametrize every axis by the cutoff map.
 
@@ -328,15 +324,12 @@ def reparam_cutoff(cube: Cube) -> Cube:
     ts = np.linspace(0.0, 1.0, N + 1)
     pos = cutoff(ts)
     weights = cutoff_prime(ts)
-    gamma = cube.gamma
-    comps = [cube.coeffs[i] for i in range(n)]
+    gamma, coeffs = cube.gamma, cube.coeffs
     for axis in range(n):
         gamma = _resample_axis(gamma, axis, pos)
-        comps = [_resample_axis(c, axis, pos) for c in comps]
-        shape = [1] * comps[axis].ndim
-        shape[axis] = N + 1
-        comps[axis] = comps[axis] * weights.reshape(shape)
-    return Cube(cube.algebroid, gamma, np.stack(comps))
+        coeffs = _resample_axis(coeffs, axis + 1, pos)
+        _weigh_own_axis(coeffs, axis, weights)
+    return Cube(cube.algebroid, gamma, coeffs)
 
 
 def concat(first: Cube, second: Cube, axis: int, tol: float = 1e-6) -> Cube:
@@ -373,20 +366,13 @@ def concat(first: Cube, second: Cube, axis: int, tol: float = 1e-6) -> Cube:
     pos_second = cutoff(2.0 * ts[~lo] - 1.0)
     weights = np.where(lo, 2.0 * cutoff_prime(2.0 * ts), 2.0 * cutoff_prime(2.0 * ts - 1.0))
 
-    def glue(arr_first, arr_second, scaled):
-        out = np.concatenate(
-            [_resample_axis(arr_first, axis, pos_first), _resample_axis(arr_second, axis, pos_second)],
-            axis=axis,
-        )
-        if scaled:
-            shape = [1] * out.ndim
-            shape[axis] = N + 1
-            out = out * weights.reshape(shape)
-        return out
+    def glue(arr_first, arr_second, at):
+        halves = [_resample_axis(arr_first, at, pos_first), _resample_axis(arr_second, at, pos_second)]
+        return np.concatenate(halves, axis=at)
 
-    gamma = glue(first.gamma, second.gamma, False)
-    comps = [glue(first.coeffs[i], second.coeffs[i], i == axis) for i in range(n)]
-    return Cube(first.algebroid, gamma, np.stack(comps))
+    coeffs = glue(first.coeffs, second.coeffs, axis + 1)
+    _weigh_own_axis(coeffs, axis, weights)
+    return Cube(first.algebroid, glue(first.gamma, second.gamma, axis), coeffs)
 
 
 # --- cubes from time-dependent section families --------------------------------
@@ -423,12 +409,21 @@ def _coerce_sections(A: Algebroid, sections: Sequence) -> list[Section]:
     return out
 
 
-def _check_time_names(chart: Chart, names: Sequence[str]):
+def _time_names(chart: Chart, time_names: Sequence[str] | None, n: int) -> tuple[str, ...]:
+    """Names of the n time variables, ``t1 .. tn`` by default.
+
+    Raises ValueError for a wrong count, a name that is also a chart
+    coordinate, or a repeated name.
+    """
+    names = tuple(time_names) if time_names is not None else tuple(f"t{i + 1}" for i in range(n))
+    if len(names) != n:
+        raise ValueError(f"need one time name per axis ({n}), got {len(names)}")
     clash = set(names) & set(chart.coords)
     if clash:
         raise ValueError(f"time names collide with chart coordinates: {sorted(clash)}")
     if len(set(names)) != len(names):
         raise ValueError("time names must be distinct")
+    return names
 
 
 def commutation_residual(
@@ -447,8 +442,7 @@ def commutation_residual(
     """
     secs = _coerce_sections(A, sections)
     n = len(secs)
-    names = tuple(time_names) if time_names is not None else default_time_names(n)
-    _check_time_names(A.chart, names)
+    names = _time_names(A.chart, time_names, n)
     rng = np.random.default_rng(seed)
     pts = A.chart.sample(n_points, rng)
     tvals = rng.uniform(size=(n_points, n))
@@ -484,10 +478,7 @@ def cube_from_sections(
     n = len(secs)
     if n < 1:
         raise ValueError("need at least one section")
-    names = tuple(time_names) if time_names is not None else default_time_names(n)
-    if len(names) != n:
-        raise ValueError("need one time name per section")
-    _check_time_names(A.chart, names)
+    names = _time_names(A.chart, time_names, n)
     order = tuple(order) if order is not None else tuple(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError(f"order must be a permutation of 0..{n - 1}")
@@ -544,10 +535,7 @@ def tangent_lift(
     in the time variables; the coefficient fields are the exact partial
     velocities, so the only morphism defect is the grid derivative error.
     """
-    names = tuple(time_names) if time_names is not None else default_time_names(n)
-    if len(names) != n:
-        raise ValueError("need one time name per axis")
-    _check_time_names(chart, names)
+    names = _time_names(chart, time_names, n)
     exprs = [as_expr(c) for c in components]
     if len(exprs) != chart.dim:
         raise ValueError("need one component per chart coordinate")
@@ -588,11 +576,8 @@ def cotangent_lift(
     pvals = eval_exprs(entry, chart.env(tangent.gamma), tangent.gamma.shape[:-1])
     if np.any(np.abs(pvals) < 1e-12):
         raise ValueError("bivector vanishes along the swept region; cannot invert")
-    comps = []
-    for i in range(n):
-        v = tangent.coeffs[i]
-        comps.append(np.stack([v[..., 1] / pvals, -v[..., 0] / pvals], axis=-1))
-    return Cube(A, tangent.gamma, np.stack(comps))
+    # a velocity (v0, v1) has coefficients (v1, -v0) / p in the differential frame, p the bivector entry
+    return Cube(A, tangent.gamma, tangent.coeffs[..., ::-1] * (1.0, -1.0) / pvals[..., None])
 
 
 def path_cube(
@@ -603,7 +588,7 @@ def path_cube(
     time_name: str = "t1",
 ) -> Cube:
     """One-dimensional cube from explicit path and coefficient expressions."""
-    _check_time_names(A.chart, (time_name,))
+    _time_names(A.chart, (time_name,), 1)
     gexprs = [as_expr(c) for c in gamma_components]
     cexprs = [as_expr(c) for c in coeff_components]
     if len(gexprs) != A.chart.dim or len(cexprs) != A.rank:

@@ -19,7 +19,7 @@ No simplification is performed beyond constant folding and the obvious
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -48,6 +48,8 @@ __all__ = [
     "div",
     "neg",
     "power",
+    "total",
+    "dot",
     "sin",
     "cos",
     "exp",
@@ -245,6 +247,19 @@ def neg(a: Expr) -> Expr:
     if isinstance(a, Unary) and a.op == "neg":
         return a.arg
     return Unary("neg", a)
+
+
+def total(terms: Iterable[Expr]) -> Expr:
+    """Left-to-right sum of the terms, starting from zero."""
+    acc: Expr = ZERO
+    for t in terms:
+        acc = add(acc, t)
+    return acc
+
+
+def dot(xs: Iterable[Expr], ys: Iterable[Expr]) -> Expr:
+    """Sum of the pairwise products ``xs[k] * ys[k]``; the lengths must match."""
+    return total(mul(x, y) for x, y in zip(xs, ys, strict=True))
 
 
 def power(base: Expr, k: int) -> Expr:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .core import (
     Algebroid,
     Chart,
     Section,
+    antisymmetric_entry,
     antisymmetric_program,
     coerce_matrix,
     eval_exprs,
@@ -33,7 +34,7 @@ from .core import (
     make_tangent,
 )
 from .cubes import ChartEscapeError, Cube, face, rk4
-from .expr import ONE, ZERO, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, is_zero, mul, neg, sub
+from .expr import ONE, ZERO, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, sub, total
 
 __all__ = [
     "Fibration",
@@ -52,38 +53,42 @@ __all__ = [
     "evolve_cube_system",
 ]
 
-def _det(M: list[list[Expr]]) -> Expr:
-    if len(M) == 1:
-        return M[0][0]
-    acc: Expr = ZERO
-    for j, head in enumerate(M[0]):
-        if is_zero(head):
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in M[1:]]
-        term = mul(head, _det(minor))
-        acc = add(acc, term) if j % 2 == 0 else sub(acc, term)
-    return acc
-
-
 def _symbolic_inverse(M: Sequence[Sequence[Expr]]) -> tuple[tuple[Expr, ...], ...]:
     """Adjugate inverse of a small symbolic matrix.
 
+    Determinants are Laplace expansions along the first row, with each
+    minor built once and shared by every expansion that needs it.
     Division by the determinant is left unevaluated, so a singular point
     surfaces as a domain error at evaluation time.
     """
     n = len(M)
-    rows = [list(r) for r in M]
+    rows = [tuple(r) for r in M]
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    d = _det(rows)
+
+    @lru_cache(maxsize=None)
+    def det(rs: tuple[int, ...], cs: tuple[int, ...]) -> Expr:
+        """Determinant of the minor on rows ``rs`` and columns ``cs``."""
+        if len(rs) == 1:
+            return rows[rs[0]][cs[0]]
+        acc: Expr = ZERO
+        for k, c in enumerate(cs):
+            head = rows[rs[0]][c]
+            if is_zero(head):
+                continue
+            term = mul(head, det(rs[1:], cs[:k] + cs[k + 1 :]))
+            acc = add(acc, term) if k % 2 == 0 else sub(acc, term)
+        return acc
+
+    every = tuple(range(n))
+    d = det(every, every)
     if is_zero(d):
         raise ValueError("matrix is identically singular")
     out = []
     for i in range(n):
         row = []
         for j in range(n):
-            minor = [r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j]
-            cof = _det(minor) if minor else ONE
+            cof = det(every[:j] + every[j + 1 :], every[:i] + every[i + 1 :]) if n > 1 else ONE
             if (i + j) % 2 == 1:
                 cof = neg(cof)
             row.append(div(cof, d))
@@ -154,35 +159,14 @@ class Fibration:
 
     def kernel_coefficients(self, X: Section) -> tuple[Expr, ...]:
         """Kernel-frame coefficients of a (kernel-valued) total section."""
-        inv = self.frame_inverse
-        out = []
-        for t in range(self.kernel_rank):
-            acc: Expr = ZERO
-            for j in range(self.total.rank):
-                acc = add(acc, mul(inv[t][j], X[j]))
-            out.append(acc)
-        return tuple(out)
+        return tuple(dot(row, X.components) for row in self.frame_inverse[: self.kernel_rank])
 
     def horizontal_lift(self, X: Section) -> Section:
         """Total section with coefficients splitting . X."""
-        rE, rB = self.total.rank, self.base.rank
-        comps = []
-        for j in range(rE):
-            acc: Expr = ZERO
-            for i in range(rB):
-                acc = add(acc, mul(self.splitting[j][i], X[i]))
-            comps.append(acc)
-        return Section(tuple(comps))
+        return Section(tuple(dot(row, X.components) for row in self.splitting))
 
     def project_section(self, X: Section) -> Section:
-        rE, rB = self.total.rank, self.base.rank
-        comps = []
-        for i in range(rB):
-            acc: Expr = ZERO
-            for j in range(rE):
-                acc = add(acc, mul(self.projection[i][j], X[j]))
-            comps.append(acc)
-        return Section(tuple(comps))
+        return Section(tuple(dot(row, X.components) for row in self.projection))
 
     def kernel_section(self, s: int) -> Section:
         return Section(self.kernel[s])
@@ -228,13 +212,11 @@ def covariant_derivative(fib: Fibration, X: Section, kappa: Section) -> Section:
         raise ValueError("X must be a base section and kappa a kernel-coefficient section")
     F = fib.action_matrices
     hor = fib.horizontal_lift(X)
+    pairs = list(itertools.product(range(fib.base.rank), range(fib.kernel_rank)))
     out = []
     for t in range(fib.kernel_rank):
-        acc = fib.total.anchor_apply(hor, kappa[t])
-        for i in range(fib.base.rank):
-            for s in range(fib.kernel_rank):
-                acc = add(acc, mul(X[i], mul(F[i][t][s], kappa[s])))
-        out.append(acc)
+        acting = (mul(X[i], mul(F[i][t][s], kappa[s])) for i, s in pairs)
+        out.append(total([fib.total.anchor_apply(hor, kappa[t]), *acting]))
     return Section(tuple(out))
 
 
@@ -248,11 +230,7 @@ class Curvature2Form:
     entries: Mapping[tuple[int, int], tuple[Expr, ...]]
 
     def entry(self, i: int, j: int) -> tuple[Expr, ...]:
-        if i == j:
-            return (ZERO,) * self.kernel_rank
-        if i < j:
-            return self.entries.get((i, j), (ZERO,) * self.kernel_rank)
-        return tuple(neg(e) for e in self.entries.get((j, i), (ZERO,) * self.kernel_rank))
+        return antisymmetric_entry(self.entries, i, j, self.kernel_rank)
 
     @cached_property
     def program(self) -> Program:
@@ -288,19 +266,6 @@ def curvature(fib: Fibration) -> Curvature2Form:
 # --- structure-equation residuals ----------------------------------------------
 
 
-def _derivative_along(fib: Fibration, i: int, w: Sequence[Expr]) -> tuple[Expr, ...]:
-    """Covariant derivative along base frame i of a kernel-coefficient vector."""
-    F = fib.action_matrices[i]
-    hor = fib.horizontal_lift(fib.base.frame(i))
-    out = []
-    for t in range(fib.kernel_rank):
-        acc = fib.total.anchor_apply(hor, w[t])
-        for s in range(fib.kernel_rank):
-            acc = add(acc, mul(F[t][s], w[s]))
-        out.append(acc)
-    return tuple(out)
-
-
 def identity_residuals(fib: Fibration, n_points: int = 100, seed: int = 42) -> dict[str, float]:
     """Max-norm residuals of the structure equations over sampled points.
 
@@ -329,31 +294,20 @@ def identity_residuals(fib: Fibration, n_points: int = 100, seed: int = 42) -> d
 
     out: dict[str, float] = {}
 
-    anchor = []
-    for j in range(rE):
-        for a in range(m):
-            acc: Expr = ZERO
-            for u in range(rB):
-                acc = add(acc, mul(fib.projection[u][j], B.anchor[u][a]))
-            anchor.append(sub(acc, E.anchor[j][a]))
+    anchor = [
+        sub(dot((row[j] for row in fib.projection), (row[a] for row in B.anchor)), E.anchor[j][a])
+        for j in range(rE)
+        for a in range(m)
+    ]
     out["anchor_match"] = sup(anchor)
 
     morph = []
     for i in range(rB):
         for j in range(rE):
             for k in range(j + 1, rE):
-                acc: Expr = ZERO
-                for l in range(rE):
-                    acc = add(acc, mul(fib.projection[i][l], E.structure_vector(j, k)[l]))
-                for u in range(rB):
-                    for v in range(rB):
-                        acc = sub(
-                            acc,
-                            mul(
-                                mul(fib.projection[u][j], fib.projection[v][k]),
-                                B.structure_vector(u, v)[i],
-                            ),
-                        )
+                acc = dot(fib.projection[i], E.structure_vector(j, k))
+                for u, v in itertools.product(range(rB), repeat=2):
+                    acc = sub(acc, mul(mul(fib.projection[u][j], fib.projection[v][k]), B.structure_vector(u, v)[i]))
                 acc = sub(acc, E.anchor_apply(E.frame(j), fib.projection[i][k]))
                 acc = add(acc, E.anchor_apply(E.frame(k), fib.projection[i][j]))
                 morph.append(acc)
@@ -380,18 +334,11 @@ def identity_residuals(fib: Fibration, n_points: int = 100, seed: int = 42) -> d
         cB = B.structure_vector(i, j)
         hor_i = fib.horizontal_lift(B.frame(i))
         hor_j = fib.horizontal_lift(B.frame(j))
-        w_total = Section(
-            tuple(
-                _sum(mul(omega.entry(i, j)[t], fib.kernel[t][l]) for t in range(rK))
-                for l in range(rE)
-            )
-        )
+        w_total = Section(tuple(dot(omega.entry(i, j), (row[l] for row in fib.kernel)) for l in range(rE)))
         for s in range(rK):
             lhs = []
             for t in range(rK):
-                acc: Expr = ZERO
-                for u in range(rK):
-                    acc = add(acc, sub(mul(F[i][t][u], F[j][u][s]), mul(F[j][t][u], F[i][u][s])))
+                acc = total(sub(mul(F[i][t][u], F[j][u][s]), mul(F[j][t][u], F[i][u][s])) for u in range(rK))
                 acc = add(acc, E.anchor_apply(hor_i, F[j][t][s]))
                 acc = sub(acc, E.anchor_apply(hor_j, F[i][t][s]))
                 for u in range(rB):
@@ -403,26 +350,21 @@ def identity_residuals(fib: Fibration, n_points: int = 100, seed: int = 42) -> d
 
     bianchi = []
     for i, j, k in itertools.combinations(range(rB), 3):
-        total = [ZERO] * rK
+        cyclic = []
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            Dw = _derivative_along(fib, a, omega.entry(b, c))
+            Dw = covariant_derivative(fib, B.frame(a), Section(omega.entry(b, c)))
             cB = B.structure_vector(a, b)
+            terms = []
             for t in range(rK):
                 term = Dw[t]
                 for u in range(rB):
                     term = sub(term, mul(cB[u], omega.entry(u, c)[t]))
-                total[t] = add(total[t], term)
-        bianchi.extend(total)
+                terms.append(term)
+            cyclic.append(terms)
+        bianchi.extend(total(col) for col in zip(*cyclic))
     out["bianchi"] = sup(bianchi)
 
     return out
-
-
-def _sum(terms) -> Expr:
-    acc: Expr = ZERO
-    for t in terms:
-        acc = add(acc, t)
-    return acc
 
 
 # --- lifting cubes ----------------------------------------------------------------
@@ -512,8 +454,7 @@ def project_cube(fib: Fibration, cube: Cube) -> Cube:
     if cube.algebroid != fib.total:
         raise ValueError("cube must live over the total algebroid of the fibration")
     pvals = eval_exprs(fib.projection_program, fib.chart.env(cube.gamma), cube.gamma.shape[:-1])
-    comps = [np.einsum("...ij,...j->...i", pvals, cube.coeffs[i]) for i in range(cube.n)]
-    return Cube(fib.base, cube.gamma, np.stack(comps))
+    return Cube(fib.base, cube.gamma, np.einsum("...ij,a...j->a...i", pvals, cube.coeffs))
 
 
 # --- parallel transport --------------------------------------------------------------
@@ -572,13 +513,10 @@ def splitting_from_projection(projection: Sequence[Sequence[Expr]]) -> tuple[tup
     rB = len(projection)
     rE = len(projection[0])
     P = [[as_expr(v) for v in row] for row in projection]
-    gram = [
-        [_sum(mul(P[u][l], P[v][l]) for l in range(rE)) for v in range(rB)]
-        for u in range(rB)
-    ]
+    gram = [[dot(P[u], P[v]) for v in range(rB)] for u in range(rB)]
     ginv = _symbolic_inverse(gram)
     return tuple(
-        tuple(_sum(mul(P[u][l], ginv[u][i]) for u in range(rB)) for i in range(rB))
+        tuple(dot((row[l] for row in P), (row[i] for row in ginv)) for i in range(rB))
         for l in range(rE)
     )
 

@@ -25,6 +25,7 @@ from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from .core import Algebroid, Section, eval_exprs
 from .cubes import Cube, coarsen, cutoff, cutoff_prime, face, resample
+from .expr import dot
 from .fibration import (
     Curvature2Form,
     Fibration,
@@ -144,13 +145,7 @@ def centrality_residual(fib: Fibration, n_points: int = 25, seed: int = 0) -> tu
 
     central = 0.0
     for vec in curvature(fib).entries.values():
-        comps = []
-        for j in range(fib.total.rank):
-            acc = fib.kernel[0][j] * vec[0] if rK else None
-            for s in range(1, rK):
-                acc = acc + fib.kernel[s][j] * vec[s]
-            comps.append(acc)
-        w = Section(tuple(comps))
+        w = Section(tuple(dot((row[j] for row in fib.kernel), vec) for j in range(fib.total.rank)))
         for t in range(rK):
             central = max(central, sup(fib.total.bracket(w, fib.kernel_section(t))))
     return abelian, central

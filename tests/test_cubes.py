@@ -143,6 +143,15 @@ def test_flow_cube_rejects_bad_order_and_names():
         cube_from_sections(T, secs, [0, 0], 8, order=(1,))
     with pytest.raises(ValueError):
         cube_from_sections(T, secs, [0, 0], 8, time_names=("x",))
+    two = [["1", "0"], ["0", "1"]]
+    # a wrong count, a clash with a coordinate and a repeat are all ValueErrors, never IndexErrors
+    for names in (("s",), ("s", "x"), ("s", "s")):
+        with pytest.raises(ValueError, match="time name"):
+            commutation_residual(T, two, time_names=names)
+        with pytest.raises(ValueError, match="time name"):
+            cube_from_sections(T, two, [0, 0], 8, time_names=names)
+        with pytest.raises(ValueError, match="time name"):
+            tangent_lift(PLANE, ["t1", "t2"], n=2, N=8, time_names=names)
 
 
 # --- boundary classification -------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebroids.expr import (
+    ZERO,
     Binary,
     Const,
     DomainError,
@@ -15,14 +16,18 @@ from algebroids.expr import (
     UnboundVariableError,
     Unary,
     Var,
+    add,
     as_expr,
     compile_exprs,
     cos,
+    dot,
     evaluate,
     is_zero,
+    mul,
     parse,
     power,
     sin,
+    total,
     var,
 )
 
@@ -107,6 +112,16 @@ def test_constant_folding():
     # 0/x must stay a division: it still raises at x = 0
     with pytest.raises(DomainError):
         evaluate(parse("0/x"), {"x": 0.0})
+
+
+def test_total_and_dot_are_left_folds_from_zero():
+    a, b, c, x, y, z = (var(v) for v in "abcxyz")
+    assert total([]) == ZERO and dot([], []) == ZERO
+    assert total([a, b, c]) == add(add(a, b), c)
+    assert dot([a, b, c], [x, y, z]) == add(add(mul(a, x), mul(b, y)), mul(c, z))
+    assert dot(iter([a, b]), iter([x, y])) == add(mul(a, x), mul(b, y))
+    with pytest.raises(ValueError):
+        dot([a, b], [x])
 
 
 def test_operator_overloads():

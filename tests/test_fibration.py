@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from algebroids.core import Chart, Section, check_axioms, make_jacobi_extension, make_tangent
+from algebroids.core import Chart, Section, check_axioms, make_cotangent_poisson, make_jacobi_extension, make_tangent
 from algebroids.cubes import ChartEscapeError, Cube, cotangent_lift, morphism_residual, tangent_lift
-from algebroids.expr import compile_exprs, evaluate, parse, var
+from algebroids.expr import ZERO, add, compile_exprs, evaluate, mul, parse, var
 from algebroids.fibration import (
+    Fibration,
     _symbolic_inverse,
     anchor_fibration,
     covariant_derivative,
@@ -255,12 +256,70 @@ def test_sphere_curvature_compiles_to_two_transcendentals():
     assert not vals[:, [0, 1], [0, 1]].any()
 
 
+def _distinct_nodes(rows) -> int:
+    seen, stack = set(), [e for row in rows for e in row]
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen.add(id(e))
+            stack.extend(getattr(e, f) for f in ("arg", "left", "right", "base") if hasattr(e, f))
+    return len(seen)
+
+
 def test_dense_rank_seven_inverse_is_a_small_program():
     n = 7
     names = [[f"m{i}{j}" for j in range(n)] for i in range(n)]
-    program = compile_exprs(_symbolic_inverse([[var(v) for v in row] for row in names]))
+    inverse = _symbolic_inverse([[var(v) for v in row] for row in names])
+    # minors are shared, not rebuilt: a plain Laplace expansion makes about 110k node objects
+    assert _distinct_nodes(inverse) < 10_000
+    program = compile_exprs(inverse)
     assert len(program.ops) < 5000
     rng = np.random.default_rng(3)
     M = rng.uniform(-0.5, 0.5, size=(100, n, n)) + 4.0 * np.eye(n)
     env = {names[i][j]: M[:, i, j] for i in range(n) for j in range(n)}
     np.testing.assert_allclose(evaluate(program, env, (100,)), np.linalg.inv(M), rtol=0, atol=1e-12)
+
+
+def _fold(pairs):
+    acc = ZERO
+    for a, b in pairs:
+        acc = add(acc, mul(a, b))
+    return acc
+
+
+def test_frame_sums_build_the_same_trees_as_explicit_folds():
+    base = make_cotangent_poisson(PLANE, {(0, 1): "1 + x^2"})
+    twisted = rep_extension_fibration(
+        base, 2, action=[[["x", "y"], ["0", "1"]], [["y", "0"], ["x*y", "2"]]], twist={(0, 1): ["x", "sin(y)"]}
+    )
+    # shear the splitting by x/y-dependent kernel parts so that the frame inverse is not the identity
+    splitting = [list(row) for row in twisted.splitting]
+    splitting[0] = [parse("x*y"), parse("1 + y")]
+    splitting[1] = [parse("0"), parse("cos(x)")]
+    fib = Fibration(twisted.total, base, twisted.projection, splitting, twisted.kernel)
+    E, rE, rB, rK = fib.total, fib.total.rank, base.rank, fib.kernel_rank
+    X = Section.of(["x", "y^2", "1 + x*y", "sin(x)"])
+    Y = Section.of(["x + y", "exp(x)"])
+    kappa = Section.of(["y", "x*x"])
+
+    assert fib.horizontal_lift(Y).components == tuple(
+        _fold((fib.splitting[j][i], Y[i]) for i in range(rB)) for j in range(rE)
+    )
+    assert fib.project_section(X).components == tuple(
+        _fold((fib.projection[i][j], X[j]) for j in range(rE)) for i in range(rB)
+    )
+    inv = fib.frame_inverse
+    assert fib.kernel_coefficients(X) == tuple(_fold((inv[t][j], X[j]) for j in range(rE)) for t in range(rK))
+    assert E.anchor_of(X) == tuple(_fold((X[i], E.anchor[i][a]) for i in range(rE)) for a in range(PLANE.dim))
+    F = fib.action_matrices
+    for i in range(rB):
+        e = base.frame(i)
+        hor = fib.horizontal_lift(e)
+        reference = []
+        for t in range(rK):
+            acc = E.anchor_apply(hor, kappa[t])
+            for u in range(rB):
+                for s in range(rK):
+                    acc = add(acc, mul(e[u], mul(F[u][t][s], kappa[s])))
+            reference.append(acc)
+        assert covariant_derivative(fib, e, kappa).components == tuple(reference)

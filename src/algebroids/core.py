@@ -72,9 +72,12 @@ class Chart:
         points = np.asarray(points, dtype=float)
         if self.dim == 0:
             return True
-        lo = np.array([b[0] for b in self.box]) - tol
-        hi = np.array([b[1] for b in self.box]) + tol
-        return bool(np.all(points >= lo) and np.all(points <= hi))
+        if not points.size:
+            return True
+        return all(
+            lo - tol <= points[..., a].min() and points[..., a].max() <= hi + tol
+            for a, (lo, hi) in enumerate(self.box)
+        )
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Uniform sample of n interior points, shape (n, dim)."""

@@ -17,8 +17,6 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
 from .core import Algebroid, Chart, Section, eval_exprs, make_cotangent_poisson, make_tangent
 from .expr import NonFiniteError, as_expr
@@ -62,13 +60,22 @@ def grid_times(n: int, N: int) -> list[np.ndarray]:
     return [idx / N for idx in np.indices((N + 1,) * n).astype(float)]
 
 
+def _owned(arr) -> np.ndarray:
+    """``arr`` itself if it is a float64 array owning its data, else a float64 copy."""
+    if type(arr) is np.ndarray and arr.dtype == np.float64 and arr.base is None:
+        return arr
+    return np.array(arr, dtype=float)
+
+
 @dataclass(frozen=True, eq=False)
 class Cube:
     """Sampled cube: base points and per-axis frame coefficients.
 
     ``gamma`` has shape (N+1,)*n + (dim,), ``coeffs`` has shape
     (n,) + (N+1,)*n + (rank,) with ``coeffs[i]`` the coefficient field of
-    time axis i.  Arrays are copied and frozen on construction.
+    time axis i.  Arrays are frozen on construction: a float64 array
+    that owns its data is taken over as it is (and so becomes read-only
+    for the caller too), anything else is copied first.
     """
 
     algebroid: Algebroid
@@ -76,8 +83,8 @@ class Cube:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.gamma, dtype=float)
-        c = np.array(self.coeffs, dtype=float)
+        g = _owned(self.gamma)
+        c = _owned(self.coeffs)
         n = c.shape[0] if c.ndim > 0 else 0
         if n < 1 or c.ndim != n + 2 or g.ndim != n + 1:
             raise ValueError("gamma must be grid + point, coeffs must be (axes,) + grid + frame")
@@ -259,9 +266,144 @@ def resample(cube: Cube, M: int) -> Cube:
     ts = np.linspace(0.0, 1.0, M + 1)
     gamma, coeffs = cube.gamma, cube.coeffs
     for axis in range(cube.n):
-        gamma = _resample_axis(gamma, axis, ts)
-        coeffs = _resample_axis(coeffs, axis + 1, ts)
+        gamma = Spline(gamma, axis=axis)(ts)
+        coeffs = Spline(coeffs, axis=axis + 1)(ts)
     return Cube(cube.algebroid, gamma, coeffs)
+
+
+# --- cubic splines on uniform knots ---------------------------------------------
+
+
+def _tridiagonal_solve(lower, diag, upper, rhs: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system for every column of ``rhs`` at once.
+
+    ``lower[i]``, ``diag[i]`` and ``upper[i]`` are the entries of row i
+    left of, on and right of the diagonal; ``rhs`` has one row per
+    equation along axis 0.  Plain elimination without pivoting: every
+    pivot of the spline systems below lies between 0.4 and 4.
+    """
+    n = len(diag)
+    d = list(diag)
+    r = rhs.copy()
+    for i in range(1, n):
+        w = lower[i] / d[i - 1]
+        d[i] -= w * upper[i - 1]
+        r[i] -= w * r[i - 1]
+    r[-1] /= d[-1]
+    for i in range(n - 2, -1, -1):
+        r[i] -= upper[i] * r[i + 1]
+        r[i] /= d[i]
+    return r
+
+
+def _node_slopes(y: np.ndarray, ends) -> np.ndarray:
+    """Node slopes along axis 0 of the cubic spline through ``y`` on uniform knots of [0, 1].
+
+    ``ends=None`` gives the not-a-knot conditions (with three nodes the
+    single parabola through them); otherwise ``ends`` holds the two
+    clamped end slopes.
+    """
+    N = y.shape[0] - 1
+    m = np.diff(y, axis=0) * N
+    lower, diag, upper = [1.0] * (N + 1), [4.0] * (N + 1), [1.0] * (N + 1)
+    rhs = np.empty(y.shape)
+    rhs[1:-1] = 3 * (m[:-1] + m[1:])
+    if ends is not None:
+        upper[0] = lower[N] = 0.0
+        diag[0] = diag[N] = 1.0
+        rhs[0], rhs[-1] = ends
+    elif N == 2:
+        upper[0] = lower[N] = diag[0] = diag[N] = 1.0
+        rhs[0], rhs[-1] = 2 * m[0], 2 * m[-1]
+    else:
+        upper[0] = lower[N] = 2.0
+        diag[0] = diag[N] = 1.0
+        rhs[0] = (5 * m[0] + m[1]) / 2
+        rhs[-1] = (m[-2] + 5 * m[-1]) / 2
+    return _tridiagonal_solve(lower, diag, upper, rhs)
+
+
+def _hermite(y0, y1, d0, d1, N: int):
+    """Power-form coefficients, about the left end, of the cubic on a 1/N step.
+
+    The cubic takes values ``y0``, ``y1`` and slopes ``d0``, ``d1`` at
+    the two ends; the value at offset s is ``c0 + s*(c1 + s*(c2 + s*c3))``.
+    """
+    m = (y1 - y0) * N
+    t = (d0 + d1 - 2 * m) * N
+    return y0, d0, (m - d0) * N - t, t * N
+
+
+def _horner(c, s):
+    return c[0] + s * (c[1] + s * (c[2] + s * c[3]))
+
+
+def _locate(t: np.ndarray, knots: np.ndarray):
+    """Interval index of each position (extrapolating past the ends) and its offset."""
+    i = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, knots.size - 2)
+    return i, t - knots[i]
+
+
+class Spline:
+    """Cubic spline through node values on the uniform knots of [0, 1].
+
+    ``y`` holds N+1 node values along ``axis``; the other axes are
+    interpolated independently.  The end conditions are not-a-knot
+    unless ``ends`` gives the two clamped end slopes.  The spline is
+    solved once; each evaluation reads only the four power-form
+    coefficients of the interval a position falls in.  Calling it at
+    positions of shape P returns shape ``y.shape[:axis] + P +
+    y.shape[axis+1:]``.
+    """
+
+    def __init__(self, y, axis: int = 0, ends=None):
+        y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
+        N = y.shape[0] - 1
+        d = _node_slopes(y, ends)
+        self.N = N
+        self.axis = axis
+        self.knots = np.linspace(0.0, 1.0, N + 1)
+        self._knot_list = self.knots.tolist()
+        # per-interval power-form coefficients, shape (N, 4) + the other axes
+        self.coeffs = np.stack(_hermite(y[:-1], y[1:], d[:-1], d[1:], N), axis=1)
+
+    def __call__(self, t) -> np.ndarray:
+        if isinstance(t, float):
+            # a single position: find its interval in plain Python
+            x, N = self._knot_list, self.N
+            i = min(max(int(t * N), 0), N - 1)
+            if i > 0 and t < x[i]:
+                i -= 1
+            elif i < N - 1 and t >= x[i + 1]:
+                i += 1
+            return _horner(self.coeffs[i], t - x[i])
+        t = np.asarray(t, dtype=float)
+        i, s = _locate(t, self.knots)
+        c = np.moveaxis(self.coeffs[i], t.ndim, 0)
+        out = _horner(c, s.reshape(s.shape + (1,) * (c.ndim - 1 - s.ndim)))
+        return np.moveaxis(out, tuple(range(t.ndim)), tuple(range(self.axis, self.axis + t.ndim)))
+
+
+def bicubic(data: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Tensor-product not-a-knot spline through a square grid, at paired positions.
+
+    ``data`` has shape (N+1, N+1) + F with ``data[i, j]`` at (i/N, j/N);
+    returns ``x.shape + F``, the spline at each point (x, y).  The node
+    values and y-slopes of each grid column are splined along x; the two
+    columns around y then fix one cubic in y.
+    """
+    N = data.shape[0] - 1
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    dy = np.moveaxis(_node_slopes(np.moveaxis(data, 1, 0), None), 0, 1)
+    columns = Spline(np.stack([data, dy], axis=2))  # coeffs[i, :, j]: column j over x-step i
+    i, u = _locate(x, columns.knots)
+    j, v = _locate(y, columns.knots)
+    u = u.reshape(u.shape + (1,) * (data.ndim - 1))
+    (f0, d0), (f1, d1) = (
+        np.moveaxis(_horner(np.moveaxis(columns.coeffs[i, :, j + k], x.ndim, 0), u), x.ndim, 0)
+        for k in (0, 1)
+    )
+    return _horner(_hermite(f0, f1, d0, d1, N), v.reshape(v.shape + (1,) * (data.ndim - 2)))
 
 
 # --- boundary-flattening reparametrization ------------------------------------
@@ -281,10 +423,19 @@ def _bump(s: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _cutoff_table():
     s = np.linspace(0.0, 1.0, _TABLE_NODES)
-    cum = cumulative_simpson(_bump(s), x=s, initial=0.0)
+    f = _bump(s)
+    h = s[1] - s[0]
+    # composite Simpson per step: the forward three-point formula on even
+    # steps, the backward one on odd steps and the last
+    forward = h / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+    backward = h / 3 * (5 * f[2:] / 4 + 2 * f[1:-1] - f[:-2] / 4)
+    steps = np.empty(_TABLE_NODES - 1)
+    steps[:-1:2] = forward[::2]
+    steps[1::2] = backward[::2]
+    steps[-1] = backward[-1]
+    cum = np.concatenate([[0.0], np.cumsum(steps)])
     total = float(cum[-1])
-    spline = CubicSpline(s, cum / total, bc_type=((1, 0.0), (1, 0.0)))
-    return spline, total
+    return Spline(cum / total, ends=(0.0, 0.0)), total
 
 
 def cutoff(t) -> np.ndarray:
@@ -297,12 +448,6 @@ def cutoff(t) -> np.ndarray:
 def cutoff_prime(t) -> np.ndarray:
     _, total = _cutoff_table()
     return _bump(t) / total
-
-
-def _resample_axis(arr: np.ndarray, axis: int, positions: np.ndarray) -> np.ndarray:
-    N = arr.shape[axis] - 1
-    ts = np.linspace(0.0, 1.0, N + 1)
-    return CubicSpline(ts, arr, axis=axis)(positions)
 
 
 def _weigh_own_axis(coeffs: np.ndarray, axis: int, weights: np.ndarray) -> None:
@@ -326,8 +471,8 @@ def reparam_cutoff(cube: Cube) -> Cube:
     weights = cutoff_prime(ts)
     gamma, coeffs = cube.gamma, cube.coeffs
     for axis in range(n):
-        gamma = _resample_axis(gamma, axis, pos)
-        coeffs = _resample_axis(coeffs, axis + 1, pos)
+        gamma = Spline(gamma, axis=axis)(pos)
+        coeffs = Spline(coeffs, axis=axis + 1)(pos)
         _weigh_own_axis(coeffs, axis, weights)
     return Cube(cube.algebroid, gamma, coeffs)
 
@@ -367,7 +512,7 @@ def concat(first: Cube, second: Cube, axis: int, tol: float = 1e-6) -> Cube:
     weights = np.where(lo, 2.0 * cutoff_prime(2.0 * ts), 2.0 * cutoff_prime(2.0 * ts - 1.0))
 
     def glue(arr_first, arr_second, at):
-        halves = [_resample_axis(arr_first, at, pos_first), _resample_axis(arr_second, at, pos_second)]
+        halves = [Spline(arr_first, axis=at)(pos_first), Spline(arr_second, axis=at)(pos_second)]
         return np.concatenate(halves, axis=at)
 
     coeffs = glue(first.coeffs, second.coeffs, axis + 1)

@@ -17,8 +17,6 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import null_space
 
 from .core import (
     Algebroid,
@@ -33,7 +31,7 @@ from .core import (
     make_rep_extension,
     make_tangent,
 )
-from .cubes import ChartEscapeError, Cube, face, rk4
+from .cubes import ChartEscapeError, Cube, Spline, face, rk4
 from .expr import ONE, ZERO, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, sub, total
 
 __all__ = [
@@ -170,6 +168,10 @@ class Fibration:
 
     def kernel_section(self, s: int) -> Section:
         return Section(self.kernel[s])
+
+    def from_kernel_coefficients(self, vec: Sequence[Expr]) -> Section:
+        """Total section with kernel-frame coefficients ``vec``."""
+        return Section(tuple(dot(vec, (row[j] for row in self.kernel)) for j in range(self.total.rank)))
 
     @cached_property
     def action_matrices(self) -> tuple[tuple[tuple[Expr, ...], ...], ...]:
@@ -334,7 +336,7 @@ def identity_residuals(fib: Fibration, n_points: int = 100, seed: int = 42) -> d
         cB = B.structure_vector(i, j)
         hor_i = fib.horizontal_lift(B.frame(i))
         hor_j = fib.horizontal_lift(B.frame(j))
-        w_total = Section(tuple(dot(omega.entry(i, j), (row[l] for row in fib.kernel)) for l in range(rE)))
+        w_total = fib.from_kernel_coefficients(omega.entry(i, j))
         for s in range(rK):
             lhs = []
             for t in range(rK):
@@ -427,7 +429,6 @@ def lift_cube(fib: Fibration, cube: Cube) -> Cube:
     if cube.algebroid != fib.base:
         raise ValueError("cube must live over the base algebroid of the fibration")
     N = cube.N
-    ts = np.linspace(0.0, 1.0, N + 1)
     n = cube.n
 
     if n == 1:
@@ -438,7 +439,7 @@ def lift_cube(fib: Fibration, cube: Cube) -> Cube:
         gamma0 = lifted_face.gamma
         w0 = [lifted_face.coeffs[i] for i in range(n - 1)]
 
-    b_spline = CubicSpline(ts, cube.coeffs[n - 1], axis=n - 1)
+    b_spline = Spline(cube.coeffs[n - 1], axis=n - 1)
 
     def w2_of(eps: float, G: np.ndarray) -> np.ndarray:
         b = b_spline(eps)
@@ -478,9 +479,8 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
         return np.zeros(path.gamma.shape[:-1] + (rK, rK)) + np.eye(rK)
 
     lines = path.gamma.shape[: n - 1]
-    ts = np.linspace(0.0, 1.0, N + 1)
-    g_spline = CubicSpline(ts, path.gamma, axis=n - 1)
-    b_spline = CubicSpline(ts, path.coeffs[n - 1], axis=n - 1)
+    g_spline = Spline(path.gamma, axis=n - 1)
+    b_spline = Spline(path.coeffs[n - 1], axis=n - 1)
     F = fib.action_programs
 
     def rhs(t: float, V: np.ndarray) -> np.ndarray:
@@ -550,6 +550,16 @@ def rep_extension_fibration(base: Algebroid, fiber_dim: int, action, twist=None)
         tuple(ONE if j == s else ZERO for j in range(d + rB)) for s in range(d)
     )
     return Fibration(total=total, base=base, projection=projection, splitting=splitting, kernel=kernel)
+
+
+def null_space(M: np.ndarray, rcond: float) -> np.ndarray:
+    """Orthonormal basis of the null space of M, one vector per column.
+
+    Singular values up to ``rcond`` times the largest count as zero.
+    """
+    _, sv, vh = np.linalg.svd(M, full_matrices=True)
+    rank = int(np.sum(sv > sv.max(initial=0.0) * rcond))
+    return vh[rank:].T
 
 
 def anchor_fibration(

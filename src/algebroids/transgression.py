@@ -21,11 +21,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from .core import Algebroid, Section, eval_exprs
-from .cubes import Cube, coarsen, cutoff, cutoff_prime, face, resample
-from .expr import dot
+from .cubes import Cube, Spline, bicubic, coarsen, cutoff, cutoff_prime, face, resample
 from .fibration import (
     Curvature2Form,
     Fibration,
@@ -145,7 +143,7 @@ def centrality_residual(fib: Fibration, n_points: int = 25, seed: int = 0) -> tu
 
     central = 0.0
     for vec in curvature(fib).entries.values():
-        w = Section(tuple(dot((row[j] for row in fib.kernel), vec) for j in range(fib.total.rank)))
+        w = fib.from_kernel_coefficients(vec)
         for t in range(rK):
             central = max(central, sup(fib.total.bracket(w, fib.kernel_section(t))))
     return abelian, central
@@ -468,7 +466,7 @@ def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
     base = project_cube(fib, cube)
     horizontal = lift_cube(fib, base)
 
-    b_spline = CubicSpline(ts, base.coeffs[0], axis=0)
+    b_spline = Spline(base.coeffs[0])
     fade = (1.0 - ts)[:, None]
 
     def w2_of(eps: float, G: np.ndarray) -> np.ndarray:
@@ -498,16 +496,9 @@ def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
     ]
     dH_de = [(r1[c] - r0[c])[:, None] * tau_p[None, :] for c in range(2)]
 
-    def interp(data: np.ndarray) -> np.ndarray:
-        comps = [
-            RectBivariateSpline(ts, ts, data[..., c]).ev(H[0], H[1])
-            for c in range(data.shape[-1])
-        ]
-        return np.stack(comps, axis=-1)
-
-    w_gamma = interp(sq_gamma)
-    xi1 = interp(W[0])
-    xi2 = interp(w_last)
+    w_gamma = bicubic(sq_gamma, H[0], H[1])
+    xi1 = bicubic(W[0], H[0], H[1])
+    xi2 = bicubic(w_last, H[0], H[1])
     w_t = dH_dt[0][..., None] * xi1 + dH_dt[1][..., None] * xi2
     w_e = dH_de[0][..., None] * xi1 + dH_de[1][..., None] * xi2
     witness = Cube(fib.total, w_gamma, np.stack([w_t, w_e]))

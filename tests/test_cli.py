@@ -276,3 +276,22 @@ def test_describe_never_builds_a_cube_grid(monkeypatch, capsys):
     cfg = str(CONFIG_DIR / "s2_monodromy.cfg")
     assert main(["describe", cfg, "--set", "cube.wrap.N=100000"]) == 0
     assert "N=100000" in capsys.readouterr().out
+
+
+def test_describe_and_run_never_import_scipy(tmp_path):
+    # a fresh process, so that no test's own scipy import can hide one made by the package
+    src = Path(cli.__file__).resolve().parents[1]
+    code = f"""
+import contextlib, io, sys
+from pathlib import Path
+sys.path.insert(0, {str(src)!r})
+from algebroids.cli import main
+for cfg in sorted(Path({str(CONFIG_DIR)!r}).glob("*.cfg")):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["describe", str(cfg)]) == 0, cfg
+        assert main(["run", str(cfg), "--out", str(Path({str(tmp_path)!r}) / cfg.stem)]) == 0, cfg
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

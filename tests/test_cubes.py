@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson
+from scipy.interpolate import CubicSpline, RectBivariateSpline
+from scipy.linalg import null_space as scipy_null_space
 
 from algebroids.core import Chart, make_lie_algebra, make_tangent, so3_structure
 from algebroids.cubes import (
     ChartEscapeError,
     Cube,
+    Spline,
+    _bump,
+    bicubic,
     commutation_residual,
     concat,
     cotangent_lift,
@@ -27,6 +35,7 @@ from algebroids.cubes import (
     tangent_lift,
 )
 from algebroids.expr import DomainError
+from algebroids.fibration import null_space
 
 PLANE = Chart(coords=("x", "y"), box=((-3.0, 3.0), (-3.0, 3.0)))
 
@@ -45,6 +54,29 @@ def test_cube_validation_and_immutability():
         Cube(make_tangent(PLANE), c.gamma[..., :1], c.coeffs)
     with pytest.raises(ChartEscapeError):
         tangent_lift(PLANE, ["10*t1", "0"], n=1, N=8)
+
+
+def test_cube_cannot_change_through_the_callers_arrays():
+    A = make_tangent(PLANE)
+    source = linear_square(N=4)
+    # a view of a larger array is copied: writing through the array it views leaves the cube alone
+    block = np.concatenate([source.gamma, source.gamma], axis=-1)
+    cube = Cube(A, block[..., :2], source.coeffs.copy())
+    block[...] = 99.0
+    np.testing.assert_array_equal(cube.gamma, source.gamma)
+    # an array that owns its data is taken over and frozen, so the caller can no longer write to it
+    gamma, coeffs = source.gamma.copy(), source.coeffs.copy()
+    cube = Cube(A, gamma, coeffs)
+    with pytest.raises(ValueError):
+        gamma[0, 0, 0] = 99.0
+    with pytest.raises(ValueError):
+        coeffs[...] = 0.0
+    np.testing.assert_array_equal(cube.coeffs, source.coeffs)
+    # an array of another dtype is copied, and stays writable for its owner
+    ints = np.ones((5, 5, 2), dtype=int)
+    cube = Cube(A, ints, np.zeros((2, 5, 5, 2)))
+    ints[...] = 2
+    assert cube.gamma.dtype == np.float64 and np.all(cube.gamma == 1.0)
 
 
 def test_overflowing_flow_is_a_chart_escape():
@@ -237,6 +269,70 @@ def test_cutoff_shape():
     # the table derivative agrees with the exact density
     fd = np.gradient(tau, ts[1] - ts[0], edge_order=2)
     assert np.max(np.abs(fd - cutoff_prime(ts))) < 1e-4
+
+
+def test_cutoff_matches_the_clamped_simpson_table():
+    s = np.linspace(0.0, 1.0, 8193)
+    cum = cumulative_simpson(_bump(s), x=s, initial=0.0)
+    table = CubicSpline(s, cum / cum[-1], bc_type=((1, 0.0), (1, 0.0)))
+    ts = np.linspace(0.0, 1.0, 10001)
+    assert np.max(np.abs(cutoff(ts) - np.clip(table(ts), 0.0, 1.0))) <= 1e-15
+    for n in (1001, 4097):
+        assert np.all(np.diff(cutoff(np.linspace(0.0, 1.0, n))) >= 0)
+
+
+# --- the spline layer against scipy as the reference ------------------------------
+
+
+def _positions(kind: str, rng: np.random.Generator):
+    if kind == "scalar":
+        return float(rng.choice([0.0, 1.0, rng.uniform()]))
+    t = rng.uniform(size=7 if kind == "1-D" else (3, 4))
+    t.flat[:2] = 0.0, 1.0
+    return t
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.sampled_from([2, 3, 6, 97, 768]),
+    axis=st.integers(0, 2),
+    kind=st.sampled_from(["scalar", "1-D", "2-D"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spline_matches_not_a_knot_cubic_spline(N, axis, kind, seed):
+    rng = np.random.default_rng(seed)
+    y = np.moveaxis(rng.normal(size=(N + 1, 3, 2)), 0, axis)
+    t = _positions(kind, rng)
+    want = CubicSpline(np.linspace(0.0, 1.0, N + 1), y, axis=axis)(t)
+    got = Spline(y, axis=axis)(t)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(N=st.sampled_from([3, 6, 40]), seed=st.integers(0, 2**32 - 1))
+def test_bicubic_matches_rect_bivariate_spline(N, seed):
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 1.0, N + 1)
+    data = rng.normal(size=(N + 1, N + 1, 2))
+    x, y = _positions("2-D", rng), _positions("2-D", rng)
+    want = np.stack([RectBivariateSpline(ts, ts, data[..., c]).ev(x, y) for c in range(2)], axis=-1)
+    got = bicubic(data, x, y)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(1, 8), cols=st.integers(1, 6), rank=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_null_space_matches_scipy_up_to_sign(rows, cols, rank, seed):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    M = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))  # rank-deficient when rank < min(rows, cols)
+    want = scipy_null_space(M, rcond=1e-10)
+    got = null_space(M, rcond=1e-10)
+    assert got.shape == want.shape == (cols, cols - np.linalg.matrix_rank(M))
+    signs = np.sign(np.sum(got * want, axis=0))
+    assert np.max(np.abs(got - want * signs), initial=0.0) < 1e-12
 
 
 def test_reparam_cutoff_flattens_boundary():

@@ -60,22 +60,13 @@ def grid_times(n: int, N: int) -> list[np.ndarray]:
     return [idx / N for idx in np.indices((N + 1,) * n).astype(float)]
 
 
-def _owned(arr) -> np.ndarray:
-    """``arr`` itself if it is a float64 array owning its data, else a float64 copy."""
-    if type(arr) is np.ndarray and arr.dtype == np.float64 and arr.base is None:
-        return arr
-    return np.array(arr, dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class Cube:
     """Sampled cube: base points and per-axis frame coefficients.
 
     ``gamma`` has shape (N+1,)*n + (dim,), ``coeffs`` has shape
     (n,) + (N+1,)*n + (rank,) with ``coeffs[i]`` the coefficient field of
-    time axis i.  Arrays are frozen on construction: a float64 array
-    that owns its data is taken over as it is (and so becomes read-only
-    for the caller too), anything else is copied first.
+    time axis i.  Arrays are copied and frozen on construction.
     """
 
     algebroid: Algebroid
@@ -83,8 +74,8 @@ class Cube:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        g = _owned(self.gamma)
-        c = _owned(self.coeffs)
+        g = np.array(self.gamma, dtype=float)
+        c = np.array(self.coeffs, dtype=float)
         n = c.shape[0] if c.ndim > 0 else 0
         if n < 1 or c.ndim != n + 2 or g.ndim != n + 1:
             raise ValueError("gamma must be grid + point, coeffs must be (axes,) + grid + frame")
@@ -426,13 +417,12 @@ def _cutoff_table():
     f = _bump(s)
     h = s[1] - s[0]
     # composite Simpson per step: the forward three-point formula on even
-    # steps, the backward one on odd steps and the last
+    # steps, the backward one on odd steps
     forward = h / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
     backward = h / 3 * (5 * f[2:] / 4 + 2 * f[1:-1] - f[:-2] / 4)
     steps = np.empty(_TABLE_NODES - 1)
     steps[:-1:2] = forward[::2]
     steps[1::2] = backward[::2]
-    steps[-1] = backward[-1]
     cum = np.concatenate([[0.0], np.cumsum(steps)])
     total = float(cum[-1])
     return Spline(cum / total, ends=(0.0, 0.0)), total

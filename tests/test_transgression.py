@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from algebroids.core import Chart, make_jacobi_extension, make_tangent
 from algebroids.cubes import (
-    Spline,
     concat,
     cotangent_lift,
     cutoff,
@@ -314,8 +313,12 @@ def test_decompose_witness_joins_the_two_factorizations():
     lo = ts <= 0.5
 
     # the starting face runs the path with a flat stop, then rests
+    from scipy.interpolate import CubicSpline
+
     positions = cutoff(np.clip(2 * ts[lo], 0.0, 1.0))
-    slowed = 2 * cutoff_prime(np.clip(2 * ts[lo], 0.0, 1.0))[:, None] * Spline(path.coeffs[0])(positions)
+    slowed = 2 * cutoff_prime(np.clip(2 * ts[lo], 0.0, 1.0))[:, None] * CubicSpline(
+        ts, path.coeffs[0], axis=0
+    )(positions)
     assert np.max(np.abs(start.coeffs[0][lo] - slowed)) < 1e-9
     assert np.max(np.abs(start.coeffs[0][~lo])) < 1e-12
 

@@ -341,6 +341,33 @@ def _fit(sec: SectionSpec, key: str, got: int, want: int, what: str) -> None:
         )
 
 
+# Largest grid a config may ask for, in bytes.  The largest grid shipped or
+# benchmarked (sphere_periods' 769^2 nodes of 6 doubles, 28 MB) peaks at
+# about 7.7 times its size in a run, so this keeps a run near 2 GB.
+GRID_BUDGET_BYTES = 256 * 2**20
+
+
+def grid_bytes(N: int, n: int, dim: int, rank: int) -> int:
+    """Bytes of an n-cube grid: (N+1)^n nodes of a point and n coefficient vectors, in doubles."""
+    return 8 * (N + 1) ** n * (dim + n * rank)
+
+
+def _cube_dim(cube: SimpleNamespace) -> int:
+    """Dimension of a generated (not file) cube from its parameters."""
+    return cube.n if cube.source == "tangent_lift_of" else len(cube.sections)
+
+
+def _fit_grid(sec: SectionSpec, p, A, what: str = "the cube", n: int | None = None) -> None:
+    """Reject a grid over ``A`` with n axes (default the cube's) on the N of cube ``sec`` beyond the budget."""
+    size = grid_bytes(p.N, _cube_dim(p) if n is None else n, A.chart.dim, A.rank)
+    if size > GRID_BUDGET_BYTES:
+        raise ConfigError(
+            f"[cube {sec.name}] N = {p.N}: {what} needs {size / 2**20:.0f} MiB of grid, "
+            f"over the {GRID_BUDGET_BYTES // 2**20} MiB budget",
+            sec.where("N"),
+        )
+
+
 def _check_file(ws, sec, p) -> None:
     path = ws.base_dir / p.path
     if not path.exists():
@@ -353,15 +380,18 @@ def _check_sections(ws, sec, p) -> None:
     _fit(sec, "basepoint", len(p.basepoint), A.chart.dim, "numbers")
     if p.order is not None and sorted(p.order) != list(range(len(p.sections))):
         raise ConfigError(f"order must permute 0..{len(p.sections) - 1}", sec.where("order"))
+    _fit_grid(sec, p, A)
 
 
 def _check_map(ws, sec, p) -> None:
-    _fit(sec, "map", len(p.map), ws.build("algebroid", p.algebroid).chart.dim, "components")
+    A = ws.build("algebroid", p.algebroid)
+    _fit(sec, "map", len(p.map), A.chart.dim, "components")
     if ws.params("algebroid", p.algebroid).kind not in ("tangent", "cotangent_poisson"):
         raise ConfigError(
             "tangent_lift_of needs a tangent or cotangent_poisson algebroid",
             sec.where("algebroid"),
         )
+    _fit_grid(sec, p, A)
 
 
 def _check_flow(ws, sec, p) -> None:
@@ -370,31 +400,41 @@ def _check_flow(ws, sec, p) -> None:
         _fit(sec, "expect_endpoint", len(p.expect_endpoint), chart.dim, "numbers")
 
 
-def _fit_dim(ws, sec, key: str, names, low: int, high: float) -> None:
+def _fit_dim(ws, sec, key: str, names, low: int, high: float, lift=None, lift_n=None) -> None:
     """Compare the dimension of each named cube with low..high, without building it.
 
-    A file cube is left to the routine that uses it, because its header
-    is only read when the cube is built.
+    With ``lift`` (a fibration name) the grid the task lifts each cube
+    to is budgeted too: ``lift_n`` axes (default the cube's) over the
+    total algebroid.  A file cube is left to the routine that uses it,
+    because its header is only read when the cube is built.
     """
     for name in names:
         cube = ws.params("cube", name)
         if cube.source == "file":
             continue
-        n = cube.n if cube.source == "tangent_lift_of" else len(cube.sections)
+        n = _cube_dim(cube)
         if not low <= n <= high:
             want = f"{low}" if low == high else f"at least {low}"
             raise ConfigError(
                 f"[task {sec.name}] {key}: cube '{name}' has dimension {n}, needs {want}",
                 sec.where(key),
             )
+        if lift is not None:
+            total = ws.build("fibration", lift).total
+            _fit_grid(ws.section("cube", name), cube, total, f"task '{sec.name}'", lift_n)
+
+
+def _check_lift(ws, sec, p) -> None:
+    _fit_dim(ws, sec, "cube", (p.cube,), 1, math.inf, p.fibration)
 
 
 def _check_transgress(ws, sec, p) -> None:
-    _fit_dim(ws, sec, "cube", (p.cube,), 2, math.inf if p.method == "lift" else 2)
+    lift = None if p.method == "formula" else p.fibration
+    _fit_dim(ws, sec, "cube", (p.cube,), 2, math.inf if p.method == "lift" else 2, lift)
 
 
 def _check_decompose(ws, sec, p) -> None:
-    _fit_dim(ws, sec, "cube", (p.cube,), 1, 1)
+    _fit_dim(ws, sec, "cube", (p.cube,), 1, 1, p.fibration, 2)  # lifted to the deformation square
 
 
 def _check_monodromy(ws, sec, p) -> None:
@@ -495,7 +535,9 @@ _SCHEMA: dict[str, dict[str | None, Form]] = {
             },
             _check_flow,
         ),
-        "lift": Form({"fibration": _FIBRATION, "cube": _CUBE, "tol": _TOL, "save": _SAVE}),
+        "lift": Form(
+            {"fibration": _FIBRATION, "cube": _CUBE, "tol": _TOL, "save": _SAVE}, _check_lift
+        ),
         "transgress": Form(
             {
                 "fibration": _FIBRATION,

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import Algebroid, Chart, Section, eval_exprs, make_cotangent_poisson, make_tangent
-from .expr import NonFiniteError, as_expr
+from .expr import NonFiniteError, as_expr, compile_exprs
 
 __all__ = [
     "Cube",
@@ -66,7 +66,8 @@ class Cube:
 
     ``gamma`` has shape (N+1,)*n + (dim,), ``coeffs`` has shape
     (n,) + (N+1,)*n + (rank,) with ``coeffs[i]`` the coefficient field of
-    time axis i.  Arrays are copied and frozen on construction.
+    time axis i.  Arrays are copied and frozen on construction, and must
+    be finite; points outside the chart box raise :class:`ChartEscapeError`.
     """
 
     algebroid: Algebroid
@@ -88,6 +89,8 @@ class Cube:
             raise ValueError("gamma points do not match the chart dimension")
         if c.shape[-1] != self.algebroid.rank:
             raise ValueError("coefficient fields do not match the algebroid rank")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficient fields hold NaN or inf")
         if not self.algebroid.chart.contains(g, tol=1e-8):
             raise ChartEscapeError("cube base points leave the chart box")
         g.flags.writeable = False
@@ -517,7 +520,9 @@ def rk4(f, y0, N: int) -> np.ndarray:
     """Integrate ``y' = f(t, y)`` over [0, 1] with N classical fourth-order steps.
 
     ``y0`` may be an array of any shape and ``f`` must return one of the
-    same shape.  Returns the N+1 node states stacked on a new leading axis.
+    same shape.  Each step calls ``f`` four times, in stage order, so the
+    first call of step s is at node s itself.  Returns the N+1 node
+    states stacked on a new leading axis.
     """
     h = 1.0 / N
     y = np.asarray(y0, dtype=float)
@@ -605,9 +610,10 @@ def cube_from_sections(
     """Sweep a cube by flowing along a family of time-dependent sections.
 
     Axis k is integrated with a classical fourth-order step along its
-    anchor image, holding already-processed axes at their node values and
-    the not-yet-processed ones at zero.  For a commuting family the
-    result is independent of ``order`` up to integration error.
+    anchor image, compiled into one program, holding already-processed
+    axes at their node values and the not-yet-processed ones at zero.
+    For a commuting family the result is independent of ``order`` up to
+    integration error.
     """
     secs = _coerce_sections(A, sections)
     n = len(secs)
@@ -625,6 +631,7 @@ def cube_from_sections(
         S = G.shape[:-1]
         B = int(np.prod(S, dtype=int)) if S else 1
         t_fixed = np.indices(S, dtype=float).reshape(stage, B) / N if stage else np.zeros((0, B))
+        image = compile_exprs(A.anchor_of(secs[k]))
 
         def field(t: float, X: np.ndarray) -> np.ndarray:
             env = A.chart.env(X)
@@ -633,8 +640,7 @@ def cube_from_sections(
             env[names[k]] = t
             for l in range(stage + 1, n):
                 env[names[order[l]]] = 0.0
-            avals = eval_exprs(secs[k].program, env, (B,))
-            return np.einsum("bp,bpm->bm", avals, A.anchor_values(X))
+            return eval_exprs(image, env, (B,))
 
         try:
             X = rk4(field, G.reshape(B, m), N)

@@ -32,7 +32,7 @@ from .core import (
     make_tangent,
 )
 from .cubes import ChartEscapeError, Cube, Spline, face, rk4
-from .expr import ONE, ZERO, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, sub, total
+from .expr import ONE, ZERO, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, sub, total, var
 
 __all__ = [
     "Fibration",
@@ -94,6 +94,29 @@ def _symbolic_inverse(M: Sequence[Sequence[Expr]]) -> tuple[tuple[Expr, ...], ..
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _names(tag: str, shape: tuple[int, ...]) -> tuple[tuple[str, tuple], ...]:
+    """``(name, index)`` of the fresh variable ``#<tag><i>_<j>...`` for each entry of a trailing block.
+
+    Chart coordinates are identifiers, so these names cannot clash with them.
+    """
+    return tuple(("#" + tag + "_".join(map(str, i)), (Ellipsis,) + i) for i in np.ndindex(shape))
+
+
+def _fresh(tag: str, shape: tuple[int, ...]) -> np.ndarray:
+    return np.array([var(name) for name, _ in _names(tag, shape)], dtype=object).reshape(shape)
+
+
+def _bind(env: dict, tag: str, values: np.ndarray, shape: tuple[int, ...]) -> dict:
+    env.update((name, values[index]) for name, index in _names(tag, shape))
+    return env
+
+
+def _wedge(x, y, pairs, l: int) -> Expr:
+    """Component l of ``Σ_{p<q} (x_p y_q - x_q y_p) c_pq`` over the stored pairs ``{(p, q): c_pq}``."""
+    return total(mul(sub(mul(x[p], y[q]), mul(x[q], y[p])), c[l]) for (p, q), c in pairs.items())
+
+
 @dataclass(frozen=True, eq=False)
 class Fibration:
     """Projection/splitting data between algebroids on one chart.
@@ -148,10 +171,6 @@ class Fibration:
         return compile_exprs(self.frame_inverse)
 
     @cached_property
-    def splitting_program(self) -> Program:
-        return compile_exprs(self.splitting)
-
-    @cached_property
     def projection_program(self) -> Program:
         return compile_exprs(self.projection)
 
@@ -192,9 +211,45 @@ class Fibration:
         return tuple(mats)
 
     @cached_property
-    def action_programs(self) -> tuple[Program, ...]:
-        """One compiled program per matrix of :attr:`action_matrices`."""
-        return tuple(compile_exprs(M) for M in self.action_matrices)
+    def _lift_programs(self) -> dict[int, Program]:
+        return {}
+
+    def lift_program(self, k: int) -> Program:
+        """Pointwise part of the lift equations with k transverse fields, compiled on first use.
+
+        Over ``#b<u>`` (the driver in base coefficients) and ``#y<i>_<l>``
+        (the fields), it returns ``w2 = splitting . b``, its anchor image
+        and, for each field y, ``Σ_{p<q} (y_p w2_q - y_q w2_p) c_pq``.
+        """
+        if k not in self._lift_programs:
+            rE = self.total.rank
+            w2 = [dot(row, _fresh("b", (self.base.rank,))) for row in self.splitting]
+            out = [*w2, *self.total.anchor_of(Section(tuple(w2)))]
+            for y in _fresh("y", (k, rE)):
+                out.extend(_wedge(y, w2, self.total.structure, l) for l in range(rE))
+            self._lift_programs[k] = compile_exprs(out)
+        return self._lift_programs[k]
+
+    def lift_rates(self, b: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Run :meth:`lift_program` on states ``Y`` packing a point and the fields on the last axis."""
+        m, rE = self.chart.dim, self.total.rank
+        k = (Y.shape[-1] - m) // rE
+        env = _bind(self.chart.env(Y[..., :m]), "b", b, (self.base.rank,))
+        _bind(env, "y", Y[..., m:].reshape(Y.shape[:-1] + (k, rE)), (k, rE))
+        return eval_exprs(self.lift_program(k), env, Y.shape[:-1])
+
+    @cached_property
+    def transport_program(self) -> Program:
+        """``-Σ_u b_u F_u V`` over ``#b<u>`` (path velocity) and ``#v<s>_<c>`` (V), F the action matrices."""
+        rB, rK = self.base.rank, self.kernel_rank
+        F, b, V = self.action_matrices, _fresh("b", (rB,)), _fresh("v", (rK, rK))
+        M = [[dot(b, (F[u][t][s] for u in range(rB))) for s in range(rK)] for t in range(rK)]
+        return compile_exprs([[neg(dot(M[t], V[:, c])) for c in range(rK)] for t in range(rK)])
+
+    def transport_rates(self, points: np.ndarray, b: np.ndarray, V: np.ndarray) -> np.ndarray:
+        rK = self.kernel_rank
+        env = _bind(_bind(self.chart.env(points), "b", b, (self.base.rank,)), "v", V, (rK, rK))
+        return eval_exprs(self.transport_program, env, V.shape[:-2])
 
     @cached_property
     def transport_is_trivial(self) -> bool:
@@ -242,6 +297,18 @@ class Curvature2Form:
         """Antisymmetric value tensor of shape (..., rB, rB, rK)."""
         points = np.asarray(points, dtype=float)
         return eval_exprs(self.program, self.chart.env(points), points.shape[:-1])
+
+    @cached_property
+    def pairing_program(self) -> Program:
+        """``Σ_{p<q} (c0_p c1_q - c0_q c1_p) Ω_pq`` over the fields ``#c0_<p>`` and ``#c1_<q>``."""
+        c0, c1 = _fresh("c", (2, self.base_rank))
+        return compile_exprs([_wedge(c0, c1, self.entries, s) for s in range(self.kernel_rank)])
+
+    def pairing(self, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """Curvature paired node by node with the two fields stacked on the leading axis of ``coeffs``."""
+        points = np.asarray(points, dtype=float)
+        env = _bind(self.chart.env(points), "c", np.moveaxis(coeffs, 0, -2), (2, self.base_rank))
+        return eval_exprs(self.pairing_program, env, points.shape[:-1])
 
 
 def curvature(fib: Fibration) -> Curvature2Form:
@@ -372,51 +439,51 @@ def identity_residuals(fib: Fibration, n_points: int = 100, seed: int = 42) -> d
 # --- lifting cubes ----------------------------------------------------------------
 
 
-def evolve_cube_system(
-    A: Algebroid,
-    w2_of,
-    gamma0: np.ndarray,
-    w0: Sequence[np.ndarray],
-    N: int,
-):
-    """Integrate the cube morphism equations along a fresh last axis.
+def _add_gradient(out: np.ndarray, f: np.ndarray, h: float, axis: int) -> None:
+    """Add ``np.gradient(f, h, axis=axis, edge_order=2)`` into ``out``, with the same arithmetic but fewer calls."""
+    s = (slice(None),) * axis
+    out[s + (slice(1, -1),)] += (f[s + (slice(2, None),)] - f[s + (slice(None, -2),)]) / (2.0 * h)
+    out[s + (0,)] += -1.5 / h * f[s + (0,)] + 2.0 / h * f[s + (1,)] + -0.5 / h * f[s + (2,)]
+    out[s + (-1,)] += 0.5 / h * f[s + (-3,)] + -2.0 / h * f[s + (-2,)] + 1.5 / h * f[s + (-1,)]
 
-    ``w2_of(eps, G)`` returns the driving coefficient field on the
-    transverse grid at parameter ``eps`` and current base points ``G``.
-    The base points move along its anchor image while each transverse
-    coefficient field picks up the transverse derivative of the driver
-    plus their pointwise bracket.  Returns the base point grid, the
-    evolved transverse fields and the driver recorded at the nodes.
+
+def evolve_cube_system(fib: Fibration, b_of, gamma0: np.ndarray, w0: Sequence[np.ndarray], N: int):
+    """Integrate the lift equations of a fibration along a fresh last axis.
+
+    ``b_of(eps)`` is the driver at parameter eps in base coefficients
+    on the transverse grid.  The points move along the anchor image of
+    its lift ``w2``, and each transverse field picks up the transverse
+    derivative of ``w2`` plus its bracket with ``w2``.  Each RK4 stage
+    runs :meth:`Fibration.lift_rates` once; only the transverse
+    difference is taken outside the compiled program.  The first stage
+    of each step sees the node state and records ``w2`` there; one more
+    run covers the last node.  Returns the point grid, the transverse
+    fields and ``w2`` at the nodes.
     """
     h = 1.0 / N
-    m = A.chart.dim
-    r = A.rank
+    m, rE = fib.chart.dim, fib.total.rank
     k = len(w0)
-    # the state packs the base point and then the k transverse fields along its last axis
-    slots = [slice(m + i * r, m + (i + 1) * r) for i in range(k)]
+    Y0 = np.concatenate([gamma0, *w0], axis=-1)  # the point, then the k fields, on the last axis
+    w_last = np.empty(Y0.shape[:-1] + (N + 1, rE))
+    stages = itertools.count()
 
     def rhs(eps: float, Y: np.ndarray) -> np.ndarray:
-        G = Y[..., :m]
-        w2 = w2_of(eps, G)
-        dY = np.empty_like(Y)
-        dY[..., :m] = np.einsum("...p,...pm->...m", w2, A.anchor_values(G))
-        cvals = A.structure_values(G) if k else None
-        for i, cols in enumerate(slots):
-            grad = np.gradient(w2, h, axis=i, edge_order=2)
-            dY[..., cols] = grad + np.einsum("...p,...q,...pql->...l", Y[..., cols], w2, cvals)
+        out = fib.lift_rates(b_of(eps), Y)
+        w2, dY = out[..., :rE], out[..., rE:]
+        stage = next(stages)
+        if stage % 4 == 0:  # rk4 calls the first stage of step s at node s
+            w_last[..., stage // 4, :] = w2
+        for i in range(k):
+            _add_gradient(dY[..., m + i * rE : m + (i + 1) * rE], w2, h, i)
         return dY
 
     try:
-        Y = np.moveaxis(rk4(rhs, np.concatenate([gamma0, *w0], axis=-1), N), 0, -2)
+        Y = rk4(rhs, Y0, N)
+        w_last[..., N, :] = fib.lift_rates(b_of(N * h), Y[N])[..., :rE]
     except NonFiniteError as err:  # the lift overflowed on its way out of the chart
         raise ChartEscapeError("cube base points leave the chart box") from err
-    gamma = Y[..., :m]
-    w_last = np.stack([w2_of(s * h, gamma[..., s, :]) for s in range(N + 1)], axis=-2)
-    return gamma, [Y[..., cols] for cols in slots], w_last
-
-
-def _splitting_values(fib: Fibration, G: np.ndarray) -> np.ndarray:
-    return eval_exprs(fib.splitting_program, fib.chart.env(G), G.shape[:-1])
+    Y = np.moveaxis(Y, 0, -2)
+    return Y[..., :m], [Y[..., m + i * rE : m + (i + 1) * rE] for i in range(k)], w_last
 
 
 def lift_cube(fib: Fibration, cube: Cube) -> Cube:
@@ -439,14 +506,8 @@ def lift_cube(fib: Fibration, cube: Cube) -> Cube:
         gamma0 = lifted_face.gamma
         w0 = [lifted_face.coeffs[i] for i in range(n - 1)]
 
-    b_spline = Spline(cube.coeffs[n - 1], axis=n - 1)
-
-    def w2_of(eps: float, G: np.ndarray) -> np.ndarray:
-        b = b_spline(eps)
-        sigma = _splitting_values(fib, G)
-        return np.einsum("...er,...r->...e", sigma, b)
-
-    gamma, W, w_last = evolve_cube_system(fib.total, w2_of, gamma0, w0, N)
+    b_of = Spline(cube.coeffs[n - 1], axis=n - 1)
+    gamma, W, w_last = evolve_cube_system(fib, b_of, gamma0, w0, N)
     return Cube(fib.total, gamma, np.stack(W + [w_last]))
 
 
@@ -466,10 +527,12 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
 
     Every line of nodes along the last axis is a base path, driven by
     the last coefficient field; all of them are transported at once.
-    Returns the ``grid + (rK, rK)`` array of matrices carrying a kernel
-    vector at the start of each line to each node, so a one-dimensional
-    path gives an (N+1, rK, rK) stack.  A trivial covariant action
-    short-circuits to identity matrices.
+    Each RK4 stage runs the fibration's compiled
+    :attr:`Fibration.transport_program` once on every line.  Returns the
+    ``grid + (rK, rK)`` array of matrices carrying a kernel vector at
+    the start of each line to each node, so a one-dimensional path gives
+    an (N+1, rK, rK) stack.  A trivial covariant action short-circuits
+    to identity matrices.
     """
     if path.algebroid != fib.base:
         raise ValueError("transport needs a cube over the base")
@@ -481,15 +544,9 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
     lines = path.gamma.shape[: n - 1]
     g_spline = Spline(path.gamma, axis=n - 1)
     b_spline = Spline(path.coeffs[n - 1], axis=n - 1)
-    F = fib.action_programs
 
     def rhs(t: float, V: np.ndarray) -> np.ndarray:
-        env = fib.chart.env(g_spline(t))
-        b = b_spline(t)
-        M = np.zeros(lines + (rK, rK))
-        for u in range(fib.base.rank):
-            M += b[..., u, None, None] * eval_exprs(F[u], env, lines)
-        return -M @ V
+        return fib.transport_rates(g_spline(t), b_spline(t), V)
 
     V = rk4(rhs, np.broadcast_to(np.eye(rK), lines + (rK, rK)), N)
     return np.moveaxis(V, 0, n - 1)

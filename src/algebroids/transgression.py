@@ -25,7 +25,6 @@ import numpy as np
 from .core import Algebroid, Section, eval_exprs
 from .cubes import Cube, Spline, bicubic, coarsen, cutoff, cutoff_prime, face, resample
 from .fibration import (
-    Curvature2Form,
     Fibration,
     anchor_fibration,
     curvature,
@@ -67,7 +66,7 @@ class TransgressionResult:
     def as_dict(self) -> dict:
         return {
             "value": [float(v) for v in self.value],
-            "est_error": float(self.est_error),
+            "est_error": float(self.est_error) if math.isfinite(self.est_error) else None,
             "method": self.method,
             "N": self.N,
         }
@@ -93,11 +92,6 @@ def _trapezoid(field: np.ndarray, N: int, axes: int) -> np.ndarray:
     for _ in range(axes):
         field = np.trapezoid(field, dx=1.0 / N, axis=0)
     return field
-
-
-def _curvature_pairing(om: Curvature2Form, c: Cube) -> np.ndarray:
-    """Curvature paired with the two coefficient fields of a square, node by node."""
-    return np.einsum("...p,...q,...pqs->...s", c.coeffs[0], c.coeffs[1], om.values(c.gamma))
 
 
 def _with_estimate(compute, cube: Cube):
@@ -205,7 +199,7 @@ def transgress2_formula(
     om = curvature(fib)
 
     def compute(c: Cube):
-        field = _curvature_pairing(om, c)
+        field = om.pairing(c.gamma, c.coeffs)
         if not fib.transport_is_trivial and fib.kernel_rank:
             V = transport_matrix(fib, c)
             back = np.linalg.solve(V, field[..., None])[..., 0]
@@ -237,7 +231,7 @@ def monodromy_period(
     om = curvature(fib)
 
     def compute(c: Cube):
-        return _trapezoid(_curvature_pairing(om, c), c.N, 2), None
+        return _trapezoid(om.pairing(c.gamma, c.coeffs), c.N, 2), None
 
     value, est, _ = _with_estimate(compute, cube)
     return TransgressionResult(value=value, est_error=est, method="monodromy", N=cube.N, face=None)
@@ -282,7 +276,7 @@ class MonodromyReport:
             "basepoint": None if self.basepoint is None else list(self.basepoint),
             "labels": list(self.labels),
             "periods": list(self.periods),
-            "est_errors": list(self.est_errors),
+            "est_errors": [e if math.isfinite(e) else None for e in self.est_errors],
             "relations": [list(r) for r in self.relations],
             "classes": [list(c) for c in self.classes],
             "lattice_rank": self.lattice_rank,
@@ -469,13 +463,10 @@ def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
     b_spline = Spline(base.coeffs[0])
     fade = (1.0 - ts)[:, None]
 
-    def w2_of(eps: float, G: np.ndarray) -> np.ndarray:
-        u = 1.0 - (1.0 - ts) * (1.0 - eps)
-        b = b_spline(u)
-        sig = eval_exprs(fib.splitting_program, fib.chart.env(G), G.shape[:-1])
-        return fade * np.einsum("...er,...r->...e", sig, b)
+    def b_of(eps: float) -> np.ndarray:
+        return fade * b_spline(1.0 - (1.0 - ts) * (1.0 - eps))
 
-    sq_gamma, W, w_last = evolve_cube_system(fib.total, w2_of, cube.gamma, [cube.coeffs[0]], N)
+    sq_gamma, W, w_last = evolve_cube_system(fib, b_of, cube.gamma, [cube.coeffs[0]], N)
     square = Cube(fib.total, sq_gamma, np.stack([W[0], w_last]))
 
     top_gamma = sq_gamma[:, -1]

@@ -274,8 +274,73 @@ def test_describe_never_builds_a_cube_grid(monkeypatch, capsys):
 
     monkeypatch.setattr(cli.Workspace, "_make_cube", refuse)
     cfg = str(CONFIG_DIR / "s2_monodromy.cfg")
-    assert main(["describe", cfg, "--set", "cube.wrap.N=100000"]) == 0
-    assert "N=100000" in capsys.readouterr().out
+    # 2001^2 nodes of 6 doubles (192 MB): within the grid budget, and slow to build
+    assert main(["describe", cfg, "--set", "cube.wrap.N=2000"]) == 0
+    assert "N=2000" in capsys.readouterr().out
+
+
+def test_grid_estimate_counts_the_doubles_of_every_node():
+    # sphere_periods' square: 769^2 nodes, each a point and two tangent vectors
+    assert cli.grid_bytes(768, 2, 2, 2) == 769**2 * 6 * 8
+    assert cli.grid_bytes(100_000, 2, 2, 2) > 400 * 2**30
+    assert cli.grid_bytes(2000, 2, 2, 2) < cli.GRID_BUDGET_BYTES < cli.grid_bytes(2400, 2, 2, 2)
+    # a 3-cube over a rank-3 algebroid on a plane: 2 + 3 * 3 doubles a node
+    assert cli.grid_bytes(10, 3, 2, 3) == 11**3 * 11 * 8
+
+
+@pytest.mark.parametrize(
+    "config, override, line, what",
+    [
+        ("s2_monodromy", "cube.wrap.N=100000", 23, "the cube"),
+        # the cube fits, its lift with one more frame does not
+        ("plane_area", "cube.rim.N=2100", 38, "task 'raise'"),
+        # a one-dimensional path grows a deformation square
+        ("decompose_demo", "cube.path.N=3000", 31, "task 'split'"),
+    ],
+)
+def test_grid_over_budget_is_rejected_by_describe_and_run(tmp_path, monkeypatch, capsys, config, override, line, what):
+    def refuse(self, params):
+        raise AssertionError("an oversized cube was built")
+
+    monkeypatch.setattr(cli.Workspace, "_make_cube", refuse)
+    cfg = str(CONFIG_DIR / f"{config}.cfg")
+    out = tmp_path / "reports"
+    for argv in (["describe", cfg], ["run", cfg, "--out", str(out)]):
+        assert main(argv + ["--set", override]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert f"line {line}:" in err and what in err and "256 MiB budget" in err, err
+    assert not list(out.glob("*.json"))
+
+
+def test_non_finite_file_cube_is_rejected_with_its_line(tmp_path, capsys):
+    grid = [[0.1 * i, 0.0] for i in range(5)]
+    coeffs = [[[0.1, float("nan")]] * 5]
+    payload = {"n": 1, "N": 4, "r": 2, "m": 2, "basepoint": grid[0], "gamma": grid, "a": coeffs}
+    (tmp_path / "bad.json").write_text(json.dumps(payload), encoding="utf-8")
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text(
+        "[chart plane]\ncoords = x y\nbounds = -3 3; -3 3\n\n"
+        "[algebroid T]\nkind = tangent\nchart = plane\n\n"
+        "[cube c]\nalgebroid = T\nsource = file\npath = bad.json\n\n"
+        "[task f]\nkind = flow\ncube = c\n",
+        encoding="utf-8",
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "reports")]) == 2
+    err = capsys.readouterr().err
+    assert "line 9:" in err and "NaN or inf" in err, err
+
+
+def test_undefined_estimates_are_written_as_null(tmp_path):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    out = tmp_path / "reports"
+    main(["run", str(CONFIG_DIR / "plane_area.cfg"), "--out", str(out), "--set", "cube.sq.N=4"])
+    reports = {p.name: json.loads(p.read_text(encoding="utf-8"), parse_constant=refuse) for p in out.glob("*.json")}
+    assert sorted(reports) == ["area.json", "corner.json", "raise.json"]
+    # N = 4 has no half grid of at least three nodes, so both estimates are undefined
+    area = reports["area.json"]["values"]
+    assert area["formula"]["est_error"] is None and area["lift"]["est_error"] is None
 
 
 def test_describe_and_run_never_import_scipy(tmp_path):

@@ -56,6 +56,19 @@ def test_cube_validation_and_immutability():
         tangent_lift(PLANE, ["10*t1", "0"], n=1, N=8)
 
 
+def test_cube_rejects_non_finite_data():
+    c = linear_square(N=4)
+    for bad in (np.nan, np.inf, -np.inf):
+        coeffs = c.coeffs.copy()
+        coeffs[1, 2, 3, 0] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            Cube(c.algebroid, c.gamma, coeffs)
+        gamma = c.gamma.copy()
+        gamma[1, 2, 0] = bad
+        with pytest.raises(ChartEscapeError):
+            Cube(c.algebroid, gamma, c.coeffs)
+
+
 def test_cube_cannot_change_through_the_callers_arrays():
     A = make_tangent(PLANE)
     source = linear_square(N=4)

@@ -1,11 +1,22 @@
 import numpy as np
 import pytest
 
-from algebroids.core import Chart, Section, check_axioms, make_cotangent_poisson, make_jacobi_extension, make_tangent
-from algebroids.cubes import ChartEscapeError, Cube, cotangent_lift, morphism_residual, tangent_lift
+from algebroids.core import (
+    Chart,
+    Section,
+    check_axioms,
+    eval_exprs,
+    make_cotangent_poisson,
+    make_explicit,
+    make_jacobi_extension,
+    make_rep_extension,
+    make_tangent,
+)
+from algebroids.cubes import ChartEscapeError, Cube, Spline, cotangent_lift, face, morphism_residual, tangent_lift
 from algebroids.expr import ZERO, add, compile_exprs, evaluate, mul, parse, var
 from algebroids.fibration import (
     Fibration,
+    _add_gradient,
     _symbolic_inverse,
     anchor_fibration,
     covariant_derivative,
@@ -175,12 +186,13 @@ def test_lift_square_is_morphism_and_projects_back():
 
 
 def test_overflowing_lift_is_a_chart_escape():
-    # a driver whose values overflow as the points move is reported as a chart escape
-    A = make_tangent(PLANE)
-    driver = Section((parse("exp(1000*x)"), parse("0")))
+    # a driver whose values overflow as the points move is reported as a chart escape:
+    # the unit base driver lifts to (exp(1000*x), 0) in the tangent algebroid
+    line = make_explicit(PLANE, 1, [["1", "0"]])
+    fib = Fibration(make_tangent(PLANE), line, [["1", "0"]], [["exp(1000*x)"], ["0"]], [["0", "1"]])
     gamma0 = np.stack([np.linspace(0.1, 0.5, 9), np.zeros(9)], axis=-1)
     with pytest.raises(ChartEscapeError, match="leave the chart box"):
-        evolve_cube_system(A, lambda eps, G: driver.values(PLANE, G), gamma0, [], 8)
+        evolve_cube_system(fib, lambda eps: np.ones(1), gamma0, [], 8)
 
 
 def test_lift_rejects_wrong_base():
@@ -323,3 +335,106 @@ def test_frame_sums_build_the_same_trees_as_explicit_folds():
                     acc = add(acc, mul(e[u], mul(F[u][t][s], kappa[s])))
             reference.append(acc)
         assert covariant_derivative(fib, e, kappa).components == tuple(reference)
+
+
+# --- fused kernels ---------------------------------------------------------------
+
+SPHERE = Chart(coords=("th", "ph"), box=((0.0005, 3.141), (-0.1, 6.4)))
+
+
+def _rotation_fibration() -> Fibration:
+    """Fibration G of the transport_square benchmark: a rotating rank-two kernel, x/y-dependent splitting."""
+    T = make_tangent(PLANE)
+    action = [[["0", "0"], ["0", "0"]], [["0", "0.7"], ["-0.7", "0"]]]
+    R = make_rep_extension(T, 2, action, twist={(0, 1): ["1", "x"]})
+    splitting = [["0.3*y", "0"], ["0", "0.3*x"], ["1", "0"], ["0", "1"]]
+    return Fibration(R, T, [[0, 0, 1, 0], [0, 0, 0, 1]], splitting, [[1, 0, 0, 0], [0, 1, 0, 0]])
+
+
+def _sphere_fibration() -> Fibration:
+    """The anchor fibration of configs/s2_monodromy.cfg."""
+    A = make_jacobi_extension(SPHERE, [["0", "1/sin(th)"], ["-1/sin(th)", "0"]])
+    return anchor_fibration(A, [["0", "0"], ["0", "sin(th)"], ["-sin(th)", "0"]])
+
+
+@pytest.mark.parametrize("make", [_rotation_fibration, _sphere_fibration], ids=["rotation", "sphere"])
+def test_fused_kernels_match_the_einsum_forms(make):
+    fib = make()
+    E, chart = fib.total, fib.chart
+    rE, rB, rK = E.rank, fib.base.rank, fib.kernel_rank
+    rng = np.random.default_rng(7)
+    pts = chart.sample(60, rng)
+    env = chart.env(pts)
+    b = rng.normal(size=(60, rB))
+    fields = rng.normal(size=(60, 2, rE))
+
+    # lift: w2 = sigma . b, its anchor image, and the bracket y . w2 . c of each transverse field
+    sigma = eval_exprs(fib.splitting, env, (60,))
+    w2 = np.einsum("...er,...r->...e", sigma, b)
+    want = [w2, np.einsum("...p,...pm->...m", w2, E.anchor_values(pts))]
+    want += [np.einsum("...p,...q,...pql->...l", fields[:, i], w2, E.structure_values(pts)) for i in range(2)]
+    got = fib.lift_rates(b, np.concatenate([pts, fields.reshape(60, 2 * rE)], axis=-1))
+    np.testing.assert_allclose(got, np.concatenate(want, axis=-1), rtol=1e-12, atol=0)
+
+    # transport: -sum_u b_u F_u(points) V
+    F = [eval_exprs(M, env, (60,)) for M in fib.action_matrices]
+    V = rng.normal(size=(60, rK, rK))
+    M = np.zeros((60, rK, rK))
+    for u in range(rB):
+        M += b[..., u, None, None] * F[u]
+    np.testing.assert_allclose(fib.transport_rates(pts, b, V), -M @ V, rtol=1e-12, atol=0)
+
+    # curvature pairing: sum_pq c0_p c1_q Omega_pqs, without the (rB, rB, rK) tensor
+    om = curvature(fib)
+    c = rng.normal(size=(2, 60, rB))
+    want = np.einsum("...p,...q,...pqs->...s", c[0], c[1], om.values(pts))
+    np.testing.assert_allclose(om.pairing(pts, c), want, rtol=1e-12, atol=0)
+
+
+def test_lift_records_the_driver_at_every_node():
+    fib = _rotation_fibration()
+    base = tangent_lift(PLANE, ["0.7*t1 + 0.2*sin(3*t2) - 0.5", "0.5*t2 + 0.3*t1*t2 - 0.4"], n=2, N=24)
+    lifted_face = lift_cube(fib, face(base, axis=1, end=0))
+    b_of = Spline(base.coeffs[1], axis=1)
+    N = base.N
+    gamma, _, w_last = evolve_cube_system(fib, b_of, lifted_face.gamma, [lifted_face.coeffs[0]], N)
+    # the driver re-evaluated after the sweep, at every node
+    again = []
+    for s in range(N + 1):
+        G = gamma[:, s]
+        sigma = eval_exprs(fib.splitting, fib.chart.env(G), G.shape[:-1])
+        again.append(np.einsum("...er,...r->...e", sigma, b_of(s / N)))
+    np.testing.assert_allclose(w_last, np.stack(again, axis=-2), rtol=0, atol=1e-13)
+
+
+def test_dense_rank_seven_lift_is_a_small_program():
+    rE, rB = 7, 3
+    rng = np.random.default_rng(4)
+    pick = lambda: f"{rng.uniform(0.5, 1.5):.6f}"
+    structure = {(p, q): [f"x*{pick()}" for _ in range(rE)] for p in range(rE) for q in range(p + 1, rE)}
+    E = make_explicit(PLANE, rE, [[f"y + {pick()}" for _ in range(2)] for _ in range(rE)], structure)
+    B = make_explicit(PLANE, rB, [["1", "0"], ["0", "1"], ["1", "1"]])
+    splitting = [[f"x - {pick()}" for _ in range(rB)] for _ in range(rE)]
+    fib = Fibration(E, B, [[0] * rE] * rB, splitting, [[0] * rE] * (rE - rB))
+    program = fib.lift_program(2)
+    # each entry is one op: 147 structure, 21 splitting and 14 anchor entries; w2 takes 35 ops
+    # and its anchor image 26.  Each field adds 3 ops per stored pair, one product per pair
+    # and component, and 20 sums per component: 2 * (21 * 3 + 21 * 7 + 7 * 20) = 700, 943 in all
+    assert len(program.ops) < 1000
+    pts = PLANE.sample(30, rng)
+    b = rng.normal(size=(30, rB))
+    fields = rng.normal(size=(30, 2, rE))
+    w2 = np.einsum("...er,...r->...e", eval_exprs(fib.splitting, PLANE.env(pts), (30,)), b)
+    c = E.structure_values(pts)
+    brackets = [np.einsum("...p,...q,...pql->...l", fields[:, i], w2, c) for i in range(2)]
+    got = fib.lift_rates(b, np.concatenate([pts, fields.reshape(30, 2 * rE)], axis=-1))
+    np.testing.assert_allclose(got[:, rE + 2 :], np.concatenate(brackets, axis=-1), rtol=1e-12)
+
+
+@pytest.mark.parametrize("shape, axis", [((3, 2), 0), ((97, 3), 0), ((5, 7, 4), 1), ((6, 3, 2), 0)])
+def test_transverse_difference_is_numpy_gradient_bitwise(shape, axis):
+    rng = np.random.default_rng(11)
+    f, out = rng.normal(size=shape), rng.normal(size=shape)
+    want = out + np.gradient(f, 1 / 96, axis=axis, edge_order=2)
+    _add_gradient(out, f, 1 / 96, axis)
+    assert out.tobytes() == want.tobytes()

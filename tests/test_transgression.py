@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +269,18 @@ def test_monodromy_group_classifies_period_families():
     empty = monodromy_group(A, splitting, [])
     assert empty.periods == () and empty.lattice_rank == 0 and empty.discrete
     assert empty.basepoint is None and empty.generator is None
+
+
+def test_monodromy_report_writes_undefined_estimates_as_null():
+    chart = Chart(("x", "y"), ((-4.0, 4.0), (-4.0, 4.0)))
+    A = make_jacobi_extension(chart, STD_BIV)
+    splitting = [["0", "0"], ["0", "1"], ["-1", "0"]]
+    # N = 4 has no half grid, so the first estimate is undefined; N = 8 has one
+    cubes = [tangent_lift(chart, ["t1 - 1.0", f"{s}*t2 - 1.0"], n=2, N=N) for s, N in ((1, 4), (2, 8))]
+    report = monodromy_group(A, splitting, cubes)
+    assert np.isnan(report.est_errors[0]) and np.isfinite(report.est_errors[1])
+    data = json.loads(json.dumps(report.as_dict(), allow_nan=False))
+    assert data["est_errors"][0] is None and data["est_errors"][1] == report.est_errors[1]
 
 
 def test_monodromy_group_needs_a_line_kernel():

@@ -345,32 +345,21 @@ class Spline:
     interpolated independently.  The end conditions are not-a-knot
     unless ``ends`` gives the two clamped end slopes.  The spline is
     solved once; each evaluation reads only the four power-form
-    coefficients of the interval a position falls in.  Calling it at
-    positions of shape P returns shape ``y.shape[:axis] + P +
-    y.shape[axis+1:]``.
+    coefficients of the interval a position falls in.  Positions of any
+    shape P, a scalar included, take one vectorised lookup and return
+    shape ``y.shape[:axis] + P + y.shape[axis+1:]``.
     """
 
     def __init__(self, y, axis: int = 0, ends=None):
         y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
         N = y.shape[0] - 1
         d = _node_slopes(y, ends)
-        self.N = N
         self.axis = axis
         self.knots = np.linspace(0.0, 1.0, N + 1)
-        self._knot_list = self.knots.tolist()
         # per-interval power-form coefficients, shape (N, 4) + the other axes
         self.coeffs = np.stack(_hermite(y[:-1], y[1:], d[:-1], d[1:], N), axis=1)
 
     def __call__(self, t) -> np.ndarray:
-        if isinstance(t, float):
-            # a single position: find its interval in plain Python
-            x, N = self._knot_list, self.N
-            i = min(max(int(t * N), 0), N - 1)
-            if i > 0 and t < x[i]:
-                i -= 1
-            elif i < N - 1 and t >= x[i + 1]:
-                i += 1
-            return _horner(self.coeffs[i], t - x[i])
         t = np.asarray(t, dtype=float)
         i, s = _locate(t, self.knots)
         c = np.moveaxis(self.coeffs[i], t.ndim, 0)
@@ -432,7 +421,11 @@ def _cutoff_table():
 
 
 def cutoff(t) -> np.ndarray:
-    """Smooth monotone [0,1] -> [0,1] map, flat to all orders at both ends."""
+    """Smooth [0,1] -> [0,1] map, flat to all orders at both ends.
+
+    Monotone only up to 1e-50 absolute: below t = 0.01 the table values
+    are that small or underflow, and the clamped spline through them is not.
+    """
     spline, _ = _cutoff_table()
     t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
     return np.clip(spline(t), 0.0, 1.0)
@@ -516,24 +509,29 @@ def concat(first: Cube, second: Cube, axis: int, tol: float = 1e-6) -> Cube:
 # --- cubes from time-dependent section families --------------------------------
 
 
+def half_steps(N: int) -> np.ndarray:
+    """The 2N+1 stage times of :func:`rk4`: the nodes and midpoints of N steps on [0, 1]."""
+    return np.linspace(0.0, 1.0, 2 * N + 1)
+
+
 def rk4(f, y0, N: int) -> np.ndarray:
     """Integrate ``y' = f(t, y)`` over [0, 1] with N classical fourth-order steps.
 
-    ``y0`` may be an array of any shape and ``f`` must return one of the
-    same shape.  Each step calls ``f`` four times, in stage order, so the
-    first call of step s is at node s itself.  Returns the N+1 node
-    states stacked on a new leading axis.
+    ``f(j, y)`` gets the stage time as its index j in ``half_steps(N)``:
+    step s calls it at j = 2s, 2s+1, 2s+1 and 2s+2, in stage order, so a
+    driver sampled once at those times is read by index.  ``f`` returns
+    the shape of ``y0``.  Returns the N+1 node states on a new leading axis.
     """
     h = 1.0 / N
     y = np.asarray(y0, dtype=float)
     out = np.empty((N + 1,) + y.shape)
     out[0] = y
     for s in range(N):
-        t0 = s * h
-        k1 = f(t0, y)
-        k2 = f(t0 + h / 2, y + (h / 2) * k1)
-        k3 = f(t0 + h / 2, y + (h / 2) * k2)
-        k4 = f(t0 + h, y + h * k3)
+        j = 2 * s
+        k1 = f(j, y)
+        k2 = f(j + 1, y + (h / 2) * k1)
+        k3 = f(j + 1, y + (h / 2) * k2)
+        k4 = f(j + 2, y + h * k3)
         y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         out[s + 1] = y
     return out
@@ -633,11 +631,11 @@ def cube_from_sections(
         t_fixed = np.indices(S, dtype=float).reshape(stage, B) / N if stage else np.zeros((0, B))
         image = compile_exprs(A.anchor_of(secs[k]))
 
-        def field(t: float, X: np.ndarray) -> np.ndarray:
+        def field(j: int, X: np.ndarray) -> np.ndarray:
             env = A.chart.env(X)
             for l in range(stage):
                 env[names[order[l]]] = t_fixed[l]
-            env[names[k]] = t
+            env[names[k]] = j / (2 * N)
             for l in range(stage + 1, n):
                 env[names[order[l]]] = 0.0
             return eval_exprs(image, env, (B,))

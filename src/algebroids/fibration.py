@@ -31,7 +31,7 @@ from .core import (
     make_rep_extension,
     make_tangent,
 )
-from .cubes import ChartEscapeError, Cube, Spline, face, rk4
+from .cubes import ChartEscapeError, Cube, Spline, face, half_steps, rk4
 from .expr import ONE, ZERO, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, sub, total, var
 
 __all__ = [
@@ -230,10 +230,9 @@ class Fibration:
             self._lift_programs[k] = compile_exprs(out)
         return self._lift_programs[k]
 
-    def lift_rates(self, b: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Run :meth:`lift_program` on states ``Y`` packing a point and the fields on the last axis."""
+    def lift_rates(self, b: np.ndarray, Y: np.ndarray, k: int) -> np.ndarray:
+        """Run :meth:`lift_program` on states ``Y`` packing a point and k fields on the last axis."""
         m, rE = self.chart.dim, self.total.rank
-        k = (Y.shape[-1] - m) // rE
         env = _bind(self.chart.env(Y[..., :m]), "b", b, (self.base.rank,))
         _bind(env, "y", Y[..., m:].reshape(Y.shape[:-1] + (k, rE)), (k, rE))
         return eval_exprs(self.lift_program(k), env, Y.shape[:-1])
@@ -447,39 +446,37 @@ def _add_gradient(out: np.ndarray, f: np.ndarray, h: float, axis: int) -> None:
     out[s + (-1,)] += 0.5 / h * f[s + (-3,)] + -2.0 / h * f[s + (-2,)] + 1.5 / h * f[s + (-1,)]
 
 
-def evolve_cube_system(fib: Fibration, b_of, gamma0: np.ndarray, w0: Sequence[np.ndarray], N: int):
+def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Sequence[np.ndarray], N: int):
     """Integrate the lift equations of a fibration along a fresh last axis.
 
-    ``b_of(eps)`` is the driver at parameter eps in base coefficients
-    on the transverse grid.  The points move along the anchor image of
-    its lift ``w2``, and each transverse field picks up the transverse
-    derivative of ``w2`` plus its bracket with ``w2``.  Each RK4 stage
-    runs :meth:`Fibration.lift_rates` once; only the transverse
-    difference is taken outside the compiled program.  The first stage
-    of each step sees the node state and records ``w2`` there; one more
-    run covers the last node.  Returns the point grid, the transverse
-    fields and ``w2`` at the nodes.
+    ``b`` is the driver in base coefficients at the ``half_steps(N)``
+    stage times, shape transverse grid + (2N+1, rB).  The points move
+    along the anchor image of its lift ``w2``, and each transverse field
+    picks up the transverse derivative of ``w2`` plus its bracket with
+    ``w2``.  Each RK4 stage runs :meth:`Fibration.lift_rates` once; only
+    the transverse difference is taken outside the compiled program.
+    Stages at even j record ``w2`` at node j/2, the first stage of each
+    step (at the node state) last; one more run covers the last node.
+    Returns the point grid, the transverse fields and ``w2`` at the nodes.
     """
     h = 1.0 / N
     m, rE = fib.chart.dim, fib.total.rank
     k = len(w0)
     Y0 = np.concatenate([gamma0, *w0], axis=-1)  # the point, then the k fields, on the last axis
     w_last = np.empty(Y0.shape[:-1] + (N + 1, rE))
-    stages = itertools.count()
 
-    def rhs(eps: float, Y: np.ndarray) -> np.ndarray:
-        out = fib.lift_rates(b_of(eps), Y)
+    def rhs(j: int, Y: np.ndarray) -> np.ndarray:
+        out = fib.lift_rates(b[..., j, :], Y, k)
         w2, dY = out[..., :rE], out[..., rE:]
-        stage = next(stages)
-        if stage % 4 == 0:  # rk4 calls the first stage of step s at node s
-            w_last[..., stage // 4, :] = w2
+        if j % 2 == 0:
+            w_last[..., j // 2, :] = w2
         for i in range(k):
             _add_gradient(dY[..., m + i * rE : m + (i + 1) * rE], w2, h, i)
         return dY
 
     try:
         Y = rk4(rhs, Y0, N)
-        w_last[..., N, :] = fib.lift_rates(b_of(N * h), Y[N])[..., :rE]
+        w_last[..., N, :] = fib.lift_rates(b[..., 2 * N, :], Y[N], k)[..., :rE]
     except NonFiniteError as err:  # the lift overflowed on its way out of the chart
         raise ChartEscapeError("cube base points leave the chart box") from err
     Y = np.moveaxis(Y, 0, -2)
@@ -495,9 +492,7 @@ def lift_cube(fib: Fibration, cube: Cube) -> Cube:
     """
     if cube.algebroid != fib.base:
         raise ValueError("cube must live over the base algebroid of the fibration")
-    N = cube.N
-    n = cube.n
-
+    n, N = cube.n, cube.N
     if n == 1:
         gamma0 = cube.gamma[0]
         w0: list[np.ndarray] = []
@@ -506,8 +501,8 @@ def lift_cube(fib: Fibration, cube: Cube) -> Cube:
         gamma0 = lifted_face.gamma
         w0 = [lifted_face.coeffs[i] for i in range(n - 1)]
 
-    b_of = Spline(cube.coeffs[n - 1], axis=n - 1)
-    gamma, W, w_last = evolve_cube_system(fib, b_of, gamma0, w0, N)
+    b = Spline(cube.coeffs[n - 1], axis=n - 1)(half_steps(N))
+    gamma, W, w_last = evolve_cube_system(fib, b, gamma0, w0, N)
     return Cube(fib.total, gamma, np.stack(W + [w_last]))
 
 
@@ -527,7 +522,8 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
 
     Every line of nodes along the last axis is a base path, driven by
     the last coefficient field; all of them are transported at once.
-    Each RK4 stage runs the fibration's compiled
+    The path and its driver are sampled once, at every RK4 stage time,
+    and each stage runs the fibration's compiled
     :attr:`Fibration.transport_program` once on every line.  Returns the
     ``grid + (rK, rK)`` array of matrices carrying a kernel vector at
     the start of each line to each node, so a one-dimensional path gives
@@ -542,11 +538,12 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
         return np.zeros(path.gamma.shape[:-1] + (rK, rK)) + np.eye(rK)
 
     lines = path.gamma.shape[: n - 1]
-    g_spline = Spline(path.gamma, axis=n - 1)
-    b_spline = Spline(path.coeffs[n - 1], axis=n - 1)
+    ts = half_steps(N)
+    g = Spline(path.gamma, axis=n - 1)(ts)
+    b = Spline(path.coeffs[n - 1], axis=n - 1)(ts)
 
-    def rhs(t: float, V: np.ndarray) -> np.ndarray:
-        return fib.transport_rates(g_spline(t), b_spline(t), V)
+    def rhs(j: int, V: np.ndarray) -> np.ndarray:
+        return fib.transport_rates(g[..., j, :], b[..., j, :], V)
 
     V = rk4(rhs, np.broadcast_to(np.eye(rK), lines + (rK, rK)), N)
     return np.moveaxis(V, 0, n - 1)

@@ -18,13 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import Algebroid, Section, eval_exprs
-from .cubes import Cube, Spline, bicubic, coarsen, cutoff, cutoff_prime, face, resample
+from .cubes import Cube, Spline, bicubic, coarsen, cutoff, cutoff_prime, face, half_steps, resample
 from .fibration import (
+    Curvature2Form,
     Fibration,
     anchor_fibration,
     curvature,
@@ -226,9 +228,13 @@ def monodromy_period(
     here; the quantity is the raw curvature flux through the surface.
     """
     fib = anchor_fibration(A, splitting, n_samples=n_samples, seed=seed)
-    _require_cube(fib, cube, fib.base, "monodromy_period")
     _check_centrality(fib, centrality_tol, "monodromy_period")
-    om = curvature(fib)
+    return _period(fib, curvature(fib), cube)
+
+
+def _period(fib: Fibration, om: Curvature2Form, cube: Cube) -> TransgressionResult:
+    """Flux of the curvature ``om`` of ``fib`` through a tangent square, with its half-grid estimate."""
+    _require_cube(fib, cube, fib.base, "monodromy_period")
 
     def compute(c: Cube):
         return _trapezoid(om.pairing(c.gamma, c.coeffs), c.N, 2), None
@@ -321,7 +327,8 @@ def monodromy_group(
             raise ValueError("need one label per generator")
     basepoint = tuple(float(v) for v in cubes[0].basepoint) if cubes else None
 
-    results = [monodromy_period(A, splitting, c, n_samples=n_samples, seed=seed) for c in cubes]
+    om = curvature(fib)
+    results = [_period(fib, om, c) for c in cubes]
     periods = tuple(r.scalar() for r in results)
     errors = tuple(r.est_error for r in results)
 
@@ -364,26 +371,16 @@ def monodromy_group(
 
     generator: Optional[float] = None
     if rank == 1:
-        members = classes[0]
-        ref = members[0]
-        fracs = [Fraction(1)]
-        ok = True
-        for i in members[1:]:
-            if (i, ref) in ratio_of:
-                fracs.append(ratio_of[(i, ref)])
-            elif (ref, i) in ratio_of:
-                fracs.append(1 / ratio_of[(ref, i)])
-            else:
-                frac = Fraction(periods[i] / periods[ref]).limit_denominator(max_denominator)
-                if frac == 0:
-                    ok = False
-                    break
-                fracs.append(frac)
-        if ok:
-            g = fracs[0]
-            for f in fracs[1:]:
-                g = _fraction_gcd(g, abs(f))
-            generator = abs(periods[ref]) * float(g)
+        ref, *others = classes[0]
+        # relations are stored as (i, j) with i < j, and ref is the smallest member
+        fracs = [
+            1 / ratio_of[(ref, i)]
+            if (ref, i) in ratio_of
+            else Fraction(periods[i] / periods[ref]).limit_denominator(max_denominator)
+            for i in others
+        ]
+        if all(fracs):
+            generator = abs(periods[ref]) * float(reduce(_fraction_gcd, map(abs, fracs), Fraction(1)))
 
     return MonodromyReport(
         basepoint=basepoint,
@@ -460,13 +457,9 @@ def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
     base = project_cube(fib, cube)
     horizontal = lift_cube(fib, base)
 
-    b_spline = Spline(base.coeffs[0])
-    fade = (1.0 - ts)[:, None]
-
-    def b_of(eps: float) -> np.ndarray:
-        return fade * b_spline(1.0 - (1.0 - ts) * (1.0 - eps))
-
-    sq_gamma, W, w_last = evolve_cube_system(fib, b_of, cube.gamma, [cube.coeffs[0]], N)
+    # the driver at slice t and deformation eps is (1 - t) b(1 - (1 - t)(1 - eps))
+    b = (1.0 - ts)[:, None, None] * Spline(base.coeffs[0])(1.0 - np.outer(1.0 - ts, 1.0 - half_steps(N)))
+    sq_gamma, W, w_last = evolve_cube_system(fib, b, cube.gamma, [cube.coeffs[0]], N)
     square = Cube(fib.total, sq_gamma, np.stack([W[0], w_last]))
 
     top_gamma = sq_gamma[:, -1]

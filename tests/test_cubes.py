@@ -22,6 +22,7 @@ from algebroids.cubes import (
     degeneracy,
     face,
     grid_times,
+    half_steps,
     homotopy_defect,
     is_homotopy,
     is_sphere,
@@ -30,6 +31,7 @@ from algebroids.cubes import (
     path_cube,
     reparam_cutoff,
     reverse,
+    rk4,
     save_cube,
     sphere_defect,
     tangent_lift,
@@ -164,6 +166,19 @@ def test_flow_cube_order_independent_for_commuting_family():
     # closed form: x picks up (y0^2 + 1) t1 once y settles at y0 + t2
     t1, _ = grid_times(2, 24)
     np.testing.assert_allclose(a.gamma[..., 0], (0.5**2 + 1) * t1, atol=1e-10)
+
+
+def test_rk4_calls_its_rate_at_half_step_indices():
+    calls = []
+
+    def f(j, y):
+        calls.append(j)
+        return np.cos(half_steps(3)[j]) * np.ones_like(y)
+
+    ys = rk4(f, np.zeros(2), 3)
+    assert calls == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
+    np.testing.assert_allclose(half_steps(3), np.arange(7) / 6, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(ys[:, 0], np.sin(np.linspace(0.0, 1.0, 4)), rtol=0, atol=1e-5)
 
 
 def test_flow_cube_zero_dimensional_chart():

@@ -11,8 +11,9 @@ from algebroids.core import (
     make_jacobi_extension,
     make_rep_extension,
     make_tangent,
+    point_chart,
 )
-from algebroids.cubes import ChartEscapeError, Cube, Spline, cotangent_lift, face, morphism_residual, tangent_lift
+from algebroids.cubes import ChartEscapeError, Cube, Spline, cotangent_lift, face, half_steps, morphism_residual, tangent_lift
 from algebroids.expr import ZERO, add, compile_exprs, evaluate, mul, parse, var
 from algebroids.fibration import (
     Fibration,
@@ -192,7 +193,7 @@ def test_overflowing_lift_is_a_chart_escape():
     fib = Fibration(make_tangent(PLANE), line, [["1", "0"]], [["exp(1000*x)"], ["0"]], [["0", "1"]])
     gamma0 = np.stack([np.linspace(0.1, 0.5, 9), np.zeros(9)], axis=-1)
     with pytest.raises(ChartEscapeError, match="leave the chart box"):
-        evolve_cube_system(fib, lambda eps: np.ones(1), gamma0, [], 8)
+        evolve_cube_system(fib, np.ones((9, 17, 1)), gamma0, [], 8)
 
 
 def test_lift_rejects_wrong_base():
@@ -373,7 +374,7 @@ def test_fused_kernels_match_the_einsum_forms(make):
     w2 = np.einsum("...er,...r->...e", sigma, b)
     want = [w2, np.einsum("...p,...pm->...m", w2, E.anchor_values(pts))]
     want += [np.einsum("...p,...q,...pql->...l", fields[:, i], w2, E.structure_values(pts)) for i in range(2)]
-    got = fib.lift_rates(b, np.concatenate([pts, fields.reshape(60, 2 * rE)], axis=-1))
+    got = fib.lift_rates(b, np.concatenate([pts, fields.reshape(60, 2 * rE)], axis=-1), 2)
     np.testing.assert_allclose(got, np.concatenate(want, axis=-1), rtol=1e-12, atol=0)
 
     # transport: -sum_u b_u F_u(points) V
@@ -397,7 +398,7 @@ def test_lift_records_the_driver_at_every_node():
     lifted_face = lift_cube(fib, face(base, axis=1, end=0))
     b_of = Spline(base.coeffs[1], axis=1)
     N = base.N
-    gamma, _, w_last = evolve_cube_system(fib, b_of, lifted_face.gamma, [lifted_face.coeffs[0]], N)
+    gamma, _, w_last = evolve_cube_system(fib, b_of(half_steps(N)), lifted_face.gamma, [lifted_face.coeffs[0]], N)
     # the driver re-evaluated after the sweep, at every node
     again = []
     for s in range(N + 1):
@@ -405,6 +406,34 @@ def test_lift_records_the_driver_at_every_node():
         sigma = eval_exprs(fib.splitting, fib.chart.env(G), G.shape[:-1])
         again.append(np.einsum("...er,...r->...e", sigma, b_of(s / N)))
     np.testing.assert_allclose(w_last, np.stack(again, axis=-2), rtol=0, atol=1e-13)
+
+
+def _spline_calls(monkeypatch, run) -> int:
+    calls = []
+    call = Spline.__call__
+    monkeypatch.setattr(Spline, "__call__", lambda self, t: calls.append(t) or call(self, t))
+    run()
+    monkeypatch.undo()
+    return len(calls)
+
+
+@pytest.mark.parametrize("sweep", ["lift", "transport"])
+def test_every_sweep_samples_its_driver_once(monkeypatch, sweep):
+    fib = _rotation_fibration()
+    run = lift_cube if sweep == "lift" else transport_matrix
+    comps = ["0.7*t1 + 0.2*sin(3*t2) - 0.5", "0.5*t2 + 0.3*t1*t2 - 0.4"]
+    counts = [
+        _spline_calls(monkeypatch, lambda: run(fib, tangent_lift(PLANE, comps, n=2, N=N))) for N in (12, 24)
+    ]
+    # one call per lifted axis, or one each for the path and its driver; per stage it was 4N or more
+    assert counts[0] == counts[1] == 2
+
+
+def test_rank_zero_lift_keeps_its_shape():
+    T = make_tangent(point_chart())
+    fib = Fibration(T, T, (), (), ())
+    lifted = lift_cube(fib, Cube(T, np.zeros((5, 5, 0)), np.zeros((2, 5, 5, 0))))
+    assert lifted.gamma.shape == (5, 5, 0) and lifted.coeffs.shape == (2, 5, 5, 0)
 
 
 def test_dense_rank_seven_lift_is_a_small_program():
@@ -427,7 +456,7 @@ def test_dense_rank_seven_lift_is_a_small_program():
     w2 = np.einsum("...er,...r->...e", eval_exprs(fib.splitting, PLANE.env(pts), (30,)), b)
     c = E.structure_values(pts)
     brackets = [np.einsum("...p,...q,...pql->...l", fields[:, i], w2, c) for i in range(2)]
-    got = fib.lift_rates(b, np.concatenate([pts, fields.reshape(30, 2 * rE)], axis=-1))
+    got = fib.lift_rates(b, np.concatenate([pts, fields.reshape(30, 2 * rE)], axis=-1), 2)
     np.testing.assert_allclose(got[:, rE + 2 :], np.concatenate(brackets, axis=-1), rtol=1e-12)
 
 

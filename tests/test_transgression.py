@@ -271,6 +271,24 @@ def test_monodromy_group_classifies_period_families():
     assert empty.basepoint is None and empty.generator is None
 
 
+def test_monodromy_group_builds_its_anchor_fibration_once(monkeypatch):
+    import algebroids.transgression as transgression
+
+    chart = Chart(("x", "y"), ((-4.0, 4.0), (-4.0, 4.0)))
+    A = make_jacobi_extension(chart, STD_BIV)
+    splitting = [["0", "0"], ["0", "1"], ["-1", "0"]]
+    cubes = [tangent_lift(chart, ["t1 - 1.0", f"{s}*t2 - 1.0"], n=2, N=16) for s in (1, 2, 3)]
+    built = []
+    monkeypatch.setattr(transgression, "anchor_fibration", lambda *a, **k: built.append(1) or anchor_fibration(*a, **k))
+    report = monodromy_group(A, splitting, cubes)
+    assert len(built) == 1
+    monkeypatch.undo()
+    # the shared fibration gives each period bitwise as a lone monodromy_period does
+    alone = [monodromy_period(A, splitting, c) for c in cubes]
+    assert report.periods == tuple(r.scalar() for r in alone)
+    assert report.est_errors == tuple(r.est_error for r in alone)
+
+
 def test_monodromy_report_writes_undefined_estimates_as_null():
     chart = Chart(("x", "y"), ((-4.0, 4.0), (-4.0, 4.0)))
     A = make_jacobi_extension(chart, STD_BIV)

@@ -12,7 +12,7 @@ Usage: python3 scripts/sphere_periods.py [--degrees 3] [--grid 256]
 import argparse
 import math
 
-from algebroids import Chart, make_jacobi_extension, monodromy_group, monodromy_period, tangent_lift
+from algebroids import Chart, make_jacobi_extension, monodromy_group, tangent_lift
 
 PI = math.pi
 
@@ -32,26 +32,18 @@ def main() -> None:
     A = make_jacobi_extension(chart, {(0, 1): "1/sin(th)"})
     splitting = [["0", "0"], ["0", "sin(th)"], ["-sin(th)", "0"]]
 
-    cubes = []
-    print(f"polar cutoff {eps}, grid {args.grid}")
-    print(f"{'degree':>6} {'period':>14} {'4*pi*d':>14} {'error':>11} {'estimate':>11}")
-    for d in range(1, args.degrees + 1):
-        cube = tangent_lift(
-            chart,
-            [f"{eps} + {PI - 2 * eps}*t1", f"{2 * PI * d}*t2"],
-            2,
-            args.grid,
-        )
-        cubes.append(cube)
-        res = monodromy_period(A, splitting, cube)
-        target = 4 * PI * d
-        print(
-            f"{d:>6} {res.scalar():>14.9f} {target:>14.9f}"
-            f" {abs(res.scalar() - target):>11.3e} {res.est_error:>11.3e}"
-        )
-
+    cubes = [
+        tangent_lift(chart, [f"{eps} + {PI - 2 * eps}*t1", f"{2 * PI * d}*t2"], 2, args.grid)
+        for d in range(1, args.degrees + 1)
+    ]
     labels = [f"deg{d}" for d in range(1, args.degrees + 1)]
     report = monodromy_group(A, splitting, cubes, labels=labels)
+
+    print(f"polar cutoff {eps}, grid {args.grid}")
+    print(f"{'degree':>6} {'period':>14} {'4*pi*d':>14} {'error':>11} {'estimate':>11}")
+    for d, period, est in zip(range(1, args.degrees + 1), report.periods, report.est_errors):
+        target = 4 * PI * d
+        print(f"{d:>6} {period:>14.9f} {target:>14.9f} {abs(period - target):>11.3e} {est:>11.3e}")
     print()
     print(report.summary())
     if report.generator is not None:

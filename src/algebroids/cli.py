@@ -238,6 +238,8 @@ def _one_of(*options: str) -> Callable[[str], str]:
 
 
 def _names(text: str) -> tuple[str, ...]:
+    if not text.split():
+        raise ValueError("needs at least one name")
     return tuple(text.split())
 
 
@@ -386,9 +388,10 @@ def _check_sections(ws, sec, p) -> None:
 def _check_map(ws, sec, p) -> None:
     A = ws.build("algebroid", p.algebroid)
     _fit(sec, "map", len(p.map), A.chart.dim, "components")
-    if ws.params("algebroid", p.algebroid).kind not in ("tangent", "cotangent_poisson"):
+    kind = ws.params("algebroid", p.algebroid).kind
+    if kind != "tangent" and (kind != "cotangent_poisson" or A.chart.dim != 2):
         raise ConfigError(
-            "tangent_lift_of needs a tangent or cotangent_poisson algebroid",
+            "tangent_lift_of needs a tangent algebroid or a cotangent_poisson one on a 2-D chart",
             sec.where("algebroid"),
         )
     _fit_grid(sec, p, A)
@@ -729,12 +732,13 @@ def inspect_config(sections: list[SectionSpec], base_dir: Path):
 
 
 def _jsonable(obj):
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
+    """Plain JSON data; a non-finite float becomes None (null), so reports are strict JSON."""
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
@@ -897,7 +901,7 @@ def run_task(ws: Workspace, sec: SectionSpec, overrides, cfg_hash: str, out_dir:
             "overrides": dict(sorted(overrides.items())),
         },
         "passed": passed,
-        "checks": checks,
+        "checks": _jsonable(checks),
         "values": _jsonable(values),
         "config_hash": cfg_hash,
         "wall_time_s": round(time.perf_counter() - start, 6),
@@ -908,7 +912,7 @@ def run_task(ws: Workspace, sec: SectionSpec, overrides, cfg_hash: str, out_dir:
 
 
 def _write_report(path: Path, report: dict) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)

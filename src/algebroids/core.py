@@ -181,18 +181,28 @@ def antisymmetric_entry(table: Mapping, i: int, j: int, width: int) -> tuple[Exp
     return tuple(neg(c) for c in table.get((j, i), (ZERO,) * width))
 
 
-def _coerce_structure(rank: int, mapping: Mapping) -> dict[tuple[int, int], tuple[Expr, ...]]:
+def pair_table(table: Mapping, n: int, width: int, what: str) -> dict[tuple[int, int], tuple]:
+    """Check a pair table: ``width``-vectors of expressions keyed on pairs 0 <= i < j < n.
+
+    Structure functions, twists, bivectors (as one-entry vectors) and
+    curvature are all such tables.  Pairs whose vector is zero are
+    dropped, so iteration stays sparse; errors name ``what``.
+    """
     out: dict[tuple[int, int], tuple[Expr, ...]] = {}
-    for (i, j), vec in mapping.items():
-        if not (0 <= i < j < rank):
-            raise ValueError(f"structure key ({i}, {j}) must satisfy 0 <= i < j < rank")
+    for (i, j), vec in table.items():
+        if not (0 <= i < j < n):
+            raise ValueError(f"{what} key ({i}, {j}) must satisfy 0 <= i < j < {n}")
         comps = tuple(as_expr(v) for v in vec)
-        if len(comps) != rank:
-            raise ValueError(f"structure value for ({i}, {j}) must have {rank} components")
-        # keep iteration sparse: drop pairs whose bracket folded to zero
+        if len(comps) != width:
+            raise ValueError(f"{what} value for ({i}, {j}) must have {width} components")
         if not all(is_zero(c) for c in comps):
             out[(i, j)] = comps
     return out
+
+
+def wedge(x, y, table: Mapping, l: int) -> Expr:
+    """Component l of ``Σ_{p<q} (x_p y_q - x_q y_p) c_pq`` over a pair table ``{(p, q): c_pq}``."""
+    return total(mul(sub(mul(x[p], y[q]), mul(x[q], y[p])), c[l]) for (p, q), c in table.items())
 
 
 @dataclass(frozen=True)
@@ -200,7 +210,8 @@ class Algebroid:
     """Anchored bracket data over a chart.
 
     ``anchor[i][a]`` is the a-th chart component of the anchor image of
-    frame section i.  ``structure[(i, j)]`` (for i < j) holds the frame
+    frame section i.  ``structure`` is a pair table (see
+    :func:`pair_table`): ``structure[(i, j)]`` (for i < j) holds the frame
     bracket coefficients of [e_i, e_j]; pairs with i > j follow by
     antisymmetry and absent pairs are zero.
     """
@@ -215,9 +226,8 @@ class Algebroid:
             raise ValueError("rank must be nonnegative")
         if len(self.anchor) != self.rank or any(len(r) != self.chart.dim for r in self.anchor):
             raise ValueError("anchor must be rank x dim")
-        for (i, j), vec in self.structure.items():
-            if not (0 <= i < j < self.rank) or len(vec) != self.rank:
-                raise ValueError("malformed structure functions")
+        structure = pair_table(self.structure, self.rank, self.rank, "structure")
+        object.__setattr__(self, "structure", structure)
 
     # -- frame access ----------------------------------------------------
 
@@ -246,11 +256,10 @@ class Algebroid:
         """Bracket of two sections in frame coefficients."""
         self._check_section(X)
         self._check_section(Y)
-        pairs = [(sub(mul(X[i], Y[j]), mul(X[j], Y[i])), cvec) for (i, j), cvec in self.structure.items()]
         out = []
         for k in range(self.rank):
             anchored = sub(self.anchor_apply(X, Y[k]), self.anchor_apply(Y, X[k]))
-            out.append(total([*(mul(w, cvec[k]) for w, cvec in pairs), anchored]))
+            out.append(add(wedge(X, Y, self.structure, k), anchored))
         return Section(tuple(out))
 
     # -- vectorized evaluation ---------------------------------------------
@@ -410,7 +419,7 @@ def make_lie_algebra(rank: int, structure: Mapping, chart: Chart | None = None) 
     """
     chart = chart if chart is not None else point_chart()
     anchor = tuple((ZERO,) * chart.dim for _ in range(rank))
-    return Algebroid(chart=chart, rank=rank, anchor=anchor, structure=_coerce_structure(rank, structure))
+    return Algebroid(chart=chart, rank=rank, anchor=anchor, structure=structure)
 
 
 def so3_structure(scale: Expr | float = 1.0) -> dict:
@@ -424,31 +433,13 @@ def so3_structure(scale: Expr | float = 1.0) -> dict:
     }
 
 
-def _upper_bivector(chart: Chart, bivector) -> dict[tuple[int, int], Expr]:
-    """Read the strict upper triangle of a bivector specification."""
+def _bivector_table(chart: Chart, bivector) -> dict[tuple[int, int], tuple[Expr, ...]]:
+    """A bivector, ``{(a, b): entry}`` or a dim x dim matrix, as a table of one-entry vectors."""
     m = chart.dim
-    out: dict[tuple[int, int], Expr] = {}
-    if isinstance(bivector, Mapping):
-        for (a, b), v in bivector.items():
-            if not (0 <= a < b < m):
-                raise ValueError("bivector keys must satisfy 0 <= a < b < dim")
-            out[(a, b)] = as_expr(v)
-    else:
-        rows = list(bivector)
-        if len(rows) != m or any(len(list(r)) != m for r in rows):
-            raise ValueError(f"bivector matrix must be {m} x {m}")
-        for a in range(m):
-            for b in range(a + 1, m):
-                out[(a, b)] = as_expr(rows[a][b])
-    return out
-
-
-def _bivector_entry(upper: Mapping[tuple[int, int], Expr], a: int, b: int) -> Expr:
-    if a == b:
-        return ZERO
-    if a < b:
-        return upper.get((a, b), ZERO)
-    return neg(upper.get((b, a), ZERO))
+    if not isinstance(bivector, Mapping):
+        rows = coerce_matrix(bivector, m, m, "bivector matrix")
+        bivector = {(a, b): rows[a][b] for a, b in itertools.combinations(range(m), 2)}
+    return pair_table({pair: (entry,) for pair, entry in bivector.items()}, m, 1, "bivector")
 
 
 def make_cotangent_poisson(chart: Chart, bivector) -> Algebroid:
@@ -460,12 +451,21 @@ def make_cotangent_poisson(chart: Chart, bivector) -> Algebroid:
     differentials of the bivector entries.
     """
     m = chart.dim
-    upper = _upper_bivector(chart, bivector)
-    anchor = tuple(tuple(_bivector_entry(upper, a, b) for b in range(m)) for a in range(m))
-    structure: dict[tuple[int, int], tuple[Expr, ...]] = {}
-    for (a, b), entry in upper.items():
-        structure[(a, b)] = tuple(entry.diff(chart.coords[c]) for c in range(m))
-    return Algebroid(chart=chart, rank=m, anchor=anchor, structure=_coerce_structure(m, structure))
+    pi = _bivector_table(chart, bivector)
+    anchor = tuple(tuple(antisymmetric_entry(pi, a, b, 1)[0] for b in range(m)) for a in range(m))
+    structure = {pair: tuple(entry.diff(c) for c in chart.coords) for pair, (entry,) in pi.items()}
+    return Algebroid(chart=chart, rank=m, anchor=anchor, structure=structure)
+
+
+def jacobi_extension_args(chart: Chart, bivector) -> tuple:
+    """The Jacobi extension as arguments of :func:`make_rep_extension`.
+
+    It is the rep extension of the cotangent Poisson algebroid by a line
+    with the zero action, twisted by the bivector read as a table of
+    one-entry vectors.
+    """
+    pi = _bivector_table(chart, bivector)
+    return make_cotangent_poisson(chart, bivector), 1, (((ZERO,),),) * chart.dim, pi
 
 
 def make_jacobi_extension(chart: Chart, bivector) -> Algebroid:
@@ -476,18 +476,7 @@ def make_jacobi_extension(chart: Chart, bivector) -> Algebroid:
     differentials gains the bivector value in the central slot, which is
     what makes the extension curvature visible to transgression.
     """
-    m = chart.dim
-    upper = _upper_bivector(chart, bivector)
-    rank = m + 1
-    anchor_rows = [(ZERO,) * m]
-    for a in range(m):
-        anchor_rows.append(tuple(_bivector_entry(upper, a, b) for b in range(m)))
-    structure: dict[tuple[int, int], tuple[Expr, ...]] = {}
-    for (a, b), entry in upper.items():
-        central = entry
-        rest = tuple(entry.diff(chart.coords[c]) for c in range(m))
-        structure[(1 + a, 1 + b)] = (central,) + rest
-    return Algebroid(chart=chart, rank=rank, anchor=tuple(anchor_rows), structure=_coerce_structure(rank, structure))
+    return make_rep_extension(*jacobi_extension_args(chart, bivector))
 
 
 def make_rep_extension(base: Algebroid, fiber_dim: int, action, twist=None) -> Algebroid:
@@ -499,25 +488,11 @@ def make_rep_extension(base: Algebroid, fiber_dim: int, action, twist=None) -> A
     kernel-valued curvature coefficient vector.  Kernel frames come
     first; horizontal copies of the base frames follow.
     """
-    d = fiber_dim
-    rB = base.rank
-    m = base.chart.dim
+    d, rB = fiber_dim, base.rank
     mats = [coerce_matrix(M, d, d, "action matrix") for M in action]
     if len(mats) != rB:
         raise ValueError(f"need one action matrix per base frame ({rB})")
-    twist_vecs: dict[tuple[int, int], tuple[Expr, ...]] = {}
-    if twist:
-        for (i, j), vec in twist.items():
-            if not (0 <= i < j < rB):
-                raise ValueError("twist keys must satisfy 0 <= i < j < base rank")
-            comps = tuple(as_expr(v) for v in vec)
-            if len(comps) != d:
-                raise ValueError(f"twist values must have {d} kernel components")
-            twist_vecs[(i, j)] = comps
-
-    rank = d + rB
-    anchor_rows = [(ZERO,) * m for _ in range(d)]
-    anchor_rows += [base.anchor[i] for i in range(rB)]
+    twist = pair_table(twist or {}, rB, d, "twist")
 
     structure: dict[tuple[int, int], tuple[Expr, ...]] = {}
     for s in range(d):
@@ -526,18 +501,11 @@ def make_rep_extension(base: Algebroid, fiber_dim: int, action, twist=None) -> A
             # [u_s, h_i] carries minus the action of frame i on u_s
             col = tuple(neg(mats[i][t][s]) for t in range(d))
             structure[(s, d + i)] = col + (ZERO,) * rB
-    base_struct = dict(base.structure)
-    for i in range(rB):
-        for j in range(i + 1, rB):
-            kernel_part = twist_vecs.get((i, j), (ZERO,) * d)
-            base_part = base_struct.get((i, j), (ZERO,) * rB)
-            structure[(d + i, d + j)] = tuple(kernel_part) + tuple(base_part)
-    return Algebroid(
-        chart=base.chart,
-        rank=rank,
-        anchor=tuple(anchor_rows),
-        structure=_coerce_structure(rank, structure),
-    )
+    for i, j in itertools.combinations(range(rB), 2):
+        kernel_part = antisymmetric_entry(twist, i, j, d)
+        structure[(d + i, d + j)] = kernel_part + antisymmetric_entry(base.structure, i, j, rB)
+    anchor = ((ZERO,) * base.chart.dim,) * d + base.anchor
+    return Algebroid(chart=base.chart, rank=d + rB, anchor=anchor, structure=structure)
 
 
 def make_explicit(chart: Chart, rank: int, anchor, structure: Mapping | None = None) -> Algebroid:
@@ -546,7 +514,7 @@ def make_explicit(chart: Chart, rank: int, anchor, structure: Mapping | None = N
         chart=chart,
         rank=rank,
         anchor=coerce_matrix(anchor, rank, chart.dim, "anchor"),
-        structure=_coerce_structure(rank, structure or {}),
+        structure=structure or {},
     )
 
 
@@ -574,4 +542,4 @@ def direct_sum(A: Algebroid, B: Algebroid, shared_chart: bool = False) -> Algebr
         structure[(i, j)] = tuple(vec) + (ZERO,) * B.rank
     for (i, j), vec in B.structure.items():
         structure[(A.rank + i, A.rank + j)] = (ZERO,) * A.rank + tuple(vec)
-    return Algebroid(chart=chart, rank=rank, anchor=anchor, structure=_coerce_structure(rank, structure))
+    return Algebroid(chart=chart, rank=rank, anchor=anchor, structure=structure)

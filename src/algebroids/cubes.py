@@ -547,20 +547,12 @@ def _coerce_sections(A: Algebroid, sections: Sequence) -> list[Section]:
     return out
 
 
-def _time_names(chart: Chart, time_names: Sequence[str] | None, n: int) -> tuple[str, ...]:
-    """Names of the n time variables, ``t1 .. tn`` by default.
-
-    Raises ValueError for a wrong count, a name that is also a chart
-    coordinate, or a repeated name.
-    """
-    names = tuple(time_names) if time_names is not None else tuple(f"t{i + 1}" for i in range(n))
-    if len(names) != n:
-        raise ValueError(f"need one time name per axis ({n}), got {len(names)}")
+def _time_names(chart: Chart, n: int) -> tuple[str, ...]:
+    """Names ``t1 .. tn`` of the n time variables; ValueError if one is also a chart coordinate."""
+    names = tuple(f"t{i + 1}" for i in range(n))
     clash = set(names) & set(chart.coords)
     if clash:
         raise ValueError(f"time names collide with chart coordinates: {sorted(clash)}")
-    if len(set(names)) != len(names):
-        raise ValueError("time names must be distinct")
     return names
 
 
@@ -569,9 +561,8 @@ def commutation_residual(
     sections: Sequence,
     n_points: int = 50,
     seed: int = 0,
-    time_names: Sequence[str] | None = None,
 ) -> float:
-    """Largest curvature of a time-dependent family over sampled (t, x).
+    """Largest curvature of a family depending on times ``t1 .. tn`` over sampled (t, x).
 
     For each pair of axes this evaluates the difference between the
     crossed time derivatives and the pointwise bracket; a commuting
@@ -580,7 +571,7 @@ def commutation_residual(
     """
     secs = _coerce_sections(A, sections)
     n = len(secs)
-    names = _time_names(A.chart, time_names, n)
+    names = _time_names(A.chart, n)
     rng = np.random.default_rng(seed)
     pts = A.chart.sample(n_points, rng)
     tvals = rng.uniform(size=(n_points, n))
@@ -603,9 +594,8 @@ def cube_from_sections(
     basepoint,
     N: int,
     order: Sequence[int] | None = None,
-    time_names: Sequence[str] | None = None,
 ) -> Cube:
-    """Sweep a cube by flowing along a family of time-dependent sections.
+    """Sweep a cube by flowing along a family of sections depending on times ``t1 .. tn``.
 
     Axis k is integrated with a classical fourth-order step along its
     anchor image, compiled into one program, holding already-processed
@@ -617,7 +607,7 @@ def cube_from_sections(
     n = len(secs)
     if n < 1:
         raise ValueError("need at least one section")
-    names = _time_names(A.chart, time_names, n)
+    names = _time_names(A.chart, n)
     order = tuple(order) if order is not None else tuple(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError(f"order must be a permutation of 0..{n - 1}")
@@ -666,15 +656,15 @@ def tangent_lift(
     components: Sequence,
     n: int,
     N: int,
-    time_names: Sequence[str] | None = None,
 ) -> Cube:
     """Velocity lift of an explicit map of the cube into the chart.
 
     ``components`` give the chart coordinates of the map as expressions
-    in the time variables; the coefficient fields are the exact partial
-    velocities, so the only morphism defect is the grid derivative error.
+    in the time variables ``t1 .. tn``; the coefficient fields are the
+    exact partial velocities, so the only morphism defect is the grid
+    derivative error.
     """
-    names = _time_names(chart, time_names, n)
+    names = _time_names(chart, n)
     exprs = [as_expr(c) for c in components]
     if len(exprs) != chart.dim:
         raise ValueError("need one component per chart coordinate")
@@ -699,7 +689,6 @@ def cotangent_lift(
     components: Sequence,
     n: int,
     N: int,
-    time_names: Sequence[str] | None = None,
 ) -> Cube:
     """Lift a map into a rank-2 chart through an invertible bivector.
 
@@ -709,7 +698,7 @@ def cotangent_lift(
     """
     if chart.dim != 2:
         raise ValueError("cotangent lifting is implemented for two-dimensional charts")
-    tangent = tangent_lift(chart, components, n, N, time_names=time_names)
+    tangent = tangent_lift(chart, components, n, N)
     A = make_cotangent_poisson(chart, bivector)
     entry = A.anchor[0][1]  # the single independent bivector entry
     pvals = eval_exprs(entry, chart.env(tangent.gamma), tangent.gamma.shape[:-1])
@@ -724,10 +713,9 @@ def path_cube(
     gamma_components: Sequence,
     coeff_components: Sequence,
     N: int,
-    time_name: str = "t1",
 ) -> Cube:
-    """One-dimensional cube from explicit path and coefficient expressions."""
-    _time_names(A.chart, (time_name,), 1)
+    """One-dimensional cube from explicit path and coefficient expressions in ``t1``."""
+    (time_name,) = _time_names(A.chart, 1)
     gexprs = [as_expr(c) for c in gamma_components]
     cexprs = [as_expr(c) for c in coeff_components]
     if len(gexprs) != A.chart.dim or len(cexprs) != A.rank:

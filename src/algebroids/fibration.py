@@ -26,10 +26,11 @@ from .core import (
     antisymmetric_program,
     coerce_matrix,
     eval_exprs,
-    make_cotangent_poisson,
-    make_jacobi_extension,
+    jacobi_extension_args,
     make_rep_extension,
     make_tangent,
+    pair_table,
+    wedge,
 )
 from .cubes import ChartEscapeError, Cube, Spline, face, half_steps, rk4
 from .expr import ONE, ZERO, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, sub, total, var
@@ -110,11 +111,6 @@ def _fresh(tag: str, shape: tuple[int, ...]) -> np.ndarray:
 def _bind(env: dict, tag: str, values: np.ndarray, shape: tuple[int, ...]) -> dict:
     env.update((name, values[index]) for name, index in _names(tag, shape))
     return env
-
-
-def _wedge(x, y, pairs, l: int) -> Expr:
-    """Component l of ``Σ_{p<q} (x_p y_q - x_q y_p) c_pq`` over the stored pairs ``{(p, q): c_pq}``."""
-    return total(mul(sub(mul(x[p], y[q]), mul(x[q], y[p])), c[l]) for (p, q), c in pairs.items())
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +222,7 @@ class Fibration:
             w2 = [dot(row, _fresh("b", (self.base.rank,))) for row in self.splitting]
             out = [*w2, *self.total.anchor_of(Section(tuple(w2)))]
             for y in _fresh("y", (k, rE)):
-                out.extend(_wedge(y, w2, self.total.structure, l) for l in range(rE))
+                out.extend(wedge(y, w2, self.total.structure, l) for l in range(rE))
             self._lift_programs[k] = compile_exprs(out)
         return self._lift_programs[k]
 
@@ -278,12 +274,16 @@ def covariant_derivative(fib: Fibration, X: Section, kappa: Section) -> Section:
 
 @dataclass(frozen=True, eq=False)
 class Curvature2Form:
-    """Kernel-valued curvature of a splitting, stored on base frame pairs."""
+    """Kernel-valued curvature of a splitting, a pair table on base frame pairs."""
 
     chart: Chart
     base_rank: int
     kernel_rank: int
     entries: Mapping[tuple[int, int], tuple[Expr, ...]]
+
+    def __post_init__(self):
+        entries = pair_table(self.entries, self.base_rank, self.kernel_rank, "curvature")
+        object.__setattr__(self, "entries", entries)
 
     def entry(self, i: int, j: int) -> tuple[Expr, ...]:
         return antisymmetric_entry(self.entries, i, j, self.kernel_rank)
@@ -301,7 +301,7 @@ class Curvature2Form:
     def pairing_program(self) -> Program:
         """``Σ_{p<q} (c0_p c1_q - c0_q c1_p) Ω_pq`` over the fields ``#c0_<p>`` and ``#c1_<q>``."""
         c0, c1 = _fresh("c", (2, self.base_rank))
-        return compile_exprs([_wedge(c0, c1, self.entries, s) for s in range(self.kernel_rank)])
+        return compile_exprs([wedge(c0, c1, self.entries, s) for s in range(self.kernel_rank)])
 
     def pairing(self, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Curvature paired node by node with the two fields stacked on the leading axis of ``coeffs``."""
@@ -317,18 +317,13 @@ def curvature(fib: Fibration) -> Curvature2Form:
     minus the lift of the base bracket.
     """
     rB = fib.base.rank
-    entries: dict[tuple[int, int], tuple[Expr, ...]] = {}
-    for i in range(rB):
-        for j in range(i + 1, rB):
-            bi, bj = fib.base.frame(i), fib.base.frame(j)
-            total_part = fib.total.bracket(fib.horizontal_lift(bi), fib.horizontal_lift(bj))
-            lifted = fib.horizontal_lift(fib.base.bracket(bi, bj))
-            vec = fib.kernel_coefficients(total_part - lifted)
-            if not all(is_zero(v) for v in vec):
-                entries[(i, j)] = vec
-    return Curvature2Form(
-        chart=fib.chart, base_rank=rB, kernel_rank=fib.kernel_rank, entries=entries
-    )
+    entries = {}
+    for i, j in itertools.combinations(range(rB), 2):
+        bi, bj = fib.base.frame(i), fib.base.frame(j)
+        total_part = fib.total.bracket(fib.horizontal_lift(bi), fib.horizontal_lift(bj))
+        lifted = fib.horizontal_lift(fib.base.bracket(bi, bj))
+        entries[(i, j)] = fib.kernel_coefficients(total_part - lifted)
+    return Curvature2Form(fib.chart, rB, fib.kernel_rank, entries)
 
 
 # --- structure-equation residuals ----------------------------------------------
@@ -576,18 +571,11 @@ def splitting_from_projection(projection: Sequence[Sequence[Expr]]) -> tuple[tup
 
 
 def jacobi_fibration(chart: Chart, bivector) -> Fibration:
-    """Central line extension over the cotangent algebroid of a bivector."""
-    total = make_jacobi_extension(chart, bivector)
-    base = make_cotangent_poisson(chart, bivector)
-    m = chart.dim
-    projection = tuple(
-        tuple(ONE if j == 1 + a else ZERO for j in range(m + 1)) for a in range(m)
-    )
-    splitting = tuple(
-        tuple(ONE if j == 1 + a else ZERO for a in range(m)) for j in range(m + 1)
-    )
-    kernel = ((ONE,) + (ZERO,) * m,)
-    return Fibration(total=total, base=base, projection=projection, splitting=splitting, kernel=kernel)
+    """Central line extension over the cotangent algebroid of a bivector.
+
+    It is the rep-extension fibration of :func:`jacobi_extension_args`.
+    """
+    return rep_extension_fibration(*jacobi_extension_args(chart, bivector))
 
 
 def rep_extension_fibration(base: Algebroid, fiber_dim: int, action, twist=None) -> Fibration:
@@ -616,18 +604,21 @@ def null_space(M: np.ndarray, rcond: float) -> np.ndarray:
     return vh[rank:].T
 
 
+KERNEL_DRIFT_TOL = 1e-9
+
+
 def anchor_fibration(
     A: Algebroid,
     splitting: Sequence[Sequence[Expr]],
     n_samples: int = 25,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> Fibration:
     """Fibration of an algebroid over the tangent algebroid via its anchor.
 
     The kernel frame is detected numerically and must be constant: the
     anchor matrices sampled across the chart have to share one null
-    space.  Basis vectors are sign-fixed by their largest entry.
+    space, up to ``KERNEL_DRIFT_TOL`` relative to the largest anchor
+    entry.  Basis vectors are sign-fixed by their largest entry.
     """
     chart = A.chart
     m = chart.dim
@@ -645,7 +636,8 @@ def anchor_fibration(
         raise ValueError(
             f"anchor kernel is not a constant rank-{expected} subbundle over the sampled chart"
         )
-    if ns.size and float(np.max(np.abs(stacked @ ns))) > tol * max(1.0, float(np.max(np.abs(stacked)))):
+    scale = float(np.abs(stacked).max(initial=1.0))
+    if ns.size and float(np.max(np.abs(stacked @ ns))) > KERNEL_DRIFT_TOL * scale:
         raise ValueError("anchor kernel drifts across the chart; no constant frame exists")
     kernel_rows = []
     for s in range(expected):

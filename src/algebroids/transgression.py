@@ -296,14 +296,17 @@ def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, a.denominator * b.denominator)
 
 
+# tolerance of monodromy_group: PERIOD_ERR_SCALE half-grid error estimates plus PERIOD_ATOL
+PERIOD_ATOL = 1e-9
+PERIOD_ERR_SCALE = 10.0
+
+
 def monodromy_group(
     A: Algebroid,
     splitting: Sequence[Sequence],
     cubes: Sequence[Cube],
     labels: Optional[Sequence[str]] = None,
     max_denominator: int = 64,
-    atol: float = 1e-9,
-    err_scale: float = 10.0,
     n_samples: int = 25,
     seed: int = 0,
 ) -> MonodromyReport:
@@ -312,7 +315,7 @@ def monodromy_group(
     Each ratio of nonzero periods is matched against its best rational
     approximant with bounded denominator; a match is accepted only when
     it sits within the propagated half-grid error estimates (scaled by
-    ``err_scale``) plus ``atol``.  Needs a rank-one kernel, where
+    ``PERIOD_ERR_SCALE``) plus ``PERIOD_ATOL``.  Needs a rank-one kernel, where
     commensurability of scalars is meaningful.
     """
     fib = anchor_fibration(A, splitting, n_samples=n_samples, seed=seed)
@@ -333,7 +336,8 @@ def monodromy_group(
     errors = tuple(r.est_error for r in results)
 
     n = len(periods)
-    nonzero = [i for i in range(n) if abs(periods[i]) > err_scale * (errors[i] if math.isfinite(errors[i]) else 0.0) + atol]
+    finite = [e if math.isfinite(e) else 0.0 for e in errors]
+    nonzero = [i for i in range(n) if abs(periods[i]) > PERIOD_ERR_SCALE * finite[i] + PERIOD_ATOL]
 
     parent = list(range(n))
 
@@ -352,7 +356,7 @@ def monodromy_group(
             frac = Fraction(ratio).limit_denominator(max_denominator)
             if frac == 0:
                 continue
-            tol = atol / abs(periods[j]) + err_scale * (
+            tol = PERIOD_ATOL / abs(periods[j]) + PERIOD_ERR_SCALE * (
                 errors[i] + errors[j] * abs(ratio)
             ) / abs(periods[j])
             if not math.isfinite(tol):

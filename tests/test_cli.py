@@ -343,6 +343,70 @@ def test_undefined_estimates_are_written_as_null(tmp_path):
     assert area["formula"]["est_error"] is None and area["lift"]["est_error"] is None
 
 
+def _line_of(text, entry):
+    return text.splitlines().index(entry) + 1
+
+
+def test_cotangent_lift_off_the_plane_is_rejected_by_describe_and_run(tmp_path, capsys):
+    text = """[chart space]
+coords = x y z
+bounds = -2 2; -2 2; -2 2
+
+[algebroid CP]
+kind = cotangent_poisson
+chart = space
+bivector = 0, z, -y; -z, 0, x; y, -x, 0
+
+[cube sq]
+algebroid = CP
+source = tangent_lift_of
+map = 0.5*t1, 0.5*t2, 0.5
+n = 2
+N = 8
+"""
+    cfg = str(write(tmp_path, text))
+    for argv in (["describe", cfg], ["run", cfg, "--out", str(tmp_path / "reports")]):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert f"line {_line_of(text, 'algebroid = CP')}:" in err and "2-D chart" in err, err
+
+
+def test_empty_cube_list_is_rejected_at_its_line(tmp_path, capsys):
+    text = GROUP_CFG.replace("cubes = s_small s_big", "cubes =").replace("labels = small big\n", "")
+    cfg = str(write(tmp_path, text))
+    for argv in (["describe", cfg], ["run", cfg, "--out", str(tmp_path / "reports")]):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert f"line {_line_of(text, 'cubes =')}:" in err and "at least one name" in err, err
+
+
+def test_missing_generator_fails_its_check_in_strict_json(tmp_path):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    # a constant map has period zero, so the family has no generator to compare with expect
+    head = GROUP_CFG.split("[cube s_small]")[0]
+    text = head + """[cube dot]
+algebroid = T
+source = tangent_lift_of
+map = 1 + 0*t1, 1 + 0*t2
+n = 2
+N = 8
+
+[task group]
+kind = monodromy
+algebroid = J
+splitting = 0, 0; 0, 1; -1, 0
+cubes = dot
+expect = 1
+"""
+    out = tmp_path / "reports"
+    assert main(["run", str(write(tmp_path, text)), "--out", str(out)]) == 1
+    report = json.loads((out / "group.json").read_text(encoding="utf-8"), parse_constant=refuse)
+    assert report["values"]["group"]["generator"] is None
+    assert report["checks"] == [{"name": "expect", "value": None, "tol": 0.0, "passed": False}]
+
+
 def test_describe_and_run_never_import_scipy(tmp_path):
     # a fresh process, so that no test's own scipy import can hide one made by the package
     src = Path(cli.__file__).resolve().parents[1]

@@ -203,20 +203,19 @@ def test_commutation_residual_detects_noncommuting_family():
 
 def test_flow_cube_rejects_bad_order_and_names():
     T = make_tangent(PLANE)
-    secs = [["0", "1"]]
     with pytest.raises(ValueError):
-        cube_from_sections(T, secs, [0, 0], 8, order=(1,))
-    with pytest.raises(ValueError):
-        cube_from_sections(T, secs, [0, 0], 8, time_names=("x",))
+        cube_from_sections(T, [["0", "1"]], [0, 0], 8, order=(1,))
+    # the time variables are t1 .. tn, so a chart coordinate t1 clashes with them
+    clash = make_tangent(Chart(("t1", "y"), ((-1.0, 1.0), (-1.0, 1.0))))
     two = [["1", "0"], ["0", "1"]]
-    # a wrong count, a clash with a coordinate and a repeat are all ValueErrors, never IndexErrors
-    for names in (("s",), ("s", "x"), ("s", "s")):
-        with pytest.raises(ValueError, match="time name"):
-            commutation_residual(T, two, time_names=names)
-        with pytest.raises(ValueError, match="time name"):
-            cube_from_sections(T, two, [0, 0], 8, time_names=names)
-        with pytest.raises(ValueError, match="time name"):
-            tangent_lift(PLANE, ["t1", "t2"], n=2, N=8, time_names=names)
+    with pytest.raises(ValueError, match="time name"):
+        commutation_residual(clash, two)
+    with pytest.raises(ValueError, match="time name"):
+        cube_from_sections(clash, two, [0, 0], 8)
+    with pytest.raises(ValueError, match="time name"):
+        tangent_lift(clash.chart, ["t1", "t2"], n=2, N=8)
+    with pytest.raises(ValueError, match="time name"):
+        path_cube(clash, ["0", "0"], ["1", "0"], N=8)
 
 
 # --- boundary classification -------------------------------------------------

@@ -51,6 +51,29 @@ def test_jacobi_fibration_variable_bivector_residuals():
     assert max(res.values()) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "chart, bivector, twist",
+    [
+        (PLANE, {(0, 1): "1"}, {(0, 1): ["1"]}),
+        (PLANE, [["0", "1 + x^2"], ["-1 - x^2", "0"]], {(0, 1): ["1 + x^2"]}),
+        (
+            SPACE,
+            [["0", "z", "-y"], ["-z", "0", "x"], ["y", "-x", "0"]],
+            {(0, 1): ["z"], (0, 2): ["-y"], (1, 2): ["x"]},
+        ),
+    ],
+    ids=["constant", "variable", "3d"],
+)
+def test_jacobi_extension_is_the_rep_extension_twisted_by_the_bivector(chart, bivector, twist):
+    # the central line with the zero action, and the bivector as its 2-cocycle
+    base = make_cotangent_poisson(chart, bivector)
+    zero = [[["0"]]] * chart.dim
+    assert make_jacobi_extension(chart, bivector) == make_rep_extension(base, 1, zero, twist=twist)
+    fib, rep = jacobi_fibration(chart, bivector), rep_extension_fibration(base, 1, zero, twist=twist)
+    assert (fib.total, fib.base) == (rep.total, rep.base)
+    assert (fib.projection, fib.splitting, fib.kernel) == (rep.projection, rep.splitting, rep.kernel)
+
+
 def test_curvature_sign_and_value():
     # the curvature of the tautological splitting returns the bivector
     # entry itself, with a positive sign in the kernel slot

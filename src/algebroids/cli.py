@@ -237,6 +237,13 @@ def _one_of(*options: str) -> Callable[[str], str]:
     return parse
 
 
+def _file_name(text: str) -> str:
+    """A bare file name: no directory part, and not ``.`` or ``..``."""
+    if text in ("", ".", "..") or Path(text).name != text:
+        raise ValueError(f"'{text}' must be a bare file name, with no directory part")
+    return text
+
+
 def _names(text: str) -> tuple[str, ...]:
     if not text.split():
         raise ValueError("needs at least one name")
@@ -464,7 +471,7 @@ _EXPECT = Key(_number, None)
 _EXPECT_TOL = Key(_positive, SameAs("tol"))
 _CENTRALITY_TOL = Key(_positive_or_none, 1e-6)
 _SEED = Key(_integer(0), 42)
-_SAVE = Key(default=None)
+_SAVE = Key(_file_name, None)
 
 # section kind -> discriminating key (absent for kinds with one form)
 _TAGS = {"algebroid": "kind", "cube": "source", "task": "kind"}

@@ -35,6 +35,7 @@ __all__ = [
     "make_explicit",
     "direct_sum",
     "eval_exprs",
+    "sampled_values",
     "so3_structure",
 ]
 
@@ -110,6 +111,21 @@ def eval_exprs(exprs, env: Mapping[str, object], base_shape: tuple) -> np.ndarra
     same matrix repeatedly pass the Program their owner holds.
     """
     return np.asarray(evaluate(exprs, env, base_shape))
+
+
+def sampled_values(chart: Chart, exprs, n_points: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n_points`` seeded interior points of a chart, and a nested sequence of Exprs evaluated there.
+
+    Every sampled identity check draws its points here and makes one
+    :func:`eval_exprs` call; the values have shape (n_points,) + nested shape.
+    """
+    pts = chart.sample(n_points, np.random.default_rng(seed))
+    return pts, eval_exprs(exprs, chart.env(pts), (n_points,))
+
+
+def sup_norm(values: np.ndarray) -> float:
+    """Largest absolute entry; 0 for an empty array."""
+    return float(np.max(np.abs(values))) if values.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -341,64 +357,47 @@ class AxiomReport:
 def check_axioms(A: Algebroid, n_points: int = 200, seed: int = 42, tol: float = 1e-8) -> AxiomReport:
     """Sample the Jacobi identity and anchor compatibility over the chart.
 
-    Both residuals are exact symbolic expressions evaluated at ``n_points``
-    uniform chart points; the report carries the worst offender as a
-    witness (triple or pair, point, and residual coefficients).
+    Both residuals are exact symbolic expressions; all Jacobi triples form
+    one program and all anchor pairs another, run at the ``n_points``
+    points of :func:`sampled_values`.  The report carries the worst
+    offender as a witness (triple or pair, point, and residual
+    coefficients): the first largest residual in triple- or pair-major
+    order, a triple winning a tie with a pair.
     """
-    rng = np.random.default_rng(seed)
-    pts = A.chart.sample(n_points, rng)
-    env = A.chart.env(pts)
-    base = (n_points,)
+    e, br, rho, coords = [A.frame(i) for i in range(A.rank)], A.bracket, A.anchor, A.chart.coords
+    triples = list(itertools.combinations(range(A.rank), 3))
+    pairs = list(itertools.combinations(range(A.rank), 2))
+    jacobi = [
+        (br(br(e[i], e[j]), e[k]) + br(br(e[j], e[k]), e[i]) + br(br(e[k], e[i]), e[j])).components
+        for i, j, k in triples
+    ]
 
-    best: tuple[float, AxiomWitness] | None = None
+    def anchor_defect(i: int, j: int, a: int) -> Expr:
+        ri, rj = rho[i], rho[j]
+        rhs = total(sub(mul(ri[b], rj[a].diff(x)), mul(rj[b], ri[a].diff(x))) for b, x in enumerate(coords))
+        return sub(dot(A.structure_vector(i, j), (row[a] for row in rho)), rhs)
 
-    def consider(kind, indices, vals):
-        nonlocal best
-        # vals has shape (n_points, ncomp)
-        norms = np.max(np.abs(vals), axis=-1)
-        at = int(np.argmax(norms))
-        w = AxiomWitness(
-            kind=kind,
-            indices=indices,
-            point=tuple(float(x) for x in pts[at]),
-            residual=float(norms[at]),
-            values=tuple(float(v) for v in vals[at]),
-        )
-        if best is None or w.residual > best[0]:
-            best = (w.residual, w)
-        return float(norms.max()) if norms.size else 0.0
-
-    jac = 0.0
-    for i, j, k in itertools.combinations(range(A.rank), 3):
-        ei, ej, ek = A.frame(i), A.frame(j), A.frame(k)
-        J = A.bracket(A.bracket(ei, ej), ek) + A.bracket(A.bracket(ej, ek), ei) + A.bracket(A.bracket(ek, ei), ej)
-        vals = eval_exprs(J.components, env, base)
-        jac = max(jac, consider("jacobi", (i, j, k), vals))
-
-    anc = 0.0
-    m = A.chart.dim
-    for i, j in itertools.combinations(range(A.rank), 2):
-        if m == 0:
+    anchor = [[anchor_defect(i, j, a) for a in range(len(coords))] for i, j in pairs]
+    best: AxiomWitness | None = None
+    sups = []
+    for kind, indices, exprs in (("jacobi", triples, jacobi), ("anchor", pairs, anchor)):
+        pts, vals = sampled_values(A.chart, exprs, n_points, seed)  # (point, identity, component)
+        if not vals.size:
+            sups.append(0.0)
             continue
-        cvec = A.structure_vector(i, j)
-        resid = []
-        for a in range(m):
-            lhs = dot(cvec, (row[a] for row in A.anchor))
-            rhs = total(
-                sub(mul(A.anchor[i][b], A.anchor[j][a].diff(name)), mul(A.anchor[j][b], A.anchor[i][a].diff(name)))
-                for b, name in enumerate(A.chart.coords)
-            )
-            resid.append(sub(lhs, rhs))
-        vals = eval_exprs(tuple(resid), env, base)
-        anc = max(anc, consider("anchor", (i, j), vals))
-
+        norms = np.max(np.abs(vals), axis=-1).T
+        f, at = np.unravel_index(np.argmax(norms), norms.shape)
+        sups.append(float(norms[f, at]))
+        if best is None or sups[-1] > best.residual:
+            point, values = tuple(map(float, pts[at])), tuple(map(float, vals[at, f]))
+            best = AxiomWitness(kind, indices[f], point, sups[-1], values)
     return AxiomReport(
-        jacobi_residual=jac,
-        anchor_residual=anc,
+        jacobi_residual=sups[0],
+        anchor_residual=sups[1],
         tol=tol,
         n_points=n_points,
         seed=seed,
-        witness=None if best is None else best[1],
+        witness=best,
     )
 
 

@@ -10,6 +10,7 @@ concatenation) preserve that property up to grid error.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,8 +19,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Algebroid, Chart, Section, eval_exprs, make_cotangent_poisson, make_tangent
-from .expr import NonFiniteError, as_expr, compile_exprs
+from .core import (
+    Algebroid, Chart, Section, eval_exprs, make_cotangent_poisson, make_tangent,
+    product_chart, sampled_values, sup_norm,
+)
+from .expr import NonFiniteError, as_expr, compile_exprs, sub
 
 __all__ = [
     "Cube",
@@ -556,36 +560,28 @@ def _time_names(chart: Chart, n: int) -> tuple[str, ...]:
     return names
 
 
-def commutation_residual(
-    A: Algebroid,
-    sections: Sequence,
-    n_points: int = 50,
-    seed: int = 0,
-) -> float:
-    """Largest curvature of a family depending on times ``t1 .. tn`` over sampled (t, x).
+COMMUTATION_POINTS, COMMUTATION_SEED = 50, 0  # the sample commutation_residual draws
+
+
+def commutation_residual(A: Algebroid, sections: Sequence) -> float:
+    """Largest curvature of a family depending on times ``t1 .. tn`` over sampled (x, t).
 
     For each pair of axes this evaluates the difference between the
     crossed time derivatives and the pointwise bracket; a commuting
     family (the integrability hypothesis behind ``cube_from_sections``)
-    gives zero.
+    gives zero.  All pairs form one program, run at the
+    ``COMMUTATION_POINTS`` points of :func:`core.sampled_values` on the
+    product of the chart and the time box [0, 1]^n, so the times are
+    sampled in [0.01, 0.99].
     """
     secs = _coerce_sections(A, sections)
-    n = len(secs)
-    names = _time_names(A.chart, n)
-    rng = np.random.default_rng(seed)
-    pts = A.chart.sample(n_points, rng)
-    tvals = rng.uniform(size=(n_points, n))
-    env = A.chart.env(pts)
-    env.update({names[i]: tvals[:, i] for i in range(n)})
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            kappa = Section(
-                tuple(a.diff(names[j]) for a in secs[i].components)
-            ) - Section(tuple(a.diff(names[i]) for a in secs[j].components)) - A.bracket(secs[i], secs[j])
-            vals = eval_exprs(kappa.components, env, (n_points,))
-            worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
+    names = _time_names(A.chart, len(secs))
+    kappa = [
+        [sub(sub(a.diff(tj), b.diff(ti)), c) for a, b, c in zip(si, sj, A.bracket(si, sj))]
+        for (ti, si), (tj, sj) in itertools.combinations(zip(names, secs), 2)
+    ]
+    chart = product_chart(A.chart, Chart(names, ((0.0, 1.0),) * len(names)))
+    return sup_norm(sampled_values(chart, kappa, COMMUTATION_POINTS, COMMUTATION_SEED)[1])
 
 
 def cube_from_sections(
@@ -749,6 +745,8 @@ def save_cube(cube: Cube, path) -> None:
 def load_cube(path, A: Algebroid) -> Cube:
     """Read a cube saved by :func:`save_cube` and bind it to an algebroid."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict) or not {"n", "N", "r", "m", "gamma", "a"} <= payload.keys():
+        raise ValueError("cube file must hold an object with keys n, N, r, m, gamma and a")
     if payload["r"] != A.rank or payload["m"] != A.chart.dim:
         raise ValueError(
             f"cube file is rank {payload['r']} over a {payload['m']}-dimensional chart, "

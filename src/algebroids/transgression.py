@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Algebroid, Section, eval_exprs
+from .core import Algebroid, eval_exprs, sampled_values, sup_norm
 from .cubes import Cube, Spline, bicubic, coarsen, cutoff, cutoff_prime, face, half_steps, resample
 from .fibration import (
     Curvature2Form,
@@ -114,35 +114,35 @@ def _with_estimate(compute, cube: Cube):
     return value, est, face_cube
 
 
-def centrality_residual(fib: Fibration, n_points: int = 25, seed: int = 0) -> tuple[float, float]:
+CENTRALITY_POINTS, CENTRALITY_SEED = 25, 0  # the sample centrality_residual draws
+
+
+def centrality_residual(fib: Fibration) -> tuple[float, float]:
     """Sampled failure of the kernel to be abelian and of the curvature to be central.
 
-    Returns the pair (abelian residual, centrality residual).  The
-    integral formulas below summarize a kernel class by its frame
-    coefficients, which is meaningful when the kernel is abelian or at
-    least the curvature values commute with the kernel; callers gate on
-    the smaller of the two numbers.
+    Returns the pair (abelian residual, centrality residual): the kernel
+    frame brackets and the brackets of the curvature values with the
+    kernel frame, each group one program at the ``CENTRALITY_POINTS``
+    points of :func:`core.sampled_values`.  The integral formulas below
+    summarize a kernel class by its frame coefficients, which is
+    meaningful when the kernel is abelian or at least the curvature
+    values commute with the kernel; callers gate on the smaller of the
+    two numbers.
     """
     rK = fib.kernel_rank
-    rng = np.random.default_rng(seed)
-    pts = fib.chart.sample(n_points, rng)
-    env = fib.chart.env(pts)
-
-    def sup(section: Section) -> float:
-        vals = eval_exprs(tuple(section.components), env, pts.shape[:-1])
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
-
-    abelian = 0.0
-    for s in range(rK):
-        for t in range(s + 1, rK):
-            abelian = max(abelian, sup(fib.total.bracket(fib.kernel_section(s), fib.kernel_section(t))))
-
-    central = 0.0
-    for vec in curvature(fib).entries.values():
-        w = fib.from_kernel_coefficients(vec)
-        for t in range(rK):
-            central = max(central, sup(fib.total.bracket(w, fib.kernel_section(t))))
-    return abelian, central
+    kernel = [fib.kernel_section(s) for s in range(rK)]
+    abelian = [
+        fib.total.bracket(kernel[s], kernel[t]).components for s in range(rK) for t in range(s + 1, rK)
+    ]
+    central = [
+        fib.total.bracket(w, k).components
+        for w in map(fib.from_kernel_coefficients, curvature(fib).entries.values())
+        for k in kernel
+    ]
+    return tuple(
+        sup_norm(sampled_values(fib.chart, group, CENTRALITY_POINTS, CENTRALITY_SEED)[1])
+        for group in (abelian, central)
+    )
 
 
 def _check_centrality(fib: Fibration, tol: Optional[float], what: str) -> None:

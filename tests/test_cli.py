@@ -312,22 +312,47 @@ def test_grid_over_budget_is_rejected_by_describe_and_run(tmp_path, monkeypatch,
     assert not list(out.glob("*.json"))
 
 
+FILE_CUBE_CFG = (
+    "[chart plane]\ncoords = x y\nbounds = -3 3; -3 3\n\n"
+    "[algebroid T]\nkind = tangent\nchart = plane\n\n"
+    "[cube c]\nalgebroid = T\nsource = file\npath = bad.json\n\n"
+    "[task f]\nkind = flow\ncube = c\n"
+)
+
+
 def test_non_finite_file_cube_is_rejected_with_its_line(tmp_path, capsys):
     grid = [[0.1 * i, 0.0] for i in range(5)]
     coeffs = [[[0.1, float("nan")]] * 5]
     payload = {"n": 1, "N": 4, "r": 2, "m": 2, "basepoint": grid[0], "gamma": grid, "a": coeffs}
     (tmp_path / "bad.json").write_text(json.dumps(payload), encoding="utf-8")
-    cfg = tmp_path / "file.cfg"
-    cfg.write_text(
-        "[chart plane]\ncoords = x y\nbounds = -3 3; -3 3\n\n"
-        "[algebroid T]\nkind = tangent\nchart = plane\n\n"
-        "[cube c]\nalgebroid = T\nsource = file\npath = bad.json\n\n"
-        "[task f]\nkind = flow\ncube = c\n",
-        encoding="utf-8",
-    )
+    cfg = write(tmp_path, FILE_CUBE_CFG, "file.cfg")
     assert main(["run", str(cfg), "--out", str(tmp_path / "reports")]) == 2
     err = capsys.readouterr().err
     assert "line 9:" in err and "NaN or inf" in err, err
+
+
+@pytest.mark.parametrize("payload", [{"n": 1}, [1, 2]], ids=["missing_keys", "not_an_object"])
+def test_malformed_file_cube_is_rejected_before_any_report(tmp_path, capsys, payload):
+    (tmp_path / "bad.json").write_text(json.dumps(payload), encoding="utf-8")
+    cfg = write(tmp_path, FILE_CUBE_CFG, "file.cfg")
+    out = tmp_path / "reports"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 9:" in err and "keys n, N, r, m, gamma and a" in err, err
+    assert not list(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", ["missing/dir/c.json", "..", "."])
+def test_save_outside_the_report_directory_is_rejected_at_its_line(tmp_path, capsys, name):
+    text = (CONFIG_DIR / "plane_area.cfg").read_text(encoding="utf-8")
+    text = text.replace("expect_tol = 1e-3\n", f"expect_tol = 1e-3\nsave = {name}\n")
+    cfg = write(tmp_path, text)
+    out = tmp_path / "reports"
+    for argv in (["describe", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert f"line {_line_of(text, f'save = {name}')}:" in err and "bare file name" in err, err
+    assert not list(out.glob("*.json"))
 
 
 def test_undefined_estimates_are_written_as_null(tmp_path):

@@ -129,6 +129,18 @@ def test_curvature_identity_detects_nonflat_action():
     assert not check_axioms(fib.total, n_points=50).passed
 
 
+def test_curvature_identity_sees_the_commutator_of_a_nonabelian_action():
+    # the pure gauge g = exp(xA) exp(yB): a flat connection whose two action
+    # matrices do not commute, so [F_x, F_y] enters the curvature identity
+    twist = {(0, 1): ["1", "x"]}
+    action_y = [["0", "0"], ["1", "0"]]
+    fib = rep_extension_fibration(make_tangent(PLANE), 2, [[["y", "1"], ["-y^2", "-y"]], action_y], twist=twist)
+    assert max(identity_residuals(fib, n_points=50).values()) < 1e-12
+    assert check_axioms(fib.total, n_points=50).passed
+    bent = rep_extension_fibration(make_tangent(PLANE), 2, [[["0", "1"], ["0", "0"]], action_y], twist=twist)
+    assert identity_residuals(bent, n_points=50)["curvature_identity"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_bianchi_detects_nonclosed_twist():
     fib = rep_extension_fibration(
         make_tangent(SPACE), 1, action=[[["0"]], [["0"]], [["0"]]], twist={(0, 1): ["z"]}

@@ -182,6 +182,38 @@ def test_centrality_guard_blocks_nonabelian_noncentral_kernels():
     assert centrality_residual(jac) == (0.0, 0.0)
 
 
+def test_each_sampled_identity_family_is_one_program(monkeypatch):
+    from algebroids import core
+    from algebroids.core import check_axioms, make_rep_extension
+    from algebroids.transgression import centrality_residual
+
+    calls = []
+
+    def counting(exprs, env, base_shape):
+        calls.append(base_shape)
+        return evaluate(exprs, env, base_shape)
+
+    evaluate = core.eval_exprs
+    monkeypatch.setattr(core, "eval_exprs", counting)
+    # the rank-two kernel of the transport_square workload: a flat rotation action and a twist
+    w = 0.7
+    rotation = [[["0", "0"], ["0", "0"]], [["0", str(w)], [str(-w), "0"]]]
+    R = make_rep_extension(make_tangent(PLANE), 2, rotation, twist={(0, 1): ["1", "x"]})
+    assert check_axioms(R, tol=1e-8).passed
+    assert len(calls) == 2  # all Jacobi triples, then all anchor pairs
+    G = Fibration(
+        total=R,
+        base=make_tangent(PLANE),
+        projection=(("0", "0", "1", "0"), ("0", "0", "0", "1")),
+        splitting=(("0.3*y", "0"), ("0", "0.3*x"), ("1", "0"), ("0", "1")),
+        kernel=(("1", "0", "0", "0"), ("0", "1", "0", "0")),
+    )
+    calls.clear()
+    abelian, central = centrality_residual(G)
+    assert abelian == 0.0 and central < 1e-12
+    assert len(calls) == 2  # the abelian brackets, then the central ones
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     b=st.floats(-1.5, 1.5).filter(lambda v: abs(v) > 0.05),

@@ -18,8 +18,9 @@ checkout ``OTHER`` too (``python -m algebroids run`` with
 its hash, the largest absolute and relative difference between the
 numeric leaves of the two reports, then the largest of each over all
 files.  A leaf that is zero in one report reads relative 1.  A leaf
-present in only one report, or a differing non-numeric leaf, is
-printed by name:
+present in only one report, a differing non-numeric leaf, or a zero
+leaf whose sign differs (``0.0`` against ``-0.0``, which the absolute
+difference cannot see) is printed by name:
 
     python3 scripts/report_digest.py 11 --against ../parent
 
@@ -34,6 +35,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -84,6 +86,8 @@ def drift(a: Path, b: Path) -> tuple[float, float, list[str]]:
             if x != y:
                 mismatched.append(key)
             continue
+        if x == y == 0 and math.copysign(1, x) != math.copysign(1, y):
+            mismatched.append(key)
         gap = abs(x - y)
         worst_abs = max(worst_abs, gap)
         if gap:

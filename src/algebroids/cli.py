@@ -49,6 +49,7 @@ from .core import (
     make_lie_algebra,
     make_rep_extension,
     make_tangent,
+    pair_table,
 )
 from .cubes import (
     cotangent_lift,
@@ -289,7 +290,7 @@ def _bounds(text: str) -> tuple[tuple[float, float], ...]:
 
 
 def _table(text: str) -> dict[tuple[int, int], tuple]:
-    """``i j: e1, e2, ...`` chunks; index ranges and lengths are checked by the constructors."""
+    """``i j: e1, e2, ...`` chunks; index ranges and lengths are checked by ``_check_table``."""
     out: dict[tuple[int, int], tuple] = {}
     for chunk in text.split(";"):
         if not chunk.strip():
@@ -375,6 +376,33 @@ def _fit_grid(sec: SectionSpec, p, A, what: str = "the cube", n: int | None = No
             f"over the {GRID_BUDGET_BYTES // 2**20} MiB budget",
             sec.where("N"),
         )
+
+
+def _check_table(sec: SectionSpec, key: str, table, n: int, width: int) -> None:
+    """Run the pair-table check of ``core`` on a parsed table, at its key's line."""
+    try:
+        pair_table(table or {}, n, width, key)
+    except ValueError as err:
+        raise ConfigError(f"[{sec.kind} {sec.name}] {err}", sec.where(key)) from None
+
+
+def _check_structure(ws, sec, p) -> None:
+    _check_table(sec, "structure", p.structure, p.rank, p.rank)
+
+
+def _check_bivector(ws, sec, p) -> None:
+    m = ws.build("chart", p.chart).dim
+    _fit(sec, "bivector", len(p.bivector), m, "rows")
+    _fit(sec, "bivector", len(p.bivector[0]), m, "entries per row")
+
+
+def _check_rep_extension(ws, sec, p) -> None:
+    rB, d = ws.build("algebroid", p.base).rank, p.fiber_dim
+    _fit(sec, "action", len(p.action), rB, "matrices (one per base frame)")
+    for M in p.action:
+        _fit(sec, "action", len(M), d, "rows per matrix")
+        _fit(sec, "action", len(M[0]), d, "entries per row")
+    _check_table(sec, "twist", p.twist, rB, d)
 
 
 def _check_file(ws, sec, p) -> None:
@@ -482,20 +510,23 @@ _SCHEMA: dict[str, dict[str | None, Form]] = {
     "algebroid": {
         "tangent": Form({"chart": _CHART}),
         "lie_algebra": Form(
-            {"rank": _RANK, "structure": _STRUCTURE, "chart": Key(default=None, refers="chart")}
+            {"rank": _RANK, "structure": _STRUCTURE, "chart": Key(default=None, refers="chart")},
+            _check_structure,
         ),
-        "cotangent_poisson": Form({"chart": _CHART, "bivector": _BIVECTOR}),
-        "jacobi_extension": Form({"chart": _CHART, "bivector": _BIVECTOR}),
+        "cotangent_poisson": Form({"chart": _CHART, "bivector": _BIVECTOR}, _check_bivector),
+        "jacobi_extension": Form({"chart": _CHART, "bivector": _BIVECTOR}, _check_bivector),
         "rep_extension": Form(
             {
                 "base": _ALGEBROID,
                 "fiber_dim": Key(_integer(1)),
                 "action": Key(_matrices),
                 "twist": Key(_table, None),
-            }
+            },
+            _check_rep_extension,
         ),
         "explicit": Form(
-            {"chart": _CHART, "rank": _RANK, "anchor": Key(_matrix), "structure": _STRUCTURE}
+            {"chart": _CHART, "rank": _RANK, "anchor": Key(_matrix), "structure": _STRUCTURE},
+            _check_structure,
         ),
     },
     "fibration": {

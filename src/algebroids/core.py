@@ -113,14 +113,16 @@ def eval_exprs(exprs, env: Mapping[str, object], base_shape: tuple) -> np.ndarra
     return np.asarray(evaluate(exprs, env, base_shape))
 
 
-def sampled_values(chart: Chart, exprs, n_points: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """``n_points`` seeded interior points of a chart, and a nested sequence of Exprs evaluated there.
+def sampled_values(chart: Chart, families, n_points: int, seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``n_points`` seeded interior points of a chart, and each family of Exprs evaluated there.
 
-    Every sampled identity check draws its points here and makes one
-    :func:`eval_exprs` call; the values have shape (n_points,) + nested shape.
+    Every sampled identity check draws its points here, once, and makes
+    one :func:`eval_exprs` call per family (a nested sequence of Exprs);
+    the values of a family have shape (n_points,) + its nested shape.
     """
     pts = chart.sample(n_points, np.random.default_rng(seed))
-    return pts, eval_exprs(exprs, chart.env(pts), (n_points,))
+    env = chart.env(pts)
+    return pts, [eval_exprs(exprs, env, (n_points,)) for exprs in families]
 
 
 def sup_norm(values: np.ndarray) -> float:
@@ -380,8 +382,8 @@ def check_axioms(A: Algebroid, n_points: int = 200, seed: int = 42, tol: float =
     anchor = [[anchor_defect(i, j, a) for a in range(len(coords))] for i, j in pairs]
     best: AxiomWitness | None = None
     sups = []
-    for kind, indices, exprs in (("jacobi", triples, jacobi), ("anchor", pairs, anchor)):
-        pts, vals = sampled_values(A.chart, exprs, n_points, seed)  # (point, identity, component)
+    pts, values = sampled_values(A.chart, (jacobi, anchor), n_points, seed)  # (point, identity, component)
+    for kind, indices, vals in (("jacobi", triples, values[0]), ("anchor", pairs, values[1])):
         if not vals.size:
             sups.append(0.0)
             continue

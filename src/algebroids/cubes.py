@@ -581,7 +581,7 @@ def commutation_residual(A: Algebroid, sections: Sequence) -> float:
         for (ti, si), (tj, sj) in itertools.combinations(zip(names, secs), 2)
     ]
     chart = product_chart(A.chart, Chart(names, ((0.0, 1.0),) * len(names)))
-    return sup_norm(sampled_values(chart, kappa, COMMUTATION_POINTS, COMMUTATION_SEED)[1])
+    return sup_norm(sampled_values(chart, [kappa], COMMUTATION_POINTS, COMMUTATION_SEED)[1][0])
 
 
 def cube_from_sections(
@@ -752,8 +752,11 @@ def load_cube(path, A: Algebroid) -> Cube:
             f"cube file is rank {payload['r']} over a {payload['m']}-dimensional chart, "
             f"algebroid is rank {A.rank} over {A.chart.dim} coordinates"
         )
-    gamma = np.asarray(payload["gamma"], dtype=float)
-    coeffs = np.asarray(payload["a"], dtype=float)
+    try:
+        gamma = np.asarray(payload["gamma"], dtype=float)
+        coeffs = np.asarray(payload["a"], dtype=float)
+    except TypeError as err:
+        raise ValueError(f"cube file gamma and a must be nested lists of numbers ({err})") from None
     cube = Cube(A, gamma, coeffs)
     if cube.n != payload["n"] or cube.N != payload["N"]:
         raise ValueError("cube file header disagrees with its array shapes")

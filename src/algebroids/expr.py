@@ -7,8 +7,12 @@ trees, into a :class:`Program`: equal subtrees become one shared
 node, and the nodes run as a straight-line list of numpy calls that
 writes every entry into one preallocated array.  Owners of hot matrices
 compile once and keep the program; :func:`evaluate` compiles anything
-else on the fly.  The environment holds floats or numpy arrays and
-evaluation is deterministic.  Division by zero, log/sqrt domain
+else on the fly.  An evaluation over more than ``BLOCK`` points runs
+the op list over blocks of the leading axis, so that the temporaries of
+each op stay in the L2 cache; every point goes through the same ufunc
+calls either way, so blocking changes no bit of the result.  The
+environment holds floats or numpy arrays and evaluation is
+deterministic.  Division by zero, log/sqrt domain
 violations and zero to a negative power raise :class:`DomainError`,
 and so does any NaN or inf in the result (as :class:`NonFiniteError`).
 Differentiation is exact and closed over the node kinds defined here.
@@ -55,6 +59,7 @@ __all__ = [
     "exp",
     "log",
     "sqrt",
+    "BLOCK",
     "Program",
     "compile_exprs",
     "evaluate",
@@ -353,10 +358,11 @@ class Program:
     stores ``fn(slot a[, slot b])`` in slot ``dst``, copies that value
     to the output positions ``writes`` and then drops the slots
     ``dead``, which nothing later reads.  ``shape`` is the nested shape
-    of the output.
+    of the output and ``size`` the number of its entries.
     """
 
     shape: tuple
+    size: int
     registers: tuple
     loads: tuple
     prelude: tuple
@@ -425,7 +431,31 @@ def compile_exprs(exprs) -> Program:
         for pos, (name, a, b, dst) in enumerate(ops)
     )
     prelude = tuple((index, s) for s, indices in writes.items() for index in indices)
-    return Program(cells.shape, tuple(registers), tuple(loads), prelude, program_ops)
+    return Program(cells.shape, cells.size, tuple(registers), tuple(loads), prelude, program_ops)
+
+
+# Points per block of a blocked evaluation.  Each op of a program reads
+# one or two per-point arrays and writes one; at 2**15 float64 points an
+# array is 256 kB, so an op and the values it feeds stay in a 2 MB L2
+# cache instead of streaming whole grids through it once per op.
+BLOCK = 2**15
+
+
+def _blocks(program: Program, regs: list, out: np.ndarray, ndim: int):
+    """Registers and output view of each block of at most ``BLOCK`` points of the leading axis.
+
+    A variable that spans the leading axis is sliced with the output; one
+    that is constant along it is shared by every block at its own shape.
+    Constants and exponents are reloaded for each block.
+    """
+    lead = out.shape[0]
+    rows = max(1, BLOCK * program.size * lead // out.size)
+    for start in range(0, lead, rows):
+        block = list(program.registers)
+        for slot, _ in program.loads:
+            v = regs[slot]
+            block[slot] = v[start : start + rows] if v.ndim == ndim and v.shape[0] == lead else v
+        yield block, out[start : start + rows]
 
 
 def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None):
@@ -439,6 +469,13 @@ def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None):
     Unbound variables, division by zero, log/sqrt domain violations,
     zero to a negative power and any non-finite result raise errors
     rather than producing NaN or inf.
+
+    Over more than ``BLOCK`` points the op list runs once per block of
+    rows of the leading axis (see :func:`_blocks`), writing each block's
+    slice of the output: every op is elementwise, so the result is
+    bitwise that of one whole-grid run.  The domain checks run on every
+    block and the non-finite check reads the whole output.  Smaller
+    calls run the op list once over the whole arrays.
     """
     program = e if isinstance(e, Program) else compile_exprs(e)
     regs = list(program.registers)
@@ -452,13 +489,18 @@ def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None):
     out = np.empty(tuple(base_shape) + program.shape)
     for index, slot in program.prelude:
         out[index] = regs[slot]
+    if out.size <= BLOCK * program.size:
+        blocks = ((regs, out),)
+    else:
+        blocks = _blocks(program, regs, out, len(base_shape))
     with np.errstate(all="ignore"):  # overflow and NaN are caught at the outputs below
-        for _, fn, dst, a, b, writes, dead in program.ops:
-            v = regs[dst] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
-            for index in writes:
-                out[index] = v
-            for slot in dead:
-                regs[slot] = None
+        for regs, view in blocks:
+            for _, fn, dst, a, b, writes, dead in program.ops:
+                v = regs[dst] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
+                for index in writes:
+                    view[index] = v
+                for slot in dead:
+                    regs[slot] = None
     if not np.isfinite(out).all():
         where = np.argwhere(~np.isfinite(out))[0][len(base_shape) :]
         raise NonFiniteError(f"non-finite value at output {tuple(int(i) for i in where)}")

@@ -344,24 +344,21 @@ def identity_residuals(fib: Fibration, n_points: int = 100) -> dict[str, float]:
     frame), ``curvature_identity`` (``D_i D_j e_s - D_j D_i e_s -
     D_[e_i,e_j] e_s`` through :func:`covariant_derivative`, against the
     bracket with the curvature form) and ``bianchi`` (cyclic covariant
-    derivative of the curvature form).  Each family is one program at the
-    ``n_points`` points of :func:`core.sampled_values` under ``IDENTITY_SEED``.
+    derivative of the curvature form).  Each family is one program, and
+    all six run at the same ``n_points`` points of
+    :func:`core.sampled_values`, drawn once under ``IDENTITY_SEED``.
     """
     E, B = fib.total, fib.base
     rE, rB, rK = E.rank, B.rank, fib.kernel_rank
     m = fib.chart.dim
-
-    def sup(exprs) -> float:
-        return sup_norm(sampled_values(fib.chart, list(exprs), n_points, IDENTITY_SEED)[1])
-
-    out: dict[str, float] = {}
+    families: dict[str, list] = {}
 
     anchor = [
         sub(dot((row[j] for row in fib.projection), (row[a] for row in B.anchor)), E.anchor[j][a])
         for j in range(rE)
         for a in range(m)
     ]
-    out["anchor_match"] = sup(anchor)
+    families["anchor_match"] = anchor
 
     morph = []
     for i in range(rB):
@@ -373,11 +370,11 @@ def identity_residuals(fib: Fibration, n_points: int = 100) -> dict[str, float]:
                 acc = sub(acc, E.anchor_apply(E.frame(j), fib.projection[i][k]))
                 acc = add(acc, E.anchor_apply(E.frame(k), fib.projection[i][j]))
                 morph.append(acc)
-    out["projection_morphism"] = sup(morph)
+    families["projection_morphism"] = morph
 
     lifts = [fib.project_section(fib.horizontal_lift(B.frame(i))) for i in range(rB)]
-    out["splitting_identity"] = sup(sub(p[u], ONE if u == i else ZERO) for i, p in enumerate(lifts) for u in range(rB))
-    out["kernel_in_kernel"] = sup(c for s in range(rK) for c in fib.project_section(fib.kernel_section(s)))
+    families["splitting_identity"] = [sub(p[u], ONE if u == i else ZERO) for i, p in enumerate(lifts) for u in range(rB)]
+    families["kernel_in_kernel"] = [c for s in range(rK) for c in fib.project_section(fib.kernel_section(s))]
 
     omega = curvature(fib)
 
@@ -392,7 +389,7 @@ def identity_residuals(fib: Fibration, n_points: int = 100) -> dict[str, float]:
             lhs = D(i, D(j, e_s)) - D(j, D(i, e_s)) - covariant_derivative(fib, B.bracket(B.frame(i), B.frame(j)), e_s)
             rhs = fib.kernel_coefficients(E.bracket(w_total, fib.kernel_section(s)))
             curv.extend(sub(a, b) for a, b in zip(lhs.components, rhs))
-    out["curvature_identity"] = sup(curv)
+    families["curvature_identity"] = curv
 
     bianchi = []
     for i, j, k in itertools.combinations(range(rB), 3):
@@ -408,9 +405,10 @@ def identity_residuals(fib: Fibration, n_points: int = 100) -> dict[str, float]:
                 terms.append(term)
             cyclic.append(terms)
         bianchi.extend(total(col) for col in zip(*cyclic))
-    out["bianchi"] = sup(bianchi)
+    families["bianchi"] = bianchi
 
-    return out
+    _, values = sampled_values(fib.chart, families.values(), n_points, IDENTITY_SEED)
+    return dict(zip(families, map(sup_norm, values)))
 
 
 # --- lifting cubes ----------------------------------------------------------------

@@ -99,18 +99,31 @@ def _trapezoid(field: np.ndarray, N: int, axes: int) -> np.ndarray:
 def _with_estimate(compute, cube: Cube):
     """Run a grid functional at full and half resolution.
 
-    The difference across one refinement is the reported error estimate.
-    Even grids are thinned exactly; odd grids are respliced onto the
-    half grid first.  Only degenerate node counts leave the estimate
-    undefined.
+    ``compute(c)`` returns ``(value, face, field)`` on the cube ``c``: the
+    value, the face it read (or None), and, when the value is the double
+    trapezoid of a pointwise integrand, that integrand's node field (else
+    None).  The difference between the values at N and N/2 is the
+    reported error estimate, and only degenerate node counts (N < 6)
+    leave it undefined.  On even N a node field is sliced: the half-grid
+    value is the trapezoid of ``field[::2, ::2]``, which holds the nodes
+    of the coarsened cube, so it is bitwise the value a rerun on that
+    cube would give, without a second cube or evaluation; the finiteness,
+    chart-box and domain checks a rerun would make cover a subset of the
+    nodes the full cube and evaluation already checked.  The monodromy
+    period and the formula route with trivial transport or no kernel
+    slice.  The lift route and nontrivial transport rerun on the
+    coarsened cube, and every route reruns on odd N, on the cube
+    respliced onto the half grid.
     """
-    value, face_cube = compute(cube)
-    if cube.N >= 6:
-        half = coarsen(cube) if cube.N % 2 == 0 else resample(cube, cube.N // 2)
-        hvalue, _ = compute(half)
-        est = float(np.max(np.abs(value - hvalue))) if value.size else 0.0
+    value, face_cube, field = compute(cube)
+    if cube.N < 6:
+        return value, float("nan"), face_cube
+    if field is not None and cube.N % 2 == 0:
+        hvalue = _trapezoid(field[::2, ::2], cube.N // 2, 2)
     else:
-        est = float("nan")
+        half = coarsen(cube) if cube.N % 2 == 0 else resample(cube, cube.N // 2)
+        hvalue = compute(half)[0]
+    est = float(np.max(np.abs(value - hvalue))) if value.size else 0.0
     return value, est, face_cube
 
 
@@ -139,10 +152,8 @@ def centrality_residual(fib: Fibration) -> tuple[float, float]:
         for w in map(fib.from_kernel_coefficients, curvature(fib).entries.values())
         for k in kernel
     ]
-    return tuple(
-        sup_norm(sampled_values(fib.chart, group, CENTRALITY_POINTS, CENTRALITY_SEED)[1])
-        for group in (abelian, central)
-    )
+    _, values = sampled_values(fib.chart, (abelian, central), CENTRALITY_POINTS, CENTRALITY_SEED)
+    return tuple(map(sup_norm, values))
 
 
 def _check_centrality(fib: Fibration, tol: Optional[float], what: str) -> None:
@@ -174,7 +185,7 @@ def transgress_lift(fib: Fibration, cube: Cube) -> TransgressionResult:
         lifted = lift_cube(fib, c)
         top = face(lifted, axis=c.n - 1, end=1)
         kappa = kernel_coefficient_values(fib, top.gamma, top.coeffs[0])
-        return _trapezoid(kappa, c.N, c.n - 1), top
+        return _trapezoid(kappa, c.N, c.n - 1), top, None
 
     value, est, top = _with_estimate(compute, cube)
     return TransgressionResult(value=value, est_error=est, method="lift", N=cube.N, face=top)
@@ -202,11 +213,11 @@ def transgress2_formula(
 
     def compute(c: Cube):
         field = om.pairing(c.gamma, c.coeffs)
-        if not fib.transport_is_trivial and fib.kernel_rank:
-            V = transport_matrix(fib, c)
-            back = np.linalg.solve(V, field[..., None])[..., 0]
-            field = np.einsum("ist,ijt->ijs", V[:, -1], back)
-        return _trapezoid(field, c.N, 2), None
+        if fib.transport_is_trivial or not fib.kernel_rank:
+            return _trapezoid(field, c.N, 2), None, field
+        V = transport_matrix(fib, c)
+        back = np.linalg.solve(V, field[..., None])[..., 0]
+        return _trapezoid(np.einsum("ist,ijt->ijs", V[:, -1], back), c.N, 2), None, None
 
     value, est, _ = _with_estimate(compute, cube)
     return TransgressionResult(value=value, est_error=est, method="formula", N=cube.N, face=None)
@@ -237,7 +248,8 @@ def _period(fib: Fibration, om: Curvature2Form, cube: Cube) -> TransgressionResu
     _require_cube(fib, cube, fib.base, "monodromy_period")
 
     def compute(c: Cube):
-        return _trapezoid(om.pairing(c.gamma, c.coeffs), c.N, 2), None
+        field = om.pairing(c.gamma, c.coeffs)
+        return _trapezoid(field, c.N, 2), None, field
 
     value, est, _ = _with_estimate(compute, cube)
     return TransgressionResult(value=value, est_error=est, method="monodromy", N=cube.N, face=None)

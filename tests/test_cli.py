@@ -331,14 +331,25 @@ def test_non_finite_file_cube_is_rejected_with_its_line(tmp_path, capsys):
     assert "line 9:" in err and "NaN or inf" in err, err
 
 
-@pytest.mark.parametrize("payload", [{"n": 1}, [1, 2]], ids=["missing_keys", "not_an_object"])
-def test_malformed_file_cube_is_rejected_before_any_report(tmp_path, capsys, payload):
+_WRONG_KIND = {"n": 1, "N": 4, "r": 2, "m": 2, "gamma": {"a": 1}, "a": [[[0.1, 0.0]] * 5]}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"n": 1}, "keys n, N, r, m, gamma and a"),
+        ([1, 2], "keys n, N, r, m, gamma and a"),
+        (_WRONG_KIND, "gamma and a must be nested lists of numbers"),
+    ],
+    ids=["missing_keys", "not_an_object", "wrong_kind"],
+)
+def test_malformed_file_cube_is_rejected_before_any_report(tmp_path, capsys, payload, message):
     (tmp_path / "bad.json").write_text(json.dumps(payload), encoding="utf-8")
     cfg = write(tmp_path, FILE_CUBE_CFG, "file.cfg")
     out = tmp_path / "reports"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "line 9:" in err and "keys n, N, r, m, gamma and a" in err, err
+    assert "line 9:" in err and message in err, err
     assert not list(out.glob("*.json"))
 
 
@@ -370,6 +381,40 @@ def test_undefined_estimates_are_written_as_null(tmp_path):
 
 def _line_of(text, entry):
     return text.splitlines().index(entry) + 1
+
+
+_PLANE_TANGENT = "[chart plane]\ncoords = x y\nbounds = -3 3; -3 3\n\n[algebroid T]\nkind = tangent\nchart = plane\n\n"
+
+
+@pytest.mark.parametrize(
+    "text, entry, message",
+    [
+        (
+            "[algebroid g]\nkind = lie_algebra\nrank = 3\nstructure = 0 5: 1, 0, 0\n",
+            "structure = 0 5: 1, 0, 0",
+            "structure key (0, 5) must satisfy 0 <= i < j < 3",
+        ),
+        (
+            _PLANE_TANGENT + "[algebroid E]\nkind = rep_extension\nbase = T\nfiber_dim = 1\n"
+            "action = 0 | 0\ntwist = 0 1: 1, 2\n",
+            "twist = 0 1: 1, 2",
+            "twist value for (0, 1) must have 1 components",
+        ),
+        (
+            _PLANE_TANGENT + "[algebroid E]\nkind = rep_extension\nbase = T\nfiber_dim = 1\n"
+            "action = 0 | 0 | 0\n",
+            "action = 0 | 0 | 0",
+            "action needs 2 matrices",
+        ),
+    ],
+    ids=["structure", "twist", "action"],
+)
+def test_algebroid_table_errors_name_the_key_line(tmp_path, capsys, text, entry, message):
+    cfg = write(tmp_path, text)
+    for argv in (["describe", str(cfg)], ["run", str(cfg), "--out", str(tmp_path / "r")]):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert f"line {_line_of(text, entry)}:" in err and message in err, err
 
 
 def test_cotangent_lift_off_the_plane_is_rejected_by_describe_and_run(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import operator
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebroids.expr import (
+    BLOCK,
     ZERO,
     Binary,
     Const,
@@ -349,3 +351,66 @@ def test_program_shares_equal_subtrees_built_separately():
     # 0.0 and -0.0 stay distinct constants
     zeros = evaluate((Const(0.0), Const(-0.0)), {})
     assert np.signbit(zeros).tolist() == [False, True]
+
+
+# --- blocked evaluation -----------------------------------------------------------
+
+# 50 rows of 1001 points: more than BLOCK points, with a block boundary inside the grid
+_ROWS, _COLS = 50, 1001
+
+
+def _grid_env():
+    rng = np.random.default_rng(7)
+    return {
+        "x": rng.uniform(0.5, 2.0, (_ROWS, _COLS)),
+        "y": rng.uniform(-1.0, 1.0, (_ROWS, 1)),  # broadcast along the columns
+        "z": rng.uniform(0.5, 1.5, _COLS),  # constant along the leading axis
+    }
+
+
+def test_blocked_evaluation_is_bitwise_the_row_by_row_one():
+    assert _ROWS * _COLS > BLOCK and _ROWS % (BLOCK // _COLS)  # the last block is a partial one
+    env = _grid_env()
+    program = compile_exprs(
+        [
+            [parse("sin(x)*y + x/z"), parse("2.5")],
+            [parse("cos(y) - x^2*z"), parse("sqrt(x*x + y + 1) + log(x)")],
+        ]
+    )
+    got = evaluate(program, env, (_ROWS, _COLS))
+    rows = [
+        evaluate(program, {"x": env["x"][i : i + 1], "y": env["y"][i : i + 1], "z": env["z"]}, (1, _COLS))
+        for i in range(_ROWS)
+    ]
+    assert got.shape == (_ROWS, _COLS, 2, 2)
+    assert got.tobytes() == np.concatenate(rows).tobytes()
+    assert np.all(got[..., 0, 1] == 2.5)
+
+    # every op runs once per block, on at most BLOCK points
+    sizes = []
+
+    def spy(fn):
+        return lambda *args: sizes.append(max(np.size(a) for a in args)) or fn(*args)
+
+    ops = tuple((name, spy(fn), *rest) for name, fn, *rest in program.ops)
+    assert evaluate(dataclasses.replace(program, ops=ops), env, (_ROWS, _COLS)).tobytes() == got.tobytes()
+    blocks = -(-_ROWS // (BLOCK // _COLS))
+    assert len(sizes) == blocks * len(program.ops) and max(sizes) <= BLOCK
+
+
+def test_a_zero_denominator_at_the_last_point_of_the_last_block_raises():
+    env = _grid_env()
+    env["z"] = np.ones((_ROWS, _COLS))
+    env["z"][-1, -1] = 0.0
+    with pytest.raises(DomainError, match="division by zero"):
+        evaluate(parse("x/z"), env, (_ROWS, _COLS))
+    env["z"][-1, -1] = 1.0
+    assert np.isfinite(evaluate(parse("x/z"), env, (_ROWS, _COLS))).all()
+
+
+def test_a_non_finite_value_in_a_late_block_names_its_output():
+    env = _grid_env()
+    env["x"][-2, 3] = 800.0
+    exprs = [[parse("x"), parse("1")], [parse("exp(x)"), parse("2")]]
+    with pytest.raises(NonFiniteError, match=r"output \(1, 0\)"):
+        evaluate(exprs, env, (_ROWS, _COLS))

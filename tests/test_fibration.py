@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from algebroids import core, fibration
 from algebroids.core import (
     Chart,
     Section,
@@ -152,6 +153,26 @@ def test_bianchi_detects_nonclosed_twist():
         make_tangent(SPACE), 1, action=[[["0"]], [["0"]], [["0"]]], twist={(0, 1): ["x"]}
     )
     assert max(identity_residuals(closed, n_points=50).values()) < 1e-12
+
+
+def test_identity_residuals_draw_their_sample_once(monkeypatch):
+    fib = rep_extension_fibration(
+        make_tangent(SPACE), 1, action=[[["y"]], [["0"]], [["0"]]], twist={(0, 1): ["z"]}
+    )
+    draws = []
+    sample = Chart.sample
+    monkeypatch.setattr(Chart, "sample", lambda self, n, rng: draws.append(n) or sample(self, n, rng))
+    got = identity_residuals(fib, n_points=40)
+    assert draws == [40]
+
+    def one_draw_per_family(chart, families, n_points, seed):
+        return None, [core.sampled_values(chart, [f], n_points, seed)[1][0] for f in families]
+
+    monkeypatch.setattr(fibration, "sampled_values", one_draw_per_family)
+    want = identity_residuals(fib, n_points=40)
+    assert len(draws) == 7
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+    assert want["curvature_identity"] > 0.5 and want["bianchi"] > 0.5
 
 
 def test_anchor_fibration_kernel_detection():

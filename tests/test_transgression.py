@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebroids import transgression
 from algebroids.core import Chart, make_jacobi_extension, make_tangent
 from algebroids.cubes import (
+    coarsen,
     concat,
     cotangent_lift,
     cutoff,
@@ -270,6 +272,41 @@ def test_round_sphere_period_is_total_area():
     assert res.est_error < 5e-3
 
 
+def _calls(monkeypatch, name):
+    """Arguments of every call of ``transgression.<name>`` from now on."""
+    calls = []
+    original = getattr(transgression, name)
+    monkeypatch.setattr(transgression, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+@pytest.mark.parametrize("route", ["monodromy", "formula"])
+def test_even_grids_slice_the_half_grid_bitwise(monkeypatch, route):
+    if route == "monodromy":
+        A, splitting, cube = sphere_setup(40)
+        run = lambda c: monodromy_period(A, splitting, c)
+    else:
+        fib = plane_fibration()
+        assert fib.transport_is_trivial
+        comps = ["t1 - 0.4 + 0.1*sin(3*t2)", "t2 - 0.3 + 0.2*t1^2"]
+        cube = cotangent_lift(PLANE, STD_BIV, comps, n=2, N=40)
+        run = lambda c: transgress2_formula(fib, c)
+    # the estimate as a rerun on the coarsened cube gives it
+    want = float(np.max(np.abs(run(cube).value - run(coarsen(cube)).value)))
+    coarsened, resampled = _calls(monkeypatch, "coarsen"), _calls(monkeypatch, "resample")
+    got = run(cube)
+    assert got.est_error.hex() == want.hex() and want > 0.0
+    assert not coarsened and not resampled
+
+
+def test_odd_grids_resplice_the_half_grid_once(monkeypatch):
+    A, splitting, cube = sphere_setup(41)
+    resampled, coarsened = _calls(monkeypatch, "resample"), _calls(monkeypatch, "coarsen")
+    res = monodromy_period(A, splitting, cube)
+    assert [args[1] for args in resampled] == [20] and not coarsened
+    assert 0.0 < res.est_error < 5e-2
+
+
 def test_monodromy_group_classifies_period_families():
     chart = Chart(("x", "y"), ((-4.0, 4.0), (-4.0, 4.0)))
     A = make_jacobi_extension(chart, STD_BIV)
@@ -304,8 +341,6 @@ def test_monodromy_group_classifies_period_families():
 
 
 def test_monodromy_group_builds_its_anchor_fibration_once(monkeypatch):
-    import algebroids.transgression as transgression
-
     chart = Chart(("x", "y"), ((-4.0, 4.0), (-4.0, 4.0)))
     A = make_jacobi_extension(chart, STD_BIV)
     splitting = [["0", "0"], ["0", "1"], ["-1", "0"]]

@@ -46,8 +46,6 @@ from .cubes import (
     cube_from_sections,
     face,
     homotopy_defect,
-    is_homotopy,
-    is_sphere,
     load_cube,
     morphism_residual,
     path_cube,
@@ -66,7 +64,6 @@ from .fibration import (
     identity_residuals,
     jacobi_fibration,
     lift_cube,
-    parallel_transport,
     project_cube,
     rep_extension_fibration,
     splitting_from_projection,
@@ -111,8 +108,6 @@ __all__ = [
     "face",
     "homotopy_defect",
     "identity_residuals",
-    "is_homotopy",
-    "is_sphere",
     "jacobi_fibration",
     "lift_cube",
     "load_cube",
@@ -125,7 +120,6 @@ __all__ = [
     "monodromy_group",
     "monodromy_period",
     "morphism_residual",
-    "parallel_transport",
     "parse",
     "path_cube",
     "project_cube",

@@ -50,6 +50,7 @@ from .core import (
     make_rep_extension,
     make_tangent,
     pair_table,
+    sup_norm,
 )
 from .cubes import (
     cotangent_lift,
@@ -818,7 +819,7 @@ def _run_flow(ws, p, checks, values, out_dir):
     )
     checks.append(_check("morphism_residual", max(res), p.tol))
     if p.expect_endpoint is not None:
-        gap = float(np.max(np.abs(endpoint - np.array(p.expect_endpoint))))
+        gap = sup_norm(endpoint - np.array(p.expect_endpoint))
         checks.append(_check("endpoint", gap, p.expect_tol))
     if p.save is not None:
         save_cube(cube, out_dir / p.save)
@@ -830,7 +831,7 @@ def _run_lift(ws, p, checks, values, out_dir):
     lifted = lift_cube(fib, cube)
     res = morphism_residual(lifted)
     down = project_cube(fib, lifted)
-    roundtrip = float(np.max(np.abs(down.coeffs - cube.coeffs)))
+    roundtrip = sup_norm(down.coeffs - cube.coeffs)
     values.update(
         endpoint=lifted.gamma[(-1,) * lifted.n],
         structure_residual=res.structure,
@@ -854,7 +855,7 @@ def _run_transgress(ws, p, checks, values, out_dir):
         results["lift"] = transgress_lift(fib, cube)
         values["lift"] = results["lift"].as_dict()
     if p.method == "both":
-        gap = float(np.max(np.abs(results["formula"].value - results["lift"].value)))
+        gap = sup_norm(results["formula"].value - results["lift"].value)
         checks.append(_check("methods_agree", gap, p.tol))
     primary = results.get("formula", results.get("lift"))
     if primary.value.size == 1:
@@ -897,13 +898,13 @@ def _run_decompose(ws, p, checks, values, out_dir):
     cube = ws.build("cube", p.cube)
     dec = decompose_path(fib, cube)
     defect = homotopy_defect(dec.witness)
-    start_delta = float(np.max(np.abs(dec.horizontal.gamma[0] - cube.gamma[0])))
-    end_delta = float(np.max(np.abs(dec.kernel_path.gamma[-1] - cube.gamma[-1])))
+    start_delta = sup_norm(dec.horizontal.gamma[0] - cube.gamma[0])
+    end_delta = sup_norm(dec.kernel_path.gamma[-1] - cube.gamma[-1])
     values.update(
         witness_defect=defect,
         start_delta=start_delta,
         end_delta=end_delta,
-        kernel_sup=float(np.max(np.abs(dec.kernel_coefficients))),
+        kernel_sup=sup_norm(dec.kernel_coefficients),
     )
     checks.append(_check("witness_homotopy", defect, p.tol))
     checks.append(_check("endpoints", max(start_delta, end_delta), p.endpoint_tol))

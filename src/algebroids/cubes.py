@@ -6,6 +6,11 @@ frame coefficients.  The morphism residual measures how far the data is
 from an algebroid morphism out of the tangent algebroid of the cube; all
 higher operations (faces, degeneracies, reversal, reparametrization and
 concatenation) preserve that property up to grid error.
+
+Reparametrization has one layer: the closed-form step :func:`cutoff`,
+one spline loop shared by :func:`resample` and :func:`reparam_cutoff`,
+and :func:`seam`, the two halves of a glued axis, shared by
+:func:`concat` and the path-decomposition witness.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -31,9 +35,7 @@ __all__ = [
     "MorphismResidual",
     "morphism_residual",
     "sphere_defect",
-    "is_sphere",
     "homotopy_defect",
-    "is_homotopy",
     "face",
     "degeneracy",
     "reverse",
@@ -137,8 +139,7 @@ def morphism_residual(cube: Cube) -> MorphismResidual:
     for i in range(n):
         dgamma = np.gradient(cube.gamma, h, axis=i, edge_order=2)
         img = np.einsum("...p,...pm->...m", cube.coeffs[i], rho)
-        if dgamma.size:
-            base = max(base, float(np.max(np.abs(dgamma - img))))
+        base = max(base, sup_norm(dgamma - img))
     structure = 0.0
     if n >= 2:
         cvals = A.structure_values(cube.gamma)
@@ -149,7 +150,7 @@ def morphism_residual(cube: Cube) -> MorphismResidual:
                     - np.gradient(cube.coeffs[j], h, axis=i, edge_order=2)
                     - np.einsum("...p,...q,...pql->...l", cube.coeffs[i], cube.coeffs[j], cvals)
                 )
-                structure = max(structure, float(np.max(np.abs(res))))
+                structure = max(structure, sup_norm(res))
     return MorphismResidual(structure=structure, base=base)
 
 
@@ -170,18 +171,12 @@ def sphere_defect(cube: Cube) -> float:
             if l == k:
                 continue
             for end in (0, N):
-                sl = np.take(cube.coeffs[k], end, axis=l)
-                worst = max(worst, float(np.max(np.abs(sl))))
+                worst = max(worst, sup_norm(np.take(cube.coeffs[k], end, axis=l)))
     bp = cube.basepoint
     for l in range(n):
         for end in (0, N):
-            g = np.take(cube.gamma, end, axis=l)
-            worst = max(worst, float(np.max(np.abs(g - bp))))
+            worst = max(worst, sup_norm(np.take(cube.gamma, end, axis=l) - bp))
     return worst
-
-
-def is_sphere(cube: Cube, tol: float = 1e-8) -> bool:
-    return sphere_defect(cube) < tol
 
 
 def homotopy_defect(cube: Cube) -> float:
@@ -192,13 +187,8 @@ def homotopy_defect(cube: Cube) -> float:
     worst = 0.0
     for k in range(n - 1):
         for end in (0, N):
-            sl = np.take(cube.coeffs[n - 1], end, axis=k)
-            worst = max(worst, float(np.max(np.abs(sl))))
+            worst = max(worst, sup_norm(np.take(cube.coeffs[n - 1], end, axis=k)))
     return worst
-
-
-def is_homotopy(cube: Cube, tol: float = 1e-8) -> bool:
-    return homotopy_defect(cube) < tol
 
 
 # --- elementary surgery -------------------------------------------------------
@@ -261,12 +251,7 @@ def resample(cube: Cube, M: int) -> Cube:
     """
     if M < 3:
         raise ValueError("resampling needs at least three steps")
-    ts = np.linspace(0.0, 1.0, M + 1)
-    gamma, coeffs = cube.gamma, cube.coeffs
-    for axis in range(cube.n):
-        gamma = Spline(gamma, axis=axis)(ts)
-        coeffs = Spline(coeffs, axis=axis + 1)(ts)
-    return Cube(cube.algebroid, gamma, coeffs)
+    return _respline(cube, np.linspace(0.0, 1.0, M + 1), np.ones(M + 1))
 
 
 # --- cubic splines on uniform knots ---------------------------------------------
@@ -294,23 +279,17 @@ def _tridiagonal_solve(lower, diag, upper, rhs: np.ndarray) -> np.ndarray:
     return r
 
 
-def _node_slopes(y: np.ndarray, ends) -> np.ndarray:
-    """Node slopes along axis 0 of the cubic spline through ``y`` on uniform knots of [0, 1].
+def _node_slopes(y: np.ndarray) -> np.ndarray:
+    """Node slopes along axis 0 of the not-a-knot cubic spline through ``y`` on uniform knots of [0, 1].
 
-    ``ends=None`` gives the not-a-knot conditions (with three nodes the
-    single parabola through them); otherwise ``ends`` holds the two
-    clamped end slopes.
+    With three nodes the spline is the single parabola through them.
     """
     N = y.shape[0] - 1
     m = np.diff(y, axis=0) * N
     lower, diag, upper = [1.0] * (N + 1), [4.0] * (N + 1), [1.0] * (N + 1)
     rhs = np.empty(y.shape)
     rhs[1:-1] = 3 * (m[:-1] + m[1:])
-    if ends is not None:
-        upper[0] = lower[N] = 0.0
-        diag[0] = diag[N] = 1.0
-        rhs[0], rhs[-1] = ends
-    elif N == 2:
+    if N == 2:
         upper[0] = lower[N] = diag[0] = diag[N] = 1.0
         rhs[0], rhs[-1] = 2 * m[0], 2 * m[-1]
     else:
@@ -346,18 +325,17 @@ class Spline:
     """Cubic spline through node values on the uniform knots of [0, 1].
 
     ``y`` holds N+1 node values along ``axis``; the other axes are
-    interpolated independently.  The end conditions are not-a-knot
-    unless ``ends`` gives the two clamped end slopes.  The spline is
-    solved once; each evaluation reads only the four power-form
+    interpolated independently.  The end conditions are not-a-knot.  The
+    spline is solved once; each evaluation reads only the four power-form
     coefficients of the interval a position falls in.  Positions of any
     shape P, a scalar included, take one vectorised lookup and return
     shape ``y.shape[:axis] + P + y.shape[axis+1:]``.
     """
 
-    def __init__(self, y, axis: int = 0, ends=None):
+    def __init__(self, y, axis: int = 0):
         y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
         N = y.shape[0] - 1
-        d = _node_slopes(y, ends)
+        d = _node_slopes(y)
         self.axis = axis
         self.knots = np.linspace(0.0, 1.0, N + 1)
         # per-interval power-form coefficients, shape (N, 4) + the other axes
@@ -381,7 +359,7 @@ def bicubic(data: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     N = data.shape[0] - 1
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    dy = np.moveaxis(_node_slopes(np.moveaxis(data, 1, 0), None), 0, 1)
+    dy = np.moveaxis(_node_slopes(np.moveaxis(data, 1, 0)), 0, 1)
     columns = Spline(np.stack([data, dy], axis=2))  # coeffs[i, :, j]: column j over x-step i
     i, u = _locate(x, columns.knots)
     j, v = _locate(y, columns.knots)
@@ -395,49 +373,45 @@ def bicubic(data: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 # --- boundary-flattening reparametrization ------------------------------------
 
-_TABLE_NODES = 8193
-
-
-def _bump(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = (s > 0.0) & (s < 1.0)
-    si = s[inside]
-    out[inside] = np.exp(-1.0 / (si * (1.0 - si)))
-    return out
-
-
-@lru_cache(maxsize=1)
-def _cutoff_table():
-    s = np.linspace(0.0, 1.0, _TABLE_NODES)
-    f = _bump(s)
-    h = s[1] - s[0]
-    # composite Simpson per step: the forward three-point formula on even
-    # steps, the backward one on odd steps
-    forward = h / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
-    backward = h / 3 * (5 * f[2:] / 4 + 2 * f[1:-1] - f[:-2] / 4)
-    steps = np.empty(_TABLE_NODES - 1)
-    steps[:-1:2] = forward[::2]
-    steps[1::2] = backward[::2]
-    cum = np.concatenate([[0.0], np.cumsum(steps)])
-    total = float(cum[-1])
-    return Spline(cum / total, ends=(0.0, 0.0)), total
-
 
 def cutoff(t) -> np.ndarray:
-    """Smooth [0,1] -> [0,1] map, flat to all orders at both ends.
+    """Smooth monotone step [0, 1] -> [0, 1], flat to all orders at both ends.
 
-    Monotone only up to 1e-50 absolute: below t = 0.01 the table values
-    are that small or underflow, and the clamped spline through them is not.
+    The closed form f(t) / (f(t) + f(1 - t)) with f(t) = exp(-1/t),
+    evaluated as 1 / (1 + exp(1/t - 1/(1 - t))) on t clipped to [0, 1].
+    It is exactly 0, 1/2 and 1 at 0, 1/2 and 1, below 1e-40 on [0, 0.01],
+    and exactly 0 below t = 1/710, where the exponential overflows.
     """
-    spline, _ = _cutoff_table()
     t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-    return np.clip(spline(t), 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / (1.0 + np.exp(1.0 / t - 1.0 / (1.0 - t)))
 
 
 def cutoff_prime(t) -> np.ndarray:
-    _, total = _cutoff_table()
-    return _bump(t) / total
+    """Exact derivative g (1 - g) (1/t^2 + 1/(1 - t)^2) of ``g = cutoff(t)``.
+
+    Exactly 0 wherever g is 0 or 1, outside (0, 1) included, so the
+    rate's overflow near the ends never meets a zero factor.
+    """
+    t = np.asarray(t, dtype=float)
+    g = cutoff(t)
+    w = g * (1.0 - g)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rate = 1.0 / t**2 + 1.0 / (1.0 - t) ** 2
+        return np.where(w > 0.0, w * rate, 0.0)
+
+
+def seam(N: int):
+    """Positions and speeds of the two halves of an axis of N+1 nodes, glued at t = 1/2.
+
+    Returns ``(first, second, first_speed, second_speed)``: ``cutoff(2t)``
+    and ``cutoff(2t - 1)`` at every node t, and their t-derivatives.  Off
+    its own half, ``first`` is exactly 1, ``second`` exactly 0 and each
+    speed exactly 0, so each half comes to a flat stop at the seam.
+    """
+    ts = np.linspace(0.0, 1.0, N + 1)
+    a, b = 2.0 * ts, 2.0 * ts - 1.0
+    return cutoff(a), cutoff(b), 2.0 * cutoff_prime(a), 2.0 * cutoff_prime(b)
 
 
 def _weigh_own_axis(coeffs: np.ndarray, axis: int, weights: np.ndarray) -> None:
@@ -445,6 +419,16 @@ def _weigh_own_axis(coeffs: np.ndarray, axis: int, weights: np.ndarray) -> None:
     shape = [1] * (coeffs.ndim - 1)
     shape[axis] = weights.size
     coeffs[axis] *= weights.reshape(shape)
+
+
+def _respline(cube: Cube, pos: np.ndarray, speed: np.ndarray) -> Cube:
+    """Spline every axis of the cube at ``pos``; weigh each coefficient field by ``speed`` along its own axis."""
+    gamma, coeffs = cube.gamma, cube.coeffs
+    for axis in range(cube.n):
+        gamma = Spline(gamma, axis=axis)(pos)
+        coeffs = Spline(coeffs, axis=axis + 1)(pos)
+        _weigh_own_axis(coeffs, axis, speed)
+    return Cube(cube.algebroid, gamma, coeffs)
 
 
 def reparam_cutoff(cube: Cube) -> Cube:
@@ -455,16 +439,8 @@ def reparam_cutoff(cube: Cube) -> Cube:
     cube whose boundary data merely vanishes becomes one whose boundary
     data vanishes flatly.
     """
-    n, N = cube.n, cube.N
-    ts = np.linspace(0.0, 1.0, N + 1)
-    pos = cutoff(ts)
-    weights = cutoff_prime(ts)
-    gamma, coeffs = cube.gamma, cube.coeffs
-    for axis in range(n):
-        gamma = Spline(gamma, axis=axis)(pos)
-        coeffs = Spline(coeffs, axis=axis + 1)(pos)
-        _weigh_own_axis(coeffs, axis, weights)
-    return Cube(cube.algebroid, gamma, coeffs)
+    ts = np.linspace(0.0, 1.0, cube.N + 1)
+    return _respline(cube, cutoff(ts), cutoff_prime(ts))
 
 
 def concat(first: Cube, second: Cube, axis: int, tol: float = 1e-6) -> Cube:
@@ -486,27 +462,22 @@ def concat(first: Cube, second: Cube, axis: int, tol: float = 1e-6) -> Cube:
     if n >= 2:
         f_end = face(first, axis, 1)
         f_start = face(second, axis, 0)
-        gap = max(
-            float(np.max(np.abs(f_end.gamma - f_start.gamma))),
-            float(np.max(np.abs(f_end.coeffs - f_start.coeffs))),
-        )
+        gap = max(sup_norm(f_end.gamma - f_start.gamma), sup_norm(f_end.coeffs - f_start.coeffs))
     else:
-        gap = float(np.max(np.abs(np.take(first.gamma, N, axis=0) - np.take(second.gamma, 0, axis=0))))
+        gap = sup_norm(np.take(first.gamma, N, axis=0) - np.take(second.gamma, 0, axis=0))
     if gap > tol:
         raise ValueError(f"cubes are not composable along axis {axis}: face gap {gap:.3e}")
 
-    ts = np.linspace(0.0, 1.0, N + 1)
-    lo = ts <= 0.5
-    pos_first = cutoff(2.0 * ts[lo])
-    pos_second = cutoff(2.0 * ts[~lo] - 1.0)
-    weights = np.where(lo, 2.0 * cutoff_prime(2.0 * ts), 2.0 * cutoff_prime(2.0 * ts - 1.0))
+    pos_first, pos_second, speed_first, speed_second = seam(N)
+    k = N // 2 + 1  # the nodes t <= 1/2 run through the first cube
 
     def glue(arr_first, arr_second, at):
-        halves = [Spline(arr_first, axis=at)(pos_first), Spline(arr_second, axis=at)(pos_second)]
+        halves = [Spline(arr_first, axis=at)(pos_first[:k]), Spline(arr_second, axis=at)(pos_second[k:])]
         return np.concatenate(halves, axis=at)
 
     coeffs = glue(first.coeffs, second.coeffs, axis + 1)
-    _weigh_own_axis(coeffs, axis, weights)
+    # each speed is exactly 0 off its own half, so the sum picks the half's own
+    _weigh_own_axis(coeffs, axis, speed_first + speed_second)
     return Cube(first.algebroid, glue(first.gamma, second.gamma, axis), coeffs)
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "lift_cube",
     "project_cube",
     "transport_matrix",
-    "parallel_transport",
     "splitting_from_projection",
     "jacobi_fibration",
     "rep_extension_fibration",
@@ -525,16 +524,6 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
     return np.moveaxis(V, 0, n - 1)
 
 
-def parallel_transport(fib: Fibration, path: Cube, v0) -> np.ndarray:
-    """Transport a kernel-coefficient vector along the last axis of a base cube.
-
-    Returns the vector at every node, shape ``grid + (rK,)``, starting
-    from ``v0`` at the first node of each line.
-    """
-    v0 = np.asarray(v0, dtype=float).reshape(fib.kernel_rank)
-    return transport_matrix(fib, path) @ v0
-
-
 # --- builders ----------------------------------------------------------------------
 
 
@@ -618,7 +607,7 @@ def anchor_fibration(
             f"anchor kernel is not a constant rank-{expected} subbundle over the sampled chart"
         )
     scale = float(np.abs(stacked).max(initial=1.0))
-    if ns.size and float(np.max(np.abs(stacked @ ns))) > KERNEL_DRIFT_TOL * scale:
+    if sup_norm(stacked @ ns) > KERNEL_DRIFT_TOL * scale:
         raise ValueError("anchor kernel drifts across the chart; no constant frame exists")
     kernel_rows = []
     for s in range(expected):

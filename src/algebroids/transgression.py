@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Algebroid, eval_exprs, sampled_values, sup_norm
-from .cubes import Cube, Spline, bicubic, coarsen, cutoff, cutoff_prime, face, half_steps, resample
+from .cubes import Cube, Spline, bicubic, coarsen, cutoff, cutoff_prime, face, half_steps, resample, seam
 from .fibration import (
     Curvature2Form,
     Fibration,
@@ -123,8 +123,7 @@ def _with_estimate(compute, cube: Cube):
     else:
         half = coarsen(cube) if cube.N % 2 == 0 else resample(cube, cube.N // 2)
         hvalue = compute(half)[0]
-    est = float(np.max(np.abs(value - hvalue))) if value.size else 0.0
-    return value, est, face_cube
+    return value, sup_norm(value - hvalue), face_cube
 
 
 CENTRALITY_POINTS, CENTRALITY_SEED = 25, 0  # the sample centrality_residual draws
@@ -435,27 +434,6 @@ class PathDecomposition:
     kernel_coefficients: np.ndarray
 
 
-def _two_branch(ts: np.ndarray):
-    """Boundary routes of the unit square and their speeds.
-
-    The first route runs the bottom edge then the right edge, the second
-    the left edge then the top edge, each half reparametrized by the
-    flat-ended cutoff so the corner is passed at zero speed.
-    """
-    lo = ts <= 0.5
-    s_lo = cutoff(np.clip(2.0 * ts, 0.0, 1.0))
-    s_hi = cutoff(np.clip(2.0 * ts - 1.0, 0.0, 1.0))
-    v_lo = 2.0 * cutoff_prime(np.clip(2.0 * ts, 0.0, 1.0))
-    v_hi = 2.0 * cutoff_prime(np.clip(2.0 * ts - 1.0, 0.0, 1.0))
-    zero = np.zeros_like(ts)
-    one = np.ones_like(ts)
-    r0 = (np.where(lo, s_lo, one), np.where(lo, zero, s_hi))
-    r1 = (np.where(lo, zero, s_hi), np.where(lo, s_lo, one))
-    d0 = (np.where(lo, v_lo, zero), np.where(lo, zero, v_hi))
-    d1 = (np.where(lo, zero, v_hi), np.where(lo, v_lo, zero))
-    return r0, r1, d0, d1
-
-
 def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
     """Split a total-space path into horizontal and kernel factors.
 
@@ -483,7 +461,13 @@ def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
     kernel_path = Cube(fib.total, top_gamma, top_w[None])
     kappa = kernel_coefficient_values(fib, top_gamma, top_w)
 
-    r0, r1, d0, d1 = _two_branch(ts)
+    # boundary routes of the unit square: r0 runs the bottom edge then the right
+    # edge, r1 the left edge then the top edge, each half slowed by the seam so
+    # the corner is passed at zero speed; off its own half a seam position is
+    # exactly 0 or 1 and a seam speed exactly 0, so they serve as they stand
+    first, second, first_speed, second_speed = seam(N)
+    r0, r1 = (first, second), (second, first)
+    d0, d1 = (first_speed, second_speed), (second_speed, first_speed)
     tau = cutoff(ts)
     tau_p = cutoff_prime(ts)
     H = [

@@ -27,7 +27,7 @@ from algebroids.cubes import (
     concat,
     cotangent_lift,
     cube_from_sections,
-    is_homotopy,
+    homotopy_defect,
     morphism_residual,
     path_cube,
     reverse,
@@ -240,7 +240,7 @@ def test_criterion_09_path_decomposition():
     coeffs = [f"0.1 + 0.3*sin({PI}*t1)", f"0.3*{PI}*cos({PI}*t1)", "-1"]
     path = path_cube(fib.total, gamma, coeffs, N=128)
     dec = decompose_path(fib, path)
-    witness_ok = is_homotopy(dec.witness, tol=1e-3)
+    witness_ok = homotopy_defect(dec.witness) < 1e-3
     start_delta = float(np.max(np.abs(dec.horizontal.gamma[0] - path.gamma[0])))
     end_delta = float(np.max(np.abs(dec.kernel_path.gamma[-1] - path.gamma[-1])))
     horizontal_leak = float(np.max(np.abs(dec.horizontal.coeffs[0][..., 0])))

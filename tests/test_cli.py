@@ -494,3 +494,31 @@ assert not loaded, loaded
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_decompose_over_a_fibration_without_kernel_passes_with_zero_values(tmp_path):
+    # every sup-norm of the report runs over an empty kernel array here
+    text = _PLANE_TANGENT + """[fibration F]
+total = T
+base = T
+pi = 1, 0; 0, 1
+
+[cube path]
+algebroid = T
+source = from_sections
+sections = 0.3, 0.2*t1
+basepoint = -0.5 0
+N = 16
+
+[task split]
+kind = decompose
+fibration = F
+cube = path
+tol = 1e-3
+endpoint_tol = 1e-6
+"""
+    out = tmp_path / "reports"
+    assert main(["run", str(write(tmp_path, text)), "--out", str(out)]) == 0
+    report = load_report(out, "split")
+    assert report["passed"] is True
+    assert report["values"] == {"witness_defect": 0.0, "start_delta": 0.0, "end_delta": 0.0, "kernel_sup": 0.0}

@@ -27,7 +27,6 @@ from algebroids.fibration import (
     identity_residuals,
     jacobi_fibration,
     lift_cube,
-    parallel_transport,
     project_cube,
     rep_extension_fibration,
     splitting_from_projection,
@@ -275,7 +274,7 @@ def test_transport_matches_exponential():
     line = Chart(coords=("x",), box=((-2.0, 2.0),))
     fib = rep_extension_fibration(make_tangent(line), 1, action=[[["1"]]])
     path = tangent_lift(line, ["t1"], n=1, N=128)
-    v = parallel_transport(fib, path, [1.0])
+    v = transport_matrix(fib, path) @ [1.0]
     ts = np.linspace(0, 1, 129)
     np.testing.assert_allclose(v[:, 0], np.exp(-ts), atol=1e-9)
 
@@ -284,7 +283,7 @@ def test_transport_with_position_dependent_action():
     line = Chart(coords=("x",), box=((-2.0, 2.0),))
     fib = rep_extension_fibration(make_tangent(line), 1, action=[[["x"]]])
     path = tangent_lift(line, ["t1"], n=1, N=128)
-    v = parallel_transport(fib, path, [2.0])
+    v = transport_matrix(fib, path) @ [2.0]
     # v' = -t v along the unit-speed path, so v(1) = 2 exp(-1/2)
     assert v[-1, 0] == pytest.approx(2.0 * np.exp(-0.5), abs=1e-9)
 

@@ -352,6 +352,13 @@ def _fit(sec: SectionSpec, key: str, got: int, want: int, what: str) -> None:
         )
 
 
+def _fit_matrix(sec: SectionSpec, key: str, rows, n_rows: int, n_cols: int) -> None:
+    """Check a parsed matrix (rows of equal length) is ``n_rows`` x ``n_cols``, at its key's line."""
+    _fit(sec, key, len(rows), n_rows, "rows")
+    if rows:
+        _fit(sec, key, len(rows[0]), n_cols, "entries per row")
+
+
 # Largest grid a config may ask for, in bytes.  The largest grid shipped or
 # benchmarked (sphere_periods' 769^2 nodes of 6 doubles, 28 MB) peaks at
 # about 7.7 times its size in a run, so this keeps a run near 2 GB.
@@ -391,19 +398,32 @@ def _check_structure(ws, sec, p) -> None:
     _check_table(sec, "structure", p.structure, p.rank, p.rank)
 
 
+def _check_explicit(ws, sec, p) -> None:
+    _fit_matrix(sec, "anchor", p.anchor, p.rank, ws.build("chart", p.chart).dim)
+    _check_structure(ws, sec, p)
+
+
 def _check_bivector(ws, sec, p) -> None:
     m = ws.build("chart", p.chart).dim
-    _fit(sec, "bivector", len(p.bivector), m, "rows")
-    _fit(sec, "bivector", len(p.bivector[0]), m, "entries per row")
+    _fit_matrix(sec, "bivector", p.bivector, m, m)
 
 
 def _check_rep_extension(ws, sec, p) -> None:
     rB, d = ws.build("algebroid", p.base).rank, p.fiber_dim
     _fit(sec, "action", len(p.action), rB, "matrices (one per base frame)")
     for M in p.action:
-        _fit(sec, "action", len(M), d, "rows per matrix")
-        _fit(sec, "action", len(M[0]), d, "entries per row")
+        _fit_matrix(sec, "action", M, d, d)
     _check_table(sec, "twist", p.twist, rB, d)
+
+
+def _check_fibration(ws, sec, p) -> None:
+    rE, rB = ws.build("algebroid", p.total).rank, ws.build("algebroid", p.base).rank
+    if rB > rE:
+        raise ConfigError(f"[fibration {sec.name}] base rank {rB} exceeds total rank {rE}", sec.where("base"))
+    _fit_matrix(sec, "pi", p.pi, rB, rE)
+    if p.sigma is not None:
+        _fit_matrix(sec, "sigma", p.sigma, rE, rB)
+    _fit_matrix(sec, "kernel_frame", p.kernel_frame, rE - rB, rE)
 
 
 def _check_file(ws, sec, p) -> None:
@@ -478,8 +498,7 @@ def _check_decompose(ws, sec, p) -> None:
 
 def _check_monodromy(ws, sec, p) -> None:
     A = ws.build("algebroid", p.algebroid)
-    _fit(sec, "splitting", len(p.splitting), A.rank, "rows")
-    _fit(sec, "splitting", len(p.splitting[0]), A.chart.dim, "entries per row")
+    _fit_matrix(sec, "splitting", p.splitting, A.rank, A.chart.dim)
     if (p.cube is None) == (p.cubes is None):
         raise ConfigError(f"[task {sec.name}] needs exactly one of 'cube' or 'cubes'", sec.line)
     if p.labels is not None:
@@ -527,7 +546,7 @@ _SCHEMA: dict[str, dict[str | None, Form]] = {
         ),
         "explicit": Form(
             {"chart": _CHART, "rank": _RANK, "anchor": Key(_matrix), "structure": _STRUCTURE},
-            _check_structure,
+            _check_explicit,
         ),
     },
     "fibration": {
@@ -538,7 +557,8 @@ _SCHEMA: dict[str, dict[str | None, Form]] = {
                 "pi": Key(_matrix),
                 "sigma": Key(_matrix, None),
                 "kernel_frame": Key(_matrix, ()),
-            }
+            },
+            _check_fibration,
         )
     },
     "cube": {
@@ -984,19 +1004,15 @@ def _cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     all_passed = True
     ran = 0
-    try:
-        for sec in sections:
-            if sec.kind != "task":
-                continue
-            report = run_task(ws, sec, overrides, cfg_hash, out_dir)
-            _write_report(out_dir / f"{sec.name}.json", report)
-            ran += 1
-            status = "PASS" if report["passed"] else "FAIL"
-            print(f"{sec.name}: {status} ({report['wall_time_s']:.2f}s)")
-            all_passed = all_passed and report["passed"]
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    for sec in sections:
+        if sec.kind != "task":
+            continue
+        report = run_task(ws, sec, overrides, cfg_hash, out_dir)
+        _write_report(out_dir / f"{sec.name}.json", report)
+        ran += 1
+        status = "PASS" if report["passed"] else "FAIL"
+        print(f"{sec.name}: {status} ({report['wall_time_s']:.2f}s)")
+        all_passed = all_passed and report["passed"]
     print(f"{ran} task(s), reports in {out_dir}")
     return 0 if all_passed else 1
 

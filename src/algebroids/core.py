@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import ONE, ZERO, Expr, Program, add, as_expr, compile_exprs, dot, evaluate, is_zero, mul, neg, sub, total
+from .expr import ONE, ZERO, Expr, Program, add, as_expr, compile_exprs, dot, evaluate, is_zero, mul, neg, sub, total, var
 
 __all__ = [
     "Chart",
@@ -35,6 +35,7 @@ __all__ = [
     "make_explicit",
     "direct_sum",
     "eval_exprs",
+    "fresh",
     "sampled_values",
     "so3_structure",
 ]
@@ -68,6 +69,19 @@ class Chart:
         if points.shape[-1:] != (self.dim,):
             raise ValueError(f"expected trailing axis of length {self.dim}")
         return {name: points[..., a] for a, name in enumerate(self.coords)}
+
+    def values(self, program, points: np.ndarray, named: Mapping[str, object] | None = None, **fields) -> np.ndarray:
+        """Run a Program, or nested Exprs, at points: every program at chart points gets its inputs here.
+
+        Coordinates bind to ``points[..., a]``, ``named`` variables by name, and
+        each field array to the :func:`fresh` variables of its tag and its axes
+        past the base shape ``points.shape[:-1]``.
+        """
+        points = np.asarray(points, dtype=float)
+        env = {**self.env(points), **(named or {})}
+        for tag, values in fields.items():
+            env.update((name, values[index]) for name, index in _names(tag, values.shape[points.ndim - 1 :]))
+        return eval_exprs(program, env, points.shape[:-1])
 
     def contains(self, points: np.ndarray, tol: float = 0.0) -> bool:
         points = np.asarray(points, dtype=float)
@@ -113,16 +127,29 @@ def eval_exprs(exprs, env: Mapping[str, object], base_shape: tuple) -> np.ndarra
     return np.asarray(evaluate(exprs, env, base_shape))
 
 
+@lru_cache(maxsize=None)
+def _names(tag: str, shape: tuple[int, ...]) -> tuple[tuple[str, tuple], ...]:
+    """``(name, index)`` of the variable ``#<tag><i>_<j>...`` for each entry of a trailing block.
+
+    Chart coordinates are identifiers, so these names cannot clash with them.
+    """
+    return tuple(("#" + tag + "_".join(map(str, i)), (Ellipsis,) + i) for i in np.ndindex(shape))
+
+
+def fresh(tag: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Object array of the variables that :meth:`Chart.values` binds to a field ``tag`` of trailing shape ``shape``."""
+    return np.array([var(name) for name, _ in _names(tag, shape)], dtype=object).reshape(shape)
+
+
 def sampled_values(chart: Chart, families, n_points: int, seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """``n_points`` seeded interior points of a chart, and each family of Exprs evaluated there.
 
-    Every sampled identity check draws its points here, once, and makes
-    one :func:`eval_exprs` call per family (a nested sequence of Exprs);
-    the values of a family have shape (n_points,) + its nested shape.
+    Every sampled identity check and the anchor-kernel sample draw their
+    points here, once; each family (a nested sequence of Exprs) is one
+    :meth:`Chart.values` call, of shape (n_points,) + its nested shape.
     """
     pts = chart.sample(n_points, np.random.default_rng(seed))
-    env = chart.env(pts)
-    return pts, [eval_exprs(exprs, env, (n_points,)) for exprs in families]
+    return pts, [chart.values(exprs, pts) for exprs in families]
 
 
 def sup_norm(values: np.ndarray) -> float:
@@ -151,8 +178,7 @@ class Section:
         return compile_exprs(self.components)
 
     def values(self, chart: Chart, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        return eval_exprs(self.program, chart.env(points), points.shape[:-1])
+        return chart.values(self.program, points)
 
     def __add__(self, other: "Section") -> "Section":
         return Section(tuple(add(a, b) for a, b in zip(self.components, other.components, strict=True)))
@@ -292,16 +318,13 @@ class Algebroid:
 
     def anchor_values(self, points: np.ndarray) -> np.ndarray:
         """Anchor matrix at points, shape (..., rank, dim)."""
-        points = np.asarray(points, dtype=float)
-        base = points.shape[:-1]
-        if self.rank == 0 or self.chart.dim == 0:
-            return np.zeros(base + (self.rank, self.chart.dim))
-        return eval_exprs(self.anchor_program, self.chart.env(points), base)
+        if self.rank == 0:
+            return np.zeros(np.shape(points)[:-1] + (0, self.chart.dim))
+        return self.chart.values(self.anchor_program, points)
 
     def structure_values(self, points: np.ndarray) -> np.ndarray:
         """Full antisymmetric structure tensor c[..., i, j, k] at points."""
-        points = np.asarray(points, dtype=float)
-        return eval_exprs(self.structure_program, self.chart.env(points), points.shape[:-1])
+        return self.chart.values(self.structure_program, points)
 
     def _check_section(self, X: Section):
         if len(X) != self.rank:

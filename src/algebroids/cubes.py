@@ -443,13 +443,17 @@ def reparam_cutoff(cube: Cube) -> Cube:
     return _respline(cube, cutoff(ts), cutoff_prime(ts))
 
 
-def concat(first: Cube, second: Cube, axis: int, tol: float = 1e-6) -> Cube:
+CONCAT_TOL = 1e-6  # largest gap between the faces concat glues
+
+
+def concat(first: Cube, second: Cube, axis: int) -> Cube:
     """Glue two cubes along one axis, traversing ``first`` then ``second``.
 
     The shared face (end of ``first``, start of ``second``) must agree
-    within ``tol``.  Each half is slowed to a flat stop at the seam, so
-    the result is again a morphism cube up to grid error, on the same
-    node count as the inputs.
+    within ``CONCAT_TOL``: its points, and every coefficient field but
+    the glued axis's own.  Each half is slowed to a flat stop at the
+    seam, so the result is again a morphism cube up to grid error, on
+    the same node count as the inputs.
     """
     if first.algebroid != second.algebroid:
         raise ValueError("cannot concatenate cubes over different algebroids")
@@ -459,13 +463,11 @@ def concat(first: Cube, second: Cube, axis: int, tol: float = 1e-6) -> Cube:
     if not 0 <= axis < n:
         raise ValueError(f"axis must be in 0..{n - 1}")
 
-    if n >= 2:
-        f_end = face(first, axis, 1)
-        f_start = face(second, axis, 0)
-        gap = max(sup_norm(f_end.gamma - f_start.gamma), sup_norm(f_end.coeffs - f_start.coeffs))
-    else:
-        gap = sup_norm(np.take(first.gamma, N, axis=0) - np.take(second.gamma, 0, axis=0))
-    if gap > tol:
+    def slabs(cube: Cube, at: int):
+        return np.take(cube.gamma, at, axis), np.delete(np.take(cube.coeffs, at, axis + 1), axis, axis=0)
+
+    gap = max(sup_norm(a - b) for a, b in zip(slabs(first, N), slabs(second, 0)))
+    if gap > CONCAT_TOL:
         raise ValueError(f"cubes are not composable along axis {axis}: face gap {gap:.3e}")
 
     pos_first, pos_second, speed_first, speed_second = seam(N)
@@ -586,16 +588,11 @@ def cube_from_sections(
         S = G.shape[:-1]
         B = int(np.prod(S, dtype=int)) if S else 1
         t_fixed = np.indices(S, dtype=float).reshape(stage, B) / N if stage else np.zeros((0, B))
+        held = {names[order[l]]: t_fixed[l] if l < stage else 0.0 for l in range(n) if l != stage}
         image = compile_exprs(A.anchor_of(secs[k]))
 
         def field(j: int, X: np.ndarray) -> np.ndarray:
-            env = A.chart.env(X)
-            for l in range(stage):
-                env[names[order[l]]] = t_fixed[l]
-            env[names[k]] = j / (2 * N)
-            for l in range(stage + 1, n):
-                env[names[order[l]]] = 0.0
-            return eval_exprs(image, env, (B,))
+            return A.chart.values(image, X, {**held, names[k]: j / (2 * N)})
 
         try:
             X = rk4(field, G.reshape(B, m), N)
@@ -608,10 +605,8 @@ def cube_from_sections(
     if not A.chart.contains(gamma, tol=1e-8):
         raise ChartEscapeError(_ESCAPED)
 
-    times = grid_times(n, N)
-    env = A.chart.env(gamma)
-    env.update({names[i]: times[i] for i in range(n)})
-    comps = [eval_exprs(secs[i].program, env, gamma.shape[:-1]) for i in range(n)]
+    times = dict(zip(names, grid_times(n, N)))
+    comps = [A.chart.values(sec.program, gamma, times) for sec in secs]
     return Cube(A, gamma, np.stack(comps))
 
 
@@ -668,7 +663,7 @@ def cotangent_lift(
     tangent = tangent_lift(chart, components, n, N)
     A = make_cotangent_poisson(chart, bivector)
     entry = A.anchor[0][1]  # the single independent bivector entry
-    pvals = eval_exprs(entry, chart.env(tangent.gamma), tangent.gamma.shape[:-1])
+    pvals = chart.values(entry, tangent.gamma)
     if np.any(np.abs(pvals) < 1e-12):
         raise ValueError("bivector vanishes along the swept region; cannot invert")
     # a velocity (v0, v1) has coefficients (v1, -v0) / p in the differential frame, p the bivector entry
@@ -687,12 +682,9 @@ def path_cube(
     cexprs = [as_expr(c) for c in coeff_components]
     if len(gexprs) != A.chart.dim or len(cexprs) != A.rank:
         raise ValueError("component counts must match chart dimension and rank")
-    ts = np.linspace(0.0, 1.0, N + 1)
-    env = {time_name: ts}
-    gamma = eval_exprs(tuple(gexprs), env, (N + 1,))
-    genv = A.chart.env(gamma)
-    genv[time_name] = ts
-    coeffs = eval_exprs(tuple(cexprs), genv, (N + 1,))
+    times = {time_name: np.linspace(0.0, 1.0, N + 1)}
+    gamma = eval_exprs(tuple(gexprs), times, (N + 1,))
+    coeffs = A.chart.values(tuple(cexprs), gamma, times)
     return Cube(A, gamma, coeffs[np.newaxis, ...])
 
 

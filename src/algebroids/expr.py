@@ -42,6 +42,7 @@ __all__ = [
     "DomainError",
     "NonFiniteError",
     "parse",
+    "MAX_DEPTH",
     "as_expr",
     "const",
     "is_zero",
@@ -276,9 +277,8 @@ def power(base: Expr, k: int) -> Expr:
     if k == 1:
         return base
     if _is_const(base):
-        if base.value == 0.0 and k < 0:
-            raise DomainError("zero raised to a negative power")
-        return const(base.value**k)
+        with np.errstate(all="ignore"):  # an overflow folds to inf, caught when evaluated
+            return const(float(_power(np.float64(base.value), k)))
     return Power(base, k)
 
 
@@ -641,11 +641,24 @@ def _tokenize(text: str):
     return tokens
 
 
+# Deepest nesting of parentheses, function calls and unary minus, and
+# tallest tree (in nodes), that parse accepts.  The parser takes six
+# Python frames per nesting level, and compile_exprs, _diff and _format
+# one per tree level of a tree or of its derivatives (a few times
+# taller).  A config whose map, anchor and splitting nest 64 levels deep
+# runs every task kind in under 450 frames, under half of Python's
+# default recursion limit of 1000.
+MAX_DEPTH = 64
+
+
 class _Parser:
+    """Recursive descent; each rule returns its tree and the tree's height bound."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.level = 0  # open parentheses, function calls and unary minus
 
     def peek(self):
         return self.tokens[self.pos]
@@ -661,33 +674,46 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-    def parse_expr(self) -> Expr:
-        e = self.parse_term()
+    def deeper(self, depth: int, offset: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", offset)
+        return depth
+
+    def nested(self, rule, offset: int):
+        """Run ``rule`` one nesting level down."""
+        self.level = self.deeper(self.level + 1, offset)
+        out = rule()
+        self.level -= 1
+        return out
+
+    def parse_expr(self) -> tuple[Expr, int]:
+        e, h = self.parse_term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.parse_term()
-            e = add(e, rhs) if op == "+" else sub(e, rhs)
-        return e
+            op, _, offset = self.advance()
+            rhs, hr = self.parse_term()
+            e, h = add(e, rhs) if op == "+" else sub(e, rhs), self.deeper(max(h, hr) + 1, offset)
+        return e, h
 
-    def parse_term(self) -> Expr:
-        e = self.parse_unary()
+    def parse_term(self) -> tuple[Expr, int]:
+        e, h = self.parse_unary()
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            rhs = self.parse_unary()
-            e = mul(e, rhs) if op == "*" else div(e, rhs)
-        return e
+            op, _, offset = self.advance()
+            rhs, hr = self.parse_unary()
+            e, h = mul(e, rhs) if op == "*" else div(e, rhs), self.deeper(max(h, hr) + 1, offset)
+        return e, h
 
-    def parse_unary(self) -> Expr:
+    def parse_unary(self) -> tuple[Expr, int]:
         if self.peek()[0] == "-":
-            self.advance()
-            return neg(self.parse_unary())
+            offset = self.advance()[2]
+            e, h = self.nested(self.parse_unary, offset)
+            return neg(e), self.deeper(h + 1, offset)
         return self.parse_power()
 
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
+    def parse_power(self) -> tuple[Expr, int]:
+        base, h = self.parse_atom()
         if self.peek()[0] != "^":
-            return base
-        self.advance()
+            return base, h
+        offset = self.advance()[2]
         sign = 1
         if self.peek()[0] == "-":
             self.advance()
@@ -695,24 +721,24 @@ class _Parser:
         tok = self.advance()
         if tok[0] != "num" or tok[1] != int(tok[1]):
             raise ParseError("exponent must be a constant integer", tok[2])
-        return power(base, sign * int(tok[1]))
+        return power(base, sign * int(tok[1])), self.deeper(h + 1, offset)
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> tuple[Expr, int]:
         tok = self.advance()
         kind, value, offset = tok
         if kind == "num":
-            return const(value)
+            return const(value), 1
         if kind == "ident":
             if self.peek()[0] == "(":
                 if value not in _FUNCTIONS:
                     raise ParseError(f"unknown function {value!r}", offset)
                 self.advance()
-                arg = self.parse_expr()
+                arg, h = self.nested(self.parse_expr, offset)
                 self.expect(")")
-                return globals()[value](arg)
-            return var(value)
+                return globals()[value](arg), self.deeper(h + 1, offset)
+            return var(value), 1
         if kind == "(":
-            e = self.parse_expr()
+            e = self.nested(self.parse_expr, offset)
             self.expect(")")
             return e
         raise ParseError(f"unexpected token {value!r}", offset)
@@ -723,10 +749,12 @@ def parse(text: str) -> Expr:
 
     Grammar: + - * / with the usual precedence, unary minus, ``^`` with a
     constant integer exponent only, functions sin cos exp log sqrt,
-    decimal literals and identifiers.  Errors carry byte offsets.
+    decimal literals and identifiers.  Nesting deeper than ``MAX_DEPTH``
+    levels, or a tree taller than ``MAX_DEPTH`` nodes, is rejected.
+    Errors carry byte offsets.
     """
     p = _Parser(text)
-    e = p.parse_expr()
+    e, _ = p.parse_expr()
     tok = p.peek()
     if tok[0] != "end":
         raise ParseError(f"trailing input starting with {tok[1]!r}", tok[2])

@@ -25,7 +25,7 @@ from .core import (
     antisymmetric_entry,
     antisymmetric_program,
     coerce_matrix,
-    eval_exprs,
+    fresh,
     jacobi_extension_args,
     make_rep_extension,
     make_tangent,
@@ -35,7 +35,7 @@ from .core import (
     wedge,
 )
 from .cubes import ChartEscapeError, Cube, Spline, face, half_steps, rk4
-from .expr import ONE, ZERO, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, sub, total, var
+from .expr import ONE, ZERO, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, sub, total
 
 __all__ = [
     "Fibration",
@@ -94,24 +94,6 @@ def _symbolic_inverse(M: Sequence[Sequence[Expr]]) -> tuple[tuple[Expr, ...], ..
             row.append(div(cof, d))
         out.append(tuple(row))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _names(tag: str, shape: tuple[int, ...]) -> tuple[tuple[str, tuple], ...]:
-    """``(name, index)`` of the fresh variable ``#<tag><i>_<j>...`` for each entry of a trailing block.
-
-    Chart coordinates are identifiers, so these names cannot clash with them.
-    """
-    return tuple(("#" + tag + "_".join(map(str, i)), (Ellipsis,) + i) for i in np.ndindex(shape))
-
-
-def _fresh(tag: str, shape: tuple[int, ...]) -> np.ndarray:
-    return np.array([var(name) for name, _ in _names(tag, shape)], dtype=object).reshape(shape)
-
-
-def _bind(env: dict, tag: str, values: np.ndarray, shape: tuple[int, ...]) -> dict:
-    env.update((name, values[index]) for name, index in _names(tag, shape))
-    return env
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,32 +202,29 @@ class Fibration:
         """
         if k not in self._lift_programs:
             rE = self.total.rank
-            w2 = [dot(row, _fresh("b", (self.base.rank,))) for row in self.splitting]
+            w2 = [dot(row, fresh("b", (self.base.rank,))) for row in self.splitting]
             out = [*w2, *self.total.anchor_of(Section(tuple(w2)))]
-            for y in _fresh("y", (k, rE)):
+            for y in fresh("y", (k, rE)):
                 out.extend(wedge(y, w2, self.total.structure, l) for l in range(rE))
             self._lift_programs[k] = compile_exprs(out)
         return self._lift_programs[k]
 
     def lift_rates(self, b: np.ndarray, Y: np.ndarray, k: int) -> np.ndarray:
         """Run :meth:`lift_program` on states ``Y`` packing a point and k fields on the last axis."""
-        m, rE = self.chart.dim, self.total.rank
-        env = _bind(self.chart.env(Y[..., :m]), "b", b, (self.base.rank,))
-        _bind(env, "y", Y[..., m:].reshape(Y.shape[:-1] + (k, rE)), (k, rE))
-        return eval_exprs(self.lift_program(k), env, Y.shape[:-1])
+        m = self.chart.dim
+        y = Y[..., m:].reshape(Y.shape[:-1] + (k, self.total.rank))
+        return self.chart.values(self.lift_program(k), Y[..., :m], b=b, y=y)
 
     @cached_property
     def transport_program(self) -> Program:
         """``-Σ_u b_u F_u V`` over ``#b<u>`` (path velocity) and ``#v<s>_<c>`` (V), F the action matrices."""
         rB, rK = self.base.rank, self.kernel_rank
-        F, b, V = self.action_matrices, _fresh("b", (rB,)), _fresh("v", (rK, rK))
+        F, b, V = self.action_matrices, fresh("b", (rB,)), fresh("v", (rK, rK))
         M = [[dot(b, (F[u][t][s] for u in range(rB))) for s in range(rK)] for t in range(rK)]
         return compile_exprs([[neg(dot(M[t], V[:, c])) for c in range(rK)] for t in range(rK)])
 
     def transport_rates(self, points: np.ndarray, b: np.ndarray, V: np.ndarray) -> np.ndarray:
-        rK = self.kernel_rank
-        env = _bind(_bind(self.chart.env(points), "b", b, (self.base.rank,)), "v", V, (rK, rK))
-        return eval_exprs(self.transport_program, env, V.shape[:-2])
+        return self.chart.values(self.transport_program, points, b=b, v=V)
 
     @cached_property
     def transport_is_trivial(self) -> bool:
@@ -295,20 +274,17 @@ class Curvature2Form:
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """Antisymmetric value tensor of shape (..., rB, rB, rK)."""
-        points = np.asarray(points, dtype=float)
-        return eval_exprs(self.program, self.chart.env(points), points.shape[:-1])
+        return self.chart.values(self.program, points)
 
     @cached_property
     def pairing_program(self) -> Program:
         """``Σ_{p<q} (c0_p c1_q - c0_q c1_p) Ω_pq`` over the fields ``#c0_<p>`` and ``#c1_<q>``."""
-        c0, c1 = _fresh("c", (2, self.base_rank))
+        c0, c1 = fresh("c", (2, self.base_rank))
         return compile_exprs([wedge(c0, c1, self.entries, s) for s in range(self.kernel_rank)])
 
     def pairing(self, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Curvature paired node by node with the two fields stacked on the leading axis of ``coeffs``."""
-        points = np.asarray(points, dtype=float)
-        env = _bind(self.chart.env(points), "c", np.moveaxis(coeffs, 0, -2), (2, self.base_rank))
-        return eval_exprs(self.pairing_program, env, points.shape[:-1])
+        return self.chart.values(self.pairing_program, points, c=np.moveaxis(coeffs, 0, -2))
 
 
 def curvature(fib: Fibration) -> Curvature2Form:
@@ -485,7 +461,7 @@ def project_cube(fib: Fibration, cube: Cube) -> Cube:
     """Push a total cube down to the base through the projection."""
     if cube.algebroid != fib.total:
         raise ValueError("cube must live over the total algebroid of the fibration")
-    pvals = eval_exprs(fib.projection_program, fib.chart.env(cube.gamma), cube.gamma.shape[:-1])
+    pvals = fib.chart.values(fib.projection_program, cube.gamma)
     return Cube(fib.base, cube.gamma, np.einsum("...ij,a...j->a...i", pvals, cube.coeffs))
 
 
@@ -596,8 +572,7 @@ def anchor_fibration(
     base = make_tangent(chart)
     projection = tuple(tuple(A.anchor[l][a] for l in range(rE)) for a in range(m))
 
-    rng = np.random.default_rng(seed)
-    pts = chart.sample(n_samples, rng)
+    pts, _ = sampled_values(chart, (), n_samples, seed)
     rho = A.anchor_values(pts)  # (n, rE, m)
     stacked = rho.transpose(0, 2, 1).reshape(n_samples * m, rE)
     ns = null_space(stacked, rcond=1e-10)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Algebroid, eval_exprs, sampled_values, sup_norm
+from .core import Algebroid, sampled_values, sup_norm
 from .cubes import Cube, Spline, bicubic, coarsen, cutoff, cutoff_prime, face, half_steps, resample, seam
 from .fibration import (
     Curvature2Form,
@@ -76,8 +76,7 @@ class TransgressionResult:
 
 def kernel_coefficient_values(fib: Fibration, points: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Kernel-frame coefficients of total-frame coefficient vectors at points."""
-    points = np.asarray(points, dtype=float)
-    inv = eval_exprs(fib.frame_inverse_program, fib.chart.env(points), points.shape[:-1])
+    inv = fib.chart.values(fib.frame_inverse_program, points)
     rK = fib.kernel_rank
     return np.einsum("...ij,...j->...i", inv[..., :rK, :], w)
 

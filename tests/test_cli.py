@@ -8,6 +8,7 @@ import pytest
 
 from algebroids import cli
 from algebroids.cli import ConfigError, apply_overrides, config_hash, main, parse_config
+from algebroids.expr import MAX_DEPTH
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -406,8 +407,34 @@ _PLANE_TANGENT = "[chart plane]\ncoords = x y\nbounds = -3 3; -3 3\n\n[algebroid
             "action = 0 | 0 | 0",
             "action needs 2 matrices",
         ),
+        (
+            _PLANE_TANGENT + "[algebroid E]\nkind = explicit\nchart = plane\nrank = 2\nanchor = 1, 0, 0; 0, 1, 0\n",
+            "anchor = 1, 0, 0; 0, 1, 0",
+            "anchor needs 2 entries per row, got 3",
+        ),
+        (
+            AREA_CFG.replace("pi = 0, 1, 0; 0, 0, 1", "pi = 0, 1, 0"),
+            "pi = 0, 1, 0",
+            "pi needs 2 rows, got 1",
+        ),
+        (
+            AREA_CFG.replace("sigma = 0, 0; 1, 0; 0, 1", "sigma = 1, 0; 0, 1"),
+            "sigma = 1, 0; 0, 1",
+            "sigma needs 3 rows, got 2",
+        ),
+        (
+            AREA_CFG.replace("kernel_frame = 1, 0, 0", "kernel_frame = 1, 0"),
+            "kernel_frame = 1, 0",
+            "kernel_frame needs 3 entries per row, got 2",
+        ),
+        (
+            _PLANE_TANGENT + "[algebroid J]\nkind = jacobi_extension\nchart = plane\nbivector = 0, 1; -1, 0\n\n"
+            "[fibration F]\ntotal = T\nbase = J\npi = 1, 0; 0, 1; 0, 0\n",
+            "base = J",
+            "base rank 3 exceeds total rank 2",
+        ),
     ],
-    ids=["structure", "twist", "action"],
+    ids=["structure", "twist", "action", "anchor", "pi", "sigma", "kernel_frame", "ranks"],
 )
 def test_algebroid_table_errors_name_the_key_line(tmp_path, capsys, text, entry, message):
     cfg = write(tmp_path, text)
@@ -522,3 +549,92 @@ endpoint_tol = 1e-6
     report = load_report(out, "split")
     assert report["passed"] is True
     assert report["values"] == {"witness_defect": 0.0, "start_delta": 0.0, "end_delta": 0.0, "kernel_sup": 0.0}
+
+
+def test_explicit_algebroid_check_passes(tmp_path):
+    # e2 maps to x d/dy, so [e0, e2] must be e1 for the anchor to respect brackets
+    text = _PLANE_TANGENT + """[algebroid E]
+kind = explicit
+chart = plane
+rank = 3
+anchor = 1, 0; 0, 1; 0, x
+structure = 0 2: 0, 1, 0
+
+[task check]
+kind = check
+algebroid = E
+"""
+    out = tmp_path / "reports"
+    assert main(["run", str(write(tmp_path, text)), "--out", str(out)]) == 0
+    report = load_report(out, "check")
+    assert report["passed"] is True and "error" not in report
+    assert report["values"]["jacobi_residual"] == 0.0 and report["values"]["anchor_residual"] == 0.0
+
+
+def test_a_task_that_raises_reports_its_error_and_the_others_still_run(tmp_path):
+    # the anchor kernel of E has rank two, which the commensurability analysis refuses
+    text = GROUP_CFG.split("[task group]")[0] + """[algebroid E]
+kind = rep_extension
+base = T
+fiber_dim = 2
+action = 0, 0; 0, 0 | 0, 0; 0, 0
+
+[task group]
+kind = monodromy
+algebroid = E
+splitting = 0, 0; 0, 0; 1, 0; 0, 1
+cubes = s_small
+
+[task check]
+kind = check
+algebroid = J
+"""
+    out = tmp_path / "reports"
+    assert main(["run", str(write(tmp_path, text)), "--out", str(out)]) == 1
+    report = load_report(out, "group")
+    assert report["error"] == "commensurability analysis needs a rank-one anchor kernel"
+    assert report["passed"] is False
+    assert load_report(out, "check")["passed"] is True
+
+
+def test_an_overflowing_constant_power_is_a_non_finite_map(tmp_path, capsys):
+    cfg = str(CONFIG_DIR / "plane_area.cfg")
+    override = ["--set", "cube.sq.map=2^100000*t1, t2"]
+    assert main(["describe", cfg] + override) == 0
+    assert main(["run", cfg, "--out", str(tmp_path / "reports")] + override) == 2
+    err = capsys.readouterr().err
+    text = (CONFIG_DIR / "plane_area.cfg").read_text(encoding="utf-8")
+    assert f"line {_line_of(text, '[cube sq]')}:" in err and "non-finite value" in err, err
+    assert "Traceback" not in err
+
+
+_DEEP = {
+    "nested": lambda depth: "(" * depth + "0.9*t1" + ")" * depth,
+    # 0.9*t1 is two levels tall and each further term one more
+    "chain": lambda depth: "0.9*t1" + " + t1 - t1" * ((depth - 2) // 2) + " + t1" * (depth % 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP))
+def test_a_map_of_maximal_depth_lifts_and_runs(tmp_path, shape):
+    cfg = str(CONFIG_DIR / "plane_area.cfg")
+    overrides = ["--set", f"cube.sq.map={_DEEP[shape](MAX_DEPTH)}, 0.9*t2", "--set", "cube.sq.N=16"]
+    out = tmp_path / "reports"
+    assert main(["describe", cfg] + overrides) == 0
+    assert main(["run", cfg, "--out", str(out)] + overrides) == 0
+    assert load_report(out, "area")["values"]["formula"]["value"][0] == pytest.approx(0.81, abs=1e-2)
+
+
+@pytest.mark.parametrize(
+    "shape, depth",
+    [("nested", MAX_DEPTH + 1), ("nested", 250), ("chain", MAX_DEPTH + 1), ("chain", 1200)],
+)
+def test_an_expression_nested_too_deep_is_rejected_at_its_line(tmp_path, capsys, shape, depth):
+    cfg = str(CONFIG_DIR / "plane_area.cfg")
+    override = ["--set", f"cube.sq.map={_DEEP[shape](depth)}, t2"]
+    line = _line_of((CONFIG_DIR / "plane_area.cfg").read_text(encoding="utf-8"), "map = 0.9*t1, 0.9*t2")
+    for argv in (["describe", cfg], ["run", cfg, "--out", str(tmp_path / "reports")]):
+        assert main(argv + override) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert f"line {line}:" in err and "nests deeper than" in err, err
+        assert "Traceback" not in err

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from algebroids.expr import (
     BLOCK,
+    MAX_DEPTH,
     ZERO,
     Binary,
     Const,
@@ -77,6 +78,45 @@ def test_parse_error_offsets():
         parse("1 2")
     with pytest.raises(ParseError):
         parse("2^1.5")
+
+
+def test_an_overflowing_constant_power_folds_to_inf():
+    # Python's float ** raises OverflowError here; the fold runs the evaluator's power
+    assert parse("2^100000") == Const(math.inf)
+    assert parse("1e200^2") == Const(math.inf)
+    assert parse("(-2)^100001") == Const(-math.inf)
+    assert parse("1e200^-2") == Const(0.0)
+    with pytest.raises(DomainError, match="zero raised to a negative power"):
+        parse("0^-1")
+    # like 1e308*10, the infinite constant is caught where it is evaluated
+    with pytest.raises(NonFiniteError):
+        evaluate(parse("2^100000*x"), {"x": 1.0})
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda depth: "(" * depth + "x" + ")" * depth,  # nesting
+        lambda depth: "sin(" * (depth - 1) + "x" + ")" * (depth - 1),  # nesting and tree height
+        lambda depth: " + ".join(["x"] * depth),  # tree height: a left-leaning chain
+        lambda depth: "-" * (depth - 1) + "x",  # unary minus nests too
+    ],
+    ids=["parentheses", "functions", "chain", "minus"],
+)
+def test_parse_rejects_expressions_nested_past_the_limit(shape):
+    tree = parse(shape(MAX_DEPTH))
+    assert str(tree) and compile_exprs(tree.diff("x")).size == 1  # printed, differentiated, compiled
+    with pytest.raises(ParseError, match=f"nests deeper than {MAX_DEPTH} levels"):
+        parse(shape(MAX_DEPTH + 1))
+
+
+def test_a_nesting_error_points_at_the_first_level_past_the_limit():
+    with pytest.raises(ParseError) as ei:
+        parse("1 + " + "(" * 250 + "x" + ")" * 250)
+    assert ei.value.offset == 4 + MAX_DEPTH
+    with pytest.raises(ParseError) as ei:
+        parse(" + ".join(["x"] * 1200))
+    assert ei.value.offset == len(" + ".join(["x"] * MAX_DEPTH)) + 1
 
 
 def test_eval_errors():

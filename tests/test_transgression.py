@@ -422,7 +422,7 @@ def test_decompose_witness_joins_the_two_factorizations():
     assert np.max(np.abs(start.coeffs[0][~lo])) < 1e-12
 
     # the finishing face is the glued horizontal-then-kernel path
-    glued = concat(dec.horizontal, dec.kernel_path, axis=0, tol=1e-4)
+    glued = concat(dec.horizontal, dec.kernel_path, axis=0)
     assert np.max(np.abs(finish.gamma - glued.gamma)) < 1e-9
     assert np.max(np.abs(finish.coeffs - glued.coeffs)) < 1e-9
 

@@ -60,7 +60,9 @@ from .cubes import (
     morphism_residual,
     save_cube,
     tangent_lift,
+    time_names,
 )
+from .expr import Expr
 from .expr import parse as parse_expr
 from .fibration import Fibration, lift_cube, project_cube, splitting_from_projection
 from .transgression import (
@@ -260,6 +262,17 @@ def _integers(text: str) -> tuple[int, ...]:
     return tuple(_integer(0)(tok) for tok in text.split())
 
 
+# Characters of a rejected expression that its error quotes.
+QUOTE_CHARS = 60
+
+
+def _quote(text: str, offset: int | None) -> str:
+    """About ``QUOTE_CHARS`` characters of ``text`` around ``offset`` (from the start without one); ``...`` marks a cut."""
+    start = 0 if offset is None else max(0, min(offset - QUOTE_CHARS // 2, len(text) - QUOTE_CHARS))
+    end = start + QUOTE_CHARS
+    return ("..." if start else "") + text[start:end] + ("..." if end < len(text) else "")
+
+
 def _exprs(text: str) -> tuple:
     out = []
     for entry in (e.strip() for e in text.split(",")):
@@ -268,7 +281,7 @@ def _exprs(text: str) -> tuple:
         try:
             out.append(parse_expr(entry))
         except ValueError as err:
-            raise ValueError(f"bad expression '{entry}': {err}") from None
+            raise ValueError(f"bad expression '{_quote(entry, getattr(err, 'offset', None))}': {err}") from None
     return tuple(out)
 
 
@@ -386,6 +399,44 @@ def _fit_grid(sec: SectionSpec, p, A, what: str = "the cube", n: int | None = No
         )
 
 
+def _variables(value) -> set[str]:
+    """Names used by a parsed expression value: an Expr, nested tuples of them or a pair table."""
+    if isinstance(value, Expr):
+        return set(value.variables())
+    if isinstance(value, dict):
+        value = value.values()
+    return set().union(*(_variables(v) for v in value or ()))
+
+
+def _fit_names(sec: SectionSpec, p, keys, allowed) -> None:
+    """Reject a variable outside ``allowed`` in the expressions of each key, at that key's line."""
+    for key in keys:
+        extra = sorted(_variables(getattr(p, key)) - set(allowed))
+        if extra:
+            raise ConfigError(
+                f"[{sec.kind} {sec.name}] {key}: unbound variable {extra[0]!r} "
+                f"(allowed: {', '.join(allowed) or 'none'})",
+                sec.where(key),
+            )
+
+
+def _cube_times(sec: SectionSpec, A, n: int) -> tuple[str, ...]:
+    """Time names ``t1 .. tn`` of cube ``sec``; a clash with a chart coordinate is reported at its algebroid."""
+    try:
+        return time_names(A.chart, n)
+    except ValueError as err:
+        raise ConfigError(f"[cube {sec.name}] {err}", sec.where("algebroid")) from None
+
+
+def _check_chart(ws, sec, p) -> None:
+    if len(set(p.coords)) != len(p.coords) or not all(c.isidentifier() for c in p.coords):
+        raise ConfigError(f"[chart {sec.name}] coords must be distinct identifiers", sec.where("coords"))
+    _fit(sec, "bounds", len(p.bounds), len(p.coords), "rows (one 'lo hi' per coordinate)")
+    for lo, hi in p.bounds:
+        if not lo < hi:
+            raise ConfigError(f"[chart {sec.name}] bounds: empty range ({lo}, {hi})", sec.where("bounds"))
+
+
 def _check_table(sec: SectionSpec, key: str, table, n: int, width: int) -> None:
     """Run the pair-table check of ``core`` on a parsed table, at its key's line."""
     try:
@@ -396,16 +447,20 @@ def _check_table(sec: SectionSpec, key: str, table, n: int, width: int) -> None:
 
 def _check_structure(ws, sec, p) -> None:
     _check_table(sec, "structure", p.structure, p.rank, p.rank)
+    _fit_names(sec, p, ("structure",), () if p.chart is None else ws.build("chart", p.chart).coords)
 
 
 def _check_explicit(ws, sec, p) -> None:
-    _fit_matrix(sec, "anchor", p.anchor, p.rank, ws.build("chart", p.chart).dim)
+    chart = ws.build("chart", p.chart)
+    _fit_matrix(sec, "anchor", p.anchor, p.rank, chart.dim)
+    _fit_names(sec, p, ("anchor",), chart.coords)
     _check_structure(ws, sec, p)
 
 
 def _check_bivector(ws, sec, p) -> None:
-    m = ws.build("chart", p.chart).dim
-    _fit_matrix(sec, "bivector", p.bivector, m, m)
+    chart = ws.build("chart", p.chart)
+    _fit_matrix(sec, "bivector", p.bivector, chart.dim, chart.dim)
+    _fit_names(sec, p, ("bivector",), chart.coords)
 
 
 def _check_rep_extension(ws, sec, p) -> None:
@@ -414,6 +469,7 @@ def _check_rep_extension(ws, sec, p) -> None:
     for M in p.action:
         _fit_matrix(sec, "action", M, d, d)
     _check_table(sec, "twist", p.twist, rB, d)
+    _fit_names(sec, p, ("action", "twist"), ws.build("algebroid", p.base).chart.coords)
 
 
 def _check_fibration(ws, sec, p) -> None:
@@ -424,6 +480,7 @@ def _check_fibration(ws, sec, p) -> None:
     if p.sigma is not None:
         _fit_matrix(sec, "sigma", p.sigma, rE, rB)
     _fit_matrix(sec, "kernel_frame", p.kernel_frame, rE - rB, rE)
+    _fit_names(sec, p, ("pi", "sigma", "kernel_frame"), ws.build("algebroid", p.total).chart.coords)
 
 
 def _check_file(ws, sec, p) -> None:
@@ -438,6 +495,7 @@ def _check_sections(ws, sec, p) -> None:
     _fit(sec, "basepoint", len(p.basepoint), A.chart.dim, "numbers")
     if p.order is not None and sorted(p.order) != list(range(len(p.sections))):
         raise ConfigError(f"order must permute 0..{len(p.sections) - 1}", sec.where("order"))
+    _fit_names(sec, p, ("sections",), A.chart.coords + _cube_times(sec, A, len(p.sections)))
     _fit_grid(sec, p, A)
 
 
@@ -450,6 +508,7 @@ def _check_map(ws, sec, p) -> None:
             "tangent_lift_of needs a tangent algebroid or a cotangent_poisson one on a 2-D chart",
             sec.where("algebroid"),
         )
+    _fit_names(sec, p, ("map",), _cube_times(sec, A, p.n))
     _fit_grid(sec, p, A)
 
 
@@ -499,6 +558,7 @@ def _check_decompose(ws, sec, p) -> None:
 def _check_monodromy(ws, sec, p) -> None:
     A = ws.build("algebroid", p.algebroid)
     _fit_matrix(sec, "splitting", p.splitting, A.rank, A.chart.dim)
+    _fit_names(sec, p, ("splitting",), A.chart.coords)
     if (p.cube is None) == (p.cubes is None):
         raise ConfigError(f"[task {sec.name}] needs exactly one of 'cube' or 'cubes'", sec.line)
     if p.labels is not None:
@@ -526,7 +586,7 @@ _TAGS = {"algebroid": "kind", "cube": "source", "task": "kind"}
 
 # section kind -> discriminator value -> Form
 _SCHEMA: dict[str, dict[str | None, Form]] = {
-    "chart": {None: Form({"coords": Key(_names), "bounds": Key(_bounds)})},
+    "chart": {None: Form({"coords": Key(_names), "bounds": Key(_bounds)}, _check_chart)},
     "algebroid": {
         "tangent": Form({"chart": _CHART}),
         "lie_algebra": Form(

@@ -38,6 +38,7 @@ __all__ = [
     "fresh",
     "sampled_values",
     "so3_structure",
+    "unit_row",
 ]
 
 @dataclass(frozen=True)
@@ -150,6 +151,11 @@ def sampled_values(chart: Chart, families, n_points: int, seed: int) -> tuple[np
     """
     pts = chart.sample(n_points, np.random.default_rng(seed))
     return pts, [chart.values(exprs, pts) for exprs in families]
+
+
+def unit_row(i: int, n: int) -> tuple[Expr, ...]:
+    """``n`` constants, ONE at index ``i`` and ZERO elsewhere (all ZERO for ``i`` out of range)."""
+    return tuple(ONE if k == i else ZERO for k in range(n))
 
 
 def sup_norm(values: np.ndarray) -> float:
@@ -278,7 +284,7 @@ class Algebroid:
     def frame(self, i: int) -> Section:
         if not 0 <= i < self.rank:
             raise IndexError(f"frame index {i} out of range for rank {self.rank}")
-        return Section(tuple(ONE if k == i else ZERO for k in range(self.rank)))
+        return Section(unit_row(i, self.rank))
 
     def structure_vector(self, i: int, j: int) -> tuple[Expr, ...]:
         """Coefficients of the frame bracket of e_i and e_j (any i, j)."""
@@ -432,7 +438,7 @@ def check_axioms(A: Algebroid, n_points: int = 200, seed: int = 42, tol: float =
 def make_tangent(chart: Chart) -> Algebroid:
     """Tangent algebroid: identity anchor, vanishing structure functions."""
     m = chart.dim
-    anchor = tuple(tuple(ONE if a == i else ZERO for a in range(m)) for i in range(m))
+    anchor = tuple(unit_row(i, m) for i in range(m))
     return Algebroid(chart=chart, rank=m, anchor=anchor, structure={})
 
 def make_lie_algebra(rank: int, structure: Mapping, chart: Chart | None = None) -> Algebroid:

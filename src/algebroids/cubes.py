@@ -49,6 +49,7 @@ __all__ = [
     "cotangent_lift",
     "path_cube",
     "grid_times",
+    "time_names",
     "save_cube",
     "load_cube",
 ]
@@ -524,7 +525,7 @@ def _coerce_sections(A: Algebroid, sections: Sequence) -> list[Section]:
     return out
 
 
-def _time_names(chart: Chart, n: int) -> tuple[str, ...]:
+def time_names(chart: Chart, n: int) -> tuple[str, ...]:
     """Names ``t1 .. tn`` of the n time variables; ValueError if one is also a chart coordinate."""
     names = tuple(f"t{i + 1}" for i in range(n))
     clash = set(names) & set(chart.coords)
@@ -548,7 +549,7 @@ def commutation_residual(A: Algebroid, sections: Sequence) -> float:
     sampled in [0.01, 0.99].
     """
     secs = _coerce_sections(A, sections)
-    names = _time_names(A.chart, len(secs))
+    names = time_names(A.chart, len(secs))
     kappa = [
         [sub(sub(a.diff(tj), b.diff(ti)), c) for a, b, c in zip(si, sj, A.bracket(si, sj))]
         for (ti, si), (tj, sj) in itertools.combinations(zip(names, secs), 2)
@@ -576,7 +577,7 @@ def cube_from_sections(
     n = len(secs)
     if n < 1:
         raise ValueError("need at least one section")
-    names = _time_names(A.chart, n)
+    names = time_names(A.chart, n)
     order = tuple(order) if order is not None else tuple(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError(f"order must be a permutation of 0..{n - 1}")
@@ -626,7 +627,7 @@ def tangent_lift(
     exact partial velocities, so the only morphism defect is the grid
     derivative error.
     """
-    names = _time_names(chart, n)
+    names = time_names(chart, n)
     exprs = [as_expr(c) for c in components]
     if len(exprs) != chart.dim:
         raise ValueError("need one component per chart coordinate")
@@ -677,7 +678,7 @@ def path_cube(
     N: int,
 ) -> Cube:
     """One-dimensional cube from explicit path and coefficient expressions in ``t1``."""
-    (time_name,) = _time_names(A.chart, 1)
+    (time_name,) = time_names(A.chart, 1)
     gexprs = [as_expr(c) for c in gamma_components]
     cexprs = [as_expr(c) for c in coeff_components]
     if len(gexprs) != A.chart.dim or len(cexprs) != A.rank:

@@ -22,6 +22,7 @@ No simplification is performed beyond constant folding and the obvious
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -558,10 +559,15 @@ def _iter_vars(e: Expr) -> Iterator[str]:
         yield from _iter_vars(e.base)
 
 
-# --- printing -----------------------------------------------------------
+# --- operator table, printing and parsing --------------------------------
 
-# precedence levels: add/sub 1, mul/div 2, unary minus 3, power 4
-_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2}
+# Binary operators by token: precedence and builder (named as its node's op).
+# The parser climbs this table and the printer reads it back; unary minus
+# binds at level 3 and ``^`` at level 4.
+_BINARY = {"+": (1, add), "-": (1, sub), "*": (2, mul), "/": (2, div)}
+_SYMBOL = {make.__name__: (tok, prec) for tok, (prec, make) in _BINARY.items()}
+
+_FUNCTIONS = {f.__name__: f for f in (sin, cos, exp, log, sqrt)}
 
 
 def _format(e: Expr, parent_prec: int) -> str:
@@ -575,14 +581,11 @@ def _format(e: Expr, parent_prec: int) -> str:
             return f"({s})" if parent_prec > 3 else s
         return f"{e.op}({_format(e.arg, 0)})"
     if isinstance(e, Binary):
-        p = _PREC[e.op]
-        sym = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[e.op]
-        # right operand of - and / needs the next precedence level
+        tok, p = _SYMBOL[e.op]
+        # the right operand of - and / needs the next level; + and * associate
         left = _format(e.left, p)
-        right = _format(e.right, p + (1 if e.op in ("sub", "div") else 0))
-        # addition-like ops are left associative; same-level right operands
-        # of + and * are fine unparenthesized
-        s = f"{left}{sym}{right}"
+        right = _format(e.right, p + (e.op in ("sub", "div")))
+        s = f"{left} {tok} {right}" if p == 1 else f"{left}{tok}{right}"
         return f"({s})" if parent_prec > p else s
     if isinstance(e, Power):
         base = _format(e.base, 5)
@@ -591,58 +594,35 @@ def _format(e: Expr, parent_prec: int) -> str:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-# --- parser -------------------------------------------------------------
-
-_FUNCTIONS = {"sin", "cos", "exp", "log", "sqrt"}
+# One token per match after optional whitespace.  ``\d``, ``\w`` and ``\s``
+# are str.isdecimal, str.isalnum or "_", and str.isspace; an identifier
+# must also start with a letter or "_", which the loop checks.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[^\W\d]\w*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
+)
 
 
 def _tokenize(text: str):
+    """``(kind, value, offset)`` triples; an operator's kind is itself, and an ``end`` closes."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            lit = text[i:j]
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value, offset = m.group(kind), m.start(kind)
+        if kind == "num":
             try:
-                value = float(lit)
+                value = float(value)
             except ValueError:
-                raise ParseError(f"bad numeric literal {lit!r}", i) from None
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^()":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
+                raise ParseError(f"bad numeric literal {value!r}", offset) from None
+        elif kind == "bad" or (kind == "ident" and not (value[0].isalpha() or value[0] == "_")):
+            raise ParseError(f"unexpected character {value[0]!r}", offset)
+        tokens.append((value if kind == "op" else kind, value, offset))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 # Deepest nesting of parentheses, function calls and unary minus, and
-# tallest tree (in nodes), that parse accepts.  The parser takes six
+# tallest tree (in nodes), that parse accepts.  The parser takes three
 # Python frames per nesting level, and compile_exprs, _diff and _format
 # one per tree level of a tree or of its derivatives (a few times
 # taller).  A config whose map, anchor and splitting nest 64 levels deep
@@ -652,10 +632,9 @@ MAX_DEPTH = 64
 
 
 class _Parser:
-    """Recursive descent; each rule returns its tree and the tree's height bound."""
+    """Precedence climbing over ``_BINARY``; each rule returns its tree and the tree's height bound."""
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.level = 0  # open parentheses, function calls and unary minus
@@ -672,7 +651,6 @@ class _Parser:
         tok = self.advance()
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
 
     def deeper(self, depth: int, offset: int) -> int:
         if depth > MAX_DEPTH:
@@ -686,62 +664,47 @@ class _Parser:
         self.level -= 1
         return out
 
-    def parse_expr(self) -> tuple[Expr, int]:
-        e, h = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op, _, offset = self.advance()
-            rhs, hr = self.parse_term()
-            e, h = add(e, rhs) if op == "+" else sub(e, rhs), self.deeper(max(h, hr) + 1, offset)
+    def expr(self, min_prec: int = 1) -> tuple[Expr, int]:
+        """Operands joined by binary operators of precedence ``min_prec`` or more, left to right."""
+        e, h = self.prefix()
+        while self.peek()[0] in _BINARY and _BINARY[self.peek()[0]][0] >= min_prec:
+            kind, _, offset = self.advance()
+            prec, make = _BINARY[kind]
+            rhs, hr = self.expr(prec + 1)
+            e, h = make(e, rhs), self.deeper(max(h, hr) + 1, offset)
         return e, h
 
-    def parse_term(self) -> tuple[Expr, int]:
-        e, h = self.parse_unary()
-        while self.peek()[0] in ("*", "/"):
-            op, _, offset = self.advance()
-            rhs, hr = self.parse_unary()
-            e, h = mul(e, rhs) if op == "*" else div(e, rhs), self.deeper(max(h, hr) + 1, offset)
-        return e, h
-
-    def parse_unary(self) -> tuple[Expr, int]:
-        if self.peek()[0] == "-":
-            offset = self.advance()[2]
-            e, h = self.nested(self.parse_unary, offset)
+    def prefix(self) -> tuple[Expr, int]:
+        """A unary minus, or a number, name, call or parenthesis with an optional ``^k``."""
+        kind, value, offset = self.advance()
+        if kind == "-":
+            e, h = self.nested(self.prefix, offset)
             return neg(e), self.deeper(h + 1, offset)
-        return self.parse_power()
-
-    def parse_power(self) -> tuple[Expr, int]:
-        base, h = self.parse_atom()
-        if self.peek()[0] != "^":
-            return base, h
-        offset = self.advance()[2]
-        sign = 1
-        if self.peek()[0] == "-":
-            self.advance()
-            sign = -1
-        tok = self.advance()
-        if tok[0] != "num" or tok[1] != int(tok[1]):
-            raise ParseError("exponent must be a constant integer", tok[2])
-        return power(base, sign * int(tok[1])), self.deeper(h + 1, offset)
-
-    def parse_atom(self) -> tuple[Expr, int]:
-        tok = self.advance()
-        kind, value, offset = tok
         if kind == "num":
-            return const(value), 1
-        if kind == "ident":
-            if self.peek()[0] == "(":
-                if value not in _FUNCTIONS:
-                    raise ParseError(f"unknown function {value!r}", offset)
-                self.advance()
-                arg, h = self.nested(self.parse_expr, offset)
-                self.expect(")")
-                return globals()[value](arg), self.deeper(h + 1, offset)
-            return var(value), 1
-        if kind == "(":
-            e = self.nested(self.parse_expr, offset)
+            e, h = const(value), 1
+        elif kind == "ident" and self.peek()[0] == "(":
+            if value not in _FUNCTIONS:
+                raise ParseError(f"unknown function {value!r}", offset)
+            self.advance()
+            arg, h = self.nested(self.expr, offset)
             self.expect(")")
-            return e
-        raise ParseError(f"unexpected token {value!r}", offset)
+            e, h = _FUNCTIONS[value](arg), self.deeper(h + 1, offset)
+        elif kind == "ident":
+            e, h = var(value), 1
+        elif kind == "(":
+            e, h = self.nested(self.expr, offset)
+            self.expect(")")
+        else:
+            raise ParseError(f"unexpected token {value!r}", offset)
+        if self.peek()[0] != "^":
+            return e, h
+        offset = self.advance()[2]
+        minus = self.peek()[0] == "-"
+        self.pos += minus
+        kind, k, at = self.advance()
+        if kind != "num" or not k.is_integer():  # an overflowing literal is inf, not an integer
+            raise ParseError("exponent must be a constant integer", at)
+        return power(e, -int(k) if minus else int(k)), self.deeper(h + 1, offset)
 
 
 def parse(text: str) -> Expr:
@@ -754,7 +717,7 @@ def parse(text: str) -> Expr:
     Errors carry byte offsets.
     """
     p = _Parser(text)
-    e, _ = p.parse_expr()
+    e, _ = p.expr()
     tok = p.peek()
     if tok[0] != "end":
         raise ParseError(f"trailing input starting with {tok[1]!r}", tok[2])

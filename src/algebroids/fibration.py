@@ -32,6 +32,7 @@ from .core import (
     pair_table,
     sampled_values,
     sup_norm,
+    unit_row,
     wedge,
 )
 from .cubes import ChartEscapeError, Cube, Spline, face, half_steps, rk4
@@ -348,7 +349,7 @@ def identity_residuals(fib: Fibration, n_points: int = 100) -> dict[str, float]:
     families["projection_morphism"] = morph
 
     lifts = [fib.project_section(fib.horizontal_lift(B.frame(i))) for i in range(rB)]
-    families["splitting_identity"] = [sub(p[u], ONE if u == i else ZERO) for i, p in enumerate(lifts) for u in range(rB)]
+    families["splitting_identity"] = [sub(a, b) for i, p in enumerate(lifts) for a, b in zip(p, unit_row(i, rB), strict=True)]
     families["kernel_in_kernel"] = [c for s in range(rK) for c in fib.project_section(fib.kernel_section(s))]
 
     omega = curvature(fib)
@@ -360,7 +361,7 @@ def identity_residuals(fib: Fibration, n_points: int = 100) -> dict[str, float]:
     for i, j in itertools.combinations(range(rB), 2):
         w_total = fib.from_kernel_coefficients(omega.entry(i, j))
         for s in range(rK):
-            e_s = Section(tuple(ONE if t == s else ZERO for t in range(rK)))
+            e_s = Section(unit_row(s, rK))
             lhs = D(i, D(j, e_s)) - D(j, D(i, e_s)) - covariant_derivative(fib, B.bracket(B.frame(i), B.frame(j)), e_s)
             rhs = fib.kernel_coefficients(E.bracket(w_total, fib.kernel_section(s)))
             curv.extend(sub(a, b) for a, b in zip(lhs.components, rhs))
@@ -485,7 +486,7 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
         raise ValueError("transport needs a cube over the base")
     n, N = path.n, path.N
     rK = fib.kernel_rank
-    if fib.transport_is_trivial or rK == 0:
+    if fib.transport_is_trivial:
         return np.zeros(path.gamma.shape[:-1] + (rK, rK)) + np.eye(rK)
 
     lines = path.gamma.shape[: n - 1]
@@ -528,15 +529,9 @@ def rep_extension_fibration(base: Algebroid, fiber_dim: int, action, twist=None)
     """Extension of a base algebroid by a represented abelian kernel."""
     total = make_rep_extension(base, fiber_dim, action, twist)
     d, rB = fiber_dim, base.rank
-    projection = tuple(
-        tuple(ONE if j == d + i else ZERO for j in range(d + rB)) for i in range(rB)
-    )
-    splitting = tuple(
-        tuple(ONE if j == d + i else ZERO for i in range(rB)) for j in range(d + rB)
-    )
-    kernel = tuple(
-        tuple(ONE if j == s else ZERO for j in range(d + rB)) for s in range(d)
-    )
+    projection = tuple(unit_row(d + i, d + rB) for i in range(rB))
+    splitting = tuple(unit_row(j - d, rB) for j in range(d + rB))
+    kernel = tuple(unit_row(s, d + rB) for s in range(d))
     return Fibration(total=total, base=base, projection=projection, splitting=splitting, kernel=kernel)
 
 

@@ -211,7 +211,7 @@ def transgress2_formula(
 
     def compute(c: Cube):
         field = om.pairing(c.gamma, c.coeffs)
-        if fib.transport_is_trivial or not fib.kernel_rank:
+        if fib.transport_is_trivial:
             return _trapezoid(field, c.N, 2), None, field
         V = transport_matrix(fib, c)
         back = np.linalg.solve(V, field[..., None])[..., 0]

@@ -380,8 +380,10 @@ def test_undefined_estimates_are_written_as_null(tmp_path):
     assert area["formula"]["est_error"] is None and area["lift"]["est_error"] is None
 
 
-def _line_of(text, entry):
-    return text.splitlines().index(entry) + 1
+def _line_of(text, entry, section=None):
+    """Line of ``entry``, the first after the line ``section`` when one is given."""
+    lines = text.splitlines()
+    return lines.index(entry, lines.index(section) if section else 0) + 1
 
 
 _PLANE_TANGENT = "[chart plane]\ncoords = x y\nbounds = -3 3; -3 3\n\n[algebroid T]\nkind = tangent\nchart = plane\n\n"
@@ -442,6 +444,44 @@ def test_algebroid_table_errors_name_the_key_line(tmp_path, capsys, text, entry,
         assert main(argv) == 2, argv[0]
         err = capsys.readouterr().err
         assert f"line {_line_of(text, entry)}:" in err and message in err, err
+
+
+def test_a_rejected_expression_is_quoted_around_its_error():
+    chain, width = " + ".join(["t1"] * 100), cli.QUOTE_CHARS
+    with pytest.raises(ValueError) as ei:  # a ParseError: quoted around its offset
+        cli._exprs(chain + " + 1.2.3")
+    assert f"'...{(chain + ' + 1.2.3')[-width:]}'" in str(ei.value), ei.value
+    with pytest.raises(ValueError) as ei:  # a DomainError carries no offset: quoted from the start
+        cli._exprs("1/0 + " + chain)
+    assert f"'{('1/0 + ' + chain)[:width]}...'" in str(ei.value), ei.value
+    with pytest.raises(ValueError, match=r"bad expression 'x \$ y'"):
+        cli._exprs("x $ y")
+
+
+@pytest.mark.parametrize(
+    "override, section, entry, message",
+    [
+        ("cube.sq.map=0.9*t3, 0.9*t2", "[cube sq]", "map = 0.9*t1, 0.9*t2", "unbound variable 't3'"),
+        ("cube.rim.sections=0, -0.9*t3; 0.9, 0", "[cube rim]", "sections = 0, -0.9; 0.9, 0", "unbound variable 't3'"),
+        ("algebroid.CP.bivector=0, z; -z, 0", "[algebroid CP]", "bivector = 0, 1; -1, 0", "unbound variable 'z'"),
+        ("fibration.F.sigma=0, 0; q, 0; 0, 1", "[fibration F]", "sigma = 0, 0; 1, 0; 0, 1", "unbound variable 'q'"),
+        ("algebroid.J.bivector=0, t1; -t1, 0", "[algebroid J]", "bivector = 0, 1; -1, 0", "unbound variable 't1'"),
+        ("chart.plane.coords=t1 t2", "[cube sq]", "algebroid = CP", "collide with chart coordinates: ['t1', 't2']"),
+        ("chart.plane.bounds=-3 3", "[chart plane]", "bounds = -3 3; -3 3", "bounds needs 2 rows"),
+        ("chart.plane.bounds=-3 3; 3 -3", "[chart plane]", "bounds = -3 3; -3 3", "empty range (3.0, -3.0)"),
+        ("chart.plane.coords=x x", "[chart plane]", "coords = x y", "coords must be distinct identifiers"),
+    ],
+    ids=["map", "sections", "bivector", "sigma", "time-in-bivector", "time-as-coordinate", "bounds-rows", "bounds-empty", "coords"],
+)
+def test_a_bad_expression_name_or_chart_key_is_rejected_at_its_line(tmp_path, capsys, override, section, entry, message):
+    cfg = str(CONFIG_DIR / "plane_area.cfg")
+    line = _line_of((CONFIG_DIR / "plane_area.cfg").read_text(encoding="utf-8"), entry, section)
+    out = tmp_path / "reports"
+    for argv in (["describe", cfg], ["run", cfg, "--out", str(out)]):
+        assert main(argv + ["--set", override]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert f"line {line}:" in err and message in err, err
+    assert not list(out.glob("*.json"))
 
 
 def test_cotangent_lift_off_the_plane_is_rejected_by_describe_and_run(tmp_path, capsys):
@@ -638,3 +678,4 @@ def test_an_expression_nested_too_deep_is_rejected_at_its_line(tmp_path, capsys,
         err = capsys.readouterr().err
         assert f"line {line}:" in err and "nests deeper than" in err, err
         assert "Traceback" not in err
+        assert max(map(len, err.splitlines())) < 200, err  # the rejected expression is quoted around the error

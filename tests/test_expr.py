@@ -80,6 +80,42 @@ def test_parse_error_offsets():
         parse("2^1.5")
 
 
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("x + 1.2.3", "bad numeric literal '1.2.3'", 4),
+        (".5.", "bad numeric literal '.5.'", 0),
+        ("x $ y", "unexpected character '$'", 2),
+        ("x..", "unexpected character '.'", 1),
+        ("2*foo(x)", "unknown function 'foo'", 2),
+        ("sin(x", "expected ')', found ''", 5),
+        ("(x y)", "expected ')', found 'y'", 3),
+        ("(x 2)", "expected ')', found 2.0", 3),
+        ("x y", "trailing input starting with 'y'", 2),
+        ("x^2^3", "trailing input starting with '^'", 3),
+        ("(x))", "trailing input starting with ')'", 3),
+        ("", "unexpected token ''", 0),
+        ("x + )", "unexpected token ')'", 4),
+        ("-*x", "unexpected token '*'", 1),
+        ("x^y", "exponent must be a constant integer", 2),
+        ("x^-1.5", "exponent must be a constant integer", 3),
+        ("(x)^", "exponent must be a constant integer", 4),
+        ("-" * (MAX_DEPTH + 1) + "x", f"expression nests deeper than {MAX_DEPTH} levels", MAX_DEPTH),
+    ],
+)
+def test_every_parse_error_names_its_problem_and_offset(text, message, offset):
+    with pytest.raises(ParseError) as ei:
+        parse(text)
+    assert str(ei.value) == f"{message} (at offset {offset})"
+    assert ei.value.offset == offset
+
+
+def test_an_exponent_that_overflows_to_inf_is_a_parse_error():
+    with pytest.raises(ParseError, match="exponent must be a constant integer") as ei:
+        parse("x^1e400")
+    assert ei.value.offset == 2
+
+
 def test_an_overflowing_constant_power_folds_to_inf():
     # Python's float ** raises OverflowError here; the fold runs the evaluator's power
     assert parse("2^100000") == Const(math.inf)

@@ -49,6 +49,7 @@ __all__ = [
     "cotangent_lift",
     "path_cube",
     "grid_times",
+    "frozen",
     "time_names",
     "save_cube",
     "load_cube",
@@ -62,9 +63,32 @@ class ChartEscapeError(ValueError):
 _ESCAPED = "flow left the chart box; shrink the time box or enlarge the chart"
 
 
+def axis_times(n: int, N: int) -> list[np.ndarray]:
+    """Node times of each time axis, on that axis only: the i-th array has shape (N+1,) + (1,)*(n-1-i).
+
+    The n arrays broadcast to the (N+1,)*n grid, so a program binds them
+    without a full mesh and runs a time-only component on N+1 points.
+    """
+    t = np.arange(N + 1) / N
+    return [t.reshape((N + 1,) + (1,) * (n - 1 - i)) for i in range(n)]
+
+
 def grid_times(n: int, N: int) -> list[np.ndarray]:
-    """Node-value meshes for each time axis, each of shape (N+1,)*n."""
-    return [idx / N for idx in np.indices((N + 1,) * n).astype(float)]
+    """Node-value meshes for each time axis, each of shape (N+1,)*n: :func:`axis_times` broadcast (read-only)."""
+    return [np.broadcast_to(t, (N + 1,) * n) for t in axis_times(n, N)]
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """Mark an array that no one else holds read-only, so that :class:`Cube` adopts it without a copy."""
+    a.flags.writeable = False
+    return a
+
+
+def _adopt(a) -> np.ndarray:
+    """``a`` itself if it is a read-only float64 array owning its memory, else a read-only float copy."""
+    if type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata and not a.flags.writeable:
+        return a
+    return frozen(np.array(a, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +97,10 @@ class Cube:
 
     ``gamma`` has shape (N+1,)*n + (dim,), ``coeffs`` has shape
     (n,) + (N+1,)*n + (rank,) with ``coeffs[i]`` the coefficient field of
-    time axis i.  Arrays are copied and frozen on construction, and must
-    be finite; points outside the chart box raise :class:`ChartEscapeError`.
+    time axis i.  A float64 array that owns its memory and is already
+    read-only is adopted as it stands (see :func:`frozen`); anything else
+    is copied and the copy made read-only.  Arrays must be finite; points
+    outside the chart box raise :class:`ChartEscapeError`.
     """
 
     algebroid: Algebroid
@@ -82,8 +108,8 @@ class Cube:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.gamma, dtype=float)
-        c = np.array(self.coeffs, dtype=float)
+        g = _adopt(self.gamma)
+        c = _adopt(self.coeffs)
         n = c.shape[0] if c.ndim > 0 else 0
         if n < 1 or c.ndim != n + 2 or g.ndim != n + 1:
             raise ValueError("gamma must be grid + point, coeffs must be (axes,) + grid + frame")
@@ -100,8 +126,6 @@ class Cube:
             raise ValueError("coefficient fields hold NaN or inf")
         if not self.algebroid.chart.contains(g, tol=1e-8):
             raise ChartEscapeError("cube base points leave the chart box")
-        g.flags.writeable = False
-        c.flags.writeable = False
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "coeffs", c)
 
@@ -204,7 +228,7 @@ def face(cube: Cube, axis: int, end: int) -> Cube:
     idx = 0 if end == 0 else cube.N
     gamma = np.take(cube.gamma, idx, axis=axis)
     coeffs = np.delete(np.take(cube.coeffs, idx, axis=axis + 1), axis, axis=0)
-    return Cube(cube.algebroid, gamma, coeffs)
+    return Cube(cube.algebroid, frozen(gamma), frozen(coeffs))
 
 
 def degeneracy(cube: Cube, axis: int) -> Cube:
@@ -214,7 +238,7 @@ def degeneracy(cube: Cube, axis: int) -> Cube:
         raise ValueError(f"axis must be in 0..{n}")
     gamma = np.repeat(np.expand_dims(cube.gamma, axis), N + 1, axis=axis)
     coeffs = np.repeat(np.expand_dims(cube.coeffs, axis + 1), N + 1, axis=axis + 1)
-    return Cube(cube.algebroid, gamma, np.insert(coeffs, axis, 0.0, axis=0))
+    return Cube(cube.algebroid, frozen(gamma), frozen(np.insert(coeffs, axis, 0.0, axis=0)))
 
 
 def reverse(cube: Cube, axis: int) -> Cube:
@@ -481,7 +505,7 @@ def concat(first: Cube, second: Cube, axis: int) -> Cube:
     coeffs = glue(first.coeffs, second.coeffs, axis + 1)
     # each speed is exactly 0 off its own half, so the sum picks the half's own
     _weigh_own_axis(coeffs, axis, speed_first + speed_second)
-    return Cube(first.algebroid, glue(first.gamma, second.gamma, axis), coeffs)
+    return Cube(first.algebroid, frozen(glue(first.gamma, second.gamma, axis)), frozen(coeffs))
 
 
 # --- cubes from time-dependent section families --------------------------------
@@ -606,9 +630,9 @@ def cube_from_sections(
     if not A.chart.contains(gamma, tol=1e-8):
         raise ChartEscapeError(_ESCAPED)
 
-    times = dict(zip(names, grid_times(n, N)))
+    times = dict(zip(names, axis_times(n, N)))
     comps = [A.chart.values(sec.program, gamma, times) for sec in secs]
-    return Cube(A, gamma, np.stack(comps))
+    return Cube(A, gamma, frozen(np.stack(comps)))
 
 
 # --- cubes from explicit maps ---------------------------------------------------
@@ -635,15 +659,14 @@ def tangent_lift(
         extra = e.variables() - set(names)
         if extra:
             raise ValueError(f"map components may only use time variables, found {sorted(extra)}")
-    times = grid_times(n, N)
-    env = {names[i]: times[i] for i in range(n)}
-    base = times[0].shape if n else ()
+    env = dict(zip(names, axis_times(n, N)))
+    base = (N + 1,) * n
     gamma = eval_exprs(tuple(exprs), env, base)
     comps = [
         eval_exprs(tuple(e.diff(names[i]) for e in exprs), env, base)
         for i in range(n)
     ]
-    return Cube(make_tangent(chart), gamma, np.stack(comps))
+    return Cube(make_tangent(chart), frozen(gamma), frozen(np.stack(comps)))
 
 
 def cotangent_lift(
@@ -668,7 +691,7 @@ def cotangent_lift(
     if np.any(np.abs(pvals) < 1e-12):
         raise ValueError("bivector vanishes along the swept region; cannot invert")
     # a velocity (v0, v1) has coefficients (v1, -v0) / p in the differential frame, p the bivector entry
-    return Cube(A, tangent.gamma, tangent.coeffs[..., ::-1] * (1.0, -1.0) / pvals[..., None])
+    return Cube(A, tangent.gamma, frozen(tangent.coeffs[..., ::-1] * (1.0, -1.0) / pvals[..., None]))
 
 
 def path_cube(

@@ -7,11 +7,13 @@ trees, into a :class:`Program`: equal subtrees become one shared
 node, and the nodes run as a straight-line list of numpy calls that
 writes every entry into one preallocated array.  Owners of hot matrices
 compile once and keep the program; :func:`evaluate` compiles anything
-else on the fly.  An evaluation over more than ``BLOCK`` points runs
-the op list over blocks of the leading axis, so that the temporaries of
-each op stay in the L2 cache; every point goes through the same ufunc
-calls either way, so blocking changes no bit of the result.  The
-environment holds floats or numpy arrays and evaluation is
+else on the fly.  An evaluation over more than ``BLOCK`` points first
+narrows each input to a length-1 slice along every axis it is bitwise
+constant on, so that each op runs at its own inputs' broadcast shape,
+and then runs the op list over blocks of the leading axis, so that the
+temporaries of each op stay in the L2 cache; every point goes through
+the same ufunc calls either way, so neither changes a bit of the
+result.  The environment holds floats or numpy arrays and evaluation is
 deterministic.  Division by zero, log/sqrt domain
 violations and zero to a negative power raise :class:`DomainError`,
 and so does any NaN or inf in the result (as :class:`NonFiniteError`).
@@ -442,6 +444,22 @@ def compile_exprs(exprs) -> Program:
 BLOCK = 2**15
 
 
+def _narrow(v: np.ndarray) -> np.ndarray:
+    """``v`` cut to a length-1 slice along each axis it is constant on.
+
+    Constant means bit for bit: the int64 views of neighbouring slices
+    are compared, since ``==`` would take ``-0.0`` for ``0.0``.  The last
+    slice is compared with the first one before that full pass, so an
+    input that varies along the axis rarely costs one.  The result
+    broadcasts back to ``v`` exactly.
+    """
+    for axis in range(v.ndim):
+        bits = v.view(np.int64).swapaxes(0, axis)
+        if len(bits) > 1 and (bits[-1] == bits[0]).all() and (bits[1:] == bits[:-1]).all():
+            v = v.swapaxes(0, axis)[:1].swapaxes(0, axis)
+    return v
+
+
 def _blocks(program: Program, regs: list, out: np.ndarray, ndim: int):
     """Registers and output view of each block of at most ``BLOCK`` points of the leading axis.
 
@@ -471,12 +489,14 @@ def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None):
     zero to a negative power and any non-finite result raise errors
     rather than producing NaN or inf.
 
-    Over more than ``BLOCK`` points the op list runs once per block of
+    Over more than ``BLOCK`` points each variable is cut to the axes it
+    varies on (see :func:`_narrow`), so an op whose inputs vary along one
+    axis runs on that axis alone, and the op list runs once per block of
     rows of the leading axis (see :func:`_blocks`), writing each block's
-    slice of the output: every op is elementwise, so the result is
-    bitwise that of one whole-grid run.  The domain checks run on every
-    block and the non-finite check reads the whole output.  Smaller
-    calls run the op list once over the whole arrays.
+    slice of the full output: every op is elementwise, so the result is
+    bitwise that of one whole-grid run.  The domain checks see every
+    distinct input value and the non-finite check reads the whole output.
+    Smaller calls run the op list once over the arrays as given.
     """
     program = e if isinstance(e, Program) else compile_exprs(e)
     regs = list(program.registers)
@@ -493,6 +513,8 @@ def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None):
     if out.size <= BLOCK * program.size:
         blocks = ((regs, out),)
     else:
+        for slot, _ in program.loads:
+            regs[slot] = _narrow(regs[slot])
         blocks = _blocks(program, regs, out, len(base_shape))
     with np.errstate(all="ignore"):  # overflow and NaN are caught at the outputs below
         for regs, view in blocks:

@@ -35,7 +35,7 @@ from .core import (
     unit_row,
     wedge,
 )
-from .cubes import ChartEscapeError, Cube, Spline, face, half_steps, rk4
+from .cubes import ChartEscapeError, Cube, Spline, face, frozen, half_steps, rk4
 from .expr import ONE, ZERO, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, sub, total
 
 __all__ = [
@@ -455,7 +455,7 @@ def lift_cube(fib: Fibration, cube: Cube) -> Cube:
 
     b = Spline(cube.coeffs[n - 1], axis=n - 1)(half_steps(N))
     gamma, W, w_last = evolve_cube_system(fib, b, gamma0, w0, N)
-    return Cube(fib.total, gamma, np.stack(W + [w_last]))
+    return Cube(fib.total, gamma, frozen(np.stack(W + [w_last])))
 
 
 def project_cube(fib: Fibration, cube: Cube) -> Cube:
@@ -463,7 +463,7 @@ def project_cube(fib: Fibration, cube: Cube) -> Cube:
     if cube.algebroid != fib.total:
         raise ValueError("cube must live over the total algebroid of the fibration")
     pvals = fib.chart.values(fib.projection_program, cube.gamma)
-    return Cube(fib.base, cube.gamma, np.einsum("...ij,a...j->a...i", pvals, cube.coeffs))
+    return Cube(fib.base, cube.gamma, frozen(np.einsum("...ij,a...j->a...i", pvals, cube.coeffs)))
 
 
 # --- parallel transport --------------------------------------------------------------

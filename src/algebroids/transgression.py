@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Algebroid, sampled_values, sup_norm
-from .cubes import Cube, Spline, bicubic, coarsen, cutoff, cutoff_prime, face, half_steps, resample, seam
+from .cubes import Cube, Spline, bicubic, coarsen, cutoff, cutoff_prime, face, frozen, half_steps, resample, seam
 from .fibration import (
     Curvature2Form,
     Fibration,
@@ -453,7 +453,7 @@ def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
     # the driver at slice t and deformation eps is (1 - t) b(1 - (1 - t)(1 - eps))
     b = (1.0 - ts)[:, None, None] * Spline(base.coeffs[0])(1.0 - np.outer(1.0 - ts, 1.0 - half_steps(N)))
     sq_gamma, W, w_last = evolve_cube_system(fib, b, cube.gamma, [cube.coeffs[0]], N)
-    square = Cube(fib.total, sq_gamma, np.stack([W[0], w_last]))
+    square = Cube(fib.total, sq_gamma, frozen(np.stack([W[0], w_last])))
 
     top_gamma = sq_gamma[:, -1]
     top_w = W[0][:, -1]
@@ -484,7 +484,7 @@ def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
     xi2 = bicubic(w_last, H[0], H[1])
     w_t = dH_dt[0][..., None] * xi1 + dH_dt[1][..., None] * xi2
     w_e = dH_de[0][..., None] * xi1 + dH_de[1][..., None] * xi2
-    witness = Cube(fib.total, w_gamma, np.stack([w_t, w_e]))
+    witness = Cube(fib.total, frozen(w_gamma), frozen(np.stack([w_t, w_e])))
 
     return PathDecomposition(
         base=base,

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 from scipy.linalg import null_space as scipy_null_space
 
+from algebroids import cubes as cubes_module
 from algebroids.core import Chart, make_lie_algebra, make_tangent, point_chart, so3_structure
 from algebroids.cubes import (
     ChartEscapeError,
@@ -19,6 +20,7 @@ from algebroids.cubes import (
     cutoff_prime,
     degeneracy,
     face,
+    frozen,
     grid_times,
     half_steps,
     homotopy_defect,
@@ -85,14 +87,40 @@ def test_cube_cannot_change_through_the_callers_arrays():
     cube = Cube(A, block[..., :2], source.coeffs)
     block[...] = 99.0
     np.testing.assert_array_equal(cube.gamma, source.gamma)
+    # so is a nested list
+    nested = source.gamma.tolist()
+    cube = Cube(A, nested, source.coeffs.tolist())
+    nested[0][0][0] = 9.0
+    np.testing.assert_array_equal(cube.gamma, source.gamma)
     # the cube's own arrays are frozen
     with pytest.raises(ValueError):
         cube.gamma[0, 0, 0] = 99.0
+    assert not cube.coeffs.flags.writeable
     # an array of another dtype is converted
     ints = np.ones((5, 5, 2), dtype=int)
     cube = Cube(A, ints, np.zeros((2, 5, 5, 2)))
     ints[...] = 2
     assert cube.gamma.dtype == np.float64 and np.all(cube.gamma == 1.0)
+
+
+def test_cube_adopts_a_read_only_array_that_owns_its_memory(monkeypatch):
+    source = linear_square(N=4)
+    gamma, coeffs = frozen(source.gamma.copy()), frozen(source.coeffs.copy())
+    cube = Cube(source.algebroid, gamma, coeffs)
+    assert cube.gamma is gamma and cube.coeffs is coeffs
+    # a read-only view does not own its memory, so it is copied
+    view = source.coeffs[:, ::-1]
+    assert not np.shares_memory(Cube(source.algebroid, source.gamma[::-1], view).coeffs, source.coeffs)
+    # tangent_lift hands its fresh arrays over, and the cotangent lift reuses its points
+    lifted = []
+
+    def spy(*args):
+        lifted.append(tangent_lift(*args))
+        return lifted[-1]
+
+    monkeypatch.setattr(cubes_module, "tangent_lift", spy)
+    c = cotangent_lift(PLANE, {(0, 1): "1"}, ["0.5*t1", "0.3 + 0.2*t2"], 2, 8)
+    assert np.shares_memory(c.gamma, lifted[0].gamma)
 
 
 def test_overflowing_flow_is_a_chart_escape():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebroids import expr as expr_module
 from algebroids.expr import (
     BLOCK,
     MAX_DEPTH,
@@ -490,3 +491,89 @@ def test_a_non_finite_value_in_a_late_block_names_its_output():
     exprs = [[parse("x"), parse("1")], [parse("exp(x)"), parse("2")]]
     with pytest.raises(NonFiniteError, match=r"output \(1, 0\)"):
         evaluate(exprs, env, (_ROWS, _COLS))
+
+
+# --- narrowed variables -------------------------------------------------------------
+
+
+def _axis_env():
+    """One variable constant along axis 0, one along axis 1, one along both and one along neither."""
+    rng = np.random.default_rng(11)
+    full = (_ROWS, _COLS)
+    return {
+        "u": np.broadcast_to(rng.uniform(0.5, 2.0, _COLS), full),  # constant along axis 0
+        "v": np.broadcast_to(rng.uniform(-1.0, 1.0, (_ROWS, 1)), full),  # constant along axis 1
+        "w": np.full(full, 1.25),  # constant along both
+        "x": rng.uniform(0.5, 2.0, full),  # constant along neither
+    }
+
+
+def test_narrowed_variables_give_the_bits_of_the_full_grid(monkeypatch):
+    assert _ROWS * _COLS > BLOCK
+    env = _axis_env()
+    program = compile_exprs(
+        [parse("sin(v)*u + exp(w)/x"), parse("cos(u) - v^2*w"), parse("sqrt(x + w) + log(u) + v")]
+    )
+    shapes = {}
+    real = expr_module._narrow
+
+    def spy(v):
+        out = real(v)
+        shapes[v.shape, out.shape] = True
+        return out
+
+    monkeypatch.setattr(expr_module, "_narrow", spy)
+    got = evaluate(program, env, (_ROWS, _COLS))
+    assert set(shapes) == {
+        (env["u"].shape, (1, _COLS)),
+        (env["v"].shape, (_ROWS, 1)),
+        (env["w"].shape, (1, 1)),
+        (env["x"].shape, (_ROWS, _COLS)),
+    }
+    # the same program at full shape, on contiguous copies and with nothing narrowed
+    monkeypatch.setattr(expr_module, "_narrow", lambda v: v)
+    copies = {name: np.ascontiguousarray(value) for name, value in env.items()}
+    full = evaluate(program, copies, (_ROWS, _COLS))
+    assert got.shape == (_ROWS, _COLS, 3)
+    assert got.tobytes() == full.tobytes()
+
+
+def test_a_variable_that_differs_in_one_row_or_one_zero_sign_is_not_narrowed():
+    last_row = np.ones((_ROWS, _COLS))
+    last_row[-1] = 2.0  # still constant along each row
+    assert expr_module._narrow(last_row).shape == (_ROWS, 1)
+    last_row[:, -1] = 3.0  # and now the last column differs too
+    assert expr_module._narrow(last_row).shape == (_ROWS, _COLS)
+    zeros = np.zeros((_ROWS, _COLS))
+    zeros[7, 5] = -0.0  # == calls it equal to 0.0; its bits differ
+    assert expr_module._narrow(zeros).shape == (_ROWS, _COLS)
+    out = evaluate(parse("2*x"), {"x": zeros}, (_ROWS, _COLS))
+    assert np.argwhere(np.signbit(out)).tolist() == [[7, 5]]
+
+
+def test_small_calls_never_narrow(monkeypatch):
+    calls = []
+    monkeypatch.setattr(expr_module, "_narrow", lambda v: calls.append(v.shape) or v)
+    x = np.full((5, 1), 0.5)
+    assert evaluate(parse("sin(x)*x + 1"), {"x": np.broadcast_to(x, (5, 1))}, (5, 1)).shape == (5, 1)
+    assert calls == []
+    evaluate(parse("sin(x)*x + 1"), {"x": np.full((_ROWS, _COLS), 0.5)}, (_ROWS, _COLS))
+    assert calls == [(_ROWS, _COLS)]
+
+
+def test_a_bad_row_of_a_narrowed_variable_still_raises():
+    column = np.linspace(0.5, 1.5, _ROWS)[:, None]
+    column[23] = 0.0
+    y = np.broadcast_to(column, (_ROWS, _COLS))  # constant along axis 1, narrowed to a column
+    with pytest.raises(DomainError, match="division by zero"):
+        evaluate(parse("1/y"), {"y": y}, (_ROWS, _COLS))
+    with pytest.raises(DomainError, match="log of a non-positive"):
+        evaluate(parse("log(y)"), {"y": y}, (_ROWS, _COLS))
+
+
+def test_a_non_finite_output_of_a_narrowed_variable_names_its_index():
+    column = np.linspace(0.5, 1.5, _ROWS)[:, None]
+    column[31] = 800.0
+    env = {"y": np.broadcast_to(column, (_ROWS, _COLS))}
+    with pytest.raises(NonFiniteError, match=r"output \(1,\)"):
+        evaluate([parse("y + 1"), parse("exp(y)")], env, (_ROWS, _COLS))

@@ -71,18 +71,20 @@ class Chart:
             raise ValueError(f"expected trailing axis of length {self.dim}")
         return {name: points[..., a] for a, name in enumerate(self.coords)}
 
-    def values(self, program, points: np.ndarray, named: Mapping[str, object] | None = None, **fields) -> np.ndarray:
+    def values(
+        self, program, points: np.ndarray, named: Mapping[str, object] | None = None, *, out=None, **fields
+    ) -> np.ndarray:
         """Run a Program, or nested Exprs, at points: every program at chart points gets its inputs here.
 
         Coordinates bind to ``points[..., a]``, ``named`` variables by name, and
         each field array to the :func:`fresh` variables of its tag and its axes
-        past the base shape ``points.shape[:-1]``.
+        past the base shape ``points.shape[:-1]``.  ``out`` goes to :func:`eval_exprs`.
         """
         points = np.asarray(points, dtype=float)
         env = {**self.env(points), **(named or {})}
         for tag, values in fields.items():
             env.update((name, values[index]) for name, index in _names(tag, values.shape[points.ndim - 1 :]))
-        return eval_exprs(program, env, points.shape[:-1])
+        return eval_exprs(program, env, points.shape[:-1], out=out)
 
     def contains(self, points: np.ndarray, tol: float = 0.0) -> bool:
         points = np.asarray(points, dtype=float)
@@ -117,15 +119,17 @@ def product_chart(a: Chart, b: Chart) -> Chart:
     return Chart(coords=a.coords + b.coords, box=a.box + b.box)
 
 
-def eval_exprs(exprs, env: Mapping[str, object], base_shape: tuple) -> np.ndarray:
+def eval_exprs(exprs, env: Mapping[str, object], base_shape: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate a nested sequence of Exprs, or its compiled Program, over an array environment.
 
     Returns one array of shape ``base_shape + nested_shape``; constants
     and point-independent entries are broadcast to the base shape.  A
     nested sequence is compiled on the fly, so callers that evaluate the
-    same matrix repeatedly pass the Program their owner holds.
+    same matrix repeatedly pass the Program their owner holds.  Given
+    ``out`` (a float64 array of that shape, or a strided view into a
+    larger buffer), the values are written there and ``out`` is returned.
     """
-    return np.asarray(evaluate(exprs, env, base_shape))
+    return np.asarray(evaluate(exprs, env, base_shape, out=out))
 
 
 @lru_cache(maxsize=None)

@@ -84,11 +84,15 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _adopt(a) -> np.ndarray:
-    """``a`` itself if it is a read-only float64 array owning its memory, else a read-only float copy."""
-    if type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata and not a.flags.writeable:
-        return a
-    return frozen(np.array(a, dtype=float))
+def _adopt(a) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only float64 array a :class:`Cube` holds for ``a``, and its compact part (see there)."""
+    if type(a) is not np.ndarray:
+        a = frozen(np.array(a, dtype=float))
+    cut = tuple(slice(1) if step == 0 and size > 1 else slice(None) for step, size in zip(a.strides, a.shape))
+    part = a[cut] if slice(1) in cut else a
+    if not (part.dtype == np.float64 and part.flags.owndata and not part.flags.writeable):
+        part = frozen(np.array(part, dtype=float))
+    return (part if part.shape == a.shape else np.broadcast_to(part, a.shape)), part
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,10 +101,13 @@ class Cube:
 
     ``gamma`` has shape (N+1,)*n + (dim,), ``coeffs`` has shape
     (n,) + (N+1,)*n + (rank,) with ``coeffs[i]`` the coefficient field of
-    time axis i.  A float64 array that owns its memory and is already
-    read-only is adopted as it stands (see :func:`frozen`); anything else
-    is copied and the copy made read-only.  Arrays must be finite; points
-    outside the chart box raise :class:`ChartEscapeError`.
+    time axis i.  An array may be a broadcast (``np.broadcast_to``): its
+    compact part, one slice along each axis of stride 0 and length > 1,
+    is what is stored and checked.  A float64 compact part that owns its
+    memory and is already read-only is adopted as it stands (see
+    :func:`frozen`); anything else, a broadcast's slice included, is
+    copied and the copy made read-only, then broadcast back.  Arrays must
+    be finite; points outside the chart box raise :class:`ChartEscapeError`.
     """
 
     algebroid: Algebroid
@@ -108,8 +115,8 @@ class Cube:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        g = _adopt(self.gamma)
-        c = _adopt(self.coeffs)
+        g, g_part = _adopt(self.gamma)
+        c, c_part = _adopt(self.coeffs)
         n = c.shape[0] if c.ndim > 0 else 0
         if n < 1 or c.ndim != n + 2 or g.ndim != n + 1:
             raise ValueError("gamma must be grid + point, coeffs must be (axes,) + grid + frame")
@@ -122,9 +129,9 @@ class Cube:
             raise ValueError("gamma points do not match the chart dimension")
         if c.shape[-1] != self.algebroid.rank:
             raise ValueError("coefficient fields do not match the algebroid rank")
-        if not np.isfinite(c).all():
+        if not np.isfinite(c_part).all():
             raise ValueError("coefficient fields hold NaN or inf")
-        if not self.algebroid.chart.contains(g, tol=1e-8):
+        if not self.algebroid.chart.contains(g_part, tol=1e-8):
             raise ChartEscapeError("cube base points leave the chart box")
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "coeffs", c)
@@ -631,8 +638,10 @@ def cube_from_sections(
         raise ChartEscapeError(_ESCAPED)
 
     times = dict(zip(names, axis_times(n, N)))
-    comps = [A.chart.values(sec.program, gamma, times) for sec in secs]
-    return Cube(A, gamma, frozen(np.stack(comps)))
+    coeffs = np.empty((n,) + gamma.shape[:-1] + (A.rank,))
+    for sec, field in zip(secs, coeffs):
+        A.chart.values(sec.program, gamma, times, out=field)
+    return Cube(A, gamma, frozen(coeffs))
 
 
 # --- cubes from explicit maps ---------------------------------------------------
@@ -649,7 +658,10 @@ def tangent_lift(
     ``components`` give the chart coordinates of the map as expressions
     in the time variables ``t1 .. tn``; the coefficient fields are the
     exact partial velocities, so the only morphism defect is the grid
-    derivative error.
+    derivative error.  All n x dim velocities are one program, run over
+    the time axes it loads and stored only along them: the cube's fields
+    broadcast that buffer over the grid (an affine map stores n x dim
+    numbers).
     """
     names = time_names(chart, n)
     exprs = [as_expr(c) for c in components]
@@ -660,13 +672,15 @@ def tangent_lift(
         if extra:
             raise ValueError(f"map components may only use time variables, found {sorted(extra)}")
     env = dict(zip(names, axis_times(n, N)))
-    base = (N + 1,) * n
-    gamma = eval_exprs(tuple(exprs), env, base)
-    comps = [
-        eval_exprs(tuple(e.diff(names[i]) for e in exprs), env, base)
-        for i in range(n)
-    ]
-    return Cube(make_tangent(chart), frozen(gamma), frozen(np.stack(comps)))
+    grid = (N + 1,) * n
+    gamma = eval_exprs(tuple(exprs), env, grid)
+    velocity = compile_exprs([[e.diff(t) for e in exprs] for t in names])
+    loaded = np.broadcast_shapes((1,) * n, *(env[name].shape for _, name in velocity.loads))
+    coeffs = np.empty((n,) + loaded + (chart.dim,))
+    eval_exprs(velocity, env, loaded, out=np.moveaxis(coeffs, 0, -2))
+    full = (n,) + grid + (chart.dim,)
+    coeffs = frozen(coeffs) if coeffs.shape == full else np.broadcast_to(coeffs, full)
+    return Cube(make_tangent(chart), frozen(gamma), coeffs)
 
 
 def cotangent_lift(

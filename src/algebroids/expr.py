@@ -447,15 +447,19 @@ BLOCK = 2**15
 def _narrow(v: np.ndarray) -> np.ndarray:
     """``v`` cut to a length-1 slice along each axis it is constant on.
 
-    Constant means bit for bit: the int64 views of neighbouring slices
-    are compared, since ``==`` would take ``-0.0`` for ``0.0``.  The last
-    slice is compared with the first one before that full pass, so an
-    input that varies along the axis rarely costs one.  The result
-    broadcasts back to ``v`` exactly.
+    An axis of stride 0 (a broadcast, such as a compact cube field) is
+    constant without reading it.  On any other axis, constant means bit
+    for bit: the int64 views of neighbouring slices are compared, since
+    ``==`` would take ``-0.0`` for ``0.0``.  The last slice is compared
+    with the first one before that full pass, so an input that varies
+    along the axis rarely costs one.  The result broadcasts back to ``v``
+    exactly.
     """
     for axis in range(v.ndim):
         bits = v.view(np.int64).swapaxes(0, axis)
-        if len(bits) > 1 and (bits[-1] == bits[0]).all() and (bits[1:] == bits[:-1]).all():
+        if len(bits) > 1 and (
+            v.strides[axis] == 0 or ((bits[-1] == bits[0]).all() and (bits[1:] == bits[:-1]).all())
+        ):
             v = v.swapaxes(0, axis)[:1].swapaxes(0, axis)
     return v
 
@@ -477,7 +481,7 @@ def _blocks(program: Program, regs: list, out: np.ndarray, ndim: int):
         yield block, out[start : start + rows]
 
 
-def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None):
+def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None, out: np.ndarray | None = None):
     """Evaluate an Expr, a nested sequence of them, or a compiled Program.
 
     Trees are compiled on the fly; hot callers compile once with
@@ -485,6 +489,9 @@ def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None):
     be floats or numpy arrays; the result has shape ``base_shape +``
     the nested shape, where ``base_shape`` defaults to the broadcast
     shape of the variables used, and a scalar result is a numpy float.
+    A caller's float64 array ``out`` of that shape, a strided view
+    included, receives the result in place of a new array, and is
+    returned.
     Unbound variables, division by zero, log/sqrt domain violations,
     zero to a negative power and any non-finite result raise errors
     rather than producing NaN or inf.
@@ -495,7 +502,8 @@ def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None):
     rows of the leading axis (see :func:`_blocks`), writing each block's
     slice of the full output: every op is elementwise, so the result is
     bitwise that of one whole-grid run.  The domain checks see every
-    distinct input value and the non-finite check reads the whole output.
+    distinct input value and the non-finite check reads each block's
+    output while it is still in cache, so it needs no grid-sized mask.
     Smaller calls run the op list once over the arrays as given.
     """
     program = e if isinstance(e, Program) else compile_exprs(e)
@@ -507,7 +515,11 @@ def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None):
             raise UnboundVariableError(f"unbound variable {name!r}") from None
     if base_shape is None:
         base_shape = np.broadcast_shapes(*(regs[slot].shape for slot, _ in program.loads))
-    out = np.empty(tuple(base_shape) + program.shape)
+    shape = tuple(base_shape) + program.shape
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}, not {out.dtype} {out.shape}")
     for index, slot in program.prelude:
         out[index] = regs[slot]
     if out.size <= BLOCK * program.size:
@@ -516,6 +528,7 @@ def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None):
         for slot, _ in program.loads:
             regs[slot] = _narrow(regs[slot])
         blocks = _blocks(program, regs, out, len(base_shape))
+    bad = None  # the first block with a non-finite output, reported once every domain check has run
     with np.errstate(all="ignore"):  # overflow and NaN are caught at the outputs below
         for regs, view in blocks:
             for _, fn, dst, a, b, writes, dead in program.ops:
@@ -524,8 +537,10 @@ def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None):
                     view[index] = v
                 for slot in dead:
                     regs[slot] = None
-    if not np.isfinite(out).all():
-        where = np.argwhere(~np.isfinite(out))[0][len(base_shape) :]
+            if bad is None and not np.isfinite(view).all():
+                bad = view
+    if bad is not None:
+        where = np.argwhere(~np.isfinite(bad))[0][len(base_shape) :]
         raise NonFiniteError(f"non-finite value at output {tuple(int(i) for i in where)}")
     return out if out.ndim else out[()]
 

@@ -367,6 +367,75 @@ def test_save_outside_the_report_directory_is_rejected_at_its_line(tmp_path, cap
     assert not list(out.glob("*.json"))
 
 
+SAVE_CFG = """
+[chart plane]
+coords = x y
+bounds = -3 3; -3 3
+
+[algebroid T]
+kind = tangent
+chart = plane
+
+[algebroid E]
+kind = rep_extension
+base = T
+fiber_dim = 1
+action = 0 | 0.5
+twist = 0 1: 1
+
+[fibration F]
+total = E
+base = T
+pi = 0, 1, 0; 0, 0, 1
+sigma = 0, 0; 1, 0; 0, 1
+kernel_frame = 1, 0, 0
+
+[cube sq]
+algebroid = T
+source = tangent_lift_of
+map = 0.9*t1 - 0.45, 0.9*t2 - 0.45
+n = 2
+N = 16
+
+[cube rim]
+algebroid = T
+source = from_sections
+sections = 0, -0.9; 0.9, 0
+basepoint = 0 0
+N = 16
+
+[task corner]
+kind = flow
+cube = rim
+save = rim.json
+
+[task raise]
+kind = lift
+fibration = F
+cube = sq
+save = lifted_sq.json
+"""
+
+
+def test_saved_flow_and_lift_cubes_load_back_as_computed(tmp_path, monkeypatch):
+    saved = {}
+
+    def keep(cube, path):
+        saved[Path(path).name] = cube
+        save_cube(cube, path)
+
+    save_cube = cli.save_cube
+    monkeypatch.setattr(cli, "save_cube", keep)
+    out = tmp_path / "reports"
+    assert main(["run", str(write(tmp_path, SAVE_CFG)), "--out", str(out)]) == 0
+    assert sorted(saved) == ["lifted_sq.json", "rim.json"]
+    for name, cube in saved.items():
+        back = cli.load_cube(out / name, cube.algebroid)
+        assert back.gamma.tobytes() == cube.gamma.tobytes(), name
+        assert back.coeffs.tobytes() == cube.coeffs.tobytes(), name
+    assert load_report(out, "raise")["passed"] and load_report(out, "corner")["passed"]
+
+
 def test_undefined_estimates_are_written_as_null(tmp_path):
     def refuse(token):
         raise ValueError(f"non-standard JSON constant {token}")

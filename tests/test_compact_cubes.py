@@ -1,0 +1,189 @@
+"""Cubes whose coefficient fields are stored only along the grid axes they vary on.
+
+A tangent lift runs its velocities over the time axes they load and
+hands the cube a broadcast of that buffer.  Every consumer must give the
+same bits on such a cube as on a dense copy of it.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from algebroids import cubes
+from algebroids.core import Chart, eval_exprs, make_jacobi_extension, make_tangent
+from algebroids.cubes import (
+    Cube,
+    axis_times,
+    coarsen,
+    concat,
+    cotangent_lift,
+    degeneracy,
+    face,
+    morphism_residual,
+    reparam_cutoff,
+    resample,
+    reverse,
+    tangent_lift,
+    time_names,
+)
+from algebroids.expr import as_expr
+from algebroids.fibration import jacobi_fibration, lift_cube, project_cube, rep_extension_fibration
+from algebroids.transgression import TransgressionResult, monodromy_period, transgress2_formula
+
+PI = float(np.pi)
+EPS = 1e-3
+PLANE = Chart(("x", "y"), ((-3.0, 3.0), (-3.0, 3.0)))
+STD_BIV = [["0", "1"], ["-1", "0"]]
+SPHERE = Chart(("th", "ph"), ((EPS / 2, PI - EPS / 2), (-0.1, 2 * PI + 0.1)))
+SPHERE_SPLITTING = [["0", "0"], ["0", "sin(th)"], ["-sin(th)", "0"]]
+# 193^2 grid points pass expr.BLOCK, so programs over these cubes narrow their inputs
+N = 192
+
+# an affine map stores n x dim velocities; the mixed one varies along t1 only
+SQUARE = {"affine": ["0.2 + 0.5*t1", "-0.3 + 0.4*t2"], "mixed": ["0.5*sin(t1) - 0.2", "0.2*t2 - 0.1"]}
+WRAP = {
+    "affine": [f"{EPS} + {PI - 2 * EPS}*t1", f"{2 * PI}*t2"],
+    "mixed": [f"{EPS} + {PI - 2 * EPS}*t1", f"{2 * PI}*t2 + 0.05*sin({PI}*t1)"],
+}
+
+
+def stacked_velocities(chart, comps, n, N):
+    """The coefficient fields built one axis at a time and stacked, as dense arrays."""
+    names = time_names(chart, n)
+    exprs = [as_expr(c) for c in comps]
+    env = dict(zip(names, axis_times(n, N)))
+    return np.stack([eval_exprs(tuple(e.diff(t) for e in exprs), env, (N + 1,) * n) for t in names])
+
+
+def compact_part(a):
+    return a[tuple(slice(1) if step == 0 else slice(None) for step in a.strides)]
+
+
+def bits(x):
+    """Everything a result holds, with each float as its bytes."""
+    if isinstance(x, Cube):
+        return [x.algebroid, bits(x.gamma), bits(x.coeffs)]
+    if isinstance(x, TransgressionResult):
+        return [bits(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    if isinstance(x, tuple):
+        return [bits(v) for v in x]
+    if x is None or isinstance(x, (str, int)):
+        return x
+    a = np.asarray(x, dtype=float)
+    return a.shape, np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("N", [16, N])
+def test_an_affine_lift_stores_each_velocity_once(N):
+    comps = WRAP["affine"]
+    cube = tangent_lift(SPHERE, comps, n=2, N=N)
+    assert cube.coeffs.shape == (2, N + 1, N + 1, 2)
+    assert cube.coeffs.strides[1:3] == (0, 0)
+    assert cube.coeffs.tobytes() == stacked_velocities(SPHERE, comps, 2, N).tobytes()
+
+
+def test_a_mixed_map_is_stored_along_the_axis_it_varies_on():
+    comps = ["sin(t1)", "0.2*t2"]
+    cube = tangent_lift(PLANE, comps, n=2, N=N)
+    assert cube.coeffs.strides[1] != 0 and cube.coeffs.strides[2] == 0
+    assert compact_part(cube.coeffs).shape == (2, N + 1, 1, 2)
+    assert cube.coeffs.tobytes() == stacked_velocities(PLANE, comps, 2, N).tobytes()
+
+
+def test_a_map_varying_on_every_axis_gets_an_owned_contiguous_buffer():
+    comps = ["0.3*sin(t1)*cos(t2)", "0.2*t2 + 0.1*t1*t2"]
+    cube = tangent_lift(PLANE, comps, n=2, N=N)
+    assert cube.coeffs.flags.owndata and cube.coeffs.flags.c_contiguous
+    assert cube.coeffs.tobytes() == stacked_velocities(PLANE, comps, 2, N).tobytes()
+
+
+def test_a_sphere_lift_allocates_little_beyond_its_points():
+    comps = WRAP["affine"]
+    tangent_lift(SPHERE, comps, n=2, N=16)  # compile and import outside the measurement
+    tracemalloc.start()
+    try:
+        cube = tangent_lift(SPHERE, comps, n=2, N=768)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cube.gamma.nbytes + 2**20
+
+
+# --- consumers give the same bits on a compact cube as on its dense copy ---------
+
+
+def _cotangent_square(shape):
+    """A cube over the cotangent algebroid of the constant bivector, stored as compactly as its velocities."""
+    t = tangent_lift(PLANE, SQUARE[shape], n=2, N=N)
+    # with the bivector entry 1, the differential-frame coefficients of (v0, v1) are (v1, -v0)
+    part = compact_part(t.coeffs)[..., ::-1] * (1.0, -1.0)
+    A = jacobi_fibration(PLANE, STD_BIV).base
+    return Cube(A, t.gamma, np.broadcast_to(part, t.coeffs.shape))
+
+
+def _total_square(shape):
+    """A compact cube over the total algebroid of the plane's Jacobi fibration."""
+    t = tangent_lift(PLANE, SQUARE[shape], n=2, N=N)
+    part = compact_part(t.coeffs)
+    part = np.concatenate([0.5 * part[..., :1], part], axis=-1)
+    A = jacobi_fibration(PLANE, STD_BIV).total
+    return Cube(A, t.gamma, np.broadcast_to(part, t.coeffs.shape[:-1] + (3,)))
+
+
+CUBES = {
+    "square": lambda shape: tangent_lift(PLANE, SQUARE[shape], n=2, N=N),
+    "small": lambda shape: tangent_lift(PLANE, SQUARE[shape], n=2, N=24),  # a grid to add an axis to
+    "wrap": lambda shape: tangent_lift(SPHERE, WRAP[shape], n=2, N=N),
+    "cotangent": _cotangent_square,
+    "total": _total_square,
+}
+
+
+def _twisted():
+    """A rank-one kernel over the plane whose action makes transport nontrivial."""
+    fib = rep_extension_fibration(make_tangent(PLANE), 1, [[["0"]], [["0.5"]]], twist={(0, 1): ["1"]})
+    assert not fib.transport_is_trivial
+    return fib
+
+
+OPS = {
+    "coarsen": lambda get, shape: coarsen(get("square")),
+    "resample": lambda get, shape: resample(get("square"), 61),
+    "face": lambda get, shape: face(get("square"), 0, 1),
+    "degeneracy": lambda get, shape: degeneracy(get("small"), 1),
+    "reverse": lambda get, shape: reverse(get("square"), 1),
+    "concat": lambda get, shape: concat(get("square"), reverse(get("square"), 0), 0),
+    "reparam_cutoff": lambda get, shape: reparam_cutoff(get("square")),
+    "cotangent_lift": lambda get, shape: cotangent_lift(PLANE, STD_BIV, SQUARE[shape], 2, N),
+    "morphism_residual": lambda get, shape: morphism_residual(get("square")),
+    "lift_cube": lambda get, shape: lift_cube(_twisted(), get("square")),
+    "project_cube": lambda get, shape: project_cube(jacobi_fibration(PLANE, STD_BIV), get("total")),
+    "transgress2_formula_flat": lambda get, shape: transgress2_formula(
+        jacobi_fibration(PLANE, STD_BIV), get("cotangent")
+    ),
+    "transgress2_formula_transported": lambda get, shape: transgress2_formula(_twisted(), get("square")),
+    "monodromy_period": lambda get, shape: monodromy_period(
+        make_jacobi_extension(SPHERE, [["0", "1/sin(th)"], ["-1/sin(th)", "0"]]), SPHERE_SPLITTING, get("wrap")
+    ),
+}
+
+
+def _dense(cube: Cube) -> Cube:
+    return Cube(cube.algebroid, cube.gamma, np.array(cube.coeffs))
+
+
+@pytest.mark.parametrize("shape", sorted(SQUARE))
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_a_compact_cube_gives_the_bits_of_its_dense_copy(op, shape, monkeypatch):
+    def compact(kind):
+        cube = CUBES[kind](shape)
+        assert 0 in cube.coeffs.strides[1:-1]
+        return cube
+
+    want = OPS[op](compact, shape)
+    # cotangent_lift builds its own tangent lift; make that one dense too
+    monkeypatch.setattr(cubes, "tangent_lift", lambda *args: _dense(tangent_lift(*args)))
+    got = OPS[op](lambda kind: _dense(CUBES[kind](shape)), shape)
+    assert bits(got) == bits(want)

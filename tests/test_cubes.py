@@ -67,6 +67,11 @@ def test_cube_rejects_non_finite_data():
         gamma[1, 2, 0] = bad
         with pytest.raises(ChartEscapeError):
             Cube(c.algebroid, gamma, c.coeffs)
+        # only the compact part of a broadcast is stored and checked; a bad value there is seen
+        compact = c.coeffs[:, :, :1].copy()
+        compact[1, 2, 0, 0] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            Cube(c.algebroid, c.gamma, np.broadcast_to(compact, c.coeffs.shape))
 
 
 def test_cube_cannot_change_through_the_callers_arrays():
@@ -87,6 +92,12 @@ def test_cube_cannot_change_through_the_callers_arrays():
     cube = Cube(A, block[..., :2], source.coeffs)
     block[...] = 99.0
     np.testing.assert_array_equal(cube.gamma, source.gamma)
+    # so is a broadcast of the caller's writable array, its compact part only
+    compact = source.coeffs[:, :1, :1].copy()
+    cube = Cube(A, source.gamma, np.broadcast_to(compact, source.coeffs.shape))
+    compact[...] = 9.0
+    np.testing.assert_array_equal(cube.coeffs, source.coeffs)
+    assert cube.coeffs.strides[1:3] == (0, 0) and not np.shares_memory(cube.coeffs, compact)
     # so is a nested list
     nested = source.gamma.tolist()
     cube = Cube(A, nested, source.coeffs.tolist())

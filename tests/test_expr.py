@@ -551,6 +551,27 @@ def test_a_variable_that_differs_in_one_row_or_one_zero_sign_is_not_narrowed():
     assert np.argwhere(np.signbit(out)).tolist() == [[7, 5]]
 
 
+def test_a_broadcast_axis_is_narrowed_to_a_slice_of_the_broadcast_array():
+    column = np.linspace(0.5, 1.5, _ROWS)[:, None]
+    y = np.broadcast_to(column, (_ROWS, _COLS))
+    narrowed = expr_module._narrow(y)
+    assert narrowed.shape == (_ROWS, 1) and np.shares_memory(narrowed, column)
+    np.testing.assert_array_equal(np.broadcast_to(narrowed, y.shape), y)
+
+
+@pytest.mark.parametrize("rows", [3, _ROWS])  # one whole-grid run, and blocks with narrowing
+def test_evaluate_writes_into_a_strided_view_of_the_callers_buffer(rows):
+    env = {name: value[:rows] for name, value in _axis_env().items()}
+    program = compile_exprs([[parse("u*v + x"), parse("2")], [parse("w - v"), parse("sin(u)")]])
+    buf = np.full((2, rows, _COLS, 2), np.nan)
+    view = np.moveaxis(buf, 0, -2)
+    assert evaluate(program, env, (rows, _COLS), out=view) is view
+    fresh = np.moveaxis(evaluate(program, env, (rows, _COLS)), -2, 0)
+    assert buf.tobytes() == np.ascontiguousarray(fresh).tobytes()
+    with pytest.raises(ValueError, match="out must be a float64 array"):
+        evaluate(program, env, (rows, _COLS), out=buf)
+
+
 def test_small_calls_never_narrow(monkeypatch):
     calls = []
     monkeypatch.setattr(expr_module, "_narrow", lambda v: calls.append(v.shape) or v)

@@ -191,9 +191,9 @@ def test_each_sampled_identity_family_is_one_program(monkeypatch):
 
     calls = []
 
-    def counting(exprs, env, base_shape):
+    def counting(exprs, env, base_shape, **kwargs):
         calls.append(base_shape)
-        return evaluate(exprs, env, base_shape)
+        return evaluate(exprs, env, base_shape, **kwargs)
 
     evaluate = core.eval_exprs
     monkeypatch.setattr(core, "eval_exprs", counting)

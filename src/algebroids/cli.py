@@ -844,7 +844,20 @@ def inspect_config(sections: list[SectionSpec], base_dir: Path):
         if sec.kind in ("chart", "algebroid", "fibration"):
             ws.build(sec.kind, sec.name)
         rows.append((sec.kind, sec.name, _summary(p)))
+    _check_save_names(ws, sections)
     return ws, rows
+
+
+def _check_save_names(ws, sections: list[SectionSpec]) -> None:
+    """Reject a ``save =`` file that a report (``<task>.json``) or an earlier ``save`` also writes."""
+    writers = {f"{sec.name}.json": f"the report of task '{sec.name}'" for sec in sections if sec.kind == "task"}
+    for sec in sections:
+        name = getattr(ws.params(sec.kind, sec.name), "save", None) if sec.kind == "task" else None
+        if name is None:
+            continue
+        if name in writers:
+            raise ConfigError(f"[task {sec.name}] save: '{name}' is also {writers[name]}", sec.where("save"))
+        writers[name] = f"saved by task '{sec.name}'"
 
 
 # --- task execution ------------------------------------------------------------

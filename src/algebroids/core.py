@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import ONE, ZERO, Expr, Program, add, as_expr, compile_exprs, dot, evaluate, is_zero, mul, neg, sub, total, var
+from .expr import ONE, ZERO, Bound, Expr, Program, add, as_expr, bind, compile_exprs, dot, evaluate, is_zero, mul, neg, sub, total, var
 
 __all__ = [
     "Chart",
@@ -74,17 +74,30 @@ class Chart:
     def values(
         self, program, points: np.ndarray, named: Mapping[str, object] | None = None, *, out=None, **fields
     ) -> np.ndarray:
-        """Run a Program, or nested Exprs, at points: every program at chart points gets its inputs here.
+        """Run a Program, or nested Exprs, at points, with the inputs :meth:`bind` gives it.
+
+        ``out`` goes to :func:`eval_exprs`.
+        """
+        points = np.asarray(points, dtype=float)
+        return eval_exprs(program, self._inputs(points, named, fields), points.shape[:-1], out=out)
+
+    def bind(self, program, points: np.ndarray, named: Mapping[str, object] | None = None, **fields) -> Bound:
+        """Bind a Program, or nested Exprs, at points: every program at chart points gets its inputs here.
 
         Coordinates bind to ``points[..., a]``, ``named`` variables by name, and
         each field array to the :func:`fresh` variables of its tag and its axes
-        past the base shape ``points.shape[:-1]``.  ``out`` goes to :func:`eval_exprs`.
+        past the base shape ``points.shape[:-1]``.  Float64 arrays are bound as
+        views (see :class:`expr.Bound`), so a sweep binds its stage buffers once
+        and runs the result at every stage.
         """
         points = np.asarray(points, dtype=float)
+        return bind(program, self._inputs(points, named, fields), points.shape[:-1])
+
+    def _inputs(self, points: np.ndarray, named, fields: dict) -> dict:
         env = {**self.env(points), **(named or {})}
         for tag, values in fields.items():
             env.update((name, values[index]) for name, index in _names(tag, values.shape[points.ndim - 1 :]))
-        return eval_exprs(program, env, points.shape[:-1], out=out)
+        return env
 
     def contains(self, points: np.ndarray, tol: float = 0.0) -> bool:
         points = np.asarray(points, dtype=float)

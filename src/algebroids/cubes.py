@@ -523,26 +523,43 @@ def half_steps(N: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, 2 * N + 1)
 
 
-def rk4(f, y0, N: int) -> np.ndarray:
+def rk4(f, y0, N: int, stage: np.ndarray | None = None) -> np.ndarray:
     """Integrate ``y' = f(t, y)`` over [0, 1] with N classical fourth-order steps.
 
     ``f(j, y)`` gets the stage time as its index j in ``half_steps(N)``:
     step s calls it at j = 2s, 2s+1, 2s+1 and 2s+2, in stage order, so a
-    driver sampled once at those times is read by index.  ``f`` returns
-    the shape of ``y0``.  Returns the N+1 node states on a new leading axis.
+    driver sampled once at those times is read by index.  ``y`` is always
+    ``stage``, one float64 buffer of the shape of ``y0`` (a new one by
+    default) that each stage state is written into, so a caller can bind
+    its program to views of it once.  ``f`` must not keep ``y`` or write
+    to it, and returns the rate in the shape of ``y0``; that may be a
+    buffer ``f`` reuses, since it is read before the next call.  Returns
+    the N+1 node states on a new leading axis.  The ufuncs run in the
+    textbook formula's order, into preallocated arrays, so the result is
+    bitwise that of the out-of-place step.
     """
     h = 1.0 / N
-    y = np.asarray(y0, dtype=float)
-    out = np.empty((N + 1,) + y.shape)
-    out[0] = y
+    y0 = np.asarray(y0, dtype=float)
+    out = np.empty((N + 1,) + y0.shape)
+    out[0] = y0
+    if stage is None:
+        stage = np.empty(y0.shape)
+    acc = np.empty(y0.shape)  # k1 + 2 k2 + 2 k3 + k4, summed as the rates come
     for s in range(N):
-        j = 2 * s
-        k1 = f(j, y)
-        k2 = f(j + 1, y + (h / 2) * k1)
-        k3 = f(j + 1, y + (h / 2) * k2)
-        k4 = f(j + 2, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[s + 1] = y
+        y, j = out[s], 2 * s
+        np.copyto(stage, y)
+        k = f(j, stage)  # k1
+        np.copyto(acc, k)
+        for dj, dt in ((1, h / 2), (1, h / 2), (2, h)):
+            np.multiply(k, dt, out=stage)  # the next stage state y + dt k
+            np.add(y, stage, out=stage)
+            k = f(j + dj, stage)  # k2, k3, k4
+            if dj == 1:  # k2 and k3 count twice: 2 k goes through the stage buffer, free until the next call
+                np.add(acc, np.multiply(k, 2.0, out=stage), out=acc)
+            else:
+                np.add(acc, k, out=acc)
+        np.multiply(acc, h / 6, out=acc)
+        np.add(y, acc, out=out[s + 1])
     return out
 
 
@@ -601,6 +618,8 @@ def cube_from_sections(
     Axis k is integrated with a classical fourth-order step along its
     anchor image, compiled into one program, holding already-processed
     axes at their node values and the not-yet-processed ones at zero.
+    Each axis binds that program once, to the RK4 stage buffer and to a
+    0-d time that each stage sets, and runs it into one rate buffer.
     For a commuting family the result is independent of ``order`` up to
     integration error.
     """
@@ -621,13 +640,15 @@ def cube_from_sections(
         B = int(np.prod(S, dtype=int)) if S else 1
         t_fixed = np.indices(S, dtype=float).reshape(stage, B) / N if stage else np.zeros((0, B))
         held = {names[order[l]]: t_fixed[l] if l < stage else 0.0 for l in range(n) if l != stage}
-        image = compile_exprs(A.anchor_of(secs[k]))
+        X, t, rates = np.empty((B, m)), np.empty(()), np.empty((B, m))
+        image = A.chart.bind(compile_exprs(A.anchor_of(secs[k])), X, {**held, names[k]: t})
 
-        def field(j: int, X: np.ndarray) -> np.ndarray:
-            return A.chart.values(image, X, {**held, names[k]: j / (2 * N)})
+        def field(j: int, _) -> np.ndarray:
+            t[()] = j / (2 * N)
+            return image.run(rates)
 
         try:
-            X = rk4(field, G.reshape(B, m), N)
+            X = rk4(field, G.reshape(B, m), N, X)
         except NonFiniteError as err:  # the flow overflowed on its way out of the chart
             raise ChartEscapeError(_ESCAPED) from err
         G = np.moveaxis(X.reshape((N + 1,) + S + (m,)), 0, -2)

@@ -7,11 +7,16 @@ trees, into a :class:`Program`: equal subtrees become one shared
 node, and the nodes run as a straight-line list of numpy calls that
 writes every entry into one preallocated array.  Owners of hot matrices
 compile once and keep the program; :func:`evaluate` compiles anything
-else on the fly.  An evaluation over more than ``BLOCK`` points first
-narrows each input to a length-1 slice along every axis it is bitwise
-constant on, so that each op runs at its own inputs' broadcast shape,
-and then runs the op list over blocks of the leading axis, so that the
-temporaries of each op stay in the L2 cache; every point goes through
+else on the fly.  Evaluation is two steps: :func:`bind` resolves each
+variable to its array and fixes the base shape, and :meth:`Bound.run`
+runs the op list with every check.  :func:`evaluate` does both; a
+caller that runs one program at every stage of a sweep binds it to the
+buffers it rewrites in place, once, and only runs it per stage.  A run
+over more than ``BLOCK`` points first narrows each input to a length-1
+slice along every axis it is bitwise constant on, so that each op runs
+at its own inputs' broadcast shape, and then runs the op list over
+blocks of the leading axis, so that the temporaries of each op stay in
+the L2 cache; every point goes through
 the same ufunc calls either way, so neither changes a bit of the
 result.  The environment holds floats or numpy arrays and evaluation is
 deterministic.  Division by zero, log/sqrt domain
@@ -66,6 +71,8 @@ __all__ = [
     "BLOCK",
     "Program",
     "compile_exprs",
+    "Bound",
+    "bind",
     "evaluate",
 ]
 
@@ -481,30 +488,61 @@ def _blocks(program: Program, regs: list, out: np.ndarray, ndim: int):
         yield block, out[start : start + rows]
 
 
-def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None, out: np.ndarray | None = None):
-    """Evaluate an Expr, a nested sequence of them, or a compiled Program.
+class Bound:
+    """A Program with each variable slot resolved to its array: :meth:`run` evaluates it on what they hold.
 
-    Trees are compiled on the fly; hot callers compile once with
-    :func:`compile_exprs` and pass the Program.  Environment values may
-    be floats or numpy arrays; the result has shape ``base_shape +``
-    the nested shape, where ``base_shape`` defaults to the broadcast
-    shape of the variables used, and a scalar result is a numpy float.
-    A caller's float64 array ``out`` of that shape, a strided view
-    included, receives the result in place of a new array, and is
-    returned.
-    Unbound variables, division by zero, log/sqrt domain violations,
-    zero to a negative power and any non-finite result raise errors
-    rather than producing NaN or inf.
+    Made by :func:`bind`.  A float64 array in the environment is bound by
+    reference, not copied, so a caller that rewrites its buffers in place
+    (a view of an RK4 stage buffer, say) runs the program on the new
+    values without binding again; anything else is converted once, here.
+    ``base_shape`` is fixed at bind time.
+    """
 
-    Over more than ``BLOCK`` points each variable is cut to the axes it
-    varies on (see :func:`_narrow`), so an op whose inputs vary along one
-    axis runs on that axis alone, and the op list runs once per block of
-    rows of the leading axis (see :func:`_blocks`), writing each block's
-    slice of the full output: every op is elementwise, so the result is
-    bitwise that of one whole-grid run.  The domain checks see every
-    distinct input value and the non-finite check reads each block's
-    output while it is still in cache, so it needs no grid-sized mask.
-    Smaller calls run the op list once over the arrays as given.
+    __slots__ = ("program", "regs", "base_shape")
+
+    def __init__(self, program: Program, regs: list, base_shape: tuple):
+        self.program, self.regs, self.base_shape = program, regs, base_shape
+
+    def run(self, out: np.ndarray | None = None):
+        """The program's value at the bound inputs, as :func:`evaluate` returns it (see there)."""
+        program, base_shape = self.program, self.base_shape
+        shape = base_shape + program.shape
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or out.dtype != np.float64:
+            raise ValueError(f"out must be a float64 array of shape {shape}, not {out.dtype} {out.shape}")
+        regs = self.regs.copy()  # the op loop below fills and drops slots
+        for index, slot in program.prelude:
+            out[index] = regs[slot]
+        if out.size <= BLOCK * program.size:
+            blocks = ((regs, out),)
+        else:
+            for slot, _ in program.loads:
+                regs[slot] = _narrow(regs[slot])
+            blocks = _blocks(program, regs, out, len(base_shape))
+        bad = None  # the first block with a non-finite output, reported once every domain check has run
+        with np.errstate(all="ignore"):  # overflow and NaN are caught at the outputs below
+            for regs, view in blocks:
+                for _, fn, dst, a, b, writes, dead in program.ops:
+                    v = regs[dst] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
+                    for index in writes:
+                        view[index] = v
+                    for slot in dead:
+                        regs[slot] = None
+                if bad is None and not np.isfinite(view).all():
+                    bad = view
+        if bad is not None:
+            where = np.argwhere(~np.isfinite(bad))[0][len(base_shape) :]
+            raise NonFiniteError(f"non-finite value at output {tuple(int(i) for i in where)}")
+        return out if out.ndim else out[()]
+
+
+def bind(e, env: Mapping[str, object], base_shape: tuple | None = None) -> Bound:
+    """Resolve every variable of an Expr, nested Exprs or a Program in ``env``, once.
+
+    Each variable slot gets ``np.asarray(env[name], dtype=float64)``, so a
+    float64 array is bound as itself; ``base_shape`` defaults to the
+    broadcast shape of the variables used.  Unbound variables raise here.
     """
     program = e if isinstance(e, Program) else compile_exprs(e)
     regs = list(program.registers)
@@ -515,34 +553,39 @@ def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None, out:
             raise UnboundVariableError(f"unbound variable {name!r}") from None
     if base_shape is None:
         base_shape = np.broadcast_shapes(*(regs[slot].shape for slot, _ in program.loads))
-    shape = tuple(base_shape) + program.shape
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of shape {shape}, not {out.dtype} {out.shape}")
-    for index, slot in program.prelude:
-        out[index] = regs[slot]
-    if out.size <= BLOCK * program.size:
-        blocks = ((regs, out),)
-    else:
-        for slot, _ in program.loads:
-            regs[slot] = _narrow(regs[slot])
-        blocks = _blocks(program, regs, out, len(base_shape))
-    bad = None  # the first block with a non-finite output, reported once every domain check has run
-    with np.errstate(all="ignore"):  # overflow and NaN are caught at the outputs below
-        for regs, view in blocks:
-            for _, fn, dst, a, b, writes, dead in program.ops:
-                v = regs[dst] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
-                for index in writes:
-                    view[index] = v
-                for slot in dead:
-                    regs[slot] = None
-            if bad is None and not np.isfinite(view).all():
-                bad = view
-    if bad is not None:
-        where = np.argwhere(~np.isfinite(bad))[0][len(base_shape) :]
-        raise NonFiniteError(f"non-finite value at output {tuple(int(i) for i in where)}")
-    return out if out.ndim else out[()]
+    return Bound(program, regs, tuple(base_shape))
+
+
+def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None, out: np.ndarray | None = None):
+    """Evaluate an Expr, a nested sequence of them, or a compiled Program: :func:`bind`, then :meth:`Bound.run`.
+
+    Trees are compiled on the fly; hot callers compile once with
+    :func:`compile_exprs` and pass the Program, and callers that run one
+    program many times on buffers they rewrite in place bind it once and
+    call :meth:`Bound.run` instead.  Environment values may
+    be floats or numpy arrays; the result has shape ``base_shape +``
+    the nested shape, where ``base_shape`` defaults to the broadcast
+    shape of the variables used, and a scalar result is a numpy float.
+    A caller's float64 array ``out`` of that shape, a strided view
+    included, receives the result in place of a new array, and is
+    returned.
+    Unbound variables, division by zero, log/sqrt domain violations,
+    zero to a negative power and any non-finite result raise errors
+    rather than producing NaN or inf.  Every run repeats each domain
+    check and the non-finite check.
+
+    Over more than ``BLOCK`` points each variable is cut to the axes it
+    varies on (see :func:`_narrow`), so an op whose inputs vary along one
+    axis runs on that axis alone, and the op list runs once per block of
+    rows of the leading axis (see :func:`_blocks`), writing each block's
+    slice of the full output: every op is elementwise, so the result is
+    bitwise that of one whole-grid run.  The domain checks see every
+    distinct input value and the non-finite check reads each block's
+    output while it is still in cache, so it needs no grid-sized mask.
+    Narrowing reads the values, so it is redone on every run.
+    Smaller calls run the op list once over the arrays as given.
+    """
+    return bind(e, env, base_shape).run(out)
 
 
 # --- differentiation ----------------------------------------------------

@@ -36,7 +36,7 @@ from .core import (
     wedge,
 )
 from .cubes import ChartEscapeError, Cube, Spline, face, frozen, half_steps, rk4
-from .expr import ONE, ZERO, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, sub, total
+from .expr import ONE, ZERO, Bound, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, sub, total
 
 __all__ = [
     "Fibration",
@@ -210,11 +210,18 @@ class Fibration:
             self._lift_programs[k] = compile_exprs(out)
         return self._lift_programs[k]
 
-    def lift_rates(self, b: np.ndarray, Y: np.ndarray, k: int) -> np.ndarray:
-        """Run :meth:`lift_program` on states ``Y`` packing a point and k fields on the last axis."""
+    def lift_binding(self, b: np.ndarray, Y: np.ndarray, k: int) -> Bound:
+        """:meth:`lift_program` bound to driver ``b`` and states ``Y`` packing a point and k fields on the last axis.
+
+        The fields are a view of ``Y``, so the binding follows a buffer ``Y`` rewritten in place.
+        """
         m = self.chart.dim
         y = Y[..., m:].reshape(Y.shape[:-1] + (k, self.total.rank))
-        return self.chart.values(self.lift_program(k), Y[..., :m], b=b, y=y)
+        return self.chart.bind(self.lift_program(k), Y[..., :m], b=b, y=y)
+
+    def lift_rates(self, b: np.ndarray, Y: np.ndarray, k: int) -> np.ndarray:
+        """Run :meth:`lift_program` on states ``Y`` packing a point and k fields on the last axis."""
+        return self.lift_binding(b, Y, k).run()
 
     @cached_property
     def transport_program(self) -> Program:
@@ -390,12 +397,40 @@ def identity_residuals(fib: Fibration, n_points: int = 100) -> dict[str, float]:
 # --- lifting cubes ----------------------------------------------------------------
 
 
+def _gradient_adder(out: np.ndarray, f: np.ndarray, h: float, axis: int):
+    """A function adding ``np.gradient(f, h, axis=axis, edge_order=2)`` into ``out``, on what both then hold.
+
+    The views and edge coefficients are made once.  The centred
+    differences and both one-sided edges go into one scratch array, each
+    with the arithmetic of ``np.gradient``, and one add puts it into
+    ``out``.  The two edges share their calls: ``f``'s rows i and i + L - 3
+    (L the axis length) are one view, with a coefficient per row.
+    """
+    s = (slice(None),) * axis
+    L = f.shape[axis]
+    grad = np.empty(f.shape)
+    mid, edges = grad[s + (slice(1, -1),)], grad[s + (slice(None, None, L - 1),)]
+    ahead, behind = f[s + (slice(2, None),)], f[s + (slice(None, -2),)]
+    tmp = np.empty(edges.shape)
+    # rows i and i + L - 3 as one view; for L = 3 they are one row, broadcast
+    rows = [np.broadcast_to(f[s + (slice(i, i + L - 2, max(L - 3, 1)),)], edges.shape) for i in range(3)]
+    tail = (1,) * (f.ndim - axis - 1)
+    c = [np.array(pair).reshape((2,) + tail) for pair in ((-1.5 / h, 0.5 / h), (2.0 / h, -2.0 / h), (-0.5 / h, 1.5 / h))]
+    two_h = 2.0 * h
+
+    def add() -> None:
+        np.divide(np.subtract(ahead, behind, out=mid), two_h, out=mid)
+        np.multiply(rows[0], c[0], out=edges)
+        np.add(edges, np.multiply(rows[1], c[1], out=tmp), out=edges)
+        np.add(edges, np.multiply(rows[2], c[2], out=tmp), out=edges)
+        np.add(out, grad, out=out)
+
+    return add
+
+
 def _add_gradient(out: np.ndarray, f: np.ndarray, h: float, axis: int) -> None:
     """Add ``np.gradient(f, h, axis=axis, edge_order=2)`` into ``out``, with the same arithmetic but fewer calls."""
-    s = (slice(None),) * axis
-    out[s + (slice(1, -1),)] += (f[s + (slice(2, None),)] - f[s + (slice(None, -2),)]) / (2.0 * h)
-    out[s + (0,)] += -1.5 / h * f[s + (0,)] + 2.0 / h * f[s + (1,)] + -0.5 / h * f[s + (2,)]
-    out[s + (-1,)] += 0.5 / h * f[s + (-3,)] + -2.0 / h * f[s + (-2,)] + 1.5 / h * f[s + (-1,)]
+    _gradient_adder(out, f, h, axis)()
 
 
 def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Sequence[np.ndarray], N: int):
@@ -405,8 +440,11 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     stage times, shape transverse grid + (2N+1, rB).  The points move
     along the anchor image of its lift ``w2``, and each transverse field
     picks up the transverse derivative of ``w2`` plus its bracket with
-    ``w2``.  Each RK4 stage runs :meth:`Fibration.lift_rates` once; only
-    the transverse difference is taken outside the compiled program.
+    ``w2``.  :meth:`Fibration.lift_program` is bound once per sweep, to
+    views of the RK4 stage buffer and of one driver buffer that each
+    stage copies ``b[..., j, :]`` into, and each stage runs it once into
+    one rate buffer; only the transverse difference is taken outside the
+    compiled program, with views made once (see :func:`_gradient_adder`).
     Stages at even j record ``w2`` at node j/2, the first stage of each
     step (at the node state) last; one more run covers the last node.
     Returns the point grid, the transverse fields and ``w2`` at the nodes.
@@ -414,24 +452,36 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     h = 1.0 / N
     m, rE = fib.chart.dim, fib.total.rank
     k = len(w0)
-    Y0 = np.concatenate([gamma0, *w0], axis=-1)  # the point, then the k fields, on the last axis
-    w_last = np.empty(Y0.shape[:-1] + (N + 1, rE))
+    # every buffer holds one state or rate entry per row, so that each row and each field is contiguous
+    Y0 = np.concatenate([np.moveaxis(a, -1, 0) for a in (gamma0, *w0)])  # the point, then the k fields
+    lines = Y0.shape[1:]
+    stage, driver = np.empty(Y0.shape), np.empty(b.shape[-1:] + lines)
+    lift = fib.lift_binding(np.moveaxis(driver, 0, -1), np.moveaxis(stage, 0, -1), k)
+    rates = np.empty(lift.program.shape + lines)
+    w2, dY = rates[:rE], rates[rE:]
+    gradients = [_gradient_adder(dY[m + i * rE : m + (i + 1) * rE], w2, h, 1 + i) for i in range(k)]
+    w_last = np.empty((N + 1, rE) + lines)
+    b, out = np.moveaxis(b, -1, 0), np.moveaxis(rates, 0, -1)
+
+    def w2_at(j: int) -> None:
+        np.copyto(driver, b[..., j])
+        lift.run(out)
+        if j % 2 == 0:
+            w_last[j // 2] = w2
 
     def rhs(j: int, Y: np.ndarray) -> np.ndarray:
-        out = fib.lift_rates(b[..., j, :], Y, k)
-        w2, dY = out[..., :rE], out[..., rE:]
-        if j % 2 == 0:
-            w_last[..., j // 2, :] = w2
-        for i in range(k):
-            _add_gradient(dY[..., m + i * rE : m + (i + 1) * rE], w2, h, i)
+        w2_at(j)
+        for add in gradients:
+            add()
         return dY
 
     try:
-        Y = rk4(rhs, Y0, N)
-        w_last[..., N, :] = fib.lift_rates(b[..., 2 * N, :], Y[N], k)[..., :rE]
+        Y = rk4(rhs, Y0, N, stage)
+        np.copyto(stage, Y[N])
+        w2_at(2 * N)
     except NonFiniteError as err:  # the lift overflowed on its way out of the chart
         raise ChartEscapeError("cube base points leave the chart box") from err
-    Y = np.moveaxis(Y, 0, -2)
+    Y, w_last = (np.moveaxis(a, (0, 1), (-2, -1)) for a in (Y, w_last))
     return Y[..., :m], [Y[..., m + i * rE : m + (i + 1) * rE] for i in range(k)], w_last
 
 
@@ -474,9 +524,11 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
 
     Every line of nodes along the last axis is a base path, driven by
     the last coefficient field; all of them are transported at once.
-    The path and its driver are sampled once, at every RK4 stage time,
-    and each stage runs the fibration's compiled
-    :attr:`Fibration.transport_program` once on every line.  Returns the
+    The path and its driver are sampled once, at every RK4 stage time.
+    The fibration's compiled :attr:`Fibration.transport_program` is
+    bound once, to the RK4 stage buffer and to a point and a driver
+    buffer that each stage copies its samples into, and each stage runs
+    it once on every line, into one rate buffer.  Returns the
     ``grid + (rK, rK)`` array of matrices carrying a kernel vector at
     the start of each line to each node, so a one-dimensional path gives
     an (N+1, rK, rK) stack.  A trivial covariant action short-circuits
@@ -493,11 +545,16 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
     ts = half_steps(N)
     g = Spline(path.gamma, axis=n - 1)(ts)
     b = Spline(path.coeffs[n - 1], axis=n - 1)(ts)
+    stage, point, driver = np.empty(lines + (rK, rK)), np.empty(lines + g.shape[-1:]), np.empty(lines + b.shape[-1:])
+    transport = fib.chart.bind(fib.transport_program, point, b=driver, v=stage)
+    rates = np.empty(stage.shape)
 
     def rhs(j: int, V: np.ndarray) -> np.ndarray:
-        return fib.transport_rates(g[..., j, :], b[..., j, :], V)
+        np.copyto(point, g[..., j, :])
+        np.copyto(driver, b[..., j, :])
+        return transport.run(rates)
 
-    V = rk4(rhs, np.broadcast_to(np.eye(rK), lines + (rK, rK)), N)
+    V = rk4(rhs, np.broadcast_to(np.eye(rK), lines + (rK, rK)), N, stage)
     return np.moveaxis(V, 0, n - 1)
 
 

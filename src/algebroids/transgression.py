@@ -358,7 +358,6 @@ def monodromy_group(
         return i
 
     relations: list[tuple[int, int, int, int]] = []
-    ratio_of: dict[tuple[int, int], Fraction] = {}
     for a in range(len(nonzero)):
         for b in range(a + 1, len(nonzero)):
             i, j = nonzero[a], nonzero[b]
@@ -373,7 +372,6 @@ def monodromy_group(
                 continue
             if abs(ratio - float(frac)) <= tol:
                 relations.append((i, j, frac.numerator, frac.denominator))
-                ratio_of[(i, j)] = frac
                 parent[find(i)] = find(j)
 
     groups: dict[int, list[int]] = {}
@@ -385,16 +383,20 @@ def monodromy_group(
 
     generator: Optional[float] = None
     if rank == 1:
-        ref, *others = classes[0]
-        # relations are stored as (i, j) with i < j, and ref is the smallest member
-        fracs = [
-            1 / ratio_of[(ref, i)]
-            if (ref, i) in ratio_of
-            else Fraction(periods[i] / periods[ref]).limit_denominator(max_denominator)
-            for i in others
-        ]
-        if all(fracs):
-            generator = abs(periods[ref]) * float(reduce(_fraction_gcd, map(abs, fracs), Fraction(1)))
+        # each member's period over the smallest member's, as the product of the accepted
+        # ratios along a chain of relations: a member related to ref only through a third
+        # period may have a ratio to ref whose denominator exceeds max_denominator
+        ref = classes[0][0]
+        to_ref = {ref: Fraction(1)}
+        reached = [ref]
+        while reached:
+            u = reached.pop()
+            for i, j, p, q in relations:
+                for a, b, over in ((i, j, Fraction(q, p)), (j, i, Fraction(p, q))):
+                    if a == u and b not in to_ref:
+                        to_ref[b] = to_ref[u] * over
+                        reached.append(b)
+        generator = abs(periods[ref]) * float(reduce(_fraction_gcd, map(abs, to_ref.values())))
 
     return MonodromyReport(
         basepoint=basepoint,

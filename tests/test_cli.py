@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -225,10 +226,14 @@ def test_parser_rejects_duplicates():
 
 def test_module_entrypoint_runs(tmp_path):
     cfg = write(tmp_path, AREA_CFG)
+    # the package as this test imported it, also when only pytest's pythonpath setting found it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "algebroids", "describe", str(cfg)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "fibration" in proc.stdout
@@ -434,6 +439,27 @@ def test_saved_flow_and_lift_cubes_load_back_as_computed(tmp_path, monkeypatch):
         assert back.gamma.tobytes() == cube.gamma.tobytes(), name
         assert back.coeffs.tobytes() == cube.coeffs.tobytes(), name
     assert load_report(out, "raise")["passed"] and load_report(out, "corner")["passed"]
+
+
+@pytest.mark.parametrize(
+    "corner, lift, owner",
+    [
+        ("corner.json", "lifted_sq.json", "the report of task 'corner'"),  # its own report
+        ("raise.json", "lifted_sq.json", "the report of task 'raise'"),  # a later task's report
+        ("rim.json", "rim.json", "saved by task 'corner'"),  # another task's save
+    ],
+    ids=["own_report", "other_report", "other_save"],
+)
+def test_a_save_name_that_another_file_also_takes_is_rejected_at_its_line(tmp_path, capsys, corner, lift, owner):
+    text = SAVE_CFG.replace("save = rim.json", f"save = {corner}").replace("save = lifted_sq.json", f"save = {lift}")
+    cfg = write(tmp_path, text)
+    line = _line_of(text, f"save = {lift}", "[task raise]") if lift == corner else _line_of(text, f"save = {corner}")
+    out = tmp_path / "reports"
+    for argv in (["describe", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert f"line {line}:" in err and owner in err, err
+    assert not out.exists()
 
 
 def test_undefined_estimates_are_written_as_null(tmp_path):

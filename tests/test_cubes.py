@@ -6,6 +6,7 @@ from scipy.interpolate import CubicSpline, RectBivariateSpline
 from scipy.linalg import null_space as scipy_null_space
 
 from algebroids import cubes as cubes_module
+from algebroids import expr as expr_module
 from algebroids.core import Chart, make_lie_algebra, make_tangent, point_chart, so3_structure
 from algebroids.cubes import (
     ChartEscapeError,
@@ -214,6 +215,60 @@ def test_rk4_calls_its_rate_at_half_step_indices():
     assert calls == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
     np.testing.assert_allclose(half_steps(3), np.arange(7) / 6, rtol=1e-15, atol=0)
     np.testing.assert_allclose(ys[:, 0], np.sin(np.linspace(0.0, 1.0, 4)), rtol=0, atol=1e-5)
+
+
+def _textbook_rk4(f, y0, N):
+    """The out-of-place classical step, as rk4 wrote it before it ran in place."""
+    h = 1.0 / N
+    y = np.asarray(y0, dtype=float)
+    out = [y]
+    for s in range(N):
+        j = 2 * s
+        k1 = f(j, y)
+        k2 = f(j + 1, y + (h / 2) * k1)
+        k3 = f(j + 1, y + (h / 2) * k2)
+        k4 = f(j + 2, y + h * k3)
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(y)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("shape", [(3,), (7, 5)])  # one state, and (lines, k) states
+def test_rk4_in_place_is_bitwise_the_textbook_step(shape):
+    rng = np.random.default_rng(5)
+    a, y0 = rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape)
+    ts = half_steps(13)
+
+    def f(j, y):  # nonlinear in y and t, so that every stage state matters
+        return np.sin(3.0 * y) * a + y * y * np.cos(ts[j]) - 0.25 * y[..., ::-1]
+
+    assert rk4(f, y0, 13).tobytes() == _textbook_rk4(f, y0, 13).tobytes()
+
+
+def test_rk4_hands_its_rate_one_reused_stage_buffer():
+    seen, rate = [], np.empty((4, 2))
+    stage = np.empty((4, 2))
+
+    def f(j, y):
+        seen.append(y)
+        np.multiply(y, -0.5, out=rate)  # a rate buffer of its own, reused too
+        return rate
+
+    ys = rk4(f, np.ones((4, 2)), 6, stage)
+    assert len(seen) == 24 and all(y is stage for y in seen)
+    want = _textbook_rk4(lambda j, y: -0.5 * y, np.ones((4, 2)), 6)
+    assert ys.tobytes() == want.tobytes()
+    np.testing.assert_allclose(ys[-1], np.exp(-0.5), rtol=1e-6)
+
+
+def test_a_log_of_a_negative_argument_in_a_flow_raises_at_its_stage(monkeypatch):
+    runs = []
+    run = expr_module.Bound.run
+    monkeypatch.setattr(expr_module.Bound, "run", lambda self, out=None: runs.append(1) or run(self, out))
+    # log(0.55 - t1) has no value at the 12th stage time, t1 = 11/20; step 5 reaches it at its second stage
+    with pytest.raises(DomainError, match="log of a non-positive"):
+        cube_from_sections(make_tangent(PLANE), [["log(0.55 - t1)", "0"]], [0.0, 0.0], 10)
+    assert len(runs) == 4 * 5 + 2
 
 
 def test_flow_cube_zero_dimensional_chart():

@@ -22,6 +22,7 @@ from algebroids.expr import (
     Var,
     add,
     as_expr,
+    bind,
     compile_exprs,
     cos,
     dot,
@@ -598,3 +599,52 @@ def test_a_non_finite_output_of_a_narrowed_variable_names_its_index():
     env = {"y": np.broadcast_to(column, (_ROWS, _COLS))}
     with pytest.raises(NonFiniteError, match=r"output \(1,\)"):
         evaluate([parse("y + 1"), parse("exp(y)")], env, (_ROWS, _COLS))
+
+
+# --- bind once, run many ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows", [3, _ROWS])  # one whole-grid run, and blocks with narrowing
+def test_a_bound_program_reruns_on_what_its_buffers_hold_now(rows):
+    env = {name: np.array(value[:rows]) for name, value in _axis_env().items()}
+    program = compile_exprs([[parse("u*v + x"), parse("2")], [parse("sqrt(w) - v/x"), parse("sin(u) + log(x)")]])
+    bound = bind(program, env, (rows, _COLS))
+    out = np.empty((rows, _COLS, 2, 2))
+    assert bound.run(out) is out
+    assert out.tobytes() == evaluate(program, env, (rows, _COLS)).tobytes()
+    rng = np.random.default_rng(3)
+    for step in range(3):  # rewrite every buffer in place, in ways that change what narrows
+        env["u"][...] = rng.uniform(0.5, 2.0, _COLS) if step != 1 else 0.75
+        env["v"][...] = rng.uniform(-1.0, 1.0, (rows, 1)) if step != 2 else rng.uniform(-1.0, 1.0, (rows, _COLS))
+        env["w"][...] = 1.25 + step
+        env["x"][...] = rng.uniform(0.5, 2.0, (rows, _COLS))
+        want = evaluate(program, env, (rows, _COLS))
+        assert bound.run(out).tobytes() == want.tobytes()
+        assert bound.run().tobytes() == want.tobytes()
+
+
+def test_a_bound_program_checks_every_run():
+    x = np.full(4, 2.0)
+    bound = bind([parse("log(x)"), parse("1/(x - 1)"), parse("exp(x)")], {"x": x})
+    assert bound.run().shape == (4, 3)
+    x[2] = -1.0
+    with pytest.raises(DomainError, match="log of a non-positive"):
+        bound.run()
+    x[2] = 1.0
+    with pytest.raises(DomainError, match="division by zero"):
+        bound.run()
+    x[2] = 800.0
+    with pytest.raises(NonFiniteError, match=r"output \(2,\)"):
+        bound.run()
+    x[2] = 2.0
+    assert np.isfinite(bound.run()).all()
+
+
+def test_bind_resolves_names_once_and_copies_only_what_is_not_float64():
+    x, ints = np.linspace(0.0, 1.0, 5), np.arange(5)
+    bound = bind(parse("x + n + c"), {"x": x, "n": ints, "c": 0.5})
+    x += 1.0
+    ints += 1  # an integer array is converted at bind time, so this is not seen
+    np.testing.assert_array_equal(bound.run(), x + np.arange(5) + 0.5)
+    with pytest.raises(UnboundVariableError, match="'z'"):
+        bind(parse("x + z"), {"x": x})

@@ -14,7 +14,7 @@ from algebroids.core import (
     make_tangent,
     point_chart,
 )
-from algebroids.cubes import ChartEscapeError, Cube, Spline, cotangent_lift, face, half_steps, morphism_residual, tangent_lift
+from algebroids.cubes import ChartEscapeError, Cube, Spline, cotangent_lift, face, half_steps, morphism_residual, rk4, tangent_lift
 from algebroids.expr import ZERO, add, compile_exprs, evaluate, mul, parse, var
 from algebroids.fibration import (
     Fibration,
@@ -249,6 +249,9 @@ def test_overflowing_lift_is_a_chart_escape():
     gamma0 = np.stack([np.linspace(0.1, 0.5, 9), np.zeros(9)], axis=-1)
     with pytest.raises(ChartEscapeError, match="leave the chart box"):
         evolve_cube_system(fib, np.ones((9, 17, 1)), gamma0, [], 8)
+    # the same with a transverse field, so that the gradient runs at every stage too
+    with pytest.raises(ChartEscapeError, match="leave the chart box"):
+        evolve_cube_system(fib, np.ones((9, 17, 1)), gamma0, [np.zeros((9, 2))], 8)
 
 
 def test_lift_rejects_wrong_base():
@@ -522,3 +525,43 @@ def test_transverse_difference_is_numpy_gradient_bitwise(shape, axis):
     want = out + np.gradient(f, 1 / 96, axis=axis, edge_order=2)
     _add_gradient(out, f, 1 / 96, axis)
     assert out.tobytes() == want.tobytes()
+
+
+def _per_stage_sweep(fib, b, gamma0, w0, N):
+    """evolve_cube_system as each stage used to run it: fresh lift_rates and np.gradient arrays."""
+    h, m, rE, k = 1.0 / N, fib.chart.dim, fib.total.rank, len(w0)
+    w_last = np.empty(gamma0.shape[:-1] + (N + 1, rE))
+
+    def rhs(j, Y):
+        out = fib.lift_rates(b[..., j, :], Y, k)
+        w2, dY = out[..., :rE], out[..., rE:].copy()
+        if j % 2 == 0:
+            w_last[..., j // 2, :] = w2
+        for i in range(k):
+            dY[..., m + i * rE : m + (i + 1) * rE] += np.gradient(w2, h, axis=i, edge_order=2)
+        return dY
+
+    Y = rk4(rhs, np.concatenate([gamma0, *w0], axis=-1), N)
+    w_last[..., N, :] = fib.lift_rates(b[..., 2 * N, :], Y[N], k)[..., :rE]
+    Y = np.moveaxis(Y, 0, -2)
+    return Y[..., :m], [Y[..., m + i * rE : m + (i + 1) * rE] for i in range(k)], w_last
+
+
+def test_bound_lift_sweeps_are_bitwise_the_per_stage_ones(monkeypatch):
+    fib = _rotation_fibration()
+    base = tangent_lift(PLANE, ["0.7*t1 + 0.2*sin(3*t2) - 0.5*t3", "0.5*t2 + 0.3*t1*t3 - 0.4"], n=3, N=7)
+    got = lift_cube(fib, base)
+    monkeypatch.setattr(fibration, "evolve_cube_system", _per_stage_sweep)
+    want = lift_cube(fib, base)
+    assert got.gamma.tobytes() == want.gamma.tobytes()
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_bound_transport_is_bitwise_the_per_stage_one():
+    fib = _rotation_fibration()
+    path = tangent_lift(PLANE, ["0.7*t1 + 0.2*sin(3*t2) - 0.5", "0.5*t2 + 0.3*t1*t2 - 0.4"], n=2, N=9)
+    ts = half_steps(9)
+    g, b = Spline(path.gamma, axis=1)(ts), Spline(path.coeffs[1], axis=1)(ts)
+    eye = np.broadcast_to(np.eye(2), (10, 2, 2))
+    want = rk4(lambda j, V: fib.transport_rates(g[..., j, :], b[..., j, :], V), eye, 9)
+    assert transport_matrix(fib, path).tobytes() == np.moveaxis(want, 0, 1).tobytes()

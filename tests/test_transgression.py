@@ -490,3 +490,20 @@ def test_decompose_rejects_squares_and_foreign_cubes():
     base_path = path_cube(fib.base, ["t1 - 0.5", "0"], ["0", "-1"], N=16)
     with pytest.raises(ValueError):
         decompose_path(fib, base_path)
+
+
+def test_a_period_related_to_the_first_only_through_a_third_gets_its_exact_ratio():
+    chart = Chart(("x", "y"), ((-4.0, 4.0), (-4.0, 4.0)))
+    A = make_jacobi_extension(chart, STD_BIV)
+    splitting = [["0", "0"], ["0", "1"], ["-1", "0"]]
+
+    def square(sx, sy):
+        return tangent_lift(chart, [f"{sx}*t1 - 1.0", f"{sy}*t2 - 1.0"], n=2, N=32)
+
+    # periods 5, 7 and 1: 5/7 has no approximant with denominator at most 4, 5/1 and 7/1 do
+    report = monodromy_group(A, splitting, [square(2.5, 2), square(3.5, 2), square(1, 1)], max_denominator=4)
+    assert report.periods == pytest.approx((5.0, 7.0, 1.0), abs=1e-9)
+    assert [r[:2] for r in report.relations] == [(0, 2), (1, 2)]
+    assert report.classes == ((0, 1, 2),) and report.discrete
+    # 7/5 read off the periods would be approximated by 4/3, giving the generator 1/3
+    assert report.generator == pytest.approx(1.0, abs=1e-9)

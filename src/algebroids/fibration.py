@@ -191,6 +191,11 @@ class Fibration:
         return tuple(mats)
 
     @cached_property
+    def curvature_form(self) -> "Curvature2Form":
+        """The :func:`curvature` of the splitting, built once and shared by every reader."""
+        return curvature(self)
+
+    @cached_property
     def _lift_programs(self) -> dict[int, Program]:
         return {}
 
@@ -219,10 +224,6 @@ class Fibration:
         y = Y[..., m:].reshape(Y.shape[:-1] + (k, self.total.rank))
         return self.chart.bind(self.lift_program(k), Y[..., :m], b=b, y=y)
 
-    def lift_rates(self, b: np.ndarray, Y: np.ndarray, k: int) -> np.ndarray:
-        """Run :meth:`lift_program` on states ``Y`` packing a point and k fields on the last axis."""
-        return self.lift_binding(b, Y, k).run()
-
     @cached_property
     def transport_program(self) -> Program:
         """``-Σ_u b_u F_u V`` over ``#b<u>`` (path velocity) and ``#v<s>_<c>`` (V), F the action matrices."""
@@ -230,9 +231,6 @@ class Fibration:
         F, b, V = self.action_matrices, fresh("b", (rB,)), fresh("v", (rK, rK))
         M = [[dot(b, (F[u][t][s] for u in range(rB))) for s in range(rK)] for t in range(rK)]
         return compile_exprs([[neg(dot(M[t], V[:, c])) for c in range(rK)] for t in range(rK)])
-
-    def transport_rates(self, points: np.ndarray, b: np.ndarray, V: np.ndarray) -> np.ndarray:
-        return self.chart.values(self.transport_program, points, b=b, v=V)
 
     @cached_property
     def transport_is_trivial(self) -> bool:
@@ -359,7 +357,7 @@ def identity_residuals(fib: Fibration, n_points: int = 100) -> dict[str, float]:
     families["splitting_identity"] = [sub(a, b) for i, p in enumerate(lifts) for a, b in zip(p, unit_row(i, rB), strict=True)]
     families["kernel_in_kernel"] = [c for s in range(rK) for c in fib.project_section(fib.kernel_section(s))]
 
-    omega = curvature(fib)
+    omega = fib.curvature_form
 
     def D(i: int, kappa: Section) -> Section:
         return covariant_derivative(fib, B.frame(i), kappa)
@@ -426,11 +424,6 @@ def _gradient_adder(out: np.ndarray, f: np.ndarray, h: float, axis: int):
         np.add(out, grad, out=out)
 
     return add
-
-
-def _add_gradient(out: np.ndarray, f: np.ndarray, h: float, axis: int) -> None:
-    """Add ``np.gradient(f, h, axis=axis, edge_order=2)`` into ``out``, with the same arithmetic but fewer calls."""
-    _gradient_adder(out, f, h, axis)()
 
 
 def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Sequence[np.ndarray], N: int):

@@ -7,16 +7,19 @@ pairing the curvature of the splitting with the square's coefficient
 fields and integrating gives another.  The two agree up to grid error,
 and the pair is the main consistency check this module provides.
 
-On top of the surface integrals sit two consumers: a commensurability
-report for the periods of a family of spheres, and a constructive
-decomposition of a total-space path into a horizontal path followed by
-a kernel path, together with an explicit homotopy witness.
+A monodromy period is the transgression of a square through the
+anchor fibration of an algebroid over its tangent algebroid, taken by
+the formula route, so there is one flux quadrature.  On top of the
+surface integrals sit two consumers: a commensurability report for the
+periods of a family of spheres, and a constructive decomposition of a
+total-space path into a horizontal path followed by a kernel path,
+together with an explicit homotopy witness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from typing import Optional, Sequence
@@ -26,10 +29,8 @@ import numpy as np
 from .core import Algebroid, sampled_values, sup_norm
 from .cubes import Cube, Spline, bicubic, coarsen, cutoff, cutoff_prime, face, frozen, half_steps, resample, seam
 from .fibration import (
-    Curvature2Form,
     Fibration,
     anchor_fibration,
-    curvature,
     evolve_cube_system,
     lift_cube,
     project_cube,
@@ -81,7 +82,7 @@ def kernel_coefficient_values(fib: Fibration, points: np.ndarray, w: np.ndarray)
     return np.einsum("...ij,...j->...i", inv[..., :rK, :], w)
 
 
-def _require_cube(fib: Fibration, cube: Cube, over: Algebroid, what: str, n: Optional[int] = 2) -> None:
+def _require_cube(cube: Cube, over: Algebroid, what: str, n: Optional[int] = 2) -> None:
     if n is not None and cube.n != n:
         raise ValueError(f"{what} needs a {n}-dimensional cube")
     if cube.algebroid != over:
@@ -108,11 +109,11 @@ def _with_estimate(compute, cube: Cube):
     of the coarsened cube, so it is bitwise the value a rerun on that
     cube would give, without a second cube or evaluation; the finiteness,
     chart-box and domain checks a rerun would make cover a subset of the
-    nodes the full cube and evaluation already checked.  The monodromy
-    period and the formula route with trivial transport or no kernel
-    slice.  The lift route and nontrivial transport rerun on the
-    coarsened cube, and every route reruns on odd N, on the cube
-    respliced onto the half grid.
+    nodes the full cube and evaluation already checked.  The formula
+    route with trivial transport or no kernel slices, as every sphere
+    monodromy period does.  The lift route and nontrivial transport
+    rerun on the coarsened cube, and every route reruns on odd N, on
+    the cube respliced onto the half grid.
     """
     value, face_cube, field = compute(cube)
     if cube.N < 6:
@@ -147,7 +148,7 @@ def centrality_residual(fib: Fibration) -> tuple[float, float]:
     ]
     central = [
         fib.total.bracket(w, k).components
-        for w in map(fib.from_kernel_coefficients, curvature(fib).entries.values())
+        for w in map(fib.from_kernel_coefficients, fib.curvature_form.entries.values())
         for k in kernel
     ]
     _, values = sampled_values(fib.chart, (abelian, central), CENTRALITY_POINTS, CENTRALITY_SEED)
@@ -175,7 +176,7 @@ def transgress_lift(fib: Fibration, cube: Cube) -> TransgressionResult:
     least two; only the two-dimensional case carries cross-checks
     against the closed formula.
     """
-    _require_cube(fib, cube, fib.base, "transgress_lift", n=None)
+    _require_cube(cube, fib.base, "transgress_lift", n=None)
     if cube.n < 2:
         raise ValueError("transgress_lift needs a cube of dimension at least two")
 
@@ -205,9 +206,9 @@ def transgress2_formula(
     Requires an abelian kernel or central curvature values (checked on
     a sample; pass ``centrality_tol=None`` to skip).
     """
-    _require_cube(fib, cube, fib.base, "transgress2_formula")
+    _require_cube(cube, fib.base, "transgress2_formula")
     _check_centrality(fib, centrality_tol, "transgress2_formula")
-    om = curvature(fib)
+    om = fib.curvature_form
 
     def compute(c: Cube):
         field = om.pairing(c.gamma, c.coeffs)
@@ -229,28 +230,16 @@ def monodromy_period(
     seed: int = 0,
     centrality_tol: Optional[float] = 1e-6,
 ) -> TransgressionResult:
-    """Kernel period of a tangent square through the anchor fibration.
+    """Kernel period of a tangent square: the transgression through the anchor fibration.
 
     The algebroid is fibred over its own tangent algebroid via the
-    anchor, the supplied splitting is checked for shape, and the
-    curvature pairing is integrated over the square.  No transport enters
-    here; the quantity is the raw curvature flux through the surface.
+    anchor, with the supplied splitting, and the square is transgressed
+    by :func:`transgress2_formula`: the curvature pairing, carried by
+    parallel transport wherever the covariant action is nonzero.  The
+    result is that of the formula route, labelled ``"monodromy"``.
     """
     fib = anchor_fibration(A, splitting, n_samples=n_samples, seed=seed)
-    _check_centrality(fib, centrality_tol, "monodromy_period")
-    return _period(fib, curvature(fib), cube)
-
-
-def _period(fib: Fibration, om: Curvature2Form, cube: Cube) -> TransgressionResult:
-    """Flux of the curvature ``om`` of ``fib`` through a tangent square, with its half-grid estimate."""
-    _require_cube(fib, cube, fib.base, "monodromy_period")
-
-    def compute(c: Cube):
-        field = om.pairing(c.gamma, c.coeffs)
-        return _trapezoid(field, c.N, 2), None, field
-
-    value, est, _ = _with_estimate(compute, cube)
-    return TransgressionResult(value=value, est_error=est, method="monodromy", N=cube.N, face=None)
+    return replace(transgress2_formula(fib, cube, centrality_tol), method="monodromy")
 
 
 @dataclass(frozen=True)
@@ -322,11 +311,13 @@ def monodromy_group(
 ) -> MonodromyReport:
     """Rational relations among the periods of a family of squares.
 
-    Each ratio of nonzero periods is matched against its best rational
-    approximant with bounded denominator; a match is accepted only when
-    it sits within the propagated half-grid error estimates (scaled by
-    ``PERIOD_ERR_SCALE``) plus ``PERIOD_ATOL``.  Needs a rank-one kernel, where
-    commensurability of scalars is meaningful.
+    Each period is the transgression of its square through one anchor
+    fibration, as :func:`monodromy_period` takes it.  Each ratio of
+    nonzero periods is matched against its best rational approximant
+    with bounded denominator; a match is accepted only when it sits
+    within the propagated half-grid error estimates (scaled by
+    ``PERIOD_ERR_SCALE``) plus ``PERIOD_ATOL``.  Needs a rank-one
+    kernel, where commensurability of scalars is meaningful.
     """
     fib = anchor_fibration(A, splitting, n_samples=n_samples, seed=seed)
     if fib.kernel_rank != 1:
@@ -340,22 +331,12 @@ def monodromy_group(
             raise ValueError("need one label per generator")
     basepoint = tuple(float(v) for v in cubes[0].basepoint) if cubes else None
 
-    om = curvature(fib)
-    results = [_period(fib, om, c) for c in cubes]
+    results = [transgress2_formula(fib, c) for c in cubes]
     periods = tuple(r.scalar() for r in results)
     errors = tuple(r.est_error for r in results)
 
-    n = len(periods)
     finite = [e if math.isfinite(e) else 0.0 for e in errors]
-    nonzero = [i for i in range(n) if abs(periods[i]) > PERIOD_ERR_SCALE * finite[i] + PERIOD_ATOL]
-
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    nonzero = [i for i in range(len(periods)) if abs(periods[i]) > PERIOD_ERR_SCALE * finite[i] + PERIOD_ATOL]
 
     relations: list[tuple[int, int, int, int]] = []
     for a in range(len(nonzero)):
@@ -372,30 +353,33 @@ def monodromy_group(
                 continue
             if abs(ratio - float(frac)) <= tol:
                 relations.append((i, j, frac.numerator, frac.denominator))
-                parent[find(i)] = find(j)
 
-    groups: dict[int, list[int]] = {}
-    for i in nonzero:
-        groups.setdefault(find(i), []).append(i)
-    classes = tuple(tuple(sorted(g)) for g in sorted(groups.values()))
-    rank = len(classes)
-    discrete = rank <= 1
-
-    generator: Optional[float] = None
-    if rank == 1:
-        # each member's period over the smallest member's, as the product of the accepted
-        # ratios along a chain of relations: a member related to ref only through a third
-        # period may have a ratio to ref whose denominator exceeds max_denominator
-        ref = classes[0][0]
-        to_ref = {ref: Fraction(1)}
-        reached = [ref]
+    # one walk over the relations per class, from its smallest member: each member's period
+    # over that member's is the product of the accepted ratios along the walk, exact even for
+    # a member related to it only through a third period, whose ratio to it may have a
+    # denominator beyond max_denominator
+    to_ref: dict[int, Fraction] = {}
+    classes = []
+    for ref in nonzero:
+        if ref in to_ref:
+            continue
+        to_ref[ref] = Fraction(1)
+        members, reached = [ref], [ref]
         while reached:
             u = reached.pop()
             for i, j, p, q in relations:
                 for a, b, over in ((i, j, Fraction(q, p)), (j, i, Fraction(p, q))):
                     if a == u and b not in to_ref:
                         to_ref[b] = to_ref[u] * over
+                        members.append(b)
                         reached.append(b)
+        classes.append(tuple(sorted(members)))
+    rank = len(classes)
+    discrete = rank <= 1
+
+    generator: Optional[float] = None
+    if rank == 1:
+        ref = classes[0][0]
         generator = abs(periods[ref]) * float(reduce(_fraction_gcd, map(abs, to_ref.values())))
 
     return MonodromyReport(
@@ -404,7 +388,7 @@ def monodromy_group(
         periods=periods,
         est_errors=errors,
         relations=tuple(relations),
-        classes=classes,
+        classes=tuple(classes),
         lattice_rank=rank,
         discrete=discrete,
         generator=generator,
@@ -445,7 +429,7 @@ def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
     with vanishing anchor image, the kernel factor.  Pulling the square
     back along boundary routes of the unit square produces the witness.
     """
-    _require_cube(fib, cube, fib.total, "decompose_path", n=1)
+    _require_cube(cube, fib.total, "decompose_path", n=1)
 
     N = cube.N
     ts = np.linspace(0.0, 1.0, N + 1)

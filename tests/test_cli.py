@@ -686,6 +686,35 @@ endpoint_tol = 1e-6
     assert report["values"] == {"witness_defect": 0.0, "start_delta": 0.0, "end_delta": 0.0, "kernel_sup": 0.0}
 
 
+def test_a_monodromy_period_under_a_nonzero_covariant_action_passes_its_closed_form(tmp_path):
+    # the algebroid and square of configs/rep_transport.cfg, as a monodromy task
+    text = _PLANE_TANGENT + """[algebroid E]
+kind = rep_extension
+base = T
+fiber_dim = 1
+action = 0 | 0.5
+twist = 0 1: 1
+
+[cube sq]
+algebroid = T
+source = tangent_lift_of
+map = t1 - 0.5, t2 - 0.5
+n = 2
+N = 48
+
+[task period]
+kind = monodromy
+algebroid = E
+splitting = 0, 0; 1, 0; 0, 1
+cube = sq
+expect = 0.7869386805747332
+expect_tol = 1e-2
+"""
+    out = tmp_path / "reports"
+    assert main(["run", str(write(tmp_path, text)), "--out", str(out)]) == 0
+    assert load_report(out, "period")["values"]["period"]["method"] == "monodromy"
+
+
 def test_explicit_algebroid_check_passes(tmp_path):
     # e2 maps to x d/dy, so [e0, e2] must be e1 for the anchor to respect brackets
     text = _PLANE_TANGENT + """[algebroid E]

@@ -16,9 +16,11 @@ from algebroids.core import (
 )
 from algebroids.cubes import ChartEscapeError, Cube, Spline, cotangent_lift, face, half_steps, morphism_residual, rk4, tangent_lift
 from algebroids.expr import ZERO, add, compile_exprs, evaluate, mul, parse, var
+from algebroids.transgression import transgress2_formula
 from algebroids.fibration import (
+    Curvature2Form,
     Fibration,
-    _add_gradient,
+    _gradient_adder,
     _symbolic_inverse,
     anchor_fibration,
     covariant_derivative,
@@ -410,6 +412,16 @@ def _rotation_fibration() -> Fibration:
     return Fibration(R, T, [[0, 0, 1, 0], [0, 0, 0, 1]], splitting, [[1, 0, 0, 0], [0, 1, 0, 0]])
 
 
+def test_a_formula_transgression_builds_the_curvature_once(monkeypatch):
+    # the rank-two kernel makes transgress2_formula check centrality, which reads the curvature too
+    built = []
+    init = Curvature2Form.__post_init__
+    monkeypatch.setattr(Curvature2Form, "__post_init__", lambda self: built.append(self) or init(self))
+    fib = _rotation_fibration()
+    transgress2_formula(fib, tangent_lift(PLANE, ["0.6*t1 - 0.3", "0.5*t2 - 0.2"], n=2, N=8))
+    assert len(built) == 1
+
+
 def _sphere_fibration() -> Fibration:
     """The anchor fibration of configs/s2_monodromy.cfg."""
     A = make_jacobi_extension(SPHERE, [["0", "1/sin(th)"], ["-1/sin(th)", "0"]])
@@ -432,7 +444,7 @@ def test_fused_kernels_match_the_einsum_forms(make):
     w2 = np.einsum("...er,...r->...e", sigma, b)
     want = [w2, np.einsum("...p,...pm->...m", w2, E.anchor_values(pts))]
     want += [np.einsum("...p,...q,...pql->...l", fields[:, i], w2, E.structure_values(pts)) for i in range(2)]
-    got = fib.lift_rates(b, np.concatenate([pts, fields.reshape(60, 2 * rE)], axis=-1), 2)
+    got = chart.values(fib.lift_program(2), pts, b=b, y=fields)
     np.testing.assert_allclose(got, np.concatenate(want, axis=-1), rtol=1e-12, atol=0)
 
     # transport: -sum_u b_u F_u(points) V
@@ -441,7 +453,7 @@ def test_fused_kernels_match_the_einsum_forms(make):
     M = np.zeros((60, rK, rK))
     for u in range(rB):
         M += b[..., u, None, None] * F[u]
-    np.testing.assert_allclose(fib.transport_rates(pts, b, V), -M @ V, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(chart.values(fib.transport_program, pts, b=b, v=V), -M @ V, rtol=1e-12, atol=0)
 
     # curvature pairing: sum_pq c0_p c1_q Omega_pqs, without the (rB, rB, rK) tensor
     om = curvature(fib)
@@ -514,7 +526,7 @@ def test_dense_rank_seven_lift_is_a_small_program():
     w2 = np.einsum("...er,...r->...e", eval_exprs(fib.splitting, PLANE.env(pts), (30,)), b)
     c = E.structure_values(pts)
     brackets = [np.einsum("...p,...q,...pql->...l", fields[:, i], w2, c) for i in range(2)]
-    got = fib.lift_rates(b, np.concatenate([pts, fields.reshape(30, 2 * rE)], axis=-1), 2)
+    got = PLANE.values(program, pts, b=b, y=fields)
     np.testing.assert_allclose(got[:, rE + 2 :], np.concatenate(brackets, axis=-1), rtol=1e-12)
 
 
@@ -523,17 +535,21 @@ def test_transverse_difference_is_numpy_gradient_bitwise(shape, axis):
     rng = np.random.default_rng(11)
     f, out = rng.normal(size=shape), rng.normal(size=shape)
     want = out + np.gradient(f, 1 / 96, axis=axis, edge_order=2)
-    _add_gradient(out, f, 1 / 96, axis)
+    _gradient_adder(out, f, 1 / 96, axis)()
     assert out.tobytes() == want.tobytes()
 
 
 def _per_stage_sweep(fib, b, gamma0, w0, N):
-    """evolve_cube_system as each stage used to run it: fresh lift_rates and np.gradient arrays."""
+    """evolve_cube_system as each stage used to run it: fresh lift-program runs and np.gradient arrays."""
     h, m, rE, k = 1.0 / N, fib.chart.dim, fib.total.rank, len(w0)
     w_last = np.empty(gamma0.shape[:-1] + (N + 1, rE))
 
+    def rates(b, Y):
+        y = Y[..., m:].reshape(Y.shape[:-1] + (k, rE))
+        return fib.chart.values(fib.lift_program(k), Y[..., :m], b=b, y=y)
+
     def rhs(j, Y):
-        out = fib.lift_rates(b[..., j, :], Y, k)
+        out = rates(b[..., j, :], Y)
         w2, dY = out[..., :rE], out[..., rE:].copy()
         if j % 2 == 0:
             w_last[..., j // 2, :] = w2
@@ -542,7 +558,7 @@ def _per_stage_sweep(fib, b, gamma0, w0, N):
         return dY
 
     Y = rk4(rhs, np.concatenate([gamma0, *w0], axis=-1), N)
-    w_last[..., N, :] = fib.lift_rates(b[..., 2 * N, :], Y[N], k)[..., :rE]
+    w_last[..., N, :] = rates(b[..., 2 * N, :], Y[N])[..., :rE]
     Y = np.moveaxis(Y, 0, -2)
     return Y[..., :m], [Y[..., m + i * rE : m + (i + 1) * rE] for i in range(k)], w_last
 
@@ -563,5 +579,5 @@ def test_bound_transport_is_bitwise_the_per_stage_one():
     ts = half_steps(9)
     g, b = Spline(path.gamma, axis=1)(ts), Spline(path.coeffs[1], axis=1)(ts)
     eye = np.broadcast_to(np.eye(2), (10, 2, 2))
-    want = rk4(lambda j, V: fib.transport_rates(g[..., j, :], b[..., j, :], V), eye, 9)
+    want = rk4(lambda j, V: fib.chart.values(fib.transport_program, g[..., j, :], b=b[..., j, :], v=V), eye, 9)
     assert transport_matrix(fib, path).tobytes() == np.moveaxis(want, 0, 1).tobytes()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebroids import transgression
-from algebroids.core import Chart, make_jacobi_extension, make_tangent
+from algebroids.core import Chart, make_jacobi_extension, make_rep_extension, make_tangent
 from algebroids.cubes import (
     coarsen,
     concat,
@@ -305,6 +305,19 @@ def test_odd_grids_resplice_the_half_grid_once(monkeypatch):
     res = monodromy_period(A, splitting, cube)
     assert [args[1] for args in resampled] == [20] and not coarsened
     assert 0.0 < res.est_error < 5e-2
+
+
+def test_a_period_under_a_nonzero_covariant_action_is_the_transgression():
+    # the algebroid of configs/rep_transport.cfg, whose anchor fibration transports along y
+    E = make_rep_extension(make_tangent(PLANE), 1, [[["0"]], [["0.5"]]], twist={(0, 1): ["1"]})
+    splitting = [["0", "0"], ["1", "0"], ["0", "1"]]
+    square = tangent_lift(PLANE, ["t1 - 0.5", "t2 - 0.5"], n=2, N=48)
+    period = monodromy_period(E, splitting, square)
+    lifted = transgress_lift(anchor_fibration(E, splitting), square)
+    assert period.method == "monodromy"
+    # the untransported curvature flux reads 1.0 here, against 2 (1 - exp(-1/2)) = 0.78694
+    assert abs(period.scalar() - lifted.scalar()) <= period.est_error + lifted.est_error
+    assert abs(period.scalar() - 2.0 * (1.0 - np.exp(-0.5))) < 1e-3
 
 
 def test_monodromy_group_classifies_period_families():

@@ -320,12 +320,12 @@ class Algebroid:
         return dot(self.anchor_of(X), (f.diff(name) for name in self.chart.coords))
 
     def bracket(self, X: Section, Y: Section) -> Section:
-        """Bracket of two sections in frame coefficients."""
-        self._check_section(X)
-        self._check_section(Y)
+        """Bracket of two sections in frame coefficients; each anchor image is built once."""
+        rho_X, rho_Y = self.anchor_of(X), self.anchor_of(Y)
         out = []
         for k in range(self.rank):
-            anchored = sub(self.anchor_apply(X, Y[k]), self.anchor_apply(Y, X[k]))
+            dY, dX = ([c[k].diff(name) for name in self.chart.coords] for c in (Y, X))
+            anchored = sub(dot(rho_X, dY), dot(rho_Y, dX))
             out.append(add(wedge(X, Y, self.structure, k), anchored))
         return Section(tuple(out))
 

@@ -36,7 +36,7 @@ from .core import (
     wedge,
 )
 from .cubes import ChartEscapeError, Cube, Spline, face, frozen, half_steps, rk4
-from .expr import ONE, ZERO, Bound, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, sub, total
+from .expr import ONE, ZERO, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, sub, total
 
 __all__ = [
     "Fibration",
@@ -60,7 +60,10 @@ def _symbolic_inverse(M: Sequence[Sequence[Expr]]) -> tuple[tuple[Expr, ...], ..
     Determinants are Laplace expansions along the first row, with each
     minor built once and shared by every expansion that needs it.
     Division by the determinant is left unevaluated, so a singular point
-    surfaces as a domain error at evaluation time.
+    surfaces as a domain error at evaluation time.  A structurally zero
+    cofactor gives a zero entry, so the folds of ``mul`` and ``add`` drop
+    it downstream; a matrix that is not identically singular keeps some
+    nonzero cofactor, so the determinant is still divided at every point.
     """
     n = len(M)
     rows = [tuple(r) for r in M]
@@ -92,7 +95,7 @@ def _symbolic_inverse(M: Sequence[Sequence[Expr]]) -> tuple[tuple[Expr, ...], ..
             cof = det(every[:j] + every[j + 1 :], every[:i] + every[i + 1 :]) if n > 1 else ONE
             if (i + j) % 2 == 1:
                 cof = neg(cof)
-            row.append(div(cof, d))
+            row.append(ZERO if is_zero(cof) else div(cof, d))
         out.append(tuple(row))
     return tuple(out)
 
@@ -214,15 +217,6 @@ class Fibration:
                 out.extend(wedge(y, w2, self.total.structure, l) for l in range(rE))
             self._lift_programs[k] = compile_exprs(out)
         return self._lift_programs[k]
-
-    def lift_binding(self, b: np.ndarray, Y: np.ndarray, k: int) -> Bound:
-        """:meth:`lift_program` bound to driver ``b`` and states ``Y`` packing a point and k fields on the last axis.
-
-        The fields are a view of ``Y``, so the binding follows a buffer ``Y`` rewritten in place.
-        """
-        m = self.chart.dim
-        y = Y[..., m:].reshape(Y.shape[:-1] + (k, self.total.rank))
-        return self.chart.bind(self.lift_program(k), Y[..., :m], b=b, y=y)
 
     @cached_property
     def transport_program(self) -> Program:
@@ -426,7 +420,7 @@ def _gradient_adder(out: np.ndarray, f: np.ndarray, h: float, axis: int):
     return add
 
 
-def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Sequence[np.ndarray], N: int):
+def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Sequence[np.ndarray], N: int) -> Cube:
     """Integrate the lift equations of a fibration along a fresh last axis.
 
     ``b`` is the driver in base coefficients at the ``half_steps(N)``
@@ -438,9 +432,9 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     stage copies ``b[..., j, :]`` into, and each stage runs it once into
     one rate buffer; only the transverse difference is taken outside the
     compiled program, with views made once (see :func:`_gradient_adder`).
-    Stages at even j record ``w2`` at node j/2, the first stage of each
-    step (at the node state) last; one more run covers the last node.
-    Returns the point grid, the transverse fields and ``w2`` at the nodes.
+    After the sweep, one run of the field-free lift program takes ``w2``
+    at every node.  Returns the cube over the total algebroid whose
+    coefficient fields are the transverse fields, then ``w2``.
     """
     h = 1.0 / N
     m, rE = fib.chart.dim, fib.total.rank
@@ -449,33 +443,28 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     Y0 = np.concatenate([np.moveaxis(a, -1, 0) for a in (gamma0, *w0)])  # the point, then the k fields
     lines = Y0.shape[1:]
     stage, driver = np.empty(Y0.shape), np.empty(b.shape[-1:] + lines)
-    lift = fib.lift_binding(np.moveaxis(driver, 0, -1), np.moveaxis(stage, 0, -1), k)
+    state = np.moveaxis(stage, 0, -1)
+    y = state[..., m:].reshape(lines + (k, rE))  # a view, so the binding follows the stage buffer
+    lift = fib.chart.bind(fib.lift_program(k), state[..., :m], b=np.moveaxis(driver, 0, -1), y=y)
     rates = np.empty(lift.program.shape + lines)
     w2, dY = rates[:rE], rates[rE:]
     gradients = [_gradient_adder(dY[m + i * rE : m + (i + 1) * rE], w2, h, 1 + i) for i in range(k)]
-    w_last = np.empty((N + 1, rE) + lines)
-    b, out = np.moveaxis(b, -1, 0), np.moveaxis(rates, 0, -1)
-
-    def w2_at(j: int) -> None:
-        np.copyto(driver, b[..., j])
-        lift.run(out)
-        if j % 2 == 0:
-            w_last[j // 2] = w2
+    b_rows, out = np.moveaxis(b, -1, 0), np.moveaxis(rates, 0, -1)
 
     def rhs(j: int, Y: np.ndarray) -> np.ndarray:
-        w2_at(j)
+        np.copyto(driver, b_rows[..., j])
+        lift.run(out)
         for add in gradients:
             add()
         return dY
 
     try:
-        Y = rk4(rhs, Y0, N, stage)
-        np.copyto(stage, Y[N])
-        w2_at(2 * N)
+        Y = np.moveaxis(rk4(rhs, Y0, N, stage), (0, 1), (-2, -1))
+        w_nodes = fib.chart.values(fib.lift_program(0), Y[..., :m], b=b[..., ::2, :])[..., :rE]
     except NonFiniteError as err:  # the lift overflowed on its way out of the chart
         raise ChartEscapeError("cube base points leave the chart box") from err
-    Y, w_last = (np.moveaxis(a, (0, 1), (-2, -1)) for a in (Y, w_last))
-    return Y[..., :m], [Y[..., m + i * rE : m + (i + 1) * rE] for i in range(k)], w_last
+    fields = [Y[..., m + i * rE : m + (i + 1) * rE] for i in range(k)]
+    return Cube(fib.total, Y[..., :m], frozen(np.stack(fields + [w_nodes])))
 
 
 def lift_cube(fib: Fibration, cube: Cube) -> Cube:
@@ -497,8 +486,7 @@ def lift_cube(fib: Fibration, cube: Cube) -> Cube:
         w0 = [lifted_face.coeffs[i] for i in range(n - 1)]
 
     b = Spline(cube.coeffs[n - 1], axis=n - 1)(half_steps(N))
-    gamma, W, w_last = evolve_cube_system(fib, b, gamma0, w0, N)
-    return Cube(fib.total, gamma, frozen(np.stack(W + [w_last])))
+    return evolve_cube_system(fib, b, gamma0, w0, N)
 
 
 def project_cube(fib: Fibration, cube: Cube) -> Cube:

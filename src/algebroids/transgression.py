@@ -438,11 +438,10 @@ def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
 
     # the driver at slice t and deformation eps is (1 - t) b(1 - (1 - t)(1 - eps))
     b = (1.0 - ts)[:, None, None] * Spline(base.coeffs[0])(1.0 - np.outer(1.0 - ts, 1.0 - half_steps(N)))
-    sq_gamma, W, w_last = evolve_cube_system(fib, b, cube.gamma, [cube.coeffs[0]], N)
-    square = Cube(fib.total, sq_gamma, frozen(np.stack([W[0], w_last])))
+    square = evolve_cube_system(fib, b, cube.gamma, [cube.coeffs[0]], N)
 
-    top_gamma = sq_gamma[:, -1]
-    top_w = W[0][:, -1]
+    top_gamma = square.gamma[:, -1]
+    top_w = square.coeffs[0][:, -1]
     kernel_path = Cube(fib.total, top_gamma, top_w[None])
     kappa = kernel_coefficient_values(fib, top_gamma, top_w)
 
@@ -465,9 +464,9 @@ def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
     ]
     dH_de = [(r1[c] - r0[c])[:, None] * tau_p[None, :] for c in range(2)]
 
-    w_gamma = bicubic(sq_gamma, H[0], H[1])
-    xi1 = bicubic(W[0], H[0], H[1])
-    xi2 = bicubic(w_last, H[0], H[1])
+    w_gamma = bicubic(square.gamma, H[0], H[1])
+    xi1 = bicubic(square.coeffs[0], H[0], H[1])
+    xi2 = bicubic(square.coeffs[1], H[0], H[1])
     w_t = dH_dt[0][..., None] * xi1 + dH_dt[1][..., None] * xi2
     w_e = dH_de[0][..., None] * xi1 + dH_de[1][..., None] * xi2
     witness = Cube(fib.total, frozen(w_gamma), frozen(np.stack([w_t, w_e])))

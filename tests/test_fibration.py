@@ -15,8 +15,8 @@ from algebroids.core import (
     point_chart,
 )
 from algebroids.cubes import ChartEscapeError, Cube, Spline, cotangent_lift, face, half_steps, morphism_residual, rk4, tangent_lift
-from algebroids.expr import ZERO, add, compile_exprs, evaluate, mul, parse, var
-from algebroids.transgression import transgress2_formula
+from algebroids.expr import ZERO, DomainError, add, compile_exprs, evaluate, mul, parse, var
+from algebroids.transgression import kernel_coefficient_values, transgress2_formula
 from algebroids.fibration import (
     Curvature2Form,
     Fibration,
@@ -319,8 +319,9 @@ def test_sphere_curvature_compiles_to_two_transcendentals():
     fib = anchor_fibration(A, [["0", "0"], ["0", "sin(th)"], ["-sin(th)", "0"]])
     om = curvature(fib)
     (entry,) = om.entries[(0, 1)]
-    assert str(entry).count("sin(") + str(entry).count("cos(") == 21
-    assert sum(op[0] in _TRANSCENDENTAL for op in om.program.ops) == 2
+    # the frame inverse folds its structurally zero cofactors, so one sin(th) load feeds every entry
+    assert str(entry).count("sin(") + str(entry).count("cos(") == 7
+    assert sum(op[0] in _TRANSCENDENTAL for op in om.program.ops) == 1
     pts = sphere.sample(40, np.random.default_rng(5))
     vals = om.values(pts)
     want = evaluate(entry, sphere.env(pts))
@@ -351,6 +352,20 @@ def test_dense_rank_seven_inverse_is_a_small_program():
     M = rng.uniform(-0.5, 0.5, size=(100, n, n)) + 4.0 * np.eye(n)
     env = {names[i][j]: M[:, i, j] for i in range(n) for j in range(n)}
     np.testing.assert_allclose(evaluate(program, env, (100,)), np.linalg.inv(M), rtol=0, atol=1e-12)
+
+
+def test_frame_singular_at_one_point_still_raises_domain_error():
+    # the (kernel | splitting) frame is diag(x, 1): its off-diagonal cofactors fold to zero,
+    # and the diagonal entries still divide by the determinant x
+    line = Chart(coords=("x",), box=((-1.0, 1.0),))
+    T = make_tangent(line)
+    total = make_rep_extension(T, 1, [[["0"]]])
+    fib = Fibration(total=total, base=T, projection=[["0", "1"]], splitting=[["0"], ["1"]], kernel=[["x", "0"]])
+    assert fib.frame_inverse[0][1] is ZERO and fib.frame_inverse[1][0] is ZERO
+    w = np.array([[1.0, 2.0]])
+    np.testing.assert_array_equal(kernel_coefficient_values(fib, np.array([[0.5]]), w), [[2.0]])
+    with pytest.raises(DomainError, match="division by zero"):
+        kernel_coefficient_values(fib, np.array([[0.0]]), w)
 
 
 def _fold(pairs):
@@ -468,14 +483,14 @@ def test_lift_records_the_driver_at_every_node():
     lifted_face = lift_cube(fib, face(base, axis=1, end=0))
     b_of = Spline(base.coeffs[1], axis=1)
     N = base.N
-    gamma, _, w_last = evolve_cube_system(fib, b_of(half_steps(N)), lifted_face.gamma, [lifted_face.coeffs[0]], N)
+    square = evolve_cube_system(fib, b_of(half_steps(N)), lifted_face.gamma, [lifted_face.coeffs[0]], N)
     # the driver re-evaluated after the sweep, at every node
     again = []
     for s in range(N + 1):
-        G = gamma[:, s]
+        G = square.gamma[:, s]
         sigma = eval_exprs(fib.splitting, fib.chart.env(G), G.shape[:-1])
         again.append(np.einsum("...er,...r->...e", sigma, b_of(s / N)))
-    np.testing.assert_allclose(w_last, np.stack(again, axis=-2), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(square.coeffs[1], np.stack(again, axis=-2), rtol=0, atol=1e-13)
 
 
 def _spline_calls(monkeypatch, run) -> int:
@@ -540,7 +555,10 @@ def test_transverse_difference_is_numpy_gradient_bitwise(shape, axis):
 
 
 def _per_stage_sweep(fib, b, gamma0, w0, N):
-    """evolve_cube_system as each stage used to run it: fresh lift-program runs and np.gradient arrays."""
+    """evolve_cube_system as each stage used to run it: fresh lift-program runs and np.gradient arrays.
+
+    ``w2`` is recorded at each node by the first stage of its step, and by one more run at the last node.
+    """
     h, m, rE, k = 1.0 / N, fib.chart.dim, fib.total.rank, len(w0)
     w_last = np.empty(gamma0.shape[:-1] + (N + 1, rE))
 
@@ -560,7 +578,8 @@ def _per_stage_sweep(fib, b, gamma0, w0, N):
     Y = rk4(rhs, np.concatenate([gamma0, *w0], axis=-1), N)
     w_last[..., N, :] = rates(b[..., 2 * N, :], Y[N])[..., :rE]
     Y = np.moveaxis(Y, 0, -2)
-    return Y[..., :m], [Y[..., m + i * rE : m + (i + 1) * rE] for i in range(k)], w_last
+    fields = [Y[..., m + i * rE : m + (i + 1) * rE] for i in range(k)]
+    return Cube(fib.total, Y[..., :m], np.stack(fields + [w_last]))
 
 
 def test_bound_lift_sweeps_are_bitwise_the_per_stage_ones(monkeypatch):

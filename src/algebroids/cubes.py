@@ -79,18 +79,48 @@ def grid_times(n: int, N: int) -> list[np.ndarray]:
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
-    """Mark an array that no one else holds read-only, so that :class:`Cube` adopts it without a copy."""
+    """Mark an array that no one else holds read-only, so that :class:`Cube` adopts it without a copy.
+
+    Views of it taken afterwards are read-only too; a view that only
+    permutes its axes (``np.moveaxis(frozen(buf), 0, -1)``, say) is
+    adopted as well, so a builder may store the array in any axis order.
+    """
     a.flags.writeable = False
     return a
 
 
+def _owned(a: np.ndarray) -> bool:
+    """Whether ``a`` is a read-only array that owns its memory, or such an array with its axes permuted.
+
+    A permuted view starts at its base's first byte and has the base's
+    (stride, length) pairs in another order; a reversed or sliced view
+    fails that test.
+    """
+    if a.flags.writeable:
+        return False
+    if a.flags.owndata:
+        return True
+    base = a.base
+    return (
+        type(base) is np.ndarray
+        and base.flags.owndata
+        and not base.flags.writeable
+        and a.ctypes.data == base.ctypes.data
+        and sorted(zip(a.strides, a.shape)) == sorted(zip(base.strides, base.shape))
+    )
+
+
 def _adopt(a) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only float64 array a :class:`Cube` holds for ``a``, and its compact part (see there)."""
+    """The read-only float64 array a :class:`Cube` holds for ``a``, and its compact part (see there).
+
+    A compact part that :func:`_owned` accepts is held as it stands, in its
+    own axis order; anything else is copied.
+    """
     if type(a) is not np.ndarray:
         a = frozen(np.array(a, dtype=float))
     cut = tuple(slice(1) if step == 0 and size > 1 else slice(None) for step, size in zip(a.strides, a.shape))
     part = a[cut] if slice(1) in cut else a
-    if not (part.dtype == np.float64 and part.flags.owndata and not part.flags.writeable):
+    if not (part.dtype == np.float64 and _owned(part)):
         part = frozen(np.array(part, dtype=float))
     return (part if part.shape == a.shape else np.broadcast_to(part, a.shape)), part
 
@@ -104,10 +134,14 @@ class Cube:
     time axis i.  An array may be a broadcast (``np.broadcast_to``): its
     compact part, one slice along each axis of stride 0 and length > 1,
     is what is stored and checked.  A float64 compact part that owns its
-    memory and is already read-only is adopted as it stands (see
-    :func:`frozen`); anything else, a broadcast's slice included, is
-    copied and the copy made read-only, then broadcast back.  Arrays must
-    be finite; points outside the chart box raise :class:`ChartEscapeError`.
+    memory and is already read-only, or is such an array with its axes
+    permuted, is adopted as it stands (see :func:`frozen`); anything
+    else, a broadcast's slice included, is copied and the copy made
+    read-only, then broadcast back.  The index order is fixed, the
+    storage order is not: :func:`tangent_lift` stores ``gamma``
+    coordinate-major, so that each ``gamma[..., a]`` is contiguous, and a
+    copy keeps the storage order of what it copies.  Arrays must be
+    finite; points outside the chart box raise :class:`ChartEscapeError`.
     """
 
     algebroid: Algebroid
@@ -682,7 +716,10 @@ def tangent_lift(
     derivative error.  All n x dim velocities are one program, run over
     the time axes it loads and stored only along them: the cube's fields
     broadcast that buffer over the grid (an affine map stores n x dim
-    numbers).
+    numbers).  The points are stored one coordinate at a time, in a
+    ``(dim,) + grid`` buffer that the cube adopts as its ``(grid..., dim)``
+    view, so the chart-box check and every program that loads a
+    coordinate read contiguous memory.
     """
     names = time_names(chart, n)
     exprs = [as_expr(c) for c in components]
@@ -694,14 +731,15 @@ def tangent_lift(
             raise ValueError(f"map components may only use time variables, found {sorted(extra)}")
     env = dict(zip(names, axis_times(n, N)))
     grid = (N + 1,) * n
-    gamma = eval_exprs(tuple(exprs), env, grid)
+    points = np.empty((chart.dim,) + grid)
+    eval_exprs(tuple(exprs), env, grid, out=np.moveaxis(points, 0, -1))
     velocity = compile_exprs([[e.diff(t) for e in exprs] for t in names])
     loaded = np.broadcast_shapes((1,) * n, *(env[name].shape for _, name in velocity.loads))
     coeffs = np.empty((n,) + loaded + (chart.dim,))
     eval_exprs(velocity, env, loaded, out=np.moveaxis(coeffs, 0, -2))
     full = (n,) + grid + (chart.dim,)
     coeffs = frozen(coeffs) if coeffs.shape == full else np.broadcast_to(coeffs, full)
-    return Cube(make_tangent(chart), frozen(gamma), coeffs)
+    return Cube(make_tangent(chart), np.moveaxis(frozen(points), 0, -1), coeffs)
 
 
 def cotangent_lift(

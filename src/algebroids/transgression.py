@@ -19,6 +19,7 @@ together with an explicit homotopy witness.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
@@ -90,9 +91,19 @@ def _require_cube(cube: Cube, over: Algebroid, what: str, n: Optional[int] = 2) 
 
 
 def _trapezoid(field: np.ndarray, N: int, axes: int) -> np.ndarray:
-    """Trapezoid rule over the leading ``axes`` grid axes of a node field."""
+    """Trapezoid rule over the leading ``axes`` grid axes of a node field.
+
+    Each axis is one contraction against the trapezoid weights (``1/N``,
+    and ``0.5/N`` at both ends), which makes no temporary the size of the
+    field.  A strided field is copied to contiguous memory first, so the
+    value does not depend on the layout: ``field[::2, ::2]`` gives
+    bitwise the value of its contiguous copy, as a rerun on the coarsened
+    cube would.
+    """
+    w = np.full(N + 1, 1.0 / N)
+    w[[0, -1]] = 0.5 / N
     for _ in range(axes):
-        field = np.trapezoid(field, dx=1.0 / N, axis=0)
+        field = np.tensordot(w, np.ascontiguousarray(field), axes=(0, 0))
     return field
 
 
@@ -113,7 +124,8 @@ def _with_estimate(compute, cube: Cube):
     route with trivial transport or no kernel slices, as every sphere
     monodromy period does.  The lift route and nontrivial transport
     rerun on the coarsened cube, and every route reruns on odd N, on
-    the cube respliced onto the half grid.
+    the cube respliced onto the half grid; that cube is built once per
+    cube (see :func:`_half_grid`).
     """
     value, face_cube, field = compute(cube)
     if cube.N < 6:
@@ -121,9 +133,24 @@ def _with_estimate(compute, cube: Cube):
     if field is not None and cube.N % 2 == 0:
         hvalue = _trapezoid(field[::2, ::2], cube.N // 2, 2)
     else:
-        half = coarsen(cube) if cube.N % 2 == 0 else resample(cube, cube.N // 2)
-        hvalue = compute(half)[0]
+        hvalue = compute(_half_grid(cube))[0]
     return value, sup_norm(value - hvalue), face_cube
+
+
+# the half-grid cube of each cube a rerun has needed, dropped with the cube
+_HALF_GRIDS: "weakref.WeakKeyDictionary[Cube, Cube]" = weakref.WeakKeyDictionary()
+
+
+def _half_grid(cube: Cube) -> Cube:
+    """The cube on the half grid, built once per cube: coarsened on even N, respliced on odd N.
+
+    Cubes are immutable, so both routes of one ``method = both`` run, and
+    any later rerun on the same cube, share it.
+    """
+    half = _HALF_GRIDS.get(cube)
+    if half is None:
+        half = _HALF_GRIDS[cube] = coarsen(cube) if cube.N % 2 == 0 else resample(cube, cube.N // 2)
+    return half
 
 
 CENTRALITY_POINTS, CENTRALITY_SEED = 25, 0  # the sample centrality_residual draws

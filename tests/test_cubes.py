@@ -13,6 +13,7 @@ from algebroids.cubes import (
     Cube,
     Spline,
     bicubic,
+    coarsen,
     commutation_residual,
     concat,
     cotangent_lift,
@@ -133,6 +134,49 @@ def test_cube_adopts_a_read_only_array_that_owns_its_memory(monkeypatch):
     monkeypatch.setattr(cubes_module, "tangent_lift", spy)
     c = cotangent_lift(PLANE, {(0, 1): "1"}, ["0.5*t1", "0.3 + 0.2*t2"], 2, 8)
     assert np.shares_memory(c.gamma, lifted[0].gamma)
+
+
+WAVY = ["0.2 + 0.5*t1 + 0.1*sin(3*t1*t2)", "0.3 + 0.4*t2 - 0.2*t1^2*t2"]
+
+
+def test_tangent_lift_stores_its_points_one_coordinate_at_a_time():
+    cube = tangent_lift(PLANE, WAVY, n=2, N=12)
+    assert cube.gamma.shape == (13, 13, 2)
+    assert all(cube.gamma[..., a].flags.c_contiguous for a in range(2))
+    assert not cube.gamma.flags.writeable and not cube.gamma.base.flags.writeable
+    # the permuted view is adopted as it stands, by a cube built on it too
+    assert Cube(cube.algebroid, cube.gamma, cube.coeffs).gamma is cube.gamma
+    # a reversed or sliced view of the same memory is copied
+    for view in (cube.gamma[::-1], cube.gamma[:, ::2][:, :7]):
+        rebuilt = Cube(cube.algebroid, view[:7, :7], cube.coeffs[:, :7, :7])
+        assert not np.shares_memory(rebuilt.gamma, cube.gamma)
+        np.testing.assert_array_equal(rebuilt.gamma, view[:7, :7])
+
+
+def test_coordinate_major_points_give_the_bits_of_a_contiguous_copy(tmp_path):
+    cube = tangent_lift(PLANE, WAVY, n=2, N=12)
+    dense = Cube(cube.algebroid, np.ascontiguousarray(cube.gamma), cube.coeffs)
+    assert dense.gamma.flags.c_contiguous and not np.shares_memory(dense.gamma, cube.gamma)
+    save_cube(cube, tmp_path / "cube.json")
+    save_cube(dense, tmp_path / "dense.json")
+    pairs = [
+        (cube, dense),
+        (face(cube, 1, 1), face(dense, 1, 1)),
+        (coarsen(cube), coarsen(dense)),
+        (load_cube(tmp_path / "cube.json", cube.algebroid), load_cube(tmp_path / "dense.json", cube.algebroid)),
+    ]
+    for got, want in pairs:
+        assert got.gamma.shape == want.gamma.shape and got.gamma.tobytes() == want.gamma.tobytes()
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert (tmp_path / "cube.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
+
+
+def test_a_coordinate_major_map_that_leaves_the_box_is_a_chart_escape():
+    with pytest.raises(ChartEscapeError):
+        tangent_lift(PLANE, ["0.2 + 0.5*t1", "2.9 + 0.2*t2*t1"], n=2, N=12)
+    # the point that leaves is the last node of the second coordinate
+    with pytest.raises(ChartEscapeError):
+        tangent_lift(PLANE, ["0", "3.0 + 1e-7*t1*t2"], n=2, N=12)
 
 
 def test_overflowing_flow_is_a_chart_escape():

@@ -307,6 +307,62 @@ def test_odd_grids_resplice_the_half_grid_once(monkeypatch):
     assert 0.0 < res.est_error < 5e-2
 
 
+@pytest.mark.parametrize("N", [41, 24])
+def test_both_routes_build_the_half_grid_cube_once(monkeypatch, N):
+    # odd N resplices for both routes; even N under nontrivial transport coarsens for both
+    if N % 2:
+        fib = plane_fibration()
+        make = lambda: cotangent_lift(PLANE, STD_BIV, ["t1 - 0.4 + 0.1*sin(3*t2)", "t2 - 0.3"], n=2, N=N)
+    else:
+        E = make_rep_extension(make_tangent(PLANE), 1, [[["0"]], [["0.5"]]], twist={(0, 1): ["1"]})
+        fib = anchor_fibration(E, [["0", "0"], ["1", "0"], ["0", "1"]])
+        assert not fib.transport_is_trivial
+        make = lambda: tangent_lift(PLANE, ["t1 - 0.5", "t2 - 0.5"], n=2, N=N)
+    # each route alone, each on a cube of its own
+    want = [transgress2_formula(fib, make()).est_error, transgress_lift(fib, make()).est_error]
+    resampled, coarsened = _calls(monkeypatch, "resample"), _calls(monkeypatch, "coarsen")
+    cube = make()
+    got = [transgress2_formula(fib, cube).est_error, transgress_lift(fib, cube).est_error]
+    assert [e.hex() for e in got] == [e.hex() for e in want]
+    assert (len(resampled), len(coarsened)) == ((1, 0) if N % 2 else (0, 1))
+
+
+@pytest.mark.parametrize("shape", [(9,), (9, 9), (9, 9, 2)])
+def test_the_weighted_quadrature_is_the_trapezoid_rule(shape):
+    field = np.random.default_rng(3).normal(size=shape)
+    axes = min(len(shape), 2)
+    want = field
+    for _ in range(axes):
+        want = np.trapezoid(want, dx=1.0 / 8, axis=0)
+    np.testing.assert_allclose(transgression._trapezoid(field, 8, axes), want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(4001,), (41, 41, 1)])
+def test_the_quadrature_of_a_strided_field_is_that_of_its_copy(shape):
+    # a 1-D dot product over a strided vector takes another summation order unless copied
+    field = np.random.default_rng(5).normal(size=shape)
+    axes = min(len(shape), 2)
+    strided = field[(slice(None, None, 2),) * axes]
+    assert not strided.flags.c_contiguous
+    N = (shape[0] - 1) // 2
+    got = transgression._trapezoid(strided, N, axes)
+    want = transgression._trapezoid(np.ascontiguousarray(strided), N, axes)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_sphere_map_that_is_not_separable_has_period_total_area():
+    # the sphere square bent in both angles, so every input of the pairing varies along both axes
+    A, splitting, _ = sphere_setup(4)
+    eps = 1e-3
+    comps = [
+        f"{eps} + {PI - 2 * eps}*t1 + 0.01*sin({PI}*t1)*sin({2 * PI}*t2)",
+        f"{2 * PI}*t2 + 0.05*sin({PI}*t1)",
+    ]
+    res = monodromy_period(A, splitting, tangent_lift(A.chart, comps, n=2, N=128))
+    assert abs(res.scalar() - 4 * PI) < 2e-2
+    assert 0.0 < res.est_error < 2e-2
+
+
 def test_a_period_under_a_nonzero_covariant_action_is_the_transgression():
     # the algebroid of configs/rep_transport.cfg, whose anchor fibration transports along y
     E = make_rep_extension(make_tangent(PLANE), 1, [[["0"]], [["0.5"]]], twist={(0, 1): ["1"]})

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -27,7 +28,7 @@ from .core import (
     Algebroid, Chart, Section, eval_exprs, make_cotangent_poisson, make_tangent,
     product_chart, sampled_values, sup_norm,
 )
-from .expr import NonFiniteError, as_expr, compile_exprs, sub
+from .expr import DomainError, NonFiniteError, as_expr, compile_exprs, sub
 
 __all__ = [
     "Cube",
@@ -322,119 +323,131 @@ def resample(cube: Cube, M: int) -> Cube:
 
 # --- cubic splines on uniform knots ---------------------------------------------
 
+# Rows per block of the cached not-a-knot inverse, and columns read either side of a block.
+_REACH = 32
 
-def _tridiagonal_solve(lower, diag, upper, rhs: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system for every column of ``rhs`` at once.
 
-    ``lower[i]``, ``diag[i]`` and ``upper[i]`` are the entries of row i
-    left of, on and right of the diagonal; ``rhs`` has one row per
-    equation along axis 0.  Plain elimination without pivoting: every
-    pivot of the spline systems below lies between 0.4 and 4.
+@lru_cache(maxsize=8)
+def _slope_solver(N: int) -> tuple:
+    """The inverse of the not-a-knot slope system on N+1 uniform knots, as read-only ``(rows, cols, block)`` triples.
+
+    The system depends on N alone (de Boor, A Practical Guide to Splines,
+    2001), and its inverse falls off like (2 - sqrt 3)^|i - j| (Unser, IEEE
+    SPM 16(6), 1999), below 2e-18 by _REACH places off the diagonal.  So
+    ``block``, ``inverse[rows, cols]``, is read off the inverse of the
+    system cut to ``cols``, which differs from the whole one's by as
+    little, and agrees with a direct solve to rounding.
     """
-    n = len(diag)
-    d = list(diag)
-    r = rhs.copy()
-    for i in range(1, n):
-        w = lower[i] / d[i - 1]
-        d[i] -= w * upper[i - 1]
-        r[i] -= w * r[i - 1]
-    r[-1] /= d[-1]
-    for i in range(n - 2, -1, -1):
-        r[i] -= upper[i] * r[i + 1]
-        r[i] /= d[i]
-    return r
+    ends, blocks = ((1.0, 1.0) if N == 2 else (1.0, 2.0)), []
+    for start in range(0, N + 1, _REACH):
+        rows = slice(start, min(start + _REACH, N + 1))
+        cols = slice(max(start - _REACH, 0), min(rows.stop + _REACH, N + 1))
+        n = cols.stop - cols.start
+        A = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)  # the system's rows and columns ``cols``
+        if cols.start == 0:
+            A[0, :2] = ends
+        if cols.stop == N + 1:
+            A[-1, :-3:-1] = ends
+        block = np.linalg.inv(A)[start - cols.start : rows.stop - cols.start]
+        blocks.append((rows, cols, frozen(block.copy())))
+    return tuple(blocks)
+
+
+def _steps(y: np.ndarray) -> int:
+    """The number N of knot steps of node values along axis 0; ValueError unless N >= 2."""
+    if len(y) < 3:
+        raise ValueError(f"a not-a-knot spline needs at least 3 nodes, not {len(y)}")
+    return len(y) - 1
 
 
 def _node_slopes(y: np.ndarray) -> np.ndarray:
-    """Node slopes along axis 0 of the not-a-knot cubic spline through ``y`` on uniform knots of [0, 1].
+    """Node slopes along axis 0 of the not-a-knot cubic spline through ``y`` on uniform knots of [0, 1], times the step 1/N.
 
-    With three nodes the spline is the single parabola through them.
+    One matrix product per block of :func:`_slope_solver`.  With three
+    nodes the spline is the single parabola through them.
     """
-    N = y.shape[0] - 1
-    m = np.diff(y, axis=0) * N
-    lower, diag, upper = [1.0] * (N + 1), [4.0] * (N + 1), [1.0] * (N + 1)
+    N = _steps(y)
+    m = np.diff(y, axis=0)
     rhs = np.empty(y.shape)
     rhs[1:-1] = 3 * (m[:-1] + m[1:])
     if N == 2:
-        upper[0] = lower[N] = diag[0] = diag[N] = 1.0
         rhs[0], rhs[-1] = 2 * m[0], 2 * m[-1]
     else:
-        upper[0] = lower[N] = 2.0
-        diag[0] = diag[N] = 1.0
         rhs[0] = (5 * m[0] + m[1]) / 2
         rhs[-1] = (m[-2] + 5 * m[-1]) / 2
-    return _tridiagonal_solve(lower, diag, upper, rhs)
+    rhs = rhs.reshape(N + 1, rhs[0].size)
+    d = np.empty(rhs.shape)
+    for rows, cols, block in _slope_solver(N):
+        np.matmul(block, rhs[cols], out=d[rows])
+    return d.reshape(y.shape)
 
 
-def _hermite(y0, y1, d0, d1, N: int):
-    """Power-form coefficients, about the left end, of the cubic on a 1/N step.
+def _locate(t: np.ndarray, N: int):
+    """Step index i of each position on the N steps of [0, 1] (extrapolating past the ends), and its Hermite weights.
 
-    The cubic takes values ``y0``, ``y1`` and slopes ``d0``, ``d1`` at
-    the two ends; the value at offset s is ``c0 + s*(c1 + s*(c2 + s*c3))``.
+    ``(a0, a1, b0, b1)`` weigh the values at knots i and i+1 and the slopes
+    there, in units of the step, at the offset ``u = N t - i``.
     """
-    m = (y1 - y0) * N
-    t = (d0 + d1 - 2 * m) * N
-    return y0, d0, (m - d0) * N - t, t * N
-
-
-def _horner(c, s):
-    return c[0] + s * (c[1] + s * (c[2] + s * c[3]))
-
-
-def _locate(t: np.ndarray, knots: np.ndarray):
-    """Interval index of each position (extrapolating past the ends) and its offset."""
-    i = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, knots.size - 2)
-    return i, t - knots[i]
+    i = np.clip(np.floor(t * N), 0, N - 1)
+    u = (t - i / N) * N
+    v = 1.0 - u
+    uu, vv = u * u, v * v
+    return i.astype(np.intp), ((1.0 + 2.0 * u) * vv, (3.0 - 2.0 * u) * uu, u * vv, -v * uu)
 
 
 class Spline:
     """Cubic spline through node values on the uniform knots of [0, 1].
 
-    ``y`` holds N+1 node values along ``axis``; the other axes are
+    ``y`` holds N+1 node values along ``axis``, N >= 2; the other axes are
     interpolated independently.  The end conditions are not-a-knot.  The
-    spline is solved once; each evaluation reads only the four power-form
-    coefficients of the interval a position falls in.  Positions of any
-    shape P, a scalar included, take one vectorised lookup and return
+    spline keeps ``y`` (not a copy) and its node slopes, solved once; an
+    evaluation weighs the two knots around each position (see
+    :func:`_locate`).  Positions of any shape P, a scalar included, return
     shape ``y.shape[:axis] + P + y.shape[axis+1:]``.
     """
 
     def __init__(self, y, axis: int = 0):
         y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
-        N = y.shape[0] - 1
-        d = _node_slopes(y)
-        self.axis = axis
-        self.knots = np.linspace(0.0, 1.0, N + 1)
-        # per-interval power-form coefficients, shape (N, 4) + the other axes
-        self.coeffs = np.stack(_hermite(y[:-1], y[1:], d[:-1], d[1:], N), axis=1)
+        self.axis, self.values, self.slopes = axis, y, _node_slopes(y)
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        i, s = _locate(t, self.knots)
-        c = np.moveaxis(self.coeffs[i], t.ndim, 0)
-        out = _horner(c, s.reshape(s.shape + (1,) * (c.ndim - 1 - s.ndim)))
+        i, w = _locate(t, len(self.values) - 1)
+        a0, a1, b0, b1 = (c.reshape(c.shape + (1,) * (self.values.ndim - 1)) for c in w)
+        y, d, j = self.values, self.slopes, i + 1
+        out = a0 * y.take(i, 0) + a1 * y.take(j, 0) + b0 * d.take(i, 0) + b1 * d.take(j, 0)
         return np.moveaxis(out, tuple(range(t.ndim)), tuple(range(self.axis, self.axis + t.ndim)))
 
 
-def bicubic(data: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def bicubic(data, x: np.ndarray, y: np.ndarray):
     """Tensor-product not-a-knot spline through a square grid, at paired positions.
 
-    ``data`` has shape (N+1, N+1) + F with ``data[i, j]`` at (i/N, j/N);
-    returns ``x.shape + F``, the spline at each point (x, y).  The node
-    values and y-slopes of each grid column are splined along x; the two
-    columns around y then fix one cubic in y.
+    ``data`` has shape (N+1, N+1) + F, N >= 2, with ``data[i, j]`` at
+    (i/N, j/N); returns ``x.shape + F``, the spline at each point (x, y).
+    On each cell it is the bicubic Hermite patch of the values, x-, y- and
+    cross slopes at the four corners (those of the splines along the grid
+    lines): 16 terms, each weighted by one Hermite weight per axis.  For a
+    list of grids, each with its own F, the positions are located and
+    weighted once and a list is returned, each entry bitwise that of its
+    own call.
     """
-    N = data.shape[0] - 1
+    fields = data if isinstance(data, list) else [data]
+    N = _steps(fields[0])
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    dy = np.moveaxis(_node_slopes(np.moveaxis(data, 1, 0)), 0, 1)
-    columns = Spline(np.stack([data, dy], axis=2))  # coeffs[i, :, j]: column j over x-step i
-    i, u = _locate(x, columns.knots)
-    j, v = _locate(y, columns.knots)
-    u = u.reshape(u.shape + (1,) * (data.ndim - 1))
-    (f0, d0), (f1, d1) = (
-        np.moveaxis(_horner(np.moveaxis(columns.coeffs[i, :, j + k], x.ndim, 0), u), x.ndim, 0)
-        for k in (0, 1)
-    )
-    return _horner(_hermite(f0, f1, d0, d1, N), v.reshape(v.shape + (1,) * (data.ndim - 2)))
+    (i, wx), (j, wy) = _locate(x.ravel(), N), _locate(y.ravel(), N)
+    k = i * (N + 1) + j
+    corners = (k, k + 1, k + N + 1, k + N + 2)  # (i, j), (i, j+1), (i+1, j), (i+1, j+1)
+    # per corner and position, the weights of the corner's value, x-slope, y-slope and cross slope
+    weights = [np.stack([wx[p + a] * wy[q + b] for q in (0, 2) for p in (0, 2)], -1) for a in (0, 1) for b in (0, 1)]
+    out = []
+    for f in fields:
+        fy = np.moveaxis(_node_slopes(np.moveaxis(f, 1, 0)), 0, 1)
+        width = f[0, 0].size
+        nodes = np.stack([f, _node_slopes(f), fy, _node_slopes(fy)], axis=2).reshape((N + 1) ** 2, 4, width)
+        # one corner at a time, so that no temporary holds all 16 terms
+        value = sum(np.einsum("pq,pqf->pf", w, nodes.take(c, 0)) for w, c in zip(weights, corners))
+        out.append(value.reshape(x.shape + f.shape[2:]))
+    return out if isinstance(data, list) else out[0]
 
 
 # --- boundary-flattening reparametrization ------------------------------------
@@ -571,6 +584,13 @@ def rk4(f, y0, N: int, stage: np.ndarray | None = None) -> np.ndarray:
     the N+1 node states on a new leading axis.  The ufuncs run in the
     textbook formula's order, into preallocated arrays, so the result is
     bitwise that of the out-of-place step.
+
+    Checks: one ``np.errstate(all="ignore")`` per sweep, and per step a
+    NonFiniteError unless the node state is finite.  Each stage's rate
+    enters it with weight h/6 or h/3, and inf - inf is NaN, so ``f`` may
+    skip its own output check (``Bound.run(out, checked=False)``); a
+    domain check per op that fails on a non-finite stage state (a log of
+    -inf, say) is raised as NonFiniteError too.
     """
     h = 1.0 / N
     y0 = np.asarray(y0, dtype=float)
@@ -579,21 +599,29 @@ def rk4(f, y0, N: int, stage: np.ndarray | None = None) -> np.ndarray:
     if stage is None:
         stage = np.empty(y0.shape)
     acc = np.empty(y0.shape)  # k1 + 2 k2 + 2 k3 + k4, summed as the rates come
-    for s in range(N):
-        y, j = out[s], 2 * s
-        np.copyto(stage, y)
-        k = f(j, stage)  # k1
-        np.copyto(acc, k)
-        for dj, dt in ((1, h / 2), (1, h / 2), (2, h)):
-            np.multiply(k, dt, out=stage)  # the next stage state y + dt k
-            np.add(y, stage, out=stage)
-            k = f(j + dj, stage)  # k2, k3, k4
-            if dj == 1:  # k2 and k3 count twice: 2 k goes through the stage buffer, free until the next call
-                np.add(acc, np.multiply(k, 2.0, out=stage), out=acc)
-            else:
-                np.add(acc, k, out=acc)
-        np.multiply(acc, h / 6, out=acc)
-        np.add(y, acc, out=out[s + 1])
+    with np.errstate(all="ignore"):
+        try:
+            for s in range(N):
+                y, j = out[s], 2 * s
+                np.copyto(stage, y)
+                k = f(j, stage)  # k1
+                np.copyto(acc, k)
+                for dj, dt in ((1, h / 2), (1, h / 2), (2, h)):
+                    np.multiply(k, dt, out=stage)  # the next stage state y + dt k
+                    np.add(y, stage, out=stage)
+                    k = f(j + dj, stage)  # k2, k3, k4
+                    if dj == 1:  # k2 and k3 count twice: 2 k goes through the stage buffer, free until the next call
+                        np.add(acc, np.multiply(k, 2.0, out=stage), out=acc)
+                    else:
+                        np.add(acc, k, out=acc)
+                np.multiply(acc, h / 6, out=acc)
+                np.add(y, acc, out=out[s + 1])
+                if not np.isfinite(out[s + 1]).all():
+                    raise NonFiniteError(f"non-finite state at step {s + 1} of {N}")
+        except DomainError as err:
+            if isinstance(err, NonFiniteError) or np.isfinite(stage).all():
+                raise
+            raise NonFiniteError(f"non-finite stage state in step {s + 1} of {N}") from err
     return out
 
 

@@ -30,6 +30,7 @@ No simplification is performed beyond constant folding and the obvious
 from __future__ import annotations
 
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -503,8 +504,14 @@ class Bound:
     def __init__(self, program: Program, regs: list, base_shape: tuple):
         self.program, self.regs, self.base_shape = program, regs, base_shape
 
-    def run(self, out: np.ndarray | None = None):
-        """The program's value at the bound inputs, as :func:`evaluate` returns it (see there)."""
+    def run(self, out: np.ndarray | None = None, checked: bool = True):
+        """The program's value at the bound inputs, as :func:`evaluate` returns it (see there).
+
+        Each domain check runs per op; one ``np.errstate`` and the output
+        check per run (per stage, in a sweep), unless ``checked`` is False:
+        then the sweep holds one errstate and checks its node state per
+        step (see :func:`cubes.rk4`).
+        """
         program, base_shape = self.program, self.base_shape
         shape = base_shape + program.shape
         if out is None:
@@ -521,7 +528,8 @@ class Bound:
                 regs[slot] = _narrow(regs[slot])
             blocks = _blocks(program, regs, out, len(base_shape))
         bad = None  # the first block with a non-finite output, reported once every domain check has run
-        with np.errstate(all="ignore"):  # overflow and NaN are caught at the outputs below
+        # overflow and NaN are caught at the outputs below, or unchecked, at the sweep's node states
+        with np.errstate(all="ignore") if checked else nullcontext():
             for regs, view in blocks:
                 for _, fn, dst, a, b, writes, dead in program.ops:
                     v = regs[dst] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
@@ -529,7 +537,7 @@ class Bound:
                         view[index] = v
                     for slot in dead:
                         regs[slot] = None
-                if bad is None and not np.isfinite(view).all():
+                if checked and bad is None and not np.isfinite(view).all():
                     bad = view
         if bad is not None:
             where = np.argwhere(~np.isfinite(bad))[0][len(base_shape) :]
@@ -571,8 +579,9 @@ def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None, out:
     returned.
     Unbound variables, division by zero, log/sqrt domain violations,
     zero to a negative power and any non-finite result raise errors
-    rather than producing NaN or inf.  Every run repeats each domain
-    check and the non-finite check.
+    rather than producing NaN or inf: each domain check per op, the
+    non-finite check per run.  (An RK4 sweep's stage runs leave the latter
+    to a node check per step; see :meth:`Bound.run`.)
 
     Over more than ``BLOCK`` points each variable is cut to the axes it
     varies on (see :func:`_narrow`), so an op whose inputs vary along one

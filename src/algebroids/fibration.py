@@ -435,6 +435,12 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     After the sweep, one run of the field-free lift program takes ``w2``
     at every node.  Returns the cube over the total algebroid whose
     coefficient fields are the transverse fields, then ``w2``.
+
+    Stage runs skip their output check: each output reaches the node
+    state that :func:`cubes.rk4` checks per step, ``w2`` through the
+    transverse difference, or with no field through its anchor image,
+    which may drop a row, so then each stage checks ``w2``.  A non-finite
+    value (the lift leaving the chart) raises ChartEscapeError.
     """
     h = 1.0 / N
     m, rE = fib.chart.dim, fib.total.rank
@@ -453,7 +459,9 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
 
     def rhs(j: int, Y: np.ndarray) -> np.ndarray:
         np.copyto(driver, b_rows[..., j])
-        lift.run(out)
+        lift.run(out, checked=False)
+        if not k and not np.isfinite(w2).all():  # with no field, w2 reaches the state only through its anchor image
+            raise NonFiniteError(f"non-finite lift at stage time {j}")
         for add in gradients:
             add()
         return dY
@@ -509,7 +517,8 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
     The fibration's compiled :attr:`Fibration.transport_program` is
     bound once, to the RK4 stage buffer and to a point and a driver
     buffer that each stage copies its samples into, and each stage runs
-    it once on every line, into one rate buffer.  Returns the
+    it once on every line, into one rate buffer, unchecked: the node
+    states are checked per step (see :func:`cubes.rk4`).  Returns the
     ``grid + (rK, rK)`` array of matrices carrying a kernel vector at
     the start of each line to each node, so a one-dimensional path gives
     an (N+1, rK, rK) stack.  A trivial covariant action short-circuits
@@ -533,7 +542,7 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
     def rhs(j: int, V: np.ndarray) -> np.ndarray:
         np.copyto(point, g[..., j, :])
         np.copyto(driver, b[..., j, :])
-        return transport.run(rates)
+        return transport.run(rates, checked=False)
 
     V = rk4(rhs, np.broadcast_to(np.eye(rK), lines + (rK, rK)), N, stage)
     return np.moveaxis(V, 0, n - 1)

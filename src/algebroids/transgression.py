@@ -491,9 +491,8 @@ def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
     ]
     dH_de = [(r1[c] - r0[c])[:, None] * tau_p[None, :] for c in range(2)]
 
-    w_gamma = bicubic(square.gamma, H[0], H[1])
-    xi1 = bicubic(square.coeffs[0], H[0], H[1])
-    xi2 = bicubic(square.coeffs[1], H[0], H[1])
+    # H is located once for the three fields, each splined on its own
+    w_gamma, xi1, xi2 = bicubic([square.gamma, square.coeffs[0], square.coeffs[1]], H[0], H[1])
     w_t = dH_dt[0][..., None] * xi1 + dH_dt[1][..., None] * xi2
     w_e = dH_de[0][..., None] * xi1 + dH_de[1][..., None] * xi2
     witness = Cube(fib.total, frozen(w_gamma), frozen(np.stack([w_t, w_e])))

@@ -496,6 +496,72 @@ def test_bicubic_matches_rect_bivariate_spline(N, seed):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def thomas_slopes(y: np.ndarray) -> np.ndarray:
+    """Node slopes along axis 0 of the not-a-knot spline through ``y`` on uniform knots, by row-by-row elimination.
+
+    The reference for the cached solve, and the loop ``scripts/spline_ladder.py`` times against it.
+    """
+    N = y.shape[0] - 1
+    m = np.diff(y, axis=0) * N
+    lower, diag, upper = [1.0] * (N + 1), [4.0] * (N + 1), [1.0] * (N + 1)
+    r = np.empty(y.shape)
+    r[1:-1] = 3 * (m[:-1] + m[1:])
+    if N == 2:
+        upper[0] = lower[N] = diag[0] = diag[N] = 1.0
+        r[0], r[-1] = 2 * m[0], 2 * m[-1]
+    else:
+        upper[0] = lower[N] = 2.0
+        diag[0] = diag[N] = 1.0
+        r[0], r[-1] = (5 * m[0] + m[1]) / 2, (m[-2] + 5 * m[-1]) / 2
+    for i in range(1, N + 1):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        r[i] -= w * r[i - 1]
+    r[-1] /= diag[-1]
+    for i in range(N - 1, -1, -1):
+        r[i] -= upper[i] * r[i + 1]
+        r[i] /= diag[i]
+    return r
+
+
+# one block of the cached inverse up to 32 rows (N = 31), two from 33; from 65 rows (N = 64) on, blocks read a cut system
+@pytest.mark.parametrize("N", [2, 3, 6, 31, 32, 33, 63, 64, 65, 66, 97, 200, 768])
+def test_the_cached_slope_solve_matches_the_thomas_loop(N):
+    rng = np.random.default_rng(N)
+    for y in (rng.normal(size=N + 1), rng.normal(size=(N + 1, 5, 2)), np.cumsum(rng.normal(size=(N + 1, 3)), axis=0)):
+        want = thomas_slopes(y)
+        got = cubes_module._node_slopes(y) * N  # the cached solve gives slopes in units of the step
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_the_cached_inverse_is_read_only():
+    blocks = cubes_module._slope_solver(97)
+    assert sum(rows.stop - rows.start for rows, _, _ in blocks) == 98
+    for _, _, block in blocks:
+        assert not block.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_a_spline_needs_three_nodes(nodes):
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        Spline(np.zeros((nodes, 2)))
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        bicubic(np.zeros((nodes, nodes, 2)), np.zeros(4), np.zeros(4))
+
+
+def test_a_multi_field_bicubic_is_bitwise_one_call_per_field():
+    rng = np.random.default_rng(7)
+    fields = [rng.normal(size=(25, 25) + F) for F in ((2,), (3,), (), (2, 2))]
+    x, y = rng.uniform(-0.1, 1.1, size=(2, 6, 9))
+    together = bicubic(fields, x, y)
+    assert len(together) == len(fields)
+    for f, got in zip(fields, together):
+        assert got.tobytes() == bicubic(f, x, y).tobytes()
+        assert got.shape == x.shape + f.shape[2:]
+
+
 @settings(max_examples=30, deadline=None)
 @given(rows=st.integers(1, 8), cols=st.integers(1, 6), rank=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
 def test_null_space_matches_scipy_up_to_sign(rows, cols, rank, seed):

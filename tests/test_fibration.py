@@ -15,7 +15,7 @@ from algebroids.core import (
     point_chart,
 )
 from algebroids.cubes import ChartEscapeError, Cube, Spline, cotangent_lift, face, half_steps, morphism_residual, rk4, tangent_lift
-from algebroids.expr import ZERO, DomainError, add, compile_exprs, evaluate, mul, parse, var
+from algebroids.expr import ZERO, DomainError, NonFiniteError, add, compile_exprs, evaluate, mul, parse, var
 from algebroids.transgression import kernel_coefficient_values, transgress2_formula
 from algebroids.fibration import (
     Curvature2Form,
@@ -256,6 +256,31 @@ def test_overflowing_lift_is_a_chart_escape():
         evolve_cube_system(fib, np.ones((9, 17, 1)), gamma0, [np.zeros((9, 2))], 8)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("guard", ["log(x + 3)", "1/exp(x)"])
+def test_a_lift_overflow_that_meets_a_domain_check_is_a_chart_escape(guard, k):
+    # from x = -0.8 the anchor's -exp(-1000*x) makes the first stage rate -inf; the next stage state,
+    # x = -inf, fails the guard's domain check (a log of -inf, or a division by exp(-inf) = 0)
+    line = make_explicit(PLANE, 1, [["1", "0"]])
+    E = make_explicit(PLANE, 1, [["-exp(-1000*x)", guard]])
+    fib = Fibration(E, line, [["1"]], [["1"]], ())
+    gamma0 = np.stack([np.full(9, -0.8), np.linspace(-0.5, 0.5, 9)], axis=-1)
+    with pytest.raises(ChartEscapeError, match="leave the chart box"):
+        evolve_cube_system(fib, np.ones((9, 17, 1)), gamma0, [np.zeros((9, 1))] * k, 8)
+
+
+def test_a_field_free_lift_checks_the_w2_rows_its_anchor_image_drops():
+    # w2 = (10 b, 0), and the anchor drops its first row, so the points stay put; the driver is 1 at
+    # every node but overflows w2 at the first midpoint, which only the per-stage w2 check sees
+    E = make_explicit(PLANE, 2, [["0", "0"], ["1", "0"]])
+    fib = Fibration(E, make_explicit(PLANE, 1, [["1", "0"]]), [["0", "1"]], [["10"], ["0"]], [["1", "0"]])
+    gamma0, b = np.array([0.5, 0.0]), np.ones((17, 1))
+    assert np.isfinite(evolve_cube_system(fib, b, gamma0, [], 8).coeffs).all()
+    b[1] = 1e308
+    with pytest.raises(ChartEscapeError, match="leave the chart box"):
+        evolve_cube_system(fib, b, gamma0, [], 8)
+
+
 def test_lift_rejects_wrong_base():
     fib = jacobi_fibration(PLANE, {(0, 1): "1"})
     wrong = tangent_lift(PLANE, ["t1", "0"], n=1, N=8)
@@ -266,6 +291,14 @@ def test_lift_rejects_wrong_base():
 
 
 # --- transport -------------------------------------------------------------------
+
+
+def test_an_overflowing_transport_raises_non_finite_error():
+    # a kernel action of 1e8 along x: each RK4 step multiplies V by about 6e25, past the float range by step 12
+    fib = rep_extension_fibration(make_tangent(PLANE), 1, action=[[["1e8"]], [["0"]]])
+    path = tangent_lift(PLANE, ["t1 - 0.5", "0"], n=1, N=16)
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        transport_matrix(fib, path)
 
 
 def test_transport_trivial_action_is_identity():

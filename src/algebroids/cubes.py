@@ -18,14 +18,14 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
-    Algebroid, Chart, Section, eval_exprs, make_cotangent_poisson, make_tangent,
+    Algebroid, Chart, Section, coerce_matrix, eval_exprs, make_cotangent_poisson, make_tangent,
     product_chart, sampled_values, sup_norm,
 )
 from .expr import DomainError, NonFiniteError, as_expr, compile_exprs, sub
@@ -182,6 +182,14 @@ class Cube:
     @property
     def basepoint(self) -> np.ndarray:
         return self.gamma[(0,) * self.n]
+
+    @cached_property
+    def half(self) -> Cube:
+        """The cube on the half grid: :func:`coarsen` on even N, :func:`resample` to N // 2 on odd N.
+
+        Built once, so every half-grid rerun on this immutable cube shares it.
+        """
+        return coarsen(self) if self.N % 2 == 0 else resample(self, self.N // 2)
 
 
 class MorphismResidual(NamedTuple):
@@ -585,12 +593,14 @@ def rk4(f, y0, N: int, stage: np.ndarray | None = None) -> np.ndarray:
     textbook formula's order, into preallocated arrays, so the result is
     bitwise that of the out-of-place step.
 
-    Checks: one ``np.errstate(all="ignore")`` per sweep, and per step a
-    NonFiniteError unless the node state is finite.  Each stage's rate
-    enters it with weight h/6 or h/3, and inf - inf is NaN, so ``f`` may
-    skip its own output check (``Bound.run(out, checked=False)``); a
-    domain check per op that fails on a non-finite stage state (a log of
-    -inf, say) is raised as NonFiniteError too.
+    Checks, one rule for every sweep (flow, lift and transport): each
+    per-op domain check runs on every stage, and the sweep holds one
+    ``np.errstate(all="ignore")`` and raises NonFiniteError unless each
+    node state is finite.  Every rate entry enters the node with weight
+    h/6 or h/3, and inf - inf is NaN, so ``f`` returns every row its
+    program computes and runs it unchecked (``Bound.run(out,
+    checked=False)``).  A domain error on a non-finite stage state (a log
+    of -inf, say) is raised as NonFiniteError too.
     """
     h = 1.0 / N
     y0 = np.asarray(y0, dtype=float)
@@ -626,13 +636,7 @@ def rk4(f, y0, N: int, stage: np.ndarray | None = None) -> np.ndarray:
 
 
 def _coerce_sections(A: Algebroid, sections: Sequence) -> list[Section]:
-    out = []
-    for s in sections:
-        sec = s if isinstance(s, Section) else Section.of(s)
-        if len(sec) != A.rank:
-            raise ValueError("each section needs one coefficient per frame element")
-        out.append(sec)
-    return out
+    return [Section(row) for row in coerce_matrix(sections, len(sections), A.rank, "sections")]
 
 
 def time_names(chart: Chart, n: int) -> tuple[str, ...]:
@@ -681,7 +685,8 @@ def cube_from_sections(
     anchor image, compiled into one program, holding already-processed
     axes at their node values and the not-yet-processed ones at zero.
     Each axis binds that program once, to the RK4 stage buffer and to a
-    0-d time that each stage sets, and runs it into one rate buffer.
+    0-d time that each stage sets, and runs it into one rate buffer,
+    unchecked under the sweep rule of :func:`rk4`.
     For a commuting family the result is independent of ``order`` up to
     integration error.
     """
@@ -707,7 +712,7 @@ def cube_from_sections(
 
         def field(j: int, _) -> np.ndarray:
             t[()] = j / (2 * N)
-            return image.run(rates)
+            return image.run(rates, checked=False)
 
         try:
             X = rk4(field, G.reshape(B, m), N, X)

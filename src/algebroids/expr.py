@@ -508,9 +508,8 @@ class Bound:
         """The program's value at the bound inputs, as :func:`evaluate` returns it (see there).
 
         Each domain check runs per op; one ``np.errstate`` and the output
-        check per run (per stage, in a sweep), unless ``checked`` is False:
-        then the sweep holds one errstate and checks its node state per
-        step (see :func:`cubes.rk4`).
+        check per run, unless ``checked`` is False, as in every RK4 stage
+        (the sweep rule is in :func:`cubes.rk4`).
         """
         program, base_shape = self.program, self.base_shape
         shape = base_shape + program.shape
@@ -580,8 +579,7 @@ def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None, out:
     Unbound variables, division by zero, log/sqrt domain violations,
     zero to a negative power and any non-finite result raise errors
     rather than producing NaN or inf: each domain check per op, the
-    non-finite check per run.  (An RK4 sweep's stage runs leave the latter
-    to a node check per step; see :meth:`Bound.run`.)
+    non-finite check per run, except in RK4 stages (see :func:`cubes.rk4`).
 
     Over more than ``BLOCK`` points each variable is cut to the axes it
     varies on (see :func:`_narrow`), so an op whose inputs vary along one

@@ -436,38 +436,35 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     at every node.  Returns the cube over the total algebroid whose
     coefficient fields are the transverse fields, then ``w2``.
 
-    Stage runs skip their output check: each output reaches the node
-    state that :func:`cubes.rk4` checks per step, ``w2`` through the
-    transverse difference, or with no field through its anchor image,
-    which may drop a row, so then each stage checks ``w2``.  A non-finite
-    value (the lift leaving the chart) raises ChartEscapeError.
+    The RK4 state matches the lift program's outputs row for row: the
+    running integral of ``w2`` (zero at t = 0, dropped after the sweep),
+    the point, then the k fields.  Stages run unchecked under the sweep
+    rule of :func:`cubes.rk4`; a non-finite value (the lift leaving the
+    chart) raises ChartEscapeError.
     """
     h = 1.0 / N
     m, rE = fib.chart.dim, fib.total.rank
     k = len(w0)
     # every buffer holds one state or rate entry per row, so that each row and each field is contiguous
-    Y0 = np.concatenate([np.moveaxis(a, -1, 0) for a in (gamma0, *w0)])  # the point, then the k fields
+    Y0 = np.concatenate([np.zeros((rE,) + gamma0.shape[:-1])] + [np.moveaxis(a, -1, 0) for a in (gamma0, *w0)])
     lines = Y0.shape[1:]
-    stage, driver = np.empty(Y0.shape), np.empty(b.shape[-1:] + lines)
+    stage, driver, rates = np.empty(Y0.shape), np.empty(b.shape[-1:] + lines), np.empty(Y0.shape)
     state = np.moveaxis(stage, 0, -1)
-    y = state[..., m:].reshape(lines + (k, rE))  # a view, so the binding follows the stage buffer
-    lift = fib.chart.bind(fib.lift_program(k), state[..., :m], b=np.moveaxis(driver, 0, -1), y=y)
-    rates = np.empty(lift.program.shape + lines)
-    w2, dY = rates[:rE], rates[rE:]
-    gradients = [_gradient_adder(dY[m + i * rE : m + (i + 1) * rE], w2, h, 1 + i) for i in range(k)]
+    y = state[..., rE + m :].reshape(lines + (k, rE))  # a view, so the binding follows the stage buffer
+    lift = fib.chart.bind(fib.lift_program(k), state[..., rE : rE + m], b=np.moveaxis(driver, 0, -1), y=y)
+    w2 = rates[:rE]
+    gradients = [_gradient_adder(rates[(1 + i) * rE + m : (2 + i) * rE + m], w2, h, 1 + i) for i in range(k)]
     b_rows, out = np.moveaxis(b, -1, 0), np.moveaxis(rates, 0, -1)
 
     def rhs(j: int, Y: np.ndarray) -> np.ndarray:
         np.copyto(driver, b_rows[..., j])
         lift.run(out, checked=False)
-        if not k and not np.isfinite(w2).all():  # with no field, w2 reaches the state only through its anchor image
-            raise NonFiniteError(f"non-finite lift at stage time {j}")
         for add in gradients:
             add()
-        return dY
+        return rates
 
     try:
-        Y = np.moveaxis(rk4(rhs, Y0, N, stage), (0, 1), (-2, -1))
+        Y = np.moveaxis(rk4(rhs, Y0, N, stage), (0, 1), (-2, -1))[..., rE:]
         w_nodes = fib.chart.values(fib.lift_program(0), Y[..., :m], b=b[..., ::2, :])[..., :rE]
     except NonFiniteError as err:  # the lift overflowed on its way out of the chart
         raise ChartEscapeError("cube base points leave the chart box") from err
@@ -517,8 +514,8 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
     The fibration's compiled :attr:`Fibration.transport_program` is
     bound once, to the RK4 stage buffer and to a point and a driver
     buffer that each stage copies its samples into, and each stage runs
-    it once on every line, into one rate buffer, unchecked: the node
-    states are checked per step (see :func:`cubes.rk4`).  Returns the
+    it once on every line, into one rate buffer, unchecked under the
+    sweep rule of :func:`cubes.rk4`.  Returns the
     ``grid + (rK, rK)`` array of matrices carrying a kernel vector at
     the start of each line to each node, so a one-dimensional path gives
     an (N+1, rK, rK) stack.  A trivial covariant action short-circuits

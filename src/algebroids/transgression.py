@@ -19,7 +19,6 @@ together with an explicit homotopy witness.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
@@ -28,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Algebroid, sampled_values, sup_norm
-from .cubes import Cube, Spline, bicubic, coarsen, cutoff, cutoff_prime, face, frozen, half_steps, resample, seam
+from .cubes import Cube, Spline, bicubic, cutoff, cutoff_prime, face, frozen, half_steps, seam
 from .fibration import (
     Fibration,
     anchor_fibration,
@@ -125,7 +124,7 @@ def _with_estimate(compute, cube: Cube):
     monodromy period does.  The lift route and nontrivial transport
     rerun on the coarsened cube, and every route reruns on odd N, on
     the cube respliced onto the half grid; that cube is built once per
-    cube (see :func:`_half_grid`).
+    cube (see :attr:`Cube.half`).
     """
     value, face_cube, field = compute(cube)
     if cube.N < 6:
@@ -133,24 +132,8 @@ def _with_estimate(compute, cube: Cube):
     if field is not None and cube.N % 2 == 0:
         hvalue = _trapezoid(field[::2, ::2], cube.N // 2, 2)
     else:
-        hvalue = compute(_half_grid(cube))[0]
+        hvalue = compute(cube.half)[0]
     return value, sup_norm(value - hvalue), face_cube
-
-
-# the half-grid cube of each cube a rerun has needed, dropped with the cube
-_HALF_GRIDS: "weakref.WeakKeyDictionary[Cube, Cube]" = weakref.WeakKeyDictionary()
-
-
-def _half_grid(cube: Cube) -> Cube:
-    """The cube on the half grid, built once per cube: coarsened on even N, respliced on odd N.
-
-    Cubes are immutable, so both routes of one ``method = both`` run, and
-    any later rerun on the same cube, share it.
-    """
-    half = _HALF_GRIDS.get(cube)
-    if half is None:
-        half = _HALF_GRIDS[cube] = coarsen(cube) if cube.N % 2 == 0 else resample(cube, cube.N // 2)
-    return half
 
 
 CENTRALITY_POINTS, CENTRALITY_SEED = 25, 0  # the sample centrality_residual draws

@@ -30,6 +30,7 @@ from algebroids.cubes import (
     morphism_residual,
     path_cube,
     reparam_cutoff,
+    resample,
     reverse,
     rk4,
     save_cube,
@@ -171,6 +172,14 @@ def test_coordinate_major_points_give_the_bits_of_a_contiguous_copy(tmp_path):
     assert (tmp_path / "cube.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
 
 
+@pytest.mark.parametrize("N", [12, 13])
+def test_a_cube_builds_its_half_grid_once(N):
+    cube = tangent_lift(PLANE, WAVY, n=2, N=N)
+    assert cube.half is cube.half and cube.half.N == N // 2
+    want = coarsen(cube) if N % 2 == 0 else resample(cube, N // 2)
+    assert cube.half.gamma.tobytes() == want.gamma.tobytes() and cube.half.coeffs.tobytes() == want.coeffs.tobytes()
+
+
 def test_a_coordinate_major_map_that_leaves_the_box_is_a_chart_escape():
     with pytest.raises(ChartEscapeError):
         tangent_lift(PLANE, ["0.2 + 0.5*t1", "2.9 + 0.2*t2*t1"], n=2, N=12)
@@ -308,11 +317,14 @@ def test_rk4_hands_its_rate_one_reused_stage_buffer():
 def test_a_log_of_a_negative_argument_in_a_flow_raises_at_its_stage(monkeypatch):
     runs = []
     run = expr_module.Bound.run
-    monkeypatch.setattr(expr_module.Bound, "run", lambda self, out=None: runs.append(1) or run(self, out))
+    monkeypatch.setattr(
+        expr_module.Bound, "run", lambda self, out=None, checked=True: runs.append(checked) or run(self, out, checked)
+    )
     # log(0.55 - t1) has no value at the 12th stage time, t1 = 11/20; step 5 reaches it at its second stage
     with pytest.raises(DomainError, match="log of a non-positive"):
         cube_from_sections(make_tangent(PLANE), [["log(0.55 - t1)", "0"]], [0.0, 0.0], 10)
-    assert len(runs) == 4 * 5 + 2
+    # every stage runs unchecked: the domain check is per op, the finiteness check is rk4's
+    assert runs == [False] * (4 * 5 + 2)
 
 
 def test_flow_cube_zero_dimensional_chart():

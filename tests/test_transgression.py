@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroids import transgression
+from algebroids import cubes, transgression
 from algebroids.core import Chart, make_jacobi_extension, make_rep_extension, make_tangent
 from algebroids.cubes import (
     coarsen,
@@ -273,10 +273,10 @@ def test_round_sphere_period_is_total_area():
 
 
 def _calls(monkeypatch, name):
-    """Arguments of every call of ``transgression.<name>`` from now on."""
+    """Arguments of every call of ``cubes.<name>`` from now on."""
     calls = []
-    original = getattr(transgression, name)
-    monkeypatch.setattr(transgression, name, lambda *args: calls.append(args) or original(*args))
+    original = getattr(cubes, name)
+    monkeypatch.setattr(cubes, name, lambda *args: calls.append(args) or original(*args))
     return calls
 
 

@@ -28,7 +28,7 @@ from .core import (
     Algebroid, Chart, Section, coerce_matrix, eval_exprs, make_cotangent_poisson, make_tangent,
     product_chart, sampled_values, sup_norm,
 )
-from .expr import DomainError, NonFiniteError, as_expr, compile_exprs, sub
+from .expr import DomainError, NonFiniteError, as_expr, compile_exprs, split_exprs, sub
 
 __all__ = [
     "Cube",
@@ -588,17 +588,20 @@ def rk4(f, y0, N: int, stage: np.ndarray | None = None) -> np.ndarray:
     default) that each stage state is written into, so a caller can bind
     its program to views of it once.  ``f`` must not keep ``y`` or write
     to it, and returns the rate in the shape of ``y0``; that may be a
-    buffer ``f`` reuses, since it is read before the next call.  Returns
-    the N+1 node states on a new leading axis.  The ufuncs run in the
-    textbook formula's order, into preallocated arrays, so the result is
-    bitwise that of the out-of-place step.
+    buffer ``f`` reuses, since it is read before the next call, or a
+    read-only table slice, since it is only read.  Returns the N+1 node
+    states on a new leading axis.  The ufuncs run in the textbook formula's order, into
+    preallocated arrays, so the result is bitwise that of the
+    out-of-place step.
 
-    Checks, one rule for every sweep (flow, lift and transport): each
-    per-op domain check runs on every stage, and the sweep holds one
+    Checks, one rule for every sweep (flow, lift and transport): the rate
+    cells that read no state (:func:`expr.split_exprs`) are checked per
+    op once per sweep, on every stage-time value, in one table run before
+    step 1; the other cells per op on every stage; and the sweep holds one
     ``np.errstate(all="ignore")`` and raises NonFiniteError unless each
     node state is finite.  Every rate entry enters the node with weight
     h/6 or h/3, and inf - inf is NaN, so ``f`` returns every row its
-    program computes and runs it unchecked (``Bound.run(out,
+    programs compute and runs them unchecked (``Bound.run(out,
     checked=False)``).  A domain error on a non-finite stage state (a log
     of -inf, say) is raised as NonFiniteError too.
     """
@@ -682,11 +685,12 @@ def cube_from_sections(
     """Sweep a cube by flowing along a family of sections depending on times ``t1 .. tn``.
 
     Axis k is integrated with a classical fourth-order step along its
-    anchor image, compiled into one program, holding already-processed
-    axes at their node values and the not-yet-processed ones at zero.
-    Each axis binds that program once, to the RK4 stage buffer and to a
-    0-d time that each stage sets, and runs it into one rate buffer,
-    unchecked under the sweep rule of :func:`rk4`.
+    anchor image, holding already-processed axes at their node values
+    and the not-yet-processed ones at zero.  The image cells that read no
+    coordinate are one run over all stage times into a read-only table;
+    each stage copies its slice into one rate buffer and runs the rest,
+    bound once to the RK4 stage buffer and to a 0-d time that it sets (or
+    returns the slice, if nothing is left), unchecked under :func:`rk4`.
     For a commuting family the result is independent of ``order`` up to
     integration error.
     """
@@ -708,14 +712,23 @@ def cube_from_sections(
         t_fixed = np.indices(S, dtype=float).reshape(stage, B) / N if stage else np.zeros((0, B))
         held = {names[order[l]]: t_fixed[l] if l < stage else 0.0 for l in range(n) if l != stage}
         X, t, rates = np.empty((B, m)), np.empty(()), np.empty((B, m))
-        image = A.chart.bind(compile_exprs(A.anchor_of(secs[k])), X, {**held, names[k]: t})
+        free, table_program, stage_program = split_exprs(A.anchor_of(secs[k]), set(A.chart.coords))
+        table = np.empty((2 * N + 1, B, m))
+        ts = np.arange(2 * N + 1) / (2 * N)  # j / (2N), as the stages set it; linspace differs in the last bit at some j
+        with np.errstate(all="ignore"):  # unchecked, like every stage
+            # the table binds no point: the broadcast only gives it its shape
+            over_times = np.broadcast_to(X, table.shape)
+            A.chart.bind(table_program, over_times, {**held, names[k]: ts[:, None]}).run(table, checked=False)
+        frozen(table)
+        image = A.chart.bind(stage_program, X, {**held, names[k]: t})
 
         def field(j: int, _) -> np.ndarray:
-            t[()] = j / (2 * N)
+            np.copyto(rates, table[j])
+            t[()] = ts[j]
             return image.run(rates, checked=False)
 
         try:
-            X = rk4(field, G.reshape(B, m), N, X)
+            X = rk4((lambda j, _: table[j]) if free.all() else field, G.reshape(B, m), N, X)
         except NonFiniteError as err:  # the flow overflowed on its way out of the chart
             raise ChartEscapeError(_ESCAPED) from err
         G = np.moveaxis(X.reshape((N + 1,) + S + (m,)), 0, -2)

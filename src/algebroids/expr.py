@@ -11,7 +11,8 @@ else on the fly.  Evaluation is two steps: :func:`bind` resolves each
 variable to its array and fixes the base shape, and :meth:`Bound.run`
 runs the op list with every check.  :func:`evaluate` does both; a
 caller that runs one program at every stage of a sweep binds it to the
-buffers it rewrites in place, once, and only runs it per stage.  A run
+buffers it rewrites in place, once, and only runs it per stage, after
+:func:`split_exprs` takes out the cells that read none of them.  A run
 over more than ``BLOCK`` points first narrows each input to a length-1
 slice along every axis it is bitwise constant on, so that each op runs
 at its own inputs' broadcast shape, and then runs the op list over
@@ -72,6 +73,7 @@ __all__ = [
     "BLOCK",
     "Program",
     "compile_exprs",
+    "split_exprs",
     "Bound",
     "bind",
     "evaluate",
@@ -383,14 +385,15 @@ class Program:
         return f"<Program shape={self.shape} ops={len(self.ops)}>"
 
 
-def compile_exprs(exprs) -> Program:
+def compile_exprs(exprs, mask=None) -> Program:
     """Compile an Expr, or a nested (rectangular) sequence of them, once.
 
     Nodes are hash-consed on ``(op, child slots)``, so equal subtrees
     evaluate once however often the trees repeat them; the walk is
     memoised by node identity, so shared objects are visited once.  No
     node is skipped: every operand is computed, so each division and
-    domain check still runs.
+    domain check still runs.  With a boolean ``mask`` of the nested
+    shape, only the cells where it is True are computed and written.
     """
     cells = np.array(exprs, dtype=object)
     keys: dict = {}
@@ -431,7 +434,8 @@ def compile_exprs(exprs) -> Program:
 
     writes: dict[int, list] = {}
     for index in np.ndindex(cells.shape):
-        writes.setdefault(visit(cells[index]), []).append((Ellipsis,) + index)
+        if mask is None or mask[index]:
+            writes.setdefault(visit(cells[index]), []).append((Ellipsis,) + index)
 
     last_read = {}
     for pos, (_, a, b, _) in enumerate(ops):
@@ -443,6 +447,17 @@ def compile_exprs(exprs) -> Program:
     )
     prelude = tuple((index, s) for s, indices in writes.items() for index in indices)
     return Program(cells.shape, cells.size, tuple(registers), tuple(loads), prelude, program_ops)
+
+
+def split_exprs(exprs, state) -> tuple[np.ndarray, Program, Program]:
+    """The mask of the cells of nested Exprs that read no name in ``state``, their program, and the rest's.
+
+    The programs are :func:`compile_exprs` under complementary masks, so
+    run into one array they write each cell once, bitwise as one program.
+    """
+    cells = np.array(exprs, dtype=object)
+    free = np.vectorize(lambda e: e.variables().isdisjoint(state), otypes=[bool])(cells)
+    return free, compile_exprs(cells, free), compile_exprs(cells, ~free)
 
 
 # Points per block of a blocked evaluation.  Each op of a program reads
@@ -509,7 +524,7 @@ class Bound:
 
         Each domain check runs per op; one ``np.errstate`` and the output
         check per run, unless ``checked`` is False, as in every RK4 stage
-        (the sweep rule is in :func:`cubes.rk4`).
+        and sweep table (the sweep rule is in :func:`cubes.rk4`).
         """
         program, base_shape = self.program, self.base_shape
         shape = base_shape + program.shape

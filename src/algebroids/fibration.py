@@ -36,7 +36,7 @@ from .core import (
     wedge,
 )
 from .cubes import ChartEscapeError, Cube, Spline, face, frozen, half_steps, rk4
-from .expr import ONE, ZERO, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, sub, total
+from .expr import ONE, ZERO, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, split_exprs, sub, total
 
 __all__ = [
     "Fibration",
@@ -199,8 +199,19 @@ class Fibration:
         return curvature(self)
 
     @cached_property
-    def _lift_programs(self) -> dict[int, Program]:
+    def _lift_programs(self) -> dict[tuple[int, bool], object]:
         return {}
+
+    def _lift(self, k: int, split: bool):
+        if (k, split) not in self._lift_programs:
+            rE = self.total.rank
+            w2 = [dot(row, fresh("b", (self.base.rank,))) for row in self.splitting]
+            out, y = [*w2, *self.total.anchor_of(Section(tuple(w2)))], fresh("y", (k, rE))
+            for row in y:
+                out.extend(wedge(row, w2, self.total.structure, l) for l in range(rE))
+            state = {*self.chart.coords, *(v.name for v in y.flat)}
+            self._lift_programs[k, split] = split_exprs(out, state) if split else compile_exprs(out)
+        return self._lift_programs[k, split]
 
     def lift_program(self, k: int) -> Program:
         """Pointwise part of the lift equations with k transverse fields, compiled on first use.
@@ -209,14 +220,11 @@ class Fibration:
         (the fields), it returns ``w2 = splitting . b``, its anchor image
         and, for each field y, ``Σ_{p<q} (y_p w2_q - y_q w2_p) c_pq``.
         """
-        if k not in self._lift_programs:
-            rE = self.total.rank
-            w2 = [dot(row, fresh("b", (self.base.rank,))) for row in self.splitting]
-            out = [*w2, *self.total.anchor_of(Section(tuple(w2)))]
-            for y in fresh("y", (k, rE)):
-                out.extend(wedge(y, w2, self.total.structure, l) for l in range(rE))
-            self._lift_programs[k] = compile_exprs(out)
-        return self._lift_programs[k]
+        return self._lift(k, False)
+
+    def lift_split(self, k: int) -> tuple[np.ndarray, Program, Program]:
+        """:meth:`lift_program` split by :func:`expr.split_exprs` at the RK4 state: the coordinates and ``#y``."""
+        return self._lift(k, True)
 
     @cached_property
     def transport_program(self) -> Program:
@@ -427,18 +435,20 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     stage times, shape transverse grid + (2N+1, rB).  The points move
     along the anchor image of its lift ``w2``, and each transverse field
     picks up the transverse derivative of ``w2`` plus its bracket with
-    ``w2``.  :meth:`Fibration.lift_program` is bound once per sweep, to
-    views of the RK4 stage buffer and of one driver buffer that each
-    stage copies ``b[..., j, :]`` into, and each stage runs it once into
-    one rate buffer; only the transverse difference is taken outside the
-    compiled program, with views made once (see :func:`_gradient_adder`).
-    After the sweep, one run of the field-free lift program takes ``w2``
-    at every node.  Returns the cube over the total algebroid whose
-    coefficient fields are the transverse fields, then ``w2``.
+    ``w2``.  The state-free cells of :meth:`Fibration.lift_split` are
+    one run over all stage times into a read-only table, and so is the
+    transverse difference if ``w2`` is among them (see
+    :func:`_gradient_adder`).  Each stage copies its table slice into one
+    rate buffer and runs the rest, bound once to views of the RK4 stage
+    buffer and of a driver buffer that it copies ``b[..., j, :]`` into
+    (or returns the slice, if nothing is left).  After the sweep, one run
+    of the field-free lift program takes ``w2`` at every node.  Returns
+    the cube over the total algebroid whose coefficient fields are the
+    transverse fields, then ``w2``.
 
     The RK4 state matches the lift program's outputs row for row: the
     running integral of ``w2`` (zero at t = 0, dropped after the sweep),
-    the point, then the k fields.  Stages run unchecked under the sweep
+    the point, then the k fields.  Every run is unchecked under the sweep
     rule of :func:`cubes.rk4`; a non-finite value (the lift leaving the
     chart) raises ChartEscapeError.
     """
@@ -448,23 +458,41 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     # every buffer holds one state or rate entry per row, so that each row and each field is contiguous
     Y0 = np.concatenate([np.zeros((rE,) + gamma0.shape[:-1])] + [np.moveaxis(a, -1, 0) for a in (gamma0, *w0)])
     lines = Y0.shape[1:]
+    free, table_program, stage_program = fib.lift_split(k)
     stage, driver, rates = np.empty(Y0.shape), np.empty(b.shape[-1:] + lines), np.empty(Y0.shape)
     state = np.moveaxis(stage, 0, -1)
-    y = state[..., rE + m :].reshape(lines + (k, rE))  # a view, so the binding follows the stage buffer
-    lift = fib.chart.bind(fib.lift_program(k), state[..., rE : rE + m], b=np.moveaxis(driver, 0, -1), y=y)
-    w2 = rates[:rE]
-    gradients = [_gradient_adder(rates[(1 + i) * rE + m : (2 + i) * rE + m], w2, h, 1 + i) for i in range(k)]
+    points, y = state[..., rE : rE + m], state[..., rE + m :].reshape(lines + (k, rE))  # views that follow the stage buffer
+    table = np.empty((2 * N + 1,) + Y0.shape)
+    hoisted = k > 0 and free[:rE].all()  # the transverse difference of a state-free w2 is state-free too
+    with np.errstate(all="ignore"):  # unchecked, like every stage
+        # the table binds no point: the broadcast only gives it its shape
+        over_times = np.broadcast_to(points, table.shape[:1] + points.shape)
+        fib.chart.bind(table_program, over_times, b=np.moveaxis(b, -2, 0)).run(np.moveaxis(table, 1, -1), checked=False)
+        if hoisted:
+            grad = np.full((2 * N + 1, k * rE) + lines, -0.0)  # -0.0 + x is x, bitwise
+            for i in range(k):
+                _gradient_adder(grad[:, i * rE : (i + 1) * rE], table[:, :rE], h, 2 + i)()
+            if free.all():  # no stage program, so the table slice is the whole rate
+                np.add(table[:, rE + m :], grad, out=table[:, rE + m :])
+    frozen(table)
+    lift = fib.chart.bind(stage_program, points, b=np.moveaxis(driver, 0, -1), y=y)
+    dY = rates[rE + m :]  # the k fields' rates
+    gradients = [] if hoisted else [_gradient_adder(dY[i * rE : (i + 1) * rE], rates[:rE], h, 1 + i) for i in range(k)]
     b_rows, out = np.moveaxis(b, -1, 0), np.moveaxis(rates, 0, -1)
 
     def rhs(j: int, Y: np.ndarray) -> np.ndarray:
+        np.copyto(rates, table[j])
         np.copyto(driver, b_rows[..., j])
         lift.run(out, checked=False)
+        if hoisted:
+            np.add(dY, grad[j], out=dY)
         for add in gradients:
             add()
         return rates
 
     try:
-        Y = np.moveaxis(rk4(rhs, Y0, N, stage), (0, 1), (-2, -1))[..., rE:]
+        Y = rk4((lambda j, Y: table[j]) if free.all() else rhs, Y0, N, stage)
+        Y = np.moveaxis(Y, (0, 1), (-2, -1))[..., rE:]
         w_nodes = fib.chart.values(fib.lift_program(0), Y[..., :m], b=b[..., ::2, :])[..., :rE]
     except NonFiniteError as err:  # the lift overflowed on its way out of the chart
         raise ChartEscapeError("cube base points leave the chart box") from err

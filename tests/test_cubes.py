@@ -7,7 +7,8 @@ from scipy.linalg import null_space as scipy_null_space
 
 from algebroids import cubes as cubes_module
 from algebroids import expr as expr_module
-from algebroids.core import Chart, make_lie_algebra, make_tangent, point_chart, so3_structure
+from algebroids import fibration as fibration_module
+from algebroids.core import Chart, Section, make_lie_algebra, make_tangent, point_chart, so3_structure
 from algebroids.cubes import (
     ChartEscapeError,
     Cube,
@@ -36,9 +37,10 @@ from algebroids.cubes import (
     save_cube,
     sphere_defect,
     tangent_lift,
+    time_names,
 )
-from algebroids.expr import DomainError
-from algebroids.fibration import null_space
+from algebroids.expr import DomainError, compile_exprs
+from algebroids.fibration import jacobi_fibration, null_space
 
 PLANE = Chart(coords=("x", "y"), box=((-3.0, 3.0), (-3.0, 3.0)))
 
@@ -318,13 +320,63 @@ def test_a_log_of_a_negative_argument_in_a_flow_raises_at_its_stage(monkeypatch)
     runs = []
     run = expr_module.Bound.run
     monkeypatch.setattr(
-        expr_module.Bound, "run", lambda self, out=None, checked=True: runs.append(checked) or run(self, out, checked)
+        expr_module.Bound,
+        "run",
+        lambda self, out=None, checked=True: runs.append((checked, out.shape)) or run(self, out, checked),
     )
-    # log(0.55 - t1) has no value at the 12th stage time, t1 = 11/20; step 5 reaches it at its second stage
+    # log(0.55 - t1) has no value at the 12th stage time, t1 = 11/20.  The cell reads no point, so it
+    # is one run over all 21 stage times before step 1, and that run raises: a state-free domain error
+    # at a late stage time now wins over a chart escape at an earlier step (both are ValueErrors)
     with pytest.raises(DomainError, match="log of a non-positive"):
         cube_from_sections(make_tangent(PLANE), [["log(0.55 - t1)", "0"]], [0.0, 0.0], 10)
-    # every stage runs unchecked: the domain check is per op, the finiteness check is rk4's
-    assert runs == [False] * (4 * 5 + 2)
+    # every run is unchecked: the domain check is per op, the finiteness check is rk4's
+    assert runs == [(False, (21, 1, 2))]
+
+
+def _per_stage_flow(A, sections, basepoint, N) -> np.ndarray:
+    """The points of ``cube_from_sections`` in axis order, with the whole anchor program run at every stage."""
+    names, m = time_names(A.chart, len(sections)), A.chart.dim
+    G = np.asarray(basepoint, dtype=float)
+    for axis, sec in enumerate(sections):
+        S = G.shape[:-1]
+        t_fixed = np.indices(S, dtype=float).reshape(axis, int(np.prod(S))) / N
+        held = {names[l]: t_fixed[l] if l < axis else 0.0 for l in range(len(sections)) if l != axis}
+        program = compile_exprs(A.anchor_of(Section.of(sec)))
+        X = rk4(lambda j, X: A.chart.values(program, X, {**held, names[axis]: j / (2 * N)}), G.reshape(-1, m), N)
+        G = np.moveaxis(X.reshape((N + 1,) + S + (m,)), 0, -2)
+    return G
+
+
+@pytest.mark.parametrize(
+    "sections",
+    [
+        [["-y + 0.3*t1", "x"], ["0.5*x", "y*t2 - t1"]],  # anchor images that read the point: a stage program
+        [["cos(3*t1)", "0.5"], ["t1 - t2", "sin(t2)"]],  # ones that read only the times: the table alone
+    ],
+    ids=["point", "times"],
+)
+def test_split_flows_are_bitwise_the_per_stage_ones(sections):
+    T = make_tangent(PLANE)
+    cube = cube_from_sections(T, sections, [0.3, 0.2], 12)
+    assert cube.gamma.tobytes() == _per_stage_flow(T, sections, [0.3, 0.2], 12).tobytes()
+
+
+@pytest.mark.parametrize("sweep", ["flow", "lift"])
+def test_a_rate_handed_back_as_a_table_slice_is_read_only(monkeypatch, sweep):
+    # both sweeps read no point and no field, so every rate is a slice of their table
+    rates = []
+    module = cubes_module if sweep == "flow" else fibration_module
+    step = module.rk4
+    monkeypatch.setattr(module, "rk4", lambda f, y0, N, stage: rates.append(f(1, stage)) or step(f, y0, N, stage))
+    if sweep == "flow":
+        cube_from_sections(make_tangent(PLANE), [["0.5", "t1"]], [0.0, 0.0], 8)
+    else:
+        fib = jacobi_fibration(PLANE, [["0", "1"], ["-1", "0"]])
+        fibration_module.lift_cube(fib, cotangent_lift(PLANE, [["0", "1"], ["-1", "0"]], ["0.5*t1", "0.2"], 1, 8))
+    (rate,) = rates
+    assert not rate.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rate[...] = 0.0
 
 
 def test_flow_cube_zero_dimensional_chart():

@@ -32,6 +32,7 @@ from algebroids.expr import (
     parse,
     power,
     sin,
+    split_exprs,
     total,
     var,
 )
@@ -648,3 +649,33 @@ def test_bind_resolves_names_once_and_copies_only_what_is_not_float64():
     np.testing.assert_array_equal(bound.run(), x + np.arange(5) + 0.5)
     with pytest.raises(UnboundVariableError, match="'z'"):
         bind(parse("x + z"), {"x": x})
+
+
+# --- state-free cells ------------------------------------------------------------
+
+
+def _cells(program) -> list:
+    """The output cell of every write of a program, from its prelude and its ops."""
+    writes = [index for index, _ in program.prelude] + [index for op in program.ops for index in op[5]]
+    return [index[1:] for index in writes]
+
+
+def test_the_two_programs_of_a_split_write_every_cell_once_bitwise_as_the_whole():
+    # x and y are the state; t, the shared sin(t) and the constants are not
+    shared = parse("sin(t)")
+    exprs = [
+        [parse("x*t + 1"), shared * parse("2"), parse("log(t + 2)")],
+        [parse("3"), parse("y"), shared + parse("y*x")],
+    ]
+    free, table, stage = split_exprs(exprs, {"x", "y"})
+    assert free.tolist() == [[False, True, True], [True, False, False]]
+    assert {name for _, name in table.loads} == {"t"} and {name for _, name in stage.loads} == {"t", "x", "y"}
+    written = _cells(table) + _cells(stage)
+    assert sorted(written) == sorted(np.ndindex(2, 3))  # every cell, each once
+    assert all(free[index] for index in _cells(table)) and not any(free[index] for index in _cells(stage))
+    rng = np.random.default_rng(5)
+    env = {"t": rng.uniform(0.0, 1.0, 50), "x": rng.normal(size=50), "y": rng.normal(size=50)}
+    out = np.full((50, 2, 3), np.nan)  # a checked run would check the cells the other program writes too
+    bind(table, env).run(out, checked=False)
+    bind(stage, env).run(out, checked=False)
+    assert out.tobytes() == evaluate(compile_exprs(exprs), env).tobytes()

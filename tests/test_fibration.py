@@ -636,3 +636,35 @@ def test_bound_transport_is_bitwise_the_per_stage_one():
     eye = np.broadcast_to(np.eye(2), (10, 2, 2))
     want = rk4(lambda j, V: fib.chart.values(fib.transport_program, g[..., j, :], b=b[..., j, :], v=V), eye, 9)
     assert transport_matrix(fib, path).tobytes() == np.moveaxis(want, 0, 1).tobytes()
+
+
+def _field_free_fibration() -> Fibration:
+    """An abelian rank-two total with constant anchor and splitting: every lift cell is state-free."""
+    E = make_explicit(PLANE, 2, [["0", "0"], ["1", "0"]])
+    return Fibration(E, make_explicit(PLANE, 1, [["1", "0"]]), [["0", "1"]], [["10"], ["0.5"]], [["1", "0"]])
+
+
+@pytest.mark.parametrize(
+    "make, k, hoisted, table_only",
+    [
+        (_rotation_fibration, 1, False, False),  # transport_square's G: w2 reads the point
+        (lambda: jacobi_fibration(PLANE, [["0", "1"], ["-1", "0"]]), 0, False, True),  # plane_lift's face lift
+        (lambda: jacobi_fibration(PLANE, [["0", "1"], ["-1", "0"]]), 1, True, False),  # and its square
+        (_field_free_fibration, 1, True, True),
+    ],
+    ids=["rotation", "jacobi-k0", "jacobi-k1", "field-free"],
+)
+def test_split_lift_sweeps_are_bitwise_the_per_stage_ones(make, k, hoisted, table_only):
+    fib, N = make(), 12
+    rE, rB = fib.total.rank, fib.base.rank
+    free, _, _ = fib.lift_split(k)
+    # which of the three rate paths the sweep takes: a per-stage or a hoisted transverse difference,
+    # and a stage program or none
+    assert (k > 0 and bool(free[:rE].all()), bool(free.all())) == (hoisted, table_only)
+    s = np.linspace(-0.5, 0.5, N + 1) if k else np.zeros(())  # the transverse position of each line
+    b = 0.4 * np.cos(3 * half_steps(N)[:, None] + np.arange(rB) + s[..., None, None])
+    gamma0 = np.stack([0.3 + 0.5 * s, -0.2 - 0.4 * s], axis=-1)
+    w0 = [np.cos(s[:, None] + np.arange(rE)) for _ in range(k)]
+    got, want = evolve_cube_system(fib, b, gamma0, w0, N), _per_stage_sweep(fib, b, gamma0, w0, N)
+    assert got.gamma.tobytes() == want.gamma.tobytes()
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()

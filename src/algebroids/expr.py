@@ -370,8 +370,8 @@ class Program:
     entry of ``ops`` is ``(name, fn, dst, a, b, writes, dead)``: it
     stores ``fn(slot a[, slot b])`` in slot ``dst``, copies that value
     to the output positions ``writes`` and then drops the slots
-    ``dead``, which nothing later reads.  ``shape`` is the nested shape
-    of the output and ``size`` the number of its entries.
+    ``dead``, which nothing later reads.  ``shape`` is the output's nested
+    shape, ``size`` its entry count, ``mask`` the cells written (None: all).
     """
 
     shape: tuple
@@ -380,6 +380,7 @@ class Program:
     loads: tuple
     prelude: tuple
     ops: tuple
+    mask: np.ndarray | None
 
     def __repr__(self) -> str:
         return f"<Program shape={self.shape} ops={len(self.ops)}>"
@@ -446,7 +447,7 @@ def compile_exprs(exprs, mask=None) -> Program:
         for pos, (name, a, b, dst) in enumerate(ops)
     )
     prelude = tuple((index, s) for s, indices in writes.items() for index in indices)
-    return Program(cells.shape, cells.size, tuple(registers), tuple(loads), prelude, program_ops)
+    return Program(cells.shape, cells.size, tuple(registers), tuple(loads), prelude, program_ops, mask)
 
 
 def split_exprs(exprs, state) -> tuple[np.ndarray, Program, Program]:
@@ -522,11 +523,11 @@ class Bound:
     def run(self, out: np.ndarray | None = None, checked: bool = True):
         """The program's value at the bound inputs, as :func:`evaluate` returns it (see there).
 
-        Each domain check runs per op; one ``np.errstate`` and the output
-        check per run, unless ``checked`` is False, as in every RK4 stage
-        and sweep table (the sweep rule is in :func:`cubes.rk4`).
+        Each domain check runs per op; one ``np.errstate`` and the check of
+        the cells written per run, unless ``checked`` is False (every RK4
+        stage and sweep table; the sweep rule is in :func:`cubes.rk4`).
         """
-        program, base_shape = self.program, self.base_shape
+        program, base_shape, mask = self.program, self.base_shape, self.program.mask
         shape = base_shape + program.shape
         if out is None:
             out = np.empty(shape)
@@ -551,10 +552,10 @@ class Bound:
                         view[index] = v
                     for slot in dead:
                         regs[slot] = None
-                if checked and bad is None and not np.isfinite(view).all():
+                if checked and bad is None and not np.isfinite(view if mask is None else view[..., mask]).all():
                     bad = view
         if bad is not None:
-            where = np.argwhere(~np.isfinite(bad))[0][len(base_shape) :]
+            where = np.argwhere(~np.isfinite(bad) & (True if mask is None else mask))[0][len(base_shape) :]
             raise NonFiniteError(f"non-finite value at output {tuple(int(i) for i in where)}")
         return out if out.ndim else out[()]
 

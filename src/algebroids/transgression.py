@@ -435,25 +435,23 @@ def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
     A deformation square is grown from the path: its driving component
     interpolates between the path's own horizontal shadow at the left
     edge and rest at the right edge, so the base point of each slice
-    slides to the endpoint of the path.  The top edge is then a path
-    with vanishing anchor image, the kernel factor.  Pulling the square
-    back along boundary routes of the unit square produces the witness.
+    slides to the endpoint of the path.  Both factors are faces of that
+    one square: the left edge is the horizontal lift of the projected
+    path, and the top edge, a path with vanishing anchor image, is the
+    kernel factor.  Pulling the square back along boundary routes of
+    the unit square produces the witness.
     """
     _require_cube(cube, fib.total, "decompose_path", n=1)
 
     N = cube.N
     ts = np.linspace(0.0, 1.0, N + 1)
     base = project_cube(fib, cube)
-    horizontal = lift_cube(fib, base)
 
     # the driver at slice t and deformation eps is (1 - t) b(1 - (1 - t)(1 - eps))
     b = (1.0 - ts)[:, None, None] * Spline(base.coeffs[0])(1.0 - np.outer(1.0 - ts, 1.0 - half_steps(N)))
     square = evolve_cube_system(fib, b, cube.gamma, [cube.coeffs[0]], N)
-
-    top_gamma = square.gamma[:, -1]
-    top_w = square.coeffs[0][:, -1]
-    kernel_path = Cube(fib.total, top_gamma, top_w[None])
-    kappa = kernel_coefficient_values(fib, top_gamma, top_w)
+    horizontal, kernel_path = face(square, 0, 0), face(square, 1, 1)
+    kappa = kernel_coefficient_values(fib, kernel_path.gamma, kernel_path.coeffs[0])
 
     # boundary routes of the unit square: r0 runs the bottom edge then the right
     # edge, r1 the left edge then the top edge, each half slowed by the seam so

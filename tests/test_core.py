@@ -161,6 +161,10 @@ def test_anchor_incompatibility_detected():
     assert rep.witness.kind == "anchor"
     assert rep.witness.indices == (0, 1)
     assert rep.anchor_residual == pytest.approx(1.0, abs=1e-12)
+    # the text a failing check task writes into its report
+    text = rep.witness.describe()
+    assert text.startswith("anchor/bracket mismatch on frame pair (0, 1) at point (")
+    assert text.endswith("): |residual| = 1.000e+00")
 
 
 # --- cotangent of a bivector -------------------------------------------------

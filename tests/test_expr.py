@@ -675,7 +675,24 @@ def test_the_two_programs_of_a_split_write_every_cell_once_bitwise_as_the_whole(
     assert all(free[index] for index in _cells(table)) and not any(free[index] for index in _cells(stage))
     rng = np.random.default_rng(5)
     env = {"t": rng.uniform(0.0, 1.0, 50), "x": rng.normal(size=50), "y": rng.normal(size=50)}
-    out = np.full((50, 2, 3), np.nan)  # a checked run would check the cells the other program writes too
+    out = np.full((50, 2, 3), np.nan)  # each half runs unchecked, as in a sweep
     bind(table, env).run(out, checked=False)
     bind(stage, env).run(out, checked=False)
     assert out.tobytes() == evaluate(compile_exprs(exprs), env).tobytes()
+
+
+@pytest.mark.parametrize("points", [3, 2 * BLOCK])  # one whole-grid run, and blocks
+def test_a_checked_run_of_a_masked_program_checks_only_the_cells_it_writes(points):
+    free, table, _ = split_exprs([parse("2*t"), parse("x*t")], {"x"})
+    assert free.tolist() == [True, False]
+    t = np.linspace(0.0, 1.0, points)
+    out = np.full((points, 2), np.nan)  # cell (1,) is the other half's
+    assert bind(table, {"t": t}).run(out) is out
+    np.testing.assert_array_equal(out[:, 0], 2 * t)
+    assert np.isnan(out[:, 1]).all()
+    bind(table, {"t": t}).run()  # the cell it leaves unwritten holds whatever np.empty gave
+    # a non-finite value in a cell it does write still raises, at that cell
+    _, table, _ = split_exprs([parse("x*t"), parse("exp(t)")], {"x"})
+    t[-1] = 800.0
+    with pytest.raises(NonFiniteError, match=r"output \(1,\)"):
+        bind(table, {"t": t}).run(np.full((points, 2), np.nan))

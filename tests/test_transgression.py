@@ -1,11 +1,14 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroids import cubes, transgression
+from algebroids import cubes, fibration, transgression
+from algebroids.cli import Workspace, parse_config
 from algebroids.core import Chart, make_jacobi_extension, make_rep_extension, make_tangent
 from algebroids.cubes import (
     coarsen,
@@ -22,6 +25,7 @@ from algebroids.cubes import (
 from algebroids.fibration import (
     Fibration,
     anchor_fibration,
+    evolve_cube_system,
     jacobi_fibration,
     rep_extension_fibration,
 )
@@ -559,6 +563,48 @@ def test_decompose_rejects_squares_and_foreign_cubes():
     base_path = path_cube(fib.base, ["t1 - 0.5", "0"], ["0", "-1"], N=16)
     with pytest.raises(ValueError):
         decompose_path(fib, base_path)
+
+
+def test_a_path_split_runs_one_sweep(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[4])
+        return evolve_cube_system(*args)
+
+    # lift_cube reaches the sweep through the fibration module, decompose_path through its own import
+    monkeypatch.setattr(fibration, "evolve_cube_system", counted)
+    monkeypatch.setattr(transgression, "evolve_cube_system", counted)
+    fib, path = jacobi_path(N=32)
+    decompose_path(fib, path)
+    assert calls == [32]
+
+
+def test_both_factors_are_faces_of_the_square_the_witness_is_built_from(monkeypatch, tmp_path):
+    # the path split of the benchmark's plane_lift config at seed 11
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workload_of, N = importlib.import_module("workloads").WORKLOADS["plane_lift"]
+    ws = Workspace(parse_config(workload_of(11, N).text), tmp_path)
+    fib = ws.build("fibration", "F")
+    dec = decompose_path(fib, ws.build("cube", "path"))
+    for factor, (axis, end) in ((dec.horizontal, (0, 0)), (dec.kernel_path, (1, 1))):
+        edge = face(dec.square, axis, end)
+        assert factor.gamma.tobytes() == edge.gamma.tobytes()
+        assert factor.coeffs.tobytes() == edge.coeffs.tobytes()
+    np.testing.assert_array_equal(
+        dec.kernel_coefficients,
+        kernel_coefficient_values(fib, dec.kernel_path.gamma, dec.kernel_path.coeffs[0]),
+    )
+
+
+def test_the_kernel_factor_starts_where_the_horizontal_factor_ends_bit_for_bit():
+    # a bivector that varies with x, on an odd N, where a lift of the projected
+    # path run apart from the square ends some ulps away from its edge
+    fib = jacobi_fibration(PLANE, [["0", "1 + x^2"], ["-1 - x^2", "0"]])
+    comps = ["t1 - 0.4", f"0.3*sin({PI}*t1)"]
+    coeffs = [f"0.3*sin({PI}*t1) + 0.1", f"0.3*{PI}*cos({PI}*t1) + 0.07*t1", "-1 + 0.2*t1^2"]
+    dec = decompose_path(fib, path_cube(fib.total, comps, coeffs, N=17))
+    assert dec.horizontal.gamma[-1].tobytes() == dec.kernel_path.gamma[0].tobytes()
 
 
 def test_a_period_related_to_the_first_only_through_a_third_gets_its_exact_ratio():

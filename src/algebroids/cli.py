@@ -160,22 +160,23 @@ def parse_config(text: str) -> list[SectionSpec]:
 
 
 def apply_overrides(sections: list[SectionSpec], assignments: list[str]) -> dict[str, str]:
-    """Apply ``kind.name.key=value`` assignments in place; return the echo map."""
+    """Apply ``kind.name.key=value`` assignments in place; return the echo map.  Errors name ``--set <i> '<text>'``."""
     index = {(s.kind, s.name): s for s in sections}
     applied: dict[str, str] = {}
-    for item in assignments:
+    for i, item in enumerate(assignments, 1):
+        where = f"--set {i} '{item}'"
         target, eq, value = item.partition("=")
         if not eq:
-            raise ConfigError(f"override '{item}' is not of the form kind.name.key=value")
+            raise ConfigError(f"{where}: not of the form kind.name.key=value")
         parts = target.strip().split(".")
         if len(parts) != 3:
-            raise ConfigError(f"override target '{target.strip()}' is not kind.name.key")
+            raise ConfigError(f"{where}: target '{target.strip()}' is not kind.name.key")
         kind, name, key = parts
         if kind not in _SCHEMA:
-            raise ConfigError(f"override names unknown section kind '{kind}'")
+            raise ConfigError(f"{where}: names unknown section kind '{kind}'")
         sec = index.get((kind, name))
         if sec is None:
-            raise ConfigError(f"override names undefined {kind} '{name}'")
+            raise ConfigError(f"{where}: names undefined {kind} '{name}'")
         sec.entries[key] = value.strip()
         sec.lines.setdefault(key, sec.line)
         applied[target.strip()] = value.strip()

@@ -595,9 +595,10 @@ def rk4(f, y0, N: int, stage: np.ndarray | None = None) -> np.ndarray:
     out-of-place step.
 
     Checks, one rule for every sweep (flow, lift and transport): the rate
-    cells that read no state (:func:`expr.split_exprs`) are checked per
-    op once per sweep, on every stage-time value, in one table run before
-    step 1; the other cells per op on every stage; and the sweep holds one
+    cells that read no state (:func:`expr.split_exprs`; transport's rate
+    matrix, whose table run is checked) are checked per op once per sweep,
+    on every stage-time value, in one table run before step 1; the other
+    cells per op on every stage; and the sweep holds one
     ``np.errstate(all="ignore")`` and raises NonFiniteError unless each
     node state is finite.  Every rate entry enters the node with weight
     h/6 or h/3, and inf - inf is NaN, so ``f`` returns every row its

@@ -228,11 +228,10 @@ class Fibration:
 
     @cached_property
     def transport_program(self) -> Program:
-        """``-Σ_u b_u F_u V`` over ``#b<u>`` (path velocity) and ``#v<s>_<c>`` (V), F the action matrices."""
+        """``-Σ_u b_u F_u`` over the coordinates and ``#b<u>`` (path velocity), F the action matrices; V' is it times V."""
         rB, rK = self.base.rank, self.kernel_rank
-        F, b, V = self.action_matrices, fresh("b", (rB,)), fresh("v", (rK, rK))
-        M = [[dot(b, (F[u][t][s] for u in range(rB))) for s in range(rK)] for t in range(rK)]
-        return compile_exprs([[neg(dot(M[t], V[:, c])) for c in range(rK)] for t in range(rK)])
+        F, b = self.action_matrices, fresh("b", (rB,))
+        return compile_exprs([[neg(dot(b, (F[u][t][s] for u in range(rB)))) for s in range(rK)] for t in range(rK)])
 
     @cached_property
     def transport_is_trivial(self) -> bool:
@@ -437,11 +436,12 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     picks up the transverse derivative of ``w2`` plus its bracket with
     ``w2``.  The state-free cells of :meth:`Fibration.lift_split` are
     one run over all stage times into a read-only table, and so is the
-    transverse difference if ``w2`` is among them (see
-    :func:`_gradient_adder`).  Each stage copies its table slice into one
-    rate buffer and runs the rest, bound once to views of the RK4 stage
-    buffer and of a driver buffer that it copies ``b[..., j, :]`` into
-    (or returns the slice, if nothing is left).  After the sweep, one run
+    transverse difference (``np.gradient``) if ``w2`` is among them.
+    Each stage copies its table slice into one rate buffer, runs the
+    rest, bound once to views of the RK4 stage buffer and of a driver
+    buffer that it copies ``b[..., j, :]`` into, and adds the transverse
+    difference (else per stage, by :func:`_gradient_adder`); a sweep
+    with no field and no other cell returns the slice.  After the sweep, one run
     of the field-free lift program takes ``w2`` at every node.  Returns
     the cube over the total algebroid whose coefficient fields are the
     transverse fields, then ``w2``.
@@ -469,11 +469,7 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
         over_times = np.broadcast_to(points, table.shape[:1] + points.shape)
         fib.chart.bind(table_program, over_times, b=np.moveaxis(b, -2, 0)).run(np.moveaxis(table, 1, -1), checked=False)
         if hoisted:
-            grad = np.full((2 * N + 1, k * rE) + lines, -0.0)  # -0.0 + x is x, bitwise
-            for i in range(k):
-                _gradient_adder(grad[:, i * rE : (i + 1) * rE], table[:, :rE], h, 2 + i)()
-            if free.all():  # no stage program, so the table slice is the whole rate
-                np.add(table[:, rE + m :], grad, out=table[:, rE + m :])
+            grad = np.concatenate([np.gradient(table[:, :rE], h, axis=2 + i, edge_order=2) for i in range(k)], axis=1)
     frozen(table)
     lift = fib.chart.bind(stage_program, points, b=np.moveaxis(driver, 0, -1), y=y)
     dY = rates[rE + m :]  # the k fields' rates
@@ -491,7 +487,7 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
         return rates
 
     try:
-        Y = rk4((lambda j, Y: table[j]) if free.all() else rhs, Y0, N, stage)
+        Y = rk4((lambda j, Y: table[j]) if k == 0 and free.all() else rhs, Y0, N, stage)
         Y = np.moveaxis(Y, (0, 1), (-2, -1))[..., rE:]
         w_nodes = fib.chart.values(fib.lift_program(0), Y[..., :m], b=b[..., ::2, :])[..., :rE]
     except NonFiniteError as err:  # the lift overflowed on its way out of the chart
@@ -538,12 +534,12 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
 
     Every line of nodes along the last axis is a base path, driven by
     the last coefficient field; all of them are transported at once.
-    The path and its driver are sampled once, at every RK4 stage time.
-    The fibration's compiled :attr:`Fibration.transport_program` is
-    bound once, to the RK4 stage buffer and to a point and a driver
-    buffer that each stage copies its samples into, and each stage runs
-    it once on every line, into one rate buffer, unchecked under the
-    sweep rule of :func:`cubes.rk4`.  Returns the
+    The path and its driver are sampled once, at every RK4 stage time,
+    and the fibration's :attr:`Fibration.transport_program` (the rate
+    matrix, which reads no V) is one checked run over all of them.  Each
+    stage multiplies its slice with V, summing over the middle index in
+    order into one rate buffer, so the rate is bitwise the symbolic
+    product's (``np.matmul`` may fuse the multiply-adds).  Returns the
     ``grid + (rK, rK)`` array of matrices carrying a kernel vector at
     the start of each line to each node, so a one-dimensional path gives
     an (N+1, rK, rK) stack.  A trivial covariant action short-circuits
@@ -556,20 +552,19 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
     if fib.transport_is_trivial:
         return np.zeros(path.gamma.shape[:-1] + (rK, rK)) + np.eye(rK)
 
-    lines = path.gamma.shape[: n - 1]
     ts = half_steps(N)
     g = Spline(path.gamma, axis=n - 1)(ts)
     b = Spline(path.coeffs[n - 1], axis=n - 1)(ts)
-    stage, point, driver = np.empty(lines + (rK, rK)), np.empty(lines + g.shape[-1:]), np.empty(lines + b.shape[-1:])
-    transport = fib.chart.bind(fib.transport_program, point, b=driver, v=stage)
-    rates = np.empty(stage.shape)
+    M = fib.chart.values(fib.transport_program, np.moveaxis(g, -2, 0), b=np.moveaxis(b, -2, 0))
+    rates, term = np.empty(M.shape[1:]), np.empty(M.shape[1:])
 
     def rhs(j: int, V: np.ndarray) -> np.ndarray:
-        np.copyto(point, g[..., j, :])
-        np.copyto(driver, b[..., j, :])
-        return transport.run(rates, checked=False)
+        np.multiply(M[j, ..., :, 0:1], V[..., 0:1, :], out=rates)
+        for s in range(1, rK):
+            np.add(rates, np.multiply(M[j, ..., :, s : s + 1], V[..., s : s + 1, :], out=term), out=rates)
+        return rates
 
-    V = rk4(rhs, np.broadcast_to(np.eye(rK), lines + (rK, rK)), N, stage)
+    V = rk4(rhs, np.broadcast_to(np.eye(rK), rates.shape), N)
     return np.moveaxis(V, 0, n - 1)
 
 

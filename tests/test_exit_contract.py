@@ -4,9 +4,11 @@ Every input either runs (exit 0, or 1 when a check fails) or is rejected
 with exit 2 and the line it names; no exception escapes ``main`` and no
 traceback reaches stderr.  The inputs are the shipped configs under one
 mutation each: a ``--set`` of an existing key to a bad value, an N from
-2 to 16 on one cube, or a line of the config text dropped, duplicated or
-broken as a header.  Every other cube's N is capped at ``CAP`` through
-``--set``, so that a run stays small.
+2 to 16 on one cube, a line of the config text dropped, duplicated or
+broken as a header, or a ``--set`` with a bad target.  Every other cube's
+N is capped at ``CAP`` through ``--set``, so that a run stays small.  A
+bad target has no line to name, so it must exit 2 naming its position
+among the ``--set`` options instead.
 
 Not checked yet: that a PASS report has a finite ``est_error`` wherever
 a check reads one.  A transgression on N < 6 has no half-grid estimate
@@ -45,17 +47,29 @@ HEADER_BREAKS = (
     lambda head: "[nosuch " + head[1:],  # three words
     lambda head: "[nosuch" + head[head.index(" ") :],  # unknown kind
 )
+BAD_TARGETS = (
+    lambda kind, name, key: f"{kind}.nosuch.{key}=1",  # an undefined name of a declared kind
+    lambda kind, name, key: f"nosuch.{name}.{key}=1",  # an unknown kind
+    lambda kind, name, key: f"{kind}.{name}=1",  # two parts
+    lambda kind, name, key: f"{kind}.{name}.{key}",  # no '='
+)
 
 
 @st.composite
 def mutated_runs(draw):
-    """Config text and ``--set`` assignments: one mutation of a shipped config, other cubes capped."""
+    """Config text, ``--set`` assignments and the 1-based position of a bad target among them (else None).
+
+    One mutation of a shipped config, other cubes capped.
+    """
     lines = draw(st.sampled_from(CONFIGS)).read_text().splitlines()
     sections = parse_config("\n".join(lines))
     cubes = [s.name for s in sections if s.kind == "cube"]
-    how = draw(st.sampled_from(("set", "N", "drop", "duplicate", "header") if cubes else ("set", "drop", "duplicate", "header")))
-    assignments, target = [], None
-    if how == "set":
+    how = draw(st.sampled_from(("set", "N", "drop", "duplicate", "header", "target") if cubes else ("set", "drop", "duplicate", "header", "target")))
+    assignments, target, bad = [], None, None
+    if how == "target":
+        sec = draw(st.sampled_from(sections))
+        bad = draw(st.sampled_from(BAD_TARGETS))(sec.kind, sec.name, draw(st.sampled_from(sorted(sec.entries))))
+    elif how == "set":
         target = draw(st.sampled_from([f"{s.kind}.{s.name}.{key}" for s in sections for key in s.entries]))
         assignments.append(f"{target}={draw(st.sampled_from(BAD_VALUES))}")
     elif how == "N":
@@ -79,13 +93,17 @@ def mutated_runs(draw):
         key, N = f"cube.{sec.name}.N", sec.entries.get("N", "")
         if sec.kind == "cube" and key != target and N.isdigit() and int(N) > CAP:
             assignments.insert(0, f"{key}={CAP}")
-    return text, assignments
+    if bad is None:
+        return text, assignments, None
+    at = draw(st.integers(0, len(assignments)))
+    assignments.insert(at, bad)
+    return text, assignments, at + 1
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(mutated_runs())
 def test_every_mutated_config_runs_or_exits_2_at_a_line(case):
-    text, assignments = case
+    text, assignments, bad = case
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "fuzz.cfg"
         config.write_text(text, encoding="utf-8")
@@ -98,5 +116,7 @@ def test_every_mutated_config_runs_or_exits_2_at_a_line(case):
     err = err.getvalue()
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in err
-    if code == 2:
+    if bad is not None:
+        assert code == 2 and f"--set {bad} '" in err, (code, err)
+    elif code == 2:
         assert re.search(r"line \d+:", err), err

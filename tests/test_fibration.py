@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from algebroids import core, fibration
+from algebroids import expr as expr_module
 from algebroids.core import (
     Chart,
     Section,
     check_axioms,
     eval_exprs,
+    fresh,
     make_cotangent_poisson,
     make_explicit,
     make_jacobi_extension,
@@ -15,7 +17,7 @@ from algebroids.core import (
     point_chart,
 )
 from algebroids.cubes import ChartEscapeError, Cube, Spline, cotangent_lift, face, half_steps, morphism_residual, rk4, tangent_lift
-from algebroids.expr import ZERO, DomainError, NonFiniteError, add, compile_exprs, evaluate, mul, parse, var
+from algebroids.expr import ZERO, DomainError, NonFiniteError, add, compile_exprs, dot, evaluate, mul, neg, parse, var
 from algebroids.transgression import kernel_coefficient_values, transgress2_formula
 from algebroids.fibration import (
     Curvature2Form,
@@ -498,13 +500,12 @@ def test_fused_kernels_match_the_einsum_forms(make):
     got = chart.values(fib.lift_program(2), pts, b=b, y=fields)
     np.testing.assert_allclose(got, np.concatenate(want, axis=-1), rtol=1e-12, atol=0)
 
-    # transport: -sum_u b_u F_u(points) V
+    # transport: the rate matrix -sum_u b_u F_u(points), which V multiplies
     F = [eval_exprs(M, env, (60,)) for M in fib.action_matrices]
-    V = rng.normal(size=(60, rK, rK))
     M = np.zeros((60, rK, rK))
     for u in range(rB):
         M += b[..., u, None, None] * F[u]
-    np.testing.assert_allclose(chart.values(fib.transport_program, pts, b=b, v=V), -M @ V, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(chart.values(fib.transport_program, pts, b=b), -M, rtol=1e-12, atol=0)
 
     # curvature pairing: sum_pq c0_p c1_q Omega_pqs, without the (rB, rB, rK) tensor
     om = curvature(fib)
@@ -628,14 +629,75 @@ def test_bound_lift_sweeps_are_bitwise_the_per_stage_ones(monkeypatch):
     assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
+_SQUARE_PATH = ["0.7*t1 + 0.2*sin(3*t2) - 0.5", "0.5*t2 + 0.3*t1*t2 - 0.4"]
+
+
+def _per_stage_transport(fib, path, program=None):
+    """transport_matrix with ``program`` run at each stage's point, driver and V (by default the rate matrix, times V)."""
+    n, N, rK = path.n, path.N, fib.kernel_rank
+    ts = half_steps(N)
+    g, b = Spline(path.gamma, axis=n - 1)(ts), Spline(path.coeffs[n - 1], axis=n - 1)(ts)
+
+    def rhs(j, V):
+        if program is not None:
+            return fib.chart.values(program, g[..., j, :], b=b[..., j, :], v=V)
+        M = fib.chart.values(fib.transport_program, g[..., j, :], b=b[..., j, :])
+        out = M[..., :, 0:1] * V[..., 0:1, :]
+        for s in range(1, rK):  # summed over s in order, as the symbolic product is
+            out = out + M[..., :, s : s + 1] * V[..., s : s + 1, :]
+        return out
+
+    V = rk4(rhs, np.broadcast_to(np.eye(rK), path.gamma.shape[: n - 1] + (rK, rK)), N)
+    return np.moveaxis(V, 0, n - 1)
+
+
 def test_bound_transport_is_bitwise_the_per_stage_one():
     fib = _rotation_fibration()
-    path = tangent_lift(PLANE, ["0.7*t1 + 0.2*sin(3*t2) - 0.5", "0.5*t2 + 0.3*t1*t2 - 0.4"], n=2, N=9)
-    ts = half_steps(9)
-    g, b = Spline(path.gamma, axis=1)(ts), Spline(path.coeffs[1], axis=1)(ts)
-    eye = np.broadcast_to(np.eye(2), (10, 2, 2))
-    want = rk4(lambda j, V: fib.chart.values(fib.transport_program, g[..., j, :], b=b[..., j, :], v=V), eye, 9)
-    assert transport_matrix(fib, path).tobytes() == np.moveaxis(want, 0, 1).tobytes()
+    path = tangent_lift(PLANE, _SQUARE_PATH, n=2, N=9)
+    assert transport_matrix(fib, path).tobytes() == _per_stage_transport(fib, path).tobytes()
+
+
+def _rank_two_action_fibration() -> Fibration:
+    """A rank-two kernel action with zero, constant and position-dependent entries."""
+    action = [[["0", "1 + x"], ["-y", "0.3"]], [["x*y", "0"], ["0.5", "-x"]]]
+    return rep_extension_fibration(make_tangent(PLANE), 2, action)
+
+
+@pytest.mark.parametrize("make", [_rotation_fibration, _rank_two_action_fibration], ids=["rotation", "rank-two"])
+def test_transport_is_bitwise_the_symbolic_product_with_v_at_every_stage(make):
+    # the program of -sum_u b_u F_u V over the stage's V, one run per stage, as transport once ran
+    fib = make()
+    rB, rK = fib.base.rank, fib.kernel_rank
+    F, b, V = fib.action_matrices, fresh("b", (rB,)), fresh("v", (rK, rK))
+    M = [[dot(b, (F[u][t][s] for u in range(rB))) for s in range(rK)] for t in range(rK)]
+    program = compile_exprs([[neg(dot(M[t], V[:, c])) for c in range(rK)] for t in range(rK)])
+    path = tangent_lift(PLANE, _SQUARE_PATH, n=2, N=9)
+    assert transport_matrix(fib, path).tobytes() == _per_stage_transport(fib, path, program).tobytes()
+
+
+def test_a_transport_runs_its_rate_matrix_once_checked(monkeypatch):
+    fib = _rotation_fibration()
+    path = tangent_lift(PLANE, _SQUARE_PATH, n=2, N=9)
+    runs = []
+    run = expr_module.Bound.run
+    monkeypatch.setattr(
+        expr_module.Bound,
+        "run",
+        lambda self, out=None, checked=True: runs.append((checked, self.base_shape)) or run(self, out, checked),
+    )
+    transport_matrix(fib, path)
+    # one run over all 19 stage times of the 10 lines; every stage is a product with V, no program run
+    assert runs == [(True, (19, 10))]
+
+
+@pytest.mark.parametrize(
+    "action, x, message",
+    [("1/x", "t1 - 0.5", "division by zero"), ("log(x)", "t1 - 0.5", "log of a non-positive"), ("sqrt(x)", "0.5 - t1", "sqrt of a negative")],
+)
+def test_a_domain_error_in_the_action_raises_from_transport(action, x, message):
+    fib = rep_extension_fibration(make_tangent(PLANE), 1, action=[[[action]], [["0"]]])
+    with pytest.raises(DomainError, match=message):
+        transport_matrix(fib, tangent_lift(PLANE, [x, "0"], n=1, N=16))
 
 
 def _field_free_fibration() -> Fibration:

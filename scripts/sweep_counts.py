@@ -2,8 +2,8 @@
 
 Runs every ``configs/*.cfg`` and the three benchmark workload configs
 of ``perfbench/workloads.py`` at the given seed, in process, with
-``expr.Bound.run`` and ``cubes.rk4`` wrapped, and prints one line per
-config:
+``expr.Bound.run``, ``cubes.rk4`` and ``cubes.rk4_table`` wrapped, and
+prints one line per config:
 
 - ``checked`` and ``unchecked``: the number of ``Bound.run`` calls of
   each kind (every RK4 stage and every lift and flow table runs
@@ -13,7 +13,10 @@ config:
 - ``prelude``: the prelude writes (constant and variable cells copied
   to the output), one prelude per call;
 - ``stages``: the RK4 stages, 4N per ``rk4`` call, which count the
-  integration's work whether a stage runs a program or not.
+  integration's work whether a stage runs a program or not;
+- ``table_steps``: the steps of the sweeps whose rate reads no state,
+  N per ``rk4_table`` call, which sums them without running a stage;
+  without it that work would seem to vanish from ``stages``.
 
 The counters do not depend on host load, so two checkouts compare
 exactly:
@@ -35,7 +38,7 @@ from report_digest import configs  # puts this checkout's package and perfbench 
 
 from algebroids import cli, cubes, expr, fibration
 
-COUNTERS = ("checked", "unchecked", "ops", "prelude", "stages")
+COUNTERS = ("checked", "unchecked", "ops", "prelude", "stages", "table_steps")
 
 
 def counted(counts: Counter):
@@ -59,14 +62,18 @@ def counted(counts: Counter):
 
 
 def staged(counts: Counter):
-    """``rk4`` that adds each call's 4N stages to ``counts``."""
-    rk4 = cubes.rk4
+    """``rk4`` and ``rk4_table`` that add each call's 4N stages or N table steps to ``counts``."""
+    rk4, rk4_table = cubes.rk4, cubes.rk4_table
 
-    def wrapper(f, y0, N, stage=None):
+    def stepper(f, y0, N, stage=None):
         counts["stages"] += 4 * N
         return rk4(f, y0, N, stage)
 
-    return wrapper
+    def quadrature(table, y0, N):
+        counts["table_steps"] += N
+        return rk4_table(table, y0, N)
+
+    return stepper, quadrature
 
 
 def main() -> None:
@@ -76,18 +83,20 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        print(f"{'config':<18}" + "".join(f"{c:>11}" for c in COUNTERS))
-        run, rk4 = expr.Bound.run, cubes.rk4
+        print(f"{'config':<18}" + "".join(f"{c:>12}" for c in COUNTERS))
+        run, rk4, rk4_table = expr.Bound.run, cubes.rk4, cubes.rk4_table
         try:
             for label, config in configs(args.seed, tmp):
                 counts = Counter()
                 expr.Bound.run = counted(counts)
-                cubes.rk4 = fibration.rk4 = staged(counts)  # fibration imports rk4 by value
+                # fibration imports both by value
+                cubes.rk4, cubes.rk4_table = fibration.rk4, fibration.rk4_table = staged(counts)
                 with contextlib.redirect_stdout(io.StringIO()):
                     rc = cli.main(["run", str(config), "--out", str(tmp / label)])
-                print(f"{label:<18}" + "".join(f"{counts[c]:>11,}" for c in COUNTERS) + ("" if rc == 0 else f"  exit {rc}"))
+                print(f"{label:<18}" + "".join(f"{counts[c]:>12,}" for c in COUNTERS) + ("" if rc == 0 else f"  exit {rc}"))
         finally:
-            expr.Bound.run, cubes.rk4, fibration.rk4 = run, rk4, rk4
+            expr.Bound.run = run
+            cubes.rk4, cubes.rk4_table = fibration.rk4, fibration.rk4_table = rk4, rk4_table
 
 
 if __name__ == "__main__":

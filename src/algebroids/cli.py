@@ -27,7 +27,6 @@ Value grammars, all plain text:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -185,6 +184,7 @@ def apply_overrides(sections: list[SectionSpec], assignments: list[str]) -> dict
 
 def config_hash(sections: list[SectionSpec], overrides: dict[str, str]) -> str:
     """Digest of the canonicalized config plus the applied overrides."""
+    import hashlib  # only a run hashes its config, so describe does not import it
     parts: list[str] = []
     for sec in sections:
         parts.append(f"[{sec.kind} {sec.name}]")

@@ -587,24 +587,22 @@ def rk4(f, y0, N: int, stage: np.ndarray | None = None) -> np.ndarray:
     ``stage``, one float64 buffer of the shape of ``y0`` (a new one by
     default) that each stage state is written into, so a caller can bind
     its program to views of it once.  ``f`` must not keep ``y`` or write
-    to it, and returns the rate in the shape of ``y0``; that may be a
-    buffer ``f`` reuses, since it is read before the next call, or a
-    read-only table slice, since it is only read.  Returns the N+1 node
-    states on a new leading axis.  The ufuncs run in the textbook formula's order, into
-    preallocated arrays, so the result is bitwise that of the
-    out-of-place step.
+    to it, and returns the rate in the shape of ``y0`` (it may reuse a
+    buffer).  Returns the N+1 node states on a new leading axis.  The
+    ufuncs run in the textbook formula's order, into preallocated arrays,
+    so the result is bitwise that of the out-of-place step.
 
     Checks, one rule for every sweep (flow, lift and transport): the rate
     cells that read no state (:func:`expr.split_exprs`; transport's rate
     matrix, whose table run is checked) are checked per op once per sweep,
-    on every stage-time value, in one table run before step 1; the other
+    on every stage-time value, in one table run before step 1 (a sweep with
+    no other cells is that table's quadrature, :func:`rk4_table`); the other
     cells per op on every stage; and the sweep holds one
-    ``np.errstate(all="ignore")`` and raises NonFiniteError unless each
-    node state is finite.  Every rate entry enters the node with weight
-    h/6 or h/3, and inf - inf is NaN, so ``f`` returns every row its
-    programs compute and runs them unchecked (``Bound.run(out,
-    checked=False)``).  A domain error on a non-finite stage state (a log
-    of -inf, say) is raised as NonFiniteError too.
+    ``np.errstate(all="ignore")`` and raises NonFiniteError unless each node
+    state is finite.  Every rate entry enters the node with weight h/6 or
+    h/3, and inf - inf is NaN, so ``f`` returns every row its programs
+    compute and runs them unchecked.  A domain error on a non-finite stage
+    state (a log of -inf, say) is raised as NonFiniteError too.
     """
     h = 1.0 / N
     y0 = np.asarray(y0, dtype=float)
@@ -629,7 +627,7 @@ def rk4(f, y0, N: int, stage: np.ndarray | None = None) -> np.ndarray:
                     else:
                         np.add(acc, k, out=acc)
                 np.multiply(acc, h / 6, out=acc)
-                np.add(y, acc, out=out[s + 1])
+                np.add(y, acc, out=out[s + 1, ...])  # a view even for a 0-d state
                 if not np.isfinite(out[s + 1]).all():
                     raise NonFiniteError(f"non-finite state at step {s + 1} of {N}")
         except DomainError as err:
@@ -637,6 +635,25 @@ def rk4(f, y0, N: int, stage: np.ndarray | None = None) -> np.ndarray:
                 raise
             raise NonFiniteError(f"non-finite stage state in step {s + 1} of {N}") from err
     return out
+
+
+def rk4_table(table: np.ndarray, y0, N: int) -> np.ndarray:
+    """:func:`rk4` of a rate that reads no state, given at all 2N+1 stage times as ``table``.
+
+    Bitwise ``rk4(lambda j, _: table[j], y0, N)``, its error included: the
+    increments are summed over the table at once in ``rk4``'s order, and
+    ``np.add.accumulate`` adds the nodes in sequence.
+    """
+    with np.errstate(all="ignore"):
+        out = np.empty((N + 1,) + np.shape(y0))
+        out[0], inc, twice = y0, out[1:], np.multiply(table[1::2], 2.0)  # 2 k2 = 2 k3
+        np.add(np.add(table[0:-1:2], twice, out=inc), twice, out=inc)
+        np.multiply(np.add(inc, table[2::2], out=inc), 1.0 / N / 6, out=inc)
+        np.add.accumulate(out, axis=0, out=out)
+        bad = np.flatnonzero(~np.isfinite(inc).all(axis=tuple(range(1, out.ndim))))
+        if bad.size:
+            raise NonFiniteError(f"non-finite state at step {bad[0] + 1} of {N}")
+        return out
 
 
 def _coerce_sections(A: Algebroid, sections: Sequence) -> list[Section]:
@@ -688,10 +705,10 @@ def cube_from_sections(
     Axis k is integrated with a classical fourth-order step along its
     anchor image, holding already-processed axes at their node values
     and the not-yet-processed ones at zero.  The image cells that read no
-    coordinate are one run over all stage times into a read-only table;
-    each stage copies its slice into one rate buffer and runs the rest,
-    bound once to the RK4 stage buffer and to a 0-d time that it sets (or
-    returns the slice, if nothing is left), unchecked under :func:`rk4`.
+    coordinate are one run over all stage times into a table; each stage
+    copies its slice into one rate buffer and runs the rest, bound once
+    to the RK4 stage buffer and to a 0-d time that it sets, unchecked
+    under :func:`rk4` (or, if nothing is left, :func:`rk4_table` runs).
     For a commuting family the result is independent of ``order`` up to
     integration error.
     """
@@ -720,7 +737,6 @@ def cube_from_sections(
             # the table binds no point: the broadcast only gives it its shape
             over_times = np.broadcast_to(X, table.shape)
             A.chart.bind(table_program, over_times, {**held, names[k]: ts[:, None]}).run(table, checked=False)
-        frozen(table)
         image = A.chart.bind(stage_program, X, {**held, names[k]: t})
 
         def field(j: int, _) -> np.ndarray:
@@ -729,7 +745,7 @@ def cube_from_sections(
             return image.run(rates, checked=False)
 
         try:
-            X = rk4((lambda j, _: table[j]) if free.all() else field, G.reshape(B, m), N, X)
+            X = rk4_table(table, G.reshape(B, m), N) if free.all() else rk4(field, G.reshape(B, m), N, X)
         except NonFiniteError as err:  # the flow overflowed on its way out of the chart
             raise ChartEscapeError(_ESCAPED) from err
         G = np.moveaxis(X.reshape((N + 1,) + S + (m,)), 0, -2)

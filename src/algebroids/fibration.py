@@ -35,7 +35,7 @@ from .core import (
     unit_row,
     wedge,
 )
-from .cubes import ChartEscapeError, Cube, Spline, face, frozen, half_steps, rk4
+from .cubes import ChartEscapeError, Cube, Spline, face, frozen, half_steps, rk4, rk4_table
 from .expr import ONE, ZERO, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, split_exprs, sub, total
 
 __all__ = [
@@ -435,16 +435,16 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     along the anchor image of its lift ``w2``, and each transverse field
     picks up the transverse derivative of ``w2`` plus its bracket with
     ``w2``.  The state-free cells of :meth:`Fibration.lift_split` are
-    one run over all stage times into a read-only table, and so is the
-    transverse difference (``np.gradient``) if ``w2`` is among them.
-    Each stage copies its table slice into one rate buffer, runs the
-    rest, bound once to views of the RK4 stage buffer and of a driver
-    buffer that it copies ``b[..., j, :]`` into, and adds the transverse
-    difference (else per stage, by :func:`_gradient_adder`); a sweep
-    with no field and no other cell returns the slice.  After the sweep, one run
-    of the field-free lift program takes ``w2`` at every node.  Returns
-    the cube over the total algebroid whose coefficient fields are the
-    transverse fields, then ``w2``.
+    one run over all stage times into a table, and so is the transverse
+    difference (``np.gradient``) if ``w2`` is among them.  Each stage
+    copies its table slice into one rate buffer, runs the rest, bound
+    once to views of the RK4 stage buffer and of a driver buffer that it
+    copies ``b[..., j, :]`` into, and adds the transverse difference
+    (else per stage, by :func:`_gradient_adder`); a sweep with no field
+    and no other cell is :func:`cubes.rk4_table` of the table.  ``w2`` at
+    the nodes is the table's even rows if state-free, else one run of the
+    field-free lift program after the sweep.  Returns the cube over the
+    total algebroid whose fields are the transverse fields, then ``w2``.
 
     The RK4 state matches the lift program's outputs row for row: the
     running integral of ``w2`` (zero at t = 0, dropped after the sweep),
@@ -470,7 +470,6 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
         fib.chart.bind(table_program, over_times, b=np.moveaxis(b, -2, 0)).run(np.moveaxis(table, 1, -1), checked=False)
         if hoisted:
             grad = np.concatenate([np.gradient(table[:, :rE], h, axis=2 + i, edge_order=2) for i in range(k)], axis=1)
-    frozen(table)
     lift = fib.chart.bind(stage_program, points, b=np.moveaxis(driver, 0, -1), y=y)
     dY = rates[rE + m :]  # the k fields' rates
     gradients = [] if hoisted else [_gradient_adder(dY[i * rE : (i + 1) * rE], rates[:rE], h, 1 + i) for i in range(k)]
@@ -487,9 +486,11 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
         return rates
 
     try:
-        Y = rk4((lambda j, Y: table[j]) if k == 0 and free.all() else rhs, Y0, N, stage)
+        Y = rk4_table(table, Y0, N) if k == 0 and free.all() else rk4(rhs, Y0, N, stage)
         Y = np.moveaxis(Y, (0, 1), (-2, -1))[..., rE:]
-        w_nodes = fib.chart.values(fib.lift_program(0), Y[..., :m], b=b[..., ::2, :])[..., :rE]
+        w_nodes = np.moveaxis(table[::2, :rE], (0, 1), (-2, -1))  # checked by rk4: the integral of w2 is in the state
+        if not free[:rE].all():
+            w_nodes = fib.chart.values(fib.lift_program(0), Y[..., :m], b=b[..., ::2, :])[..., :rE]
     except NonFiniteError as err:  # the lift overflowed on its way out of the chart
         raise ChartEscapeError("cube base points leave the chart box") from err
     fields = [Y[..., m + i * rE : m + (i + 1) * rE] for i in range(k)]

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -300,11 +298,6 @@ class MonodromyReport:
         }
 
 
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    num = math.gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    return Fraction(num, a.denominator * b.denominator)
-
-
 # tolerance of monodromy_group: PERIOD_ERR_SCALE half-grid error estimates plus PERIOD_ATOL
 PERIOD_ATOL = 1e-9
 PERIOD_ERR_SCALE = 10.0
@@ -329,6 +322,7 @@ def monodromy_group(
     ``PERIOD_ERR_SCALE``) plus ``PERIOD_ATOL``.  Needs a rank-one
     kernel, where commensurability of scalars is meaningful.
     """
+    from fractions import Fraction  # imports decimal; only a monodromy group needs it
     fib = anchor_fibration(A, splitting, n_samples=n_samples, seed=seed)
     if fib.kernel_rank != 1:
         raise ValueError("commensurability analysis needs a rank-one anchor kernel")
@@ -389,8 +383,9 @@ def monodromy_group(
 
     generator: Optional[float] = None
     if rank == 1:
-        ref = classes[0][0]
-        generator = abs(periods[ref]) * float(reduce(_fraction_gcd, map(abs, to_ref.values())))
+        # the gcd of the ratios to the smallest member: of their numerators over the lcm of their denominators
+        num, den = math.gcd(*(r.numerator for r in to_ref.values())), math.lcm(*(r.denominator for r in to_ref.values()))
+        generator = abs(periods[classes[0][0]]) * (num / den)
 
     return MonodromyReport(
         basepoint=basepoint,

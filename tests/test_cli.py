@@ -658,6 +658,25 @@ assert not loaded, loaded
     assert proc.returncode == 0, proc.stderr
 
 
+def test_importing_the_cli_and_describing_load_no_hashlib_fractions_or_decimal():
+    # only a run hashes its config and only a monodromy group reads fractions (which imports decimal)
+    src = Path(cli.__file__).resolve().parents[1]
+    code = f"""
+import contextlib, io, sys
+from pathlib import Path
+sys.path.insert(0, {str(src)!r})
+from algebroids.cli import main
+deferred = ("hashlib", "fractions", "decimal")
+assert not [m for m in deferred if m in sys.modules], [m for m in deferred if m in sys.modules]
+for cfg in sorted(Path({str(CONFIG_DIR)!r}).glob("*.cfg")):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["describe", str(cfg)]) == 0, cfg
+assert not [m for m in deferred if m in sys.modules], [m for m in deferred if m in sys.modules]
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_decompose_over_a_fibration_without_kernel_passes_with_zero_values(tmp_path):
     # every sup-norm of the report runs over an empty kernel array here
     text = _PLANE_TANGENT + """[fibration F]

@@ -34,12 +34,13 @@ from algebroids.cubes import (
     resample,
     reverse,
     rk4,
+    rk4_table,
     save_cube,
     sphere_defect,
     tangent_lift,
     time_names,
 )
-from algebroids.expr import DomainError, compile_exprs
+from algebroids.expr import DomainError, NonFiniteError, compile_exprs
 from algebroids.fibration import jacobi_fibration, null_space
 
 PLANE = Chart(coords=("x", "y"), box=((-3.0, 3.0), (-3.0, 3.0)))
@@ -316,6 +317,32 @@ def test_rk4_hands_its_rate_one_reused_stage_buffer():
     np.testing.assert_allclose(ys[-1], np.exp(-0.5), rtol=1e-6)
 
 
+@pytest.mark.parametrize("N", [1, 2, 13])
+@pytest.mark.parametrize("shape", [(), (3,), (49, 2), (5, 97), (4, 0)])  # (4, 0): a zero-dimensional chart
+def test_rk4_table_is_bitwise_rk4_of_the_table(shape, N):
+    rng = np.random.default_rng(7)
+    table, y0 = rng.uniform(-1.0, 1.0, (2 * N + 1,) + shape), rng.uniform(-1.0, 1.0, shape)
+    assert rk4_table(table, y0, N).tobytes() == rk4(lambda j, _: table[j], y0, N).tobytes()
+
+
+@pytest.mark.parametrize("j, value", [(0, np.inf), (5, np.nan), (7, -np.inf), (11, 1e308)])  # 1e308 overflows as 2 k2
+def test_rk4_table_raises_rk4s_error_at_the_first_non_finite_node(j, value):
+    table = np.ones((13, 2, 3))
+    table[j, 1, 2] = value
+    messages = []
+    for sweep in (lambda: rk4(lambda i, _: table[i], np.zeros((2, 3)), 6), lambda: rk4_table(table, np.zeros((2, 3)), 6)):
+        with pytest.raises(NonFiniteError) as err:
+            sweep()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == f"non-finite state at step {max(1, (j + 1) // 2)} of 6"
+
+
+def test_a_table_only_flow_that_overflows_leaves_the_chart():
+    # exp(800 t1) reads no point and overflows from t1 = 0.887 on, at the last two stage times of N = 8
+    with pytest.raises(ChartEscapeError, match="left the chart box"):
+        cube_from_sections(make_tangent(PLANE), [["exp(800*t1)", "0"]], [0.5, 0.0], N=8)
+
+
 def test_a_log_of_a_negative_argument_in_a_flow_raises_at_its_stage(monkeypatch):
     runs = []
     run = expr_module.Bound.run
@@ -362,21 +389,26 @@ def test_split_flows_are_bitwise_the_per_stage_ones(sections):
 
 
 @pytest.mark.parametrize("sweep", ["flow", "lift"])
-def test_a_rate_handed_back_as_a_table_slice_is_read_only(monkeypatch, sweep):
-    # both sweeps read no point and no field, so every rate is a slice of their table
-    rates = []
-    module = cubes_module if sweep == "flow" else fibration_module
-    step = module.rk4
-    monkeypatch.setattr(module, "rk4", lambda f, y0, N, stage: rates.append(f(1, stage)) or step(f, y0, N, stage))
+def test_a_table_only_sweep_is_bitwise_the_per_stage_one_and_runs_no_rk4(monkeypatch, sweep):
+    # both sweeps read no point and no field, so each is a quadrature of its table, with no rk4 call
+    from test_fibration import _per_stage_sweep  # its rk4 and this module's are bound at import
+
+    def no_rk4(*args):
+        raise AssertionError("a table-only sweep ran rk4")
+
+    for module in (cubes_module, fibration_module):  # fibration imports rk4 by value
+        monkeypatch.setattr(module, "rk4", no_rk4)
     if sweep == "flow":
-        cube_from_sections(make_tangent(PLANE), [["0.5", "t1"]], [0.0, 0.0], 8)
+        got = cube_from_sections(make_tangent(PLANE), [["0.5", "t1"]], [0.0, 0.0], 8)
+        assert got.gamma.tobytes() == _per_stage_flow(make_tangent(PLANE), [["0.5", "t1"]], [0.0, 0.0], 8).tobytes()
     else:
         fib = jacobi_fibration(PLANE, [["0", "1"], ["-1", "0"]])
-        fibration_module.lift_cube(fib, cotangent_lift(PLANE, [["0", "1"], ["-1", "0"]], ["0.5*t1", "0.2"], 1, 8))
-    (rate,) = rates
-    assert not rate.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        rate[...] = 0.0
+        base = cotangent_lift(PLANE, [["0", "1"], ["-1", "0"]], ["0.5*t1", "0.2"], 1, 8)
+        got = fibration_module.lift_cube(fib, base)
+        monkeypatch.setattr(fibration_module, "evolve_cube_system", _per_stage_sweep)
+        want = fibration_module.lift_cube(fib, base)
+        assert got.gamma.tobytes() == want.gamma.tobytes()
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 def test_flow_cube_zero_dimensional_chart():

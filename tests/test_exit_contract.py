@@ -10,6 +10,9 @@ N is capped at ``CAP`` through ``--set``, so that a run stays small.  A
 bad target has no line to name, so it must exit 2 naming its position
 among the ``--set`` options instead.
 
+Beside the fuzz, one hand-written mutation per error branch that the
+fuzz does not draw must exit 2 with its message and the line it names.
+
 Not checked yet: that a PASS report has a finite ``est_error`` wherever
 a check reads one.  A transgression on N < 6 has no half-grid estimate
 and still PASSes; that clause lands with the failing check for an
@@ -22,6 +25,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,3 +124,44 @@ def test_every_mutated_config_runs_or_exits_2_at_a_line(case):
         assert code == 2 and f"--set {bad} '" in err, (code, err)
     elif code == 2:
         assert re.search(r"line \d+:", err), err
+
+
+# config, a line of it, what replaces it (None drops it), the line the error names and its message
+BRANCHES = [
+    ("plane_area", "[cube rim]", "[cube 2rim]", "[cube 2rim]", "bad section name"),
+    ("plane_area", "N = 64", "2N = 64", "2N = 64", "bad key"),
+    ("plane_area", "method = both", "method = all", "method = all", "must be one of"),
+    ("plane_area", "map = 0.9*t1, 0.9*t2", "map = 0.9*t1, , 0.9*t2", "map = 0.9*t1, , 0.9*t2", "empty entry"),
+    ("plane_area", "bivector = 0, 1; -1, 0", "bivector = 0, 1; -1", "bivector = 0, 1; -1", "unequal lengths"),
+    ("so3_check", "structure = 0 1: 0, 0, 1; 0 2: 0, -1, 0; 1 2: 1, 0, 0", "structure = 0 1: 0, 0, 1; 0 2 0, -1, 0",
+     "structure = 0 1: 0, 0, 1; 0 2 0, -1, 0", "is missing ':'"),
+    ("so3_check", "structure = 0 1: 0, 0, 1; 0 2: 0, -1, 0; 1 2: 1, 0, 0", "structure = 0 1 2: 0, 0, 1",
+     "structure = 0 1 2: 0, 0, 1", "two frame indices"),
+    ("so3_check", "structure = 0 1: 0, 0, 1; 0 2: 0, -1, 0; 1 2: 1, 0, 0", "structure = 0 1: 0, 0, 1; 0 1: 0, 0, 1",
+     "structure = 0 1: 0, 0, 1; 0 1: 0, 0, 1", "repeats the pair"),
+    ("plane_area", "N = 64", "N = 64\n[cube disk]\nalgebroid = CP\nsource = file\npath = nosuch.json",
+     "path = nosuch.json", "does not exist"),
+    ("plane_area", "basepoint = 0 0", "basepoint = 0 0\norder = 1 1", "order = 1 1", "order must permute"),
+    ("s2_monodromy", "cube = wrap", "cube = wrap\ncubes = wrap", "[task period]", "exactly one of"),
+    ("s2_monodromy", "cube = wrap", None, "[task period]", "exactly one of"),
+    ("rep_transport", "base = T", "base = E", "[algebroid E]", "circular reference"),  # E's, the first
+]
+
+
+@pytest.mark.parametrize(
+    "config, line, replacement, named, message",
+    BRANCHES,
+    ids=["section-name", "key", "option", "empty-entry", "unequal-rows", "chunk-colon", "chunk-pair", "chunk-repeat",
+         "cube-file", "order", "cube-and-cubes", "no-cube", "circular"],
+)
+def test_each_undrawn_error_branch_exits_2_at_its_line(tmp_path, config, line, replacement, named, message):
+    lines = (CONFIGS[0].parent / f"{config}.cfg").read_text().splitlines()
+    at = lines.index(line)
+    lines[at : at + 1] = [] if replacement is None else replacement.split("\n")
+    (tmp_path / "mutated.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", str(tmp_path / "mutated.cfg"), "--out", str(tmp_path / "out")])
+    err = err.getvalue()
+    assert code == 2, err
+    assert f"line {lines.index(named) + 1}: " in err and message in err, err

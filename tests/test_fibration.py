@@ -273,17 +273,20 @@ def test_a_lift_overflow_that_meets_a_domain_check_is_a_chart_escape(guard, k):
 
 def test_a_field_free_lift_checks_the_w2_rows_its_anchor_image_drops():
     # w2 = (10 b, 0), and the anchor drops its first row, so the points stay put; the driver is 1 at
-    # every node but overflows w2 on one line at the first midpoint, which only the integral of w2
-    # carries into the state without a field, and the transverse difference with one
+    # every stage time but overflows w2 on one line at the first midpoint or at the last node, which
+    # only the integral of w2 carries into the state without a field, and the transverse difference
+    # with one; w2 at the nodes is read off the table, so no run after the sweep checks the node
     E = make_explicit(PLANE, 2, [["0", "0"], ["1", "0"]])
     fib = Fibration(E, make_explicit(PLANE, 1, [["1", "0"]]), [["0", "1"]], [["10"], ["0"]], [["1", "0"]])
     lines = np.stack([np.full(9, 0.5), np.linspace(-0.5, 0.5, 9)], axis=-1)
-    for gamma0, w0, first_midpoint in [(np.array([0.5, 0.0]), [], (1,)), (lines, [np.zeros((9, 2))], (4, 1))]:
+    for gamma0, w0, line in [(np.array([0.5, 0.0]), [], ()), (lines, [np.zeros((9, 2))], (4,))]:
         b = np.ones(gamma0.shape[:-1] + (17, 1))
         assert np.isfinite(evolve_cube_system(fib, b, gamma0, w0, 8).coeffs).all()
-        b[first_midpoint] = 1e308
-        with pytest.raises(ChartEscapeError, match="leave the chart box"):
-            evolve_cube_system(fib, b, gamma0, w0, 8)
+        for j in (1, 16):
+            overflowing = b.copy()
+            overflowing[line + (j,)] = 1e308
+            with pytest.raises(ChartEscapeError, match="leave the chart box"):
+                evolve_cube_system(fib, overflowing, gamma0, w0, 8)
 
 
 def test_lift_rejects_wrong_base():

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 from report_digest import configs  # puts this checkout's package and perfbench first on the path
 
-from algebroids import cli, cubes, expr, fibration
+from algebroids import cli, cubes, expr
 
 COUNTERS = ("checked", "unchecked", "ops", "prelude", "stages", "table_steps")
 
@@ -89,14 +89,13 @@ def main() -> None:
             for label, config in configs(args.seed, tmp):
                 counts = Counter()
                 expr.Bound.run = counted(counts)
-                # fibration imports both by value
-                cubes.rk4, cubes.rk4_table = fibration.rk4, fibration.rk4_table = staged(counts)
+                cubes.rk4, cubes.rk4_table = staged(counts)
                 with contextlib.redirect_stdout(io.StringIO()):
                     rc = cli.main(["run", str(config), "--out", str(tmp / label)])
                 print(f"{label:<18}" + "".join(f"{counts[c]:>12,}" for c in COUNTERS) + ("" if rc == 0 else f"  exit {rc}"))
         finally:
             expr.Bound.run = run
-            cubes.rk4, cubes.rk4_table = fibration.rk4, fibration.rk4_table = rk4, rk4_table
+            cubes.rk4, cubes.rk4_table = rk4, rk4_table
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ Value grammars, all plain text:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -50,27 +49,11 @@ from .core import (
     make_tangent,
     pair_table,
     sup_norm,
-)
-from .cubes import (
-    cotangent_lift,
-    cube_from_sections,
-    homotopy_defect,
-    load_cube,
-    morphism_residual,
-    save_cube,
-    tangent_lift,
     time_names,
 )
 from .expr import Expr
 from .expr import parse as parse_expr
 from .fibration import Fibration, lift_cube, project_cube, splitting_from_projection
-from .transgression import (
-    decompose_path,
-    monodromy_group,
-    monodromy_period,
-    transgress2_formula,
-    transgress_lift,
-)
 
 
 class ConfigError(Exception):
@@ -806,6 +789,8 @@ class Workspace:
         )
 
     def _make_cube(self, p):
+        from .cubes import cotangent_lift, cube_from_sections, load_cube, tangent_lift
+
         A = self.build("algebroid", p.algebroid)
         if p.source == "file":
             return load_cube(self.base_dir / p.path, A)
@@ -901,6 +886,8 @@ def _run_check(ws, p, checks, values, out_dir):
 
 
 def _run_flow(ws, p, checks, values, out_dir):
+    from .cubes import morphism_residual, save_cube
+
     cube = ws.build("cube", p.cube)
     res = morphism_residual(cube)
     endpoint = cube.gamma[(-1,) * cube.n]
@@ -920,6 +907,8 @@ def _run_flow(ws, p, checks, values, out_dir):
 
 
 def _run_lift(ws, p, checks, values, out_dir):
+    from .cubes import morphism_residual, save_cube
+
     fib = ws.build("fibration", p.fibration)
     cube = ws.build("cube", p.cube)
     lifted = lift_cube(fib, cube)
@@ -939,6 +928,8 @@ def _run_lift(ws, p, checks, values, out_dir):
 
 
 def _run_transgress(ws, p, checks, values, out_dir):
+    from .transgression import transgress2_formula, transgress_lift
+
     fib = ws.build("fibration", p.fibration)
     cube = ws.build("cube", p.cube)
     results = {}
@@ -957,6 +948,8 @@ def _run_transgress(ws, p, checks, values, out_dir):
 
 
 def _run_monodromy(ws, p, checks, values, out_dir):
+    from .transgression import monodromy_group, monodromy_period
+
     A = ws.build("algebroid", p.algebroid)
     if p.cube is not None:
         result = monodromy_period(
@@ -988,6 +981,9 @@ def _run_monodromy(ws, p, checks, values, out_dir):
 
 
 def _run_decompose(ws, p, checks, values, out_dir):
+    from .cubes import homotopy_defect
+    from .transgression import decompose_path
+
     fib = ws.build("fibration", p.fibration)
     cube = ws.build("cube", p.cube)
     dec = decompose_path(fib, cube)
@@ -1045,6 +1041,8 @@ def run_task(ws: Workspace, sec: SectionSpec, overrides, cfg_hash: str, out_dir:
 
 
 def _write_report(path: Path, report: dict) -> None:
+    import json  # only a run writes reports, so describe does not import it
+
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")

@@ -27,6 +27,7 @@ __all__ = [
     "check_axioms",
     "point_chart",
     "product_chart",
+    "time_names",
     "make_tangent",
     "make_lie_algebra",
     "make_cotangent_poisson",
@@ -130,6 +131,15 @@ def product_chart(a: Chart, b: Chart) -> Chart:
     if set(a.coords) & set(b.coords):
         raise ValueError("coordinate names must be disjoint for a product chart")
     return Chart(coords=a.coords + b.coords, box=a.box + b.box)
+
+
+def time_names(chart: Chart, n: int) -> tuple[str, ...]:
+    """Names ``t1 .. tn`` of the n time variables; ValueError if one is also a chart coordinate."""
+    names = tuple(f"t{i + 1}" for i in range(n))
+    clash = set(names) & set(chart.coords)
+    if clash:
+        raise ValueError(f"time names collide with chart coordinates: {sorted(clash)}")
+    return names
 
 
 def eval_exprs(exprs, env: Mapping[str, object], base_shape: tuple, out: np.ndarray | None = None) -> np.ndarray:

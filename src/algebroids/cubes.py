@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import (
     Algebroid, Chart, Section, coerce_matrix, eval_exprs, make_cotangent_poisson, make_tangent,
-    product_chart, sampled_values, sup_norm,
+    product_chart, sampled_values, sup_norm, time_names,
 )
 from .expr import DomainError, NonFiniteError, as_expr, compile_exprs, split_exprs, sub
 
@@ -658,15 +658,6 @@ def rk4_table(table: np.ndarray, y0, N: int) -> np.ndarray:
 
 def _coerce_sections(A: Algebroid, sections: Sequence) -> list[Section]:
     return [Section(row) for row in coerce_matrix(sections, len(sections), A.rank, "sections")]
-
-
-def time_names(chart: Chart, n: int) -> tuple[str, ...]:
-    """Names ``t1 .. tn`` of the n time variables; ValueError if one is also a chart coordinate."""
-    names = tuple(f"t{i + 1}" for i in range(n))
-    clash = set(names) & set(chart.coords)
-    if clash:
-        raise ValueError(f"time names collide with chart coordinates: {sorted(clash)}")
-    return names
 
 
 COMMUTATION_POINTS, COMMUTATION_SEED = 50, 0  # the sample commutation_residual draws

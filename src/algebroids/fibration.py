@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -35,8 +35,10 @@ from .core import (
     unit_row,
     wedge,
 )
-from .cubes import ChartEscapeError, Cube, Spline, face, frozen, half_steps, rk4, rk4_table
 from .expr import ONE, ZERO, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, split_exprs, sub, total
+
+if TYPE_CHECKING:  # the integrators below import cubes when they run, so describe never loads it
+    from .cubes import Cube
 
 __all__ = [
     "Fibration",
@@ -452,6 +454,8 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     rule of :func:`cubes.rk4`; a non-finite value (the lift leaving the
     chart) raises ChartEscapeError.
     """
+    from .cubes import ChartEscapeError, Cube, frozen, rk4, rk4_table
+
     h = 1.0 / N
     m, rE = fib.chart.dim, fib.total.rank
     k = len(w0)
@@ -504,6 +508,8 @@ def lift_cube(fib: Fibration, cube: Cube) -> Cube:
     integrated.  The projection of the result deviates from the input by
     the usual second-order grid error.
     """
+    from .cubes import Spline, face, half_steps
+
     if cube.algebroid != fib.base:
         raise ValueError("cube must live over the base algebroid of the fibration")
     n, N = cube.n, cube.N
@@ -521,6 +527,8 @@ def lift_cube(fib: Fibration, cube: Cube) -> Cube:
 
 def project_cube(fib: Fibration, cube: Cube) -> Cube:
     """Push a total cube down to the base through the projection."""
+    from .cubes import Cube, frozen
+
     if cube.algebroid != fib.total:
         raise ValueError("cube must live over the total algebroid of the fibration")
     pvals = fib.chart.values(fib.projection_program, cube.gamma)
@@ -546,6 +554,8 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
     an (N+1, rK, rK) stack.  A trivial covariant action short-circuits
     to identity matrices.
     """
+    from .cubes import Spline, half_steps, rk4
+
     if path.algebroid != fib.base:
         raise ValueError("transport needs a cube over the base")
     n, N = path.n, path.N

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from algebroids import cli
+from algebroids import cli, cubes
 from algebroids.cli import ConfigError, apply_overrides, config_hash, main, parse_config
 from algebroids.expr import MAX_DEPTH
 
@@ -429,13 +429,13 @@ def test_saved_flow_and_lift_cubes_load_back_as_computed(tmp_path, monkeypatch):
         saved[Path(path).name] = cube
         save_cube(cube, path)
 
-    save_cube = cli.save_cube
-    monkeypatch.setattr(cli, "save_cube", keep)
+    save_cube = cubes.save_cube
+    monkeypatch.setattr(cubes, "save_cube", keep)
     out = tmp_path / "reports"
     assert main(["run", str(write(tmp_path, SAVE_CFG)), "--out", str(out)]) == 0
     assert sorted(saved) == ["lifted_sq.json", "rim.json"]
     for name, cube in saved.items():
-        back = cli.load_cube(out / name, cube.algebroid)
+        back = cubes.load_cube(out / name, cube.algebroid)
         assert back.gamma.tobytes() == cube.gamma.tobytes(), name
         assert back.coeffs.tobytes() == cube.coeffs.tobytes(), name
     assert load_report(out, "raise")["passed"] and load_report(out, "corner")["passed"]
@@ -659,14 +659,15 @@ assert not loaded, loaded
 
 
 def test_importing_the_cli_and_describing_load_no_hashlib_fractions_or_decimal():
-    # only a run hashes its config and only a monodromy group reads fractions (which imports decimal)
+    # only a run hashes its config, builds a cube, transgresses or writes a report, and only a
+    # monodromy group reads fractions (which imports decimal)
     src = Path(cli.__file__).resolve().parents[1]
     code = f"""
 import contextlib, io, sys
 from pathlib import Path
 sys.path.insert(0, {str(src)!r})
 from algebroids.cli import main
-deferred = ("hashlib", "fractions", "decimal")
+deferred = ("hashlib", "fractions", "decimal", "algebroids.cubes", "algebroids.transgression", "json")
 assert not [m for m in deferred if m in sys.modules], [m for m in deferred if m in sys.modules]
 for cfg in sorted(Path({str(CONFIG_DIR)!r}).glob("*.cfg")):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -675,6 +676,39 @@ assert not [m for m in deferred if m in sys.modules], [m for m in deferred if m 
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_package_loads_no_submodule_until_a_name_is_used():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+import algebroids
+loaded = sorted(m for m in sys.modules if m.startswith("algebroids."))
+assert not loaded, loaded
+algebroids.Expr
+loaded = sorted(m for m in sys.modules if m.startswith("algebroids."))
+assert loaded == ["algebroids.expr"], loaded
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_each_package_name_is_the_object_of_its_home_module():
+    import algebroids
+
+    names = algebroids.__all__
+    assert len(set(names)) == len(names) == 52
+    assert set(names) <= set(dir(algebroids))
+    for name in names:
+        value = getattr(algebroids, name)
+        assert value.__module__.startswith("algebroids."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    star = {}
+    exec("from algebroids import *", star)
+    assert set(star) - {"__builtins__"} == set(names)
+    with pytest.raises(AttributeError, match="^module 'algebroids' has no attribute 'nosuch'$"):
+        algebroids.nosuch
 
 
 def test_decompose_over_a_fibration_without_kernel_passes_with_zero_values(tmp_path):

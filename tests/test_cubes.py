@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +81,70 @@ def test_cube_rejects_non_finite_data():
         compact[1, 2, 0, 0] = bad
         with pytest.raises(ValueError, match="NaN or inf"):
             Cube(c.algebroid, c.gamma, np.broadcast_to(compact, c.coeffs.shape))
+
+
+def _header_disagrees(tmp_path):
+    path = tmp_path / "cube.json"
+    save_cube(linear_square(N=4), path)
+    payload = json.loads(path.read_text())
+    payload["N"] = 8
+    path.write_text(json.dumps(payload))
+    return load_cube(path, make_tangent(PLANE))
+
+
+SPACE = Chart(coords=("x", "y", "z"), box=((-3.0, 3.0),) * 3)
+GUARDS = {
+    "cube axes": (
+        lambda tmp: Cube(make_tangent(PLANE), linear_square(4).gamma, linear_square(4).coeffs[0]),
+        "gamma must be grid + point, coeffs must be (axes,) + grid + frame",
+    ),
+    "cube node counts": (
+        lambda tmp: Cube(make_tangent(PLANE), linear_square(4).gamma, linear_square(6).coeffs),
+        "all grid axes must have the same node count",
+    ),
+    "cube nodes": (
+        lambda tmp: Cube(make_tangent(PLANE), linear_square(4).gamma[:2, :2], linear_square(4).coeffs[:, :2, :2]),
+        "need at least three nodes per axis",
+    ),
+    "cube rank": (
+        lambda tmp: Cube(make_tangent(PLANE), linear_square(4).gamma, linear_square(4).coeffs[..., :1]),
+        "coefficient fields do not match the algebroid rank",
+    ),
+    "face end": (lambda tmp: face(linear_square(4), axis=0, end=2), "end must be 0 or 1"),
+    "degeneracy axis": (lambda tmp: degeneracy(linear_square(4), axis=3), "axis must be in 0..2"),
+    "reverse axis": (lambda tmp: reverse(linear_square(4), axis=2), "axis must be in 0..1"),
+    "coarsen odd N": (lambda tmp: coarsen(linear_square(5)), "coarsen needs an even number of steps"),
+    "resample steps": (lambda tmp: resample(linear_square(4), 2), "resampling needs at least three steps"),
+    "concat algebroids": (
+        lambda tmp: concat(
+            linear_square(4), cotangent_lift(PLANE, {(0, 1): "1"}, ["0.2 + 0.5*t1", "0.3 + 0.4*t2"], 2, 4), axis=0
+        ),
+        "cannot concatenate cubes over different algebroids",
+    ),
+    "concat axis": (lambda tmp: concat(linear_square(4), linear_square(4), axis=2), "axis must be in 0..1"),
+    "no sections": (lambda tmp: cube_from_sections(make_tangent(PLANE), [], [0.0, 0.0], 4), "need at least one section"),
+    "tangent components": (
+        lambda tmp: tangent_lift(PLANE, ["t1"], n=1, N=4),
+        "need one component per chart coordinate",
+    ),
+    "cotangent chart": (
+        lambda tmp: cotangent_lift(SPACE, {(0, 1): "1"}, ["t1", "0", "0"], 1, 4),
+        "cotangent lifting is implemented for two-dimensional charts",
+    ),
+    "path counts": (
+        lambda tmp: path_cube(make_tangent(PLANE), ["t1", "0"], ["1"], 4),
+        "component counts must match chart dimension and rank",
+    ),
+    "file header": (_header_disagrees, "cube file header disagrees with its array shapes"),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_each_library_guard_raises_its_message(tmp_path, guard):
+    # the config schema rejects these inputs before a library call, so only a library caller reaches them
+    call, message = GUARDS[guard]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
 
 
 def test_cube_cannot_change_through_the_callers_arrays():
@@ -396,8 +463,7 @@ def test_a_table_only_sweep_is_bitwise_the_per_stage_one_and_runs_no_rk4(monkeyp
     def no_rk4(*args):
         raise AssertionError("a table-only sweep ran rk4")
 
-    for module in (cubes_module, fibration_module):  # fibration imports rk4 by value
-        monkeypatch.setattr(module, "rk4", no_rk4)
+    monkeypatch.setattr(cubes_module, "rk4", no_rk4)
     if sweep == "flow":
         got = cube_from_sections(make_tangent(PLANE), [["0.5", "t1"]], [0.0, 0.0], 8)
         assert got.gamma.tobytes() == _per_stage_flow(make_tangent(PLANE), [["0.5", "t1"]], [0.0, 0.0], 8).tobytes()

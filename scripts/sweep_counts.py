@@ -2,7 +2,8 @@
 
 Runs every ``configs/*.cfg`` and the three benchmark workload configs
 of ``perfbench/workloads.py`` at the given seed, in process, with
-``expr.Bound.run``, ``cubes.rk4`` and ``cubes.rk4_table`` wrapped, and
+``expr.Bound.run``, ``cubes.rk4``, ``cubes.rk4_table`` and the
+expression node constructors wrapped, and
 prints one line per config:
 
 - ``checked`` and ``unchecked``: the number of ``Bound.run`` calls of
@@ -16,7 +17,11 @@ prints one line per config:
   integration's work whether a stage runs a program or not;
 - ``table_steps``: the steps of the sweeps whose rate reads no state,
   N per ``rk4_table`` call, which sums them without running a stage;
-  without it that work would seem to vanish from ``stages``.
+  without it that work would seem to vanish from ``stages``;
+- ``nodes``: the expression nodes (``Const``, ``Var``, ``Unary``,
+  ``Binary``, ``Power``) built, counted by wrapping each class's
+  ``__init__``: parsing the config, building brackets, curvature and
+  programs' trees.
 
 The counters do not depend on host load, so two checkouts compare
 exactly:
@@ -38,7 +43,8 @@ from report_digest import configs  # puts this checkout's package and perfbench 
 
 from algebroids import cli, cubes, expr
 
-COUNTERS = ("checked", "unchecked", "ops", "prelude", "stages", "table_steps")
+COUNTERS = ("checked", "unchecked", "ops", "prelude", "stages", "table_steps", "nodes")
+NODES = (expr.Const, expr.Var, expr.Unary, expr.Binary, expr.Power)
 
 
 def counted(counts: Counter):
@@ -76,6 +82,19 @@ def staged(counts: Counter):
     return stepper, quadrature
 
 
+def built(counts: Counter) -> dict:
+    """An ``__init__`` per Expr node class that adds each node built to ``counts``."""
+
+    def wrap(init):
+        def wrapper(self, *args, **kwargs):
+            counts["nodes"] += 1
+            init(self, *args, **kwargs)
+
+        return wrapper
+
+    return {cls: wrap(cls.__init__) for cls in NODES}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("seed", type=int, help="seed of the benchmark workload configs")
@@ -85,17 +104,22 @@ def main() -> None:
         tmp = Path(tmp)
         print(f"{'config':<18}" + "".join(f"{c:>12}" for c in COUNTERS))
         run, rk4, rk4_table = expr.Bound.run, cubes.rk4, cubes.rk4_table
+        inits = {cls: cls.__init__ for cls in NODES}
         try:
             for label, config in configs(args.seed, tmp):
                 counts = Counter()
                 expr.Bound.run = counted(counts)
                 cubes.rk4, cubes.rk4_table = staged(counts)
+                for cls, init in built(counts).items():
+                    cls.__init__ = init
                 with contextlib.redirect_stdout(io.StringIO()):
                     rc = cli.main(["run", str(config), "--out", str(tmp / label)])
                 print(f"{label:<18}" + "".join(f"{counts[c]:>12,}" for c in COUNTERS) + ("" if rc == 0 else f"  exit {rc}"))
         finally:
             expr.Bound.run = run
             cubes.rk4, cubes.rk4_table = rk4, rk4_table
+            for cls, init in inits.items():
+                cls.__init__ = init
 
 
 if __name__ == "__main__":

@@ -850,7 +850,7 @@ def _check_save_names(ws, sections: list[SectionSpec]) -> None:
 
 
 def _jsonable(obj):
-    """Plain JSON data; a non-finite float becomes None (null), so reports are strict JSON."""
+    """Plain JSON data, a non-finite float as None (null) so reports are strict JSON; other types raise TypeError."""
     if isinstance(obj, (float, np.floating)):
         return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (bool, int, str)) or obj is None:
@@ -863,7 +863,7 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    return str(obj)
+    raise TypeError(f"cannot write a {type(obj).__name__} into a report")
 
 
 def _check(name: str, value: float, tol: float) -> dict:

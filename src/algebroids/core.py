@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import ONE, ZERO, Bound, Expr, Program, add, as_expr, bind, compile_exprs, dot, evaluate, is_zero, mul, neg, sub, total, var
+from .expr import ONE, ZERO, Bound, Const, Expr, Program, add, as_expr, bind, compile_exprs, dot, evaluate, is_zero, mul, neg, sub, total, var
 
 __all__ = [
     "Chart",
@@ -277,9 +277,10 @@ def pair_table(table: Mapping, n: int, width: int, what: str) -> dict[tuple[int,
     return out
 
 
-def wedge(x, y, table: Mapping, l: int) -> Expr:
-    """Component l of ``Σ_{p<q} (x_p y_q - x_q y_p) c_pq`` over a pair table ``{(p, q): c_pq}``."""
-    return total(mul(sub(mul(x[p], y[q]), mul(x[q], y[p])), c[l]) for (p, q), c in table.items())
+def wedge(x, y, table: Mapping, width: int) -> tuple[Expr, ...]:
+    """The ``width`` components of ``Σ_{p<q} (x_p y_q - x_q y_p) c_pq``, each pair's coefficient built once."""
+    terms = [(sub(mul(x[p], y[q]), mul(x[q], y[p])), c) for (p, q), c in table.items()]
+    return tuple(total(mul(w, c[l]) for w, c in terms if not is_zero(w)) for l in range(width))
 
 
 @dataclass(frozen=True)
@@ -330,14 +331,18 @@ class Algebroid:
         return dot(self.anchor_of(X), (f.diff(name) for name in self.chart.coords))
 
     def bracket(self, X: Section, Y: Section) -> Section:
-        """Bracket of two sections in frame coefficients; each anchor image is built once."""
-        rho_X, rho_Y = self.anchor_of(X), self.anchor_of(Y)
-        out = []
-        for k in range(self.rank):
-            dY, dX = ([c[k].diff(name) for name in self.chart.coords] for c in (Y, X))
-            anchored = sub(dot(rho_X, dY), dot(rho_Y, dX))
-            out.append(add(wedge(X, Y, self.structure, k), anchored))
-        return Section(tuple(out))
+        """Bracket of two sections in frame coefficients; ρ(X)(Y) is built only toward a Y that is not constant."""
+        along_X, along_Y = self._along(X, Y), self._along(Y, X)
+        wedged = wedge(X, Y, self.structure, self.rank)
+        return Section(tuple(add(w, sub(a, b)) for w, a, b in zip(wedged, along_X, along_Y)))
+
+    def _along(self, X: Section, Y: Section) -> tuple[Expr, ...]:
+        """ρ(X)(Y_k) for each k, with X's length checked; all ZERO when Y's components are Const."""
+        self._check_section(X)
+        if all(isinstance(c, Const) for c in Y.components):
+            return (ZERO,) * self.rank
+        rho = self.anchor_of(X)
+        return tuple(dot(rho, (c.diff(x) for x in self.chart.coords)) for c in Y.components)
 
     # -- vectorized evaluation ---------------------------------------------
 
@@ -422,13 +427,14 @@ def check_axioms(A: Algebroid, n_points: int = 200, seed: int = 42, tol: float =
     coefficients): the first largest residual in triple- or pair-major
     order, a triple winning a tie with a pair.
     """
-    e, br, rho, coords = [A.frame(i) for i in range(A.rank)], A.bracket, A.anchor, A.chart.coords
+    e, rho, coords = [A.frame(i) for i in range(A.rank)], A.anchor, A.chart.coords
     triples = list(itertools.combinations(range(A.rank), 3))
     pairs = list(itertools.combinations(range(A.rank), 2))
-    jacobi = [
-        (br(br(e[i], e[j]), e[k]) + br(br(e[j], e[k]), e[i]) + br(br(e[k], e[i]), e[j])).components
-        for i, j, k in triples
-    ]
+
+    def cyclic(i: int, j: int, k: int) -> Section:  # [[e_i, e_j], e_k], the inner bracket read off the table
+        return A.bracket(Section(A.structure_vector(i, j)), e[k])
+
+    jacobi = [(cyclic(i, j, k) + cyclic(j, k, i) + cyclic(k, i, j)).components for i, j, k in triples]
 
     def anchor_defect(i: int, j: int, a: int) -> Expr:
         ri, rj = rho[i], rho[j]

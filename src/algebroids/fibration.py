@@ -210,7 +210,7 @@ class Fibration:
             w2 = [dot(row, fresh("b", (self.base.rank,))) for row in self.splitting]
             out, y = [*w2, *self.total.anchor_of(Section(tuple(w2)))], fresh("y", (k, rE))
             for row in y:
-                out.extend(wedge(row, w2, self.total.structure, l) for l in range(rE))
+                out.extend(wedge(row, w2, self.total.structure, rE))
             state = {*self.chart.coords, *(v.name for v in y.flat)}
             self._lift_programs[k, split] = split_exprs(out, state) if split else compile_exprs(out)
         return self._lift_programs[k, split]
@@ -289,7 +289,7 @@ class Curvature2Form:
     def pairing_program(self) -> Program:
         """``Σ_{p<q} (c0_p c1_q - c0_q c1_p) Ω_pq`` over the fields ``#c0_<p>`` and ``#c1_<q>``."""
         c0, c1 = fresh("c", (2, self.base_rank))
-        return compile_exprs([wedge(c0, c1, self.entries, s) for s in range(self.kernel_rank)])
+        return compile_exprs(wedge(c0, c1, self.entries, self.kernel_rank))
 
     def pairing(self, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Curvature paired node by node with the two fields stacked on the leading axis of ``coeffs``."""

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from algebroids import cli, cubes
@@ -637,6 +638,13 @@ expect = 1
     report = json.loads((out / "group.json").read_text(encoding="utf-8"), parse_constant=refuse)
     assert report["values"]["group"]["generator"] is None
     assert report["checks"] == [{"name": "expect", "value": None, "tol": 0.0, "passed": False}]
+
+
+def test_report_data_of_an_unknown_type_is_refused_not_written_as_text():
+    assert cli._jsonable({1: (np.float64("inf"), np.int64(2), np.array([0.5]), None, True)}) == {"1": [None, 2, [0.5], None, True]}
+    for value, name in ((object(), "object"), (1j, "complex"), ({"x": [frozenset()]}, "frozenset"), (b"x", "bytes")):
+        with pytest.raises(TypeError, match=f"^cannot write a {name} into a report$"):
+            cli._jsonable(value)
 
 
 def test_describe_and_run_never_import_scipy(tmp_path):

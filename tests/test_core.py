@@ -1,9 +1,14 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebroids.core import (
+    Algebroid,
+    AxiomWitness,
     Chart,
     Section,
     check_axioms,
@@ -19,7 +24,7 @@ from algebroids.core import (
     product_chart,
     so3_structure,
 )
-from algebroids.expr import parse, var
+from algebroids.expr import ZERO, add, dot, mul, parse, sub, total, var
 
 
 PLANE = Chart(coords=("x", "y"), box=((-2.0, 2.0), (-2.0, 2.0)))
@@ -329,3 +334,132 @@ def test_structure_values_antisymmetric():
     assert c.shape == (7, 2, 2, 2)
     np.testing.assert_allclose(c + np.swapaxes(c, 1, 2), 0.0, atol=1e-15)
     np.testing.assert_allclose(c[:, 0, 1, 0], 1.0)
+
+
+# --- the bracket against its per-component formula ------------------------------
+
+
+def reference_bracket(A: Algebroid, X: Section, Y: Section) -> Section:
+    """Component k: ``Σ_{p<q} (X_p Y_q - X_q Y_p) c_pq^k + ρ(X)(Y_k) - ρ(Y)(X_k)``, every term built."""
+    rho_X, rho_Y = A.anchor_of(X), A.anchor_of(Y)
+    out = []
+    for k in range(A.rank):
+        dY, dX = ([c[k].diff(name) for name in A.chart.coords] for c in (Y, X))
+        anchored = sub(dot(rho_X, dY), dot(rho_Y, dX))
+        table = total(mul(sub(mul(X[p], Y[q]), mul(X[q], Y[p])), c[k]) for (p, q), c in A.structure.items())
+        out.append(add(table, anchored))
+    return Section(tuple(out))
+
+
+LINE = Chart(coords=("x",), box=((-1.0, 1.0),))
+SPHERE = Chart(coords=("th", "ph"), box=((0.2, 2.9), (-0.1, 6.4)))
+BRACKET_CASES = {
+    "tangent": make_tangent(PLANE),
+    "so3": make_lie_algebra(3, so3_structure(), chart=PLANE),
+    "rep_extension": make_rep_extension(make_tangent(PLANE), 1, action=[[["y"]], [["1 + x"]]], twist={(0, 1): ["x"]}),
+    "jacobi_extension": make_jacobi_extension(SPHERE, {(0, 1): "1/sin(th)"}),
+    "cotangent_poisson": make_cotangent_poisson(PLANE, {(0, 1): "1 + x^2"}),
+}
+
+
+def chart_terms(chart: Chart) -> list[str]:
+    a, b = chart.coords
+    return ["0", "1", "-2.5", a, b, f"{a}*{b}", f"sin({a})", f"{b}^2 + 1", f"cos({a})*{b} - 3"]
+
+
+@st.composite
+def sections(draw, A: Algebroid) -> Section:
+    """A frame, a section of constants, or a section of chart functions and constants."""
+    kind = draw(st.sampled_from(["frame", "constant", "varying"]))
+    if kind == "frame":
+        return A.frame(draw(st.integers(0, A.rank - 1)))
+    if kind == "constant":
+        return Section.of(draw(st.lists(st.floats(-3, 3, allow_nan=False), min_size=A.rank, max_size=A.rank)))
+    return Section.of(draw(st.lists(st.sampled_from(chart_terms(A.chart)), min_size=A.rank, max_size=A.rank)))
+
+
+@given(st.data(), st.sampled_from(sorted(BRACKET_CASES)))
+@settings(max_examples=150, deadline=None)
+def test_bracket_is_bitwise_its_per_component_formula(data, case):
+    # the bracket builds no anchor term toward a constant section; the values must not move
+    A = BRACKET_CASES[case]
+    X, Y = data.draw(sections(A), label="X"), data.draw(sections(A), label="Y")
+    pts = A.chart.sample(6, np.random.default_rng(3))
+    got, want = A.chart.values(A.bracket(X, Y).components, pts), A.chart.values(reference_bracket(A, X, Y).components, pts)
+    assert got.tobytes() == want.tobytes()
+
+
+def reference_jacobi(A: Algebroid, n_points: int, seed: int) -> tuple[float, AxiomWitness]:
+    """Jacobi residual and witness from nested reference brackets, as :func:`check_axioms` picks them."""
+    e = [A.frame(i) for i in range(A.rank)]
+
+    def br(X: Section, Y: Section) -> Section:
+        return reference_bracket(A, X, Y)
+
+    triples = list(itertools.combinations(range(A.rank), 3))
+    trees = [(br(br(e[i], e[j]), e[k]) + br(br(e[j], e[k]), e[i]) + br(br(e[k], e[i]), e[j])).components for i, j, k in triples]
+    pts = A.chart.sample(n_points, np.random.default_rng(seed))
+    vals = A.chart.values(trees, pts)
+    norms = np.max(np.abs(vals), axis=-1).T
+    f, at = np.unravel_index(np.argmax(norms), norms.shape)
+    residual = float(norms[f, at])
+    return residual, AxiomWitness("jacobi", triples[f], tuple(map(float, pts[at])), residual, tuple(map(float, vals[at, f])))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: direct_sum(make_lie_algebra(3, so3_structure(parse("1 + x")), chart=LINE), make_tangent(LINE), shared_chart=True),
+        lambda: make_rep_extension(make_tangent(PLANE), 2, action=[[["y", "1"], ["0", "x"]], [["0", "0"], ["x*y", "0"]]]),
+    ],
+    ids=["corrupted_product", "curved_rep_extension"],
+)
+def test_check_axioms_reads_frame_brackets_off_the_table_with_the_nested_brackets_values(make):
+    A = make()
+    rep = check_axioms(A, n_points=100, seed=7)
+    residual, witness = reference_jacobi(A, 100, 7)
+    assert not rep.passed and rep.anchor_residual == 0.0
+    assert rep.jacobi_residual.hex() == residual.hex()
+    assert rep.witness == witness
+    assert [v.hex() for v in rep.witness.values] == [v.hex() for v in witness.values]
+
+
+def test_direct_sum_offsets_the_second_summands_structure_by_the_first_rank():
+    T, L = make_tangent(PLANE), make_lie_algebra(3, so3_structure())
+    S = direct_sum(T, L)
+    assert S.chart.coords == ("x", "y") and S.rank == 5
+    assert S.structure == {(2 + i, 2 + j): (ZERO, ZERO) + vec for (i, j), vec in L.structure.items()}
+    B = S.bracket(S.frame(2), S.frame(3))
+    assert [float(c.evaluate({})) for c in B.components] == [0.0, 0.0, 0.0, 0.0, 1.0]
+    rep = check_axioms(S, n_points=40)
+    assert rep.passed and rep.jacobi_residual == 0.0 and rep.anchor_residual == 0.0
+
+
+RANK_TWO = make_tangent(PLANE)
+GUARDS = {
+    "chart points": (lambda: PLANE.env(np.zeros((4, 3))), ValueError, "expected trailing axis of length 2"),
+    "matrix shape": (lambda: make_explicit(PLANE, 2, [["1", "0"]]), ValueError, "anchor must be 2 x 2"),
+    "negative rank": (lambda: Algebroid(PLANE, -1, ()), ValueError, "rank must be nonnegative"),
+    "anchor shape": (lambda: Algebroid(PLANE, 1, ((ZERO,),)), ValueError, "anchor must be rank x dim"),
+    "frame index": (lambda: RANK_TWO.frame(2), IndexError, "frame index 2 out of range for rank 2"),
+    # toward a constant section no anchor image of the other side is built, yet its length is still checked
+    "short X": (lambda: RANK_TWO.bracket(Section.of(["x"]), RANK_TWO.frame(0)), ValueError, "section has 1 components, algebroid rank is 2"),
+    "long Y": (lambda: RANK_TWO.bracket(RANK_TWO.frame(1), Section.of([1, 2, 3])), ValueError, "section has 3 components, algebroid rank is 2"),
+    "long constant X": (lambda: RANK_TWO.bracket(Section.of([1, 2, 3]), Section.of([1, 2])), ValueError, "section has 3 components, algebroid rank is 2"),
+    "action count": (
+        lambda: make_rep_extension(RANK_TWO, 1, action=[[["0"]]]),
+        ValueError,
+        "need one action matrix per base frame (2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_each_library_guard_raises_its_message(guard):
+    call, error, message = GUARDS[guard]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_an_empty_point_set_lies_in_every_chart():
+    assert PLANE.contains(np.zeros((0, 2)))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from algebroids.core import (
     make_cotangent_poisson,
     make_explicit,
     make_jacobi_extension,
+    make_lie_algebra,
     make_rep_extension,
     make_tangent,
     point_chart,
@@ -733,3 +736,40 @@ def test_split_lift_sweeps_are_bitwise_the_per_stage_ones(make, k, hoisted, tabl
     got, want = evolve_cube_system(fib, b, gamma0, w0, N), _per_stage_sweep(fib, b, gamma0, w0, N)
     assert got.gamma.tobytes() == want.gamma.tobytes()
     assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+LINE = Chart(coords=("x",), box=((0.5, 1.5),))
+TANGENT_FIB = rep_extension_fibration(make_tangent(PLANE), 1, action=[[["x"]], [["0"]]])
+GUARDS = {
+    "inverse shape": (lambda: _symbolic_inverse([[ZERO, ZERO]]), "matrix must be square"),
+    "inverse singular": (lambda: _symbolic_inverse([[ZERO, ZERO], [var("x"), ZERO]]), "matrix is identically singular"),
+    "fibration chart": (
+        lambda: Fibration(make_tangent(PLANE), make_tangent(LINE), [["1", "0"]], [["1"], ["0"]], [["0", "1"]]),
+        "total and base must share one chart",
+    ),
+    "fibration ranks": (
+        lambda: Fibration(make_lie_algebra(1, {}, chart=PLANE), make_tangent(PLANE), [["1"], ["0"]], [["1", "0"]], []),
+        "base rank exceeds total rank",
+    ),
+    "covariant derivative": (
+        lambda: covariant_derivative(TANGENT_FIB, Section.of(["1"]), Section.of(["1"])),
+        "X must be a base section and kappa a kernel-coefficient section",
+    ),
+    "transport base": (
+        lambda: transport_matrix(TANGENT_FIB, tangent_lift(LINE, ["0.5 + t1"], n=1, N=4)),
+        "transport needs a cube over the base",
+    ),
+    # a drift of 3e-9 confined to the top of the line: too small a singular value to raise
+    # the kernel's dimension, too large a residual at the points it reaches
+    "anchor kernel drift": (
+        lambda: anchor_fibration(make_explicit(LINE, 2, [["1"], ["1 + 3e-9*(x/1.49)^400"]]), [["1"], ["0"]], n_samples=400),
+        "anchor kernel drifts across the chart; no constant frame exists",
+    ),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_each_library_guard_raises_its_message(guard):
+    call, message = GUARDS[guard]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

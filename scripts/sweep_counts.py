@@ -2,8 +2,8 @@
 
 Runs every ``configs/*.cfg`` and the three benchmark workload configs
 of ``perfbench/workloads.py`` at the given seed, in process, with
-``expr.Bound.run``, ``cubes.rk4``, ``cubes.rk4_table`` and the
-expression node constructors wrapped, and
+``expr.Bound.run``, ``cubes.rk4``, ``cubes.rk4_table``,
+``cubes.rk4_levels`` and the expression node constructors wrapped, and
 prints one line per config:
 
 - ``checked`` and ``unchecked``: the number of ``Bound.run`` calls of
@@ -13,11 +13,15 @@ prints one line per config:
   blocked call;
 - ``prelude``: the prelude writes (constant and variable cells copied
   to the output), one prelude per call;
-- ``stages``: the RK4 stages, 4N per ``rk4`` call, which count the
-  integration's work whether a stage runs a program or not;
+- ``stages``: the RK4 stages of the stepped sweeps, 4N per ``rk4``
+  call, which count the integration's work whether a stage runs a
+  program or not;
 - ``table_steps``: the steps of the sweeps whose rate reads no state,
   N per ``rk4_table`` call, which sums them without running a stage;
-  without it that work would seem to vanish from ``stages``;
+- ``level_steps``: the steps of the sweeps integrated level by level,
+  N per level of each ``rk4_levels`` call (a level runs each of its
+  programs once per stage kind over all N steps);
+  without these two, that work would seem to vanish from ``stages``;
 - ``nodes``: the expression nodes (``Const``, ``Var``, ``Unary``,
   ``Binary``, ``Power``) built, counted by wrapping each class's
   ``__init__``: parsing the config, building brackets, curvature and
@@ -43,7 +47,7 @@ from report_digest import configs  # puts this checkout's package and perfbench 
 
 from algebroids import cli, cubes, expr
 
-COUNTERS = ("checked", "unchecked", "ops", "prelude", "stages", "table_steps", "nodes")
+COUNTERS = ("checked", "unchecked", "ops", "prelude", "stages", "table_steps", "level_steps", "nodes")
 NODES = (expr.Const, expr.Var, expr.Unary, expr.Binary, expr.Power)
 
 
@@ -68,8 +72,8 @@ def counted(counts: Counter):
 
 
 def staged(counts: Counter):
-    """``rk4`` and ``rk4_table`` that add each call's 4N stages or N table steps to ``counts``."""
-    rk4, rk4_table = cubes.rk4, cubes.rk4_table
+    """``rk4``, ``rk4_table`` and ``rk4_levels`` that add each call's 4N stages, N table steps or N steps a level to ``counts``."""
+    rk4, rk4_table, rk4_levels = cubes.rk4, cubes.rk4_table, cubes.rk4_levels
 
     def stepper(f, y0, N, stage=None):
         counts["stages"] += 4 * N
@@ -79,7 +83,11 @@ def staged(counts: Counter):
         counts["table_steps"] += N
         return rk4_table(table, y0, N)
 
-    return stepper, quadrature
+    def leveler(rates, levels, y0, N, stages):
+        counts["level_steps"] += N * len(levels)
+        return rk4_levels(rates, levels, y0, N, stages)
+
+    return stepper, quadrature, leveler
 
 
 def built(counts: Counter) -> dict:
@@ -103,13 +111,13 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         print(f"{'config':<18}" + "".join(f"{c:>12}" for c in COUNTERS))
-        run, rk4, rk4_table = expr.Bound.run, cubes.rk4, cubes.rk4_table
+        run, steppers = expr.Bound.run, (cubes.rk4, cubes.rk4_table, cubes.rk4_levels)
         inits = {cls: cls.__init__ for cls in NODES}
         try:
             for label, config in configs(args.seed, tmp):
                 counts = Counter()
                 expr.Bound.run = counted(counts)
-                cubes.rk4, cubes.rk4_table = staged(counts)
+                cubes.rk4, cubes.rk4_table, cubes.rk4_levels = staged(counts)
                 for cls, init in built(counts).items():
                     cls.__init__ = init
                 with contextlib.redirect_stdout(io.StringIO()):
@@ -117,7 +125,7 @@ def main() -> None:
                 print(f"{label:<18}" + "".join(f"{counts[c]:>12,}" for c in COUNTERS) + ("" if rc == 0 else f"  exit {rc}"))
         finally:
             expr.Bound.run = run
-            cubes.rk4, cubes.rk4_table = rk4, rk4_table
+            cubes.rk4, cubes.rk4_table, cubes.rk4_levels = steppers
             for cls, init in inits.items():
                 cls.__init__ = init
 

@@ -592,17 +592,22 @@ def rk4(f, y0, N: int, stage: np.ndarray | None = None) -> np.ndarray:
     ufuncs run in the textbook formula's order, into preallocated arrays,
     so the result is bitwise that of the out-of-place step.
 
-    Checks, one rule for every sweep (flow, lift and transport): the rate
-    cells that read no state (:func:`expr.split_exprs`; transport's rate
-    matrix, whose table run is checked) are checked per op once per sweep,
-    on every stage-time value, in one table run before step 1 (a sweep with
-    no other cells is that table's quadrature, :func:`rk4_table`); the other
-    cells per op on every stage; and the sweep holds one
-    ``np.errstate(all="ignore")`` and raises NonFiniteError unless each node
-    state is finite.  Every rate entry enters the node with weight h/6 or
-    h/3, and inf - inf is NaN, so ``f`` returns every row its programs
-    compute and runs them unchecked.  A domain error on a non-finite stage
-    state (a log of -inf, say) is raised as NonFiniteError too.
+    Checks, one rule for every sweep (flow, lift and transport), stepped
+    here or level by level: the rate cells that read no state
+    (:func:`expr.split_exprs`; transport's rate matrix, whose table run is
+    checked) are checked per op once per sweep, on every stage-time value,
+    in one table run before step 1.  If the other rows read each other in
+    no cycle, :func:`rk4_levels` integrates them without a stage loop: each
+    level's cells run once per stage kind, checked per op on the stage
+    states of every step at once (a sweep with no other cells is one
+    level, :func:`rk4_table`).  Otherwise the other cells run per op on
+    every stage, here.  Every sweep holds one ``np.errstate(all="ignore")``
+    and raises NonFiniteError at its first non-finite node state.  Every
+    rate entry enters the node with weight h/6 or h/3, and inf - inf is
+    NaN, so ``f`` returns every row its programs compute and runs them
+    unchecked.  A domain error on a non-finite stage state (a log of -inf,
+    say) is raised as NonFiniteError too; a leveled sweep that meets a
+    domain error is stepped here, so that it raises in this order.
     """
     h = 1.0 / N
     y0 = np.asarray(y0, dtype=float)
@@ -637,23 +642,84 @@ def rk4(f, y0, N: int, stage: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def stage_kinds(a: np.ndarray) -> tuple:
+    """``a`` over the 2N+1 stage times of :func:`half_steps` at each step's k1, k2, k3 and k4: times 2s, 2s+1, 2s+1 and 2s+2.
+
+    Views on the leading axis; the k2 and k3 entries are one object.
+    """
+    k23 = a[1::2]
+    return a[0:-1:2], k23, k23, a[2::2]
+
+
+def _rk4_nodes(k1, k2, k3, k4, out: np.ndarray) -> np.ndarray:
+    """Fill ``out[1:]`` with :func:`rk4`'s nodes from ``out[0]`` and the rates at the four stages of each of the N steps.
+
+    Each rate has the shape of ``out[1:]`` (k3 may be k2).  The increments
+    are summed in ``rk4``'s order, ((k1 + 2 k2) + 2 k3) + k4 times h/6, and
+    ``np.add.accumulate`` adds them onto the nodes in sequence, so the
+    nodes are bitwise ``rk4``'s.
+    """
+    inc, twice = out[1:], np.multiply(k2, 2.0)
+    np.add(k1, twice, out=inc)
+    np.add(inc, twice if k3 is k2 else np.multiply(k3, 2.0, out=twice), out=inc)
+    np.multiply(np.add(inc, k4, out=inc), 1.0 / len(inc) / 6, out=inc)
+    return np.add.accumulate(out, axis=0, out=out)
+
+
+def _check_nodes(out: np.ndarray, N: int) -> np.ndarray:
+    """``out``, unless a node state past the first is non-finite: then :func:`rk4`'s NonFiniteError at the first."""
+    bad = np.flatnonzero(~np.isfinite(out[1:]).all(axis=tuple(range(1, out.ndim))))
+    if bad.size:
+        raise NonFiniteError(f"non-finite state at step {bad[0] + 1} of {N}")
+    return out
+
+
 def rk4_table(table: np.ndarray, y0, N: int) -> np.ndarray:
     """:func:`rk4` of a rate that reads no state, given at all 2N+1 stage times as ``table``.
 
     Bitwise ``rk4(lambda j, _: table[j], y0, N)``, its error included: the
-    increments are summed over the table at once in ``rk4``'s order, and
-    ``np.add.accumulate`` adds the nodes in sequence.
+    level-0 case of :func:`rk4_levels`, one quadrature over the table.
     """
+    out = np.empty((N + 1,) + np.shape(y0))
+    out[0] = y0
     with np.errstate(all="ignore"):
-        out = np.empty((N + 1,) + np.shape(y0))
-        out[0], inc, twice = y0, out[1:], np.multiply(table[1::2], 2.0)  # 2 k2 = 2 k3
-        np.add(np.add(table[0:-1:2], twice, out=inc), twice, out=inc)
-        np.multiply(np.add(inc, table[2::2], out=inc), 1.0 / N / 6, out=inc)
-        np.add.accumulate(out, axis=0, out=out)
-        bad = np.flatnonzero(~np.isfinite(inc).all(axis=tuple(range(1, out.ndim))))
-        if bad.size:
-            raise NonFiniteError(f"non-finite state at step {bad[0] + 1} of {N}")
-        return out
+        _rk4_nodes(*stage_kinds(table), out)
+    return _check_nodes(out, N)
+
+
+def rk4_levels(rates, levels: Sequence, y0, N: int, stages: dict) -> np.ndarray:
+    """:func:`rk4` of a rate whose rows read only the states of rows on lower levels: one quadrature per level.
+
+    ``levels`` lists the rows (indices on the leading axis of ``y0``) level
+    by level.  ``rates(L)`` returns the rates of level L's rows, in that
+    order, each as its k1, k2, k3 and k4 over all N steps (arrays of shape
+    (N,) + ``y0.shape[1:]``; see :func:`stage_kinds`).  It is called once
+    per level, in order, when the levels below are integrated and each
+    ``stages[r]`` (of shape (4, N) + ``y0.shape[1:]``, for the rows r that
+    a level reads) holds row r's state at every step's four stages: y,
+    y + k1 h/2, y + k2 h/2 and y + k3 h.  So a caller binds each level's
+    program to those buffers once.
+
+    Bitwise ``rk4`` of the same rate, its NonFiniteError included: each
+    row's nodes are :func:`rk4_table`'s arithmetic, each stage state is
+    ``rk4``'s, and the first non-finite node over all rows is reported.
+    A domain error of ``rates`` propagates as raised; ``rk4`` might have
+    stopped at an earlier stage, so a caller that must raise as ``rk4``
+    does steps the sweep again with it.
+    """
+    h = 1.0 / N
+    out = np.empty((N + 1,) + np.shape(y0))
+    out[0] = y0
+    with np.errstate(all="ignore"):
+        for L, rows in enumerate(levels):
+            for r, k in zip(rows, rates(L), strict=True):
+                y = _rk4_nodes(*k, out[:, r])[:-1]
+                if r in stages:
+                    S = stages[r]
+                    np.copyto(S[0], y)
+                    for s, kq, dt in zip(S[1:], k, (h / 2, h / 2, h)):
+                        np.add(y, np.multiply(kq, dt, out=s), out=s)
+    return _check_nodes(out, N)
 
 
 def _coerce_sections(A: Algebroid, sections: Sequence) -> list[Section]:

@@ -154,33 +154,34 @@ class Expr:
         return _format(self, 0)
 
     def __repr__(self) -> str:
+        """A call of :func:`parse` on the printed tree; the node classes keep it (``repr=False``)."""
         return f"parse({_format(self, 0)!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Unary(Expr):
     op: str
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Binary(Expr):
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Power(Expr):
     base: Expr
     k: int

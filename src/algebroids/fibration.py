@@ -35,7 +35,7 @@ from .core import (
     unit_row,
     wedge,
 )
-from .expr import ONE, ZERO, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, split_exprs, sub, total
+from .expr import ONE, ZERO, DomainError, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, split_exprs, sub, total
 
 if TYPE_CHECKING:  # the integrators below import cubes when they run, so describe never loads it
     from .cubes import Cube
@@ -211,8 +211,10 @@ class Fibration:
             out, y = [*w2, *self.total.anchor_of(Section(tuple(w2)))], fresh("y", (k, rE))
             for row in y:
                 out.extend(wedge(row, w2, self.total.structure, rE))
-            state = {*self.chart.coords, *(v.name for v in y.flat)}
-            self._lift_programs[k, split] = split_exprs(out, state) if split else compile_exprs(out)
+            names = [*self.chart.coords, *(v.name for v in y.flat)]  # of the state rows after w2's integral
+            self._lift_programs[k, split] = (
+                (*split_exprs(out, set(names)), _levels(out, names, rE, self.chart.dim)) if split else compile_exprs(out)
+            )
         return self._lift_programs[k, split]
 
     def lift_program(self, k: int) -> Program:
@@ -224,8 +226,17 @@ class Fibration:
         """
         return self._lift(k, False)
 
-    def lift_split(self, k: int) -> tuple[np.ndarray, Program, Program]:
-        """:meth:`lift_program` split by :func:`expr.split_exprs` at the RK4 state: the coordinates and ``#y``."""
+    def lift_split(self, k: int) -> tuple[np.ndarray, Program, Program, tuple | None]:
+        """:meth:`lift_program` split by :func:`expr.split_exprs` at the RK4 state (the coordinates and ``#y``), and its levels.
+
+        Row r of the RK4 state (w2's integral, the point, the fields) has
+        rate cell r.  A row's level is 0 if its rate reads no state, else
+        one more than the highest level of a row it reads; field i's row l
+        also reads what w2's row l reads, through the transverse difference.
+        The levels are None if rows read each other in a cycle, else each
+        row's level, the mask of the rows that some cell reads, and one
+        program per level from 1 up, over that level's cells.
+        """
         return self._lift(k, True)
 
     @cached_property
@@ -429,6 +440,25 @@ def _gradient_adder(out: np.ndarray, f: np.ndarray, h: float, axis: int):
     return add
 
 
+def _levels(cells: list, names: list, rE: int, m: int) -> tuple | None:
+    """The levels of :meth:`Fibration.lift_split` over the lift's rate cells, the state rows after w2's integral named by ``names``."""
+    row = {name: rE + r for r, name in enumerate(names)}
+    reads = [{row[v] for v in e.variables() if v in row} for e in cells]
+    read = np.zeros(len(cells), dtype=bool)
+    read[[r for rs in reads for r in rs]] = True
+    for c in range(rE + m, len(cells)):
+        reads[c] |= reads[(c - rE - m) % rE]
+    level: dict[int, int] = {}
+    for _ in cells:  # a pass settles one more row at least, unless the rest read each other in a cycle
+        for c, rs in enumerate(reads):
+            if c not in level and rs <= level.keys():
+                level[c] = 1 + max((level[r] for r in rs), default=-1)
+    if len(level) < len(cells):
+        return None
+    depth = np.array([level[c] for c in range(len(cells))], dtype=int)
+    return depth, read, tuple(compile_exprs(cells, depth == L) for L in range(1, depth.max(initial=0) + 1))
+
+
 def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Sequence[np.ndarray], N: int) -> Cube:
     """Integrate the lift equations of a fibration along a fresh last axis.
 
@@ -437,16 +467,22 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     along the anchor image of its lift ``w2``, and each transverse field
     picks up the transverse derivative of ``w2`` plus its bracket with
     ``w2``.  The state-free cells of :meth:`Fibration.lift_split` are
-    one run over all stage times into a table, and so is the transverse
-    difference (``np.gradient``) if ``w2`` is among them.  Each stage
-    copies its table slice into one rate buffer, runs the rest, bound
-    once to views of the RK4 stage buffer and of a driver buffer that it
-    copies ``b[..., j, :]`` into, and adds the transverse difference
-    (else per stage, by :func:`_gradient_adder`); a sweep with no field
-    and no other cell is :func:`cubes.rk4_table` of the table.  ``w2`` at
-    the nodes is the table's even rows if state-free, else one run of the
-    field-free lift program after the sweep.  Returns the cube over the
-    total algebroid whose fields are the transverse fields, then ``w2``.
+    one run over all stage times into a table.  If the rate rows have
+    levels, :func:`cubes.rk4_levels` integrates them: level 0 off the
+    table, each higher level's program run once per stage kind over all
+    steps, bound to the stage-state buffers; a field row adds the
+    transverse difference (``np.gradient``) of w2's row, over the table if
+    that row is state-free, else at each stage kind.  A level that raises
+    a domain error makes the sweep step by :func:`cubes.rk4`, which raises
+    in its own stage order.  A sweep with a cycle steps by
+    :func:`cubes.rk4`: each stage copies its table slice into one rate
+    buffer, runs the rest, bound once to views of the RK4 stage buffer and
+    of a driver buffer that it copies ``b[..., j, :]`` into, and adds the
+    transverse difference (over the table once if ``w2`` is state-free,
+    else per stage by :func:`_gradient_adder`).  ``w2`` at the nodes is
+    the table's even rows if state-free, else one run of the field-free
+    lift program after the sweep.  Returns the cube over the total
+    algebroid whose fields are the transverse fields, then ``w2``.
 
     The RK4 state matches the lift program's outputs row for row: the
     running integral of ``w2`` (zero at t = 0, dropped after the sweep),
@@ -454,7 +490,7 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     rule of :func:`cubes.rk4`; a non-finite value (the lift leaving the
     chart) raises ChartEscapeError.
     """
-    from .cubes import ChartEscapeError, Cube, frozen, rk4, rk4_table
+    from .cubes import ChartEscapeError, Cube, frozen, rk4, rk4_levels, stage_kinds
 
     h = 1.0 / N
     m, rE = fib.chart.dim, fib.total.rank
@@ -462,35 +498,76 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     # every buffer holds one state or rate entry per row, so that each row and each field is contiguous
     Y0 = np.concatenate([np.zeros((rE,) + gamma0.shape[:-1])] + [np.moveaxis(a, -1, 0) for a in (gamma0, *w0)])
     lines = Y0.shape[1:]
-    free, table_program, stage_program = fib.lift_split(k)
-    stage, driver, rates = np.empty(Y0.shape), np.empty(b.shape[-1:] + lines), np.empty(Y0.shape)
-    state = np.moveaxis(stage, 0, -1)
-    points, y = state[..., rE : rE + m], state[..., rE + m :].reshape(lines + (k, rE))  # views that follow the stage buffer
+    free, table_program, stage_program, levels = fib.lift_split(k)
+    drive = np.moveaxis(b, -2, 0)  # the driver at each stage time
     table = np.empty((2 * N + 1,) + Y0.shape)
-    hoisted = k > 0 and free[:rE].all()  # the transverse difference of a state-free w2 is state-free too
     with np.errstate(all="ignore"):  # unchecked, like every stage
         # the table binds no point: the broadcast only gives it its shape
-        over_times = np.broadcast_to(points, table.shape[:1] + points.shape)
-        fib.chart.bind(table_program, over_times, b=np.moveaxis(b, -2, 0)).run(np.moveaxis(table, 1, -1), checked=False)
-        if hoisted:
-            grad = np.concatenate([np.gradient(table[:, :rE], h, axis=2 + i, edge_order=2) for i in range(k)], axis=1)
-    lift = fib.chart.bind(stage_program, points, b=np.moveaxis(driver, 0, -1), y=y)
-    dY = rates[rE + m :]  # the k fields' rates
-    gradients = [] if hoisted else [_gradient_adder(dY[i * rE : (i + 1) * rE], rates[:rE], h, 1 + i) for i in range(k)]
-    b_rows, out = np.moveaxis(b, -1, 0), np.moveaxis(rates, 0, -1)
+        over_times = np.broadcast_to(np.moveaxis(Y0[rE : rE + m], 0, -1), table.shape[:1] + lines + (m,))
+        fib.chart.bind(table_program, over_times, b=drive).run(np.moveaxis(table, 1, -1), checked=False)
 
-    def rhs(j: int, Y: np.ndarray) -> np.ndarray:
-        np.copyto(rates, table[j])
-        np.copyto(driver, b_rows[..., j])
-        lift.run(out, checked=False)
+    def bound(program: Program, rows: np.ndarray, driver: np.ndarray):
+        """``program`` bound to views of the point and field rows of ``rows``, and to ``driver``."""
+        state = np.moveaxis(rows, 0, -1)
+        y = state[..., rE + m :].reshape(state.shape[:-1] + (k, rE))
+        return fib.chart.bind(program, state[..., rE : rE + m], b=driver, y=y)
+
+    def stepped() -> np.ndarray:
+        stage, driver, rates = np.empty(Y0.shape), np.empty(b.shape[-1:] + lines), np.empty(Y0.shape)
+        lift = bound(stage_program, stage, np.moveaxis(driver, 0, -1))
+        dY = rates[rE + m :]  # the k fields' rates
+        hoisted = k > 0 and free[:rE].all()  # the transverse difference of a state-free w2 is state-free too
         if hoisted:
-            np.add(dY, grad[j], out=dY)
-        for add in gradients:
-            add()
-        return rates
+            with np.errstate(all="ignore"):
+                grad = np.concatenate([np.gradient(table[:, :rE], h, axis=2 + i, edge_order=2) for i in range(k)], axis=1)
+        gradients = [] if hoisted else [_gradient_adder(dY[i * rE : (i + 1) * rE], rates[:rE], h, 1 + i) for i in range(k)]
+        b_rows, out = np.moveaxis(b, -1, 0), np.moveaxis(rates, 0, -1)
+
+        def rhs(j: int, Y: np.ndarray) -> np.ndarray:
+            np.copyto(rates, table[j])
+            np.copyto(driver, b_rows[..., j])
+            lift.run(out, checked=False)
+            if hoisted:
+                np.add(dY, grad[j], out=dY)
+            for add in gradients:
+                add()
+            return rates
+
+        return rk4(rhs, Y0, N, stage)
+
+    def leveled() -> np.ndarray:
+        depth, read, programs = levels
+        rows = [np.flatnonzero(depth == L) for L in range(len(programs) + 1)]
+        # the rates of the rows above level 0 and the stage states of the rows read, at each stage kind:
+        # one contiguous block per row and kind, so a row that is never written is never touched
+        K, S = np.empty((2, 4) + Y0.shape[:1] + (N,) + lines)
+        runs = [[bound(p, S[q], d) for q, d in enumerate(stage_kinds(drive))] for p in programs]
+
+        def rates(L: int) -> list:
+            for q, run in enumerate(runs[L - 1] if L else ()):
+                run.run(np.moveaxis(K[q], 0, -1), checked=False)
+            ks = []
+            for r in rows[L]:
+                kr = K[:, r] if L else stage_kinds(table[:, r])
+                if r >= rE + m:  # field i's row l: plus the transverse difference of w2's row l
+                    i, l = divmod(r - rE - m, rE)
+                    d = np.gradient(table[:, l] if free[l] else K[:, l], h, axis=i - len(lines), edge_order=2)
+                    if L == 0:  # w2's row l is state-free too: one sum over all stage times
+                        kr = stage_kinds(np.add(table[:, r], d, out=d))
+                    else:
+                        kr = [np.add(kq, dq, out=kq) for kq, dq in zip(kr, stage_kinds(d) if free[l] else d)]
+                ks.append(kr)
+            return ks
+
+        try:
+            return rk4_levels(rates, rows, Y0, N, {r: S[:, r] for r in np.flatnonzero(read)})
+        except NonFiniteError:
+            raise
+        except DomainError:  # rk4 raises it too, or an error that it meets at an earlier stage
+            return stepped()
 
     try:
-        Y = rk4_table(table, Y0, N) if k == 0 and free.all() else rk4(rhs, Y0, N, stage)
+        Y = stepped() if levels is None else leveled()
         Y = np.moveaxis(Y, (0, 1), (-2, -1))[..., rE:]
         w_nodes = np.moveaxis(table[::2, :rE], (0, 1), (-2, -1))  # checked by rk4: the integral of w2 is in the state
         if not free[:rE].all():

@@ -37,7 +37,9 @@ from algebroids.cubes import (
     resample,
     reverse,
     rk4,
+    rk4_levels,
     rk4_table,
+    stage_kinds,
     save_cube,
     sphere_defect,
     tangent_lift,
@@ -475,6 +477,50 @@ def test_a_table_only_sweep_is_bitwise_the_per_stage_one_and_runs_no_rk4(monkeyp
         want = fibration_module.lift_cube(fib, base)
         assert got.gamma.tobytes() == want.gamma.tobytes()
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def _chain(N: int, c: float, late: int):
+    """A rate three levels deep over 4 lines, as rk4's ``f`` and as rk4_levels' ``rates``.
+
+    Row 0's rate is a table, non-finite from stage time ``late`` on; row 1's is row 0's state
+    squared, and row 2's is exp(c y1) y0.
+    """
+    table = np.cos(3 * half_steps(N)[:, None] + np.arange(4))
+    table[late:] = np.inf
+
+    def f(j, y):
+        return np.stack([table[j], y[0] * y[0], np.exp(c * y[1]) * y[0]])
+
+    def rates(stages, L):
+        if L == 0:
+            return [stage_kinds(table)]
+        y0, y1 = stages[0], stages.get(1)
+        return [[y0[q] * y0[q] for q in range(4)]] if L == 1 else [[np.exp(c * y1[q]) * y0[q] for q in range(4)]]
+
+    return f, rates
+
+
+@pytest.mark.parametrize("c, late", [(1.0, 33), (20000.0, 24)])
+def test_levels_are_bitwise_rk4_and_raise_at_the_first_non_finite_node_of_any_row(c, late):
+    # with c = 20000 row 2 overflows a few steps in (y1 reaches 0.04 by step 5), before row 0
+    # turns non-finite at step 12
+    N = 16
+    y0 = np.stack([np.linspace(-0.5, 0.5, 4), np.zeros(4), np.linspace(0.2, 0.4, 4)])
+    f, rates = _chain(N, c, late)
+    stages = {0: np.empty((4, N, 4)), 1: np.empty((4, N, 4))}
+
+    def leveled():
+        return rk4_levels(lambda L: rates(stages, L), [[0], [1], [2]], y0, N, stages)
+
+    if late > 2 * N:
+        assert leveled().tobytes() == rk4(f, y0, N).tobytes()
+        return
+    messages = []
+    for sweep in (lambda: rk4(f, y0, N), leveled):
+        with pytest.raises(NonFiniteError) as err:
+            sweep()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] and re.fullmatch(r"non-finite state at step ([2-9]|1[01]) of 16", messages[0])
 
 
 def test_flow_cube_zero_dimensional_chart():

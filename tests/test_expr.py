@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -696,3 +697,41 @@ def test_a_checked_run_of_a_masked_program_checks_only_the_cells_it_writes(point
     t[-1] = 800.0
     with pytest.raises(NonFiniteError, match=r"output \(1,\)"):
         bind(table, {"t": t}).run(np.full((points, 2), np.nan))
+
+
+@pytest.mark.parametrize(
+    "text, op, value",
+    [("2 + x", "add", 6.0), ("2 - x", "sub", -2.0), ("2 * x", "mul", 8.0), ("2 / x", "div", 0.5)],
+)
+def test_a_number_on_the_left_of_an_operator_is_its_left_operand(text, op, value):
+    x = var("x")
+    e = {"add": lambda: 2 + x, "sub": lambda: 2 - x, "mul": lambda: 2 * x, "div": lambda: 2 / x}[op]()
+    assert e == Binary(op, Const(2.0), x) == parse(text)
+    assert evaluate(e, {"x": 4.0}) == value
+
+
+def test_an_expr_repr_parses_back_and_a_program_repr_gives_its_size():
+    e = parse("x*2 + sin(y)/(1 - x)")
+    assert repr(e) == f"parse({str(e)!r})"
+    assert eval(repr(e), {"parse": parse}) == e
+    # mul, sin, sub, div and add; x, y and the constants are loads and registers
+    assert repr(compile_exprs([[e, var("x")]])) == "<Program shape=(1, 2) ops=5>"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: as_expr([1.0]), "cannot convert list to Expr"),
+        (lambda: as_expr(None), "cannot convert NoneType to Expr"),
+        (lambda: power(var("x"), 1.5), "exponent must be an integer"),
+        (lambda: var("x") ** 0.5, "exponent must be an integer"),
+        # a tree built by hand around a value that is not an Expr: each walk names it
+        (lambda: compile_exprs([var("x"), "x"]), "not an Expr: 'x'"),
+        (lambda: Binary("add", var("x"), "y").diff("x"), "not an Expr: 'y'"),
+        (lambda: str(Binary("mul", var("x"), 2)), "not an Expr: 2"),
+    ],
+    ids=["list", "none", "float-power", "float-pow", "compile", "diff", "format"],
+)
+def test_what_is_not_an_expr_raises_type_error(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}"):
+        call()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from algebroids import core, fibration
+from algebroids import cubes as cubes_module
 from algebroids import expr as expr_module
 from algebroids.core import (
     Chart,
@@ -712,30 +713,112 @@ def _field_free_fibration() -> Fibration:
     return Fibration(E, make_explicit(PLANE, 1, [["1", "0"]]), [["0", "1"]], [["10"], ["0.5"]], [["1", "0"]])
 
 
-@pytest.mark.parametrize(
-    "make, k, hoisted, table_only",
-    [
-        (_rotation_fibration, 1, False, False),  # transport_square's G: w2 reads the point
-        (lambda: jacobi_fibration(PLANE, [["0", "1"], ["-1", "0"]]), 0, False, True),  # plane_lift's face lift
-        (lambda: jacobi_fibration(PLANE, [["0", "1"], ["-1", "0"]]), 1, True, False),  # and its square
-        (_field_free_fibration, 1, True, True),
-    ],
-    ids=["rotation", "jacobi-k0", "jacobi-k1", "field-free"],
-)
-def test_split_lift_sweeps_are_bitwise_the_per_stage_ones(make, k, hoisted, table_only):
-    fib, N = make(), 12
-    rE, rB = fib.total.rank, fib.base.rank
-    free, _, _ = fib.lift_split(k)
-    # which of the three rate paths the sweep takes: a per-stage or a hoisted transverse difference,
-    # and a stage program or none
-    assert (k > 0 and bool(free[:rE].all()), bool(free.all())) == (hoisted, table_only)
-    s = np.linspace(-0.5, 0.5, N + 1) if k else np.zeros(())  # the transverse position of each line
+def _hoisted_chain_fibration() -> Fibration:
+    """A constant splitting, so w2 is state-free, and rate rows three levels deep.
+
+    x reads y and y reads z; field row 2 reads rows 0 and 1, and row 3 reads rows 0 and 2.
+    """
+    anchor = [["1 + 0.2*y", "0", "0"], ["0", "1 + 0.3*z", "0"], ["0", "0", "1"], ["0", "0", "0"]]
+    E = make_explicit(SPACE, 4, anchor, {(0, 1): ["0", "0", "1", "0"], (0, 2): ["0", "0", "0", "1"]})
+    B = make_explicit(SPACE, 2, [["1", "0", "0"], ["0", "1", "0"]])
+    splitting = [["1", "0"], ["0", "1"], ["0.5", "0.5"], ["0.2", "0"]]
+    return Fibration(E, B, [[1, 0, 0, 0], [0, 1, 0, 0]], splitting, [[0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def _point_chain_fibration() -> Fibration:
+    """A w2 that reads the point, three levels deep: w2's row 0 and x read y, and w2's row 2 reads x.
+
+    Field i's row 0 is a zero cell that sits on level 1 through the transverse difference of w2's row 0.
+    """
+    E = make_explicit(PLANE, 3, [["1", "0"], ["0", "1"], ["0", "0"]], {(0, 1): ["0", "0", "1"]})
+    splitting = [["1 + 0.3*y", "0"], ["0", "1"], ["0.5*x", "0"]]
+    return Fibration(E, make_tangent(PLANE), [[1, 0, 0], [0, 1, 0]], splitting, [[0, 0, 1]])
+
+
+def _sweep_inputs(fib: Fibration, k: int, N: int):
+    """A driver, an initial point and k initial fields over a (N+1)^k grid of lines, all varying across it."""
+    rE, rB, m = fib.total.rank, fib.base.rank, fib.chart.dim
+    s = sum((0.7**i * a for i, a in enumerate(np.meshgrid(*[np.linspace(-0.5, 0.5, N + 1)] * k, indexing="ij"))), np.zeros(()))
     b = 0.4 * np.cos(3 * half_steps(N)[:, None] + np.arange(rB) + s[..., None, None])
-    gamma0 = np.stack([0.3 + 0.5 * s, -0.2 - 0.4 * s], axis=-1)
-    w0 = [np.cos(s[:, None] + np.arange(rE)) for _ in range(k)]
-    got, want = evolve_cube_system(fib, b, gamma0, w0, N), _per_stage_sweep(fib, b, gamma0, w0, N)
+    gamma0 = np.stack([0.3 + 0.5 * s, -0.2 - 0.4 * s, 0.1 + 0.2 * s][:m], axis=-1)
+    return b, gamma0, [np.cos(s[..., None] + np.arange(rE) + i) for i in range(k)]
+
+
+def _rk4_calls(monkeypatch) -> list:
+    """The calls of ``cubes.rk4`` from here on (``evolve_cube_system`` imports it when it runs)."""
+    calls, step = [], cubes_module.rk4
+    monkeypatch.setattr(cubes_module, "rk4", lambda *args: calls.append(args[2]) or step(*args))
+    return calls
+
+
+def _self_loop_fibration() -> Fibration:
+    """rep_transport's F: the kernel field's row reads itself through the action."""
+    return rep_extension_fibration(make_tangent(PLANE), 1, [[["0"]], [["0.5"]]], twist={(0, 1): ["1"]})
+
+
+@pytest.mark.parametrize(
+    "make, k, hoisted, table_only, depth",
+    [
+        (_rotation_fibration, 1, False, False, None),  # transport_square's G: w2 reads the point, the fields a cycle
+        (_self_loop_fibration, 1, True, False, None),
+        (lambda: jacobi_fibration(PLANE, [["0", "1"], ["-1", "0"]]), 0, False, True, 0),  # plane_lift's face lift
+        (lambda: jacobi_fibration(PLANE, [["0", "1"], ["-1", "0"]]), 1, True, False, 1),  # and its square
+        (_field_free_fibration, 1, True, True, 0),
+        *((_hoisted_chain_fibration, k, k > 0, False, 2) for k in range(3)),
+        *((_point_chain_fibration, k, False, False, 2) for k in range(3)),
+    ],
+    ids=["rotation", "self-loop", "jacobi-k0", "jacobi-k1", "field-free"]
+    + [f"{kind}-chain-k{k}" for kind in ("hoisted", "point") for k in range(3)],
+)
+def test_split_lift_sweeps_are_bitwise_the_per_stage_ones(monkeypatch, make, k, hoisted, table_only, depth):
+    fib, N = make(), 12
+    rE = fib.total.rank
+    free, _, _, levels = fib.lift_split(k)
+    # which of the rate paths the sweep takes: a per-stage or a hoisted transverse difference,
+    # a stage program or none, and stepped by rk4 (a cycle) or level by level, how many levels above 0
+    assert (k > 0 and bool(free[:rE].all()), bool(free.all())) == (hoisted, table_only)
+    assert (None if levels is None else len(levels[2])) == depth
+    b, gamma0, w0 = _sweep_inputs(fib, k, N)
+    want = _per_stage_sweep(fib, b, gamma0, w0, N)
+    calls = _rk4_calls(monkeypatch)
+    got = evolve_cube_system(fib, b, gamma0, w0, N)
+    assert calls == ([N] if depth is None else [])
     assert got.gamma.tobytes() == want.gamma.tobytes()
     assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def _escaping_fibration(rate: str) -> Fibration:
+    """x moves at ``rate`` (which reads y) times w2's row 0, y at w2's row 1: x is the one row of level 1."""
+    E = make_explicit(PLANE, 2, [[rate, "0"], ["0", "1"]])
+    return Fibration(E, make_tangent(PLANE), [[1, 0], [0, 1]], [["1", "0"], ["0", "1"]], [])
+
+
+def test_a_level_one_row_that_overflows_raises_rk4s_error(monkeypatch):
+    fib, N = _escaping_fibration("exp(800*y)"), 16
+    b = np.ones((2 * N + 1, 2))  # y climbs from 0.5 to 1.5, and exp(800 y) overflows past y = 0.89
+    causes = []
+    for stepped in (False, True):
+        if stepped:  # the same sweep on rk4's path, as if its rows read each other in a cycle
+            split = Fibration.lift_split
+            monkeypatch.setattr(Fibration, "lift_split", lambda self, k: (*split(self, k)[:3], None))
+        with pytest.raises(ChartEscapeError) as err:
+            evolve_cube_system(fib, b, np.array([0.0, 0.5]), [], N)
+        causes.append(err.value.__cause__)
+    assert type(causes[0]) is type(causes[1]) is NonFiniteError
+    assert str(causes[0]) == str(causes[1]) and re.fullmatch(r"non-finite state at step \d+ of 16", str(causes[0]))
+    monkeypatch.undo()
+    with pytest.raises(ChartEscapeError):
+        lift_cube(fib, tangent_lift(PLANE, ["0.3*t1", "0.4 + 1.1*t1"], n=1, N=N))
+
+
+def test_a_domain_error_on_a_level_is_raised_by_rk4(monkeypatch):
+    # y falls through 0 halfway, where x's rate takes its log: the level run raises, then rk4 raises in its order
+    fib, N = _escaping_fibration("log(y)"), 16
+    b = np.stack([np.ones(2 * N + 1), -np.ones(2 * N + 1)], axis=-1)
+    calls = _rk4_calls(monkeypatch)
+    with pytest.raises(DomainError, match="^log of a non-positive argument$"):
+        evolve_cube_system(fib, b, np.array([0.0, 0.5]), [], N)
+    assert calls == [N]
 
 
 LINE = Chart(coords=("x",), box=((0.5, 1.5),))

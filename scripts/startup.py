@@ -2,16 +2,19 @@
 
 Runs k rounds; each round starts one fresh process per probe, in turn:
 
-- ``python -c pass`` and ``python -c "import numpy"``: the floor that
-  no change to the package can lower;
+- ``python -c pass``: the interpreter's floor;
+- ``python -c "import numpy"``, for scale: the package defers numpy to
+  its first use, so neither the CLI import nor a ``describe`` pays for
+  it unless the config folds a function of a constant;
 - ``python -c "import algebroids.cli"``;
 - ``python -m algebroids describe <config>`` for each ``configs/*.cfg``;
 
 and prints per probe the median and quartiles of the wall times in ms.
 Then it prints, per config, the ``algebroids.*`` modules that a
-``describe`` left loaded.  The environment is passed through as it is,
-so ``PYTHONDONTWRITEBYTECODE`` decides whether the package is compiled
-from source in every process; the header says which.
+``describe`` left loaded, and whether it loaded ``numpy``.  The
+environment is passed through as it is, so ``PYTHONDONTWRITEBYTECODE``
+decides whether the package is compiled from source in every process;
+the header says which.
 
 ``--against OTHER`` runs every package probe with the package of the
 checkout ``OTHER`` too, alternating which checkout goes first from one
@@ -37,7 +40,7 @@ import contextlib, io, sys
 from algebroids.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["describe", sys.argv[1]]) == 0
-print(" ".join(sorted(m for m in sys.modules if m.startswith("algebroids"))))
+print(" ".join(sorted(m for m in sys.modules if m.startswith("algebroids"))), "| numpy:", "numpy" in sys.modules)
 """
 
 

@@ -36,8 +36,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
-import numpy as np
-
 from .core import (
     Chart,
     check_axioms,
@@ -51,7 +49,7 @@ from .core import (
     sup_norm,
     time_names,
 )
-from .expr import Expr
+from .expr import Expr, np
 from .expr import parse as parse_expr
 from .fibration import Fibration, lift_cube, project_cube, splitting_from_projection
 

@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .expr import ONE, ZERO, Bound, Const, Expr, Program, add, as_expr, bind, compile_exprs, dot, evaluate, is_zero, mul, neg, sub, total, var
+from .expr import ONE, ZERO, Bound, Const, Expr, Program, add, as_expr, bind, compile_exprs, dot, evaluate, is_zero, mul, neg, np, sub, total, var
 
 __all__ = [
     "Chart",

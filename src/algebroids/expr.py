@@ -33,9 +33,28 @@ from __future__ import annotations
 import re
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
-import numpy as np
+
+class _Deferred:
+    """numpy, imported on the first attribute read.
+
+    That read makes numpy's own namespace this object's attribute dict,
+    so every later read is one dict lookup, as on the module itself, and
+    ``np`` stays bound to this one object in each module that imports it.
+    Parsing, building and describing a config read no ``np``, so they
+    never import numpy.
+    """
+
+    def __getattr__(self, name: str):  # only reached while the dict lacks ``name``
+        import numpy
+
+        self.__dict__ = vars(numpy)
+        return getattr(numpy, name)
+
+
+np = _Deferred()
 
 __all__ = [
     "Expr",
@@ -205,7 +224,7 @@ def as_expr(x) -> Expr:
         return x
     if isinstance(x, str):
         return parse(x)
-    if isinstance(x, (int, float, np.floating, np.integer)):
+    if isinstance(x, (int, float)) or isinstance(x, (np.floating, np.integer)):
         return const(float(x))
     raise TypeError(f"cannot convert {type(x).__name__} to Expr")
 
@@ -283,7 +302,7 @@ def dot(xs: Iterable[Expr], ys: Iterable[Expr]) -> Expr:
 
 
 def power(base: Expr, k: int) -> Expr:
-    if not isinstance(k, (int, np.integer)):
+    if not isinstance(k, int) and not isinstance(k, np.integer):
         raise TypeError("exponent must be an integer")
     k = int(k)
     if k == 0:
@@ -297,13 +316,11 @@ def power(base: Expr, k: int) -> Expr:
 
 
 def _unary(op: str):
-    fn = _OPS[op]
-
     def make(a) -> Expr:
         a = as_expr(a)
         if _is_const(a):
             with np.errstate(all="ignore"):  # an inf constant is caught when evaluated
-                return const(float(fn(np.float64(a.value))))
+                return const(float(_ops()[op](np.float64(a.value))))
         return Unary(op, a)
 
     make.__name__ = op
@@ -337,20 +354,23 @@ def _power(a, k: int):
     return a**k
 
 
-# every node kind as one numpy call; the checked ones raise DomainError
-_OPS = {
-    "neg": np.negative,
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "log": _log,
-    "sqrt": _sqrt,
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": _div,
-    "power": _power,
-}
+@lru_cache(maxsize=None)
+def _ops() -> dict:
+    """Every node kind as one numpy call; the checked ones raise DomainError."""
+    return {
+        "neg": np.negative,
+        "sin": np.sin,
+        "cos": np.cos,
+        "exp": np.exp,
+        "log": _log,
+        "sqrt": _sqrt,
+        "add": np.add,
+        "sub": np.subtract,
+        "mul": np.multiply,
+        "div": _div,
+        "power": _power,
+    }
+
 
 sin = _unary("sin")
 cos = _unary("cos")
@@ -430,7 +450,7 @@ def compile_exprs(exprs, mask=None) -> Program:
         elif isinstance(e, Power):
             s = slot(("power", visit(e.base), slot(("int", e.k), int(e.k))))
         else:
-            raise TypeError(f"not an Expr: {e!r}")
+            raise TypeError(f"not an Expr: {type(e).__name__}")
         seen[id(e)] = s
         return s
 
@@ -442,8 +462,9 @@ def compile_exprs(exprs, mask=None) -> Program:
     last_read = {}
     for pos, (_, a, b, _) in enumerate(ops):
         last_read[a] = last_read[b] = pos
+    table = _ops()
     program_ops = tuple(
-        (name, _OPS[name], dst, a, b, tuple(writes.pop(dst, ())),
+        (name, table[name], dst, a, b, tuple(writes.pop(dst, ())),
          tuple(s for s in {a, b, dst} if s is not None and last_read.get(s, pos) == pos))
         for pos, (name, a, b, dst) in enumerate(ops)
     )
@@ -648,7 +669,7 @@ def _diff(e: Expr, name: str) -> Expr:
     if isinstance(e, Power):
         db = _diff(e.base, name)
         return mul(mul(const(float(e.k)), power(e.base, e.k - 1)), db)
-    raise TypeError(f"not an Expr: {e!r}")
+    raise TypeError(f"not an Expr: {type(e).__name__}")
 
 
 def _iter_vars(e: Expr) -> Iterator[str]:
@@ -695,7 +716,7 @@ def _format(e: Expr, parent_prec: int) -> str:
         base = _format(e.base, 5)
         s = f"{base}^{e.k}"
         return f"({s})" if parent_prec > 4 else s
-    raise TypeError(f"not an Expr: {e!r}")
+    raise TypeError(f"not an Expr: {type(e).__name__}")
 
 
 # One token per match after optional whitespace.  ``\d``, ``\w`` and ``\s``

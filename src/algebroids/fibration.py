@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
-
 from .core import (
     Algebroid,
     Chart,
@@ -35,7 +33,7 @@ from .core import (
     unit_row,
     wedge,
 )
-from .expr import ONE, ZERO, DomainError, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, split_exprs, sub, total
+from .expr import ONE, ZERO, DomainError, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, np, split_exprs, sub, total
 
 if TYPE_CHECKING:  # the integrators below import cubes when they run, so describe never loads it
     from .cubes import Cube

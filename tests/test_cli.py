@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from algebroids import cli, cubes
-from algebroids.cli import ConfigError, apply_overrides, config_hash, main, parse_config
+from algebroids.cli import ConfigError, Workspace, apply_overrides, config_hash, main, parse_config
 from algebroids.expr import MAX_DEPTH
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -336,6 +337,29 @@ def test_non_finite_file_cube_is_rejected_with_its_line(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "reports")]) == 2
     err = capsys.readouterr().err
     assert "line 9:" in err and "NaN or inf" in err, err
+
+
+@pytest.mark.parametrize("edge, rc, error", [(False, 0, None), (True, 1, "transgress2_formula needs a 2-dimensional cube")])
+def test_a_file_cube_passes_describe_and_its_task_checks_its_dimension(tmp_path, capsys, edge, rc, error):
+    # describe reads no cube file's header, so a file cube's dimension is the routine's to refuse
+    sq = Workspace(parse_config(AREA_CFG), tmp_path).build("cube", "sq")
+    cubes.save_cube(cubes.face(sq, 0, 0) if edge else sq, tmp_path / "sq.json")
+    cfg = write(tmp_path, AREA_CFG.replace("source = tangent_lift_of\nmap = 0.9*t1, 0.9*t2\nn = 2\nN = 32\n",
+                                           "source = file\npath = sq.json\n"))
+    assert main(["describe", str(cfg)]) == 0
+    out = tmp_path / "reports"
+    assert main(["run", str(cfg), "--out", str(out)]) == rc
+    report = load_report(out, "area")
+    assert report["passed"] is (not edge) and report.get("error") == error
+
+
+def test_an_empty_chunk_of_a_structure_table_is_skipped(tmp_path):
+    def broken(text):
+        return Workspace(parse_config(text), tmp_path).build("algebroid", "broken")
+
+    spaced = BROKEN_SO3_CFG.replace("1 2: 1, 0, 0.25", "; 1 2: 1, 0, 0.25; ;")
+    assert spaced != BROKEN_SO3_CFG
+    assert broken(spaced).structure == broken(BROKEN_SO3_CFG).structure
 
 
 _WRONG_KIND = {"n": 1, "N": 4, "r": 2, "m": 2, "gamma": {"a": 1}, "a": [[[0.1, 0.0]] * 5]}
@@ -666,24 +690,43 @@ assert not loaded, loaded
     assert proc.returncode == 0, proc.stderr
 
 
-def test_importing_the_cli_and_describing_load_no_hashlib_fractions_or_decimal():
-    # only a run hashes its config, builds a cube, transgresses or writes a report, and only a
-    # monodromy group reads fractions (which imports decimal)
+def test_importing_the_cli_and_describing_load_only_what_describe_uses(monkeypatch, tmp_path):
+    # only a run hashes its config, builds a cube, transgresses, computes or writes a report, and
+    # only a monodromy group reads fractions (which imports decimal); describe computes nothing
+    monkeypatch.syspath_prepend(str(CONFIG_DIR.parent / "perfbench"))
+    import workloads
+
+    configs = sorted(CONFIG_DIR.glob("*.cfg"))
+    for name, (make, N) in workloads.WORKLOADS.items():
+        configs.append(tmp_path / f"{name}.cfg")
+        configs[-1].write_text(make(11, N).text, encoding="utf-8")
     src = Path(cli.__file__).resolve().parents[1]
     code = f"""
 import contextlib, io, sys
-from pathlib import Path
 sys.path.insert(0, {str(src)!r})
 from algebroids.cli import main
-deferred = ("hashlib", "fractions", "decimal", "algebroids.cubes", "algebroids.transgression", "json")
+deferred = ("numpy", "hashlib", "fractions", "decimal", "algebroids.cubes", "algebroids.transgression", "json")
 assert not [m for m in deferred if m in sys.modules], [m for m in deferred if m in sys.modules]
-for cfg in sorted(Path({str(CONFIG_DIR)!r}).glob("*.cfg")):
+for cfg in {[str(c) for c in configs]!r}:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["describe", str(cfg)]) == 0, cfg
-assert not [m for m in deferred if m in sys.modules], [m for m in deferred if m in sys.modules]
+        assert main(["describe", cfg]) == 0, cfg
+    assert not [m for m in deferred if m in sys.modules], (cfg, [m for m in deferred if m in sys.modules])
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["algebroids", "algebroids.cli"])
+def test_python_dash_m_runs_main_on_the_command_line_and_exits_with_its_code(monkeypatch, capsys, module):
+    monkeypatch.setattr(sys, "argv", [module, "describe", str(CONFIG_DIR / "so3_check.cfg")])
+    with pytest.raises(SystemExit) as stop:
+        if module == "algebroids.cli":  # imported by this file already, so runpy warns it runs a second copy
+            with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+                runpy.run_module(module, run_name="__main__")
+        else:
+            runpy.run_module(module, run_name="__main__")
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.endswith("8 section(s), 3 task(s)\n")
 
 
 def test_importing_the_package_loads_no_submodule_until_a_name_is_used():

@@ -2,6 +2,9 @@ import dataclasses
 import math
 import operator
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from algebroids.expr import (
     Binary,
     Const,
     DomainError,
+    Expr,
     NonFiniteError,
     ParseError,
     UnboundVariableError,
@@ -718,6 +722,12 @@ def test_an_expr_repr_parses_back_and_a_program_repr_gives_its_size():
     assert repr(compile_exprs([[e, var("x")]])) == "<Program shape=(1, 2) ops=5>"
 
 
+class Foreign(Expr):
+    """An Expr subclass that no walk of the module knows."""
+
+    __slots__ = ()
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -725,13 +735,51 @@ def test_an_expr_repr_parses_back_and_a_program_repr_gives_its_size():
         (lambda: as_expr(None), "cannot convert NoneType to Expr"),
         (lambda: power(var("x"), 1.5), "exponent must be an integer"),
         (lambda: var("x") ** 0.5, "exponent must be an integer"),
-        # a tree built by hand around a value that is not an Expr: each walk names it
-        (lambda: compile_exprs([var("x"), "x"]), "not an Expr: 'x'"),
-        (lambda: Binary("add", var("x"), "y").diff("x"), "not an Expr: 'y'"),
-        (lambda: str(Binary("mul", var("x"), 2)), "not an Expr: 2"),
+        # a tree built by hand around a value that is not an Expr: each walk names its type
+        (lambda: compile_exprs([var("x"), "x"]), "not an Expr: str"),
+        (lambda: Binary("add", var("x"), "y").diff("x"), "not an Expr: str"),
+        (lambda: str(Binary("mul", var("x"), 2)), "not an Expr: int"),
+        # an Expr subclass of no known kind: its repr would print it again, so the type is named
+        (lambda: compile_exprs([Foreign()]), "not an Expr: Foreign"),
+        (lambda: Foreign().diff("x"), "not an Expr: Foreign"),
+        (lambda: str(Foreign()), "not an Expr: Foreign"),
     ],
-    ids=["list", "none", "float-power", "float-pow", "compile", "diff", "format"],
+    ids=["list", "none", "float-power", "float-pow", "compile", "diff", "format",
+         "compile-foreign", "diff-foreign", "format-foreign"],
 )
 def test_what_is_not_an_expr_raises_type_error(call, message):
-    with pytest.raises(TypeError, match=f"^{re.escape(message)}"):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_numpy_is_imported_by_the_first_fold_and_folds_and_scalars_are_numpys():
+    # a fresh process: literals and integer powers of variables load no numpy, the first fold of a
+    # function of a constant does, and each fold is bitwise numpy's float64 value
+    src = Path(expr_module.__file__).resolve().parents[1]
+    code = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+from algebroids import cli, core, expr, fibration
+x = expr.var("x")
+trees = [expr.parse("x^2 - 3*x/2 + 1e-3"), expr.as_expr(3), expr.as_expr(0.5), expr.power(x, 2), x ** -1]
+assert "numpy" not in sys.modules, "numpy loaded by literals"
+folded = [expr.parse(t) for t in ("sin(0.5)", "exp(0.7)", "2^-1070", "cos(-0.0)", "sqrt(2)")]
+import numpy as np
+# the one stand-in every module imports now reads numpy's own namespace
+assert cli.np is fibration.np is core.np is expr.np and vars(expr.np) is vars(np) and expr.np.sin is np.sin
+want = [np.sin(np.float64(0.5)), np.exp(np.float64(0.7)), np.float64(2.0) ** -1070, np.cos(np.float64(-0.0)),
+        np.sqrt(np.float64(2.0))]
+assert [e.value.hex() for e in folded] == [float(v).hex() for v in want], folded
+assert 0.0 < folded[2].value < np.finfo(np.float64).tiny  # subnormal
+assert expr.as_expr(np.int64(3)) == expr.Const(3.0) and expr.as_expr(np.float32(0.5)) == expr.Const(0.5)
+assert expr.power(x, np.int64(2)) == expr.Power(x, 2) and expr.power(expr.const(3), np.int64(2)) == expr.Const(9.0)
+ops = expr._ops()
+assert ops is expr._ops()
+assert {{k: v for k, v in ops.items() if isinstance(v, np.ufunc)}} == {{
+    "neg": np.negative, "sin": np.sin, "cos": np.cos, "exp": np.exp, "add": np.add, "sub": np.subtract,
+    "mul": np.multiply}}
+assert [ops[k] for k in ("log", "sqrt", "div", "power")] == [expr._log, expr._sqrt, expr._div, expr._power]
+assert all(step[1] is ops[step[0]] for step in expr.compile_exprs([trees[0], expr.sin(x) / x]).ops)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

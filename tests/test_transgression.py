@@ -450,6 +450,42 @@ def test_monodromy_group_needs_a_line_kernel():
         monodromy_group(A, [["0", "1"], ["-1", "0"]], [])
 
 
+def test_a_rank_two_value_has_no_scalar_and_a_label_count_must_match():
+    w = 0.7
+    rotation = [[["0", "0"], ["0", "0"]], [["0", str(w)], [str(-w), "0"]]]
+    R = make_rep_extension(make_tangent(PLANE), 2, rotation, twist={(0, 1): ["1", "x"]})
+    G = Fibration(
+        total=R,
+        base=make_tangent(PLANE),
+        projection=(("0", "0", "1", "0"), ("0", "0", "0", "1")),
+        splitting=(("0.3*y", "0"), ("0", "0.3*x"), ("1", "0"), ("0", "1")),
+        kernel=(("1", "0", "0", "0"), ("0", "1", "0", "0")),
+    )
+    result = transgress2_formula(G, tangent_lift(PLANE, ["0.5*t1 - 0.2", "0.5*t2 - 0.2"], n=2, N=8))
+    assert result.value.shape == (2,)
+    with pytest.raises(ValueError, match=r"^scalar\(\) needs a rank-one kernel$"):
+        result.scalar()
+
+    chart = Chart(("x", "y"), ((-4.0, 4.0), (-4.0, 4.0)))
+    A = make_jacobi_extension(chart, STD_BIV)
+    square = tangent_lift(chart, ["t1 - 1.0", "t2 - 1.0"], n=2, N=8)
+    with pytest.raises(ValueError, match="^need one label per generator$"):
+        monodromy_group(A, [["0", "0"], ["0", "1"], ["-1", "0"]], [square], labels=["a", "b"])
+
+
+def test_a_period_ratio_below_the_denominator_bound_relates_nothing():
+    chart = Chart(("x", "y"), ((-4.0, 4.0), (-4.0, 4.0)))
+    A = make_jacobi_extension(chart, STD_BIV)
+    splitting = [["0", "0"], ["0", "1"], ["-1", "0"]]
+    # periods 0.005 and 1: their ratio is nearer 0 than any fraction of denominator up to 64
+    squares = [tangent_lift(chart, [f"{s}*t1 - 1.0", "t2 - 1.0"], n=2, N=32) for s in (0.005, 1)]
+    coarse = monodromy_group(A, splitting, squares)
+    assert coarse.periods == pytest.approx((0.005, 1.0), abs=1e-9)
+    assert coarse.relations == () and coarse.lattice_rank == 2
+    fine = monodromy_group(A, splitting, squares, max_denominator=256)
+    assert fine.relations == ((0, 1, 1, 200),) and fine.lattice_rank == 1
+
+
 # --- path decomposition ----------------------------------------------------------
 
 

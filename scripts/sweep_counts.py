@@ -20,7 +20,9 @@ prints one line per config:
   N per ``rk4_table`` call, which sums them without running a stage;
 - ``level_steps``: the steps of the sweeps integrated level by level,
   N per level of each ``rk4_levels`` call (a level runs each of its
-  programs once per stage kind over all N steps);
+  programs once per stage kind over all N steps), the pass over w2's
+  integral and the point that a stepped lift sweep makes for its
+  transverse difference included;
   without these two, that work would seem to vanish from ``stages``;
 - ``nodes``: the expression nodes (``Const``, ``Var``, ``Unary``,
   ``Binary``, ``Power``) built, counted by wrapping each class's

@@ -600,14 +600,17 @@ def rk4(f, y0, N: int, stage: np.ndarray | None = None) -> np.ndarray:
     no cycle, :func:`rk4_levels` integrates them without a stage loop: each
     level's cells run once per stage kind, checked per op on the stage
     states of every step at once (a sweep with no other cells is one
-    level, :func:`rk4_table`).  Otherwise the other cells run per op on
-    every stage, here.  Every sweep holds one ``np.errstate(all="ignore")``
-    and raises NonFiniteError at its first non-finite node state.  Every
-    rate entry enters the node with weight h/6 or h/3, and inf - inf is
-    NaN, so ``f`` returns every row its programs compute and runs them
-    unchecked.  A domain error on a non-finite stage state (a log of -inf,
-    say) is raised as NonFiniteError too; a leveled sweep that meets a
-    domain error is stepped here, so that it raises in this order.
+    level, :func:`rk4_table`).  Otherwise (a row in or above a cycle) the
+    other cells run per op on every stage, here; a term a stage adds from
+    rows below every cycle (a lift's transverse difference) may come from
+    one ``rk4_levels`` pass, whose stage states are this loop's bitwise.
+    Every sweep holds one ``np.errstate(all="ignore")`` and raises
+    NonFiniteError at its first non-finite node state.  Every rate entry
+    enters the node with weight h/6 or h/3, and inf - inf is NaN, so
+    ``f`` returns every row its programs compute and runs them unchecked.
+    A domain error on a non-finite stage state (a log of -inf, say) is
+    raised as NonFiniteError too; a leveled sweep that meets a domain
+    error is stepped here, so that it raises in this order.
     """
     h = 1.0 / N
     y0 = np.asarray(y0, dtype=float)

@@ -224,16 +224,17 @@ class Fibration:
         """
         return self._lift(k, False)
 
-    def lift_split(self, k: int) -> tuple[np.ndarray, Program, Program, tuple | None]:
+    def lift_split(self, k: int) -> tuple[np.ndarray, Program, Program, tuple]:
         """:meth:`lift_program` split by :func:`expr.split_exprs` at the RK4 state (the coordinates and ``#y``), and its levels.
 
         Row r of the RK4 state (w2's integral, the point, the fields) has
         rate cell r.  A row's level is 0 if its rate reads no state, else
         one more than the highest level of a row it reads; field i's row l
         also reads what w2's row l reads, through the transverse difference.
-        The levels are None if rows read each other in a cycle, else each
-        row's level, the mask of the rows that some cell reads, and one
-        program per level from 1 up, over that level's cells.
+        A row in or above a cycle of rows that read each other has level -1.
+        The levels are each row's level, the mask of the rows that some cell
+        reads, and one program per level from 1 up, over that level's cells
+        (only w2's integral's and the point's if some row has level -1).
         """
         return self._lift(k, True)
 
@@ -407,39 +408,8 @@ def identity_residuals(fib: Fibration, n_points: int = 100) -> dict[str, float]:
 # --- lifting cubes ----------------------------------------------------------------
 
 
-def _gradient_adder(out: np.ndarray, f: np.ndarray, h: float, axis: int):
-    """A function adding ``np.gradient(f, h, axis=axis, edge_order=2)`` into ``out``, on what both then hold.
-
-    The views and edge coefficients are made once.  The centred
-    differences and both one-sided edges go into one scratch array, each
-    with the arithmetic of ``np.gradient``, and one add puts it into
-    ``out``.  The two edges share their calls: ``f``'s rows i and i + L - 3
-    (L the axis length) are one view, with a coefficient per row.
-    """
-    s = (slice(None),) * axis
-    L = f.shape[axis]
-    grad = np.empty(f.shape)
-    mid, edges = grad[s + (slice(1, -1),)], grad[s + (slice(None, None, L - 1),)]
-    ahead, behind = f[s + (slice(2, None),)], f[s + (slice(None, -2),)]
-    tmp = np.empty(edges.shape)
-    # rows i and i + L - 3 as one view; for L = 3 they are one row, broadcast
-    rows = [np.broadcast_to(f[s + (slice(i, i + L - 2, max(L - 3, 1)),)], edges.shape) for i in range(3)]
-    tail = (1,) * (f.ndim - axis - 1)
-    c = [np.array(pair).reshape((2,) + tail) for pair in ((-1.5 / h, 0.5 / h), (2.0 / h, -2.0 / h), (-0.5 / h, 1.5 / h))]
-    two_h = 2.0 * h
-
-    def add() -> None:
-        np.divide(np.subtract(ahead, behind, out=mid), two_h, out=mid)
-        np.multiply(rows[0], c[0], out=edges)
-        np.add(edges, np.multiply(rows[1], c[1], out=tmp), out=edges)
-        np.add(edges, np.multiply(rows[2], c[2], out=tmp), out=edges)
-        np.add(out, grad, out=out)
-
-    return add
-
-
-def _levels(cells: list, names: list, rE: int, m: int) -> tuple | None:
-    """The levels of :meth:`Fibration.lift_split` over the lift's rate cells, the state rows after w2's integral named by ``names``."""
+def _levels(cells: list, names: list, rE: int, m: int) -> tuple:
+    """The levels of :meth:`Fibration.lift_split` (-1 in or above a cycle) over the lift's rate cells, the state rows after w2's integral named by ``names``."""
     row = {name: rE + r for r, name in enumerate(names)}
     reads = [{row[v] for v in e.variables() if v in row} for e in cells]
     read = np.zeros(len(cells), dtype=bool)
@@ -451,10 +421,9 @@ def _levels(cells: list, names: list, rE: int, m: int) -> tuple | None:
         for c, rs in enumerate(reads):
             if c not in level and rs <= level.keys():
                 level[c] = 1 + max((level[r] for r in rs), default=-1)
-    if len(level) < len(cells):
-        return None
-    depth = np.array([level[c] for c in range(len(cells))], dtype=int)
-    return depth, read, tuple(compile_exprs(cells, depth == L) for L in range(1, depth.max(initial=0) + 1))
+    depth = np.array([level.get(c, -1) for c in range(len(cells))], dtype=int)
+    swept = depth if (depth >= 0).all() else np.where(np.arange(len(cells)) < rE + m, depth, -1)  # the rows a level pass runs
+    return depth, read, tuple(compile_exprs(cells, swept == L) for L in range(1, swept.max(initial=0) + 1))
 
 
 def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Sequence[np.ndarray], N: int) -> Cube:
@@ -465,22 +434,26 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     along the anchor image of its lift ``w2``, and each transverse field
     picks up the transverse derivative of ``w2`` plus its bracket with
     ``w2``.  The state-free cells of :meth:`Fibration.lift_split` are
-    one run over all stage times into a table.  If the rate rows have
-    levels, :func:`cubes.rk4_levels` integrates them: level 0 off the
-    table, each higher level's program run once per stage kind over all
-    steps, bound to the stage-state buffers; a field row adds the
-    transverse difference (``np.gradient``) of w2's row, over the table if
-    that row is state-free, else at each stage kind.  A level that raises
-    a domain error makes the sweep step by :func:`cubes.rk4`, which raises
-    in its own stage order.  A sweep with a cycle steps by
-    :func:`cubes.rk4`: each stage copies its table slice into one rate
-    buffer, runs the rest, bound once to views of the RK4 stage buffer and
-    of a driver buffer that it copies ``b[..., j, :]`` into, and adds the
-    transverse difference (over the table once if ``w2`` is state-free,
-    else per stage by :func:`_gradient_adder`).  ``w2`` at the nodes is
-    the table's even rows if state-free, else one run of the field-free
-    lift program after the sweep.  Returns the cube over the total
-    algebroid whose fields are the transverse fields, then ``w2``.
+    one run over all stage times into a table, and so is the transverse
+    difference (``np.gradient``) of a state-free ``w2``.  If every rate
+    row has a level, :func:`cubes.rk4_levels` integrates them: level 0
+    off the table, each higher level's program run once per stage kind
+    over all steps, bound to the stage-state buffers; a field row adds
+    the difference of w2's row, over the table or over that row's rates
+    at each stage kind.  A sweep with a row in or above a cycle, or whose
+    levels meet a domain error, steps by :func:`cubes.rk4`, which raises
+    in its own stage order: each stage copies its table slice into one
+    rate buffer, runs the rest, bound once to views of the RK4 stage
+    buffer and of a driver buffer that it copies ``b[..., j, :]`` into,
+    and adds the fields' difference in one call, from the table's or
+    from one taken over w2's rates at every stage, which one level pass
+    over w2's integral and the point gives (they read no field, and the
+    pass forms ``rk4``'s stage states bitwise).  A stage takes it itself
+    only if the point rows read each other in a cycle or that pass meets
+    a domain error.  ``w2`` at the nodes is the table's even rows if
+    state-free, else one run of the field-free lift program after the
+    sweep.  Returns the cube over the total algebroid whose fields are
+    the transverse fields, then ``w2``.
 
     The RK4 state matches the lift program's outputs row for row: the
     running integral of ``w2`` (zero at t = 0, dropped after the sweep),
@@ -496,13 +469,15 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     # every buffer holds one state or rate entry per row, so that each row and each field is contiguous
     Y0 = np.concatenate([np.zeros((rE,) + gamma0.shape[:-1])] + [np.moveaxis(a, -1, 0) for a in (gamma0, *w0)])
     lines = Y0.shape[1:]
-    free, table_program, stage_program, levels = fib.lift_split(k)
+    free, table_program, stage_program, (depth, read, programs) = fib.lift_split(k)
     drive = np.moveaxis(b, -2, 0)  # the driver at each stage time
     table = np.empty((2 * N + 1,) + Y0.shape)
     with np.errstate(all="ignore"):  # unchecked, like every stage
         # the table binds no point: the broadcast only gives it its shape
         over_times = np.broadcast_to(np.moveaxis(Y0[rE : rE + m], 0, -1), table.shape[:1] + lines + (m,))
         fib.chart.bind(table_program, over_times, b=drive).run(np.moveaxis(table, 1, -1), checked=False)
+        # the transverse difference of a state-free w2 is state-free too
+        grad = np.concatenate([np.gradient(table[:, :rE], h, axis=2 + i, edge_order=2) for i in range(k)], axis=1) if k and free[:rE].all() else None
 
     def bound(program: Program, rows: np.ndarray, driver: np.ndarray):
         """``program`` bound to views of the point and field rows of ``rows``, and to ``driver``."""
@@ -510,32 +485,9 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
         y = state[..., rE + m :].reshape(state.shape[:-1] + (k, rE))
         return fib.chart.bind(program, state[..., rE : rE + m], b=driver, y=y)
 
-    def stepped() -> np.ndarray:
-        stage, driver, rates = np.empty(Y0.shape), np.empty(b.shape[-1:] + lines), np.empty(Y0.shape)
-        lift = bound(stage_program, stage, np.moveaxis(driver, 0, -1))
-        dY = rates[rE + m :]  # the k fields' rates
-        hoisted = k > 0 and free[:rE].all()  # the transverse difference of a state-free w2 is state-free too
-        if hoisted:
-            with np.errstate(all="ignore"):
-                grad = np.concatenate([np.gradient(table[:, :rE], h, axis=2 + i, edge_order=2) for i in range(k)], axis=1)
-        gradients = [] if hoisted else [_gradient_adder(dY[i * rE : (i + 1) * rE], rates[:rE], h, 1 + i) for i in range(k)]
-        b_rows, out = np.moveaxis(b, -1, 0), np.moveaxis(rates, 0, -1)
-
-        def rhs(j: int, Y: np.ndarray) -> np.ndarray:
-            np.copyto(rates, table[j])
-            np.copyto(driver, b_rows[..., j])
-            lift.run(out, checked=False)
-            if hoisted:
-                np.add(dY, grad[j], out=dY)
-            for add in gradients:
-                add()
-            return rates
-
-        return rk4(rhs, Y0, N, stage)
-
-    def leveled() -> np.ndarray:
-        depth, read, programs = levels
-        rows = [np.flatnonzero(depth == L) for L in range(len(programs) + 1)]
+    def level_pass(n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``rk4_levels`` over the first n state rows (all, or w2's integral and the point), and K: their rates at each stage kind."""
+        rows = [np.flatnonzero(depth[:n] == L) for L in range(len(programs) + 1)]
         # the rates of the rows above level 0 and the stage states of the rows read, at each stage kind:
         # one contiguous block per row and kind, so a row that is never written is never touched
         K, S = np.empty((2, 4) + Y0.shape[:1] + (N,) + lines)
@@ -549,23 +501,58 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
                 kr = K[:, r] if L else stage_kinds(table[:, r])
                 if r >= rE + m:  # field i's row l: plus the transverse difference of w2's row l
                     i, l = divmod(r - rE - m, rE)
-                    d = np.gradient(table[:, l] if free[l] else K[:, l], h, axis=i - len(lines), edge_order=2)
+                    d = grad[:, r - rE - m] if grad is not None else np.gradient(table[:, l] if free[l] else K[:, l], h, axis=i - len(lines), edge_order=2)
                     if L == 0:  # w2's row l is state-free too: one sum over all stage times
-                        kr = stage_kinds(np.add(table[:, r], d, out=d))
+                        kr = stage_kinds(np.add(table[:, r], d))
                     else:
                         kr = [np.add(kq, dq, out=kq) for kq, dq in zip(kr, stage_kinds(d) if free[l] else d)]
                 ks.append(kr)
             return ks
 
+        return rk4_levels(rates, rows, Y0[:n], N, {r: S[:, r] for r in np.flatnonzero(read[:n])}), K
+
+    def stepped() -> np.ndarray:
+        at = None  # the fields' transverse difference at stage time j, called in rk4's stage order, unless each stage takes it
+        if grad is not None:
+            at = grad.__getitem__
+        elif k and (depth[: rE + m] >= 0).all() and (depth < 0).any():  # the level programs run only these rows
+            try:
+                K = level_pass(rE + m)[1]
+                w = np.stack([K[:, l] if depth[l] else stage_kinds(table[:, l]) for l in range(rE)], axis=1)
+                diff = np.concatenate([np.gradient(w, h, axis=3 + i, edge_order=2) for i in range(k)], axis=1)
+                diffs = iter(np.moveaxis(diff, 2, 0).reshape((4 * N, k * rE) + lines))  # step by step, kind by kind
+                at = lambda j: next(diffs)
+            except DomainError:  # rk4 raises it in its own stage order
+                pass
+        stage, driver, rates = np.empty(Y0.shape), np.empty(b.shape[-1:] + lines), np.empty(Y0.shape)
+        lift = bound(stage_program, stage, np.moveaxis(driver, 0, -1))
+        w2, dY = rates[:rE], rates[rE + m :]  # w2's and the k fields' rates
+        b_rows, out = np.moveaxis(b, -1, 0), np.moveaxis(rates, 0, -1)
+
+        def rhs(j: int, Y: np.ndarray) -> np.ndarray:
+            np.copyto(rates, table[j])
+            np.copyto(driver, b_rows[..., j])
+            lift.run(out, checked=False)
+            if at is not None:
+                np.add(dY, at(j), out=dY)
+            else:
+                for i in range(k):
+                    dy = dY[i * rE : (i + 1) * rE]
+                    np.add(dy, np.gradient(w2, h, axis=1 + i, edge_order=2), out=dy)
+            return rates
+
+        return rk4(rhs, Y0, N, stage)
+
+    def leveled() -> np.ndarray:
         try:
-            return rk4_levels(rates, rows, Y0, N, {r: S[:, r] for r in np.flatnonzero(read)})
+            return level_pass(len(Y0))[0]
         except NonFiniteError:
             raise
         except DomainError:  # rk4 raises it too, or an error that it meets at an earlier stage
             return stepped()
 
     try:
-        Y = stepped() if levels is None else leveled()
+        Y = leveled() if (depth >= 0).all() else stepped()
         Y = np.moveaxis(Y, (0, 1), (-2, -1))[..., rE:]
         w_nodes = np.moveaxis(table[::2, :rE], (0, 1), (-2, -1))  # checked by rk4: the integral of w2 is in the state
         if not free[:rE].all():

@@ -26,7 +26,6 @@ from algebroids.transgression import kernel_coefficient_values, transgress2_form
 from algebroids.fibration import (
     Curvature2Form,
     Fibration,
-    _gradient_adder,
     _symbolic_inverse,
     anchor_fibration,
     covariant_derivative,
@@ -589,15 +588,6 @@ def test_dense_rank_seven_lift_is_a_small_program():
     np.testing.assert_allclose(got[:, rE + 2 :], np.concatenate(brackets, axis=-1), rtol=1e-12)
 
 
-@pytest.mark.parametrize("shape, axis", [((3, 2), 0), ((97, 3), 0), ((5, 7, 4), 1), ((6, 3, 2), 0)])
-def test_transverse_difference_is_numpy_gradient_bitwise(shape, axis):
-    rng = np.random.default_rng(11)
-    f, out = rng.normal(size=shape), rng.normal(size=shape)
-    want = out + np.gradient(f, 1 / 96, axis=axis, edge_order=2)
-    _gradient_adder(out, f, 1 / 96, axis)()
-    assert out.tobytes() == want.tobytes()
-
-
 def _per_stage_sweep(fib, b, gamma0, w0, N):
     """evolve_cube_system as each stage used to run it: fresh lift-program runs and np.gradient arrays.
 
@@ -756,35 +746,62 @@ def _self_loop_fibration() -> Fibration:
     return rep_extension_fibration(make_tangent(PLANE), 1, [[["0"]], [["0.5"]]], twist={(0, 1): ["1"]})
 
 
+def _point_cycle_fibration() -> Fibration:
+    """Points that read themselves: x moves at (1 + 0.1 x) b0 and y at (1 - 0.2 y) b1, so every row is in or above a cycle."""
+    T = make_tangent(PLANE)
+    R = make_rep_extension(T, 1, [[["0.4"]], [["-0.3*x"]]], twist={(0, 1): ["1 + y"]})
+    return Fibration(R, T, [[0, 1, 0], [0, 0, 1]], [["0.2*y", "0"], ["1 + 0.1*x", "0"], ["0", "1 - 0.2*y"]], [[1, 0, 0]])
+
+
 @pytest.mark.parametrize(
-    "make, k, hoisted, table_only, depth",
+    "make, k, hoisted, table_only, depth, stepped",
     [
-        (_rotation_fibration, 1, False, False, None),  # transport_square's G: w2 reads the point, the fields a cycle
-        (_self_loop_fibration, 1, True, False, None),
-        (lambda: jacobi_fibration(PLANE, [["0", "1"], ["-1", "0"]]), 0, False, True, 0),  # plane_lift's face lift
-        (lambda: jacobi_fibration(PLANE, [["0", "1"], ["-1", "0"]]), 1, True, False, 1),  # and its square
-        (_field_free_fibration, 1, True, True, 0),
-        *((_hoisted_chain_fibration, k, k > 0, False, 2) for k in range(3)),
-        *((_point_chain_fibration, k, False, False, 2) for k in range(3)),
+        (_rotation_fibration, 1, False, False, 1, True),  # transport_square's G: w2 reads the point, the fields a cycle
+        (_self_loop_fibration, 1, True, False, 0, True),
+        (lambda: jacobi_fibration(PLANE, [["0", "1"], ["-1", "0"]]), 0, False, True, 0, False),  # plane_lift's face lift
+        (lambda: jacobi_fibration(PLANE, [["0", "1"], ["-1", "0"]]), 1, True, False, 1, False),  # and its square
+        (_field_free_fibration, 1, True, True, 0, False),
+        *((_hoisted_chain_fibration, k, k > 0, False, 2, False) for k in range(3)),
+        *((_point_chain_fibration, k, False, False, 2, False) for k in range(3)),
+        *((_point_cycle_fibration, k, False, False, 0, True) for k in range(3)),
     ],
     ids=["rotation", "self-loop", "jacobi-k0", "jacobi-k1", "field-free"]
-    + [f"{kind}-chain-k{k}" for kind in ("hoisted", "point") for k in range(3)],
+    + [f"{kind}-k{k}" for kind in ("hoisted-chain", "point-chain", "point-cycle") for k in range(3)],
 )
-def test_split_lift_sweeps_are_bitwise_the_per_stage_ones(monkeypatch, make, k, hoisted, table_only, depth):
+def test_split_lift_sweeps_are_bitwise_the_per_stage_ones(monkeypatch, make, k, hoisted, table_only, depth, stepped):
     fib, N = make(), 12
     rE = fib.total.rank
-    free, _, _, levels = fib.lift_split(k)
-    # which of the rate paths the sweep takes: a per-stage or a hoisted transverse difference,
-    # a stage program or none, and stepped by rk4 (a cycle) or level by level, how many levels above 0
+    free, _, _, (level, _, _) = fib.lift_split(k)
+    # which of the rate paths the sweep takes: a transverse difference over the table or over the state,
+    # a stage program or none, how many levels above 0 its settled rows fill, and stepped by rk4
+    # (some row in or above a cycle, level -1) or level by level
     assert (k > 0 and bool(free[:rE].all()), bool(free.all())) == (hoisted, table_only)
-    assert (None if levels is None else len(levels[2])) == depth
+    assert (max(level.max(), 0), bool((level < 0).any())) == (depth, stepped)
     b, gamma0, w0 = _sweep_inputs(fib, k, N)
     want = _per_stage_sweep(fib, b, gamma0, w0, N)
     calls = _rk4_calls(monkeypatch)
     got = evolve_cube_system(fib, b, gamma0, w0, N)
-    assert calls == ([N] if depth is None else [])
+    assert calls == ([N] if stepped else [])
     assert got.gamma.tobytes() == want.gamma.tobytes()
     assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_a_stepped_sweep_whose_point_pass_meets_a_domain_error_raises_rk4s(monkeypatch):
+    # G with log(y) in w2's row 0: y falls through 0 a third of the way, so the level pass over
+    # w2's integral and the point raises, and rk4 raises in its own stage order
+    T = make_tangent(PLANE)
+    R = make_rep_extension(T, 2, [[["0", "0"], ["0", "0"]], [["0", "0.7"], ["-0.7", "0"]]], twist={(0, 1): ["1", "x"]})
+    splitting = [["0.3*log(y)", "0"], ["0", "0.3*x"], ["1", "0"], ["0", "1"]]
+    fib, N = Fibration(R, T, [[0, 0, 1, 0], [0, 0, 0, 1]], splitting, [[1, 0, 0, 0], [0, 1, 0, 0]]), 12
+    b, gamma0, w0 = _sweep_inputs(fib, 1, N)
+    b[..., 1], gamma0[..., 1] = -1.0, 0.3
+    with pytest.raises(DomainError) as want:
+        _per_stage_sweep(fib, b, gamma0, w0, N)
+    calls = _rk4_calls(monkeypatch)
+    with pytest.raises(DomainError) as got:
+        evolve_cube_system(fib, b, gamma0, w0, N)
+    assert calls == [N]
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value) == "log of a non-positive argument"
 
 
 def _escaping_fibration(rate: str) -> Fibration:
@@ -798,9 +815,14 @@ def test_a_level_one_row_that_overflows_raises_rk4s_error(monkeypatch):
     b = np.ones((2 * N + 1, 2))  # y climbs from 0.5 to 1.5, and exp(800 y) overflows past y = 0.89
     causes = []
     for stepped in (False, True):
-        if stepped:  # the same sweep on rk4's path, as if its rows read each other in a cycle
+        if stepped:  # the same sweep on rk4's path, as if its rows read each other in a cycle (level -1)
             split = Fibration.lift_split
-            monkeypatch.setattr(Fibration, "lift_split", lambda self, k: (*split(self, k)[:3], None))
+
+            def cyclic(self, k):
+                free, table, stage, (level, read, programs) = split(self, k)
+                return free, table, stage, (np.full_like(level, -1), read, programs)
+
+            monkeypatch.setattr(Fibration, "lift_split", cyclic)
         with pytest.raises(ChartEscapeError) as err:
             evolve_cube_system(fib, b, np.array([0.0, 0.5]), [], N)
         causes.append(err.value.__cause__)

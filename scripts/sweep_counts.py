@@ -3,8 +3,8 @@
 Runs every ``configs/*.cfg`` and the three benchmark workload configs
 of ``perfbench/workloads.py`` at the given seed, in process, with
 ``expr.Bound.run``, ``cubes.rk4``, ``cubes.rk4_table``,
-``cubes.rk4_levels`` and the expression node constructors wrapped, and
-prints one line per config:
+``cubes.rk4_levels``, ``cubes.rk4_linear`` and the expression node
+constructors wrapped, and prints one line per config:
 
 - ``checked`` and ``unchecked``: the number of ``Bound.run`` calls of
   each kind (every RK4 stage and every lift and flow table runs
@@ -21,9 +21,13 @@ prints one line per config:
 - ``level_steps``: the steps of the sweeps integrated level by level,
   N per level of each ``rk4_levels`` call (a level runs each of its
   programs once per stage kind over all N steps), the pass over w2's
-  integral and the point that a stepped lift sweep makes for its
-  transverse difference included;
-  without these two, that work would seem to vanish from ``stages``;
+  integral and the point that a lift sweep makes before its fields
+  step by their step matrices included;
+- ``linear_steps``: the steps of the linear sweeps (transport, and the
+  fields of a lift sweep whose field rows read each other in a cycle),
+  N per ``rk4_linear`` call, which builds every step matrix at once and
+  then takes one matrix product a step;
+  without these three, that work would seem to vanish from ``stages``;
 - ``nodes``: the expression nodes (``Const``, ``Var``, ``Unary``,
   ``Binary``, ``Power``) built, counted by wrapping each class's
   ``__init__``: parsing the config, building brackets, curvature and
@@ -49,8 +53,9 @@ from report_digest import configs  # puts this checkout's package and perfbench 
 
 from algebroids import cli, cubes, expr
 
-COUNTERS = ("checked", "unchecked", "ops", "prelude", "stages", "table_steps", "level_steps", "nodes")
+COUNTERS = ("checked", "unchecked", "ops", "prelude", "stages", "table_steps", "level_steps", "linear_steps", "nodes")
 NODES = (expr.Const, expr.Var, expr.Unary, expr.Binary, expr.Power)
+STEPPERS = (cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear)
 
 
 def counted(counts: Counter):
@@ -74,8 +79,8 @@ def counted(counts: Counter):
 
 
 def staged(counts: Counter):
-    """``rk4``, ``rk4_table`` and ``rk4_levels`` that add each call's 4N stages, N table steps or N steps a level to ``counts``."""
-    rk4, rk4_table, rk4_levels = cubes.rk4, cubes.rk4_table, cubes.rk4_levels
+    """``rk4``, ``rk4_table``, ``rk4_levels`` and ``rk4_linear`` that add each call's 4N stages, N table steps, N steps a level or N linear steps to ``counts``."""
+    rk4, rk4_table, rk4_levels, rk4_linear = STEPPERS
 
     def stepper(f, y0, N, stage=None):
         counts["stages"] += 4 * N
@@ -89,7 +94,11 @@ def staged(counts: Counter):
         counts["level_steps"] += N * len(levels)
         return rk4_levels(rates, levels, y0, N, stages)
 
-    return stepper, quadrature, leveler
+    def propagator(B, c, y0, N):
+        counts["linear_steps"] += N
+        return rk4_linear(B, c, y0, N)
+
+    return stepper, quadrature, leveler, propagator
 
 
 def built(counts: Counter) -> dict:
@@ -112,22 +121,22 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        print(f"{'config':<18}" + "".join(f"{c:>12}" for c in COUNTERS))
-        run, steppers = expr.Bound.run, (cubes.rk4, cubes.rk4_table, cubes.rk4_levels)
+        print(f"{'config':<18}" + "".join(f"{c:>13}" for c in COUNTERS))
+        run = expr.Bound.run
         inits = {cls: cls.__init__ for cls in NODES}
         try:
             for label, config in configs(args.seed, tmp):
                 counts = Counter()
                 expr.Bound.run = counted(counts)
-                cubes.rk4, cubes.rk4_table, cubes.rk4_levels = staged(counts)
+                cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear = staged(counts)
                 for cls, init in built(counts).items():
                     cls.__init__ = init
                 with contextlib.redirect_stdout(io.StringIO()):
                     rc = cli.main(["run", str(config), "--out", str(tmp / label)])
-                print(f"{label:<18}" + "".join(f"{counts[c]:>12,}" for c in COUNTERS) + ("" if rc == 0 else f"  exit {rc}"))
+                print(f"{label:<18}" + "".join(f"{counts[c]:>13,}" for c in COUNTERS) + ("" if rc == 0 else f"  exit {rc}"))
         finally:
             expr.Bound.run = run
-            cubes.rk4, cubes.rk4_table, cubes.rk4_levels = steppers
+            cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear = STEPPERS
             for cls, init in inits.items():
                 cls.__init__ = init
 

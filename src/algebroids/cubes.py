@@ -593,23 +593,27 @@ def rk4(f, y0, N: int, stage: np.ndarray | None = None) -> np.ndarray:
     so the result is bitwise that of the out-of-place step.
 
     Checks, one rule for every sweep (flow, lift and transport), stepped
-    here or level by level: the rate cells that read no state
-    (:func:`expr.split_exprs`; transport's rate matrix, whose table run is
-    checked) are checked per op once per sweep, on every stage-time value,
-    in one table run before step 1.  If the other rows read each other in
-    no cycle, :func:`rk4_levels` integrates them without a stage loop: each
-    level's cells run once per stage kind, checked per op on the stage
-    states of every step at once (a sweep with no other cells is one
-    level, :func:`rk4_table`).  Otherwise (a row in or above a cycle) the
-    other cells run per op on every stage, here; a term a stage adds from
-    rows below every cycle (a lift's transverse difference) may come from
-    one ``rk4_levels`` pass, whose stage states are this loop's bitwise.
-    Every sweep holds one ``np.errstate(all="ignore")`` and raises
-    NonFiniteError at its first non-finite node state.  Every rate entry
-    enters the node with weight h/6 or h/3, and inf - inf is NaN, so
-    ``f`` returns every row its programs compute and runs them unchecked.
-    A domain error on a non-finite stage state (a log of -inf, say) is
-    raised as NonFiniteError too; a leveled sweep that meets a domain
+    here, level by level or by step matrices: the rate cells that read no
+    state (:func:`expr.split_exprs`; transport's rate matrix, whose table
+    run is checked) are checked per op once per sweep, on every
+    stage-time value, in one table run before step 1.  If the other rows
+    read each other in no cycle, :func:`rk4_levels` integrates them
+    without a stage loop: each level's cells run once per stage kind,
+    checked per op on the stage states of every step at once (a sweep
+    with no other cells is one level, :func:`rk4_table`).  A sweep that
+    is linear in the rows it steps (transport, and lift fields that read
+    each other in a cycle, above a level pass over the rows they read)
+    takes no stage loop either: its rate matrix runs over all stage
+    times at once (a lift's once per stage kind) and :func:`rk4_linear`
+    steps by the step matrices it makes.  Only rows in or above a cycle
+    that is not linear (a lift's points that read each other) run per op
+    on every stage, here.  Every sweep holds one
+    ``np.errstate(all="ignore")`` and raises NonFiniteError at its first
+    non-finite node state.  Every rate entry enters the node with weight
+    h/6 or h/3, and inf - inf is NaN, so ``f`` returns every row its
+    programs compute and runs them unchecked.  A domain error on a
+    non-finite stage state (a log of -inf, say) is raised as
+    NonFiniteError too; a leveled or linear sweep that meets a domain
     error is stepped here, so that it raises in this order.
     """
     h = 1.0 / N
@@ -723,6 +727,50 @@ def rk4_levels(rates, levels: Sequence, y0, N: int, stages: dict) -> np.ndarray:
                     for s, kq, dt in zip(S[1:], k, (h / 2, h / 2, h)):
                         np.add(y, np.multiply(kq, dt, out=s), out=s)
     return _check_nodes(out, N)
+
+
+def rk4_linear(B: Sequence, c: Sequence | None, y0, N: int) -> np.ndarray:
+    """:func:`rk4` of a linear rate ``y' = B(t) y + c(t)``, one step matrix per step instead of four stages.
+
+    ``B`` and ``c`` are given at each step's four stage kinds (see
+    :func:`stage_kinds`), of shapes (N,) + lines + (r, r) and (N,) + lines +
+    (r, cols); ``c`` may be None (a zero c), and ``y0`` has shape lines +
+    (r, cols).  Every step maps y to P y + q.  ``[P | q]`` is one RK4 step
+    of X' = B X + [0 | c] from X = [I | 0], taken for all steps and lines
+    at once, three batched matrix products, which is
+
+        P = I + h/6 (B1 + 2 B2 + 2 B3 + B4) + h²/6 (B2 B1 + B3 B2 + B4 B3)
+            + h³/12 (B3 B2 B1 + B4 B3 B2) + h⁴/24 B4 B3 B2 B1
+
+    and q the same sum without the I and with each term's rightmost B_s
+    replaced by c_s.  Then N batched products give the nodes.  In exact
+    arithmetic this is ``rk4``; it rounds in another order, so it agrees
+    with ``rk4`` to rounding, not bitwise.  Raises ``rk4``'s NonFiniteError
+    at the first non-finite node.
+    """
+    h = 1.0 / N
+    y0 = np.asarray(y0, dtype=float)
+    r, m = y0.shape[-2], 0 if c is None else y0.shape[-1]
+    eye = np.eye(r, r + m)  # X = [I | 0]
+    with np.errstate(all="ignore"):
+        k = np.concatenate((B[0],) if c is None else (B[0], c[0]), axis=-1)  # k1 = B1 X + [0 | c1]
+        acc = k.copy()  # k1 + 2 k2 + 2 k3 + k4
+        for q, dt in ((1, h / 2), (2, h / 2), (3, h)):
+            k *= dt
+            k = np.matmul(B[q], np.add(k, eye, out=k))
+            if c is not None:
+                k[..., r:] += c[q]
+            acc += k
+            if q < 3:  # k2 and k3 count twice
+                acc += k
+        step = np.add(np.multiply(acc, h / 6, out=acc), eye, out=acc)  # [P | q] of every step
+        # the nodes stacked on I: [y_{n+1}; I] = [P | q] [y_n; I]
+        out = np.empty((N + 1,) + y0.shape[:-2] + (r + m, y0.shape[-1]))
+        out[..., r:, :] = np.eye(m, y0.shape[-1])
+        out[0, ..., :r, :] = y0
+        for n in range(N):
+            np.matmul(step[n], out[n], out=out[n + 1, ..., :r, :])
+    return _check_nodes(out[..., :r, :], N)
 
 
 def _coerce_sections(A: Algebroid, sections: Sequence) -> list[Section]:

@@ -199,14 +199,18 @@ class Fibration:
         return curvature(self)
 
     @cached_property
+    def _w2(self) -> tuple[Expr, ...]:
+        """``splitting . b``: the lift of the driver ``#b<u>``, in total coefficients."""
+        return tuple(dot(row, fresh("b", (self.base.rank,))) for row in self.splitting)
+
+    @cached_property
     def _lift_programs(self) -> dict[tuple[int, bool], object]:
         return {}
 
     def _lift(self, k: int, split: bool):
         if (k, split) not in self._lift_programs:
-            rE = self.total.rank
-            w2 = [dot(row, fresh("b", (self.base.rank,))) for row in self.splitting]
-            out, y = [*w2, *self.total.anchor_of(Section(tuple(w2)))], fresh("y", (k, rE))
+            rE, w2 = self.total.rank, self._w2
+            out, y = [*w2, *self.total.anchor_of(Section(w2))], fresh("y", (k, rE))
             for row in y:
                 out.extend(wedge(row, w2, self.total.structure, rE))
             names = [*self.chart.coords, *(v.name for v in y.flat)]  # of the state rows after w2's integral
@@ -237,6 +241,17 @@ class Fibration:
         (only w2's integral's and the point's if some row has level -1).
         """
         return self._lift(k, True)
+
+    @cached_property
+    def field_matrix_program(self) -> Program:
+        """The (rE, rE) matrix, over the coordinates and ``#b<u>``, whose entry (l, p) is the coefficient of y_p in a lift field's row l.
+
+        Every field row of :meth:`lift_program` is linear in its field: y
+        moves at this matrix times y, plus the transverse difference of w2.
+        """
+        rE = self.total.rank
+        cols = [wedge(unit_row(p, rE), self._w2, self.total.structure, rE) for p in range(rE)]
+        return compile_exprs([[col[l] for col in cols] for l in range(rE)])
 
     @cached_property
     def transport_program(self) -> Program:
@@ -440,20 +455,22 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     off the table, each higher level's program run once per stage kind
     over all steps, bound to the stage-state buffers; a field row adds
     the difference of w2's row, over the table or over that row's rates
-    at each stage kind.  A sweep with a row in or above a cycle, or whose
-    levels meet a domain error, steps by :func:`cubes.rk4`, which raises
-    in its own stage order: each stage copies its table slice into one
-    rate buffer, runs the rest, bound once to views of the RK4 stage
-    buffer and of a driver buffer that it copies ``b[..., j, :]`` into,
-    and adds the fields' difference in one call, from the table's or
-    from one taken over w2's rates at every stage, which one level pass
-    over w2's integral and the point gives (they read no field, and the
-    pass forms ``rk4``'s stage states bitwise).  A stage takes it itself
-    only if the point rows read each other in a cycle or that pass meets
-    a domain error.  ``w2`` at the nodes is the table's even rows if
-    state-free, else one run of the field-free lift program after the
-    sweep.  Returns the cube over the total algebroid whose fields are
-    the transverse fields, then ``w2``.
+    at each stage kind.  If only field rows are in or above a cycle, a
+    level pass integrates w2's integral and the point, and the fields
+    step by :func:`cubes.rk4_linear`: every field row is linear in its
+    field, with one matrix for all k fields
+    (:attr:`Fibration.field_matrix_program`, run once per stage kind on
+    the point's stage states) and, as c, the fields' transverse
+    difference, taken over w2's rates at every stage kind.  A sweep
+    whose point rows read each other in a cycle, or whose level pass or
+    field matrix meets a domain error, steps by :func:`cubes.rk4`, which
+    raises in its own stage order: each stage copies its table slice
+    into one rate buffer, runs the rest, bound once to views of the RK4
+    stage buffer and of a driver buffer that it copies ``b[..., j, :]``
+    into, and adds the difference of w2's rates.  ``w2`` at the nodes is
+    the table's even rows if state-free, else one run of the field-free
+    lift program after the sweep.  Returns the cube over the total
+    algebroid whose fields are the transverse fields, then ``w2``.
 
     The RK4 state matches the lift program's outputs row for row: the
     running integral of ``w2`` (zero at t = 0, dropped after the sweep),
@@ -461,7 +478,7 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     rule of :func:`cubes.rk4`; a non-finite value (the lift leaving the
     chart) raises ChartEscapeError.
     """
-    from .cubes import ChartEscapeError, Cube, frozen, rk4, rk4_levels, stage_kinds
+    from .cubes import ChartEscapeError, Cube, frozen, rk4, rk4_levels, rk4_linear, stage_kinds
 
     h = 1.0 / N
     m, rE = fib.chart.dim, fib.total.rank
@@ -485,8 +502,8 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
         y = state[..., rE + m :].reshape(state.shape[:-1] + (k, rE))
         return fib.chart.bind(program, state[..., rE : rE + m], b=driver, y=y)
 
-    def level_pass(n: int) -> tuple[np.ndarray, np.ndarray]:
-        """``rk4_levels`` over the first n state rows (all, or w2's integral and the point), and K: their rates at each stage kind."""
+    def level_pass(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``rk4_levels`` over the first n state rows (all, or w2's integral and the point), then K and S: their rates and stage states at each stage kind."""
         rows = [np.flatnonzero(depth[:n] == L) for L in range(len(programs) + 1)]
         # the rates of the rows above level 0 and the stage states of the rows read, at each stage kind:
         # one contiguous block per row and kind, so a row that is never written is never touched
@@ -509,21 +526,9 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
                 ks.append(kr)
             return ks
 
-        return rk4_levels(rates, rows, Y0[:n], N, {r: S[:, r] for r in np.flatnonzero(read[:n])}), K
+        return rk4_levels(rates, rows, Y0[:n], N, {r: S[:, r] for r in np.flatnonzero(read[:n])}), K, S
 
     def stepped() -> np.ndarray:
-        at = None  # the fields' transverse difference at stage time j, called in rk4's stage order, unless each stage takes it
-        if grad is not None:
-            at = grad.__getitem__
-        elif k and (depth[: rE + m] >= 0).all() and (depth < 0).any():  # the level programs run only these rows
-            try:
-                K = level_pass(rE + m)[1]
-                w = np.stack([K[:, l] if depth[l] else stage_kinds(table[:, l]) for l in range(rE)], axis=1)
-                diff = np.concatenate([np.gradient(w, h, axis=3 + i, edge_order=2) for i in range(k)], axis=1)
-                diffs = iter(np.moveaxis(diff, 2, 0).reshape((4 * N, k * rE) + lines))  # step by step, kind by kind
-                at = lambda j: next(diffs)
-            except DomainError:  # rk4 raises it in its own stage order
-                pass
         stage, driver, rates = np.empty(Y0.shape), np.empty(b.shape[-1:] + lines), np.empty(Y0.shape)
         lift = bound(stage_program, stage, np.moveaxis(driver, 0, -1))
         w2, dY = rates[:rE], rates[rE + m :]  # w2's and the k fields' rates
@@ -533,26 +538,43 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
             np.copyto(rates, table[j])
             np.copyto(driver, b_rows[..., j])
             lift.run(out, checked=False)
-            if at is not None:
-                np.add(dY, at(j), out=dY)
-            else:
-                for i in range(k):
-                    dy = dY[i * rE : (i + 1) * rE]
-                    np.add(dy, np.gradient(w2, h, axis=1 + i, edge_order=2), out=dy)
+            for i in range(k):
+                dy = dY[i * rE : (i + 1) * rE]
+                np.add(dy, np.gradient(w2, h, axis=1 + i, edge_order=2), out=dy)
             return rates
 
         return rk4(rhs, Y0, N, stage)
 
-    def leveled() -> np.ndarray:
+    def linear_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A level pass's nodes of w2's integral and the point, then B and c of the fields' rate B y + c at each stage kind.
+
+        Each field is one column: B has shape (4, N) + lines + (rE, rE)
+        and c (4, N) + lines + (rE, k).  The table's field cells are zero,
+        as each is linear in its field.
+        """
+        Y, K, S = level_pass(rE + m)
+        w = np.stack([K[:, l] if depth[l] else stage_kinds(table[:, l]) for l in range(rE)], axis=1)  # w2's rates at each stage kind
+        d = np.concatenate([np.gradient(w, h, axis=3 + i, edge_order=2) for i in range(k)], axis=1)
+        B = np.empty((4, N) + lines + (rE, rE))
+        for q, b_q in enumerate(stage_kinds(drive)):
+            fib.chart.bind(fib.field_matrix_program, np.moveaxis(S[q, rE : rE + m], 0, -1), b=b_q).run(B[q], checked=False)
+        return Y, B, np.moveaxis(d.reshape((4, k, rE, N) + lines), (1, 2, 3), (-1, -2, 1))
+
+    def swept() -> np.ndarray:
+        """The nodes, level by level, or the fields by their step matrices after a level pass over the rest."""
         try:
-            return level_pass(len(Y0))[0]
+            if (depth >= 0).all():
+                return level_pass(len(Y0))[0]
+            Y, B, c = linear_terms()
         except NonFiniteError:
             raise
         except DomainError:  # rk4 raises it too, or an error that it meets at an earlier stage
             return stepped()
+        y = rk4_linear(B, c, np.moveaxis(Y0[rE + m :].reshape((k, rE) + lines), (0, 1), (-1, -2)), N)
+        return np.concatenate([Y, np.moveaxis(y, (-1, -2), (1, 2)).reshape((N + 1, k * rE) + lines)], axis=1)
 
     try:
-        Y = leveled() if (depth >= 0).all() else stepped()
+        Y = swept() if (depth[: rE + m] >= 0).all() else stepped()
         Y = np.moveaxis(Y, (0, 1), (-2, -1))[..., rE:]
         w_nodes = np.moveaxis(table[::2, :rE], (0, 1), (-2, -1))  # checked by rk4: the integral of w2 is in the state
         if not free[:rE].all():
@@ -607,16 +629,16 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
     the last coefficient field; all of them are transported at once.
     The path and its driver are sampled once, at every RK4 stage time,
     and the fibration's :attr:`Fibration.transport_program` (the rate
-    matrix, which reads no V) is one checked run over all of them.  Each
-    stage multiplies its slice with V, summing over the middle index in
-    order into one rate buffer, so the rate is bitwise the symbolic
-    product's (``np.matmul`` may fuse the multiply-adds).  Returns the
-    ``grid + (rK, rK)`` array of matrices carrying a kernel vector at
-    the start of each line to each node, so a one-dimensional path gives
-    an (N+1, rK, rK) stack.  A trivial covariant action short-circuits
-    to identity matrices.
+    matrix M of V' = M V, which reads no V) is one checked run over all
+    of them.  :func:`cubes.rk4_linear` then builds every step's RK4 step
+    matrix from M at once and takes one matrix product a step: RK4 in
+    exact arithmetic, rounded in another order than :func:`cubes.rk4`.
+    Returns the ``grid + (rK, rK)`` array of matrices carrying a kernel
+    vector at the start of each line to each node, so a one-dimensional
+    path gives an (N+1, rK, rK) stack.  A trivial covariant action
+    short-circuits to identity matrices.
     """
-    from .cubes import Spline, half_steps, rk4
+    from .cubes import Spline, half_steps, rk4_linear, stage_kinds
 
     if path.algebroid != fib.base:
         raise ValueError("transport needs a cube over the base")
@@ -629,15 +651,7 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
     g = Spline(path.gamma, axis=n - 1)(ts)
     b = Spline(path.coeffs[n - 1], axis=n - 1)(ts)
     M = fib.chart.values(fib.transport_program, np.moveaxis(g, -2, 0), b=np.moveaxis(b, -2, 0))
-    rates, term = np.empty(M.shape[1:]), np.empty(M.shape[1:])
-
-    def rhs(j: int, V: np.ndarray) -> np.ndarray:
-        np.multiply(M[j, ..., :, 0:1], V[..., 0:1, :], out=rates)
-        for s in range(1, rK):
-            np.add(rates, np.multiply(M[j, ..., :, s : s + 1], V[..., s : s + 1, :], out=term), out=rates)
-        return rates
-
-    V = rk4(rhs, np.broadcast_to(np.eye(rK), rates.shape), N)
+    V = rk4_linear(stage_kinds(M), None, np.broadcast_to(np.eye(rK), M.shape[1:]), N)
     return np.moveaxis(V, 0, n - 1)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -38,6 +39,7 @@ from algebroids.cubes import (
     reverse,
     rk4,
     rk4_levels,
+    rk4_linear,
     rk4_table,
     stage_kinds,
     save_cube,
@@ -521,6 +523,66 @@ def test_levels_are_bitwise_rk4_and_raise_at_the_first_non_finite_node_of_any_ro
             sweep()
         messages.append(str(err.value))
     assert messages[0] == messages[1] and re.fullmatch(r"non-finite state at step ([2-9]|1[01]) of 16", messages[0])
+
+
+@pytest.mark.parametrize("r, cols", [(1, 1), (3, 2)])
+@pytest.mark.parametrize("affine", [False, True], ids=["homogeneous", "affine"])
+@pytest.mark.parametrize("shared", [True, False], ids=["k2-is-k3", "k2-not-k3"])
+def test_rk4_linear_is_rk4_of_its_linear_rate_to_rounding(r, cols, affine, shared):
+    rng, N, lines = np.random.default_rng(10 * r + cols), 10, (4,)
+    if shared:  # a nonautonomous B over the 2N+1 stage times, whose k2 and k3 are one array
+        t = half_steps(N)[:, None, None, None]
+        B0, B1 = rng.normal(size=(2,) + lines + (r, r))
+        B = stage_kinds(B0 * np.cos(3 * t) + B1 * t)
+        assert B[1] is B[2]
+    else:  # every stage of every step drawn on its own, as stage states of lower rows may give
+        B = tuple(rng.normal(size=(4, N) + lines + (r, r)))
+    c = tuple(rng.normal(size=(4, N) + lines + (r, cols))) if affine else None
+    y0 = rng.normal(size=lines + (r, cols))
+    calls = itertools.count()
+
+    def f(j, y):
+        s, q = divmod(next(calls), 4)  # rk4 calls f at k1, k2, k3 and k4 of each step, in order
+        return B[q][s] @ y + (c[q][s] if affine else 0.0)
+
+    np.testing.assert_allclose(rk4_linear(B, c, y0, N), rk4(f, y0, N), rtol=1e-12, atol=1e-12)
+
+
+def _spun(N: int) -> tuple:
+    """A rate with a closed form: (y0, y1) turns by 3t + t^2, and y2' = cos(t) y2 + exp(sin t), so y2 = exp(sin t) (y2(0) + t).
+
+    Returns B and c at the stage kinds of N steps, y0, and the exact state at t = 1.
+    """
+    t = half_steps(N)
+    B = np.zeros((2 * N + 1, 3, 3))
+    B[:, 1, 0], B[:, 0, 1], B[:, 2, 2] = 3 + 2 * t, -(3 + 2 * t), np.cos(t)
+    c = np.zeros((2 * N + 1, 3, 1))
+    c[:, 2, 0] = np.exp(np.sin(t))
+    y0, a = np.array([[1.0], [0.5], [-0.3]]), 4.0
+    exact = np.array([[np.cos(a) - 0.5 * np.sin(a)], [np.sin(a) + 0.5 * np.cos(a)], [np.exp(np.sin(1.0)) * 0.7]])
+    return stage_kinds(B), stage_kinds(c), y0, exact
+
+
+def test_rk4_linear_converges_at_order_four():
+    errors = []
+    for N in (16, 32, 64):
+        B, c, y0, exact = _spun(N)
+        errors.append(np.abs(rk4_linear(B, c, y0, N)[-1] - exact).max())
+    ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+    assert all(14 < ratio < 18 for ratio in ratios), ratios
+
+
+def test_rk4_linear_raises_rk4s_error_at_the_first_non_finite_node():
+    # y' = 0.1 y grows by e^(1/120) a step, from e^(-5.5/120) times the largest float: past it in step 6.
+    # (rk4 sums k1 + 2 k2 + 2 k3 + k4 before h/6 scales it, so it overflows a step early where 6 times the rate does)
+    N, big = 12, np.finfo(float).max * np.exp(-5.5 / 120)
+    B = stage_kinds(np.full((2 * N + 1, 1, 1), 0.1))
+    messages = []
+    for sweep in (lambda: rk4(lambda j, y: 0.1 * y, np.full((1, 1), big), N), lambda: rk4_linear(B, None, np.full((1, 1), big), N)):
+        with pytest.raises(NonFiniteError) as err:
+            sweep()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == "non-finite state at step 6 of 12"
 
 
 def test_flow_cube_zero_dimensional_chart():

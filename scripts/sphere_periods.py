@@ -6,7 +6,16 @@ square for d = 1..degrees.  The periods should land on 4*pi*d, and the
 relation finder should recognise the family as one rational class with
 generator 4*pi.
 
-Usage: python3 scripts/sphere_periods.py [--degrees 3] [--grid 256]
+``--map affine`` (the default) wraps each square by the affine map of
+the benchmark workload, whose theta reads t1 alone and phi t2 alone.
+``--map wavy`` bends it in both angles, so that every point coordinate
+of the grid varies along both time axes (the map of
+``test_a_sphere_map_that_is_not_separable_has_period_total_area``):
+
+    theta = eps + (pi - 2 eps) t1 + 0.01 sin(pi t1) sin(2 pi t2)
+    phi   = 2 pi d t2 + 0.05 sin(pi t1)
+
+Usage: python3 scripts/sphere_periods.py [--degrees 3] [--grid 256] [--map affine|wavy]
 """
 
 import argparse
@@ -22,6 +31,7 @@ def main() -> None:
     ap.add_argument("--degrees", type=int, default=3, help="largest wrapping degree")
     ap.add_argument("--grid", type=int, default=256, help="grid points per cube axis")
     ap.add_argument("--eps", type=float, default=1e-3, help="polar-cap cutoff")
+    ap.add_argument("--map", choices=("affine", "wavy"), default="affine", help="the map of each square")
     args = ap.parse_args()
 
     eps = args.eps
@@ -32,14 +42,19 @@ def main() -> None:
     A = make_jacobi_extension(chart, {(0, 1): "1/sin(th)"})
     splitting = [["0", "0"], ["0", "sin(th)"], ["-sin(th)", "0"]]
 
-    cubes = [
-        tangent_lift(chart, [f"{eps} + {PI - 2 * eps}*t1", f"{2 * PI * d}*t2"], 2, args.grid)
-        for d in range(1, args.degrees + 1)
-    ]
+    def components(d: int) -> list[str]:
+        if args.map == "affine":
+            return [f"{eps} + {PI - 2 * eps}*t1", f"{2 * PI * d}*t2"]
+        return [
+            f"{eps} + {PI - 2 * eps}*t1 + 0.01*sin({PI}*t1)*sin({2 * PI}*t2)",
+            f"{2 * PI * d}*t2 + 0.05*sin({PI}*t1)",
+        ]
+
+    cubes = [tangent_lift(chart, components(d), 2, args.grid) for d in range(1, args.degrees + 1)]
     labels = [f"deg{d}" for d in range(1, args.degrees + 1)]
     report = monodromy_group(A, splitting, cubes, labels=labels)
 
-    print(f"polar cutoff {eps}, grid {args.grid}")
+    print(f"{args.map} map, polar cutoff {eps}, grid {args.grid}")
     print(f"{'degree':>6} {'period':>14} {'4*pi*d':>14} {'error':>11} {'estimate':>11}")
     for d, period, est in zip(range(1, args.degrees + 1), report.periods, report.est_errors):
         target = 4 * PI * d

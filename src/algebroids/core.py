@@ -63,50 +63,62 @@ class Chart:
     def dim(self) -> int:
         return len(self.coords)
 
-    def env(self, points: np.ndarray) -> dict:
-        """Environment mapping coordinate names to the last-axis slices."""
+    def _coordinates(self, points) -> tuple[tuple[np.ndarray, ...], tuple]:
+        """The coordinate arrays of ``points`` and their base shape.
+
+        ``points`` is a tuple of one array per coordinate, whose base shape
+        is their broadcast shape, or an (..., dim) array, which is split
+        into its last-axis slices and has the base shape ``points.shape[:-1]``.
+        """
+        if isinstance(points, tuple):
+            if len(points) != self.dim:
+                raise ValueError(f"expected {self.dim} coordinate arrays, not {len(points)}")
+            coords = tuple(np.asarray(p, dtype=float) for p in points)
+            return coords, np.broadcast(*coords).shape
         points = np.asarray(points, dtype=float)
         if points.shape[-1:] != (self.dim,):
             raise ValueError(f"expected trailing axis of length {self.dim}")
-        return {name: points[..., a] for a, name in enumerate(self.coords)}
+        return tuple([points[..., a] for a in range(self.dim)]), points.shape[:-1]
 
-    def values(
-        self, program, points: np.ndarray, named: Mapping[str, object] | None = None, *, out=None, **fields
-    ) -> np.ndarray:
+    def env(self, points) -> dict:
+        """Environment mapping coordinate names to the coordinate arrays of ``points`` (see :meth:`_coordinates`)."""
+        return dict(zip(self.coords, self._coordinates(points)[0]))
+
+    def values(self, program, points, named: Mapping[str, object] | None = None, *, out=None, **fields) -> np.ndarray:
         """Run a Program, or nested Exprs, at points, with the inputs :meth:`bind` gives it.
 
         ``out`` goes to :func:`eval_exprs`.
         """
-        points = np.asarray(points, dtype=float)
-        return eval_exprs(program, self._inputs(points, named, fields), points.shape[:-1], out=out)
+        env, base_shape = self._inputs(points, named, fields)
+        return eval_exprs(program, env, base_shape, out=out)
 
-    def bind(self, program, points: np.ndarray, named: Mapping[str, object] | None = None, **fields) -> Bound:
+    def bind(self, program, points, named: Mapping[str, object] | None = None, **fields) -> Bound:
         """Bind a Program, or nested Exprs, at points: every program at chart points gets its inputs here.
 
-        Coordinates bind to ``points[..., a]``, ``named`` variables by name, and
-        each field array to the :func:`fresh` variables of its tag and its axes
-        past the base shape ``points.shape[:-1]``.  Float64 arrays are bound as
-        views (see :class:`expr.Bound`), so a sweep binds its stage buffers once
-        and runs the result at every stage.
+        ``points`` is a tuple of coordinate arrays or an (..., dim) array (see
+        :meth:`_coordinates`); either way each coordinate binds to its own
+        array, so a coordinate stored along fewer axes than the base shape
+        (a broadcast) is read along those axes only.  ``named`` variables bind
+        by name, and each field array to the :func:`fresh` variables of its
+        tag and its axes past the base shape.  Float64 arrays are bound as
+        views (see :class:`expr.Bound`), so a sweep binds its stage buffers
+        once and runs the result at every stage.
         """
-        points = np.asarray(points, dtype=float)
-        return bind(program, self._inputs(points, named, fields), points.shape[:-1])
+        return bind(program, *self._inputs(points, named, fields))
 
-    def _inputs(self, points: np.ndarray, named, fields: dict) -> dict:
-        env = {**self.env(points), **(named or {})}
+    def _inputs(self, points, named, fields: dict) -> tuple[dict, tuple]:
+        coords, base_shape = self._coordinates(points)
+        env = {**dict(zip(self.coords, coords)), **(named or {})}
         for tag, values in fields.items():
-            env.update((name, values[index]) for name, index in _names(tag, values.shape[points.ndim - 1 :]))
-        return env
+            env.update((name, values[index]) for name, index in _names(tag, values.shape[len(base_shape) :]))
+        return env, base_shape
 
-    def contains(self, points: np.ndarray, tol: float = 0.0) -> bool:
-        points = np.asarray(points, dtype=float)
-        if self.dim == 0:
-            return True
-        if not points.size:
-            return True
+    def contains(self, points, tol: float = 0.0) -> bool:
+        """Whether every point lies in the box widened by ``tol``; ``points`` as in :meth:`_coordinates`."""
         return all(
-            lo - tol <= points[..., a].min() and points[..., a].max() <= hi + tol
-            for a, (lo, hi) in enumerate(self.box)
+            lo - tol <= c.min() and c.max() <= hi + tol
+            for c, (lo, hi) in zip(self._coordinates(points)[0], self.box)
+            if c.size
         )
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -352,13 +364,13 @@ class Algebroid:
     def structure_program(self) -> Program:
         return antisymmetric_program(self.structure, self.rank, self.rank)
 
-    def anchor_values(self, points: np.ndarray) -> np.ndarray:
-        """Anchor matrix at points, shape (..., rank, dim)."""
+    def anchor_values(self, points) -> np.ndarray:
+        """Anchor matrix at points (see :meth:`Chart.values`), shape (..., rank, dim)."""
         if self.rank == 0:
-            return np.zeros(np.shape(points)[:-1] + (0, self.chart.dim))
+            return np.zeros(self.chart._coordinates(points)[1] + (0, self.chart.dim))
         return self.chart.values(self.anchor_program, points)
 
-    def structure_values(self, points: np.ndarray) -> np.ndarray:
+    def structure_values(self, points) -> np.ndarray:
         """Full antisymmetric structure tensor c[..., i, j, k] at points."""
         return self.chart.values(self.structure_program, points)
 

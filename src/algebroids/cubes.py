@@ -28,7 +28,7 @@ from .core import (
     Algebroid, Chart, Section, coerce_matrix, eval_exprs, make_cotangent_poisson, make_tangent,
     product_chart, sampled_values, sup_norm, time_names,
 )
-from .expr import DomainError, NonFiniteError, as_expr, compile_exprs, split_exprs, sub
+from .expr import DomainError, NonFiniteError, Program, as_expr, compile_exprs, split_exprs, sub
 
 __all__ = [
     "Cube",
@@ -130,45 +130,54 @@ def _adopt(a) -> tuple[np.ndarray, np.ndarray]:
 class Cube:
     """Sampled cube: base points and per-axis frame coefficients.
 
-    ``gamma`` has shape (N+1,)*n + (dim,), ``coeffs`` has shape
-    (n,) + (N+1,)*n + (rank,) with ``coeffs[i]`` the coefficient field of
-    time axis i.  An array may be a broadcast (``np.broadcast_to``): its
-    compact part, one slice along each axis of stride 0 and length > 1,
-    is what is stored and checked.  A float64 compact part that owns its
-    memory and is already read-only, or is such an array with its axes
-    permuted, is adopted as it stands (see :func:`frozen`); anything
-    else, a broadcast's slice included, is copied and the copy made
-    read-only, then broadcast back.  The index order is fixed, the
-    storage order is not: :func:`tangent_lift` stores ``gamma``
-    coordinate-major, so that each ``gamma[..., a]`` is contiguous, and a
-    copy keeps the storage order of what it copies.  Arrays must be
-    finite; points outside the chart box raise :class:`ChartEscapeError`.
+    ``points`` holds one array of shape (N+1,)*n per chart coordinate;
+    ``coeffs`` has shape (n,) + (N+1,)*n + (rank,) with ``coeffs[i]`` the
+    coefficient field of time axis i.  The points may be given as that
+    tuple or as one (grid..., dim) array, which is held as given and
+    split into its last-axis slices.  Any array may be a broadcast
+    (``np.broadcast_to``): its compact part, one slice along each axis
+    of stride 0 and length > 1, is what is stored and checked, so a
+    coordinate that reads one time axis is stored along that axis only.
+    A float64 compact part that owns its memory and is already
+    read-only, or is such an array with its axes permuted, is adopted as
+    it stands (see :func:`frozen`); anything else, a broadcast's slice
+    included, is copied and the copy made read-only, then broadcast
+    back.  ``gamma``, the points as one (grid..., dim) array, is built
+    from ``points`` when first read; points given as one array keep it
+    as their ``gamma``.  Arrays must be finite; points outside the chart
+    box raise :class:`ChartEscapeError`.
     """
 
     algebroid: Algebroid
-    gamma: np.ndarray
+    points: tuple
     coeffs: np.ndarray
 
     def __post_init__(self):
-        g, g_part = _adopt(self.gamma)
         c, c_part = _adopt(self.coeffs)
         n = c.shape[0] if c.ndim > 0 else 0
-        if n < 1 or c.ndim != n + 2 or g.ndim != n + 1:
+        if isinstance(self.points, tuple):
+            adopted = [_adopt(p) for p in self.points]
+            points, parts = tuple(p for p, _ in adopted), tuple(part for _, part in adopted)
+        else:
+            g, parts = _adopt(self.points)
+            points = tuple(g[..., a] for a in range(g.shape[-1])) if g.ndim else (g,)
+            object.__setattr__(self, "gamma", g)
+        if n < 1 or c.ndim != n + 2 or any(p.ndim != n for p in points):
             raise ValueError("gamma must be grid + point, coeffs must be (axes,) + grid + frame")
-        axis_sizes = set(g.shape[:-1]) | set(c.shape[1:-1])
+        axis_sizes = set(c.shape[1:-1]).union(*(p.shape for p in points))
         if len(axis_sizes) != 1:
             raise ValueError("all grid axes must have the same node count")
         if axis_sizes.pop() < 3:
             raise ValueError("need at least three nodes per axis")
-        if g.shape[-1] != self.algebroid.chart.dim:
+        if len(points) != self.algebroid.chart.dim:
             raise ValueError("gamma points do not match the chart dimension")
         if c.shape[-1] != self.algebroid.rank:
             raise ValueError("coefficient fields do not match the algebroid rank")
         if not np.isfinite(c_part).all():
             raise ValueError("coefficient fields hold NaN or inf")
-        if not self.algebroid.chart.contains(g_part, tol=1e-8):
+        if not self.algebroid.chart.contains(parts, tol=1e-8):  # the compact parts: a tuple, or one array
             raise ChartEscapeError("cube base points leave the chart box")
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -177,11 +186,19 @@ class Cube:
 
     @property
     def N(self) -> int:
-        return self.gamma.shape[0] - 1
+        return self.coeffs.shape[1] - 1
 
     @property
     def basepoint(self) -> np.ndarray:
-        return self.gamma[(0,) * self.n]
+        return np.array([p[(0,) * self.n] for p in self.points])
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """The points as one read-only (grid..., dim) array, stored coordinate-major: built on first use, then kept."""
+        g = np.empty((len(self.points),) + self.coeffs.shape[1:-1])
+        for a, p in enumerate(self.points):
+            g[a] = p
+        return np.moveaxis(frozen(g), 0, -1)
 
     @cached_property
     def half(self) -> Cube:
@@ -209,7 +226,7 @@ def morphism_residual(cube: Cube) -> MorphismResidual:
     n, N = cube.n, cube.N
     h = 1.0 / N
     A = cube.algebroid
-    rho = A.anchor_values(cube.gamma)
+    rho = A.anchor_values(cube.points)
     base = 0.0
     for i in range(n):
         dgamma = np.gradient(cube.gamma, h, axis=i, edge_order=2)
@@ -217,7 +234,7 @@ def morphism_residual(cube: Cube) -> MorphismResidual:
         base = max(base, sup_norm(dgamma - img))
     structure = 0.0
     if n >= 2:
-        cvals = A.structure_values(cube.gamma)
+        cvals = A.structure_values(cube.points)
         for i in range(n):
             for j in range(i + 1, n):
                 res = (
@@ -311,9 +328,7 @@ def coarsen(cube: Cube) -> Cube:
     if cube.N % 2 != 0:
         raise ValueError("coarsen needs an even number of steps")
     sl = (slice(None, None, 2),) * cube.n
-    gamma = cube.gamma[sl]
-    comps = cube.coeffs[(slice(None),) + sl]
-    return Cube(cube.algebroid, gamma, comps)
+    return Cube(cube.algebroid, tuple(p[sl] for p in cube.points), cube.coeffs[(slice(None),) + sl])
 
 
 def resample(cube: Cube, M: int) -> Cube:
@@ -884,13 +899,12 @@ def tangent_lift(
     ``components`` give the chart coordinates of the map as expressions
     in the time variables ``t1 .. tn``; the coefficient fields are the
     exact partial velocities, so the only morphism defect is the grid
-    derivative error.  All n x dim velocities are one program, run over
-    the time axes it loads and stored only along them: the cube's fields
-    broadcast that buffer over the grid (an affine map stores n x dim
-    numbers).  The points are stored one coordinate at a time, in a
-    ``(dim,) + grid`` buffer that the cube adopts as its ``(grid..., dim)``
-    view, so the chart-box check and every program that loads a
-    coordinate read contiguous memory.
+    derivative error.  Each coordinate is one program and all n x dim
+    velocities are another; each runs over the time axes it loads and
+    the cube holds a broadcast of its buffer over the grid, so a
+    coordinate that reads one time variable stores N+1 numbers and an
+    affine map stores n x dim velocities.  The chart-box check and every
+    program run at the points read those buffers along the same axes.
     """
     names = time_names(chart, n)
     exprs = [as_expr(c) for c in components]
@@ -902,15 +916,18 @@ def tangent_lift(
             raise ValueError(f"map components may only use time variables, found {sorted(extra)}")
     env = dict(zip(names, axis_times(n, N)))
     grid = (N + 1,) * n
-    points = np.empty((chart.dim,) + grid)
-    eval_exprs(tuple(exprs), env, grid, out=np.moveaxis(points, 0, -1))
+
+    def loaded(program: Program) -> tuple:
+        return np.broadcast_shapes((1,) * n, *(env[name].shape for _, name in program.loads))
+
+    def spread(a: np.ndarray, shape: tuple) -> np.ndarray:
+        return frozen(a) if a.shape == shape else np.broadcast_to(a, shape)
+
+    points = tuple(spread(eval_exprs(p, env, loaded(p)), grid) for p in map(compile_exprs, exprs))
     velocity = compile_exprs([[e.diff(t) for e in exprs] for t in names])
-    loaded = np.broadcast_shapes((1,) * n, *(env[name].shape for _, name in velocity.loads))
-    coeffs = np.empty((n,) + loaded + (chart.dim,))
-    eval_exprs(velocity, env, loaded, out=np.moveaxis(coeffs, 0, -2))
-    full = (n,) + grid + (chart.dim,)
-    coeffs = frozen(coeffs) if coeffs.shape == full else np.broadcast_to(coeffs, full)
-    return Cube(make_tangent(chart), np.moveaxis(frozen(points), 0, -1), coeffs)
+    coeffs = np.empty((n,) + loaded(velocity) + (chart.dim,))
+    eval_exprs(velocity, env, loaded(velocity), out=np.moveaxis(coeffs, 0, -2))
+    return Cube(make_tangent(chart), points, spread(coeffs, (n,) + grid + (chart.dim,)))
 
 
 def cotangent_lift(
@@ -931,11 +948,11 @@ def cotangent_lift(
     tangent = tangent_lift(chart, components, n, N)
     A = make_cotangent_poisson(chart, bivector)
     entry = A.anchor[0][1]  # the single independent bivector entry
-    pvals = chart.values(entry, tangent.gamma)
+    pvals = chart.values(entry, tangent.points)
     if np.any(np.abs(pvals) < 1e-12):
         raise ValueError("bivector vanishes along the swept region; cannot invert")
     # a velocity (v0, v1) has coefficients (v1, -v0) / p in the differential frame, p the bivector entry
-    return Cube(A, tangent.gamma, frozen(tangent.coeffs[..., ::-1] * (1.0, -1.0) / pvals[..., None]))
+    return Cube(A, tangent.points, frozen(tangent.coeffs[..., ::-1] * (1.0, -1.0) / pvals[..., None]))
 
 
 def path_cube(

@@ -316,8 +316,8 @@ class Curvature2Form:
         c0, c1 = fresh("c", (2, self.base_rank))
         return compile_exprs(wedge(c0, c1, self.entries, self.kernel_rank))
 
-    def pairing(self, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """Curvature paired node by node with the two fields stacked on the leading axis of ``coeffs``."""
+    def pairing(self, points, coeffs: np.ndarray) -> np.ndarray:
+        """Curvature paired node by node, at points (see :meth:`core.Chart.values`), with the two fields stacked on the leading axis of ``coeffs``."""
         return self.chart.values(self.pairing_program, points, c=np.moveaxis(coeffs, 0, -2))
 
 
@@ -615,8 +615,8 @@ def project_cube(fib: Fibration, cube: Cube) -> Cube:
 
     if cube.algebroid != fib.total:
         raise ValueError("cube must live over the total algebroid of the fibration")
-    pvals = fib.chart.values(fib.projection_program, cube.gamma)
-    return Cube(fib.base, cube.gamma, frozen(np.einsum("...ij,a...j->a...i", pvals, cube.coeffs)))
+    pvals = fib.chart.values(fib.projection_program, cube.points)
+    return Cube(fib.base, cube.points, frozen(np.einsum("...ij,a...j->a...i", pvals, cube.coeffs)))
 
 
 # --- parallel transport --------------------------------------------------------------
@@ -645,7 +645,7 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
     n, N = path.n, path.N
     rK = fib.kernel_rank
     if fib.transport_is_trivial:
-        return np.zeros(path.gamma.shape[:-1] + (rK, rK)) + np.eye(rK)
+        return np.zeros(path.coeffs.shape[1:-1] + (rK, rK)) + np.eye(rK)
 
     ts = half_steps(N)
     g = Spline(path.gamma, axis=n - 1)(ts)
@@ -699,7 +699,7 @@ def null_space(M: np.ndarray, rcond: float) -> np.ndarray:
     return vh[rank:].T
 
 
-KERNEL_DRIFT_TOL = 1e-9
+KERNEL_RCOND = 1e-10  # the anchor-kernel rank test's rcond, and its drift bar per entry (see anchor_fibration)
 
 
 def anchor_fibration(
@@ -712,8 +712,14 @@ def anchor_fibration(
 
     The kernel frame is detected numerically and must be constant: the
     anchor matrices sampled across the chart have to share one null
-    space, up to ``KERNEL_DRIFT_TOL`` relative to the largest anchor
-    entry.  Basis vectors are sign-fixed by their largest entry.
+    space.  Singular values of the stacked samples up to
+    ``KERNEL_RCOND`` times the largest count as zero, so a drift that
+    the rank test drops leaves the frame a residual of up to
+    ``KERNEL_RCOND`` x sqrt(samples x dim x rank) times the largest
+    anchor entry.  The frame must also leave no sampled entry a residual
+    above ``KERNEL_RCOND`` times that entry, a bar the rank test alone
+    does not enforce.  Basis vectors are sign-fixed by their largest
+    entry.
     """
     chart = A.chart
     m = chart.dim
@@ -724,14 +730,14 @@ def anchor_fibration(
     pts, _ = sampled_values(chart, (), n_samples, seed)
     rho = A.anchor_values(pts)  # (n, rE, m)
     stacked = rho.transpose(0, 2, 1).reshape(n_samples * m, rE)
-    ns = null_space(stacked, rcond=1e-10)
+    ns = null_space(stacked, rcond=KERNEL_RCOND)
     expected = rE - m
     if ns.shape[1] != expected:
         raise ValueError(
             f"anchor kernel is not a constant rank-{expected} subbundle over the sampled chart"
         )
     scale = float(np.abs(stacked).max(initial=1.0))
-    if sup_norm(stacked @ ns) > KERNEL_DRIFT_TOL * scale:
+    if sup_norm(stacked @ ns) > KERNEL_RCOND * scale:
         raise ValueError("anchor kernel drifts across the chart; no constant frame exists")
     kernel_rows = []
     for s in range(expected):

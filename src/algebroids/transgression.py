@@ -73,8 +73,8 @@ class TransgressionResult:
         }
 
 
-def kernel_coefficient_values(fib: Fibration, points: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Kernel-frame coefficients of total-frame coefficient vectors at points."""
+def kernel_coefficient_values(fib: Fibration, points, w: np.ndarray) -> np.ndarray:
+    """Kernel-frame coefficients of total-frame coefficient vectors at points (see :meth:`core.Chart.values`)."""
     inv = fib.chart.values(fib.frame_inverse_program, points)
     rK = fib.kernel_rank
     return np.einsum("...ij,...j->...i", inv[..., :rK, :], w)
@@ -191,7 +191,7 @@ def transgress_lift(fib: Fibration, cube: Cube) -> TransgressionResult:
     def compute(c: Cube):
         lifted = lift_cube(fib, c)
         top = face(lifted, axis=c.n - 1, end=1)
-        kappa = kernel_coefficient_values(fib, top.gamma, top.coeffs[0])
+        kappa = kernel_coefficient_values(fib, top.points, top.coeffs[0])
         return _trapezoid(kappa, c.N, c.n - 1), top, None
 
     value, est, top = _with_estimate(compute, cube)
@@ -219,7 +219,8 @@ def transgress2_formula(
     om = fib.curvature_form
 
     def compute(c: Cube):
-        field = om.pairing(c.gamma, c.coeffs)
+        # a chart without coordinates has no coordinate array to give the fields' grid shape
+        field = om.pairing(c.points or c.gamma, c.coeffs)
         if fib.transport_is_trivial:
             return _trapezoid(field, c.N, 2), None, field
         V = transport_matrix(fib, c)

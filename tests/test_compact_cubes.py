@@ -1,12 +1,14 @@
-"""Cubes whose coefficient fields are stored only along the grid axes they vary on.
+"""Cubes whose points and coefficient fields are stored only along the grid axes they vary on.
 
-A tangent lift runs its velocities over the time axes they load and
-hands the cube a broadcast of that buffer.  Every consumer must give the
-same bits on such a cube as on a dense copy of it.
+A tangent lift runs each coordinate, and its velocities, over the time
+axes they load and hands the cube a broadcast of each buffer.  Every
+consumer must give the same bits on such a cube as on a dense copy of it.
 """
 
 import dataclasses
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from algebroids.cubes import (
     reparam_cutoff,
     resample,
     reverse,
+    save_cube,
     tangent_lift,
     time_names,
 )
@@ -99,6 +102,19 @@ def test_a_map_varying_on_every_axis_gets_an_owned_contiguous_buffer():
     assert cube.coeffs.tobytes() == stacked_velocities(PLANE, comps, 2, N).tobytes()
 
 
+@pytest.mark.parametrize("shape", sorted(WRAP))
+def test_a_wrap_stores_each_coordinate_along_the_time_axes_it_reads(shape):
+    cube = tangent_lift(SPHERE, WRAP[shape], n=2, N=N)
+    # theta reads t1 alone; phi reads t2, and in the mixed map t1 too
+    want = {"affine": [(N + 1, 1), (1, N + 1)], "mixed": [(N + 1, 1), (N + 1, N + 1)]}[shape]
+    assert [compact_part(p).shape for p in cube.points] == want
+    assert all(p.shape == (N + 1, N + 1) and not p.flags.writeable for p in cube.points)
+    # the bits of the whole map run over the whole grid
+    env = dict(zip(time_names(SPHERE, 2), axis_times(2, N)))
+    dense = eval_exprs(tuple(as_expr(c) for c in WRAP[shape]), env, (N + 1, N + 1))
+    assert cube.gamma.tobytes() == dense.tobytes()
+
+
 def test_a_sphere_lift_allocates_little_beyond_its_points():
     comps = WRAP["affine"]
     tangent_lift(SPHERE, comps, n=2, N=16)  # compile and import outside the measurement
@@ -108,19 +124,28 @@ def test_a_sphere_lift_allocates_little_beyond_its_points():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < cube.gamma.nbytes + 2**20
+    # a dense (769, 769, 2) point grid would be 9.4 MB
+    assert peak < 2**18
+    assert "gamma" not in vars(cube)
+
+
+def test_a_sphere_period_never_builds_the_dense_points():
+    cube = tangent_lift(SPHERE, WRAP["affine"], n=2, N=768)
+    A = make_jacobi_extension(SPHERE, [["0", "1/sin(th)"], ["-1/sin(th)", "0"]])
+    assert abs(monodromy_period(A, SPHERE_SPLITTING, cube).scalar() - 4 * PI) < 2e-2
+    assert "gamma" not in vars(cube)
 
 
 # --- consumers give the same bits on a compact cube as on its dense copy ---------
 
 
 def _cotangent_square(shape):
-    """A cube over the cotangent algebroid of the constant bivector, stored as compactly as its velocities."""
+    """A cube over the cotangent algebroid of the constant bivector, stored as compactly as its tangent lift."""
     t = tangent_lift(PLANE, SQUARE[shape], n=2, N=N)
     # with the bivector entry 1, the differential-frame coefficients of (v0, v1) are (v1, -v0)
     part = compact_part(t.coeffs)[..., ::-1] * (1.0, -1.0)
     A = jacobi_fibration(PLANE, STD_BIV).base
-    return Cube(A, t.gamma, np.broadcast_to(part, t.coeffs.shape))
+    return Cube(A, t.points, np.broadcast_to(part, t.coeffs.shape))
 
 
 def _total_square(shape):
@@ -129,7 +154,7 @@ def _total_square(shape):
     part = compact_part(t.coeffs)
     part = np.concatenate([0.5 * part[..., :1], part], axis=-1)
     A = jacobi_fibration(PLANE, STD_BIV).total
-    return Cube(A, t.gamma, np.broadcast_to(part, t.coeffs.shape[:-1] + (3,)))
+    return Cube(A, t.points, np.broadcast_to(part, t.coeffs.shape[:-1] + (3,)))
 
 
 CUBES = {
@@ -148,7 +173,17 @@ def _twisted():
     return fib
 
 
+def _saved(cube: Cube) -> str:
+    """The text :func:`save_cube` writes for a cube."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cube.json"
+        save_cube(cube, path)
+        return path.read_text(encoding="utf-8")
+
+
 OPS = {
+    "basepoint": lambda get, shape: get("wrap").basepoint,
+    "save_cube": lambda get, shape: _saved(get("square")),
     "coarsen": lambda get, shape: coarsen(get("square")),
     "resample": lambda get, shape: resample(get("square"), 61),
     "face": lambda get, shape: face(get("square"), 0, 1),
@@ -171,7 +206,7 @@ OPS = {
 
 
 def _dense(cube: Cube) -> Cube:
-    return Cube(cube.algebroid, cube.gamma, np.array(cube.coeffs))
+    return Cube(cube.algebroid, np.array(cube.gamma), np.array(cube.coeffs))
 
 
 @pytest.mark.parametrize("shape", sorted(SQUARE))
@@ -179,7 +214,7 @@ def _dense(cube: Cube) -> Cube:
 def test_a_compact_cube_gives_the_bits_of_its_dense_copy(op, shape, monkeypatch):
     def compact(kind):
         cube = CUBES[kind](shape)
-        assert 0 in cube.coeffs.strides[1:-1]
+        assert 0 in cube.coeffs.strides[1:-1] and 0 in cube.points[0].strides
         return cube
 
     want = OPS[op](compact, shape)

@@ -24,7 +24,7 @@ from algebroids.core import (
     product_chart,
     so3_structure,
 )
-from algebroids.expr import ZERO, add, dot, mul, parse, sub, total, var
+from algebroids.expr import ZERO, add, compile_exprs, dot, mul, parse, sub, total, var
 
 
 PLANE = Chart(coords=("x", "y"), box=((-2.0, 2.0), (-2.0, 2.0)))
@@ -61,6 +61,18 @@ def test_chart_env_contains_sample():
     assert p.dim == 0
     assert p.sample(5, rng).shape == (5, 0)
     assert p.contains(np.zeros((5, 0)))
+
+
+def test_coordinate_arrays_give_the_bits_of_their_stacked_points():
+    # x varies along axis 0 only and y along axis 1 only; as a tuple each is read at its own shape
+    x, y = np.linspace(-1.0, 1.0, 5)[:, None], np.linspace(0.5, 2.0, 7)[None, :]
+    stacked = np.stack(np.broadcast_arrays(x, y), axis=-1)
+    program = compile_exprs([parse("x*y + sin(x)"), parse("log(y) - x")])
+    got = PLANE.values(program, (x, y))
+    assert got.shape == (5, 7, 2) and got.tobytes() == PLANE.values(program, stacked).tobytes()
+    assert PLANE.contains((x, y)) and not PLANE.contains((x, 4.0 + y))
+    bound = PLANE.bind(program, (x, np.broadcast_to(y, (5, 7))))
+    assert bound.base_shape == (5, 7) and bound.run().tobytes() == got.tobytes()
 
 
 def test_product_chart_requires_disjoint_names():
@@ -438,6 +450,7 @@ def test_direct_sum_offsets_the_second_summands_structure_by_the_first_rank():
 RANK_TWO = make_tangent(PLANE)
 GUARDS = {
     "chart points": (lambda: PLANE.env(np.zeros((4, 3))), ValueError, "expected trailing axis of length 2"),
+    "chart coordinates": (lambda: PLANE.env((np.zeros(4),)), ValueError, "expected 2 coordinate arrays, not 1"),
     "matrix shape": (lambda: make_explicit(PLANE, 2, [["1", "0"]]), ValueError, "anchor must be 2 x 2"),
     "negative rank": (lambda: Algebroid(PLANE, -1, ()), ValueError, "rank must be nonnegative"),
     "anchor shape": (lambda: Algebroid(PLANE, 1, ((ZERO,),)), ValueError, "anchor must be rank x dim"),

@@ -207,6 +207,21 @@ def test_anchor_fibration_rejects_varying_kernel():
         anchor_fibration(A, [["1"], ["0"]])
 
 
+def test_a_kernel_drift_below_the_rank_test_is_refused_at_the_defaults():
+    line = Chart(coords=("x",), box=((0.5, 1.5),))
+    # at 25 samples the drift's singular value is 8e-11 of the largest, so the rank test keeps one kernel
+    # direction, whose residual reaches 1.7e-10 of the largest anchor entry
+    A = make_explicit(line, 2, [["1"], ["1 + 5e-10*x"]])
+    with pytest.raises(ValueError, match="^anchor kernel drifts across the chart; no constant frame exists$"):
+        anchor_fibration(A, [["1"], ["0"]])
+
+
+def test_a_constant_kernel_of_a_varying_anchor_passes_the_drift_guard():
+    line = Chart(coords=("x",), box=((0.5, 1.5),))
+    fib = anchor_fibration(make_explicit(line, 2, [["exp(3*x)"], ["0.1*exp(3*x)"]]), [["1"], ["0"]])
+    np.testing.assert_allclose([float(evaluate(k, {})) for k in fib.kernel[0]], np.array([-0.1, 1.0]) / np.sqrt(1.01))
+
+
 def test_splitting_from_projection():
     sigma = splitting_from_projection([["0", "0", "-1"], ["0", "1", "0"]])
     vals = [[float(evaluate(e, {})) for e in row] for row in sigma]

@@ -40,6 +40,16 @@ __all__ = [
     "unit_row",
 ]
 
+
+class Coordinates(tuple):
+    """One float64 array per chart coordinate together with their base shape, which an empty tuple could not show."""
+
+    def __new__(cls, arrays, shape: tuple):
+        self = super().__new__(cls, arrays)
+        self.shape = shape
+        return self
+
+
 @dataclass(frozen=True)
 class Chart:
     """Named coordinates over an axis-aligned box."""
@@ -67,18 +77,23 @@ class Chart:
         """The coordinate arrays of ``points`` and their base shape.
 
         ``points`` is a tuple of one array per coordinate, whose base shape
-        is their broadcast shape, or an (..., dim) array, which is split
-        into its last-axis slices and has the base shape ``points.shape[:-1]``.
+        is their broadcast shape (a :class:`Coordinates` gives its own, so
+        a chart without coordinates still has one), or an (..., dim) array,
+        which is split into its last-axis slices and has the base shape
+        ``points.shape[:-1]``.
         """
+        dim = len(self.coords)
         if isinstance(points, tuple):
-            if len(points) != self.dim:
-                raise ValueError(f"expected {self.dim} coordinate arrays, not {len(points)}")
+            if len(points) != dim:
+                raise ValueError(f"expected {dim} coordinate arrays, not {len(points)}")
+            if isinstance(points, Coordinates):
+                return points, points.shape
             coords = tuple(np.asarray(p, dtype=float) for p in points)
             return coords, np.broadcast(*coords).shape
         points = np.asarray(points, dtype=float)
-        if points.shape[-1:] != (self.dim,):
-            raise ValueError(f"expected trailing axis of length {self.dim}")
-        return tuple([points[..., a] for a in range(self.dim)]), points.shape[:-1]
+        if points.shape[-1:] != (dim,):
+            raise ValueError(f"expected trailing axis of length {dim}")
+        return tuple([points[..., a] for a in range(dim)]), points.shape[:-1]
 
     def env(self, points) -> dict:
         """Environment mapping coordinate names to the coordinate arrays of ``points`` (see :meth:`_coordinates`)."""
@@ -108,7 +123,8 @@ class Chart:
 
     def _inputs(self, points, named, fields: dict) -> tuple[dict, tuple]:
         coords, base_shape = self._coordinates(points)
-        env = {**dict(zip(self.coords, coords)), **(named or {})}
+        env = dict(zip(self.coords, coords))
+        env.update(named or ())
         for tag, values in fields.items():
             env.update((name, values[index]) for name, index in _names(tag, values.shape[len(base_shape) :]))
         return env, base_shape

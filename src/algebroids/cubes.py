@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    Algebroid, Chart, Section, coerce_matrix, eval_exprs, make_cotangent_poisson, make_tangent,
+    Algebroid, Chart, Coordinates, Section, coerce_matrix, eval_exprs, make_cotangent_poisson, make_tangent,
     product_chart, sampled_values, sup_norm, time_names,
 )
 from .expr import DomainError, NonFiniteError, Program, as_expr, compile_exprs, split_exprs, sub
@@ -94,8 +94,9 @@ def _owned(a: np.ndarray) -> bool:
     """Whether ``a`` is a read-only array that owns its memory, or such an array with its axes permuted.
 
     A permuted view starts at its base's first byte and has the base's
-    (stride, length) pairs in another order; a reversed or sliced view
-    fails that test.
+    (stride, length) pairs in another order, axes of length 1 aside (their
+    stride moves no byte, so one cut from a broadcast passes); a reversed
+    or sliced view fails that test.
     """
     if a.flags.writeable:
         return False
@@ -107,22 +108,32 @@ def _owned(a: np.ndarray) -> bool:
         and base.flags.owndata
         and not base.flags.writeable
         and a.ctypes.data == base.ctypes.data
-        and sorted(zip(a.strides, a.shape)) == sorted(zip(base.strides, base.shape))
+        and _long_axes(a) == _long_axes(base)
     )
+
+
+def _long_axes(a: np.ndarray) -> list:
+    return sorted((step, size) for step, size in zip(a.strides, a.shape) if size > 1)
+
+
+def _compact(a: np.ndarray) -> np.ndarray:
+    """``a`` cut to one slice along each axis of stride 0 and length > 1: the part of a broadcast that holds its numbers."""
+    cut = tuple(slice(1) if step == 0 and size > 1 else slice(None) for step, size in zip(a.strides, a.shape))
+    return a[cut] if slice(1) in cut else a
 
 
 def _adopt(a) -> tuple[np.ndarray, np.ndarray]:
     """The read-only float64 array a :class:`Cube` holds for ``a``, and its compact part (see there).
 
     A compact part that :func:`_owned` accepts is held as it stands, in its
-    own axis order; anything else is copied.
+    own axis order, and ``a`` with it; anything else is copied.
     """
     if type(a) is not np.ndarray:
         a = frozen(np.array(a, dtype=float))
-    cut = tuple(slice(1) if step == 0 and size > 1 else slice(None) for step, size in zip(a.strides, a.shape))
-    part = a[cut] if slice(1) in cut else a
-    if not (part.dtype == np.float64 and _owned(part)):
-        part = frozen(np.array(part, dtype=float))
+    part = _compact(a)
+    if part.dtype == np.float64 and _owned(part):
+        return a, part
+    part = frozen(np.array(part, dtype=float))
     return (part if part.shape == a.shape else np.broadcast_to(part, a.shape)), part
 
 
@@ -130,22 +141,24 @@ def _adopt(a) -> tuple[np.ndarray, np.ndarray]:
 class Cube:
     """Sampled cube: base points and per-axis frame coefficients.
 
-    ``points`` holds one array of shape (N+1,)*n per chart coordinate;
-    ``coeffs`` has shape (n,) + (N+1,)*n + (rank,) with ``coeffs[i]`` the
-    coefficient field of time axis i.  The points may be given as that
-    tuple or as one (grid..., dim) array, which is held as given and
-    split into its last-axis slices.  Any array may be a broadcast
-    (``np.broadcast_to``): its compact part, one slice along each axis
-    of stride 0 and length > 1, is what is stored and checked, so a
-    coordinate that reads one time axis is stored along that axis only.
-    A float64 compact part that owns its memory and is already
-    read-only, or is such an array with its axes permuted, is adopted as
-    it stands (see :func:`frozen`); anything else, a broadcast's slice
-    included, is copied and the copy made read-only, then broadcast
-    back.  ``gamma``, the points as one (grid..., dim) array, is built
-    from ``points`` when first read; points given as one array keep it
-    as their ``gamma``.  Arrays must be finite; points outside the chart
-    box raise :class:`ChartEscapeError`.
+    ``points`` holds one array of shape (N+1,)*n per chart coordinate,
+    as a :class:`core.Coordinates` of that grid shape; ``coeffs`` has
+    shape (n,) + (N+1,)*n + (rank,) with ``coeffs[i]`` the coefficient
+    field of time axis i.  The points may be given as a tuple, or as
+    one (grid..., dim) array, which is held as given and split into its
+    last-axis slices; another cube's ``points`` are held as they are.
+    Any array may be a broadcast (``np.broadcast_to``): its compact
+    part, one slice along each axis of stride 0 and length > 1, is what
+    is stored and checked, so a coordinate that reads one time axis is
+    stored along that axis only.  A float64 compact part that owns its
+    memory and is already read-only, or is such an array with its axes
+    permuted, is adopted as it stands (see :func:`frozen`), so a
+    broadcast of such an array is held without a copy; anything else is
+    copied and the copy made read-only, then broadcast back.  ``gamma``,
+    the points as one (grid..., dim) array, is built from ``points``
+    when first read; points given as one array keep it as their
+    ``gamma``.  Arrays must be finite; points outside the chart box
+    raise :class:`ChartEscapeError`.
     """
 
     algebroid: Algebroid
@@ -155,16 +168,19 @@ class Cube:
     def __post_init__(self):
         c, c_part = _adopt(self.coeffs)
         n = c.shape[0] if c.ndim > 0 else 0
-        if isinstance(self.points, tuple):
+        if isinstance(self.points, Coordinates):  # another cube's points, held as they are
+            points, parts = self.points, tuple(map(_compact, self.points))
+        elif isinstance(self.points, tuple):
             adopted = [_adopt(p) for p in self.points]
             points, parts = tuple(p for p, _ in adopted), tuple(part for _, part in adopted)
         else:
             g, parts = _adopt(self.points)
             points = tuple(g[..., a] for a in range(g.shape[-1])) if g.ndim else (g,)
             object.__setattr__(self, "gamma", g)
-        if n < 1 or c.ndim != n + 2 or any(p.ndim != n for p in points):
+        grids = {p.shape for p in points}
+        if n < 1 or c.ndim != n + 2 or any(len(grid) != n for grid in grids):
             raise ValueError("gamma must be grid + point, coeffs must be (axes,) + grid + frame")
-        axis_sizes = set(c.shape[1:-1]).union(*(p.shape for p in points))
+        axis_sizes = set(c.shape[1:-1]).union(*grids)
         if len(axis_sizes) != 1:
             raise ValueError("all grid axes must have the same node count")
         if axis_sizes.pop() < 3:
@@ -177,7 +193,7 @@ class Cube:
             raise ValueError("coefficient fields hold NaN or inf")
         if not self.algebroid.chart.contains(parts, tol=1e-8):  # the compact parts: a tuple, or one array
             raise ChartEscapeError("cube base points leave the chart box")
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "points", Coordinates(points, c.shape[1:-1]))
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -194,11 +210,18 @@ class Cube:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        """The points as one read-only (grid..., dim) array, stored coordinate-major: built on first use, then kept."""
+        """The points as one read-only (grid..., dim) array, stored coordinate-major: built on first use, then kept.
+
+        A coordinate stored densely reads its slice of it from then on, so
+        that its own grid need not be kept beside it.
+        """
         g = np.empty((len(self.points),) + self.coeffs.shape[1:-1])
         for a, p in enumerate(self.points):
             g[a] = p
-        return np.moveaxis(frozen(g), 0, -1)
+        frozen(g)
+        points = tuple(p if 0 in p.strides else g[a] for a, p in enumerate(self.points))
+        object.__setattr__(self, "points", Coordinates(points, self.points.shape))
+        return np.moveaxis(g, 0, -1)
 
     @cached_property
     def half(self) -> Cube:
@@ -328,7 +351,9 @@ def coarsen(cube: Cube) -> Cube:
     if cube.N % 2 != 0:
         raise ValueError("coarsen needs an even number of steps")
     sl = (slice(None, None, 2),) * cube.n
-    return Cube(cube.algebroid, tuple(p[sl] for p in cube.points), cube.coeffs[(slice(None),) + sl])
+    # a cube that has built its dense stack coarsens it in one copy, which the half cube keeps as its own
+    points = cube.gamma[sl] if "gamma" in vars(cube) else tuple(p[sl] for p in cube.points)
+    return Cube(cube.algebroid, points, cube.coeffs[(slice(None),) + sl])
 
 
 def resample(cube: Cube, M: int) -> Cube:
@@ -921,7 +946,7 @@ def tangent_lift(
         return np.broadcast_shapes((1,) * n, *(env[name].shape for _, name in program.loads))
 
     def spread(a: np.ndarray, shape: tuple) -> np.ndarray:
-        return frozen(a) if a.shape == shape else np.broadcast_to(a, shape)
+        return frozen(a) if a.shape == shape else np.broadcast_to(frozen(a), shape)
 
     points = tuple(spread(eval_exprs(p, env, loaded(p)), grid) for p in map(compile_exprs, exprs))
     velocity = compile_exprs([[e.diff(t) for e in exprs] for t in names])

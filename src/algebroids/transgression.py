@@ -219,8 +219,7 @@ def transgress2_formula(
     om = fib.curvature_form
 
     def compute(c: Cube):
-        # a chart without coordinates has no coordinate array to give the fields' grid shape
-        field = om.pairing(c.points or c.gamma, c.coeffs)
+        field = om.pairing(c.points, c.coeffs)
         if fib.transport_is_trivial:
             return _trapezoid(field, c.N, 2), None, field
         V = transport_matrix(fib, c)

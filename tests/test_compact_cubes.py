@@ -113,6 +113,9 @@ def test_a_wrap_stores_each_coordinate_along_the_time_axes_it_reads(shape):
     env = dict(zip(time_names(SPHERE, 2), axis_times(2, N)))
     dense = eval_exprs(tuple(as_expr(c) for c in WRAP[shape]), env, (N + 1, N + 1))
     assert cube.gamma.tobytes() == dense.tobytes()
+    # once the dense stack is built, a coordinate stored densely reads its slice, and a compact one stays compact
+    assert [compact_part(p).shape for p in cube.points] == want
+    assert [np.shares_memory(p, cube.gamma) for p in cube.points] == [False, shape == "mixed"]
 
 
 def test_a_sphere_lift_allocates_little_beyond_its_points():

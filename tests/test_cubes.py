@@ -196,10 +196,14 @@ def test_cube_adopts_a_read_only_array_that_owns_its_memory(monkeypatch):
     gamma, coeffs = frozen(source.gamma.copy()), frozen(source.coeffs.copy())
     cube = Cube(source.algebroid, gamma, coeffs)
     assert cube.gamma is gamma and cube.coeffs is coeffs
+    # another cube's points are held as they are, though they are views of its dense stack
+    assert all(np.shares_memory(p, gamma) for p in Cube(source.algebroid, cube.points, coeffs).points)
     # a read-only view does not own its memory, so it is copied
-    view = source.coeffs[:, ::-1]
-    assert not np.shares_memory(Cube(source.algebroid, source.gamma[::-1], view).coeffs, source.coeffs)
-    # the cotangent lift keeps its tangent lift's points as compact as they came, and builds no dense stack
+    view = coeffs[:, ::-1]
+    assert not np.shares_memory(Cube(source.algebroid, source.gamma[::-1], view).coeffs, coeffs)
+    # but reversing an axis of stride 0 moves no byte, so the broadcast's compact part is held as it is
+    assert np.shares_memory(Cube(source.algebroid, gamma, source.coeffs[:, ::-1]).coeffs, source.coeffs)
+    # tangent_lift hands its fresh arrays over, and the cotangent lift reuses its points, compact, with no dense stack
     lifted = []
 
     def spy(*args):
@@ -208,8 +212,8 @@ def test_cube_adopts_a_read_only_array_that_owns_its_memory(monkeypatch):
 
     monkeypatch.setattr(cubes_module, "tangent_lift", spy)
     c = cotangent_lift(PLANE, {(0, 1): "1"}, ["0.5*t1", "0.3 + 0.2*t2"], 2, 8)
+    assert all(np.shares_memory(a, b) for a, b in zip(c.points, lifted[0].points))
     assert [p.strides for p in c.points] == [p.strides for p in lifted[0].points] == [(8, 0), (0, 8)]
-    assert [p.tobytes() for p in c.points] == [p.tobytes() for p in lifted[0].points]
     assert "gamma" not in vars(c) and "gamma" not in vars(lifted[0])
 
 
@@ -593,6 +597,9 @@ def test_flow_cube_zero_dimensional_chart():
     assert commutation_residual(A, secs) < 1e-12
     c = cube_from_sections(A, secs, [], 64)
     assert c.gamma.shape == (65, 65, 0)
+    # the points carry the grid shape though they hold no coordinate array
+    assert c.points == () and A.structure_values(c.points).shape == (65, 65, 3, 3, 3)
+    assert A.anchor_values(c.points).shape == (65, 65, 3, 0)
     t1, t2 = grid_times(2, 64)
     np.testing.assert_allclose(c.coeffs[0][..., 0], np.cos(t2), atol=1e-14)
     res64 = morphism_residual(c)

@@ -13,6 +13,11 @@ constructors wrapped, and prints one line per config:
   blocked call;
 - ``prelude``: the prelude writes (constant and variable cells copied
   to the output), one prelude per call;
+- ``narrowed``: the input arrays of the runs over more than
+  ``expr.BLOCK`` points that have an axis of stride 0 and length > 1,
+  which such a run cuts to their compact part: how much broadcast data
+  reaches the evaluator on large grids, so a change that hands it a
+  dense copy of a compact field shows as a lower count;
 - ``stages``: the RK4 stages of the stepped sweeps, 4N per ``rk4``
   call, which count the integration's work whether a stage runs a
   program or not;
@@ -53,7 +58,7 @@ from report_digest import configs  # puts this checkout's package and perfbench 
 
 from algebroids import cli, cubes, expr
 
-COUNTERS = ("checked", "unchecked", "ops", "prelude", "stages", "table_steps", "level_steps", "linear_steps", "nodes")
+COUNTERS = ("checked", "unchecked", "ops", "prelude", "narrowed", "stages", "table_steps", "level_steps", "linear_steps", "nodes")
 NODES = (expr.Const, expr.Var, expr.Unary, expr.Binary, expr.Power)
 STEPPERS = (cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear)
 
@@ -73,6 +78,8 @@ def counted(counts: Counter):
             lead = self.base_shape[0]
             rows = max(1, expr.BLOCK * program.size * lead // size)
             counts["ops"] += len(program.ops) * -(-lead // rows)
+            inputs = (self.regs[slot] for slot, _ in program.loads)
+            counts["narrowed"] += sum(expr.compact_part(v) is not v for v in inputs)
         return run(self, out, checked)
 
     return wrapper

@@ -28,7 +28,7 @@ from .core import (
     Algebroid, Chart, Coordinates, Section, coerce_matrix, eval_exprs, make_cotangent_poisson, make_tangent,
     product_chart, sampled_values, sup_norm, time_names,
 )
-from .expr import DomainError, NonFiniteError, Program, as_expr, compile_exprs, split_exprs, sub
+from .expr import DomainError, NonFiniteError, Program, as_expr, compact_part, compile_exprs, split_exprs, sub
 
 __all__ = [
     "Cube",
@@ -116,21 +116,15 @@ def _long_axes(a: np.ndarray) -> list:
     return sorted((step, size) for step, size in zip(a.strides, a.shape) if size > 1)
 
 
-def _compact(a: np.ndarray) -> np.ndarray:
-    """``a`` cut to one slice along each axis of stride 0 and length > 1: the part of a broadcast that holds its numbers."""
-    cut = tuple(slice(1) if step == 0 and size > 1 else slice(None) for step, size in zip(a.strides, a.shape))
-    return a[cut] if slice(1) in cut else a
-
-
 def _adopt(a) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only float64 array a :class:`Cube` holds for ``a``, and its compact part (see there).
+    """The read-only float64 array a :class:`Cube` holds for ``a``, and its :func:`expr.compact_part`.
 
     A compact part that :func:`_owned` accepts is held as it stands, in its
     own axis order, and ``a`` with it; anything else is copied.
     """
     if type(a) is not np.ndarray:
         a = frozen(np.array(a, dtype=float))
-    part = _compact(a)
+    part = compact_part(a)
     if part.dtype == np.float64 and _owned(part):
         return a, part
     part = frozen(np.array(part, dtype=float))
@@ -169,7 +163,7 @@ class Cube:
         c, c_part = _adopt(self.coeffs)
         n = c.shape[0] if c.ndim > 0 else 0
         if isinstance(self.points, Coordinates):  # another cube's points, held as they are
-            points, parts = self.points, tuple(map(_compact, self.points))
+            points, parts = self.points, tuple(map(compact_part, self.points))
         elif isinstance(self.points, tuple):
             adopted = [_adopt(p) for p in self.points]
             points, parts = tuple(p for p, _ in adopted), tuple(part for _, part in adopted)

@@ -13,11 +13,11 @@ runs the op list with every check.  :func:`evaluate` does both; a
 caller that runs one program at every stage of a sweep binds it to the
 buffers it rewrites in place, once, and only runs it per stage, after
 :func:`split_exprs` takes out the cells that read none of them.  A run
-over more than ``BLOCK`` points first narrows each input to a length-1
-slice along every axis it is bitwise constant on, so that each op runs
-at its own inputs' broadcast shape, and then runs the op list over
-blocks of the leading axis, so that the temporaries of each op stay in
-the L2 cache; every point goes through
+over more than ``BLOCK`` points first cuts each input to a length-1
+slice along every axis it is broadcast along (stride 0), so that each
+op runs at its own inputs' broadcast shape, and then runs the op list
+over blocks of the leading axis, so that the temporaries of each op
+stay in the L2 cache; every point goes through
 the same ufunc calls either way, so neither changes a bit of the
 result.  The environment holds floats or numpy arrays and evaluation is
 deterministic.  Division by zero, log/sqrt domain
@@ -90,6 +90,7 @@ __all__ = [
     "log",
     "sqrt",
     "BLOCK",
+    "compact_part",
     "Program",
     "compile_exprs",
     "split_exprs",
@@ -490,24 +491,10 @@ def split_exprs(exprs, state) -> tuple[np.ndarray, Program, Program]:
 BLOCK = 2**15
 
 
-def _narrow(v: np.ndarray) -> np.ndarray:
-    """``v`` cut to a length-1 slice along each axis it is constant on.
-
-    An axis of stride 0 (a broadcast, such as a compact cube field) is
-    constant without reading it.  On any other axis, constant means bit
-    for bit: the int64 views of neighbouring slices are compared, since
-    ``==`` would take ``-0.0`` for ``0.0``.  The last slice is compared
-    with the first one before that full pass, so an input that varies
-    along the axis rarely costs one.  The result broadcasts back to ``v``
-    exactly.
-    """
-    for axis in range(v.ndim):
-        bits = v.view(np.int64).swapaxes(0, axis)
-        if len(bits) > 1 and (
-            v.strides[axis] == 0 or ((bits[-1] == bits[0]).all() and (bits[1:] == bits[:-1]).all())
-        ):
-            v = v.swapaxes(0, axis)[:1].swapaxes(0, axis)
-    return v
+def compact_part(a: np.ndarray) -> np.ndarray:
+    """``a`` cut to one slice along each axis of stride 0 and length > 1: the part of a broadcast that holds its numbers."""
+    cut = tuple(slice(1) if step == 0 and size > 1 else slice(None) for step, size in zip(a.strides, a.shape))
+    return a[cut] if slice(1) in cut else a
 
 
 def _blocks(program: Program, regs: list, out: np.ndarray, ndim: int):
@@ -562,7 +549,7 @@ class Bound:
             blocks = ((regs, out),)
         else:
             for slot, _ in program.loads:
-                regs[slot] = _narrow(regs[slot])
+                regs[slot] = compact_part(regs[slot])
             blocks = _blocks(program, regs, out, len(base_shape))
         bad = None  # the first block with a non-finite output, reported once every domain check has run
         # overflow and NaN are caught at the outputs below, or unchecked, at the sweep's node states
@@ -619,15 +606,14 @@ def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None, out:
     rather than producing NaN or inf: each domain check per op, the
     non-finite check per run, except in RK4 stages (see :func:`cubes.rk4`).
 
-    Over more than ``BLOCK`` points each variable is cut to the axes it
-    varies on (see :func:`_narrow`), so an op whose inputs vary along one
-    axis runs on that axis alone, and the op list runs once per block of
-    rows of the leading axis (see :func:`_blocks`), writing each block's
-    slice of the full output: every op is elementwise, so the result is
+    Over more than ``BLOCK`` points each variable is cut to its
+    :func:`compact_part`, so an op whose inputs vary along one axis runs
+    on that axis alone, and the op list runs once per block of rows of
+    the leading axis (see :func:`_blocks`), writing each block's slice of
+    the full output: every op is elementwise, so the result is
     bitwise that of one whole-grid run.  The domain checks see every
     distinct input value and the non-finite check reads each block's
     output while it is still in cache, so it needs no grid-sized mask.
-    Narrowing reads the values, so it is redone on every run.
     Smaller calls run the op list once over the arrays as given.
     """
     return bind(e, env, base_shape).run(out)

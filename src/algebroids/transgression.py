@@ -446,7 +446,7 @@ def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
     b = (1.0 - ts)[:, None, None] * Spline(base.coeffs[0])(1.0 - np.outer(1.0 - ts, 1.0 - half_steps(N)))
     square = evolve_cube_system(fib, b, cube.gamma, [cube.coeffs[0]], N)
     horizontal, kernel_path = face(square, 0, 0), face(square, 1, 1)
-    kappa = kernel_coefficient_values(fib, kernel_path.gamma, kernel_path.coeffs[0])
+    kappa = kernel_coefficient_values(fib, kernel_path.points, kernel_path.coeffs[0])
 
     # boundary routes of the unit square: r0 runs the bottom edge then the right
     # edge, r1 the left edge then the top edge, each half slowed by the seam so

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from algebroids import cubes
+from algebroids import cubes, expr
 from algebroids.core import Chart, eval_exprs, make_jacobi_extension, make_tangent
 from algebroids.cubes import (
     Cube,
@@ -41,7 +41,8 @@ PLANE = Chart(("x", "y"), ((-3.0, 3.0), (-3.0, 3.0)))
 STD_BIV = [["0", "1"], ["-1", "0"]]
 SPHERE = Chart(("th", "ph"), ((EPS / 2, PI - EPS / 2), (-0.1, 2 * PI + 0.1)))
 SPHERE_SPLITTING = [["0", "0"], ["0", "sin(th)"], ["-sin(th)", "0"]]
-# 193^2 grid points pass expr.BLOCK, so programs over these cubes narrow their inputs
+# 193^2 grid points pass expr.BLOCK, so programs over these cubes narrow their broadcast inputs; over a
+# dense copy nothing narrows, so the bitwise table below compares narrowed runs with runs that are not
 N = 192
 
 # an affine map stores n x dim velocities; the mixed one varies along t1 only
@@ -132,11 +133,23 @@ def test_a_sphere_lift_allocates_little_beyond_its_points():
     assert "gamma" not in vars(cube)
 
 
-def test_a_sphere_period_never_builds_the_dense_points():
+def test_a_sphere_period_never_builds_the_dense_points(monkeypatch):
     cube = tangent_lift(SPHERE, WRAP["affine"], n=2, N=768)
     A = make_jacobi_extension(SPHERE, [["0", "1/sin(th)"], ["-1/sin(th)", "0"]])
+    # every input of a run above expr.BLOCK is a broadcast, so the run cuts it to its compact part
+    large = []
+    run = expr.Bound.run
+
+    def spy(self, *args, **kwargs):
+        if np.prod(self.base_shape) > expr.BLOCK:
+            inputs = [self.regs[slot] for slot, _ in self.program.loads]
+            large.append([any(step == 0 and size > 1 for step, size in zip(v.strides, v.shape)) for v in inputs])
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(expr.Bound, "run", spy)
     assert abs(monodromy_period(A, SPHERE_SPLITTING, cube).scalar() - 4 * PI) < 2e-2
     assert "gamma" not in vars(cube)
+    assert large and all(all(inputs) for inputs in large)
 
 
 # --- consumers give the same bits on a compact cube as on its dense copy ---------

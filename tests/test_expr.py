@@ -504,13 +504,13 @@ def test_a_non_finite_value_in_a_late_block_names_its_output():
 
 
 def _axis_env():
-    """One variable constant along axis 0, one along axis 1, one along both and one along neither."""
+    """One variable broadcast along axis 0, one along axis 1, one dense with equal values and one varying along both."""
     rng = np.random.default_rng(11)
     full = (_ROWS, _COLS)
     return {
-        "u": np.broadcast_to(rng.uniform(0.5, 2.0, _COLS), full),  # constant along axis 0
-        "v": np.broadcast_to(rng.uniform(-1.0, 1.0, (_ROWS, 1)), full),  # constant along axis 1
-        "w": np.full(full, 1.25),  # constant along both
+        "u": np.broadcast_to(rng.uniform(0.5, 2.0, _COLS), full),  # stride 0 along axis 0
+        "v": np.broadcast_to(rng.uniform(-1.0, 1.0, (_ROWS, 1)), full),  # stride 0 along axis 1
+        "w": np.full(full, 1.25),  # constant along both, but not a broadcast
         "x": rng.uniform(0.5, 2.0, full),  # constant along neither
     }
 
@@ -522,48 +522,44 @@ def test_narrowed_variables_give_the_bits_of_the_full_grid(monkeypatch):
         [parse("sin(v)*u + exp(w)/x"), parse("cos(u) - v^2*w"), parse("sqrt(x + w) + log(u) + v")]
     )
     shapes = {}
-    real = expr_module._narrow
+    real = expr_module.compact_part
 
     def spy(v):
         out = real(v)
         shapes[v.shape, out.shape] = True
         return out
 
-    monkeypatch.setattr(expr_module, "_narrow", spy)
+    monkeypatch.setattr(expr_module, "compact_part", spy)
     got = evaluate(program, env, (_ROWS, _COLS))
     assert set(shapes) == {
         (env["u"].shape, (1, _COLS)),
         (env["v"].shape, (_ROWS, 1)),
-        (env["w"].shape, (1, 1)),
+        (env["w"].shape, (_ROWS, _COLS)),  # dense: equal values are not a broadcast
         (env["x"].shape, (_ROWS, _COLS)),
     }
     # the same program at full shape, on contiguous copies and with nothing narrowed
-    monkeypatch.setattr(expr_module, "_narrow", lambda v: v)
+    monkeypatch.setattr(expr_module, "compact_part", lambda v: v)
     copies = {name: np.ascontiguousarray(value) for name, value in env.items()}
     full = evaluate(program, copies, (_ROWS, _COLS))
     assert got.shape == (_ROWS, _COLS, 3)
     assert got.tobytes() == full.tobytes()
 
 
-def test_a_variable_that_differs_in_one_row_or_one_zero_sign_is_not_narrowed():
-    last_row = np.ones((_ROWS, _COLS))
-    last_row[-1] = 2.0  # still constant along each row
-    assert expr_module._narrow(last_row).shape == (_ROWS, 1)
-    last_row[:, -1] = 3.0  # and now the last column differs too
-    assert expr_module._narrow(last_row).shape == (_ROWS, _COLS)
-    zeros = np.zeros((_ROWS, _COLS))
-    zeros[7, 5] = -0.0  # == calls it equal to 0.0; its bits differ
-    assert expr_module._narrow(zeros).shape == (_ROWS, _COLS)
-    out = evaluate(parse("2*x"), {"x": zeros}, (_ROWS, _COLS))
-    assert np.argwhere(np.signbit(out)).tolist() == [[7, 5]]
-
-
 def test_a_broadcast_axis_is_narrowed_to_a_slice_of_the_broadcast_array():
     column = np.linspace(0.5, 1.5, _ROWS)[:, None]
     y = np.broadcast_to(column, (_ROWS, _COLS))
-    narrowed = expr_module._narrow(y)
+    narrowed = expr_module.compact_part(y)
     assert narrowed.shape == (_ROWS, 1) and np.shares_memory(narrowed, column)
     np.testing.assert_array_equal(np.broadcast_to(narrowed, y.shape), y)
+    # a dense array is never cut, whatever its values
+    rows = np.ones((_ROWS, _COLS))
+    rows[-1] = 2.0  # constant along each row
+    zeros = np.zeros((_ROWS, _COLS))
+    zeros[7, 5] = -0.0  # == calls it equal to 0.0; its bits differ
+    for dense in (np.ones((_ROWS, _COLS)), rows, zeros, np.ascontiguousarray(y)):
+        assert expr_module.compact_part(dense) is dense
+    out = evaluate(parse("2*x"), {"x": zeros}, (_ROWS, _COLS))
+    assert np.argwhere(np.signbit(out)).tolist() == [[7, 5]]
 
 
 @pytest.mark.parametrize("rows", [3, _ROWS])  # one whole-grid run, and blocks with narrowing
@@ -581,7 +577,7 @@ def test_evaluate_writes_into_a_strided_view_of_the_callers_buffer(rows):
 
 def test_small_calls_never_narrow(monkeypatch):
     calls = []
-    monkeypatch.setattr(expr_module, "_narrow", lambda v: calls.append(v.shape) or v)
+    monkeypatch.setattr(expr_module, "compact_part", lambda v: calls.append(v.shape) or v)
     x = np.full((5, 1), 0.5)
     assert evaluate(parse("sin(x)*x + 1"), {"x": np.broadcast_to(x, (5, 1))}, (5, 1)).shape == (5, 1)
     assert calls == []
@@ -610,7 +606,7 @@ def test_a_non_finite_output_of_a_narrowed_variable_names_its_index():
 # --- bind once, run many ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("rows", [3, _ROWS])  # one whole-grid run, and blocks with narrowing
+@pytest.mark.parametrize("rows", [3, _ROWS])  # one whole-grid run, and blocks
 def test_a_bound_program_reruns_on_what_its_buffers_hold_now(rows):
     env = {name: np.array(value[:rows]) for name, value in _axis_env().items()}
     program = compile_exprs([[parse("u*v + x"), parse("2")], [parse("sqrt(w) - v/x"), parse("sin(u) + log(x)")]])
@@ -619,7 +615,7 @@ def test_a_bound_program_reruns_on_what_its_buffers_hold_now(rows):
     assert bound.run(out) is out
     assert out.tobytes() == evaluate(program, env, (rows, _COLS)).tobytes()
     rng = np.random.default_rng(3)
-    for step in range(3):  # rewrite every buffer in place, in ways that change what narrows
+    for step in range(3):  # rewrite every buffer in place
         env["u"][...] = rng.uniform(0.5, 2.0, _COLS) if step != 1 else 0.75
         env["v"][...] = rng.uniform(-1.0, 1.0, (rows, 1)) if step != 2 else rng.uniform(-1.0, 1.0, (rows, _COLS))
         env["w"][...] = 1.25 + step

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroids import cubes, fibration, transgression
+from algebroids import cubes, expr, fibration, transgression
 from algebroids.cli import Workspace, parse_config
 from algebroids.core import Chart, make_jacobi_extension, make_rep_extension, make_tangent
 from algebroids.cubes import (
@@ -354,7 +354,8 @@ def test_the_quadrature_of_a_strided_field_is_that_of_its_copy(shape):
     assert got.tobytes() == want.tobytes()
 
 
-def test_a_sphere_map_that_is_not_separable_has_period_total_area():
+@pytest.mark.parametrize("N", [128, 192])  # 129^2 points run unblocked, 193^2 pass expr.BLOCK
+def test_a_sphere_map_that_is_not_separable_has_period_total_area(N, monkeypatch):
     # the sphere square bent in both angles, so every input of the pairing varies along both axes
     A, splitting, _ = sphere_setup(4)
     eps = 1e-3
@@ -362,9 +363,13 @@ def test_a_sphere_map_that_is_not_separable_has_period_total_area():
         f"{eps} + {PI - 2 * eps}*t1 + 0.01*sin({PI}*t1)*sin({2 * PI}*t2)",
         f"{2 * PI}*t2 + 0.05*sin({PI}*t1)",
     ]
-    res = monodromy_period(A, splitting, tangent_lift(A.chart, comps, n=2, N=128))
+    res = monodromy_period(A, splitting, tangent_lift(A.chart, comps, n=2, N=N))
     assert abs(res.scalar() - 4 * PI) < 2e-2
     assert 0.0 < res.est_error < 2e-2
+    if (N + 1) ** 2 > expr.BLOCK:  # blocked: the bits of one whole-grid run
+        monkeypatch.setattr(expr, "BLOCK", (N + 1) ** 2)
+        whole = monodromy_period(A, splitting, tangent_lift(A.chart, comps, n=2, N=N))
+        assert (whole.value.tobytes(), whole.est_error) == (res.value.tobytes(), res.est_error)
 
 
 def test_a_period_under_a_nonzero_covariant_action_is_the_transgression():

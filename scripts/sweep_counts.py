@@ -18,6 +18,12 @@ constructors wrapped, and prints one line per config:
   which such a run cuts to their compact part: how much broadcast data
   reaches the evaluator on large grids, so a change that hands it a
   dense copy of a compact field shows as a lower count;
+- ``compact_out``: the runs over more than ``expr.BLOCK`` points,
+  without a caller's ``out``, whose cut inputs broadcast to less than
+  the base shape, so that ``Bound.run`` writes that compact shape and
+  returns a broadcast of it; a change that densifies such an output
+  shows here without timing (``ops`` counts their blocks at the
+  compact shape);
 - ``stages``: the RK4 stages of the stepped sweeps, 4N per ``rk4``
   call, which count the integration's work whether a stage runs a
   program or not;
@@ -58,7 +64,7 @@ from report_digest import configs  # puts this checkout's package and perfbench 
 
 from algebroids import cli, cubes, expr
 
-COUNTERS = ("checked", "unchecked", "ops", "prelude", "narrowed", "stages", "table_steps", "level_steps", "linear_steps", "nodes")
+COUNTERS = ("checked", "unchecked", "ops", "prelude", "narrowed", "compact_out", "stages", "table_steps", "level_steps", "linear_steps", "nodes")
 NODES = (expr.Const, expr.Var, expr.Unary, expr.Binary, expr.Power)
 STEPPERS = (cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear)
 
@@ -71,15 +77,21 @@ def counted(counts: Counter):
         program = self.program
         counts["checked" if checked else "unchecked"] += 1
         counts["prelude"] += len(program.prelude)
-        size = program.size * int(np.prod(self.base_shape, dtype=int))
+        shape = self.base_shape
+        if np.prod(shape, dtype=int) > expr.BLOCK:
+            inputs = [self.regs[slot] for slot, _ in program.loads]
+            cut = [expr.compact_part(v) for v in inputs]
+            counts["narrowed"] += sum(c is not v for c, v in zip(cut, inputs))
+            if out is None:  # written at the cut inputs' broadcast shape
+                shape = np.broadcast_shapes((1,) * len(shape), *(c.shape for c in cut))
+                counts["compact_out"] += shape != self.base_shape
+        size = program.size * int(np.prod(shape, dtype=int))
         if size <= expr.BLOCK * program.size:
             counts["ops"] += len(program.ops)
         else:  # as Bound.run blocks it: rows of the leading axis per block
-            lead = self.base_shape[0]
+            lead = shape[0]
             rows = max(1, expr.BLOCK * program.size * lead // size)
             counts["ops"] += len(program.ops) * -(-lead // rows)
-            inputs = (self.regs[slot] for slot, _ in program.loads)
-            counts["narrowed"] += sum(expr.compact_part(v) is not v for v in inputs)
         return run(self, out, checked)
 
     return wrapper

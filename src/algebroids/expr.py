@@ -5,11 +5,12 @@ bivectors, splittings, connection data) is a small immutable tree over
 named variables.  Evaluation compiles a tree, or a nested matrix of
 trees, into a :class:`Program`: equal subtrees become one shared
 node, and the nodes run as a straight-line list of numpy calls that
-writes every entry into one preallocated array.  Owners of hot matrices
-compile once and keep the program; :func:`evaluate` compiles anything
-else on the fly.  Evaluation is two steps: :func:`bind` resolves each
-variable to its array and fixes the base shape, and :meth:`Bound.run`
-runs the op list with every check.  :func:`evaluate` does both; a
+writes every entry into one preallocated array: of the output's shape,
+or over a large grid of broadcast inputs, of theirs (see below).  Owners
+of hot matrices compile once and keep the program; :func:`evaluate`
+compiles anything else on the fly.  Evaluation is two steps: :func:`bind`
+resolves each variable to its array and fixes the base shape, and
+:meth:`Bound.run` runs the op list with every check.  :func:`evaluate` does both; a
 caller that runs one program at every stage of a sweep binds it to the
 buffers it rewrites in place, once, and only runs it per stage, after
 :func:`split_exprs` takes out the cells that read none of them.  A run
@@ -17,8 +18,11 @@ over more than ``BLOCK`` points first cuts each input to a length-1
 slice along every axis it is broadcast along (stride 0), so that each
 op runs at its own inputs' broadcast shape, and then runs the op list
 over blocks of the leading axis, so that the temporaries of each op
-stay in the L2 cache; every point goes through
-the same ufunc calls either way, so neither changes a bit of the
+stay in the L2 cache.  Without a caller's array to write into, such a
+run allocates its output at the cut inputs' broadcast shape and returns
+a read-only broadcast of it, so an output that varies along one axis
+is written and checked along that axis alone.  Every point goes through
+the same ufunc calls either way, so none of this changes a bit of the
 result.  The environment holds floats or numpy arrays and evaluation is
 deterministic.  Division by zero, log/sqrt domain
 violations and zero to a negative power raise :class:`DomainError`,
@@ -30,6 +34,7 @@ No simplification is performed beyond constant folding and the obvious
 
 from __future__ import annotations
 
+import math
 import re
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -535,21 +540,29 @@ class Bound:
         Each domain check runs per op; one ``np.errstate`` and the check of
         the cells written per run, unless ``checked`` is False (every RK4
         stage and sweep table; the sweep rule is in :func:`cubes.rk4`).
+        Over more than ``BLOCK`` points without ``out``, the output is
+        allocated at the broadcast shape of the inputs cut to their
+        :func:`compact_part`; the prelude, the ops, the blocks and the
+        non-finite check run on it, and a read-only broadcast of it to the
+        full shape is returned when that shape is smaller.
         """
         program, base_shape, mask = self.program, self.base_shape, self.program.mask
         shape = base_shape + program.shape
-        if out is None:
-            out = np.empty(shape)
-        elif out.shape != shape or out.dtype != np.float64:
+        if out is not None and (out.shape != shape or out.dtype != np.float64):
             raise ValueError(f"out must be a float64 array of shape {shape}, not {out.dtype} {out.shape}")
         regs = self.regs.copy()  # the op loop below fills and drops slots
+        cut = math.prod(shape) > BLOCK * program.size
+        if cut:
+            for slot, _ in program.loads:
+                regs[slot] = compact_part(regs[slot])
+        if out is None:  # a cut run writes at its inputs' broadcast shape and returns a broadcast of that
+            loaded = (regs[slot].shape for slot, _ in program.loads)
+            out = np.empty((np.broadcast_shapes((1,) * len(base_shape), *loaded) if cut else base_shape) + program.shape)
         for index, slot in program.prelude:
             out[index] = regs[slot]
         if out.size <= BLOCK * program.size:
             blocks = ((regs, out),)
         else:
-            for slot, _ in program.loads:
-                regs[slot] = compact_part(regs[slot])
             blocks = _blocks(program, regs, out, len(base_shape))
         bad = None  # the first block with a non-finite output, reported once every domain check has run
         # overflow and NaN are caught at the outputs below, or unchecked, at the sweep's node states
@@ -566,6 +579,8 @@ class Bound:
         if bad is not None:
             where = np.argwhere(~np.isfinite(bad) & (True if mask is None else mask))[0][len(base_shape) :]
             raise NonFiniteError(f"non-finite value at output {tuple(int(i) for i in where)}")
+        if out.shape != shape:
+            return np.broadcast_to(out, shape)
         return out if out.ndim else out[()]
 
 
@@ -600,7 +615,9 @@ def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None, out:
     shape of the variables used, and a scalar result is a numpy float.
     A caller's float64 array ``out`` of that shape, a strided view
     included, receives the result in place of a new array, and is
-    returned.
+    returned.  Without ``out``, a run over more than ``BLOCK`` points
+    whose inputs are all broadcast along some axis (see below) returns a
+    read-only broadcast; any other result is a new array of its own.
     Unbound variables, division by zero, log/sqrt domain violations,
     zero to a negative power and any non-finite result raise errors
     rather than producing NaN or inf: each domain check per op, the
@@ -610,11 +627,14 @@ def evaluate(e, env: Mapping[str, object], base_shape: tuple | None = None, out:
     :func:`compact_part`, so an op whose inputs vary along one axis runs
     on that axis alone, and the op list runs once per block of rows of
     the leading axis (see :func:`_blocks`), writing each block's slice of
-    the full output: every op is elementwise, so the result is
-    bitwise that of one whole-grid run.  The domain checks see every
-    distinct input value and the non-finite check reads each block's
-    output while it is still in cache, so it needs no grid-sized mask.
-    Smaller calls run the op list once over the arrays as given.
+    the output: ``out``, or else an array of the cut inputs' broadcast
+    shape, of which a read-only broadcast to the full shape is returned.
+    Every op is elementwise, so each cell is bitwise that of one
+    whole-grid run.  The domain checks see every distinct input value
+    and the non-finite check reads each block's output, every distinct
+    value, while it is still in cache, so it needs no grid-sized mask.
+    Smaller calls run the op list once over the arrays as given and
+    write every point.
     """
     return bind(e, env, base_shape).run(out)
 

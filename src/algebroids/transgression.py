@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import Algebroid, sampled_values, sup_norm
 from .cubes import Cube, Spline, bicubic, cutoff, cutoff_prime, face, frozen, half_steps, seam
+from .expr import compact_part
 from .fibration import (
     Fibration,
     anchor_fibration,
@@ -90,17 +91,20 @@ def _require_cube(cube: Cube, over: Algebroid, what: str, n: Optional[int] = 2) 
 def _trapezoid(field: np.ndarray, N: int, axes: int) -> np.ndarray:
     """Trapezoid rule over the leading ``axes`` grid axes of a node field.
 
-    Each axis is one contraction against the trapezoid weights (``1/N``,
-    and ``0.5/N`` at both ends), which makes no temporary the size of the
-    field.  A strided field is copied to contiguous memory first, so the
-    value does not depend on the layout: ``field[::2, ::2]`` gives
-    bitwise the value of its contiguous copy, as a rerun on the coarsened
-    cube would.
+    The field is cut to its :func:`expr.compact_part` first.  An axis it
+    varies along is one contraction against the trapezoid weights
+    (``1/N``, and ``0.5/N`` at both ends) of the cut field copied to
+    contiguous memory, so the value does not depend on the layout; an
+    axis it is broadcast along holds one node, which is multiplied by
+    the summed weights.  No temporary is the size of the field, and
+    ``field[::2, ::2]`` gives bitwise the value of its compact copy, as a
+    rerun on the coarsened cube would.
     """
     w = np.full(N + 1, 1.0 / N)
     w[[0, -1]] = 0.5 / N
+    field = compact_part(field)
     for _ in range(axes):
-        field = np.tensordot(w, np.ascontiguousarray(field), axes=(0, 0))
+        field = w.sum() * field[0] if len(field) == 1 else np.tensordot(w, np.ascontiguousarray(field), axes=(0, 0))
     return field
 
 
@@ -114,10 +118,11 @@ def _with_estimate(compute, cube: Cube):
     reported error estimate, and only degenerate node counts (N < 6)
     leave it undefined.  On even N a node field is sliced: the half-grid
     value is the trapezoid of ``field[::2, ::2]``, which holds the nodes
-    of the coarsened cube, so it is bitwise the value a rerun on that
-    cube would give, without a second cube or evaluation; the finiteness,
-    chart-box and domain checks a rerun would make cover a subset of the
-    nodes the full cube and evaluation already checked.  The formula
+    of the coarsened cube and, of a broadcast field, is a broadcast along
+    the same axes, so it is bitwise the value a rerun on that cube would
+    give, without a second cube or evaluation; the finiteness, chart-box
+    and domain checks a rerun would make cover a subset of the nodes the
+    full cube and evaluation already checked.  The formula
     route with trivial transport or no kernel slices, as every sphere
     monodromy period does.  The lift route and nontrivial transport
     rerun on the coarsened cube, and every route reruns on odd N, on

@@ -603,6 +603,74 @@ def test_a_non_finite_output_of_a_narrowed_variable_names_its_index():
         evaluate([parse("y + 1"), parse("exp(y)")], env, (_ROWS, _COLS))
 
 
+# --- compact outputs -------------------------------------------------------------
+
+
+def _broadcast_along(axis: int, bad: float | None = None) -> np.ndarray:
+    """A (_ROWS, _COLS) broadcast of random values in [0.5, 1.5] along ``axis`` (stride 0), with ``bad`` at its 7th entry."""
+    shape = (1, _COLS) if axis == 0 else (_ROWS, 1)
+    values = np.random.default_rng(13).uniform(0.5, 1.5, shape)
+    if bad is not None:
+        values.flat[7] = bad
+    return np.broadcast_to(values, (_ROWS, _COLS))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_a_large_run_over_inputs_broadcast_along_an_axis_returns_a_read_only_broadcast(axis):
+    env = {"y": _broadcast_along(axis), "c": 0.5}
+    program = compile_exprs([[parse("sin(y)*c + 1/y"), parse("2")], [parse("sqrt(y) - c"), parse("exp(y)*y")]])
+    got = evaluate(program, env, (_ROWS, _COLS))
+    assert got.shape == (_ROWS, _COLS, 2, 2) and not got.flags.writeable
+    assert got.strides[axis] == 0
+    assert expr_module.compact_part(got).shape == ((1, _COLS) if axis == 0 else (_ROWS, 1)) + (2, 2)
+    # bitwise the run on dense copies, which writes every point
+    dense = evaluate(program, {"y": np.ascontiguousarray(env["y"]), "c": 0.5}, (_ROWS, _COLS))
+    assert dense.flags.writeable and 0 not in dense.strides
+    assert np.ascontiguousarray(got).tobytes() == dense.tobytes()
+    # inputs broadcast along different axes vary along both: the output is dense and the caller's
+    both = evaluate(parse("y + z"), {"y": env["y"], "z": _broadcast_along(1 - axis)}, (_ROWS, _COLS))
+    assert both.flags.writeable and both.flags.owndata and 0 not in both.strides
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_a_non_finite_cell_of_a_broadcast_output_names_its_index(axis):
+    env = {"y": _broadcast_along(axis, bad=800.0)}
+    with pytest.raises(NonFiniteError, match=r"output \(1, 0\)"):
+        evaluate([[parse("y + 1"), parse("2")], [parse("exp(y)"), parse("y")]], env, (_ROWS, _COLS))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_a_domain_error_in_a_run_with_a_broadcast_output_still_raises(axis):
+    with pytest.raises(DomainError, match="division by zero"):
+        evaluate([parse("y"), parse("1/y")], {"y": _broadcast_along(axis, bad=0.0)}, (_ROWS, _COLS))
+    with pytest.raises(DomainError, match="sqrt of a negative"):
+        evaluate(parse("sqrt(y)"), {"y": _broadcast_along(axis, bad=-1.0)}, (_ROWS, _COLS))
+
+
+def test_a_run_given_out_writes_every_point_of_it_over_broadcast_inputs():
+    env = {"y": _broadcast_along(1)}
+    program = compile_exprs([parse("sin(y)"), parse("y*y + 1")])
+    out = np.full((_ROWS, _COLS, 2), np.nan)
+    assert bind(program, env, (_ROWS, _COLS)).run(out) is out
+    assert out.flags.writeable and 0 not in out.strides
+    assert out.tobytes() == np.ascontiguousarray(evaluate(program, env, (_ROWS, _COLS))).tobytes()
+
+
+def test_a_masked_run_over_broadcast_inputs_leaves_the_cells_it_does_not_write():
+    free, table, _ = split_exprs([parse("2*t"), parse("x*t"), parse("t + 1")], {"x"})
+    assert free.tolist() == [True, False, True]
+    t = _broadcast_along(0)
+    out = np.full((_ROWS, _COLS, 3), np.nan)  # cell (1,) is the other half's
+    bind(table, {"t": t}).run(out)
+    np.testing.assert_array_equal(out[..., 0], 2 * t)
+    np.testing.assert_array_equal(out[..., 2], t + 1)
+    assert np.isnan(out[..., 1]).all()
+    # without out, the cells it writes come back broadcast as well
+    got = bind(table, {"t": t}).run()
+    assert got.strides[0] == 0 and got.shape == (_ROWS, _COLS, 3)
+    np.testing.assert_array_equal(got[..., [0, 2]], out[..., [0, 2]])
+
+
 # --- bind once, run many ---------------------------------------------------------
 
 

@@ -18,12 +18,11 @@ constructors wrapped, and prints one line per config:
   which such a run cuts to their compact part: how much broadcast data
   reaches the evaluator on large grids, so a change that hands it a
   dense copy of a compact field shows as a lower count;
-- ``compact_out``: the runs over more than ``expr.BLOCK`` points,
-  without a caller's ``out``, whose cut inputs broadcast to less than
-  the base shape, so that ``Bound.run`` writes that compact shape and
-  returns a broadcast of it; a change that densifies such an output
-  shows here without timing (``ops`` counts their blocks at the
-  compact shape);
+- ``compact_out``: the runs without a caller's ``out`` that returned a
+  read-only broadcast, read off the result, whose compact part is the
+  array ``Bound.run`` wrote; a change that densifies such an output
+  shows here without timing (``ops`` counts their blocks at that
+  written shape);
 - ``stages``: the RK4 stages of the stepped sweeps, 4N per ``rk4``
   call, which count the integration's work whether a stage runs a
   program or not;
@@ -79,12 +78,12 @@ def counted(counts: Counter):
         counts["prelude"] += len(program.prelude)
         shape = self.base_shape
         if np.prod(shape, dtype=int) > expr.BLOCK:
-            inputs = [self.regs[slot] for slot, _ in program.loads]
-            cut = [expr.compact_part(v) for v in inputs]
-            counts["narrowed"] += sum(c is not v for c, v in zip(cut, inputs))
-            if out is None:  # written at the cut inputs' broadcast shape
-                shape = np.broadcast_shapes((1,) * len(shape), *(c.shape for c in cut))
-                counts["compact_out"] += shape != self.base_shape
+            inputs = (self.regs[slot] for slot, _ in program.loads)
+            counts["narrowed"] += sum(expr.compact_part(v) is not v for v in inputs)
+        result = run(self, out, checked)
+        if out is None and shape and not result.flags.writeable:  # a broadcast of the compact array the run wrote
+            shape = expr.compact_part(result).shape[: len(shape)]
+            counts["compact_out"] += 1
         size = program.size * int(np.prod(shape, dtype=int))
         if size <= expr.BLOCK * program.size:
             counts["ops"] += len(program.ops)
@@ -92,7 +91,7 @@ def counted(counts: Counter):
             lead = shape[0]
             rows = max(1, expr.BLOCK * program.size * lead // size)
             counts["ops"] += len(program.ops) * -(-lead // rows)
-        return run(self, out, checked)
+        return result
 
     return wrapper
 

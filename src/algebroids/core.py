@@ -176,7 +176,10 @@ def eval_exprs(exprs, env: Mapping[str, object], base_shape: tuple, out: np.ndar
     nested sequence is compiled on the fly, so callers that evaluate the
     same matrix repeatedly pass the Program their owner holds.  Given
     ``out`` (a float64 array of that shape, or a strided view into a
-    larger buffer), the values are written there and ``out`` is returned.
+    larger buffer), the values are written there and ``out`` is returned;
+    without it, a run over more than ``BLOCK`` points whose inputs are
+    all broadcast along some axis returns a read-only broadcast, as
+    :func:`expr.evaluate` says.
     """
     return np.asarray(evaluate(exprs, env, base_shape, out=out))
 

@@ -551,13 +551,14 @@ class Bound:
         if out is not None and (out.shape != shape or out.dtype != np.float64):
             raise ValueError(f"out must be a float64 array of shape {shape}, not {out.dtype} {out.shape}")
         regs = self.regs.copy()  # the op loop below fills and drops slots
-        cut = math.prod(shape) > BLOCK * program.size
-        if cut:
+        if math.prod(shape) > BLOCK * program.size:
             for slot, _ in program.loads:
                 regs[slot] = compact_part(regs[slot])
-        if out is None:  # a cut run writes at its inputs' broadcast shape and returns a broadcast of that
-            loaded = (regs[slot].shape for slot, _ in program.loads)
-            out = np.empty((np.broadcast_shapes((1,) * len(base_shape), *loaded) if cut else base_shape) + program.shape)
+            if out is None:  # written at the cut inputs' broadcast shape, and returned as a broadcast of that
+                loaded = (regs[slot].shape for slot, _ in program.loads)
+                out = np.empty(np.broadcast_shapes((1,) * len(base_shape), *loaded) + program.shape)
+        if out is None:
+            out = np.empty(shape)
         for index, slot in program.prelude:
             out[index] = regs[slot]
         if out.size <= BLOCK * program.size:

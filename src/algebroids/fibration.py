@@ -33,7 +33,7 @@ from .core import (
     unit_row,
     wedge,
 )
-from .expr import ONE, ZERO, DomainError, Expr, NonFiniteError, Program, add, as_expr, compact_part, compile_exprs, const, div, dot, is_zero, mul, neg, np, split_exprs, sub, total
+from .expr import ONE, ZERO, DomainError, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, np, split_exprs, sub, total
 
 if TYPE_CHECKING:  # the integrators below import cubes when they run, so describe never loads it
     from .cubes import Cube
@@ -605,13 +605,7 @@ def lift_cube(fib: Fibration, cube: Cube) -> Cube:
         gamma0 = lifted_face.gamma
         w0 = [lifted_face.coeffs[i] for i in range(n - 1)]
 
-    field = cube.coeffs[n - 1]
-    part = compact_part(field)
-    if part is field:
-        b = Spline(field, axis=n - 1)(half_steps(N))
-    else:  # broadcast along a transverse axis: one line there is splined, and the driver broadcast back
-        b = Spline(np.broadcast_to(part, part.shape[: n - 1] + field.shape[n - 1 :]), axis=n - 1)(half_steps(N))
-        b = np.broadcast_to(b, field.shape[: n - 1] + b.shape[n - 1 :])
+    b = Spline(cube.coeffs[n - 1], axis=n - 1)(half_steps(N))
     return evolve_cube_system(fib, b, gamma0, w0, N)
 
 

@@ -1,4 +1,4 @@
-"""Start-up wall time of fresh processes: the interpreter, numpy, the CLI import and each ``describe``.
+"""Start-up wall time of fresh processes: the interpreter, numpy, the CLI import, each ``describe`` and ``run``.
 
 Runs k rounds; each round starts one fresh process per probe, in turn:
 
@@ -8,10 +8,15 @@ Runs k rounds; each round starts one fresh process per probe, in turn:
   it unless the config folds a function of a constant;
 - ``python -c "import algebroids.cli"``;
 - ``python -m algebroids describe <config>`` for each ``configs/*.cfg``;
+- ``python -m algebroids run <config>`` for each, into a temporary directory;
 
 and prints per probe the median and quartiles of the wall times in ms.
 Then it prints, per config, the ``algebroids.*`` modules that a
-``describe`` left loaded, and whether it loaded ``numpy``.  The
+``describe`` left loaded, and whether it loaded ``numpy``; and, from one
+more process that describes then runs the config, its peak resident
+memory (``VmHWM`` of ``/proc/self/status``) and the top-level modules
+the run loaded beyond the describe, so that an import which maps
+another native library shows up by name.  The
 environment is passed through as it is, so ``PYTHONDONTWRITEBYTECODE``
 decides whether the package is compiled from source in every process;
 the header says which.
@@ -30,6 +35,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -41,6 +47,18 @@ from algebroids.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["describe", sys.argv[1]]) == 0
 print(" ".join(sorted(m for m in sys.modules if m.startswith("algebroids"))), "| numpy:", "numpy" in sys.modules)
+"""
+# the output directory comes from the command line: tempfile here would import random and its hashes
+RUN = """
+import contextlib, io, sys
+from algebroids.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["describe", sys.argv[1]]) == 0
+    described = {m.partition(".")[0] for m in sys.modules}
+    assert main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
+with open("/proc/self/status") as status:
+    hwm = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(f"VmHWM {hwm / 1024:.1f} MB | beyond describe:", *sorted({m.partition(".")[0] for m in sys.modules} - described))
 """
 
 
@@ -66,21 +84,27 @@ def main() -> None:
     args = ap.parse_args()
     if args.k < 2:
         ap.error("-k must be at least 2, for quartiles")
+    with tempfile.TemporaryDirectory(prefix="startup-") as out:
+        measure(args.k, args.against, Path(out))
 
+
+def measure(k: int, against: Path | None, out: Path) -> None:
+    """Time every probe k times, print the table, then what each describe and run loaded; reports go under ``out``."""
     probes = [("python -c pass", ["-c", "pass"], False), ("import numpy", ["-c", "import numpy"], False)]
     probes.append(("import algebroids.cli", ["-c", "import algebroids.cli"], True))
     probes += [(f"describe {c.name}", ["-m", "algebroids", "describe", str(c)], True) for c in CONFIGS]
+    probes += [(f"run {c.name}", ["-m", "algebroids", "run", str(c), "--out", str(out / c.stem)], True) for c in CONFIGS]
     sides = {"here": env_for(ROOT)}
-    if args.against is not None:
-        sides["other"] = env_for(args.against)
+    if against is not None:
+        sides["other"] = env_for(against)
     times = {(label, side): [] for label, _, _ in probes for side in sides}
-    for i in range(args.k):
+    for i in range(k):
         order = list(sides) if i % 2 == 0 else list(sides)[::-1]
         for label, argv, package in probes:
             for side in order if package else ["here"]:
                 times[label, side].append(wall_ms(argv, sides[side]))
 
-    print(f"{sys.executable}, Python {sys.version.split()[0]}, {os.cpu_count()} CPUs, k = {args.k}")
+    print(f"{sys.executable}, Python {sys.version.split()[0]}, {os.cpu_count()} CPUs, k = {k}")
     print(f"PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', '')!r} "
           f"PYTHONPYCACHEPREFIX={os.environ.get('PYTHONPYCACHEPREFIX', '')!r}")
     print(f"{'probe':<32}{'here: median (q1-q3) ms':>26}" + (f"{'other':>26}{'change':>9}" if len(sides) > 1 else ""))
@@ -95,6 +119,10 @@ def main() -> None:
             proc = subprocess.run([sys.executable, "-c", LOADED, str(config)], env=env, cwd=ROOT,
                                   capture_output=True, text=True, check=True)
             print(f"{side} describe {config.name} loaded: {proc.stdout.strip()}")
+        for config in CONFIGS:
+            proc = subprocess.run([sys.executable, "-c", RUN, str(config), str(out / side / config.stem)], env=env,
+                                  cwd=ROOT, capture_output=True, text=True, check=True)
+            print(f"{side} run {config.name}: {proc.stdout.strip()}")
 
 
 if __name__ == "__main__":

@@ -164,14 +164,27 @@ def apply_overrides(sections: list[SectionSpec], assignments: list[str]) -> dict
 
 
 def config_hash(sections: list[SectionSpec], overrides: dict[str, str]) -> str:
-    """Digest of the canonicalized config plus the applied overrides."""
-    import hashlib  # only a run hashes its config, so describe does not import it
+    """SHA-256 digest of the canonicalized config plus the applied overrides.
+
+    The digest comes from the interpreter's built-in SHA-256 module
+    (``_sha2`` from Python 3.12, ``_sha256`` before), which loads no
+    OpenSSL; the standard library's OpenSSL-backed module is the fallback
+    where neither exists.  Only a run hashes its config, so describe
+    imports none of them.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
     parts: list[str] = []
     for sec in sections:
         parts.append(f"[{sec.kind} {sec.name}]")
         parts.extend(f"{key}={sec.entries[key]}" for key in sorted(sec.entries))
     parts.extend(f"set {key}={value}" for key, value in sorted(overrides.items()))
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+    return sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
 # --- value grammars ------------------------------------------------------------

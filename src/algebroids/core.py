@@ -10,6 +10,7 @@ is computed from those three ingredients.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
@@ -37,6 +38,7 @@ __all__ = [
     "fresh",
     "sampled_values",
     "so3_structure",
+    "unit_draws",
     "unit_row",
 ]
 
@@ -137,13 +139,16 @@ class Chart:
             if c.size
         )
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Uniform sample of n interior points, shape (n, dim)."""
+    def sample(self, n: int, rng) -> np.ndarray:
+        """Uniform sample of n interior points, shape (n, dim).
+
+        ``rng`` is a numpy ``Generator``, or an int seed of :func:`unit_draws`.
+        """
         if self.dim == 0:
             return np.zeros((n, 0))
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])
-        u = rng.uniform(size=(n, self.dim))
+        u = unit_draws(rng, (n, self.dim)) if isinstance(rng, int) else rng.uniform(size=(n, self.dim))
         # keep a small margin so derivative checks stay inside the box
         return lo + (0.01 + 0.98 * u) * (hi - lo)
 
@@ -202,11 +207,66 @@ def sampled_values(chart: Chart, families, n_points: int, seed: int) -> tuple[np
     """``n_points`` seeded interior points of a chart, and each family of Exprs evaluated there.
 
     Every sampled identity check and the anchor-kernel sample draw their
-    points here, once; each family (a nested sequence of Exprs) is one
-    :meth:`Chart.values` call, of shape (n_points,) + its nested shape.
+    points here, once, from :func:`unit_draws` (numpy's
+    ``default_rng(seed).uniform`` stream, reproduced in the package); each
+    family (a nested sequence of Exprs) is one :meth:`Chart.values` call,
+    of shape (n_points,) + its nested shape.
     """
-    pts = chart.sample(n_points, np.random.default_rng(seed))
+    pts = chart.sample(n_points, seed)
     return pts, [chart.values(exprs, pts) for exprs in families]
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(const: int, mult: int):
+    """numpy ``SeedSequence``'s 32-bit hashmix, whose constant steps by ``mult`` at each call."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+@lru_cache(maxsize=None)
+def unit_draws(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Read-only array of numpy's ``default_rng(seed).uniform(size=shape)``, bit for bit, computed in the package.
+
+    The seed goes through numpy's ``SeedSequence`` (pool size 4) to four
+    64-bit words; those seed PCG64 (O'Neill 2014): a 128-bit LCG whose
+    XSL-RR output ``x`` gives the draw ``(x >> 11) * 2**-53``.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+
+    def mix(x: int, y: int) -> int:
+        x = (0xCA01F9DD * x - 0x4973F715 * hashmix(y)) & _M32
+        return x ^ x >> 16
+
+    pool = [hashmix(word) for word in words[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], pool[src])
+    for word, dst in itertools.product(words[4:], range(4)):
+        pool[dst] = mix(pool[dst], word)
+    state = list(map(_hashmix(0x8B51F9DD, 0x58F38DED), pool * 2))
+    s0, s1, i0, i1 = (state[k] | state[k + 1] << 32 for k in range(0, 8, 2))
+    inc = (i0 << 65 | i1 << 1 | 1) & _M128
+    x, draws = ((s0 << 64 | s1) + inc) * _PCG_MULT + inc & _M128, []
+    for _ in range(math.prod(shape)):
+        x = x * _PCG_MULT + inc & _M128
+        word, rot = (x >> 64 ^ x) & _M64, x >> 122
+        draws.append(((word >> rot | word << 64 - rot) & _M64) >> 11)
+    out = np.array(draws, dtype=float).reshape(shape) * 2.0**-53
+    out.flags.writeable = False
+    return out
 
 
 def unit_row(i: int, n: int) -> tuple[Expr, ...]:

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -217,6 +219,14 @@ def test_config_hash_tracks_overrides():
     plain = config_hash(sections, {})
     overrides = apply_overrides(sections, ["cube.sq.N=16"])
     assert config_hash(sections, overrides) != plain
+
+
+def test_config_hash_is_the_sha256_of_the_canonical_config_text():
+    # the built-in SHA-256 a run uses must give hashlib's digest of the same text
+    sections = parse_config("[chart c]\nbounds = -1 1\ncoords = x\n\n[algebroid T]\nkind = tangent\nchart = c\n")
+    overrides = apply_overrides(sections, ["chart.c.coords=y", "algebroid.T.chart=c"])
+    text = "[chart c]\nbounds=-1 1\ncoords=y\n[algebroid T]\nchart=c\nkind=tangent\nset algebroid.T.chart=c\nset chart.c.coords=y"
+    assert config_hash(sections, overrides) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_parser_rejects_duplicates():
@@ -671,28 +681,8 @@ def test_report_data_of_an_unknown_type_is_refused_not_written_as_text():
             cli._jsonable(value)
 
 
-def test_describe_and_run_never_import_scipy(tmp_path):
-    # a fresh process, so that no test's own scipy import can hide one made by the package
-    src = Path(cli.__file__).resolve().parents[1]
-    code = f"""
-import contextlib, io, sys
-from pathlib import Path
-sys.path.insert(0, {str(src)!r})
-from algebroids.cli import main
-for cfg in sorted(Path({str(CONFIG_DIR)!r}).glob("*.cfg")):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["describe", str(cfg)]) == 0, cfg
-        assert main(["run", str(cfg), "--out", str(Path({str(tmp_path)!r}) / cfg.stem)]) == 0, cfg
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert not loaded, loaded
-"""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_importing_the_cli_and_describing_load_only_what_describe_uses(monkeypatch, tmp_path):
-    # only a run hashes its config, builds a cube, transgresses, computes or writes a report, and
-    # only a monodromy group reads fractions (which imports decimal); describe computes nothing
+def _shipped_and_workload_configs(monkeypatch, tmp_path) -> list[str]:
+    """Every shipped config and the seed-11 config of each benchmark workload, written into ``tmp_path``."""
     monkeypatch.syspath_prepend(str(CONFIG_DIR.parent / "perfbench"))
     import workloads
 
@@ -700,14 +690,50 @@ def test_importing_the_cli_and_describing_load_only_what_describe_uses(monkeypat
     for name, (make, N) in workloads.WORKLOADS.items():
         configs.append(tmp_path / f"{name}.cfg")
         configs[-1].write_text(make(11, N).text, encoding="utf-8")
+    return [str(c) for c in configs]
+
+
+def test_describe_and_run_never_import_scipy_numpy_random_or_openssl(monkeypatch, tmp_path):
+    # a fresh process, so that no test's own import can hide one made by the package; a run draws its
+    # samples in the package and hashes its config with the built-in SHA-256, so it loads neither
+    # numpy.random (whose seeding imports secrets and hmac) nor hashlib (which maps OpenSSL's libcrypto)
+    configs = _shipped_and_workload_configs(monkeypatch, tmp_path)
+    unloaded = ["numpy.random", "secrets", "hmac"]
+    if importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
+        unloaded += ["hashlib", "_hashlib"]
+    src = Path(cli.__file__).resolve().parents[1]
+    code = f"""
+import contextlib, io, sys
+from pathlib import Path
+sys.path.insert(0, {str(src)!r})
+from algebroids.cli import main
+for cfg in {configs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["describe", cfg]) == 0, cfg
+        assert main(["run", cfg, "--out", str(Path({str(tmp_path)!r}) / "out" / Path(cfg).stem)]) == 0, cfg
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+loaded = [m for m in {unloaded!r} if m in sys.modules]
+assert not loaded, loaded
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_cli_and_describing_load_only_what_describe_uses(monkeypatch, tmp_path):
+    # only a run hashes its config (with the built-in SHA-256 module), builds a cube, transgresses,
+    # computes or writes a report, and only a monodromy group reads fractions (which imports decimal);
+    # describe computes nothing
+    configs = _shipped_and_workload_configs(monkeypatch, tmp_path)
     src = Path(cli.__file__).resolve().parents[1]
     code = f"""
 import contextlib, io, sys
 sys.path.insert(0, {str(src)!r})
 from algebroids.cli import main
-deferred = ("numpy", "hashlib", "fractions", "decimal", "algebroids.cubes", "algebroids.transgression", "json")
+deferred = ("numpy", "hashlib", "_sha2", "_sha256", "fractions", "decimal", "algebroids.cubes",
+            "algebroids.transgression", "json")
 assert not [m for m in deferred if m in sys.modules], [m for m in deferred if m in sys.modules]
-for cfg in {[str(c) for c in configs]!r}:
+for cfg in {configs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["describe", cfg]) == 0, cfg
     assert not [m for m in deferred if m in sys.modules], (cfg, [m for m in deferred if m in sys.modules])

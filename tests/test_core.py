@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import numpy as np
@@ -23,6 +24,7 @@ from algebroids.core import (
     point_chart,
     product_chart,
     so3_structure,
+    unit_draws,
 )
 from algebroids.expr import ZERO, add, compile_exprs, dot, mul, parse, sub, total, var
 
@@ -61,6 +63,30 @@ def test_chart_env_contains_sample():
     assert p.dim == 0
     assert p.sample(5, rng).shape == (5, 0)
     assert p.contains(np.zeros((5, 0)))
+
+
+def test_unit_draws_are_numpys_pcg64_uniform_stream_bit_for_bit():
+    rnd = random.Random(36)
+    seeds = [0, 1, 42, 2**32 - 1, 2**32, 2**64, 2**200 + 3] + [rnd.getrandbits(rnd.randint(1, 140)) for _ in range(30)]
+    for seed in seeds:
+        for shape in ((0, 2), (1, 1), (25, 2), (200, 3)):
+            got = unit_draws(seed, shape)
+            want = np.random.Generator(np.random.PCG64(seed)).uniform(size=shape)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (seed, shape)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[...] = 0.0
+    # pinned, so that a change of numpy's stream is told apart from a fault here
+    assert [u.hex() for u in unit_draws(42, (3,))] == ["0x1.8c43f79a2db24p-1", "0x1.c16959869e47ep-2", "0x1.b79a2584ddb42p-1"]
+    assert unit_draws(42, (3,)) is unit_draws(42, (3,))
+    with pytest.raises(ValueError, match="non-negative"):
+        unit_draws(-1, (3,))
+
+
+def test_a_sample_from_a_seed_is_the_sample_from_its_default_rng():
+    got = PLANE.sample(25, 0)
+    assert got.tobytes() == PLANE.sample(25, np.random.default_rng(0)).tobytes()
+    assert got.flags.writeable and point_chart().sample(4, 0).shape == (4, 0)
 
 
 def test_coordinate_arrays_give_the_bits_of_their_stacked_points():

@@ -39,36 +39,47 @@ constructors wrapped, and prints one line per config:
   then takes one matrix product a step;
   without these three, that work would seem to vanish from ``stages``;
 - ``nodes``: the expression nodes (``Const``, ``Var``, ``Unary``,
-  ``Binary``, ``Power``) built, counted by wrapping each class's
-  ``__init__``: parsing the config, building brackets, curvature and
-  programs' trees.
+  ``Binary``, ``Power``) built while parsing the config and building
+  brackets, curvature and programs' trees: every node built, whatever
+  form its class's constructor takes, counted by wrapping each class's
+  ``__new__``.  A fold that returns a shared node (``ZERO``, ``ONE``)
+  or an operand builds none.
 
 The counters do not depend on host load, so two checkouts compare
 exactly:
 
     python3 scripts/sweep_counts.py 11
 
-Usage: python3 scripts/sweep_counts.py SEED
+``--against OTHER`` also counts with the package of the checkout
+``OTHER`` (this script run again in a child process, with that
+package imported before this checkout's), prints its row above this
+checkout's for each config, and ends with a line naming every config
+whose ``ops`` or ``prelude`` differ; it then exits 1.  A change that
+should leave every compiled program as it was is checked by one
+command:
+
+    python3 scripts/sweep_counts.py 11 --against ../parent
+
+Usage: python3 scripts/sweep_counts.py SEED [--against OTHER]
 """
 
 import argparse
 import contextlib
 import io
+import json
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
-from report_digest import configs  # puts this checkout's package and perfbench first on the path
-
-from algebroids import cli, cubes, expr
 
 COUNTERS = ("checked", "unchecked", "ops", "prelude", "narrowed", "compact_out", "stages", "table_steps", "level_steps", "linear_steps", "nodes")
-NODES = (expr.Const, expr.Var, expr.Unary, expr.Binary, expr.Power)
-STEPPERS = (cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear)
+SAME = ("ops", "prelude")  # equal in two checkouts that compile the same programs
 
 
-def counted(counts: Counter):
+def counted(expr, counts: Counter):
     """``Bound.run`` that adds each call's work to ``counts``."""
     run = expr.Bound.run
 
@@ -96,9 +107,9 @@ def counted(counts: Counter):
     return wrapper
 
 
-def staged(counts: Counter):
+def staged(steppers: tuple, counts: Counter):
     """``rk4``, ``rk4_table``, ``rk4_levels`` and ``rk4_linear`` that add each call's 4N stages, N table steps, N steps a level or N linear steps to ``counts``."""
-    rk4, rk4_table, rk4_levels, rk4_linear = STEPPERS
+    rk4, rk4_table, rk4_levels, rk4_linear = steppers
 
     def stepper(f, y0, N, stage=None):
         counts["stages"] += 4 * N
@@ -119,44 +130,90 @@ def staged(counts: Counter):
     return stepper, quadrature, leveler, propagator
 
 
-def built(counts: Counter) -> dict:
-    """An ``__init__`` per Expr node class that adds each node built to ``counts``."""
+def built(counts: Counter, new):
+    """A ``__new__`` for an Expr node class, whose ``__new__`` is ``new``, that adds each node built to ``counts``.
 
-    def wrap(init):
-        def wrapper(self, *args, **kwargs):
-            counts["nodes"] += 1
-            init(self, *args, **kwargs)
+    Calling a class runs its ``__new__`` before any ``__init__``, so this
+    counts a node that either of them sets up; ``new`` still makes it
+    (``object.__new__`` without the arguments).
+    """
 
-        return wrapper
+    def wrapper(klass, *args, **kwargs):
+        counts["nodes"] += 1
+        return new(klass) if new is object.__new__ else new(klass, *args, **kwargs)
 
-    return {cls: wrap(cls.__init__) for cls in NODES}
+    return staticmethod(wrapper)
+
+
+def rows(seed: int):
+    """(config, counters, exit code) of each config, run with the ``algebroids`` package importable now."""
+    from report_digest import configs  # puts this checkout's package (unless one is imported) and perfbench first on the path
+
+    from algebroids import cli, cubes, expr
+
+    nodes = (expr.Const, expr.Var, expr.Unary, expr.Binary, expr.Power)
+    steppers = (cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear)
+    run, news, own = expr.Bound.run, {cls: cls.__new__ for cls in nodes}, {cls: cls.__dict__.get("__new__") for cls in nodes}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        try:
+            for label, config in configs(seed, tmp):
+                counts = Counter()
+                expr.Bound.run = counted(expr, counts)
+                cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear = staged(steppers, counts)
+                for cls, new in news.items():
+                    cls.__new__ = built(counts, new)
+                with contextlib.redirect_stdout(io.StringIO()):
+                    rc = cli.main(["run", str(config), "--out", str(tmp / label)])
+                yield label, {c: counts[c] for c in COUNTERS}, rc
+        finally:
+            expr.Bound.run = run
+            cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear = steppers
+            for cls, new in own.items():
+                if new is None:
+                    del cls.__new__
+                else:
+                    cls.__new__ = new
+
+
+def other_rows(checkout: Path, seed: int) -> dict:
+    """The rows of the checkout ``checkout``'s package: this script, with ``--package``, in a child process."""
+    cmd = [sys.executable, __file__, str(seed), "--package", str(checkout.resolve() / "src")]
+    out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+    return {row["config"]: row for row in map(json.loads, out.splitlines())}
+
+
+def line(label: str, counts: dict, rc: int) -> str:
+    return f"{label:<27}" + "".join(f"{counts[c]:>13,}" for c in COUNTERS) + ("" if rc == 0 else f"  exit {rc}")
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("seed", type=int, help="seed of the benchmark workload configs")
+    ap.add_argument("--against", type=Path, metavar="OTHER", help="checkout whose package to count as well")
+    ap.add_argument("--package", type=Path, help=argparse.SUPPRESS)  # a child of --against: JSON rows of this package
     args = ap.parse_args()
 
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        print(f"{'config':<18}" + "".join(f"{c:>13}" for c in COUNTERS))
-        run = expr.Bound.run
-        inits = {cls: cls.__init__ for cls in NODES}
-        try:
-            for label, config in configs(args.seed, tmp):
-                counts = Counter()
-                expr.Bound.run = counted(counts)
-                cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear = staged(counts)
-                for cls, init in built(counts).items():
-                    cls.__init__ = init
-                with contextlib.redirect_stdout(io.StringIO()):
-                    rc = cli.main(["run", str(config), "--out", str(tmp / label)])
-                print(f"{label:<18}" + "".join(f"{counts[c]:>13,}" for c in COUNTERS) + ("" if rc == 0 else f"  exit {rc}"))
-        finally:
-            expr.Bound.run = run
-            cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear = STEPPERS
-            for cls, init in inits.items():
-                cls.__init__ = init
+    if args.package is not None:
+        sys.path.insert(0, str(args.package))
+        import algebroids  # noqa: F401  (bound first, so report_digest's path entry cannot replace it)
+
+        for label, counts, rc in rows(args.seed):
+            print(json.dumps({"config": label, "counts": counts, "rc": rc}))
+        return
+    other = other_rows(args.against, args.seed) if args.against is not None else None
+    print(f"{'config':<27}" + "".join(f"{c:>13}" for c in COUNTERS))
+    differ = []
+    for label, counts, rc in rows(args.seed):
+        if other is not None:
+            theirs = other[label]
+            print(line(f"{label} (against)", theirs["counts"], theirs["rc"]))
+            if any(theirs["counts"][c] != counts[c] for c in SAME):
+                differ.append(label)
+        print(line(label, counts, rc))
+    if other is not None:
+        print(f"{' and '.join(SAME)} differ: {', '.join(differ) or 'none'}")
+        sys.exit(1 if differ else 0)
 
 
 if __name__ == "__main__":

@@ -525,9 +525,11 @@ def check_axioms(A: Algebroid, n_points: int = 200, seed: int = 42, tol: float =
 
     jacobi = [(cyclic(i, j, k) + cyclic(j, k, i) + cyclic(k, i, j)).components for i, j, k in triples]
 
+    grad = [[[f.diff(x) for x in coords] for f in row] for row in rho]  # grad[i][a][b]: ∂ρ(e_i)^a/∂x^b
+
     def anchor_defect(i: int, j: int, a: int) -> Expr:
-        ri, rj = rho[i], rho[j]
-        rhs = total(sub(mul(ri[b], rj[a].diff(x)), mul(rj[b], ri[a].diff(x))) for b, x in enumerate(coords))
+        ri, rj, di, dj = rho[i], rho[j], grad[i][a], grad[j][a]
+        rhs = total(sub(mul(ri[b], dj[b]), mul(rj[b], di[b])) for b in range(len(coords)))
         return sub(dot(A.structure_vector(i, j), (row[a] for row in rho)), rhs)
 
     anchor = [[anchor_defect(i, j, a) for a in range(len(coords))] for i, j in pairs]

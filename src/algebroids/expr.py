@@ -29,7 +29,11 @@ violations and zero to a negative power raise :class:`DomainError`,
 and so does any NaN or inf in the result (as :class:`NonFiniteError`).
 Differentiation is exact and closed over the node kinds defined here.
 No simplification is performed beyond constant folding and the obvious
-0/1 identities that keep derivative trees small.
+0/1 identities that keep derivative trees small.  A fold to +0.0 or 1.0
+returns the shared ``ZERO`` or ``ONE`` node, and :func:`total` and
+:func:`dot` skip a ``ZERO`` term or factor wherever the folds would give
+back the same tree, so the frame brackets, mostly zeros, build few
+nodes; every tree is still the one the folds give, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import re
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 
 class _Deferred:
@@ -132,9 +136,35 @@ class NonFiniteError(DomainError):
 
 
 class Expr:
-    """Base class for expression nodes.  Instances are immutable."""
+    """Base class for expression nodes.
+
+    Instances are immutable: each node class sets its slots once in
+    ``__init__``, and setting or deleting an attribute afterwards raises
+    AttributeError.  Equality and hashing are structural, over the class
+    and the slots in order.
+    """
 
     __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
     def evaluate(self, env: Mapping[str, object]):
         return evaluate(self, env)
@@ -143,7 +173,20 @@ class Expr:
         return _diff(self, name)
 
     def variables(self) -> frozenset:
-        return frozenset(_iter_vars(self))
+        """The names of the variables the tree reads, by one walk with an explicit stack."""
+        names, stack = set(), [self]
+        while stack:
+            e = stack.pop()
+            kind = type(e)
+            if kind is Binary:
+                stack += (e.left, e.right)
+            elif kind is Var:
+                names.add(e.name)
+            elif kind is Unary:
+                stack.append(e.arg)
+            elif kind is Power:
+                stack.append(e.base)
+        return frozenset(names)
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -179,45 +222,72 @@ class Expr:
         return _format(self, 0)
 
     def __repr__(self) -> str:
-        """A call of :func:`parse` on the printed tree; the node classes keep it (``repr=False``)."""
+        """A call of :func:`parse` on the printed tree, which rebuilds it."""
         return f"parse({_format(self, 0)!r})"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        _set_value(self, value)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_name(self, name)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Unary(Expr):
-    op: str
-    arg: Expr
+    __slots__ = ("op", "arg")
+
+    def __init__(self, op: str, arg: Expr):
+        _set_unary_op(self, op)
+        _set_arg(self, arg)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Binary(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        _set_binary_op(self, op)
+        _set_left(self, left)
+        _set_right(self, right)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Power(Expr):
-    base: Expr
-    k: int
+    __slots__ = ("base", "k")
 
+    def __init__(self, base: Expr, k: int):
+        _set_base(self, base)
+        _set_k(self, k)
+
+
+# Each field is set once, in __init__, through its slot's descriptor
+# (Expr.__setattr__ refuses every later write).
+_set_value, _set_name = Const.value.__set__, Var.name.__set__
+_set_unary_op, _set_arg = Unary.op.__set__, Unary.arg.__set__
+_set_binary_op, _set_left, _set_right = Binary.op.__set__, Binary.left.__set__, Binary.right.__set__
+_set_base, _set_k = Power.base.__set__, Power.k.__set__
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
 
 
 def const(v: Number) -> Const:
-    return Const(float(v))
+    """``v`` as a float constant: the ``ZERO`` or ``ONE`` object itself for +0.0 or 1.0, else a new Const.
+
+    -0.0 and NaN get a node of their own.  Every constant fold below
+    returns through here, so folding zeros and ones allocates nothing.
+    """
+    v = float(v)
+    if v == 1.0:
+        return ONE
+    if v == 0.0 and math.copysign(1.0, v) > 0.0:
+        return ZERO
+    return Const(v)
 
 
 def var(name: str) -> Var:
@@ -235,75 +305,95 @@ def as_expr(x) -> Expr:
     raise TypeError(f"cannot convert {type(x).__name__} to Expr")
 
 
-def _is_const(e: Expr, v: float | None = None) -> bool:
-    return isinstance(e, Const) and (v is None or e.value == v)
-
-
 def is_zero(e: Expr) -> bool:
     """True for the constant zero; no other tree is recognised as zero."""
     return isinstance(e, Const) and e.value == 0.0
 
 
+# The folds test ``type(e) is Const`` inline: they run once per node of
+# every tree built, and most of their operands are constants.
+
+
 def add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return const(a.value + b.value)
-    if is_zero(a):
-        return b
-    if is_zero(b):
+    if type(a) is Const:
+        if type(b) is Const:
+            return const(a.value + b.value)
+        if a.value == 0.0:
+            return b
+    elif type(b) is Const and b.value == 0.0:
         return a
     return Binary("add", a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return const(a.value - b.value)
-    if is_zero(b):
-        return a
-    if is_zero(a):
+    if type(b) is Const:
+        if type(a) is Const:
+            return const(a.value - b.value)
+        if b.value == 0.0:
+            return a
+    elif type(a) is Const and a.value == 0.0:
         return neg(b)
     return Binary("sub", a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return const(a.value * b.value)
-    if is_zero(a) or is_zero(b):
-        return ZERO
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
+    if type(a) is Const:
+        if type(b) is Const:
+            return const(a.value * b.value)
+        if a.value == 0.0:
+            return ZERO
+        if a.value == 1.0:
+            return b
+    elif type(b) is Const:
+        if b.value == 0.0:
+            return ZERO
+        if b.value == 1.0:
+            return a
     return Binary("mul", a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if is_zero(b):
-        raise DomainError("division by constant zero")
-    if _is_const(a) and _is_const(b):
-        return const(a.value / b.value)
-    if _is_const(b, 1.0):
-        return a
+    if type(b) is Const:
+        if b.value == 0.0:
+            raise DomainError("division by constant zero")
+        if type(a) is Const:
+            return const(a.value / b.value)
+        if b.value == 1.0:
+            return a
     return Binary("div", a, b)
 
 
 def neg(a: Expr) -> Expr:
-    if _is_const(a):
+    if type(a) is Const:
         return const(-a.value)
-    if isinstance(a, Unary) and a.op == "neg":
+    if type(a) is Unary and a.op == "neg":
         return a.arg
     return Unary("neg", a)
 
 
 def total(terms: Iterable[Expr]) -> Expr:
-    """Left-to-right sum of the terms, starting from zero."""
+    """Left-to-right sum of the terms, starting from zero: ``add(...add(add(ZERO, t0), t1)..., tn)``.
+
+    A ``ZERO`` term is skipped where ``add`` would return the sum so far
+    itself: when that sum is ``ZERO`` or not a constant.  After any other
+    constant the term is still folded in (-0.0 + 0.0, say, is +0.0).
+    """
     acc: Expr = ZERO
     for t in terms:
-        acc = add(acc, t)
+        if t is not ZERO or (type(acc) is Const and acc is not ZERO):
+            acc = add(acc, t)
     return acc
 
 
 def dot(xs: Iterable[Expr], ys: Iterable[Expr]) -> Expr:
-    """Sum of the pairwise products ``xs[k] * ys[k]``; the lengths must match."""
+    """Sum of the pairwise products ``xs[k] * ys[k]``; the lengths must match.
+
+    It is the :func:`total` of the :func:`mul` of each pair, so a pair
+    with a ``ZERO`` factor and a non-constant other adds nothing: its
+    product is ``ZERO``, which the sum skips.  With a constant other
+    factor the product is folded and added, since 0 * inf is NaN, which
+    evaluation must still reject.
+    """
     return total(mul(x, y) for x, y in zip(xs, ys, strict=True))
 
 
@@ -315,7 +405,7 @@ def power(base: Expr, k: int) -> Expr:
         return ONE
     if k == 1:
         return base
-    if _is_const(base):
+    if type(base) is Const:
         with np.errstate(all="ignore"):  # an overflow folds to inf, caught when evaluated
             return const(float(_power(np.float64(base.value), k)))
     return Power(base, k)
@@ -324,7 +414,7 @@ def power(base: Expr, k: int) -> Expr:
 def _unary(op: str):
     def make(a) -> Expr:
         a = as_expr(a)
-        if _is_const(a):
+        if type(a) is Const:
             with np.errstate(all="ignore"):  # an inf constant is caught when evaluated
                 return const(float(_ops()[op](np.float64(a.value))))
         return Unary(op, a)
@@ -445,15 +535,16 @@ def compile_exprs(exprs, mask=None) -> Program:
         s = seen.get(id(e))
         if s is not None:
             return s
-        if isinstance(e, Const):
-            s = slot(("const", float(e.value).hex()), np.float64(e.value))  # hex keeps -0.0 apart
-        elif isinstance(e, Var):
-            s = slot(("var", e.name))
-        elif isinstance(e, Unary):
-            s = slot((e.op, visit(e.arg), None))
-        elif isinstance(e, Binary):
+        kind = type(e)
+        if kind is Binary:
             s = slot((e.op, visit(e.left), visit(e.right)))
-        elif isinstance(e, Power):
+        elif kind is Const:
+            s = slot(("const", float(e.value).hex()), np.float64(e.value))  # hex keeps -0.0 apart
+        elif kind is Var:
+            s = slot(("var", e.name))
+        elif kind is Unary:
+            s = slot((e.op, visit(e.arg), None))
+        elif kind is Power:
             s = slot(("power", visit(e.base), slot(("int", e.k), int(e.k))))
         else:
             raise TypeError(f"not an Expr: {type(e).__name__}")
@@ -485,7 +576,7 @@ def split_exprs(exprs, state) -> tuple[np.ndarray, Program, Program]:
     run into one array they write each cell once, bitwise as one program.
     """
     cells = np.array(exprs, dtype=object)
-    free = np.vectorize(lambda e: e.variables().isdisjoint(state), otypes=[bool])(cells)
+    free = np.array([e.variables().isdisjoint(state) for e in cells.flat], dtype=bool).reshape(cells.shape)
     return free, compile_exprs(cells, free), compile_exprs(cells, ~free)
 
 
@@ -679,18 +770,6 @@ def _diff(e: Expr, name: str) -> Expr:
     raise TypeError(f"not an Expr: {type(e).__name__}")
 
 
-def _iter_vars(e: Expr) -> Iterator[str]:
-    if isinstance(e, Var):
-        yield e.name
-    elif isinstance(e, Unary):
-        yield from _iter_vars(e.arg)
-    elif isinstance(e, Binary):
-        yield from _iter_vars(e.left)
-        yield from _iter_vars(e.right)
-    elif isinstance(e, Power):
-        yield from _iter_vars(e.base)
-
-
 # --- operator table, printing and parsing --------------------------------
 
 # Binary operators by token: precedence and builder (named as its node's op).
@@ -703,8 +782,13 @@ _FUNCTIONS = {f.__name__: f for f in (sin, cos, exp, log, sqrt)}
 
 
 def _format(e: Expr, parent_prec: int) -> str:
-    if isinstance(e, Const):
-        return repr(e.value) if e.value >= 0 else f"({e.value!r})"
+    if isinstance(e, Const):  # a non-finite value as literals that parse back to it, not as a name
+        v = e.value
+        if math.isnan(v):
+            return "(1e999 - 1e999)"
+        if math.isinf(v):
+            return "1e999" if v > 0 else "(-1e999)"
+        return repr(v) if v >= 0 else f"({v!r})"
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Unary):

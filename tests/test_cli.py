@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from algebroids import cli, cubes
+from algebroids import cli, cubes, expr
 from algebroids.cli import ConfigError, Workspace, apply_overrides, config_hash, main, parse_config
 from algebroids.expr import MAX_DEPTH
 
@@ -740,6 +740,28 @@ for cfg in {configs!r}:
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_second_run_in_one_process_builds_as_many_expression_nodes_as_the_first(monkeypatch, tmp_path, capsys):
+    # no tree, variable set or program built for one run is kept for the next, so a warm run
+    # repeats every construction of a fresh one; nodes are counted at each class's __init__
+    built = [0]
+
+    def counted(init):
+        def wrapper(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        return wrapper
+
+    for cls in (expr.Const, expr.Var, expr.Unary, expr.Binary, expr.Power):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    counts = []
+    for k in range(2):
+        built[0] = 0
+        assert main(["run", str(CONFIG_DIR / "rep_transport.cfg"), "--out", str(tmp_path / str(k))]) == 0
+        counts.append(built[0])
+    assert counts[0] == counts[1] > 0, counts
 
 
 @pytest.mark.parametrize("module", ["algebroids", "algebroids.cli"])

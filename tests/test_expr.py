@@ -1,20 +1,25 @@
+import copy
 import dataclasses
 import math
 import operator
+import pickle
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algebroids import expr as expr_module
+from algebroids.core import wedge
 from algebroids.expr import (
     BLOCK,
     MAX_DEPTH,
+    ONE,
     ZERO,
     Binary,
     Const,
@@ -22,6 +27,7 @@ from algebroids.expr import (
     Expr,
     NonFiniteError,
     ParseError,
+    Power,
     UnboundVariableError,
     Unary,
     Var,
@@ -29,15 +35,20 @@ from algebroids.expr import (
     as_expr,
     bind,
     compile_exprs,
+    const,
     cos,
+    div,
     dot,
     evaluate,
+    exp,
     is_zero,
     mul,
+    neg,
     parse,
     power,
     sin,
     split_exprs,
+    sub,
     total,
     var,
 )
@@ -208,6 +219,197 @@ def test_total_and_dot_are_left_folds_from_zero():
     assert dot(iter([a, b]), iter([x, y])) == add(mul(a, x), mul(b, y))
     with pytest.raises(ValueError):
         dot([a, b], [x])
+
+
+# --- folds: the shared ZERO and ONE, and sums that skip structural zeros ---
+#
+# The reference below is the fold rules as they stood before the builders
+# returned ZERO/ONE and skipped zero terms: it builds every constant anew and
+# adds every term.  The builders must give the same trees, constant bits
+# (signed zeros, infinities, NaN) included.
+
+
+def _ref_is_zero(e):
+    return isinstance(e, Const) and e.value == 0.0
+
+
+def _ref_add(a, b):
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(float(a.value + b.value))
+    if _ref_is_zero(a):
+        return b
+    if _ref_is_zero(b):
+        return a
+    return Binary("add", a, b)
+
+
+def _ref_sub(a, b):
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(float(a.value - b.value))
+    if _ref_is_zero(b):
+        return a
+    if _ref_is_zero(a):
+        return _ref_neg(b)
+    return Binary("sub", a, b)
+
+
+def _ref_mul(a, b):
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(float(a.value * b.value))
+    if _ref_is_zero(a) or _ref_is_zero(b):
+        return Const(0.0)
+    if isinstance(a, Const) and a.value == 1.0:
+        return b
+    if isinstance(b, Const) and b.value == 1.0:
+        return a
+    return Binary("mul", a, b)
+
+
+def _ref_div(a, b):
+    if _ref_is_zero(b):
+        raise DomainError("division by constant zero")
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(float(a.value / b.value))
+    if isinstance(b, Const) and b.value == 1.0:
+        return a
+    return Binary("div", a, b)
+
+
+def _ref_neg(a):
+    if isinstance(a, Const):
+        return Const(float(-a.value))
+    if isinstance(a, Unary) and a.op == "neg":
+        return a.arg
+    return Unary("neg", a)
+
+
+def _ref_total(terms):
+    acc = Const(0.0)
+    for t in terms:
+        acc = _ref_add(acc, t)
+    return acc
+
+
+def _ref_dot(xs, ys):
+    return _ref_total(_ref_mul(x, y) for x, y in zip(xs, ys, strict=True))
+
+
+def _ref_wedge(x, y, table, width):
+    terms = [(_ref_sub(_ref_mul(x[p], y[q]), _ref_mul(x[q], y[p])), c) for (p, q), c in table.items()]
+    return tuple(_ref_total(_ref_mul(w, c[l]) for w, c in terms if not _ref_is_zero(w)) for l in range(width))
+
+
+def _bits(e):
+    """A tree as nested tuples, each constant as the bytes of its float64 (so -0.0 and each NaN stay apart)."""
+    if isinstance(e, tuple):
+        return tuple(_bits(c) for c in e)
+    if isinstance(e, Const):
+        return ("const", struct.pack("<d", e.value).hex())
+    if isinstance(e, Var):
+        return ("var", e.name)
+    if isinstance(e, Unary):
+        return (e.op, _bits(e.arg))
+    if isinstance(e, Binary):
+        return (e.op, _bits(e.left), _bits(e.right))
+    return ("power", _bits(e.base), e.k)
+
+
+def _folded(make, *args):
+    """The tree's bits, or the error it raises."""
+    try:
+        return _bits(make(*args))
+    except DomainError as err:
+        return type(err)
+
+
+_OPERANDS = st.sampled_from(
+    [ZERO, ONE, Const(0.0), Const(-0.0), Const(math.inf), Const(-math.inf), Const(2.5), Const(-2.5), var("x"),
+     Binary("mul", Const(2.0), var("y"))]
+)
+
+
+@given(_OPERANDS, _OPERANDS)
+@settings(max_examples=150, deadline=None)
+def test_each_fold_builds_the_tree_of_the_reference_rules(a, b):
+    for make, ref in ((add, _ref_add), (sub, _ref_sub), (mul, _ref_mul), (div, _ref_div)):
+        assert _folded(make, a, b) == _folded(ref, a, b), make.__name__
+    assert _bits(neg(a)) == _bits(_ref_neg(a))
+
+
+@given(st.lists(st.tuples(_OPERANDS, _OPERANDS), max_size=7))
+@settings(max_examples=200, deadline=None)
+def test_total_and_dot_build_the_tree_of_the_reference_rules(pairs):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    assert _bits(total(xs)) == _bits(_ref_total(xs))
+    assert _bits(total(iter(ys))) == _bits(_ref_total(ys))
+    assert _bits(dot(xs, ys)) == _bits(_ref_dot(xs, ys))
+    assert _bits(dot(iter(ys), iter(xs))) == _bits(_ref_dot(ys, xs))
+
+
+@given(
+    st.lists(_OPERANDS, min_size=3, max_size=3),
+    st.lists(_OPERANDS, min_size=3, max_size=3),
+    st.dictionaries(st.sampled_from([(0, 1), (0, 2), (1, 2)]), st.tuples(_OPERANDS, _OPERANDS)),
+)
+@example([Const(math.inf), ZERO, ONE], [ZERO, ONE, ZERO], {(0, 1): (ZERO, ONE)})  # inf * ZERO is NaN, kept
+@settings(max_examples=150, deadline=None)
+def test_wedge_builds_the_tree_of_the_reference_rules(x, y, table):
+    assert _bits(wedge(x, y, table, 2)) == _bits(_ref_wedge(x, y, table, 2))
+
+
+def test_a_zero_factor_of_an_infinite_constant_still_fails_and_a_negative_zero_sum_is_positive():
+    # 0 * inf folds to NaN, which evaluation rejects: dot must not drop that term for its ZERO factor
+    with pytest.raises(NonFiniteError):
+        evaluate(dot((ZERO,), (const(math.inf),)), {})
+    with pytest.raises(NonFiniteError):
+        evaluate(dot((var("x"), const(math.inf)), (ONE, ZERO)), {"x": 1.0})
+    # -0.0 + 0.0 is +0.0: total must add a ZERO term after a negative zero
+    s = total([const(-0.0), ZERO])
+    assert s is ZERO and math.copysign(1.0, s.value) == 1.0
+    assert math.copysign(1.0, total([const(-0.0)]).value) == 1.0
+
+
+def test_folds_return_the_zero_and_one_objects_themselves():
+    x = var("x")
+    zeros = [const(0), const(0.0), parse("0"), add(ZERO, ZERO), sub(ONE, ONE), mul(const(2.5), ZERO), mul(ZERO, x),
+             neg(const(-0.0)), sin(ZERO), power(ZERO, 3), total([ONE, const(-1.0)]), x.diff("y"), parse("2*0 + 0")]
+    ones = [const(1), parse("1.0"), mul(ONE, ONE), div(const(2.5), const(2.5)), neg(const(-1.0)), power(ONE, 7),
+            power(x, 0), cos(ZERO), exp(ZERO), x.diff("x"), parse("2 - 1")]
+    assert all(e is ZERO for e in zeros), zeros
+    assert all(e is ONE for e in ones), ones
+    # a negative zero keeps a node of its own, and so does every other constant
+    assert const(-0.0) is not ZERO and math.copysign(1.0, const(-0.0).value) == -1.0
+    assert neg(ZERO) is not ZERO and const(2.5) is not const(2.5)
+
+
+_NODES = [Const(2.5), Var("x"), Unary("sin", Var("x")), Binary("add", Const(2.0), Var("x")), Power(Var("x"), 3)]
+
+
+@pytest.mark.parametrize("node", _NODES, ids=lambda e: type(e).__name__)
+def test_a_node_refuses_every_write_and_copies_by_structure(node):
+    before = _bits(node)
+    for name in type(node).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(node, name, ZERO)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    with pytest.raises(AttributeError):
+        node.extra = 1.0
+    assert _bits(node) == before
+    for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+        assert type(twin) is type(node) and twin == node and hash(twin) == hash(node)
+
+
+def test_nodes_compare_and_hash_by_structure():
+    x = var("x")
+    e = Binary("add", Const(2.0), x)
+    assert e == parse("2 + x") and hash(e) == hash(parse("2 + x"))
+    assert e != Binary("sub", Const(2.0), x) and e != Binary("add", Const(2.0), var("y"))
+    assert Const(0.0) == ZERO and hash(Const(0.0)) == hash(ZERO) and Const(2.5) != Const(3.5)
+    assert Const(1.0) != Var("x") and Var("x") != "x" and Const(1.0) != 1.0
+    assert Power(x, 2) == parse("x^2") != Power(x, 3)
+    assert Unary("sin", x) == sin(x) != Unary("cos", x)
+    assert len({parse("x*sin(y)"), parse("x * sin(y)"), parse("sin(y)*x")}) == 2
 
 
 def test_operator_overloads():
@@ -782,6 +984,17 @@ def test_an_expr_repr_parses_back_and_a_program_repr_gives_its_size():
     e = parse("x*2 + sin(y)/(1 - x)")
     assert repr(e) == f"parse({str(e)!r})"
     assert eval(repr(e), {"parse": parse}) == e
+    # a non-finite constant prints as literals that fold back to it, not as the names inf and nan
+    inf = parse("2^100000")
+    assert repr(inf) == "parse('1e999')" and eval(repr(inf), {"parse": parse}) == Const(math.inf)
+    x = var("x")
+    for tree, text in [(parse("(-2)^100001"), "(-1e999)"), (mul(const(math.inf), x), "1e999*x"),
+                       (sub(x, const(-math.inf)), "x - (-1e999)"), (power(add(x, const(-math.inf)), 2), "(x + (-1e999))^2")]:
+        assert str(tree) == text and parse(text) == tree
+    nan = parse("x + (1e200^2 - 1e200^2)")
+    assert str(nan) == "x + (1e999 - 1e999)" and str(sin(const(math.inf))) == "(1e999 - 1e999)"
+    back = parse(str(nan))
+    assert back.op == "add" and back.left == x and type(back.right) is Const and math.isnan(back.right.value)
     # mul, sin, sub, div and add; x, y and the constants are loads and registers
     assert repr(compile_exprs([[e, var("x")]])) == "<Program shape=(1, 2) ops=5>"
 

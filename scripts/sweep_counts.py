@@ -3,8 +3,9 @@
 Runs every ``configs/*.cfg`` and the three benchmark workload configs
 of ``perfbench/workloads.py`` at the given seed, in process, with
 ``expr.Bound.run``, ``cubes.rk4``, ``cubes.rk4_table``,
-``cubes.rk4_levels``, ``cubes.rk4_linear`` and the expression node
-constructors wrapped, and prints one line per config:
+``cubes.rk4_levels``, ``cubes.rk4_linear``, the expression node
+constructors and ``fibration.Fibration`` wrapped, and prints one line
+per config:
 
 - ``checked`` and ``unchecked``: the number of ``Bound.run`` calls of
   each kind (every RK4 stage and every lift and flow table runs
@@ -43,7 +44,10 @@ constructors wrapped, and prints one line per config:
   brackets, curvature and programs' trees: every node built, whatever
   form its class's constructor takes, counted by wrapping each class's
   ``__new__``.  A fold that returns a shared node (``ZERO``, ``ONE``)
-  or an operand builds none.
+  or an operand builds none;
+- ``fibrations``: the ``fibration.Fibration`` objects built, counted
+  at the class as ``nodes`` are: a run whose monodromy tasks share an
+  algebroid and splitting builds their anchor fibration once.
 
 The counters do not depend on host load, so two checkouts compare
 exactly:
@@ -54,7 +58,8 @@ exactly:
 ``OTHER`` (this script run again in a child process, with that
 package imported before this checkout's), prints its row above this
 checkout's for each config, and ends with a line naming every config
-whose ``ops`` or ``prelude`` differ; it then exits 1.  A change that
+whose ``ops`` or ``prelude`` differ; it then exits 1.  The other
+counters are printed for both checkouts but do not gate.  A change that
 should leave every compiled program as it was is checked by one
 command:
 
@@ -75,7 +80,7 @@ from pathlib import Path
 
 import numpy as np
 
-COUNTERS = ("checked", "unchecked", "ops", "prelude", "narrowed", "compact_out", "stages", "table_steps", "level_steps", "linear_steps", "nodes")
+COUNTERS = ("checked", "unchecked", "ops", "prelude", "narrowed", "compact_out", "stages", "table_steps", "level_steps", "linear_steps", "nodes", "fibrations")
 SAME = ("ops", "prelude")  # equal in two checkouts that compile the same programs
 
 
@@ -130,16 +135,16 @@ def staged(steppers: tuple, counts: Counter):
     return stepper, quadrature, leveler, propagator
 
 
-def built(counts: Counter, new):
-    """A ``__new__`` for an Expr node class, whose ``__new__`` is ``new``, that adds each node built to ``counts``.
+def built(counts: Counter, counter: str, new):
+    """A ``__new__`` for a class whose ``__new__`` is ``new``, that adds each object built to ``counts[counter]``.
 
     Calling a class runs its ``__new__`` before any ``__init__``, so this
-    counts a node that either of them sets up; ``new`` still makes it
+    counts an object that either of them sets up; ``new`` still makes it
     (``object.__new__`` without the arguments).
     """
 
     def wrapper(klass, *args, **kwargs):
-        counts["nodes"] += 1
+        counts[counter] += 1
         return new(klass) if new is object.__new__ else new(klass, *args, **kwargs)
 
     return staticmethod(wrapper)
@@ -149,11 +154,11 @@ def rows(seed: int):
     """(config, counters, exit code) of each config, run with the ``algebroids`` package importable now."""
     from report_digest import configs  # puts this checkout's package (unless one is imported) and perfbench first on the path
 
-    from algebroids import cli, cubes, expr
+    from algebroids import cli, cubes, expr, fibration
 
-    nodes = (expr.Const, expr.Var, expr.Unary, expr.Binary, expr.Power)
+    classes = {cls: "nodes" for cls in (expr.Const, expr.Var, expr.Unary, expr.Binary, expr.Power)} | {fibration.Fibration: "fibrations"}
     steppers = (cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear)
-    run, news, own = expr.Bound.run, {cls: cls.__new__ for cls in nodes}, {cls: cls.__dict__.get("__new__") for cls in nodes}
+    run, news, own = expr.Bound.run, {cls: cls.__new__ for cls in classes}, {cls: cls.__dict__.get("__new__") for cls in classes}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         try:
@@ -162,7 +167,7 @@ def rows(seed: int):
                 expr.Bound.run = counted(expr, counts)
                 cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear = staged(steppers, counts)
                 for cls, new in news.items():
-                    cls.__new__ = built(counts, new)
+                    cls.__new__ = built(counts, classes[cls], new)
                 with contextlib.redirect_stdout(io.StringIO()):
                     rc = cli.main(["run", str(config), "--out", str(tmp / label)])
                 yield label, {c: counts[c] for c in COUNTERS}, rc

@@ -443,6 +443,11 @@ class Algebroid:
     def structure_program(self) -> Program:
         return antisymmetric_program(self.structure, self.rank, self.rank)
 
+    @cached_property
+    def _anchor_fibrations(self) -> dict:
+        """The :func:`fibration.anchor_fibration` of each splitting, ``n_samples`` and ``seed`` built over this algebroid."""
+        return {}
+
     def anchor_values(self, points) -> np.ndarray:
         """Anchor matrix at points (see :meth:`Chart.values`), shape (..., rank, dim)."""
         if self.rank == 0:

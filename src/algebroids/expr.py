@@ -788,7 +788,7 @@ def _format(e: Expr, parent_prec: int) -> str:
             return "(1e999 - 1e999)"
         if math.isinf(v):
             return "1e999" if v > 0 else "(-1e999)"
-        return repr(v) if v >= 0 else f"({v!r})"
+        return repr(v) if math.copysign(1.0, v) > 0 else f"({v!r})"  # -0.0 too
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Unary):

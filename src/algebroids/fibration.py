@@ -214,9 +214,11 @@ class Fibration:
             for row in y:
                 out.extend(wedge(row, w2, self.total.structure, rE))
             names = [*self.chart.coords, *(v.name for v in y.flat)]  # of the state rows after w2's integral
-            self._lift_programs[k, split] = (
-                (*split_exprs(out, set(names)), _levels(out, names, rE, self.chart.dim)) if split else compile_exprs(out)
-            )
+            if split:
+                free, table, stage = split_exprs(out, set(names))
+                self._lift_programs[k, split] = (free, table, stage, _levels(out, names, rE, self.chart.dim, free, stage))
+            else:
+                self._lift_programs[k, split] = compile_exprs(out)
         return self._lift_programs[k, split]
 
     def lift_program(self, k: int) -> Program:
@@ -423,8 +425,11 @@ def identity_residuals(fib: Fibration, n_points: int = 100) -> dict[str, float]:
 # --- lifting cubes ----------------------------------------------------------------
 
 
-def _levels(cells: list, names: list, rE: int, m: int) -> tuple:
-    """The levels of :meth:`Fibration.lift_split` (-1 in or above a cycle) over the lift's rate cells, the state rows after w2's integral named by ``names``."""
+def _levels(cells: list, names: list, rE: int, m: int, free: np.ndarray, stage: Program) -> tuple:
+    """The levels of :meth:`Fibration.lift_split` (-1 in or above a cycle) over the lift's rate cells, the state rows after w2's integral named by ``names``.
+
+    ``stage`` is the program of the cells outside ``free``, which a level over those same cells reuses.
+    """
     row = {name: rE + r for r, name in enumerate(names)}
     reads = [{row[v] for v in e.variables() if v in row} for e in cells]
     read = np.zeros(len(cells), dtype=bool)
@@ -438,7 +443,8 @@ def _levels(cells: list, names: list, rE: int, m: int) -> tuple:
                 level[c] = 1 + max((level[r] for r in rs), default=-1)
     depth = np.array([level.get(c, -1) for c in range(len(cells))], dtype=int)
     swept = depth if (depth >= 0).all() else np.where(np.arange(len(cells)) < rE + m, depth, -1)  # the rows a level pass runs
-    return depth, read, tuple(compile_exprs(cells, swept == L) for L in range(1, swept.max(initial=0) + 1))
+    masks = (swept == L for L in range(1, swept.max(initial=0) + 1))
+    return depth, read, tuple(stage if (mask != free).all() else compile_exprs(cells, mask) for mask in masks)
 
 
 def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Sequence[np.ndarray], N: int) -> Cube:
@@ -720,10 +726,20 @@ def anchor_fibration(
     above ``KERNEL_RCOND`` times that entry, a bar the rank test alone
     does not enforce.  Basis vectors are sign-fixed by their largest
     entry.
+
+    A run derives each anchor fibration once: the fibration is kept on
+    the algebroid object, keyed by the checked splitting, ``n_samples``
+    and ``seed``, so every later call with equal ones returns it, with
+    its kernel frame, curvature and programs already built.  A call
+    that raises keeps nothing.
     """
     chart = A.chart
     m = chart.dim
     rE = A.rank
+    splitting = coerce_matrix(splitting, rE, m, "splitting")
+    key = (splitting, n_samples, seed)
+    if key in A._anchor_fibrations:
+        return A._anchor_fibrations[key]
     base = make_tangent(chart)
     projection = tuple(tuple(A.anchor[l][a] for l in range(rE)) for a in range(m))
 
@@ -746,10 +762,6 @@ def anchor_fibration(
         if col[lead] < 0:
             col = -col
         kernel_rows.append(tuple(const(float(v)) for v in col))
-    return Fibration(
-        total=A,
-        base=base,
-        projection=projection,
-        splitting=coerce_matrix(splitting, rE, m, "splitting"),
-        kernel=tuple(kernel_rows),
-    )
+    fib = Fibration(total=A, base=base, projection=projection, splitting=splitting, kernel=tuple(kernel_rows))
+    A._anchor_fibrations[key] = fib
+    return fib

@@ -249,7 +249,10 @@ def monodromy_period(
     anchor, with the supplied splitting, and the square is transgressed
     by :func:`transgress2_formula`: the curvature pairing, carried by
     parallel transport wherever the covariant action is nonzero.  The
-    result is that of the formula route, labelled ``"monodromy"``.
+    result is that of the formula route, labelled ``"monodromy"``.  The
+    fibration is :func:`fibration.anchor_fibration`'s, derived once per
+    algebroid, splitting, ``n_samples`` and ``seed``, so every period
+    and group over them shares its curvature and programs.
     """
     fib = anchor_fibration(A, splitting, n_samples=n_samples, seed=seed)
     return replace(transgress2_formula(fib, cube, centrality_tol), method="monodromy")
@@ -320,12 +323,13 @@ def monodromy_group(
     """Rational relations among the periods of a family of squares.
 
     Each period is the transgression of its square through one anchor
-    fibration, as :func:`monodromy_period` takes it.  Each ratio of
-    nonzero periods is matched against its best rational approximant
-    with bounded denominator; a match is accepted only when it sits
-    within the propagated half-grid error estimates (scaled by
-    ``PERIOD_ERR_SCALE``) plus ``PERIOD_ATOL``.  Needs a rank-one
-    kernel, where commensurability of scalars is meaningful.
+    fibration, as :func:`monodromy_period` takes it, and the same one:
+    it is derived once per algebroid, splitting, ``n_samples`` and
+    ``seed``.  Each ratio of nonzero periods is matched against its best
+    rational approximant with bounded denominator; a match is accepted
+    only when it sits within the propagated half-grid error estimates
+    (scaled by ``PERIOD_ERR_SCALE``) plus ``PERIOD_ATOL``.  Needs a
+    rank-one kernel, where commensurability of scalars is meaningful.
     """
     from fractions import Fraction  # imports decimal; only a monodromy group needs it
     fib = anchor_fibration(A, splitting, n_samples=n_samples, seed=seed)

@@ -743,8 +743,16 @@ for cfg in {configs!r}:
 
 
 def test_a_second_run_in_one_process_builds_as_many_expression_nodes_as_the_first(monkeypatch, tmp_path, capsys):
-    # no tree, variable set or program built for one run is kept for the next, so a warm run
-    # repeats every construction of a fresh one; nodes are counted at each class's __init__
+    # no tree, variable set, program or fibration built for one run is kept for the next, so a warm run
+    # repeats every construction of a fresh one; nodes are counted at each class's __init__.  The
+    # sphere_periods workload's period and family tasks share one algebroid and splitting, so their
+    # anchor fibration is built once a run and must die with it
+    monkeypatch.syspath_prepend(str(CONFIG_DIR.parent / "perfbench"))
+    import workloads
+
+    make, N = workloads.WORKLOADS["sphere_periods"]
+    sphere = tmp_path / "sphere_periods.cfg"
+    sphere.write_text(make(11, N).text, encoding="utf-8")
     built = [0]
 
     def counted(init):
@@ -756,12 +764,13 @@ def test_a_second_run_in_one_process_builds_as_many_expression_nodes_as_the_firs
 
     for cls in (expr.Const, expr.Var, expr.Unary, expr.Binary, expr.Power):
         monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
-    counts = []
-    for k in range(2):
-        built[0] = 0
-        assert main(["run", str(CONFIG_DIR / "rep_transport.cfg"), "--out", str(tmp_path / str(k))]) == 0
-        counts.append(built[0])
-    assert counts[0] == counts[1] > 0, counts
+    for config in (CONFIG_DIR / "rep_transport.cfg", sphere):
+        counts = []
+        for k in range(2):
+            built[0] = 0
+            assert main(["run", str(config), "--out", str(tmp_path / config.stem / str(k))]) == 0
+            counts.append(built[0])
+        assert counts[0] == counts[1] > 0, (config.name, counts)
 
 
 @pytest.mark.parametrize("module", ["algebroids", "algebroids.cli"])

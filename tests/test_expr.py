@@ -995,6 +995,11 @@ def test_an_expr_repr_parses_back_and_a_program_repr_gives_its_size():
     assert str(nan) == "x + (1e999 - 1e999)" and str(sin(const(math.inf))) == "(1e999 - 1e999)"
     back = parse(str(nan))
     assert back.op == "add" and back.left == x and type(back.right) is Const and math.isnan(back.right.value)
+    # -0.0 prints in parentheses, so its sign stays with it: bare, -0.0^2 would parse as -(0.0^2)
+    for tree, text in [(Const(-0.0), "(-0.0)"), (Power(Const(-0.0), 2), "(-0.0)^2"), (Power(Const(-0.0), 3), "(-0.0)^3"),
+                       (Binary("sub", x, Const(-0.0)), "x - (-0.0)"), (Power(Const(0.0), 2), "0.0^2")]:
+        assert str(tree) == text
+        assert float(evaluate(parse(text), {"x": 2.0})).hex() == float(evaluate(tree, {"x": 2.0})).hex(), text
     # mul, sin, sub, div and add; x, y and the constants are loads and registers
     assert repr(compile_exprs([[e, var("x")]])) == "<Program shape=(1, 2) ops=5>"
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -220,6 +222,46 @@ def test_a_constant_kernel_of_a_varying_anchor_passes_the_drift_guard():
     line = Chart(coords=("x",), box=((0.5, 1.5),))
     fib = anchor_fibration(make_explicit(line, 2, [["exp(3*x)"], ["0.1*exp(3*x)"]]), [["1"], ["0"]])
     np.testing.assert_allclose([float(evaluate(k, {})) for k in fib.kernel[0]], np.array([-0.1, 1.0]) / np.sqrt(1.01))
+
+
+JACOBI_SPLITTING = [["0", "0"], ["0", "1"], ["-1", "0"]]
+
+
+def test_an_anchor_fibration_is_built_once_per_algebroid_splitting_samples_and_seed():
+    A = make_jacobi_extension(PLANE, {(0, 1): "1"})
+    fib = anchor_fibration(A, JACOBI_SPLITTING)
+    # an equal splitting, of strings or of Exprs, and the defaults spelled out give the same object
+    assert anchor_fibration(A, [[parse(v) for v in row] for row in JACOBI_SPLITTING]) is fib
+    assert anchor_fibration(A, tuple(map(tuple, JACOBI_SPLITTING)), n_samples=25, seed=0) is fib
+    assert fib.curvature_form is anchor_fibration(A, JACOBI_SPLITTING).curvature_form
+    # any other splitting, sample count or seed, or a freshly built equal algebroid, gives a new one
+    others = [
+        anchor_fibration(A, [["0", "0"], ["0", "2"], ["-1", "0"]]),
+        anchor_fibration(A, JACOBI_SPLITTING, n_samples=24),
+        anchor_fibration(A, JACOBI_SPLITTING, seed=1),
+        anchor_fibration(make_jacobi_extension(PLANE, {(0, 1): "1"}), JACOBI_SPLITTING),
+    ]
+    assert len({id(f) for f in [fib, *others]}) == 5
+    assert others[0].splitting[1][1] == parse("2") and others[3].total == A and others[3].total is not A
+    assert all(f.splitting == fib.splitting for f in others[1:])
+
+
+def test_a_drifting_kernel_raises_on_every_call():
+    A = make_explicit(Chart(coords=("x",), box=((0.5, 1.5),)), 2, [["1"], ["1 + 5e-10*x"]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^anchor kernel drifts across the chart; no constant frame exists$"):
+            anchor_fibration(A, [["1"], ["0"]])
+
+
+def test_an_algebroid_with_an_anchor_fibration_still_copies_and_pickles():
+    A = make_jacobi_extension(PLANE, {(0, 1): "1"})
+    fib = anchor_fibration(A, JACOBI_SPLITTING)
+    fib.curvature_form.pairing_program
+    for B in (copy.copy(A), copy.deepcopy(A), pickle.loads(pickle.dumps(A))):
+        assert B == A
+        again = anchor_fibration(B, JACOBI_SPLITTING)
+        assert again.total == B and again.kernel == fib.kernel
+        assert again.curvature_form.entries == fib.curvature_form.entries
 
 
 def test_splitting_from_projection():

@@ -47,7 +47,15 @@ per config:
   or an operand builds none;
 - ``fibrations``: the ``fibration.Fibration`` objects built, counted
   at the class as ``nodes`` are: a run whose monodromy tasks share an
-  algebroid and splitting builds their anchor fibration once.
+  algebroid and splitting builds their anchor fibration once;
+- ``locates``: the calls of ``cubes._locate``, which places spline
+  positions on the knots; positions a run samples more than once (the
+  RK4 stage times of each N, a resample's grid) are located once per
+  run, the first time, and read from a cache after that.
+
+Every module-level ``lru_cache`` of ``cubes`` and ``transgression`` is
+cleared before each config, so each row counts the work of a fresh
+process whatever ran before it in this one.
 
 The counters do not depend on host load, so two checkouts compare
 exactly:
@@ -80,7 +88,7 @@ from pathlib import Path
 
 import numpy as np
 
-COUNTERS = ("checked", "unchecked", "ops", "prelude", "narrowed", "compact_out", "stages", "table_steps", "level_steps", "linear_steps", "nodes", "fibrations")
+COUNTERS = ("checked", "unchecked", "ops", "prelude", "narrowed", "compact_out", "stages", "table_steps", "level_steps", "linear_steps", "nodes", "fibrations", "locates")
 SAME = ("ops", "prelude")  # equal in two checkouts that compile the same programs
 
 
@@ -135,6 +143,24 @@ def staged(steppers: tuple, counts: Counter):
     return stepper, quadrature, leveler, propagator
 
 
+def located(locate, counts: Counter):
+    """``cubes._locate`` that adds each call to ``counts``."""
+
+    def wrapper(t, N):
+        counts["locates"] += 1
+        return locate(t, N)
+
+    return wrapper
+
+
+def fresh(*modules) -> None:
+    """Clear every module-level ``functools.lru_cache`` of ``modules``: their state as in a fresh process."""
+    for module in modules:
+        for value in list(vars(module).values()):
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
 def built(counts: Counter, counter: str, new):
     """A ``__new__`` for a class whose ``__new__`` is ``new``, that adds each object built to ``counts[counter]``.
 
@@ -154,11 +180,12 @@ def rows(seed: int):
     """(config, counters, exit code) of each config, run with the ``algebroids`` package importable now."""
     from report_digest import configs  # puts this checkout's package (unless one is imported) and perfbench first on the path
 
-    from algebroids import cli, cubes, expr, fibration
+    from algebroids import cli, cubes, expr, fibration, transgression
 
     classes = {cls: "nodes" for cls in (expr.Const, expr.Var, expr.Unary, expr.Binary, expr.Power)} | {fibration.Fibration: "fibrations"}
     steppers = (cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear)
     run, news, own = expr.Bound.run, {cls: cls.__new__ for cls in classes}, {cls: cls.__dict__.get("__new__") for cls in classes}
+    locate = cubes._locate
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         try:
@@ -166,6 +193,8 @@ def rows(seed: int):
                 counts = Counter()
                 expr.Bound.run = counted(expr, counts)
                 cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear = staged(steppers, counts)
+                cubes._locate = located(locate, counts)
+                fresh(cubes, transgression)
                 for cls, new in news.items():
                     cls.__new__ = built(counts, classes[cls], new)
                 with contextlib.redirect_stdout(io.StringIO()):
@@ -174,6 +203,7 @@ def rows(seed: int):
         finally:
             expr.Bound.run = run
             cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear = steppers
+            cubes._locate = locate
             for cls, new in own.items():
                 if new is None:
                     del cls.__new__

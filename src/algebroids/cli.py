@@ -772,6 +772,18 @@ class Workspace:
         self._built[key] = obj
         return obj
 
+    def drop_anchor_fibrations(self) -> None:
+        """Drop each built algebroid's :func:`fibration.anchor_fibration` memo, once its tasks are done.
+
+        The memo refers back to its algebroid (through ``Fibration.total``),
+        a cycle that only the cyclic garbage collector would break; without
+        it the run's algebroids, fibrations and programs go by reference
+        counting with the workspace.
+        """
+        for (kind, _), obj in self._built.items():
+            if kind == "algebroid":
+                vars(obj).pop("_anchor_fibrations", None)
+
     def _make_chart(self, p) -> Chart:
         return Chart(p.coords, p.bounds)
 
@@ -992,6 +1004,14 @@ def _run_monodromy(ws, p, checks, values, out_dir):
 
 
 def _run_decompose(ws, p, checks, values, out_dir):
+    """Split the cube's path and check the factors' endpoints and the witness's homotopy defect.
+
+    The ``witness_homotopy`` check reads only the witness's deformation
+    field on its two vertical edges, which :func:`transgression.decompose_path`
+    builds as exact zeros, so ``witness_defect`` is 0.0 whenever the task
+    runs (a non-finite field stops it earlier, when the witness cube is
+    built); only ``endpoints`` can fail on the numbers.
+    """
     from .cubes import homotopy_defect
     from .transgression import decompose_path
 
@@ -1087,15 +1107,18 @@ def _cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     all_passed = True
     ran = 0
-    for sec in sections:
-        if sec.kind != "task":
-            continue
-        report = run_task(ws, sec, overrides, cfg_hash, out_dir)
-        _write_report(out_dir / f"{sec.name}.json", report)
-        ran += 1
-        status = "PASS" if report["passed"] else "FAIL"
-        print(f"{sec.name}: {status} ({report['wall_time_s']:.2f}s)")
-        all_passed = all_passed and report["passed"]
+    try:
+        for sec in sections:
+            if sec.kind != "task":
+                continue
+            report = run_task(ws, sec, overrides, cfg_hash, out_dir)
+            _write_report(out_dir / f"{sec.name}.json", report)
+            ran += 1
+            status = "PASS" if report["passed"] else "FAIL"
+            print(f"{sec.name}: {status} ({report['wall_time_s']:.2f}s)")
+            all_passed = all_passed and report["passed"]
+    finally:
+        ws.drop_anchor_fibrations()
     print(f"{ran} task(s), reports in {out_dir}")
     return 0 if all_passed else 1
 

@@ -64,14 +64,16 @@ class ChartEscapeError(ValueError):
 _ESCAPED = "flow left the chart box; shrink the time box or enlarge the chart"
 
 
-def axis_times(n: int, N: int) -> list[np.ndarray]:
+@lru_cache(maxsize=8)
+def axis_times(n: int, N: int) -> tuple[np.ndarray, ...]:
     """Node times of each time axis, on that axis only: the i-th array has shape (N+1,) + (1,)*(n-1-i).
 
     The n arrays broadcast to the (N+1,)*n grid, so a program binds them
     without a full mesh and runs a time-only component on N+1 points.
+    They are read-only views of one array, built once per (n, N).
     """
-    t = np.arange(N + 1) / N
-    return [t.reshape((N + 1,) + (1,) * (n - 1 - i)) for i in range(n)]
+    t = frozen(np.arange(N + 1) / N)
+    return tuple(t.reshape((N + 1,) + (1,) * (n - 1 - i)) for i in range(n))
 
 
 def grid_times(n: int, N: int) -> list[np.ndarray]:
@@ -360,7 +362,7 @@ def resample(cube: Cube, M: int) -> Cube:
     """
     if M < 3:
         raise ValueError("resampling needs at least three steps")
-    return _respline(cube, np.linspace(0.0, 1.0, M + 1), np.ones(M + 1))
+    return _respline(cube, _grid_location(M, cube.N), np.ones(M + 1))
 
 
 # --- cubic splines on uniform knots ---------------------------------------------
@@ -424,41 +426,72 @@ def _node_slopes(y: np.ndarray) -> np.ndarray:
     return d.reshape(y.shape)
 
 
-def _locate(t: np.ndarray, N: int):
+class Location(NamedTuple):
+    """Positions located on the N steps of [0, 1]: see :func:`_locate`."""
+
+    steps: int
+    index: np.ndarray
+    weights: tuple
+
+
+def _locate(t: np.ndarray, N: int) -> Location:
     """Step index i of each position on the N steps of [0, 1] (extrapolating past the ends), and its Hermite weights.
 
-    ``(a0, a1, b0, b1)`` weigh the values at knots i and i+1 and the slopes
-    there, in units of the step, at the offset ``u = N t - i``.
+    ``weights``, ``(a0, a1, b0, b1)``, weigh the values at knots i and i+1
+    and the slopes there, in units of the step, at the offset
+    ``u = N t - i``.
     """
     i = np.clip(np.floor(t * N), 0, N - 1)
     u = (t - i / N) * N
     v = 1.0 - u
     uu, vv = u * u, v * v
-    return i.astype(np.intp), ((1.0 + 2.0 * u) * vv, (3.0 - 2.0 * u) * uu, u * vv, -v * uu)
+    return Location(N, i.astype(np.intp), ((1.0 + 2.0 * u) * vv, (3.0 - 2.0 * u) * uu, u * vv, -v * uu))
+
+
+def _shared(location: Location) -> Location:
+    """``location`` with its arrays made read-only, for a cache to hand to every caller."""
+    return Location(location.steps, frozen(location.index), tuple(map(frozen, location.weights)))
+
+
+@lru_cache(maxsize=8)
+def _grid_location(M: int, N: int) -> Location:
+    """The M+1 uniform positions j/M located on N steps, once per (M, N): :func:`resample`'s positions."""
+    return _shared(_locate(np.linspace(0.0, 1.0, M + 1), N))
 
 
 class Spline:
     """Cubic spline through node values on the uniform knots of [0, 1].
 
-    ``y`` holds N+1 node values along ``axis``, N >= 2; the other axes are
-    interpolated independently.  The end conditions are not-a-knot.  The
-    spline keeps ``y`` (not a copy) and its node slopes, solved once; an
+    ``y`` holds N+1 node values along ``axis`` (0 <= axis < y.ndim),
+    N >= 2; the other axes are interpolated independently.  The end
+    conditions are not-a-knot.  The spline keeps ``y`` (not a copy) and its node slopes, solved once; an
     evaluation weighs the two knots around each position (see
     :func:`_locate`).  Positions of any shape P, a scalar included, return
-    shape ``y.shape[:axis] + P + y.shape[axis+1:]``.
+    shape ``y.shape[:axis] + P + y.shape[axis+1:]``.  :meth:`at` takes
+    positions already located on the spline's N steps, such as the
+    cached :func:`stage_location`; ``spline(t)`` is
+    ``spline.at(_locate(t, N))``.
     """
 
     def __init__(self, y, axis: int = 0):
-        y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
+        y = np.asarray(y, dtype=float)
+        y = y.transpose((axis, *range(axis), *range(axis + 1, y.ndim)))  # np.moveaxis(y, axis, 0), for an axis in range
         self.axis, self.values, self.slopes = axis, y, _node_slopes(y)
 
     def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        i, w = _locate(t, len(self.values) - 1)
-        a0, a1, b0, b1 = (c.reshape(c.shape + (1,) * (self.values.ndim - 1)) for c in w)
+        return self.at(_locate(np.asarray(t, dtype=float), len(self.values) - 1))
+
+    def at(self, location: Location) -> np.ndarray:
+        """The spline at positions located on its N steps; ValueError for a location on another number of steps."""
+        if location.steps != len(self.values) - 1:
+            raise ValueError(f"positions located on {location.steps} steps, not the spline's {len(self.values) - 1}")
+        i, ndim = location.index, location.index.ndim
+        a0, a1, b0, b1 = (c.reshape(c.shape + (1,) * (self.values.ndim - 1)) for c in location.weights)
         y, d, j = self.values, self.slopes, i + 1
         out = a0 * y.take(i, 0) + a1 * y.take(j, 0) + b0 * d.take(i, 0) + b1 * d.take(j, 0)
-        return np.moveaxis(out, tuple(range(t.ndim)), tuple(range(self.axis, self.axis + t.ndim)))
+        # the positions' axes to the spline's place: np.moveaxis's transpose, without its per-call axis normalisation
+        rest = tuple(range(ndim, out.ndim))
+        return out.transpose(rest[: self.axis] + tuple(range(ndim)) + rest[self.axis :])
 
 
 def bicubic(data, x: np.ndarray, y: np.ndarray):
@@ -476,7 +509,7 @@ def bicubic(data, x: np.ndarray, y: np.ndarray):
     fields = data if isinstance(data, list) else [data]
     N = _steps(fields[0])
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    (i, wx), (j, wy) = _locate(x.ravel(), N), _locate(y.ravel(), N)
+    (_, i, wx), (_, j, wy) = _locate(x.ravel(), N), _locate(y.ravel(), N)
     k = i * (N + 1) + j
     corners = (k, k + 1, k + N + 1, k + N + 2)  # (i, j), (i, j+1), (i+1, j), (i+1, j+1)
     # per corner and position, the weights of the corner's value, x-slope, y-slope and cross slope
@@ -542,12 +575,12 @@ def _weigh_own_axis(coeffs: np.ndarray, axis: int, weights: np.ndarray) -> None:
     coeffs[axis] *= weights.reshape(shape)
 
 
-def _respline(cube: Cube, pos: np.ndarray, speed: np.ndarray) -> Cube:
-    """Spline every axis of the cube at ``pos``; weigh each coefficient field by ``speed`` along its own axis."""
+def _respline(cube: Cube, pos: Location, speed: np.ndarray) -> Cube:
+    """Spline every axis of the cube at ``pos``, located on its N steps; weigh each coefficient field by ``speed`` along its own axis."""
     gamma, coeffs = cube.gamma, cube.coeffs
     for axis in range(cube.n):
-        gamma = Spline(gamma, axis=axis)(pos)
-        coeffs = Spline(coeffs, axis=axis + 1)(pos)
+        gamma = Spline(gamma, axis=axis).at(pos)
+        coeffs = Spline(coeffs, axis=axis + 1).at(pos)
         _weigh_own_axis(coeffs, axis, speed)
     return Cube(cube.algebroid, gamma, coeffs)
 
@@ -561,7 +594,7 @@ def reparam_cutoff(cube: Cube) -> Cube:
     data vanishes flatly.
     """
     ts = np.linspace(0.0, 1.0, cube.N + 1)
-    return _respline(cube, cutoff(ts), cutoff_prime(ts))
+    return _respline(cube, _locate(cutoff(ts), cube.N), cutoff_prime(ts))
 
 
 CONCAT_TOL = 1e-6  # largest gap between the faces concat glues
@@ -607,9 +640,16 @@ def concat(first: Cube, second: Cube, axis: int) -> Cube:
 # --- cubes from time-dependent section families --------------------------------
 
 
+@lru_cache(maxsize=8)
 def half_steps(N: int) -> np.ndarray:
-    """The 2N+1 stage times of :func:`rk4`: the nodes and midpoints of N steps on [0, 1]."""
-    return np.linspace(0.0, 1.0, 2 * N + 1)
+    """The 2N+1 stage times of :func:`rk4`: the nodes and midpoints of N steps on [0, 1], read-only, built once per N."""
+    return frozen(np.linspace(0.0, 1.0, 2 * N + 1))
+
+
+@lru_cache(maxsize=8)
+def stage_location(N: int) -> Location:
+    """``half_steps(N)`` located on N steps, once per N: every spline sampled at the stage times reads it (:meth:`Spline.at`)."""
+    return _shared(_locate(half_steps(N), N))
 
 
 def rk4(f, y0, N: int, stage: np.ndarray | None = None) -> np.ndarray:
@@ -673,14 +713,49 @@ def rk4(f, y0, N: int, stage: np.ndarray | None = None) -> np.ndarray:
                     else:
                         np.add(acc, k, out=acc)
                 np.multiply(acc, h / 6, out=acc)
-                np.add(y, acc, out=out[s + 1, ...])  # a view even for a 0-d state
-                if not np.isfinite(out[s + 1]).all():
-                    raise NonFiniteError(f"non-finite state at step {s + 1} of {N}")
+                node = out[s + 1, ...]  # a view even for a 0-d state
+                np.add(y, acc, out=node)
+                if not np.isfinite(node).all():
+                    _rescale_step(f, y, j, h, stage, acc, node)
+                    if not np.isfinite(node).all():
+                        raise NonFiniteError(f"non-finite state at step {s + 1} of {N}")
         except DomainError as err:
             if isinstance(err, NonFiniteError) or np.isfinite(stage).all():
                 raise
             raise NonFiniteError(f"non-finite stage state in step {s + 1} of {N}") from err
     return out
+
+
+def _scaled_increment(k1, k2, k3, k4, h: float) -> np.ndarray:
+    """A step's increment with each rate scaled before the sum: ((h/6 k1 + h/3 k2) + h/3 k3) + h/6 k4.
+
+    :func:`rk4`'s sum k1 + 2 k2 + 2 k3 + k4 overflows where six times a
+    rate passes the largest float, although the node it adds to may not;
+    so wherever that sum's increment is not finite, every stepper adds
+    this one instead.  A finite increment is never replaced, so a sweep
+    that stays finite keeps the textbook formula's bits.
+    """
+    return ((k1 * (h / 6) + k2 * (h / 3)) + k3 * (h / 3)) + k4 * (h / 6)
+
+
+def _rescale_step(f, y: np.ndarray, j: int, h: float, stage: np.ndarray, inc: np.ndarray, node: np.ndarray) -> None:
+    """Where :func:`rk4`'s increment ``inc`` of the step from ``y`` is not finite, set ``node`` to y plus :func:`_scaled_increment`.
+
+    The step's four stages run again, on the same stage states, so the
+    rates are the ones its first run summed.
+    """
+    bad = ~np.isfinite(inc)
+    if not bad.any():
+        return
+    rates = []
+    for q, dt in enumerate((0.0, h / 2, h / 2, h)):
+        if q:
+            np.multiply(rates[-1], dt, out=stage)
+            np.add(y, stage, out=stage)
+        else:
+            np.copyto(stage, y)
+        rates.append(np.array(f(j + (q + 1) // 2, stage)))
+    np.add(y, _scaled_increment(*rates, h), out=node, where=bad)
 
 
 def stage_kinds(a: np.ndarray) -> tuple:
@@ -698,13 +773,26 @@ def _rk4_nodes(k1, k2, k3, k4, out: np.ndarray) -> np.ndarray:
     Each rate has the shape of ``out[1:]`` (k3 may be k2).  The increments
     are summed in ``rk4``'s order, ((k1 + 2 k2) + 2 k3) + k4 times h/6, and
     ``np.add.accumulate`` adds them onto the nodes in sequence, so the
-    nodes are bitwise ``rk4``'s.
+    nodes are bitwise ``rk4``'s.  If the last node is not finite, an
+    increment that is not finite is replaced by :func:`_scaled_increment`,
+    as ``rk4`` replaces it, and the nodes are accumulated again.
     """
-    inc, twice = out[1:], np.multiply(k2, 2.0)
+    _increments(k1, k2, k3, k4, out[1:])
+    np.add.accumulate(out, axis=0, out=out)
+    if not np.isfinite(out[-1]).all():  # an increment or a node is not finite: the error path
+        inc = _increments(k1, k2, k3, k4, np.empty(out[1:].shape))
+        np.copyto(inc, _scaled_increment(k1, k2, k3, k4, 1.0 / len(inc)), where=~np.isfinite(inc))
+        out[1:] = inc
+        np.add.accumulate(out, axis=0, out=out)
+    return out
+
+
+def _increments(k1, k2, k3, k4, inc: np.ndarray) -> np.ndarray:
+    """Write (((k1 + 2 k2) + 2 k3) + k4) h/6 of every step into ``inc``, in :func:`rk4`'s order, and return it."""
+    twice = np.multiply(k2, 2.0)
     np.add(k1, twice, out=inc)
     np.add(inc, twice if k3 is k2 else np.multiply(k3, 2.0, out=twice), out=inc)
-    np.multiply(np.add(inc, k4, out=inc), 1.0 / len(inc) / 6, out=inc)
-    return np.add.accumulate(out, axis=0, out=out)
+    return np.multiply(np.add(inc, k4, out=inc), 1.0 / len(inc) / 6, out=inc)
 
 
 def _check_nodes(out: np.ndarray, N: int) -> np.ndarray:

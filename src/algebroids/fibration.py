@@ -598,7 +598,7 @@ def lift_cube(fib: Fibration, cube: Cube) -> Cube:
     integrated.  The projection of the result deviates from the input by
     the usual second-order grid error.
     """
-    from .cubes import Spline, face, half_steps
+    from .cubes import Spline, face, stage_location
 
     if cube.algebroid != fib.base:
         raise ValueError("cube must live over the base algebroid of the fibration")
@@ -611,7 +611,7 @@ def lift_cube(fib: Fibration, cube: Cube) -> Cube:
         gamma0 = lifted_face.gamma
         w0 = [lifted_face.coeffs[i] for i in range(n - 1)]
 
-    b = Spline(cube.coeffs[n - 1], axis=n - 1)(half_steps(N))
+    b = Spline(cube.coeffs[n - 1], axis=n - 1).at(stage_location(N))
     return evolve_cube_system(fib, b, gamma0, w0, N)
 
 
@@ -644,7 +644,7 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
     path gives an (N+1, rK, rK) stack.  A trivial covariant action
     short-circuits to identity matrices.
     """
-    from .cubes import Spline, half_steps, rk4_linear, stage_kinds
+    from .cubes import Spline, rk4_linear, stage_kinds, stage_location
 
     if path.algebroid != fib.base:
         raise ValueError("transport needs a cube over the base")
@@ -653,9 +653,9 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
     if fib.transport_is_trivial:
         return np.zeros(path.coeffs.shape[1:-1] + (rK, rK)) + np.eye(rK)
 
-    ts = half_steps(N)
-    g = Spline(path.gamma, axis=n - 1)(ts)
-    b = Spline(path.coeffs[n - 1], axis=n - 1)(ts)
+    stages = stage_location(N)
+    g = Spline(path.gamma, axis=n - 1).at(stages)
+    b = Spline(path.coeffs[n - 1], axis=n - 1).at(stages)
     M = fib.chart.values(fib.transport_program, np.moveaxis(g, -2, 0), b=np.moveaxis(b, -2, 0))
     V = rk4_linear(stage_kinds(M), None, np.broadcast_to(np.eye(rK), M.shape[1:]), N)
     return np.moveaxis(V, 0, n - 1)

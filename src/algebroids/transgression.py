@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -100,12 +101,19 @@ def _trapezoid(field: np.ndarray, N: int, axes: int) -> np.ndarray:
     ``field[::2, ::2]`` gives bitwise the value of its compact copy, as a
     rerun on the coarsened cube would.
     """
-    w = np.full(N + 1, 1.0 / N)
-    w[[0, -1]] = 0.5 / N
+    w, total = _trapezoid_weights(N)
     field = compact_part(field)
     for _ in range(axes):
-        field = w.sum() * field[0] if len(field) == 1 else np.tensordot(w, np.ascontiguousarray(field), axes=(0, 0))
+        field = total * field[0] if len(field) == 1 else np.tensordot(w, np.ascontiguousarray(field), axes=(0, 0))
     return field
+
+
+@lru_cache(maxsize=8)
+def _trapezoid_weights(N: int) -> tuple:
+    """The read-only trapezoid weights of N steps and their sum, built once per N."""
+    w = np.full(N + 1, 1.0 / N)
+    w[[0, -1]] = 0.5 / N
+    return frozen(w), w.sum()
 
 
 def _with_estimate(compute, cube: Cube):
@@ -444,6 +452,14 @@ def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
     path, and the top edge, a path with vanishing anchor image, is the
     kernel factor.  Pulling the square back along boundary routes of
     the unit square produces the witness.
+
+    The witness's deformation field ``w_e`` is built as exact zeros on
+    its two vertical edges (s = 0 and s = N): the seam positions there
+    are exactly (0, 0) and (1, 1), so ``dH_de`` is 0.  Its
+    :func:`cubes.homotopy_defect`, which reads only those edges, is
+    therefore 0.0 by construction; a non-finite field is refused when
+    the witness cube is built.  The defect certifies the construction,
+    not the numbers on the interior.
     """
     _require_cube(cube, fib.total, "decompose_path", n=1)
 

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import re
 import runpy
@@ -964,3 +965,60 @@ def test_an_expression_nested_too_deep_is_rejected_at_its_line(tmp_path, capsys,
         assert f"line {line}:" in err and "nests deeper than" in err, err
         assert "Traceback" not in err
         assert max(map(len, err.splitlines())) < 200, err  # the rejected expression is quoted around the error
+
+
+def _workload_config(monkeypatch, tmp_path, name: str, seed: int = 11) -> Path:
+    monkeypatch.syspath_prepend(str(CONFIG_DIR.parent / "perfbench"))
+    import workloads
+
+    make, N = workloads.WORKLOADS[name]
+    config = tmp_path / f"{name}.cfg"
+    config.write_text(make(seed, N).text, encoding="utf-8")
+    return config
+
+
+def test_a_run_builds_each_grid_sizes_stage_times_and_their_location_once(monkeypatch, tmp_path, capsys):
+    # transport_square lifts and transports on N = 24 and on its half grid, N = 12: two stage-time grids,
+    # whose location each of its 8 lift_cube and 4 transport_matrix calls reads
+    config = _workload_config(monkeypatch, tmp_path, "transport_square")
+    for cache in (cubes.half_steps, cubes.stage_location):
+        cache.cache_clear()
+    assert main(["run", str(config), "--out", str(tmp_path / "reports")]) == 0
+    assert cubes.half_steps.cache_info().misses == 2
+    assert cubes.stage_location.cache_info()[:2] == (10, 2)  # (hits, misses)
+
+
+def test_no_fibration_outlives_a_run_without_the_cyclic_collector(monkeypatch, tmp_path, capsys):
+    # sphere_periods' period and family tasks share one anchor fibration, kept on their algebroid
+    # (algebroid -> memo -> Fibration.total -> algebroid) until the run drops the memo
+    import gc
+    import weakref
+
+    from algebroids import fibration
+
+    config = _workload_config(monkeypatch, tmp_path, "sphere_periods")
+    built = []
+    init = fibration.Fibration.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(fibration.Fibration, "__init__", recorded)
+    gc.disable()
+    try:
+        assert main(["run", str(config), "--out", str(tmp_path / "reports")]) == 0
+        alive = [ref() for ref in built if ref() is not None]
+    finally:
+        gc.enable()
+    assert built and not alive
+
+
+@pytest.mark.parametrize("config", ["decompose_demo", "plane_lift"])
+def test_the_witness_defect_of_a_path_split_is_exactly_zero(monkeypatch, tmp_path, capsys, config):
+    # the witness's deformation field is built as exact zeros on the two vertical edges the check reads
+    path = CONFIG_DIR / f"{config}.cfg" if config == "decompose_demo" else _workload_config(monkeypatch, tmp_path, config)
+    out = tmp_path / "reports"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    value = load_report(out, "split")["values"]["witness_defect"]
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0

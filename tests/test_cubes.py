@@ -402,7 +402,7 @@ def test_rk4_table_is_bitwise_rk4_of_the_table(shape, N):
     assert rk4_table(table, y0, N).tobytes() == rk4(lambda j, _: table[j], y0, N).tobytes()
 
 
-@pytest.mark.parametrize("j, value", [(0, np.inf), (5, np.nan), (7, -np.inf), (11, 1e308)])  # 1e308 overflows as 2 k2
+@pytest.mark.parametrize("j, value", [(0, np.inf), (5, np.nan), (7, -np.inf)])
 def test_rk4_table_raises_rk4s_error_at_the_first_non_finite_node(j, value):
     table = np.ones((13, 2, 3))
     table[j, 1, 2] = value
@@ -412,6 +412,72 @@ def test_rk4_table_raises_rk4s_error_at_the_first_non_finite_node(j, value):
             sweep()
         messages.append(str(err.value))
     assert messages[0] == messages[1] == f"non-finite state at step {max(1, (j + 1) // 2)} of 6"
+
+
+def _overflowing_tables():
+    one = np.ones((13, 2, 3))
+    one[11, 1, 2] = 1e308  # k2 = k3 of step 6: 2 k2 overflows, h/3 k2 does not
+    return {
+        "one-entry": (one, np.zeros((2, 3)), None),
+        "all-from-zero": (np.full((13, 2, 3), 1e308), np.zeros((2, 3)), None),
+        "all-from-1e308": (np.full((13, 2, 3), 1e308), np.full((2, 3), 1e308), "non-finite state at step 5 of 6"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_overflowing_tables()))
+def test_rk4_and_rk4_table_agree_on_a_table_whose_textbook_sum_overflows(case):
+    # k1 + 2 k2 + 2 k3 + k4 of rates near 1e308 overflows; each step adds the rates scaled by h/6 and h/3
+    # instead, so the nodes are finite until one passes the largest float (node 5 of 1e308 + s/6 1e308)
+    table, y0, error = _overflowing_tables()[case]
+    sweeps = (lambda: rk4(lambda i, _: table[i], y0, 6), lambda: rk4_table(table, y0, 6))
+    if error is None:
+        stepped, summed = (sweep() for sweep in sweeps)
+        assert np.isfinite(summed).all() and summed.tobytes() == stepped.tobytes()
+        simpson = np.tile([2.0, 4.0], 7)[:13] / 36  # RK4 of a state-free rate: Simpson's rule on each step
+        simpson[[0, -1]] = 1 / 36
+        np.testing.assert_allclose(summed[-1], y0 + np.tensordot(simpson, table, 1), rtol=1e-14, atol=0)
+        return
+    for sweep in sweeps:
+        with pytest.raises(NonFiniteError, match=f"^{error}$"):
+            sweep()
+
+
+def test_rk4_scales_each_rate_before_the_sum_where_the_textbook_sum_overflows():
+    # y' = y from 5e307: every rate is finite (below 1.4e308), but k1 + 2 k2 + 2 k3 + k4 is about
+    # 3e308 from step 1 on, while the nodes (up to e 5e307) are finite, as rk4_linear's are
+    N, y0 = 12, np.full((1, 1), 5e307)
+    stepped = rk4(lambda j, y: 1.0 * y, y0, N)
+    linear = rk4_linear(stage_kinds(np.ones((2 * N + 1, 1, 1))), None, y0, N)
+    assert np.isfinite(stepped).all()
+    np.testing.assert_allclose(stepped, linear, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(stepped[-1, 0, 0], np.e * 5e307, rtol=1e-6)  # RK4's error at h = 1/12: 4e-7
+
+
+def test_a_rate_that_overflows_itself_stops_rk4_where_rk4_linear_goes_on():
+    # y' = 50 y from 1e300 on 12 steps: node 5 is 8.4e307, but step 5's k2 = 50 (y4 + h/2 k1) = 3.4e308 is
+    # itself past the largest float, so rk4 has no finite rate to form node 5 from; rk4_linear's step
+    # factor (about 38.5) reaches it and overflows at node 6
+    N, y0 = 12, np.full((1, 1), 1e300)
+    B = stage_kinds(np.full((2 * N + 1, 1, 1), 50.0))
+    for sweep, step in ((lambda: rk4(lambda j, y: 50.0 * y, y0, N), 5), (lambda: rk4_linear(B, None, y0, N), 6)):
+        with pytest.raises(NonFiniteError, match=f"^non-finite state at step {step} of 12$"):
+            sweep()
+
+
+def test_levels_are_bitwise_rk4_where_a_textbook_sum_overflows_on_two_levels():
+    # row 0's rates are near 1e308 and row 1's are 1.5 times row 0's state: both rows' textbook sums
+    # overflow, and every node stays finite
+    N = 6
+    table = 1e308 * (1.0 - 0.1 * np.cos(half_steps(N)[:, None] + np.arange(3)))
+    y0 = np.zeros((2, 3))
+    stages = {0: np.empty((4, N, 3))}
+
+    def rates(L):
+        return [stage_kinds(table)] if L == 0 else [[1.5 * stages[0][q] for q in range(4)]]
+
+    leveled = rk4_levels(rates, [[0], [1]], y0, N, stages)
+    assert np.isfinite(leveled).all() and leveled[-1].min() > 5e307
+    assert leveled.tobytes() == rk4(lambda j, y: np.stack([table[j], 1.5 * y[0]]), y0, N).tobytes()
 
 
 def test_a_table_only_flow_that_overflows_leaves_the_chart():
@@ -580,7 +646,7 @@ def test_rk4_linear_converges_at_order_four():
 
 def test_rk4_linear_raises_rk4s_error_at_the_first_non_finite_node():
     # y' = 0.1 y grows by e^(1/120) a step, from e^(-5.5/120) times the largest float: past it in step 6.
-    # (rk4 sums k1 + 2 k2 + 2 k3 + k4 before h/6 scales it, so it overflows a step early where 6 times the rate does)
+    # (six times a rate this small stays finite, so neither stepper's increment overflows before its node does)
     N, big = 12, np.finfo(float).max * np.exp(-5.5 / 120)
     B = stage_kinds(np.full((2 * N + 1, 1, 1), 0.1))
     messages = []
@@ -820,6 +886,70 @@ def test_the_cached_inverse_is_read_only():
         assert not block.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             block[0, 0] = 0.0
+
+
+def _grid_caches():
+    from algebroids import transgression
+
+    return {
+        "axis_times": (cubes_module.axis_times, (2, 24)),
+        "half_steps": (half_steps, (24,)),
+        "stage_location": (cubes_module.stage_location, (24,)),
+        "grid_location": (cubes_module._grid_location, (48, 97)),
+        "slope_solver": (cubes_module._slope_solver, (97,)),
+        "trapezoid_weights": (transgression._trapezoid_weights, (24,)),
+    }
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("name", sorted(_grid_caches()))
+def test_every_per_n_grid_cache_is_bounded_and_read_only(name):
+    cache, args = _grid_caches()[name]
+    assert cache.cache_info().maxsize == 8
+    value = cache(*args)
+    assert cache(*args) is value
+    arrays = list(_arrays(value))
+    assert arrays
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+
+
+@pytest.mark.parametrize("N", [2, 13, 97])
+@pytest.mark.parametrize("shape", [(), (5,), (4, 3)], ids=["1-D", "lines", "grid"])
+@pytest.mark.parametrize("axis", [0, -1], ids=["first", "last"])
+def test_a_spline_at_the_cached_stage_times_is_bitwise_at_a_copy_of_them(N, shape, axis):
+    y = np.moveaxis(np.random.default_rng(N).normal(size=(N + 1,) + shape), 0, axis)
+    spline = Spline(y, axis=axis % y.ndim)
+    want = spline(half_steps(N).copy()).tobytes()
+    assert spline(half_steps(N)).tobytes() == want
+    assert spline.at(cubes_module.stage_location(N)).tobytes() == want
+
+
+def test_a_resample_reads_its_cached_location_bitwise_as_a_fresh_one():
+    cube = cotangent_lift(PLANE, [["0", "1"], ["-1", "0"]], ["0.9*t1", "0.2*sin(3*t1 + t2)"], n=2, N=21)
+    M, located = 10, cubes_module._locate(np.linspace(0.0, 1.0, 11), 21)
+    cached = cubes_module._grid_location(M, 21)
+    assert cached.index.tobytes() == located.index.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(cached.weights, located.weights))
+    half = resample(cube, M)
+    want = cube.coeffs
+    for axis in range(2):
+        want = Spline(want, axis=axis + 1)(np.linspace(0.0, 1.0, M + 1))
+    assert half.coeffs.tobytes() == want.tobytes()
+
+
+def test_a_spline_refuses_positions_located_on_another_number_of_steps():
+    with pytest.raises(ValueError, match="located on 12 steps, not the spline's 24"):
+        Spline(np.zeros((25, 2))).at(cubes_module.stage_location(12))
 
 
 @pytest.mark.parametrize("nodes", [1, 2])

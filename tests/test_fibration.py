@@ -594,9 +594,9 @@ def test_lift_records_the_driver_at_every_node():
 
 
 def _spline_calls(monkeypatch, run) -> int:
-    calls = []
-    call = Spline.__call__
-    monkeypatch.setattr(Spline, "__call__", lambda self, t: calls.append(t) or call(self, t))
+    calls = []  # every evaluation, at positions or at a located (cached) set of them, goes through Spline.at
+    at = Spline.at
+    monkeypatch.setattr(Spline, "at", lambda self, location: calls.append(location) or at(self, location))
     run()
     monkeypatch.undo()
     return len(calls)

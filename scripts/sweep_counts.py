@@ -51,7 +51,12 @@ per config:
 - ``locates``: the calls of ``cubes._locate``, which places spline
   positions on the knots; positions a run samples more than once (the
   RK4 stage times of each N, a resample's grid) are located once per
-  run, the first time, and read from a cache after that.
+  run, the first time, and read from a cache after that;
+- ``np_helpers``: the calls that the package's own code makes of six
+  numpy helpers that do their work in Python before the C operation
+  they end in, as ``moveaxis/gradient/tensordot/stack/diff/flatnonzero``
+  (a call from within numpy is not counted); the sweeps, splines and
+  quadratures use the operations themselves, so the first three read 0.
 
 Every module-level ``lru_cache`` of ``cubes`` and ``transgression`` is
 cleared before each config, so each row counts the work of a fresh
@@ -88,7 +93,8 @@ from pathlib import Path
 
 import numpy as np
 
-COUNTERS = ("checked", "unchecked", "ops", "prelude", "narrowed", "compact_out", "stages", "table_steps", "level_steps", "linear_steps", "nodes", "fibrations", "locates")
+COUNTERS = ("checked", "unchecked", "ops", "prelude", "narrowed", "compact_out", "stages", "table_steps", "level_steps", "linear_steps", "nodes", "fibrations", "locates", "np_helpers")
+HELPERS = ("moveaxis", "gradient", "tensordot", "stack", "diff", "flatnonzero")  # the np_helpers column, in order
 SAME = ("ops", "prelude")  # equal in two checkouts that compile the same programs
 
 
@@ -153,6 +159,17 @@ def located(locate, counts: Counter):
     return wrapper
 
 
+def package_calls(helper, name: str, counts: Counter):
+    """``numpy`` helper ``helper`` that adds each call made from a module of the ``algebroids`` package to ``counts[name]``."""
+
+    def wrapper(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__", "").startswith("algebroids."):
+            counts[name] += 1
+        return helper(*args, **kwargs)
+
+    return wrapper
+
+
 def fresh(*modules) -> None:
     """Clear every module-level ``functools.lru_cache`` of ``modules``: their state as in a fresh process."""
     for module in modules:
@@ -185,7 +202,7 @@ def rows(seed: int):
     classes = {cls: "nodes" for cls in (expr.Const, expr.Var, expr.Unary, expr.Binary, expr.Power)} | {fibration.Fibration: "fibrations"}
     steppers = (cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear)
     run, news, own = expr.Bound.run, {cls: cls.__new__ for cls in classes}, {cls: cls.__dict__.get("__new__") for cls in classes}
-    locate = cubes._locate
+    locate, helpers = cubes._locate, {name: getattr(np, name) for name in HELPERS}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         try:
@@ -194,16 +211,21 @@ def rows(seed: int):
                 expr.Bound.run = counted(expr, counts)
                 cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear = staged(steppers, counts)
                 cubes._locate = located(locate, counts)
+                for name, helper in helpers.items():
+                    setattr(np, name, package_calls(helper, name, counts))
                 fresh(cubes, transgression)
                 for cls, new in news.items():
                     cls.__new__ = built(counts, classes[cls], new)
                 with contextlib.redirect_stdout(io.StringIO()):
                     rc = cli.main(["run", str(config), "--out", str(tmp / label)])
+                counts["np_helpers"] = "/".join(str(counts[name]) for name in HELPERS)
                 yield label, {c: counts[c] for c in COUNTERS}, rc
         finally:
             expr.Bound.run = run
             cubes.rk4, cubes.rk4_table, cubes.rk4_levels, cubes.rk4_linear = steppers
             cubes._locate = locate
+            for name, helper in helpers.items():
+                setattr(np, name, helper)
             for cls, new in own.items():
                 if new is None:
                     del cls.__new__
@@ -219,7 +241,7 @@ def other_rows(checkout: Path, seed: int) -> dict:
 
 
 def line(label: str, counts: dict, rc: int) -> str:
-    return f"{label:<27}" + "".join(f"{counts[c]:>13,}" for c in COUNTERS) + ("" if rc == 0 else f"  exit {rc}")
+    return f"{label:<27}" + "".join(f"{counts[c]:>13,}" for c in COUNTERS[:-1]) + f"{counts['np_helpers']:>20}" + ("" if rc == 0 else f"  exit {rc}")
 
 
 def main() -> None:
@@ -237,7 +259,7 @@ def main() -> None:
             print(json.dumps({"config": label, "counts": counts, "rc": rc}))
         return
     other = other_rows(args.against, args.seed) if args.against is not None else None
-    print(f"{'config':<27}" + "".join(f"{c:>13}" for c in COUNTERS))
+    print(f"{'config':<27}" + "".join(f"{c:>13}" for c in COUNTERS[:-1]) + f"{COUNTERS[-1]:>20}")
     differ = []
     for label, counts, rc in rows(args.seed):
         if other is not None:

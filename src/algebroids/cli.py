@@ -32,6 +32,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
@@ -163,14 +164,15 @@ def apply_overrides(sections: list[SectionSpec], assignments: list[str]) -> dict
     return applied
 
 
-def config_hash(sections: list[SectionSpec], overrides: dict[str, str]) -> str:
-    """SHA-256 digest of the canonicalized config plus the applied overrides.
+@lru_cache(maxsize=1)
+def _sha256():
+    """The interpreter's built-in SHA-256 constructor, found once per process.
 
-    The digest comes from the interpreter's built-in SHA-256 module
-    (``_sha2`` from Python 3.12, ``_sha256`` before), which loads no
-    OpenSSL; the standard library's OpenSSL-backed module is the fallback
-    where neither exists.  Only a run hashes its config, so describe
-    imports none of them.
+    It is ``_sha2``'s from Python 3.12, ``_sha256``'s before, neither of
+    which loads OpenSSL; the standard library's OpenSSL-backed one is the
+    fallback where neither exists.  A failed import is not cached, so
+    each try would search ``sys.path`` again; only a run hashes its
+    config, so describe imports none of them.
     """
     try:
         from _sha2 import sha256
@@ -179,12 +181,17 @@ def config_hash(sections: list[SectionSpec], overrides: dict[str, str]) -> str:
             from _sha256 import sha256
         except ImportError:
             from hashlib import sha256
+    return sha256
+
+
+def config_hash(sections: list[SectionSpec], overrides: dict[str, str]) -> str:
+    """SHA-256 digest of the canonicalized config plus the applied overrides, by :func:`_sha256`."""
     parts: list[str] = []
     for sec in sections:
         parts.append(f"[{sec.kind} {sec.name}]")
         parts.extend(f"{key}={sec.entries[key]}" for key in sorted(sec.entries))
     parts.extend(f"set {key}={value}" for key, value in sorted(overrides.items()))
-    return sha256("\n".join(parts).encode("utf-8")).hexdigest()
+    return _sha256()("\n".join(parts).encode("utf-8")).hexdigest()
 
 
 # --- value grammars ------------------------------------------------------------

@@ -85,7 +85,7 @@ def frozen(a: np.ndarray) -> np.ndarray:
     """Mark an array that no one else holds read-only, so that :class:`Cube` adopts it without a copy.
 
     Views of it taken afterwards are read-only too; a view that only
-    permutes its axes (``np.moveaxis(frozen(buf), 0, -1)``, say) is
+    permutes its axes (``frozen(buf).transpose((1, 2, 0))``, say) is
     adopted as well, so a builder may store the array in any axis order.
     """
     a.flags.writeable = False
@@ -217,7 +217,7 @@ class Cube:
         frozen(g)
         points = tuple(p if 0 in p.strides else g[a] for a, p in enumerate(self.points))
         object.__setattr__(self, "points", Coordinates(points, self.points.shape))
-        return np.moveaxis(g, 0, -1)
+        return g.transpose((*range(1, g.ndim), 0))
 
     @cached_property
     def half(self) -> Cube:
@@ -226,6 +226,32 @@ class Cube:
         Built once, so every half-grid rerun on this immutable cube shares it.
         """
         return coarsen(self) if self.N % 2 == 0 else resample(self, self.N // 2)
+
+
+def grid_difference(f: np.ndarray, h: float, axis, out: np.ndarray | None = None, add: bool = False) -> np.ndarray:
+    """Second-order difference of node values ``f``, ``h`` apart along ``axis``: bitwise ``np.gradient`` there with ``edge_order=2``.
+
+    numpy's formulas, term for term: (f[i+1] - f[i-1]) / (2h) inside,
+    (-1.5/h) f[0] + (2/h) f[1] + (-0.5/h) f[2] at the start and its mirror
+    at the end.  Written into ``out`` (a new array by default), or added to
+    it with ``add``; ``out`` must not overlap ``f``.  For a sequence of
+    axes, the differences along each in turn, on a new leading axis.
+    """
+    if not isinstance(axis, int):
+        out = np.empty((len(axis),) + f.shape) if out is None else out
+        for a, into in zip(axis, out):
+            grid_difference(f, h, a, into, add)
+        return out
+    if f.shape[axis] < 3:
+        raise ValueError(f"a second-order difference needs at least 3 nodes, not {f.shape[axis]}")
+    out = np.empty(f.shape) if out is None else out
+    f, d = f.swapaxes(0, axis), out.swapaxes(0, axis)
+    inside = (f[2:] - f[:-2]) / (2.0 * h)
+    start = (-1.5 / h) * f[:1] + (2.0 / h) * f[1:2] + (-0.5 / h) * f[2:3]
+    end = (0.5 / h) * f[-3:-2] + (-2.0 / h) * f[-2:-1] + (1.5 / h) * f[-1:]
+    for into, value in ((d[1:-1], inside), (d[:1], start), (d[-1:], end)):
+        into[...] = into + value if add else value
+    return out
 
 
 class MorphismResidual(NamedTuple):
@@ -248,7 +274,7 @@ def morphism_residual(cube: Cube) -> MorphismResidual:
     rho = A.anchor_values(cube.points)
     base = 0.0
     for i in range(n):
-        dgamma = np.gradient(cube.gamma, h, axis=i, edge_order=2)
+        dgamma = grid_difference(cube.gamma, h, i)
         img = np.einsum("...p,...pm->...m", cube.coeffs[i], rho)
         base = max(base, sup_norm(dgamma - img))
     structure = 0.0
@@ -256,11 +282,9 @@ def morphism_residual(cube: Cube) -> MorphismResidual:
         cvals = A.structure_values(cube.points)
         for i in range(n):
             for j in range(i + 1, n):
-                res = (
-                    np.gradient(cube.coeffs[i], h, axis=j, edge_order=2)
-                    - np.gradient(cube.coeffs[j], h, axis=i, edge_order=2)
-                    - np.einsum("...p,...q,...pql->...l", cube.coeffs[i], cube.coeffs[j], cvals)
-                )
+                ci, cj = cube.coeffs[i], cube.coeffs[j]
+                pairs = ci[..., :, None] * cj[..., None, :]  # bitwise the products of the three-operand einsum, which is slower
+                res = grid_difference(ci, h, j) - grid_difference(cj, h, i) - np.einsum("...pq,...pql->...l", pairs, cvals)
                 structure = max(structure, sup_norm(res))
     return MorphismResidual(structure=structure, base=base)
 
@@ -411,7 +435,7 @@ def _node_slopes(y: np.ndarray) -> np.ndarray:
     nodes the spline is the single parabola through them.
     """
     N = _steps(y)
-    m = np.diff(y, axis=0)
+    m = y[1:] - y[:-1]
     rhs = np.empty(y.shape)
     rhs[1:-1] = 3 * (m[:-1] + m[1:])
     if N == 2:
@@ -475,7 +499,7 @@ class Spline:
 
     def __init__(self, y, axis: int = 0):
         y = np.asarray(y, dtype=float)
-        y = y.transpose((axis, *range(axis), *range(axis + 1, y.ndim)))  # np.moveaxis(y, axis, 0), for an axis in range
+        y = y.transpose((axis, *range(axis), *range(axis + 1, y.ndim)))  # the spline axis first
         self.axis, self.values, self.slopes = axis, y, _node_slopes(y)
 
     def __call__(self, t) -> np.ndarray:
@@ -489,7 +513,7 @@ class Spline:
         a0, a1, b0, b1 = (c.reshape(c.shape + (1,) * (self.values.ndim - 1)) for c in location.weights)
         y, d, j = self.values, self.slopes, i + 1
         out = a0 * y.take(i, 0) + a1 * y.take(j, 0) + b0 * d.take(i, 0) + b1 * d.take(j, 0)
-        # the positions' axes to the spline's place: np.moveaxis's transpose, without its per-call axis normalisation
+        # the positions' axes to the spline's place
         rest = tuple(range(ndim, out.ndim))
         return out.transpose(rest[: self.axis] + tuple(range(ndim)) + rest[self.axis :])
 
@@ -513,12 +537,16 @@ def bicubic(data, x: np.ndarray, y: np.ndarray):
     k = i * (N + 1) + j
     corners = (k, k + 1, k + N + 1, k + N + 2)  # (i, j), (i, j+1), (i+1, j), (i+1, j+1)
     # per corner and position, the weights of the corner's value, x-slope, y-slope and cross slope
-    weights = [np.stack([wx[p + a] * wy[q + b] for q in (0, 2) for p in (0, 2)], -1) for a in (0, 1) for b in (0, 1)]
+    weights = np.empty((4, len(k), 4))
+    for w, (a, b) in zip(weights, itertools.product((0, 1), repeat=2)):
+        for s, (q, p) in enumerate(itertools.product((0, 2), repeat=2)):
+            np.multiply(wx[p + a], wy[q + b], out=w[:, s])
     out = []
     for f in fields:
-        fy = np.moveaxis(_node_slopes(np.moveaxis(f, 1, 0)), 0, 1)
-        width = f[0, 0].size
-        nodes = np.stack([f, _node_slopes(f), fy, _node_slopes(fy)], axis=2).reshape((N + 1) ** 2, 4, width)
+        fy = _node_slopes(f.swapaxes(0, 1)).swapaxes(0, 1)
+        nodes = np.empty((N + 1, N + 1, 4) + f.shape[2:])
+        nodes[:, :, 0], nodes[:, :, 1], nodes[:, :, 2], nodes[:, :, 3] = f, _node_slopes(f), fy, _node_slopes(fy)
+        nodes = nodes.reshape((N + 1) ** 2, 4, f[0, 0].size)
         # one corner at a time, so that no temporary holds all 16 terms
         value = sum(np.einsum("pq,pqf->pf", w, nodes.take(c, 0)) for w, c in zip(weights, corners))
         out.append(value.reshape(x.shape + f.shape[2:]))
@@ -797,8 +825,8 @@ def _increments(k1, k2, k3, k4, inc: np.ndarray) -> np.ndarray:
 
 def _check_nodes(out: np.ndarray, N: int) -> np.ndarray:
     """``out``, unless a node state past the first is non-finite: then :func:`rk4`'s NonFiniteError at the first."""
-    bad = np.flatnonzero(~np.isfinite(out[1:]).all(axis=tuple(range(1, out.ndim))))
-    if bad.size:
+    if not np.isfinite(out[1:]).all():  # then find the first bad node
+        bad = np.flatnonzero(~np.isfinite(out[1:]).all(axis=tuple(range(1, out.ndim))))
         raise NonFiniteError(f"non-finite state at step {bad[0] + 1} of {N}")
     return out
 
@@ -978,7 +1006,7 @@ def cube_from_sections(
             X = rk4_table(table, G.reshape(B, m), N) if free.all() else rk4(field, G.reshape(B, m), N, X)
         except NonFiniteError as err:  # the flow overflowed on its way out of the chart
             raise ChartEscapeError(_ESCAPED) from err
-        G = np.moveaxis(X.reshape((N + 1,) + S + (m,)), 0, -2)
+        G = X.reshape((N + 1,) + S + (m,)).transpose((*range(1, stage + 1), 0, stage + 1))
 
     inv = tuple(int(i) for i in np.argsort(order))
     gamma = np.transpose(G, axes=inv + (n,))
@@ -1033,7 +1061,7 @@ def tangent_lift(
     points = tuple(spread(eval_exprs(p, env, loaded(p)), grid) for p in map(compile_exprs, exprs))
     velocity = compile_exprs([[e.diff(t) for e in exprs] for t in names])
     coeffs = np.empty((n,) + loaded(velocity) + (chart.dim,))
-    eval_exprs(velocity, env, loaded(velocity), out=np.moveaxis(coeffs, 0, -2))
+    eval_exprs(velocity, env, loaded(velocity), out=coeffs.transpose((*range(1, n + 1), 0, n + 1)))
     return Cube(make_tangent(chart), points, spread(coeffs, (n,) + grid + (chart.dim,)))
 
 

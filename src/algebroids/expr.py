@@ -555,6 +555,7 @@ def compile_exprs(exprs, mask=None) -> Program:
     for index in np.ndindex(cells.shape):
         if mask is None or mask[index]:
             writes.setdefault(visit(cells[index]), []).append((Ellipsis,) + index)
+    del visit  # it refers to itself through its closure cell: emptied, the cycle is gone and no collector is needed
 
     last_read = {}
     for pos, (_, a, b, _) in enumerate(ops):

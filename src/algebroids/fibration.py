@@ -238,9 +238,10 @@ class Fibration:
         one more than the highest level of a row it reads; field i's row l
         also reads what w2's row l reads, through the transverse difference.
         A row in or above a cycle of rows that read each other has level -1.
-        The levels are each row's level, the mask of the rows that some cell
-        reads, and one program per level from 1 up, over that level's cells
-        (only w2's integral's and the point's if some row has level -1).
+        The levels are each row's level, then, over the rows a level pass
+        runs (only w2's integral and the point if some row has level -1),
+        the rows that some cell reads, the rows level by level, and one
+        program per level from 1 up, over that level's cells.
         """
         return self._lift(k, True)
 
@@ -320,7 +321,7 @@ class Curvature2Form:
 
     def pairing(self, points, coeffs: np.ndarray) -> np.ndarray:
         """Curvature paired node by node, at points (see :meth:`core.Chart.values`), with the two fields stacked on the leading axis of ``coeffs``."""
-        return self.chart.values(self.pairing_program, points, c=np.moveaxis(coeffs, 0, -2))
+        return self.chart.values(self.pairing_program, points, c=coeffs.transpose((*range(1, coeffs.ndim - 1), 0, coeffs.ndim - 1)))
 
 
 def curvature(fib: Fibration) -> Curvature2Form:
@@ -432,8 +433,7 @@ def _levels(cells: list, names: list, rE: int, m: int, free: np.ndarray, stage: 
     """
     row = {name: rE + r for r, name in enumerate(names)}
     reads = [{row[v] for v in e.variables() if v in row} for e in cells]
-    read = np.zeros(len(cells), dtype=bool)
-    read[[r for rs in reads for r in rs]] = True
+    read = set().union(*reads)  # the rows that some cell reads
     for c in range(rE + m, len(cells)):
         reads[c] |= reads[(c - rE - m) % rE]
     level: dict[int, int] = {}
@@ -444,7 +444,9 @@ def _levels(cells: list, names: list, rE: int, m: int, free: np.ndarray, stage: 
     depth = np.array([level.get(c, -1) for c in range(len(cells))], dtype=int)
     swept = depth if (depth >= 0).all() else np.where(np.arange(len(cells)) < rE + m, depth, -1)  # the rows a level pass runs
     masks = (swept == L for L in range(1, swept.max(initial=0) + 1))
-    return depth, read, tuple(stage if (mask != free).all() else compile_exprs(cells, mask) for mask in masks)
+    programs = tuple(stage if (mask != free).all() else compile_exprs(cells, mask) for mask in masks)
+    rows = tuple(tuple((swept == L).nonzero()[0].tolist()) for L in range(len(programs) + 1))
+    return depth, tuple(r for r in sorted(read) if swept[r] >= 0), rows, programs
 
 
 def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Sequence[np.ndarray], N: int) -> Cube:
@@ -456,8 +458,8 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     picks up the transverse derivative of ``w2`` plus its bracket with
     ``w2``.  The state-free cells of :meth:`Fibration.lift_split` are
     one run over all stage times into a table, and so is the transverse
-    difference (``np.gradient``) of a state-free ``w2``.  If every rate
-    row has a level, :func:`cubes.rk4_levels` integrates them: level 0
+    difference (:func:`cubes.grid_difference`) of a state-free ``w2``.
+    If every rate row has a level, :func:`cubes.rk4_levels` integrates them: level 0
     off the table, each higher level's program run once per stage kind
     over all steps, bound to the stage-state buffers; a field row adds
     the difference of w2's row, over the table or over that row's rates
@@ -484,33 +486,32 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     rule of :func:`cubes.rk4`; a non-finite value (the lift leaving the
     chart) raises ChartEscapeError.
     """
-    from .cubes import ChartEscapeError, Cube, frozen, rk4, rk4_levels, rk4_linear, stage_kinds
+    from .cubes import ChartEscapeError, Cube, frozen, grid_difference, rk4, rk4_levels, rk4_linear, stage_kinds
 
     h = 1.0 / N
     m, rE = fib.chart.dim, fib.total.rank
-    k = len(w0)
+    k, n = len(w0), gamma0.ndim - 1  # the fields, and the transverse axes
     # every buffer holds one state or rate entry per row, so that each row and each field is contiguous
-    Y0 = np.concatenate([np.zeros((rE,) + gamma0.shape[:-1])] + [np.moveaxis(a, -1, 0) for a in (gamma0, *w0)])
-    lines = Y0.shape[1:]
-    free, table_program, stage_program, (depth, read, programs) = fib.lift_split(k)
-    drive = np.moveaxis(b, -2, 0)  # the driver at each stage time
+    Y0 = np.concatenate([np.zeros((rE,) + gamma0.shape[:-1])] + [a.transpose((n, *range(n))) for a in (gamma0, *w0)])
+    lines, rows_last, steps_last = Y0.shape[1:], (*range(1, n + 1), 0), (*range(1, n + 2), 0)  # rows moved last: of a state, of one per step
+    free, table_program, stage_program, (depth, read, levels, programs) = fib.lift_split(k)
+    drive = b.transpose((n, *range(n), n + 1))  # the driver at each stage time
     table = np.empty((2 * N + 1,) + Y0.shape)
     with np.errstate(all="ignore"):  # unchecked, like every stage
         # the table binds no point: the broadcast only gives it its shape
-        over_times = np.broadcast_to(np.moveaxis(Y0[rE : rE + m], 0, -1), table.shape[:1] + lines + (m,))
-        fib.chart.bind(table_program, over_times, b=drive).run(np.moveaxis(table, 1, -1), checked=False)
-        # the transverse difference of a state-free w2 is state-free too
-        grad = np.concatenate([np.gradient(table[:, :rE], h, axis=2 + i, edge_order=2) for i in range(k)], axis=1) if k and free[:rE].all() else None
+        over_times = np.broadcast_to(Y0[rE : rE + m].transpose(rows_last), table.shape[:1] + lines + (m,))
+        fib.chart.bind(table_program, over_times, b=drive).run(table.transpose((0, *range(2, n + 2), 1)), checked=False)
+        # the transverse difference of a state-free w2 is state-free too: one block per field
+        grad = grid_difference(table[:, :rE], h, range(2, 2 + k)) if k and free[:rE].all() else None
 
     def bound(program: Program, rows: np.ndarray, driver: np.ndarray):
         """``program`` bound to views of the point and field rows of ``rows``, and to ``driver``."""
-        state = np.moveaxis(rows, 0, -1)
+        state = rows.transpose((*range(1, rows.ndim), 0))
         y = state[..., rE + m :].reshape(state.shape[:-1] + (k, rE))
         return fib.chart.bind(program, state[..., rE : rE + m], b=driver, y=y)
 
-    def level_pass(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``rk4_levels`` over the first n state rows (all, or w2's integral and the point), then K and S: their rates and stage states at each stage kind."""
-        rows = [np.flatnonzero(depth[:n] == L) for L in range(len(programs) + 1)]
+    def level_pass(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``rk4_levels`` over the first ``count`` state rows (all, or w2's integral and the point), then their rates K and stage states S."""
         # the rates of the rows above level 0 and the stage states of the rows read, at each stage kind:
         # one contiguous block per row and kind, so a row that is never written is never touched
         K, S = np.empty((2, 4) + Y0.shape[:1] + (N,) + lines)
@@ -518,35 +519,34 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
 
         def rates(L: int) -> list:
             for q, run in enumerate(runs[L - 1] if L else ()):
-                run.run(np.moveaxis(K[q], 0, -1), checked=False)
+                run.run(K[q].transpose(steps_last), checked=False)
             ks = []
-            for r in rows[L]:
+            for r in levels[L]:
                 kr = K[:, r] if L else stage_kinds(table[:, r])
                 if r >= rE + m:  # field i's row l: plus the transverse difference of w2's row l
                     i, l = divmod(r - rE - m, rE)
-                    d = grad[:, r - rE - m] if grad is not None else np.gradient(table[:, l] if free[l] else K[:, l], h, axis=i - len(lines), edge_order=2)
-                    if L == 0:  # w2's row l is state-free too: one sum over all stage times
-                        kr = stage_kinds(np.add(table[:, r], d))
-                    else:
-                        kr = [np.add(kq, dq, out=kq) for kq, dq in zip(kr, stage_kinds(d) if free[l] else d)]
+                    if free[l]:  # w2's row l is state-free: over the table, and at level 0 one sum over all stage times
+                        d = grad[i, :, l] if grad is not None else grid_difference(table[:, l], h, i - n)
+                        kr = stage_kinds(np.add(table[:, r], d)) if L == 0 else [np.add(kq, dq, out=kq) for kq, dq in zip(kr, stage_kinds(d))]
+                    else:  # w2's row l reads the state, so this row is above level 0: the difference of its rates, added in place
+                        kr = grid_difference(K[:, l], h, i - n, out=K[:, r], add=True)
                 ks.append(kr)
             return ks
 
-        return rk4_levels(rates, rows, Y0[:n], N, {r: S[:, r] for r in np.flatnonzero(read[:n])}), K, S
+        return rk4_levels(rates, levels, Y0[:count], N, {r: S[:, r] for r in read}), K, S
 
     def stepped() -> np.ndarray:
         stage, driver, rates = np.empty(Y0.shape), np.empty(b.shape[-1:] + lines), np.empty(Y0.shape)
-        lift = bound(stage_program, stage, np.moveaxis(driver, 0, -1))
+        lift = bound(stage_program, stage, driver.transpose(rows_last))
         w2, dY = rates[:rE], rates[rE + m :]  # w2's and the k fields' rates
-        b_rows, out = np.moveaxis(b, -1, 0), np.moveaxis(rates, 0, -1)
+        b_rows, out = b.transpose((n + 1, *range(n + 1))), rates.transpose(rows_last)
 
         def rhs(j: int, Y: np.ndarray) -> np.ndarray:
             np.copyto(rates, table[j])
             np.copyto(driver, b_rows[..., j])
             lift.run(out, checked=False)
             for i in range(k):
-                dy = dY[i * rE : (i + 1) * rE]
-                np.add(dy, np.gradient(w2, h, axis=1 + i, edge_order=2), out=dy)
+                grid_difference(w2, h, 1 + i, out=dY[i * rE : (i + 1) * rE], add=True)
             return rates
 
         return rk4(rhs, Y0, N, stage)
@@ -559,12 +559,12 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
         as each is linear in its field.
         """
         Y, K, S = level_pass(rE + m)
-        w = np.stack([K[:, l] if depth[l] else stage_kinds(table[:, l]) for l in range(rE)], axis=1)  # w2's rates at each stage kind
-        d = np.concatenate([np.gradient(w, h, axis=3 + i, edge_order=2) for i in range(k)], axis=1)
+        w = np.array([K[:, l] if depth[l] else stage_kinds(table[:, l]) for l in range(rE)])  # w2's rates at each stage kind
+        c = grid_difference(w, h, range(3, 3 + k))  # their transverse differences, one block per field
         B = np.empty((4, N) + lines + (rE, rE))
         for q, b_q in enumerate(stage_kinds(drive)):
-            fib.chart.bind(fib.field_matrix_program, np.moveaxis(S[q, rE : rE + m], 0, -1), b=b_q).run(B[q], checked=False)
-        return Y, B, np.moveaxis(d.reshape((4, k, rE, N) + lines), (1, 2, 3), (-1, -2, 1))
+            fib.chart.bind(fib.field_matrix_program, S[q, rE : rE + m].transpose(steps_last), b=b_q).run(B[q], checked=False)
+        return Y, B, c.transpose((2, 3, *range(4, n + 4), 1, 0))
 
     def swept() -> np.ndarray:
         """The nodes, level by level, or the fields by their step matrices after a level pass over the rest."""
@@ -576,19 +576,20 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
             raise
         except DomainError:  # rk4 raises it too, or an error that it meets at an earlier stage
             return stepped()
-        y = rk4_linear(B, c, np.moveaxis(Y0[rE + m :].reshape((k, rE) + lines), (0, 1), (-1, -2)), N)
-        return np.concatenate([Y, np.moveaxis(y, (-1, -2), (1, 2)).reshape((N + 1, k * rE) + lines)], axis=1)
+        y = rk4_linear(B, c, Y0[rE + m :].reshape((k, rE) + lines).transpose((*range(2, n + 2), 1, 0)), N)
+        return np.concatenate([Y, y.transpose((0, n + 2, n + 1, *range(1, n + 1))).reshape((N + 1, k * rE) + lines)], axis=1)
 
     try:
         Y = swept() if (depth[: rE + m] >= 0).all() else stepped()
-        Y = np.moveaxis(Y, (0, 1), (-2, -1))[..., rE:]
-        w_nodes = np.moveaxis(table[::2, :rE], (0, 1), (-2, -1))  # checked by rk4: the integral of w2 is in the state
+        Y = Y.transpose((*range(2, n + 2), 0, 1))[..., rE:]
+        w_nodes = table[::2, :rE].transpose((*range(2, n + 2), 0, 1))  # checked by rk4: the integral of w2 is in the state
         if not free[:rE].all():
             w_nodes = fib.chart.values(fib.lift_program(0), Y[..., :m], b=b[..., ::2, :])[..., :rE]
     except NonFiniteError as err:  # the lift overflowed on its way out of the chart
         raise ChartEscapeError("cube base points leave the chart box") from err
-    fields = [Y[..., m + i * rE : m + (i + 1) * rE] for i in range(k)]
-    return Cube(fib.total, Y[..., :m], frozen(np.stack(fields + [w_nodes])))
+    coeffs = np.empty((k + 1,) + w_nodes.shape)  # the transverse fields, then w2
+    coeffs[:k], coeffs[k] = Y[..., m:].reshape(w_nodes.shape[:-1] + (k, rE)).transpose((n + 1, *range(n + 1), n + 2)), w_nodes
+    return Cube(fib.total, Y[..., :m], frozen(coeffs))
 
 
 def lift_cube(fib: Fibration, cube: Cube) -> Cube:
@@ -656,9 +657,9 @@ def transport_matrix(fib: Fibration, path: Cube) -> np.ndarray:
     stages = stage_location(N)
     g = Spline(path.gamma, axis=n - 1).at(stages)
     b = Spline(path.coeffs[n - 1], axis=n - 1).at(stages)
-    M = fib.chart.values(fib.transport_program, np.moveaxis(g, -2, 0), b=np.moveaxis(b, -2, 0))
+    M = fib.chart.values(fib.transport_program, g.transpose((n - 1, *range(n - 1), n)), b=b.transpose((n - 1, *range(n - 1), n)))
     V = rk4_linear(stage_kinds(M), None, np.broadcast_to(np.eye(rK), M.shape[1:]), N)
-    return np.moveaxis(V, 0, n - 1)
+    return V.transpose((*range(1, n), 0, n, n + 1))
 
 
 # --- builders ----------------------------------------------------------------------

@@ -95,7 +95,8 @@ def _trapezoid(field: np.ndarray, N: int, axes: int) -> np.ndarray:
     The field is cut to its :func:`expr.compact_part` first.  An axis it
     varies along is one contraction against the trapezoid weights
     (``1/N``, and ``0.5/N`` at both ends) of the cut field copied to
-    contiguous memory, so the value does not depend on the layout; an
+    contiguous memory, so the value does not depend on the layout: the
+    (1, N+1) by (N+1, rest) matrix product that ``np.tensordot`` makes; an
     axis it is broadcast along holds one node, which is multiplied by
     the summed weights.  No temporary is the size of the field, and
     ``field[::2, ::2]`` gives bitwise the value of its compact copy, as a
@@ -104,15 +105,15 @@ def _trapezoid(field: np.ndarray, N: int, axes: int) -> np.ndarray:
     w, total = _trapezoid_weights(N)
     field = compact_part(field)
     for _ in range(axes):
-        field = total * field[0] if len(field) == 1 else np.tensordot(w, np.ascontiguousarray(field), axes=(0, 0))
+        field = total * field[0] if len(field) == 1 else np.dot(w, np.ascontiguousarray(field).reshape(len(field), -1)).reshape(field.shape[1:])
     return field
 
 
 @lru_cache(maxsize=8)
 def _trapezoid_weights(N: int) -> tuple:
-    """The read-only trapezoid weights of N steps and their sum, built once per N."""
-    w = np.full(N + 1, 1.0 / N)
-    w[[0, -1]] = 0.5 / N
+    """The read-only trapezoid weights of N steps, as one (1, N+1) row, and their sum, built once per N."""
+    w = np.full((1, N + 1), 1.0 / N)
+    w[0, [0, -1]] = 0.5 / N
     return frozen(w), w.sum()
 
 
@@ -494,9 +495,10 @@ def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
 
     # H is located once for the three fields, each splined on its own
     w_gamma, xi1, xi2 = bicubic([square.gamma, square.coeffs[0], square.coeffs[1]], H[0], H[1])
-    w_t = dH_dt[0][..., None] * xi1 + dH_dt[1][..., None] * xi2
-    w_e = dH_de[0][..., None] * xi1 + dH_de[1][..., None] * xi2
-    witness = Cube(fib.total, frozen(w_gamma), frozen(np.stack([w_t, w_e])))
+    w = np.empty((2,) + xi1.shape)  # the witness's fields w_t and w_e
+    for dH, into in zip((dH_dt, dH_de), w):
+        np.add(dH[0][..., None] * xi1, dH[1][..., None] * xi2, out=into)
+    witness = Cube(fib.total, frozen(w_gamma), frozen(w))
 
     return PathDecomposition(
         base=base,

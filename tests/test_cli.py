@@ -230,6 +230,26 @@ def test_config_hash_is_the_sha256_of_the_canonical_config_text():
     assert config_hash(sections, overrides) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def test_config_hash_looks_up_its_sha256_module_once_per_process():
+    # a failed import is not cached, so a hash that tried _sha2 on every call would search sys.path each time
+    sections = parse_config(AREA_CFG)
+    config_hash(sections, {})
+    looked: list[str] = []
+
+    class Spy:
+        def find_spec(self, name, path=None, target=None):
+            looked.append(name)
+            return None
+
+    spy = Spy()
+    sys.meta_path.insert(0, spy)
+    try:
+        config_hash(sections, {})
+    finally:
+        sys.meta_path.remove(spy)
+    assert not {"_sha2", "_sha256", "hashlib"} & set(looked), looked
+
+
 def test_parser_rejects_duplicates():
     with pytest.raises(ConfigError, match="duplicate section"):
         parse_config("[chart c]\ncoords = x\n[chart c]\ncoords = y\n")

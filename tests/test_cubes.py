@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.linalg import null_space as scipy_null_space
 from algebroids import cubes as cubes_module
 from algebroids import expr as expr_module
 from algebroids import fibration as fibration_module
-from algebroids.core import Chart, Section, make_lie_algebra, make_tangent, point_chart, so3_structure
+from algebroids.core import Chart, Section, make_lie_algebra, make_tangent, point_chart, so3_structure, sup_norm
 from algebroids.cubes import (
     ChartEscapeError,
     Cube,
@@ -1090,3 +1091,96 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.coeffs, c.coeffs)
     with pytest.raises(ValueError, match="rank"):
         load_cube(p, make_lie_algebra(3, so3_structure()))
+
+
+def _gradient_inputs():
+    """(name, array, axis) cases of grid_difference: negative axes, a transposed, a broadcast and a read-only array, three nodes."""
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(7, 5, 3))
+    ro = rng.normal(size=(9, 4))
+    ro.flags.writeable = False
+    yield "axis 0", a, 0
+    yield "axis 1", a, 1
+    yield "axis -1", a, -1
+    yield "axis -2", a, -2
+    yield "transposed", a.transpose((2, 0, 1)), 1
+    yield "broadcast", np.broadcast_to(rng.normal(size=(6, 1, 2)), (6, 5, 2)), 0
+    yield "broadcast along it", np.broadcast_to(rng.normal(size=(1, 4)), (5, 4)), 0
+    yield "read-only", ro, -2
+    yield "three nodes", rng.normal(size=(3, 4)), 0
+    yield "three nodes, last axis", rng.normal(size=(2, 3)), -1
+    yield "one axis", rng.normal(size=11), 0
+
+
+@pytest.mark.parametrize("name, f, axis", list(_gradient_inputs()), ids=[case[0] for case in _gradient_inputs()])
+def test_grid_difference_is_bitwise_numpys_second_order_gradient(name, f, axis):
+    h = 1.0 / (f.shape[axis] - 1)
+    want = np.gradient(f, h, axis=axis, edge_order=2)
+    got = cubes_module.grid_difference(f, h, axis)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # written into a buffer, or added to one, as the sweeps do
+    out = np.empty(f.shape)
+    assert cubes_module.grid_difference(f, h, axis, out=out) is out and out.tobytes() == want.tobytes()
+    acc = np.random.default_rng(1).normal(size=f.shape)
+    summed = np.add(acc, want)
+    cubes_module.grid_difference(f, h, axis, out=acc, add=True)
+    assert acc.tobytes() == summed.tobytes()
+
+
+def test_grid_difference_along_several_axes_stacks_numpys_gradients():
+    f = np.random.default_rng(2).normal(size=(5, 4, 6))
+    want = np.gradient(f, 0.25, axis=(2, 0), edge_order=2)
+    got = cubes_module.grid_difference(f, 0.25, (2, -3))
+    assert got.shape == (2,) + f.shape and got.tobytes() == np.array(want).tobytes()
+
+
+def test_grid_difference_refuses_fewer_than_three_nodes():
+    with pytest.raises(ValueError, match="at least 3 nodes, not 2"):
+        cubes_module.grid_difference(np.zeros((4, 2)), 1.0, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_morphism_residuals_pair_contraction_is_bitwise_the_three_operand_einsum(n, rank):
+    rng = np.random.default_rng(10 * n + rank)
+    grid = (9,) * n
+    ci, cj, cvals = rng.normal(size=grid + (rank,)), rng.normal(size=grid + (rank,)), rng.normal(size=grid + (rank,) * 3)
+    want = np.einsum("...p,...q,...pql->...l", ci, cj, cvals)
+    got = np.einsum("...pq,...pql->...l", ci[..., :, None] * cj[..., None, :], cvals)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_morphism_residual_is_bitwise_its_gradient_and_three_operand_form():
+    A = make_lie_algebra(3, so3_structure())
+    rng = np.random.default_rng(3)
+    N = 10
+    cube = Cube(A, np.zeros((N + 1,) * 3 + (0,)), rng.normal(size=(3,) + (N + 1,) * 3 + (3,)))
+    h, c, cvals = 1.0 / N, cube.coeffs, A.structure_values(cube.points)
+    structure = max(
+        sup_norm(
+            np.gradient(c[i], h, axis=j, edge_order=2) - np.gradient(c[j], h, axis=i, edge_order=2)
+            - np.einsum("...p,...q,...pql->...l", c[i], c[j], cvals)
+        )
+        for i, j in itertools.combinations(range(3), 2)
+    )
+    assert morphism_residual(cube).structure == structure
+    square = tangent_lift(PLANE, ["0.2 + sin(t1*t2)", "0.3*t2^2 - 0.1*t1"], n=2, N=12)
+    rho, h = square.algebroid.anchor_values(square.points), 1.0 / 12
+    base = max(
+        sup_norm(np.gradient(square.gamma, h, axis=i, edge_order=2) - np.einsum("...p,...pm->...m", square.coeffs[i], rho))
+        for i in range(2)
+    )
+    assert morphism_residual(square).base == base
+
+
+def test_the_package_calls_no_python_level_axis_gradient_or_tensordot_helper():
+    # np.moveaxis, np.gradient and np.tensordot normalise their arguments in Python on every call;
+    # the package uses the transpose, second-order difference and matrix product they end in
+    src = Path(cubes_module.__file__).resolve().parent
+    calls = [
+        f"{path.name}:{number}"
+        for path in sorted(src.glob("*.py"))
+        for number, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(r"\bnp\.(moveaxis|gradient|tensordot)\(", text)
+    ]
+    assert not calls, calls

@@ -1065,3 +1065,20 @@ assert all(step[1] is ops[step[0]] for step in expr.compile_exprs([trees[0], exp
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_compile_exprs_leaves_no_reference_cycle():
+    # the walk's recursive closure refers to itself through its cell; emptied after the walk, it is
+    # freed by reference counting, so a run of compiles leaves the cyclic collector nothing
+    import gc
+
+    cells = [[parse("sin(x)*y + x^2 - exp(y)/3"), parse("x*y")], [parse("log(2 + x)"), parse("y^3")]]
+    compile_exprs(cells)  # first-use caches are built here
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            compile_exprs(cells)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

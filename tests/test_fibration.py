@@ -835,7 +835,7 @@ def _point_cycle_fibration() -> Fibration:
 def test_split_lift_sweeps_are_bitwise_the_per_stage_ones(monkeypatch, make, k, hoisted, table_only, depth, path):
     fib, N = make(), 12
     rE, m = fib.total.rank, fib.chart.dim
-    free, _, _, (level, _, _) = fib.lift_split(k)
+    free, _, _, (level, _, _, _) = fib.lift_split(k)
     # which of the rate paths the sweep takes: a transverse difference over the table or over the state,
     # a stage program or none, how many levels above 0 its settled rows fill, and level by level, the
     # fields by their step matrices (only field rows in or above a cycle, level -1) or stepped by rk4
@@ -888,8 +888,8 @@ def _escape_causes(monkeypatch, sweep) -> list:
     causes, split = [], Fibration.lift_split
 
     def cyclic(self, k):
-        free, table, stage, (level, read, programs) = split(self, k)
-        return free, table, stage, (np.full_like(level, -1), read, programs)
+        free, table, stage, (level, read, rows, programs) = split(self, k)
+        return free, table, stage, (np.full_like(level, -1), read, rows, programs)
 
     for stepped in (False, True):
         if stepped:

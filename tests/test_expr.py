@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import math
 import operator
 import pickle
@@ -1070,10 +1071,9 @@ assert all(step[1] is ops[step[0]] for step in expr.compile_exprs([trees[0], exp
 def test_compile_exprs_leaves_no_reference_cycle():
     # the walk's recursive closure refers to itself through its cell; emptied after the walk, it is
     # freed by reference counting, so a run of compiles leaves the cyclic collector nothing
-    import gc
-
     cells = [[parse("sin(x)*y + x^2 - exp(y)/3"), parse("x*y")], [parse("log(2 + x)"), parse("y^3")]]
     compile_exprs(cells)  # first-use caches are built here
+    enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
@@ -1081,4 +1081,5 @@ def test_compile_exprs_leaves_no_reference_cycle():
             compile_exprs(cells)
         assert gc.collect() == 0
     finally:
-        gc.enable()
+        if enabled:
+            gc.enable()

@@ -56,7 +56,8 @@ per config:
   numpy helpers that do their work in Python before the C operation
   they end in, as ``moveaxis/gradient/tensordot/stack/diff/flatnonzero``
   (a call from within numpy is not counted); the sweeps, splines and
-  quadratures use the operations themselves, so the first three read 0.
+  quadratures use the operations themselves, so all six read 0 on
+  every config.
 
 Every module-level ``lru_cache`` of ``cubes`` and ``transgression`` is
 cleared before each config, so each row counts the work of a fresh

@@ -920,7 +920,7 @@ def _run_flow(ws, p, checks, values, out_dir):
 
     cube = ws.build("cube", p.cube)
     res = morphism_residual(cube)
-    endpoint = cube.gamma[(-1,) * cube.n]
+    endpoint = cube.point((-1,) * cube.n)
     values.update(
         n=cube.n,
         N=cube.N,
@@ -946,7 +946,7 @@ def _run_lift(ws, p, checks, values, out_dir):
     down = project_cube(fib, lifted)
     roundtrip = sup_norm(down.coeffs - cube.coeffs)
     values.update(
-        endpoint=lifted.gamma[(-1,) * lifted.n],
+        endpoint=lifted.point((-1,) * lifted.n),
         structure_residual=res.structure,
         base_residual=res.base,
         projection_roundtrip=roundtrip,
@@ -1026,8 +1026,8 @@ def _run_decompose(ws, p, checks, values, out_dir):
     cube = ws.build("cube", p.cube)
     dec = decompose_path(fib, cube)
     defect = homotopy_defect(dec.witness)
-    start_delta = sup_norm(dec.horizontal.gamma[0] - cube.gamma[0])
-    end_delta = sup_norm(dec.kernel_path.gamma[-1] - cube.gamma[-1])
+    start_delta = sup_norm(dec.horizontal.point((0,)) - cube.point((0,)))
+    end_delta = sup_norm(dec.kernel_path.point((-1,)) - cube.point((-1,)))
     values.update(
         witness_defect=defect,
         start_delta=start_delta,

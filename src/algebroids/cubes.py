@@ -1,11 +1,12 @@
 """Grid cubes over an algebroid chart: construction, calculus and surgery.
 
 A cube of dimension n is a uniform (N+1)-node grid on [0, 1]^n carrying
-a base path ``gamma`` into the chart and, for each time axis, a field of
-frame coefficients.  The morphism residual measures how far the data is
-from an algebroid morphism out of the tangent algebroid of the cube; all
-higher operations (faces, degeneracies, reversal, reparametrization and
-concatenation) preserve that property up to grid error.
+its base points, one array over the grid per chart coordinate, and, for
+each time axis, a field of frame coefficients.  The morphism residual
+measures how far the data is from an algebroid morphism out of the
+tangent algebroid of the cube; all higher operations (faces,
+degeneracies, reversal, reparametrization and concatenation) preserve
+that property up to grid error.
 
 Reparametrization has one layer: the closed-form step :func:`cutoff`,
 one spline loop shared by :func:`resample` and :func:`reparam_cutoff`,
@@ -138,23 +139,21 @@ class Cube:
     """Sampled cube: base points and per-axis frame coefficients.
 
     ``points`` holds one array of shape (N+1,)*n per chart coordinate,
-    as a :class:`core.Coordinates` of that grid shape; ``coeffs`` has
-    shape (n,) + (N+1,)*n + (rank,) with ``coeffs[i]`` the coefficient
-    field of time axis i.  The points may be given as a tuple, or as
-    one (grid..., dim) array, which is held as given and split into its
-    last-axis slices; another cube's ``points`` are held as they are.
-    Any array may be a broadcast (``np.broadcast_to``): its compact
-    part, one slice along each axis of stride 0 and length > 1, is what
-    is stored and checked, so a coordinate that reads one time axis is
-    stored along that axis only.  A float64 compact part that owns its
-    memory and is already read-only, or is such an array with its axes
-    permuted, is adopted as it stands (see :func:`frozen`), so a
-    broadcast of such an array is held without a copy; anything else is
-    copied and the copy made read-only, then broadcast back.  ``gamma``,
-    the points as one (grid..., dim) array, is built from ``points``
-    when first read; points given as one array keep it as their
-    ``gamma``.  Arrays must be finite; points outside the chart box
-    raise :class:`ChartEscapeError`.
+    as a :class:`core.Coordinates` of that grid shape, and is the only
+    form the points are stored in; ``coeffs`` has shape (n,) + (N+1,)*n +
+    (rank,) with ``coeffs[i]`` the coefficient field of time axis i.
+    The points may be given as a tuple, or as one (grid..., dim) array,
+    which is adopted whole and split into its last-axis slices; another
+    cube's ``points`` are held as they are.  Any array may be a
+    broadcast (``np.broadcast_to``): its compact part, one slice along
+    each axis of stride 0 and length > 1, is what is stored and checked,
+    so a coordinate that reads one time axis is stored along that axis
+    only.  A float64 compact part that owns its memory and is already
+    read-only, or is such an array with its axes permuted, is adopted as
+    it stands (see :func:`frozen`), so a broadcast of such an array is
+    held without a copy; anything else is copied and the copy made
+    read-only, then broadcast back.  Arrays must be finite; points
+    outside the chart box raise :class:`ChartEscapeError`.
     """
 
     algebroid: Algebroid
@@ -172,7 +171,6 @@ class Cube:
         else:
             g, parts = _adopt(self.points)
             points = tuple(g[..., a] for a in range(g.shape[-1])) if g.ndim else (g,)
-            object.__setattr__(self, "gamma", g)
         grids = {p.shape for p in points}
         if n < 1 or c.ndim != n + 2 or any(len(grid) != n for grid in grids):
             raise ValueError("gamma must be grid + point, coeffs must be (axes,) + grid + frame")
@@ -200,24 +198,21 @@ class Cube:
     def N(self) -> int:
         return self.coeffs.shape[1] - 1
 
+    def point(self, node: tuple) -> np.ndarray:
+        """The chart point at grid node ``node`` (one index per axis), as a new (dim,) array."""
+        return np.array([p[node] for p in self.points])
+
     @property
     def basepoint(self) -> np.ndarray:
-        return np.array([p[(0,) * self.n] for p in self.points])
+        return self.point((0,) * self.n)
 
-    @cached_property
+    @property
     def gamma(self) -> np.ndarray:
-        """The points as one read-only (grid..., dim) array, stored coordinate-major: built on first use, then kept.
-
-        A coordinate stored densely reads its slice of it from then on, so
-        that its own grid need not be kept beside it.
-        """
-        g = np.empty((len(self.points),) + self.coeffs.shape[1:-1])
+        """The points stacked into a new read-only (grid..., dim) array, coordinate-major: for the splines and :func:`save_cube`."""
+        g = np.empty((len(self.points),) + self.points.shape)
         for a, p in enumerate(self.points):
             g[a] = p
-        frozen(g)
-        points = tuple(p if 0 in p.strides else g[a] for a, p in enumerate(self.points))
-        object.__setattr__(self, "points", Coordinates(points, self.points.shape))
-        return g.transpose((*range(1, g.ndim), 0))
+        return frozen(g).transpose((*range(1, g.ndim), 0))
 
     @cached_property
     def half(self) -> Cube:
@@ -262,8 +257,8 @@ class MorphismResidual(NamedTuple):
 def morphism_residual(cube: Cube) -> MorphismResidual:
     """Sup-norm defect of the morphism equations on the grid.
 
-    The base part compares each grid derivative of gamma with the anchor
-    image of the matching coefficient field; the structure part compares
+    The base part compares each grid derivative of each coordinate with
+    the anchor image of the matching coefficient field; the structure part compares
     the antisymmetrized grid derivatives of the coefficient fields with
     their pointwise bracket.  Derivatives are second-order differences,
     so exact data shows an O(N^-2) residual.
@@ -274,9 +269,9 @@ def morphism_residual(cube: Cube) -> MorphismResidual:
     rho = A.anchor_values(cube.points)
     base = 0.0
     for i in range(n):
-        dgamma = grid_difference(cube.gamma, h, i)
         img = np.einsum("...p,...pm->...m", cube.coeffs[i], rho)
-        base = max(base, sup_norm(dgamma - img))
+        for a, p in enumerate(cube.points):
+            base = max(base, sup_norm(grid_difference(p, h, i) - img[..., a]))
     structure = 0.0
     if n >= 2:
         cvals = A.structure_values(cube.points)
@@ -296,8 +291,8 @@ def sphere_defect(cube: Cube) -> float:
     """How far the cube is from having a fully collapsed boundary.
 
     Measures every coefficient field on the boundary slabs of the other
-    axes, plus the spread of gamma over the whole boundary relative to
-    the basepoint.
+    axes, plus the spread of the points over the whole boundary relative
+    to the basepoint.
     """
     n, N = cube.n, cube.N
     worst = 0.0
@@ -307,10 +302,10 @@ def sphere_defect(cube: Cube) -> float:
                 continue
             for end in (0, N):
                 worst = max(worst, sup_norm(np.take(cube.coeffs[k], end, axis=l)))
-    bp = cube.basepoint
-    for l in range(n):
-        for end in (0, N):
-            worst = max(worst, sup_norm(np.take(cube.gamma, end, axis=l) - bp))
+    for p, start in zip(cube.points, cube.basepoint):
+        for l in range(n):
+            for end in (0, N):
+                worst = max(worst, sup_norm(np.take(p, end, axis=l) - start))
     return worst
 
 
@@ -336,9 +331,9 @@ def face(cube: Cube, axis: int, end: int) -> Cube:
     if end not in (0, 1):
         raise ValueError("end must be 0 or 1")
     idx = 0 if end == 0 else cube.N
-    gamma = np.take(cube.gamma, idx, axis=axis)
+    points = tuple(frozen(np.take(p, idx, axis=axis)) for p in cube.points)
     coeffs = np.delete(np.take(cube.coeffs, idx, axis=axis + 1), axis, axis=0)
-    return Cube(cube.algebroid, frozen(gamma), frozen(coeffs))
+    return Cube(cube.algebroid, points, frozen(coeffs))
 
 
 def degeneracy(cube: Cube, axis: int) -> Cube:
@@ -346,19 +341,18 @@ def degeneracy(cube: Cube, axis: int) -> Cube:
     n, N = cube.n, cube.N
     if not 0 <= axis <= n:
         raise ValueError(f"axis must be in 0..{n}")
-    gamma = np.repeat(np.expand_dims(cube.gamma, axis), N + 1, axis=axis)
+    points = tuple(frozen(np.repeat(np.expand_dims(p, axis), N + 1, axis=axis)) for p in cube.points)
     coeffs = np.repeat(np.expand_dims(cube.coeffs, axis + 1), N + 1, axis=axis + 1)
-    return Cube(cube.algebroid, frozen(gamma), frozen(np.insert(coeffs, axis, 0.0, axis=0)))
+    return Cube(cube.algebroid, points, frozen(np.insert(coeffs, axis, 0.0, axis=0)))
 
 
 def reverse(cube: Cube, axis: int) -> Cube:
     """Run one time axis backwards; its coefficient field flips sign."""
     if not 0 <= axis < cube.n:
         raise ValueError(f"axis must be in 0..{cube.n - 1}")
-    gamma = np.flip(cube.gamma, axis=axis)
     coeffs = np.flip(cube.coeffs, axis=axis + 1).copy()
     coeffs[axis] *= -1.0
-    return Cube(cube.algebroid, gamma, coeffs)
+    return Cube(cube.algebroid, tuple(np.flip(p, axis=axis) for p in cube.points), coeffs)
 
 
 def coarsen(cube: Cube) -> Cube:
@@ -371,9 +365,7 @@ def coarsen(cube: Cube) -> Cube:
     if cube.N % 2 != 0:
         raise ValueError("coarsen needs an even number of steps")
     sl = (slice(None, None, 2),) * cube.n
-    # a cube that has built its dense stack coarsens it in one copy, which the half cube keeps as its own
-    points = cube.gamma[sl] if "gamma" in vars(cube) else tuple(p[sl] for p in cube.points)
-    return Cube(cube.algebroid, points, cube.coeffs[(slice(None),) + sl])
+    return Cube(cube.algebroid, tuple(p[sl] for p in cube.points), cube.coeffs[(slice(None),) + sl])
 
 
 def resample(cube: Cube, M: int) -> Cube:
@@ -646,7 +638,7 @@ def concat(first: Cube, second: Cube, axis: int) -> Cube:
         raise ValueError(f"axis must be in 0..{n - 1}")
 
     def slabs(cube: Cube, at: int):
-        return np.take(cube.gamma, at, axis), np.delete(np.take(cube.coeffs, at, axis + 1), axis, axis=0)
+        return *(np.take(p, at, axis) for p in cube.points), np.delete(np.take(cube.coeffs, at, axis + 1), axis, axis=0)
 
     gap = max(sup_norm(a - b) for a, b in zip(slabs(first, N), slabs(second, 0)))
     if gap > CONCAT_TOL:

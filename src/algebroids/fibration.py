@@ -87,6 +87,7 @@ def _symbolic_inverse(M: Sequence[Sequence[Expr]]) -> tuple[tuple[Expr, ...], ..
     every = tuple(range(n))
     d = det(every, every)
     if is_zero(d):
+        del det  # it refers to itself through its closure cell: emptied, the cycle is gone and no collector is needed
         raise ValueError("matrix is identically singular")
     out = []
     for i in range(n):
@@ -97,6 +98,7 @@ def _symbolic_inverse(M: Sequence[Sequence[Expr]]) -> tuple[tuple[Expr, ...], ..
                 cof = neg(cof)
             row.append(ZERO if is_zero(cof) else div(cof, d))
         out.append(tuple(row))
+    del det
     return tuple(out)
 
 
@@ -449,11 +451,13 @@ def _levels(cells: list, names: list, rE: int, m: int, free: np.ndarray, stage: 
     return depth, tuple(r for r in sorted(read) if swept[r] >= 0), rows, programs
 
 
-def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Sequence[np.ndarray], N: int) -> Cube:
+def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0, w0: Sequence[np.ndarray], N: int) -> Cube:
     """Integrate the lift equations of a fibration along a fresh last axis.
 
-    ``b`` is the driver in base coefficients at the ``half_steps(N)``
-    stage times, shape transverse grid + (2N+1, rB).  The points move
+    ``gamma0`` is the first face's points (a cube's ``points``, or any
+    form :meth:`core.Chart.values` reads) and ``w0`` its k fields.  ``b``
+    is the driver in base coefficients at the ``half_steps(N)`` stage
+    times, shape transverse grid + (2N+1, rB).  The points move
     along the anchor image of its lift ``w2``, and each transverse field
     picks up the transverse derivative of ``w2`` plus its bracket with
     ``w2``.  The state-free cells of :meth:`Fibration.lift_split` are
@@ -478,7 +482,8 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
     into, and adds the difference of w2's rates.  ``w2`` at the nodes is
     the table's even rows if state-free, else one run of the field-free
     lift program after the sweep.  Returns the cube over the total
-    algebroid whose fields are the transverse fields, then ``w2``.
+    algebroid whose points are views of the state's point rows and whose
+    fields are the transverse fields, then ``w2``.
 
     The RK4 state matches the lift program's outputs row for row: the
     running integral of ``w2`` (zero at t = 0, dropped after the sweep),
@@ -490,10 +495,11 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
 
     h = 1.0 / N
     m, rE = fib.chart.dim, fib.total.rank
-    k, n = len(w0), gamma0.ndim - 1  # the fields, and the transverse axes
+    gamma0, lines = fib.chart._coordinates(gamma0)
+    k, n = len(w0), len(lines)  # the fields, and the transverse axes
     # every buffer holds one state or rate entry per row, so that each row and each field is contiguous
-    Y0 = np.concatenate([np.zeros((rE,) + gamma0.shape[:-1])] + [a.transpose((n, *range(n))) for a in (gamma0, *w0)])
-    lines, rows_last, steps_last = Y0.shape[1:], (*range(1, n + 1), 0), (*range(1, n + 2), 0)  # rows moved last: of a state, of one per step
+    Y0 = np.concatenate([np.zeros((rE,) + lines)] + [p[None] for p in gamma0] + [a.transpose((n, *range(n))) for a in w0])
+    rows_last, steps_last = (*range(1, n + 1), 0), (*range(1, n + 2), 0)  # rows moved last: of a state, of one per step
     free, table_program, stage_program, (depth, read, levels, programs) = fib.lift_split(k)
     drive = b.transpose((n, *range(n), n + 1))  # the driver at each stage time
     table = np.empty((2 * N + 1,) + Y0.shape)
@@ -589,7 +595,7 @@ def evolve_cube_system(fib: Fibration, b: np.ndarray, gamma0: np.ndarray, w0: Se
         raise ChartEscapeError("cube base points leave the chart box") from err
     coeffs = np.empty((k + 1,) + w_nodes.shape)  # the transverse fields, then w2
     coeffs[:k], coeffs[k] = Y[..., m:].reshape(w_nodes.shape[:-1] + (k, rE)).transpose((n + 1, *range(n + 1), n + 2)), w_nodes
-    return Cube(fib.total, Y[..., :m], frozen(coeffs))
+    return Cube(fib.total, tuple(Y[..., a] for a in range(m)), frozen(coeffs))
 
 
 def lift_cube(fib: Fibration, cube: Cube) -> Cube:
@@ -605,11 +611,11 @@ def lift_cube(fib: Fibration, cube: Cube) -> Cube:
         raise ValueError("cube must live over the base algebroid of the fibration")
     n, N = cube.n, cube.N
     if n == 1:
-        gamma0 = cube.gamma[0]
+        gamma0 = tuple(p[0] for p in cube.points)
         w0: list[np.ndarray] = []
     else:
         lifted_face = lift_cube(fib, face(cube, axis=n - 1, end=0))
-        gamma0 = lifted_face.gamma
+        gamma0 = lifted_face.points
         w0 = [lifted_face.coeffs[i] for i in range(n - 1)]
 
     b = Spline(cube.coeffs[n - 1], axis=n - 1).at(stage_location(N))

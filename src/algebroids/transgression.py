@@ -470,7 +470,7 @@ def decompose_path(fib: Fibration, cube: Cube) -> PathDecomposition:
 
     # the driver at slice t and deformation eps is (1 - t) b(1 - (1 - t)(1 - eps))
     b = (1.0 - ts)[:, None, None] * Spline(base.coeffs[0])(1.0 - np.outer(1.0 - ts, 1.0 - half_steps(N)))
-    square = evolve_cube_system(fib, b, cube.gamma, [cube.coeffs[0]], N)
+    square = evolve_cube_system(fib, b, cube.points, [cube.coeffs[0]], N)
     horizontal, kernel_path = face(square, 0, 0), face(square, 1, 1)
     kappa = kernel_coefficient_values(fib, kernel_path.points, kernel_path.coeffs[0])
 

@@ -196,15 +196,17 @@ def test_cube_adopts_a_read_only_array_that_owns_its_memory(monkeypatch):
     source = linear_square(N=4)
     gamma, coeffs = frozen(source.gamma.copy()), frozen(source.coeffs.copy())
     cube = Cube(source.algebroid, gamma, coeffs)
-    assert cube.gamma is gamma and cube.coeffs is coeffs
-    # another cube's points are held as they are, though they are views of its dense stack
-    assert all(np.shares_memory(p, gamma) for p in Cube(source.algebroid, cube.points, coeffs).points)
+    # the points are the array's last-axis slices, in its memory
+    assert all(np.shares_memory(p, gamma) and p.strides == gamma.strides[:-1] for p in cube.points)
+    assert cube.coeffs is coeffs
+    # another cube's points are held as they are, though they are views of the array it adopted
+    assert all(p is q for p, q in zip(Cube(source.algebroid, cube.points, coeffs).points, cube.points))
     # a read-only view does not own its memory, so it is copied
     view = coeffs[:, ::-1]
     assert not np.shares_memory(Cube(source.algebroid, source.gamma[::-1], view).coeffs, coeffs)
     # but reversing an axis of stride 0 moves no byte, so the broadcast's compact part is held as it is
     assert np.shares_memory(Cube(source.algebroid, gamma, source.coeffs[:, ::-1]).coeffs, source.coeffs)
-    # tangent_lift hands its fresh arrays over, and the cotangent lift reuses its points, compact, with no dense stack
+    # tangent_lift hands its fresh arrays over, and the cotangent lift reuses its points, compact
     lifted = []
 
     def spy(*args):
@@ -213,9 +215,10 @@ def test_cube_adopts_a_read_only_array_that_owns_its_memory(monkeypatch):
 
     monkeypatch.setattr(cubes_module, "tangent_lift", spy)
     c = cotangent_lift(PLANE, {(0, 1): "1"}, ["0.5*t1", "0.3 + 0.2*t2"], 2, 8)
+    # reading the points as one stack copies them into a new array and leaves the cube's own as they are
+    assert not any(np.shares_memory(p, c.gamma) for p in c.points)
     assert all(np.shares_memory(a, b) for a, b in zip(c.points, lifted[0].points))
     assert [p.strides for p in c.points] == [p.strides for p in lifted[0].points] == [(8, 0), (0, 8)]
-    assert "gamma" not in vars(c) and "gamma" not in vars(lifted[0])
 
 
 WAVY = ["0.2 + 0.5*t1 + 0.1*sin(3*t1*t2)", "0.3 + 0.4*t2 - 0.2*t1^2*t2"]
@@ -223,33 +226,48 @@ WAVY = ["0.2 + 0.5*t1 + 0.1*sin(3*t1*t2)", "0.3 + 0.4*t2 - 0.2*t1^2*t2"]
 
 def test_tangent_lift_stores_its_points_one_coordinate_at_a_time():
     cube = tangent_lift(PLANE, WAVY, n=2, N=12)
-    assert cube.gamma.shape == (13, 13, 2)
-    assert all(cube.gamma[..., a].flags.c_contiguous for a in range(2))
-    assert not cube.gamma.flags.writeable and not cube.gamma.base.flags.writeable
-    # the permuted view is adopted as it stands, by a cube built on it too
-    assert Cube(cube.algebroid, cube.gamma, cube.coeffs).gamma is cube.gamma
+    assert all(p.shape == (13, 13) and p.flags.c_contiguous and not p.flags.writeable for p in cube.points)
+    # the stack is coordinate-major too: a permuted view of one read-only array
+    gamma = cube.gamma
+    assert gamma.shape == (13, 13, 2)
+    assert all(gamma[..., a].flags.c_contiguous for a in range(2))
+    assert not gamma.flags.writeable and not gamma.base.flags.writeable
+    # the permuted view is adopted as it stands, by a cube built on it
+    adopted = Cube(cube.algebroid, gamma, cube.coeffs).points
+    assert all(np.shares_memory(p, gamma) and p.strides == gamma[..., a].strides for a, p in enumerate(adopted))
     # a reversed or sliced view of the same memory is copied
-    for view in (cube.gamma[::-1], cube.gamma[:, ::2][:, :7]):
+    for view in (gamma[::-1], gamma[:, ::2][:, :7]):
         rebuilt = Cube(cube.algebroid, view[:7, :7], cube.coeffs[:, :7, :7])
-        assert not np.shares_memory(rebuilt.gamma, cube.gamma)
+        assert not any(np.shares_memory(p, gamma) for p in rebuilt.points)
         np.testing.assert_array_equal(rebuilt.gamma, view[:7, :7])
 
 
 def test_coordinate_major_points_give_the_bits_of_a_contiguous_copy(tmp_path):
     cube = tangent_lift(PLANE, WAVY, n=2, N=12)
-    dense = Cube(cube.algebroid, np.ascontiguousarray(cube.gamma), cube.coeffs)
-    assert dense.gamma.flags.c_contiguous and not np.shares_memory(dense.gamma, cube.gamma)
+    stack = np.ascontiguousarray(cube.gamma)
+    dense = Cube(cube.algebroid, stack, cube.coeffs)
+    # the dense cube's points are the last-axis slices of a contiguous (grid..., dim) array, in no memory of the lift's
+    assert all(p.strides == stack.strides[:-1] for p in dense.points)
+    assert not any(np.shares_memory(p, q) for p in dense.points for q in cube.points)
     save_cube(cube, tmp_path / "cube.json")
     save_cube(dense, tmp_path / "dense.json")
-    pairs = [
-        (cube, dense),
-        (face(cube, 1, 1), face(dense, 1, 1)),
-        (coarsen(cube), coarsen(dense)),
-        (load_cube(tmp_path / "cube.json", cube.algebroid), load_cube(tmp_path / "dense.json", cube.algebroid)),
+    ops = [
+        lambda c: c,
+        lambda c: face(c, 1, 1),
+        lambda c: coarsen(c),
+        lambda c: degeneracy(c, 1),
+        lambda c: reverse(c, 0),
+        lambda c: concat(c, reverse(c, 0), 0),
+        lambda c: resample(c, 7),  # an odd N, splined by _respline
+        lambda c: reparam_cutoff(c),
     ]
+    pairs = [(op(cube), op(dense)) for op in ops]
+    pairs.append((load_cube(tmp_path / "cube.json", cube.algebroid), load_cube(tmp_path / "dense.json", cube.algebroid)))
     for got, want in pairs:
         assert got.gamma.shape == want.gamma.shape and got.gamma.tobytes() == want.gamma.tobytes()
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    for measure in (morphism_residual, sphere_defect):
+        assert np.array(measure(cube)).tobytes() == np.array(measure(dense)).tobytes()
     assert (tmp_path / "cube.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
 
 
@@ -413,6 +431,14 @@ def test_rk4_table_raises_rk4s_error_at_the_first_non_finite_node(j, value):
             sweep()
         messages.append(str(err.value))
     assert messages[0] == messages[1] == f"non-finite state at step {max(1, (j + 1) // 2)} of 6"
+
+
+@pytest.mark.parametrize("stepper", ["rk4", "rk4_table"])
+def test_a_node_that_overflows_from_a_finite_increment_raises_at_its_step(stepper):
+    # the increment (1e307) is finite, so no rate is rescaled; the node 1.79e308 + 1e307 is past the largest float
+    y0, table = np.full(2, 1.79e308), np.full((3, 2), 1e307)
+    with pytest.raises(NonFiniteError, match="^non-finite state at step 1 of 1$"):
+        rk4(lambda j, _: table[j], y0, 1) if stepper == "rk4" else rk4_table(table, y0, 1)
 
 
 def _overflowing_tables():

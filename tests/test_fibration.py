@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 import re
 
@@ -455,6 +456,28 @@ def test_dense_rank_seven_inverse_is_a_small_program():
     np.testing.assert_allclose(evaluate(program, env, (100,)), np.linalg.inv(M), rtol=0, atol=1e-12)
 
 
+def test_symbolic_inverse_leaves_no_reference_cycle():
+    # the determinant's cache recurses through its own closure cell; emptied on the way out, whether the
+    # inverse returns or raises, it is freed by reference counting, so the cyclic collector finds nothing
+    full = [[var(f"m{i}{j}") for j in range(3)] for i in range(3)]
+    singular = [[ZERO, ZERO], [var("x"), ZERO]]
+    _symbolic_inverse(full)  # first-use caches are built here
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            _symbolic_inverse(full)
+            try:
+                _symbolic_inverse(singular)
+            except ValueError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_frame_singular_at_one_point_still_raises_domain_error():
     # the (kernel | splitting) frame is diag(x, 1): its off-diagonal cofactors fold to zero,
     # and the diagonal entries still divide by the determinant x
@@ -651,6 +674,7 @@ def _per_stage_sweep(fib, b, gamma0, w0, N):
     ``w2`` is recorded at each node by the first stage of its step, and by one more run at the last node.
     """
     h, m, rE, k = 1.0 / N, fib.chart.dim, fib.total.rank, len(w0)
+    gamma0 = np.stack(list(fib.chart.env(gamma0).values()), axis=-1)  # lift_cube hands over a face's coordinates
     w_last = np.empty(gamma0.shape[:-1] + (N + 1, rE))
 
     def rates(b, Y):

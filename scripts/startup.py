@@ -12,7 +12,8 @@ Runs k rounds; each round starts one fresh process per probe, in turn:
 
 and prints per probe the median and quartiles of the wall times in ms.
 Then it prints, per config, the ``algebroids.*`` modules that a
-``describe`` left loaded, and whether it loaded ``numpy``; and, from one
+``describe`` left loaded, and whether it loaded ``numpy``, ``dataclasses``
+and ``inspect``; and, from one
 more process that describes then runs the config, its peak resident
 memory (``VmHWM`` of ``/proc/self/status``) and the top-level modules
 the run loaded beyond the describe, so that an import which maps
@@ -46,7 +47,8 @@ import contextlib, io, sys
 from algebroids.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["describe", sys.argv[1]]) == 0
-print(" ".join(sorted(m for m in sys.modules if m.startswith("algebroids"))), "| numpy:", "numpy" in sys.modules)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("algebroids"))),
+      *(f"| {name}: {name in sys.modules}" for name in ("numpy", "dataclasses", "inspect")))
 """
 # the output directory comes from the command line: tempfile here would import random and its hashes
 RUN = """

@@ -31,7 +31,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
@@ -50,7 +49,7 @@ from .core import (
     sup_norm,
     time_names,
 )
-from .expr import Expr, np
+from .expr import Expr, Frozen, np
 from .expr import parse as parse_expr
 from .fibration import Fibration, lift_cube, project_cube, splitting_from_projection
 
@@ -63,15 +62,16 @@ class ConfigError(Exception):
         self.line = line
 
 
-@dataclass
-class SectionSpec:
-    """One ``[kind name]`` block of raw key/value text."""
+class SectionSpec(Frozen):
+    """One ``[kind name]`` block of raw key/value text; the parser fills its two dicts in place."""
 
-    kind: str
-    name: str
-    line: int
-    entries: dict[str, str] = field(default_factory=dict)
-    lines: dict[str, int] = field(default_factory=dict)
+    _names = ("kind", "name", "line", "entries", "lines")
+    __hash__ = None
+
+    def __init__(self, kind: str, name: str, line: int, entries: dict[str, str] | None = None,
+                 lines: dict[str, int] | None = None):
+        vars(self).update(kind=kind, name=name, line=line, entries={} if entries is None else entries,
+                          lines={} if lines is None else lines)
 
     def require(self, key: str) -> str:
         if key not in self.entries:
@@ -328,36 +328,39 @@ def _table(text: str) -> dict[tuple[int, int], tuple]:
 _REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class SameAs:
+class SameAs(Frozen):
     """Default that copies another key of the same form, listed before this one."""
 
-    key: str
+    _names = ("key",)
+
+    def __init__(self, key: str):
+        vars(self).update(key=key)
 
 
-@dataclass(frozen=True)
-class Key:
+class Key(Frozen):
     """One allowed key: its parser (which enforces the range), default, and referent.
 
     ``refers`` names the section kind that the value (or each of its
     names) must point at.
     """
 
-    parse: Callable[[str], object] = str
-    default: object = _REQUIRED
-    refers: str | None = None
+    _names = ("parse", "default", "refers")
+
+    def __init__(self, parse: Callable[[str], object] = str, default: object = _REQUIRED, refers: str | None = None):
+        vars(self).update(parse=parse, default=default, refers=refers)
 
 
-@dataclass(frozen=True)
-class Form:
+class Form(Frozen):
     """The keys of one section variant, plus checks against other sections.
 
     ``check(ws, sec, params)`` compares sizes with the referenced
     entities; it must not build a cube grid, because ``describe`` runs it.
     """
 
-    keys: dict[str, Key]
-    check: Callable | None = None
+    _names = ("keys", "check")
+
+    def __init__(self, keys: dict[str, Key], check: Callable | None = None):
+        vars(self).update(keys=keys, check=check)
 
 
 def _fit(sec: SectionSpec, key: str, got: int, want: int, what: str) -> None:

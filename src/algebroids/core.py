@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
-from .expr import ONE, ZERO, Bound, Const, Expr, Program, add, as_expr, bind, compile_exprs, dot, evaluate, is_zero, mul, neg, np, sub, total, var
+from .expr import ONE, ZERO, Bound, Const, Expr, Frozen, Program, add, as_expr, bind, compile_exprs, dot, evaluate, is_zero, mul, neg, np, sub, total, var
 
 __all__ = [
     "Chart",
@@ -52,22 +51,21 @@ class Coordinates(tuple):
         return self
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Frozen):
     """Named coordinates over an axis-aligned box."""
 
-    coords: tuple[str, ...]
-    box: tuple[tuple[float, float], ...]
+    _names = ("coords", "box")
 
-    def __post_init__(self):
-        if len(self.coords) != len(self.box):
+    def __init__(self, coords: tuple[str, ...], box: tuple[tuple[float, float], ...]):
+        vars(self).update(coords=coords, box=box)
+        if len(coords) != len(box):
             raise ValueError("one (lo, hi) pair per coordinate required")
-        if len(set(self.coords)) != len(self.coords):
+        if len(set(coords)) != len(coords):
             raise ValueError("coordinate names must be distinct")
-        for name in self.coords:
+        for name in coords:
             if not name.isidentifier():
                 raise ValueError(f"bad coordinate name {name!r}")
-        for lo, hi in self.box:
+        for lo, hi in box:
             if not lo < hi:
                 raise ValueError(f"empty coordinate range ({lo}, {hi})")
 
@@ -279,11 +277,13 @@ def sup_norm(values: np.ndarray) -> float:
     return float(np.max(np.abs(values))) if values.size else 0.0
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(Frozen):
     """A frame-coefficient vector of expressions."""
 
-    components: tuple[Expr, ...]
+    _names = ("components",)
+
+    def __init__(self, components: tuple[Expr, ...]):
+        vars(self).update(components=components)
 
     @classmethod
     def of(cls, data: Sequence) -> "Section":
@@ -372,8 +372,7 @@ def wedge(x, y, table: Mapping, width: int) -> tuple[Expr, ...]:
     return tuple(total(mul(w, c[l]) for w, c in terms if not is_zero(w)) for l in range(width))
 
 
-@dataclass(frozen=True)
-class Algebroid:
+class Algebroid(Frozen):
     """Anchored bracket data over a chart.
 
     ``anchor[i][a]`` is the a-th chart component of the anchor image of
@@ -383,18 +382,16 @@ class Algebroid:
     antisymmetry and absent pairs are zero.
     """
 
-    chart: Chart
-    rank: int
-    anchor: tuple[tuple[Expr, ...], ...]
-    structure: Mapping[tuple[int, int], tuple[Expr, ...]] = field(default_factory=dict)
+    _names = ("chart", "rank", "anchor", "structure")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, chart: Chart, rank: int, anchor: tuple[tuple[Expr, ...], ...],
+                 structure: Mapping[tuple[int, int], tuple[Expr, ...]] | None = None):
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        if len(self.anchor) != self.rank or any(len(r) != self.chart.dim for r in self.anchor):
+        if len(anchor) != rank or any(len(r) != chart.dim for r in anchor):
             raise ValueError("anchor must be rank x dim")
-        structure = pair_table(self.structure, self.rank, self.rank, "structure")
-        object.__setattr__(self, "structure", structure)
+        structure = pair_table({} if structure is None else structure, rank, rank, "structure")
+        vars(self).update(chart=chart, rank=rank, anchor=anchor, structure=structure)
 
     # -- frame access ----------------------------------------------------
 
@@ -466,15 +463,14 @@ class Algebroid:
 # --- axiom checking --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomWitness:
-    """Location and value of the worst residual found."""
+class AxiomWitness(Frozen):
+    """Location and value of the worst residual found; ``kind`` is "jacobi" or "anchor"."""
 
-    kind: str  # "jacobi" or "anchor"
-    indices: tuple[int, ...]
-    point: tuple[float, ...]
-    residual: float
-    values: tuple[float, ...]
+    _names = ("kind", "indices", "point", "residual", "values")
+
+    def __init__(self, kind: str, indices: tuple[int, ...], point: tuple[float, ...], residual: float,
+                 values: tuple[float, ...]):
+        vars(self).update(kind=kind, indices=indices, point=point, residual=residual, values=values)
 
     def describe(self) -> str:
         if self.kind == "jacobi":
@@ -486,14 +482,13 @@ class AxiomWitness:
         return f"{what} at point {self.point}: |residual| = {self.residual:.3e}"
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    jacobi_residual: float
-    anchor_residual: float
-    tol: float
-    n_points: int
-    seed: int
-    witness: AxiomWitness | None
+class AxiomReport(Frozen):
+    _names = ("jacobi_residual", "anchor_residual", "tol", "n_points", "seed", "witness")
+
+    def __init__(self, jacobi_residual: float, anchor_residual: float, tol: float, n_points: int, seed: int,
+                 witness: AxiomWitness | None):
+        vars(self).update(jacobi_residual=jacobi_residual, anchor_residual=anchor_residual, tol=tol,
+                          n_points=n_points, seed=seed, witness=witness)
 
     @property
     def passed(self) -> bool:

@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import re
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
@@ -66,6 +65,7 @@ class _Deferred:
 np = _Deferred()
 
 __all__ = [
+    "Frozen",
     "Expr",
     "Const",
     "Var",
@@ -135,19 +135,24 @@ class NonFiniteError(DomainError):
     """Raised when an evaluated output is NaN or infinite."""
 
 
-class Expr:
-    """Base class for expression nodes.
+class Frozen:
+    """Base class of the package's immutable records, expression nodes included.
 
-    Instances are immutable: each node class sets its slots once in
-    ``__init__``, and setting or deleting an attribute afterwards raises
+    A subclass names its fields in constructor order in ``_names`` and
+    sets each once in ``__init__``: a node through its slot's descriptor,
+    a record into its instance dict (which a ``cached_property`` fills
+    too).  Setting or deleting an attribute afterwards raises
     AttributeError.  Equality and hashing are structural, over the class
-    and the slots in order.
+    and the fields in order; a class compared by identity sets
+    ``__eq__`` and ``__hash__`` back to ``object``'s.  Copying and
+    pickling call the constructor on the fields, so its checks run again.
     """
 
     __slots__ = ()
+    _names: tuple[str, ...] = ()
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._names)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
@@ -165,6 +170,15 @@ class Expr:
 
     def __reduce__(self):
         return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._names)})"
+
+
+class Expr(Frozen):
+    """Base class for expression nodes: immutable, compared by structure (see :class:`Frozen`)."""
+
+    __slots__ = ()
 
     def evaluate(self, env: Mapping[str, object]):
         return evaluate(self, env)
@@ -227,21 +241,21 @@ class Expr:
 
 
 class Const(Expr):
-    __slots__ = ("value",)
+    __slots__ = _names = ("value",)
 
     def __init__(self, value: float):
         _set_value(self, value)
 
 
 class Var(Expr):
-    __slots__ = ("name",)
+    __slots__ = _names = ("name",)
 
     def __init__(self, name: str):
         _set_name(self, name)
 
 
 class Unary(Expr):
-    __slots__ = ("op", "arg")
+    __slots__ = _names = ("op", "arg")
 
     def __init__(self, op: str, arg: Expr):
         _set_unary_op(self, op)
@@ -249,7 +263,7 @@ class Unary(Expr):
 
 
 class Binary(Expr):
-    __slots__ = ("op", "left", "right")
+    __slots__ = _names = ("op", "left", "right")
 
     def __init__(self, op: str, left: Expr, right: Expr):
         _set_binary_op(self, op)
@@ -258,7 +272,7 @@ class Binary(Expr):
 
 
 class Power(Expr):
-    __slots__ = ("base", "k")
+    __slots__ = _names = ("base", "k")
 
     def __init__(self, base: Expr, k: int):
         _set_base(self, base)
@@ -266,7 +280,7 @@ class Power(Expr):
 
 
 # Each field is set once, in __init__, through its slot's descriptor
-# (Expr.__setattr__ refuses every later write).
+# (Frozen.__setattr__ refuses every later write).
 _set_value, _set_name = Const.value.__set__, Var.name.__set__
 _set_unary_op, _set_arg = Unary.op.__set__, Unary.arg.__set__
 _set_binary_op, _set_left, _set_right = Binary.op.__set__, Binary.left.__set__, Binary.right.__set__
@@ -475,8 +489,7 @@ log = _unary("log")
 sqrt = _unary("sqrt")
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class Program:
+class Program(Frozen):
     """A nested matrix of expressions compiled into straight-line numpy.
 
     Built by :func:`compile_exprs` and run by :func:`evaluate`.  Values
@@ -491,13 +504,12 @@ class Program:
     shape, ``size`` its entry count, ``mask`` the cells written (None: all).
     """
 
-    shape: tuple
-    size: int
-    registers: tuple
-    loads: tuple
-    prelude: tuple
-    ops: tuple
-    mask: np.ndarray | None
+    _names = ("shape", "size", "registers", "loads", "prelude", "ops", "mask")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, shape: tuple, size: int, registers: tuple, loads: tuple, prelude: tuple, ops: tuple,
+                 mask: np.ndarray | None):
+        vars(self).update(shape=shape, size=size, registers=registers, loads=loads, prelude=prelude, ops=ops, mask=mask)
 
     def __repr__(self) -> str:
         return f"<Program shape={self.shape} ops={len(self.ops)}>"

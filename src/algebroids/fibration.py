@@ -12,7 +12,6 @@ algebroid by integrating the morphism equations along the last axis.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -33,7 +32,7 @@ from .core import (
     unit_row,
     wedge,
 )
-from .expr import ONE, ZERO, DomainError, Expr, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, np, split_exprs, sub, total
+from .expr import ONE, ZERO, DomainError, Expr, Frozen, NonFiniteError, Program, add, as_expr, compile_exprs, const, div, dot, is_zero, mul, neg, np, split_exprs, sub, total
 
 if TYPE_CHECKING:  # the integrators below import cubes when they run, so describe never loads it
     from .cubes import Cube
@@ -102,8 +101,7 @@ def _symbolic_inverse(M: Sequence[Sequence[Expr]]) -> tuple[tuple[Expr, ...], ..
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
-class Fibration:
+class Fibration(Frozen):
     """Projection/splitting data between algebroids on one chart.
 
     ``projection[i][j]`` is the i-th base coefficient of the image of
@@ -112,22 +110,21 @@ class Fibration:
     s-th kernel frame section.
     """
 
-    total: Algebroid
-    base: Algebroid
-    projection: tuple[tuple[Expr, ...], ...]
-    splitting: tuple[tuple[Expr, ...], ...]
-    kernel: tuple[tuple[Expr, ...], ...]
+    _names = ("total", "base", "projection", "splitting", "kernel")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        if self.total.chart != self.base.chart:
+    def __init__(self, total: Algebroid, base: Algebroid, projection: tuple[tuple[Expr, ...], ...],
+                 splitting: tuple[tuple[Expr, ...], ...], kernel: tuple[tuple[Expr, ...], ...]):
+        if total.chart != base.chart:
             raise ValueError("total and base must share one chart")
-        rE, rB = self.total.rank, self.base.rank
-        object.__setattr__(self, "projection", coerce_matrix(self.projection, rB, rE, "projection"))
-        object.__setattr__(self, "splitting", coerce_matrix(self.splitting, rE, rB, "splitting"))
+        rE, rB = total.rank, base.rank
+        projection = coerce_matrix(projection, rB, rE, "projection")
+        splitting = coerce_matrix(splitting, rE, rB, "splitting")
         rK = rE - rB
         if rK < 0:
             raise ValueError("base rank exceeds total rank")
-        object.__setattr__(self, "kernel", coerce_matrix(self.kernel, rK, rE, "kernel frame"))
+        kernel = coerce_matrix(kernel, rK, rE, "kernel frame")
+        vars(self).update(total=total, base=base, projection=projection, splitting=splitting, kernel=kernel)
 
     @property
     def kernel_rank(self) -> int:
@@ -291,18 +288,16 @@ def covariant_derivative(fib: Fibration, X: Section, kappa: Section) -> Section:
     return Section(tuple(out))
 
 
-@dataclass(frozen=True, eq=False)
-class Curvature2Form:
+class Curvature2Form(Frozen):
     """Kernel-valued curvature of a splitting, a pair table on base frame pairs."""
 
-    chart: Chart
-    base_rank: int
-    kernel_rank: int
-    entries: Mapping[tuple[int, int], tuple[Expr, ...]]
+    _names = ("chart", "base_rank", "kernel_rank", "entries")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        entries = pair_table(self.entries, self.base_rank, self.kernel_rank, "curvature")
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, chart: Chart, base_rank: int, kernel_rank: int,
+                 entries: Mapping[tuple[int, int], tuple[Expr, ...]]):
+        entries = pair_table(entries, base_rank, kernel_rank, "curvature")
+        vars(self).update(chart=chart, base_rank=base_rank, kernel_rank=kernel_rank, entries=entries)
 
     def entry(self, i: int, j: int) -> tuple[Expr, ...]:
         return antisymmetric_entry(self.entries, i, j, self.kernel_rank)

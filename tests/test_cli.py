@@ -230,6 +230,20 @@ def test_config_hash_is_the_sha256_of_the_canonical_config_text():
     assert config_hash(sections, overrides) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def test_config_hash_falls_back_to_hashlib_without_a_built_in_sha256_module(monkeypatch):
+    # a None entry in sys.modules makes an import of that name raise ImportError
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    cli._sha256.cache_clear()
+    try:
+        assert cli._sha256() is hashlib.sha256
+        sections = parse_config("[chart c]\nbounds = -1 1\ncoords = x\n")
+        text = "[chart c]\nbounds=-1 1\ncoords=x\nset chart.c.coords=y"
+        assert config_hash(sections, {"chart.c.coords": "y"}) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    finally:
+        cli._sha256.cache_clear()
+
+
 def test_config_hash_looks_up_its_sha256_module_once_per_process():
     # a failed import is not cached, so a hash that tried _sha2 on every call would search sys.path each time
     sections = parse_config(AREA_CFG)
@@ -820,6 +834,25 @@ loaded = sorted(m for m in sys.modules if m.startswith("algebroids."))
 assert loaded == ["algebroids.expr"], loaded
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_describe_loads_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, ast and dis, and builds each class by exec; describe needs neither
+    src = Path(cli.__file__).resolve().parents[1]
+    code = f"""
+import contextlib, io, sys
+sys.path.insert(0, {str(src)!r})
+import algebroids.cli
+for config in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert algebroids.cli.main(["describe", config]) == 0, config
+loaded = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
+assert not loaded, loaded
+"""
+    configs = sorted(map(str, CONFIG_DIR.glob("*.cfg")))
+    assert str(CONFIG_DIR / "plane_area.cfg") in configs
+    proc = subprocess.run([sys.executable, "-c", code, *configs], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import math
 import operator
@@ -15,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from algebroids import cli, core, fibration
 from algebroids import expr as expr_module
 from algebroids.core import wedge
 from algebroids.expr import (
@@ -29,6 +29,7 @@ from algebroids.expr import (
     NonFiniteError,
     ParseError,
     Power,
+    Program,
     UnboundVariableError,
     Unary,
     Var,
@@ -401,6 +402,66 @@ def test_a_node_refuses_every_write_and_copies_by_structure(node):
         assert type(twin) is type(node) and twin == node and hash(twin) == hash(node)
 
 
+def _records():
+    """Each record class of the describe path: keyword arguments by field name, the defaults of the fields left
+    out, and how it compares: "value" (and hashes), "unhashable" (by value) or "identity"."""
+    chart = core.Chart(coords=("x", "y"), box=((0.0, 1.0), (0.0, 1.0)))
+    tangent = core.make_tangent(chart)
+    jacobi = core.make_jacobi_extension(chart, {(0, 1): "1"})
+    program = compile_exprs([var("x"), sin(var("y"))])
+    return [
+        (cli.SectionSpec, dict(kind="chart", name="c", line=3), dict(entries={}, lines={}), "unhashable"),
+        (cli.SameAs, dict(key="tol"), {}, "value"),
+        (cli.Key, {}, dict(parse=str, default=cli._REQUIRED, refers=None), "value"),
+        (cli.Form, dict(keys={"tol": cli.Key(float, 1e-2)}), dict(check=None), "unhashable"),
+        (core.Chart, dict(coords=("x",), box=((0.0, 1.0),)), {}, "value"),
+        (core.Section, dict(components=(ONE, var("x"))), {}, "value"),
+        (core.Algebroid, dict(chart=chart, rank=1, anchor=((ONE, ZERO),)), dict(structure={}), "unhashable"),
+        (core.AxiomWitness, dict(kind="anchor", indices=(0, 1), point=(0.5,), residual=1e-3, values=(1e-3,)), {}, "value"),
+        (core.AxiomReport, dict(jacobi_residual=0.0, anchor_residual=1e-3, tol=1e-8, n_points=200, seed=42,
+                                witness=None), {}, "value"),
+        (Program, {name: getattr(program, name) for name in ("shape", "size", "registers", "loads", "prelude", "ops",
+                                                             "mask")}, {}, "identity"),
+        (fibration.Fibration, dict(total=jacobi, base=tangent, projection=((0, 1, 0), (0, 0, 1)),
+                                   splitting=((0, 0), (1, 0), (0, 1)), kernel=((1, 0, 0),)), {}, "identity"),
+        (fibration.Curvature2Form, dict(chart=chart, base_rank=2, kernel_rank=1, entries={(0, 1): (ONE,)}), {},
+         "identity"),
+    ]
+
+
+@pytest.mark.parametrize("cls, kwargs, defaults, compare", _records(), ids=lambda v: getattr(v, "__name__", ""))
+def test_a_record_refuses_every_write_and_compares_by_value_or_identity(cls, kwargs, defaults, compare):
+    a, b = cls(**kwargs), cls(**kwargs)
+    for name, value in defaults.items():
+        assert getattr(a, name) == value, name
+        if isinstance(value, dict):  # a fresh one for each record
+            assert getattr(a, name) is not getattr(b, name), name
+    for name in [*kwargs, *defaults]:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1.0
+    if compare == "identity":
+        assert a == a and a != b and hash(a) == object.__hash__(a)
+    else:
+        assert a == b and not a != b and a != kwargs
+        if compare == "value":
+            assert hash(a) == hash(b)
+        else:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(a)
+    if cls is not Program:  # field by field, in constructor order
+        assert repr(a) == f"{cls.__name__}({', '.join(f'{n}={getattr(a, n)!r}' for n in [*kwargs, *defaults])})"
+    twins = [copy.copy(a)]
+    if cli._REQUIRED not in defaults.values():  # a deep copy or a pickle copies that sentinel too
+        twins += [copy.deepcopy(a), pickle.loads(pickle.dumps(a))]
+    for twin in twins:
+        assert type(twin) is cls and (twin == a) is (compare != "identity")
+        assert all(getattr(twin, name) == getattr(a, name) for name in [*kwargs, *defaults])
+
+
 def test_nodes_compare_and_hash_by_structure():
     x = var("x")
     e = Binary("add", Const(2.0), x)
@@ -680,7 +741,8 @@ def test_blocked_evaluation_is_bitwise_the_row_by_row_one():
         return lambda *args: sizes.append(max(np.size(a) for a in args)) or fn(*args)
 
     ops = tuple((name, spy(fn), *rest) for name, fn, *rest in program.ops)
-    assert evaluate(dataclasses.replace(program, ops=ops), env, (_ROWS, _COLS)).tobytes() == got.tobytes()
+    spied = Program(program.shape, program.size, program.registers, program.loads, program.prelude, ops, program.mask)
+    assert evaluate(spied, env, (_ROWS, _COLS)).tobytes() == got.tobytes()
     blocks = -(-_ROWS // (BLOCK // _COLS))
     assert len(sizes) == blocks * len(program.ops) and max(sizes) <= BLOCK
 

@@ -554,8 +554,8 @@ def _rotation_fibration() -> Fibration:
 def test_a_formula_transgression_builds_the_curvature_once(monkeypatch):
     # the rank-two kernel makes transgress2_formula check centrality, which reads the curvature too
     built = []
-    init = Curvature2Form.__post_init__
-    monkeypatch.setattr(Curvature2Form, "__post_init__", lambda self: built.append(self) or init(self))
+    init = Curvature2Form.__init__
+    monkeypatch.setattr(Curvature2Form, "__init__", lambda self, *args: built.append(self) or init(self, *args))
     fib = _rotation_fibration()
     transgress2_formula(fib, tangent_lift(PLANE, ["0.6*t1 - 0.3", "0.5*t2 - 0.2"], n=2, N=8))
     assert len(built) == 1
